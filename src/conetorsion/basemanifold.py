@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .specfun import ln_gamma
-from .zetacont import (HeatCoefficients, SpectrumStream, merge_ties,
-                       progression_stream)
+from .zetacont import (HeatCoefficients, SpectrumStream, _exp_rowsum,
+                       merge_ties, progression_stream)
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -253,17 +253,18 @@ def circle(c: float, count: int = 4096, *, allow_boundary: bool = False) -> Base
 
     def heat_fn(t, _c2=c * c):
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        a = _c2 * t
         out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            a = _c2 * ti
-            if a >= 0.3:
-                mmax = int(math.sqrt(745.0 / a)) + 1
-                out[i] = 2.0 * math.fsum(math.exp(-a * j * j)
-                                         for j in range(1, mmax + 1))
-            else:
-                b = math.pi * math.pi / a
-                s = math.fsum(math.exp(-b * j * j) for j in range(1, 6))
-                out[i] = math.sqrt(math.pi / a) * (1.0 + 2.0 * s) - 1.0
+        direct = a >= 0.3
+        ad, ap = a[direct], a[~direct]
+        # direct sum over j <= sqrt(745/a) + 1, i.e. j <= 50 on the whole
+        # branch; past each point's own cutoff the terms underflow to 0
+        j = np.arange(1.0, 51.0)
+        out[direct] = 2.0 * _exp_rowsum(-ad[:, None] * j * j)
+        # Poisson dual: j <= 5 leaves e^(-36 pi^2 / 0.3) ~ 0
+        j = np.arange(1.0, 6.0)
+        s = _exp_rowsum(-(math.pi * math.pi / ap)[:, None] * j * j)
+        out[~direct] = np.sqrt(math.pi / ap) * (1.0 + 2.0 * s) - 1.0
         return out
 
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
@@ -329,21 +330,19 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
         raise ValidationError(SCALING_MESSAGE)
 
     vsq = _lattice_points(basis, 17.5 * ell1)
-    vmult = np.ones_like(vsq)
 
     area_factor = covol / (4.0 * math.pi * c * c)     # A in Z ~ A/t - 1
     t_switch = ell1 / (4.0 * math.pi * c * c * q1)
 
-    def heat_fn(t, _eta=eta, _em=eta_mult, _v=vsq, _vm=vmult,
+    def heat_fn(t, _eta=eta, _em=eta_mult, _v=vsq,
                 _A=area_factor, _ts=t_switch, _c2=c * c):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            if ti >= _ts:
-                out[i] = math.fsum((_em * np.exp(-_eta * ti)).tolist())
-            else:
-                s = math.fsum((_vm * np.exp(-_v / (4.0 * _c2 * ti))).tolist())
-                out[i] = _A / ti * (1.0 + s) - 1.0
+        direct = t >= _ts
+        td, tp = t[direct], t[~direct]
+        out[direct] = _exp_rowsum(-_eta * td[:, None], _em)
+        s = _exp_rowsum(-_v / (4.0 * _c2 * tp[:, None]))
+        out[~direct] = _A / tp * (1.0 + s) - 1.0
         return out
 
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(

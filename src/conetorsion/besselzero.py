@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as sc
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, ValidationError
 
@@ -168,6 +167,9 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
 
 def _scan_zeros(nu: float, count: int) -> np.ndarray:
     """Sequential sign-change scan + brentq; slow but assumption-free."""
+    # imported here: scipy.optimize costs a third of the CLI start-up, and
+    # only this repair path needs it
+    from scipy.optimize import brentq
     if nu >= 1.0:
         start = nu + 0.9 * nu ** (1.0 / 3.0)   # below the first zero
     else:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,6 +45,20 @@ _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 
 def _fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _exp_rowsum(expo: np.ndarray, weights=None) -> np.ndarray:
+    """Row sums of weights * exp(expo) for a (t x modes) exponent matrix.
+
+    The shared kernel of every trace evaluator: ``expo`` is overwritten
+    (exp and the weighting run in place), so a call costs the one matrix its
+    caller built.  Terms match a per-point loop over the same exponents;
+    only the order of summation differs (numpy pairwise row sums).
+    """
+    np.exp(expo, out=expo)
+    if weights is not None:
+        expo *= weights
+    return expo.sum(axis=1)
 
 
 def merge_ties(values, mults, rel: float = 1e-12):
@@ -77,9 +92,11 @@ class SpectrumStream:
     """Ascending positive eigenvalues with multiplicities and optional structure.
 
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
-    eigenvalue sum); heat_powers: exact leading small-t powers [(p, c), ...];
-    density_exponent d: counting function N(x) ~ C x^d, used for tail
-    estimates; progression: (c, m) tag when the values are exactly {c k}.
+    eigenvalue sum); it takes a 1-D array of t and returns an array of the
+    same shape, evaluated in one array pass; heat_powers: exact leading
+    small-t powers [(p, c), ...]; density_exponent d: counting function
+    N(x) ~ C x^d, used for tail estimates; progression: (c, m) tag when the
+    values are exactly {c k}.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
@@ -122,12 +139,12 @@ class SpectrumStream:
         return cutoff / self.max_value
 
     def trace(self, t) -> np.ndarray:
-        """Z(t) = sum m_j exp(-x_j t) (vectorized over t, ascending + fsum)."""
+        """Z(t) = sum m_j exp(-x_j t) for a 1-D array of t, in one array pass
+        (the attached heat_fn, else row sums of the eigenvalue terms)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.heat_fn is not None:
             return np.asarray(self.heat_fn(t), dtype=float)
-        ex = np.exp(-np.outer(t, self.values)) * self.mults
-        return np.array([math.fsum(row.tolist()) for row in ex])
+        return _exp_rowsum(np.outer(t, -self.values), self.mults)
 
 
 def progression_stream(c: float, m: int, count: int,
@@ -199,12 +216,21 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
 # ---------------------------------------------------------------------------
 # quadrature grid
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], built once per node count (read-only)."""
+    x, w = leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _log_panels(a: float, b: float, nodes: int, per_decade: int = 1):
     """Gauss-Legendre nodes/weights for int_a^b f(t) dt on a log axis,
     per_decade panels per decade: returns (t, w) with int = sum w f(t)."""
     if not (0.0 < a < b):
         raise ValidationError(f"bad quadrature range [{a}, {b}]")
-    x, w = leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     la, lb = math.log(a), math.log(b)
     npan = max(1, int(math.ceil(per_decade * (lb - la) / math.log(10.0))))
     edges = np.linspace(la, lb, npan + 1)
@@ -527,9 +553,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     w = a / x
     if np.max(np.abs(w)) >= 0.75:
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
-    # tail of the log series: sum_{r>R} (-1)^r w^r / r, summed termwise
-    term = (-w) ** (rmax + 1) / (rmax + 1) * (-1.0) ** (rmax + 1)
-    # build sum_{r=R+1}^{R+60} (-1)^r w^r / r directly
+    # tail of the log series, sum_{r=R+1}^{R+60} (-1)^r w^r / r, built termwise
     tail = np.zeros_like(w)
     wr = w ** (rmax + 1)
     for r in range(rmax + 1, rmax + 61):
@@ -594,15 +618,14 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
     qmin = q_stream.min_value
     numax = float(np.sqrt(q_stream.max_value))
     t_direct = _EXP_CUTOFF / numax
-    ex_nodes, ex_w = leggauss(24)
+    neg_nu = -nu_vals
 
     def lifted_trace(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         direct = t >= t_direct
         if np.any(direct):
-            ex = np.exp(-np.outer(t[direct], nu_vals)) * q_stream.mults
-            out[direct] = [math.fsum(row.tolist()) for row in ex]
+            out[direct] = _exp_rowsum(np.outer(t[direct], neg_nu), q_stream.mults)
         small = ~direct
         for i in np.nonzero(small)[0]:
             ti = t[i]

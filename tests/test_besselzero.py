@@ -1,13 +1,19 @@
 """Bessel-zero solver versus mpmath's independent zero finder."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetorsion.besselzero import ZeroList, ZeroRequest, mcmahon_guess, zeros
+import conetorsion
+from conetorsion.besselzero import (ZeroList, ZeroRequest, _dirichlet_zeros,
+                                    _scan_zeros, mcmahon_guess, zeros)
 from conetorsion.errors import ValidationError
 
 import oracles
@@ -29,6 +35,24 @@ def test_neumann_zeros_match_mpmath(nu):
     for k in range(10):
         want = oracles.jprime_zero(nu, k + 1)
         assert zl.zeros[k] == pytest.approx(want, rel=5e-14)
+
+
+@pytest.mark.parametrize("nu", [3.0, 2.7])
+def test_scan_zeros_match_newton_and_mpmath(nu):
+    scanned = _scan_zeros(nu, 10)
+    assert scanned == pytest.approx(_dirichlet_zeros(nu, 10), rel=1e-14)
+    for k in range(10):
+        assert scanned[k] == pytest.approx(oracles.j_zero(nu, k + 1), rel=5e-14)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, conetorsion.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_half_integer_dirichlet_is_k_pi():
