@@ -178,9 +178,6 @@ class BaseManifold:
                 f"no coclosed spectrum supplied for degree {k} of {self.name}")
         return self._degrees[k]
 
-    def has_exact_trace(self, k: int) -> bool:
-        return self._degree(k).heat_fn is not None
-
     # -- spectra -----------------------------------------------------------
     def coclosed_spectrum(self, k: int, shift2: float = 0.0) -> SpectrumStream:
         """Nonzero coclosed degree-k eigenvalues, shifted by ``shift2``.
@@ -203,9 +200,6 @@ class BaseManifold:
             name=f"{self.name}:deg{k}" + (f"+{shift2:g}" if shift2 else ""),
             heat_fn=heat_fn, heat_powers=powers,
             density_exponent=-lead)
-
-    def heat_coefficients(self, k: int) -> HeatCoefficients:
-        return powers_to_heat_coefficients(self._degree(k).heat_powers, self.dim)
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
@@ -458,10 +452,6 @@ class NuSet:
     shift: float            # a_k = k + 1/2 - n/2 = -alpha
     nu_stream: SpectrumStream
     q_stream: SpectrumStream
-
-    @property
-    def nu_min(self) -> float:
-        return self.nu_stream.min_value
 
 
 def nu_set(base: BaseManifold, k: int) -> NuSet:

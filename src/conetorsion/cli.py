@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basemanifold import BaseManifold, circle, custom, nu_set, torus2
+from .basemanifold import BaseManifold, circle, custom, torus2
 from .besselzero import ZeroRequest, zeros
 from .errors import ConvergenceError, ValidationError
 from .exactpoly import (MAX_ORDER, dm_identity_residual, gen_D, gen_M,
@@ -39,13 +39,12 @@ from .exactpoly import (MAX_ORDER, dm_identity_residual, gen_D, gen_M,
 from .modelops import (ModelOperator, det_closed, det_numeric,
                        harmonic_contribution)
 from .specfun import LOG_2
-from .torsion import (RMAX, ConeOverS1Config, SpectralParameter,
+from .torsion import (ConeOverS1Config, SpectralParameter,
                       asymptotic_remainder, corollary_3d,
-                      corollary_3d_precancellation, fit_remainder,
-                      lemma_first_summand, lemma_first_summand_numeric,
-                      log_torsion, nu_continuation_data, remainder_asymptote,
-                      theorem_main)
-from .zetacont import shifted_from_base, zeta_data_exact
+                      corollary_3d_precancellation, degree_continuation,
+                      fit_remainder, lemma_first_summand,
+                      lemma_first_summand_numeric, log_torsion,
+                      remainder_asymptote, theorem_main)
 
 __all__ = ["CommandConfig", "main", "run", "run_selftest"]
 
@@ -60,7 +59,6 @@ class CommandConfig:
     flags: dict
     output_format: str = "json"
     tolerance: float = TOL_DEFAULT
-    deterministic: bool = True      # seedless determinism; always on
 
     def __post_init__(self):
         if self.output_format not in ("json", "table"):
@@ -71,8 +69,6 @@ class CommandConfig:
             raise ValidationError(
                 f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", tol)
-        if not self.deterministic:
-            raise ValidationError("deterministic mode cannot be disabled")
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +261,11 @@ def _cmd_zeros(cfg: CommandConfig) -> dict:
 
 def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
                   tolerance: float) -> dict:
-    ns = nu_set(base, k)
+    dc = degree_continuation(base, k)
+    data = dc.data
     n = base.dim
     pole_top = max(n, 1)
-    shift_value = shift_error = None
-    if ns.nu_stream.progression is not None:
-        step, mult = ns.nu_stream.progression
-        data = zeta_data_exact(step, mult,
-                               alphas=(shift,) if shift is not None else (),
-                               pole_range=pole_top)
-        source = "closed-form"
-        if shift is not None:
-            shift_value, shift_error = data.deriv0_shifted[float(shift)], 0.0
-    else:
-        data, _engine = nu_continuation_data(ns.q_stream)
-        source = "numeric"
-        if shift is not None:
-            shift_value, shift_error = shifted_from_base(
-                ns.nu_stream, data, float(shift), rmax=RMAX)
+    shift_value, shift_error = dc.shifted(shift) if shift is not None else (None, None)
     total_err = data.error_estimate + (shift_error or 0.0)
     if total_err > tolerance:
         raise ConvergenceError(
@@ -293,13 +276,13 @@ def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
         "scale": base.scale,
         "dim": n,
         "degree": k,
-        "alpha": float(ns.alpha) + 0.0,    # normalizes -0.0
+        "alpha": float(dc.nu.alpha) + 0.0,    # normalizes -0.0
         "deriv0": data.deriv0,
         "zeta0": data.zeta0,
         "residues": {str(i): data.residues.get(i, 0.0)
                      for i in range(1, pole_top + 1)},
         "error_estimate": data.error_estimate,
-        "source": source,
+        "source": "closed-form" if dc.route == "exact" else "numeric",
     }
     if shift is not None:
         payload["shift"] = {

@@ -32,9 +32,11 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .exactpoly import (coeffs_x, coeffs_z, gen_D, gen_M,
 from .modelops import harmonic_contribution
 from .specfun import (EULER_GAMMA, LOG_2, LOG_2PI, bessel_i, bessel_i_prime,
                       bessel_i_prime_scaled, bessel_i_scaled, digamma)
-from .zetacont import (HeatCoefficients, MellinZeta, SpectrumStream,
+from .zetacont import (RMAX, HeatCoefficients, MellinZeta, SpectrumStream,
                        ZetaFunctionData, shifted_from_base, sqrt_stream,
                        zeta_data_exact)
 
@@ -54,14 +56,11 @@ __all__ = [
     "SpectralParameter", "ConeOverS1Config", "TorsionBreakdown",
     "frequency_log_term", "t_nu_k", "f_r", "asymptotic_remainder",
     "remainder_asymptote", "fit_remainder", "pp_cancellation_residual",
-    "spectral_bracket", "nu_continuation_data", "zeta_k_prime0",
-    "log_torsion", "corollary_2d",
+    "DegreeContinuation", "degree_continuation", "spectral_bracket",
+    "nu_continuation_data", "zeta_k_prime0", "log_torsion", "corollary_2d",
     "corollary_3d", "corollary_3d_precancellation", "theorem_main",
     "lemma_first_summand", "lemma_first_summand_numeric", "z_at_zero",
 ]
-
-#: depth of the shift relation / residue ladder used on the numeric path
-RMAX = 16
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +321,6 @@ def pp_cancellation_residual(r: int, alpha, parity: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # per-degree continuation data (production path)
 
-@dataclass(frozen=True)
-class _DegreeZeta:
-    """Frequency-side continuation data of one degree, with error bookkeeping."""
-
-    nu: NuSet
-    data: ZetaFunctionData
-    shift_errors: dict
-    check_residual: float
-    exact: bool
-
-
 def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
     """Frequency-side continuation data from the squared-frequency stream.
 
@@ -342,63 +330,96 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
     over unchanged.  Populates everything ``shifted_from_base`` needs.
     """
     engine = MellinZeta(q_stream, s_max=0.5 * RMAX)
-    data = ZetaFunctionData(deriv0=0.5 * engine.deriv0())
-    data.zeta0 = engine.zeta0()
-    pole_ws = []
+    residues, pp, pole_ws = {}, {}, []
     for i in range(1, RMAX + 1):
         w = 0.5 * i
         res_q = engine.residue(w)
         if res_q != 0.0:
-            data.residues[i] = 2.0 * res_q
-            data.pp[i] = engine.pp(w)
+            residues[i] = 2.0 * res_q
+            pp[i] = engine.pp(w)
             pole_ws.append(w)
         else:
-            data.residues[i] = 0.0
-            value = engine.value(w)
-            data.pp[i] = value
-            data.values[i] = value
-    data.error_estimate = engine.error_estimate([0.0] + pole_ws)
-    return data, engine
+            residues[i] = 0.0
+            pp[i] = engine.value(w)
+    err = engine.error_estimate([0.0] + pole_ws)
+    return ZetaFunctionData(deriv0=0.5 * engine.deriv0(), residues=residues, pp=pp,
+                            error_estimate=err, zeta0=engine.zeta0()), engine
 
 
-@lru_cache(maxsize=64)
-def _degree_zeta(base: BaseManifold, k: int) -> _DegreeZeta:
-    """Continuation data of the degree-k frequency set of ``base``.
+@dataclass(frozen=True)
+class DegreeContinuation:
+    """Read-only continuation data of one degree's frequency set.
 
-    Exact closed-form route when the frequency set is an arithmetic
-    progression; otherwise the numeric route: a Mellin-split engine on the
-    shifted eigenvalue stream supplies the frequency-side derivative,
-    residues, and regular values through s -> s/2, and the shifted
-    derivatives come from the subtracted-logarithm relation, cross-checked
-    (when an exact trace is available) against the direct route on the
-    square-root lift of the stream.
+    ``route`` is "exact" or "numeric"; ``data.deriv0_shifted`` holds
+    zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
+    ``_q_engine`` (the squared-stream engine, kept only when that stream
+    has an exact trace) feeds the lift cross-check.
     """
-    ns = nu_set(base, k)
-    n = base.dim
-    a = float(ns.alpha)
-    if ns.nu_stream.progression is not None:
-        step, mult = ns.nu_stream.progression
-        data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(n, 1))
-        return _DegreeZeta(ns, data, {a: 0.0, -a: 0.0}, 0.0, True)
 
-    data, engine = nu_continuation_data(ns.q_stream)
+    nu: NuSet
+    route: str
+    data: ZetaFunctionData
+    shift_errors: Mapping
+    _q_engine: MellinZeta | None = field(default=None, repr=False, compare=False)
 
-    shift_errors: dict[float, float] = {}
-    for shift in ({a, -a} if a != 0.0 else {0.0}):
-        value, err = shifted_from_base(ns.nu_stream, data, shift, rmax=RMAX)
-        data.deriv0_shifted[shift] = value
-        shift_errors[shift] = err
+    def __post_init__(self):
+        object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))
 
-    check = 0.0
-    if ns.q_stream.heat_fn is not None:
-        lift = sqrt_stream(ns.q_stream, engine, name=f"{ns.base_id}:nu{k}")
+    def shifted(self, shift: float) -> tuple[float, float]:
+        """(zeta'(0, shift), error estimate) at any shift: the stored values
+        at +-alpha_k, else the route's own evaluation at that shift."""
+        s = float(shift)
+        if s in self.shift_errors:
+            return self.data.deriv0_shifted[s], self.shift_errors[s]
+        if self.route == "exact":
+            step, mult = self.nu.nu_stream.progression
+            return zeta_data_exact(step, mult, alphas=(s,)).deriv0_shifted[s], 0.0
+        return shifted_from_base(self.nu.nu_stream, self.data, s)
+
+    @cached_property
+    def check_residual(self) -> float:
+        """Largest gap between ``data`` and the direct route on the
+        square-root lift (0 without a lift); computed once, on first use,
+        since only the torsion error budget reads it."""
+        if self._q_engine is None:
+            return 0.0
+        ns = self.nu
+        lift = sqrt_stream(ns.q_stream, self._q_engine,
+                           name=f"{ns.base_id}:nu{ns.degree}")
         lift_engine = MellinZeta(lift, s_max=1.0)
-        check = abs(lift_engine.deriv0() - data.deriv0)
+        check = abs(lift_engine.deriv0() - self.data.deriv0)
+        a = float(ns.alpha)
         if a != 0.0:
             for shift in (a, -a):
                 direct = lift_engine.deriv0_shifted(shift)
-                check = max(check, abs(direct - data.deriv0_shifted[shift]))
-    return _DegreeZeta(ns, data, shift_errors, check, False)
+                check = max(check, abs(direct - self.data.deriv0_shifted[shift]))
+        return check
+
+
+@lru_cache(maxsize=64)
+def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
+    """Continuation data of the degree-k frequency set of ``base``.
+
+    The one place that picks the route: the exact closed form when the
+    frequency set is an arithmetic progression; otherwise the numeric
+    route, where a Mellin-split engine on the shifted eigenvalue stream
+    supplies the frequency-side derivative, residues, and regular values
+    through s -> s/2, and the shifted derivatives come from the
+    subtracted-logarithm relation (cross-checked by ``check_residual``).
+    """
+    ns = nu_set(base, k)
+    a = float(ns.alpha)
+    if ns.nu_stream.progression is not None:
+        step, mult = ns.nu_stream.progression
+        data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(base.dim, 1))
+        return DegreeContinuation(ns, "exact", data, {a: 0.0, -a: 0.0})
+
+    data, engine = nu_continuation_data(ns.q_stream)
+    shifts = {s: shifted_from_base(ns.nu_stream, data, s) for s in {a, -a}}
+    data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
+    return DegreeContinuation(
+        ns, "numeric", data, {s: err for s, (_, err) in shifts.items()},
+        engine if ns.q_stream.heat_fn is not None else None)
 
 
 def spectral_bracket(data: ZetaFunctionData, alpha: Fraction, n: int,
@@ -447,13 +468,13 @@ def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     """(zeta_k_prime0, error estimate) for one contributing degree."""
     n = base.dim
     _check_degree(k, n, (n - 1) // 2)
-    dz = _degree_zeta(base, k)
+    dc = degree_continuation(base, k)
     alpha = _alpha_k(k, n)
-    value, sensitivity = spectral_bracket(dz.data, alpha, n, _parity(n))
+    value, sensitivity = spectral_bracket(dc.data, alpha, n, _parity(n))
     a = float(alpha)
-    err = (dz.shift_errors[a] + dz.shift_errors[-a]
-           + 2.0 * dz.data.error_estimate * sensitivity
-           + 2.0 * dz.check_residual)
+    err = (dc.shift_errors[a] + dc.shift_errors[-a]
+           + 2.0 * dc.data.error_estimate * sensitivity
+           + 2.0 * dc.check_residual)
     return value, err
 
 
@@ -466,13 +487,12 @@ def zeta_k_prime0(base: BaseManifold, k: int) -> float:
 # ---------------------------------------------------------------------------
 # total torsion and dimension-specific reductions
 
-def log_torsion(base: BaseManifold, *, _middle_delta: float = 0.5) -> TorsionBreakdown:
+def log_torsion(base: BaseManifold) -> TorsionBreakdown:
     """log T(M) of the cone over ``base``, with its per-degree breakdown.
 
-    ``_middle_delta`` is a test hook for the middle-degree factor in even
-    parity (dim M even): the correct value 1/2 compensates the double count
-    of that degree's subcomplex family; tests set it to 1 to confirm the
-    factor is load-bearing.  Production callers must leave it alone.
+    In even parity (dim M even) the middle degree enters with the extra
+    factor delta = 1/2, which compensates the double count of that
+    degree's subcomplex family.
     """
     n = base.dim
     parity = _parity(n)
@@ -485,7 +505,7 @@ def log_torsion(base: BaseManifold, *, _middle_delta: float = 0.5) -> TorsionBre
         value, term_err = _degree_term(base, k)
         weight = 0.5 * (-1.0) ** k
         if parity == "even" and k == (n - 1) // 2:
-            weight *= float(_middle_delta)
+            weight *= 0.5
         per_degree[k] = {"zeta_k_prime0": value, "weight": weight}
         terms.append(weight * value)
         err += abs(weight) * term_err
@@ -504,21 +524,23 @@ def corollary_2d(base: BaseManifold) -> float:
         raise ValidationError(
             f"two-dimensional cone reduction needs a one-dimensional "
             f"cross-section, got dim N = {base.dim}")
-    dz = _degree_zeta(base, 0)
-    return (0.5 * base.betti[0] * LOG_2 + 0.5 * dz.data.deriv0
-            - 0.25 * dz.data.residues.get(1, 0.0))
+    data = degree_continuation(base, 0).data
+    return (0.5 * base.betti[0] * LOG_2 + 0.5 * data.deriv0
+            - 0.25 * data.residues.get(1, 0.0))
 
 
-def _corollary_3d_head(base: BaseManifold) -> float:
+def _corollary_3d_parts(base: BaseManifold) -> tuple[float, float, float]:
+    """(terms shared by both 3d forms, Res(1), Res(2))."""
     if base.dim != 2:
         raise ValidationError(
             f"three-dimensional cone reduction needs a two-dimensional "
             f"cross-section, got dim N = {base.dim}")
-    dz = _degree_zeta(base, 0)
-    shifted = dz.data.deriv0_shifted
-    return (0.5 * LOG_2 * base.euler_characteristic
+    data = degree_continuation(base, 0).data
+    shifted = data.deriv0_shifted
+    head = (0.5 * LOG_2 * base.euler_characteristic
             - 0.5 * math.log(3.0) * base.betti[0]
             + 0.5 * shifted[0.5] - 0.5 * shifted[-0.5])
+    return head, data.residues.get(1, 0.0), data.residues.get(2, 0.0)
 
 
 def corollary_3d(base: BaseManifold) -> float:
@@ -527,10 +549,8 @@ def corollary_3d(base: BaseManifold) -> float:
     (log2/2) chi - (log3/2) b0 + [zeta'(0,1/2) - zeta'(0,-1/2)]/2
     + (log2/2) Res(1) + Res(2)/8.
     """
-    dz = _degree_zeta(base, 0)
-    res1 = dz.data.residues.get(1, 0.0)
-    res2 = dz.data.residues.get(2, 0.0)
-    return _corollary_3d_head(base) + 0.5 * LOG_2 * res1 + 0.125 * res2
+    head, res1, res2 = _corollary_3d_parts(base)
+    return head + 0.5 * LOG_2 * res1 + 0.125 * res2
 
 
 def corollary_3d_precancellation(base: BaseManifold) -> float:
@@ -541,10 +561,8 @@ def corollary_3d_precancellation(base: BaseManifold) -> float:
     cancellation of the gamma terms, kept as a regression guard on the
     simplification step.
     """
-    dz = _degree_zeta(base, 0)
-    res1 = dz.data.residues.get(1, 0.0)
-    res2 = dz.data.residues.get(2, 0.0)
-    return (_corollary_3d_head(base) - 0.25 * EULER_GAMMA * res1
+    head, res1, res2 = _corollary_3d_parts(base)
+    return (head - 0.25 * EULER_GAMMA * res1
             + 0.25 * (res1 * (EULER_GAMMA + 2.0 * LOG_2) + 0.5 * res2))
 
 

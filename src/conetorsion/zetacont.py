@@ -31,8 +31,10 @@ accumulated into error_estimate.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,6 +43,11 @@ from .errors import ConvergenceError, ValidationError
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
+_NODES = 24                 # Gauss-Legendre nodes per quadrature panel
+_FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
+_LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
+#: depth of the shift relation / residue ladder used on the numeric path
+RMAX = 16
 
 
 def _fsum(values) -> float:
@@ -61,15 +68,16 @@ def _exp_rowsum(expo: np.ndarray, weights=None) -> np.ndarray:
     return expo.sum(axis=1)
 
 
-def merge_ties(values, mults, rel: float = 1e-12):
-    """Merge eigenvalues equal within rel (ascending input), summing mults."""
+def merge_ties(values, mults):
+    """Merge eigenvalues equal within 1e-12 relative (ascending input),
+    summing mults."""
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=float)
     if values.size == 0:
         return values, mults
     out_v, out_m = [values[0]], [mults[0]]
     for v, m in zip(values[1:], mults[1:]):
-        if v - out_v[-1] <= rel * max(1.0, abs(v)):
+        if v - out_v[-1] <= 1e-12 * max(1.0, abs(v)):
             out_m[-1] += m
         else:
             out_v.append(v)
@@ -131,12 +139,12 @@ class SpectrumStream:
     def total_count(self) -> float:
         return float(np.sum(self.mults))
 
-    def t_floor(self, cutoff: float = _EXP_CUTOFF) -> float:
+    def t_floor(self) -> float:
         """Smallest t at which the truncated eigenvalue sum is still exact
-        to ~e^-cutoff relative; 0 when an exact trace evaluator is attached."""
+        to ~e^-45 relative; 0 when an exact trace evaluator is attached."""
         if self.heat_fn is not None:
             return 0.0
-        return cutoff / self.max_value
+        return _EXP_CUTOFF / self.max_value
 
     def trace(self, t) -> np.ndarray:
         """Z(t) = sum m_j exp(-x_j t) for a 1-D array of t, in one array pass
@@ -147,40 +155,40 @@ class SpectrumStream:
         return _exp_rowsum(np.outer(t, -self.values), self.mults)
 
 
-def progression_stream(c: float, m: int, count: int,
-                       exact_trace: bool = True) -> SpectrumStream:
+def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
     """Materialized arithmetic progression {c k}_{k=1..count} with mult m.
 
-    With exact_trace the geometric closed form m/(e^(c t)-1) and its exact
+    The geometric closed form m/(e^(c t)-1) of the trace and its exact
     Bernoulli small-t powers ride along, so the numeric engine can be held to
     the closed-form answers at full precision.
     """
     if c <= 0 or m < 1 or count < 1:
         raise ValidationError("progression needs c > 0, m >= 1, count >= 1")
     k = np.arange(1, count + 1, dtype=float)
-    heat_fn = None
-    powers = ()
-    if exact_trace:
-        heat_fn = lambda t: m / np.expm1(c * t)
-        # 1/(e^(ct)-1) = 1/(ct) - 1/2 + ct/12 - (ct)^3/720 + (ct)^5/30240 - ...
-        powers = ((-1.0, m / c), (0.0, -m / 2.0), (1.0, m * c / 12.0),
-                  (3.0, -m * c ** 3 / 720.0), (5.0, m * c ** 5 / 30240.0),
-                  (7.0, -m * c ** 7 / 1209600.0))
+    # 1/(e^(ct)-1) = 1/(ct) - 1/2 + ct/12 - (ct)^3/720 + (ct)^5/30240 - ...
+    powers = ((-1.0, m / c), (0.0, -m / 2.0), (1.0, m * c / 12.0),
+              (3.0, -m * c ** 3 / 720.0), (5.0, m * c ** 5 / 30240.0),
+              (7.0, -m * c ** 7 / 1209600.0))
     return SpectrumStream(c * k, m * np.ones_like(k), name=f"progression({c},{m})",
-                          heat_fn=heat_fn, heat_powers=powers,
+                          heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers,
                           density_exponent=1.0, progression=(float(c), int(m)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZetaFunctionData:
-    """Continuation outputs; pp stores the plain value at regular points."""
+    """Continuation outputs, read-only once built: the mappings are copied
+    into read-only views.  pp[i] stores the plain value zeta(i) wherever
+    residues[i] == 0."""
     deriv0: float
-    deriv0_shifted: dict = field(default_factory=dict)
-    residues: dict = field(default_factory=dict)
-    pp: dict = field(default_factory=dict)
+    deriv0_shifted: Mapping = field(default_factory=dict)
+    residues: Mapping = field(default_factory=dict)
+    pp: Mapping = field(default_factory=dict)
     error_estimate: float = 0.0
     zeta0: float = math.nan
-    values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("deriv0_shifted", "residues", "pp"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFunctionData:
@@ -193,24 +201,23 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     if c <= 0 or m < 1:
         raise ValidationError("progression descriptor needs c > 0 and integer m >= 1")
     lc = math.log(c)
-    data = ZetaFunctionData(deriv0=m * (0.5 * lc - 0.5 * LOG_2PI))
-    data.zeta0 = -m / 2.0
+    shifted = {}
     for alpha in alphas:
         a = float(alpha)
         if 1.0 + a / c <= 0.0:
             raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {c}")
-        data.deriv0_shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
+        shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
+    residues, pp = {}, {}
     for i in range(1, pole_range + 1):
         if i == 1:
-            data.residues[1] = m / c
-            data.pp[1] = m * (EULER_GAMMA - lc) / c
+            residues[1] = m / c
+            pp[1] = m * (EULER_GAMMA - lc) / c
         else:
-            data.residues[i] = 0.0
-            val = m * c ** (-i) * riemann_zeta(float(i))
-            data.pp[i] = val
-            data.values[i] = val
-    data.error_estimate = 0.0
-    return data
+            residues[i] = 0.0
+            pp[i] = m * c ** (-i) * riemann_zeta(float(i))
+    return ZetaFunctionData(deriv0=m * (0.5 * lc - 0.5 * LOG_2PI),
+                            deriv0_shifted=shifted, residues=residues, pp=pp,
+                            error_estimate=0.0, zeta0=-m / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +254,12 @@ class MellinZeta:
     """Continuation engine for one stream (see module docstring).
 
     Heat powers used for H(t): the stream's exact powers, optionally replaced
-    by an explicit HeatCoefficients, optionally extended by fit_extra fitted
-    half-power steps when no exact trace evaluator exists.
+    by an explicit HeatCoefficients, extended by _FIT_EXTRA fitted half-power
+    steps when no exact trace evaluator exists.
     """
 
     def __init__(self, stream: SpectrumStream, heat: HeatCoefficients | None = None,
-                 *, fit_extra: int = 5, nodes: int = 24, s_max: float = 1.0,
-                 t_min: float | None = None):
+                 *, s_max: float = 1.0):
         self.stream = stream
         powers = list(heat.powers() if heat is not None else stream.heat_powers)
         powers.sort()
@@ -262,7 +268,7 @@ class MellinZeta:
 
         if stream.heat_fn is not None:
             self.powers = powers
-            self.t_min = t_min if t_min is not None else self._choose_t_min()
+            self.t_min = self._choose_t_min()
         else:
             floor = stream.t_floor()
             if floor >= 0.05:
@@ -270,20 +276,20 @@ class MellinZeta:
                     f"insufficient spectrum: trace floor t={floor:.3g} leaves no "
                     "asymptotic window below the Mellin split point")
             self.t_min = floor
-            self.powers = self._fit_heat_powers(powers, fit_extra)
+            self.powers = self._fit_heat_powers(powers)
 
         # shared node grids; T adapted to the largest Mellin power requested
         x_min = stream.min_value
         T = max((_EXP_CUTOFF + 3.4 * max(s_max - 1.0, 0.0)) / x_min, 1.5)
-        self._ts, self._ws = _log_panels(self.t_min, 1.0, nodes)
-        self._tl, self._wl = _log_panels(1.0, T, nodes, per_decade=3)
+        self._ts, self._ws = _log_panels(self.t_min, 1.0, _NODES)
+        self._tl, self._wl = _log_panels(1.0, T, _NODES, per_decade=3)
         self._T = T
         self._zs = stream.trace(self._ts)
         self._zl = stream.trace(self._tl)
         self._hs = self._heat_eval(self._ts)
         # coarse grid for the quadrature error probe
-        ts2, ws2 = _log_panels(self.t_min, 1.0, nodes // 2 + 2)
-        tl2, wl2 = _log_panels(1.0, T, nodes // 2 + 2, per_decade=3)
+        ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
+        tl2, wl2 = _log_panels(1.0, T, _NODES // 2 + 2, per_decade=3)
         self._probe = (ts2, ws2, stream.trace(ts2) - self._heat_eval(ts2),
                        tl2, wl2, stream.trace(tl2))
 
@@ -312,11 +318,9 @@ class MellinZeta:
             out += c * t ** p
         return out
 
-    def _fit_heat_powers(self, supplied, fit_extra):
+    def _fit_heat_powers(self, supplied):
         """Extend the supplied powers by least squares on a window just above
         the trace floor, and cross-check the supplied leading coefficient."""
-        if fit_extra <= 0:
-            return supplied
         lo = self.t_min
         # keep the window shallow: extrapolation bias of the truncated power
         # model scales with the window top, so past ~2.5 decades more width
@@ -336,7 +340,7 @@ class MellinZeta:
         # of the evaluated trace on the window; fitting columns below that
         # floor is a degenerate least-squares problem producing garbage
         noise = 1e-13 * float(np.max(np.abs(zw)))
-        candidates = [pmax + 0.5 * (j + 1) for j in range(fit_extra)]
+        candidates = [pmax + 0.5 * (j + 1) for j in range(_FIT_EXTRA)]
         new_powers = [p for p in candidates
                       if (hi ** p if p > 0 else lo ** p) >= 3.0 * noise]
         if float(np.max(np.abs(resid))) <= 10.0 * noise or not new_powers:
@@ -365,7 +369,7 @@ class MellinZeta:
             coef2, _ = _power_fit(tw2, zw2 - base2, new_powers)
             bias += _fsum([abs(c1 - c2) * weight(p) for p, c1, c2
                            in zip(new_powers, coef, coef2)])
-        elif fit_extra > 2:
+        else:
             # window too shallow to subdivide: compare against a smaller model
             coef2, _ = _power_fit(tw, resid, new_powers[:-2])
             bias += _fsum([abs(c1 - c2) * weight(p) for p, c1, c2
@@ -497,27 +501,21 @@ class MellinZeta:
 
 def zeta_data_numeric(stream: SpectrumStream, heat: HeatCoefficients | None = None,
                       alphas=(), pole_range: int = 1,
-                      target_tol: float | None = None, *,
-                      fit_extra: int = 5, nodes: int = 24) -> ZetaFunctionData:
+                      target_tol: float | None = None) -> ZetaFunctionData:
     """Full continuation data by the numeric Mellin-split route."""
-    eng = MellinZeta(stream, heat, fit_extra=fit_extra, nodes=nodes,
-                     s_max=float(max(pole_range, 1)))
-    data = ZetaFunctionData(deriv0=eng.deriv0())
-    data.zeta0 = eng.zeta0()
-    for i in range(1, pole_range + 1):
-        data.residues[i] = eng.residue(float(i))
-        data.pp[i] = eng.pp(float(i))
-        if data.residues[i] == 0.0:
-            data.values[i] = data.pp[i]
-    for alpha in alphas:
-        data.deriv0_shifted[float(alpha)] = eng.deriv0_shifted(float(alpha))
-    s_list = [0.0] + [float(i) for i in range(1, pole_range + 1)]
-    data.error_estimate = eng.error_estimate(s_list)
-    if target_tol is not None and data.error_estimate > target_tol:
+    eng = MellinZeta(stream, heat, s_max=float(max(pole_range, 1)))
+    poles = range(1, pole_range + 1)
+    err = eng.error_estimate([0.0] + [float(i) for i in poles])
+    if target_tol is not None and err > target_tol:
         raise ConvergenceError(
-            f"insufficient spectrum: estimated error {data.error_estimate:.3e} "
+            f"insufficient spectrum: estimated error {err:.3e} "
             f"exceeds the target {target_tol:.3e}")
-    return data
+    return ZetaFunctionData(
+        deriv0=eng.deriv0(),
+        deriv0_shifted={float(a): eng.deriv0_shifted(float(a)) for a in alphas},
+        residues={i: eng.residue(float(i)) for i in poles},
+        pp={i: eng.pp(float(i)) for i in poles},
+        error_estimate=err, zeta0=eng.zeta0())
 
 
 def _power_fit(t: np.ndarray, y: np.ndarray, powers) -> tuple[np.ndarray, float]:
@@ -531,7 +529,7 @@ def _power_fit(t: np.ndarray, y: np.ndarray, powers) -> tuple[np.ndarray, float]
 
 
 def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
-                      alpha: float, rmax: int = 16) -> tuple[float, float]:
+                      alpha: float) -> tuple[float, float]:
     """zeta'(0, alpha) through the subtracted-logarithm relation.
 
     K(alpha) = sum_j m_j [ -log(1 + a/x_j) + sum_{r<=R} (-1)^(r+1) (a/x_j)^r / r ]
@@ -539,7 +537,9 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     series, summed directly to avoid cancellation), and
 
     zeta'(0,a) = zeta'(0) + K(a)
-                 - sum_{i=1..R} (-1)^(i+1) (a^i/i) [Res(i)(gamma + psi(i)) + PP(i)].
+                 - sum_{i=1..R} (-1)^(i+1) (a^i/i) [Res(i)(gamma + psi(i)) + PP(i)]
+
+    with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
     Returns (value, error_estimate); the estimate covers the stream tail
     beyond its truncation radius (via density_exponent) and the series tail.
@@ -555,20 +555,20 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
     # tail of the log series, sum_{r=R+1}^{R+60} (-1)^r w^r / r, built termwise
     tail = np.zeros_like(w)
-    wr = w ** (rmax + 1)
-    for r in range(rmax + 1, rmax + 61):
+    wr = w ** (RMAX + 1)
+    for r in range(RMAX + 1, RMAX + 61):
         sign = 1.0 if r % 2 == 0 else -1.0
         tail += sign * wr / r
         wr = wr * w
     K = _fsum(stream.mults * tail)
 
     corr = []
-    for i in range(1, rmax + 1):
+    for i in range(1, RMAX + 1):
         res_i = base.residues.get(i, 0.0)
         if res_i != 0.0:
             bracket = res_i * (EULER_GAMMA + float(digamma(float(i)))) + base.pp[i]
         else:
-            bracket = base.values.get(i, base.pp.get(i))
+            bracket = base.pp.get(i)
             if bracket is None:
                 raise ValidationError(f"relation path needs zeta({i}) in the base data")
         sign = 1.0 if i % 2 == 1 else -1.0
@@ -577,20 +577,20 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 
     # error: series remainder at the smallest eigenvalue + stream tail
     wmin = abs(a) / stream.min_value
-    series_rem = float(np.sum(stream.mults[:8]) * wmin ** (rmax + 61) / (1.0 - wmin))
+    series_rem = float(np.sum(stream.mults[:8]) * wmin ** (RMAX + 61) / (1.0 - wmin))
     tail_est = 0.0
     if stream.density_exponent is not None:
         d = stream.density_exponent
         V = stream.max_value
         cdens = stream.total_count() / V ** d
-        if rmax + 1 > d:
-            tail_est = cdens * d * abs(a) ** (rmax + 1) / (
-                (rmax + 1) * (rmax + 1 - d)) * V ** (d - rmax - 1)
+        if RMAX + 1 > d:
+            tail_est = cdens * d * abs(a) ** (RMAX + 1) / (
+                (RMAX + 1) * (RMAX + 1 - d)) * V ** (d - RMAX - 1)
     return value, base.error_estimate + series_rem + tail_est
 
 
 def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
-                jmax: int = 6, name: str = "") -> SpectrumStream:
+                name: str = "") -> SpectrumStream:
     """Square-root lift: eigenvalues sqrt(x_j) of a stream with values x_j.
 
     The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is evaluated through
@@ -610,7 +610,7 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
             coeff = 2.0 * c * math.exp(float(ln_gamma(2.0 * w0)) - float(ln_gamma(w0)))
             powers.append((-2.0 * w0, coeff))
     powers.append((0.0, q_engine.zeta0()))
-    for j in range(1, jmax + 1):
+    for j in range(1, _LIFT_JMAX + 1):
         sign = 1.0 if j % 2 == 0 else -1.0
         powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
 

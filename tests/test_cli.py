@@ -6,9 +6,11 @@ import math
 import pytest
 
 from conetorsion import cli
-from conetorsion.basemanifold import circle, torus2
+from conetorsion.basemanifold import circle, nu_set, torus2
 from conetorsion.errors import ConvergenceError, ValidationError
-from conetorsion.torsion import ConeOverS1Config, theorem_main
+from conetorsion.torsion import (ConeOverS1Config, nu_continuation_data,
+                                 theorem_main)
+from conetorsion.zetacont import shifted_from_base, zeta_data_exact
 
 import oracles
 
@@ -136,6 +138,73 @@ def test_zeta_numeric_torus_with_shift():
     assert payload["residues"]["2"] == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
+
+def _reference_zeta_payload(base, k, shift):
+    """The zeta payload assembled with its own exact-versus-numeric branch
+    over the degree's frequency set, independently of the cached
+    continuation record the command reads."""
+    ns = nu_set(base, k)
+    pole_top = max(base.dim, 1)
+    if ns.nu_stream.progression is not None:
+        step, mult = ns.nu_stream.progression
+        data = zeta_data_exact(step, mult,
+                               alphas=(shift,) if shift is not None else (),
+                               pole_range=pole_top)
+        source = "closed-form"
+        if shift is not None:
+            shift_value, shift_error = data.deriv0_shifted[float(shift)], 0.0
+    else:
+        data, _engine = nu_continuation_data(ns.q_stream)
+        source = "numeric"
+        if shift is not None:
+            shift_value, shift_error = shifted_from_base(
+                ns.nu_stream, data, float(shift))
+    payload = {
+        "base_id": base.name,
+        "scale": base.scale,
+        "dim": base.dim,
+        "degree": k,
+        "alpha": float(ns.alpha) + 0.0,
+        "deriv0": data.deriv0,
+        "zeta0": data.zeta0,
+        "residues": {str(i): data.residues.get(i, 0.0)
+                     for i in range(1, pole_top + 1)},
+        "error_estimate": data.error_estimate,
+        "source": source,
+    }
+    if shift is not None:
+        payload["shift"] = {"alpha": float(shift),
+                            "deriv0_shifted": shift_value,
+                            "error_estimate": shift_error}
+    return payload
+
+
+@pytest.mark.parametrize("base_flag, build, k, shift", [
+    ("s1", circle, 0, None),
+    ("s1", circle, 0, 0.0),        # +-alpha_0 = 0 on the circle
+    ("s1", circle, 0, 0.5),
+    ("torus2", torus2, 0, None),
+    ("torus2", torus2, 0, 0.5),    # +alpha_0
+    ("torus2", torus2, 0, -0.5),   # -alpha_0
+    ("torus2", torus2, 0, -0.3),
+    ("torus2", torus2, 1, None),
+    ("torus2", torus2, 1, 0.5),    # -alpha_1
+    ("torus2", torus2, 1, 0.3),
+])
+def test_zeta_payload_matches_reference_assembly(base_flag, build, k, shift):
+    argv = ["zeta", "--base", base_flag, "--scale", "2", "--degree", str(k)]
+    if shift is not None:
+        argv += ["--shift", repr(shift)]
+    text, code = cli.run(argv)
+    assert code == 0
+    want = _reference_zeta_payload(build(2.0), k, shift)
+    got = json.loads(text)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+    assert text == cli.render_json(want)
+
+
 # ---------------------------------------------------------------------------
 # olver.
 # ---------------------------------------------------------------------------
@@ -244,7 +313,7 @@ def test_command_config_validation():
     with pytest.raises(ValidationError):
         cli.CommandConfig(subcommand="zeta", flags={}, output_format="yaml")
     cfg = cli.CommandConfig(subcommand="zeta", flags={})
-    assert cfg.tolerance == 1e-8 and cfg.deterministic
+    assert cfg.tolerance == 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Torsion assembly: closed forms vs the independent spectral routes, the
 large-order remainder analysis, and the degree/parity bookkeeping."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from conetorsion.torsion import (
     corollary_2d,
     corollary_3d,
     corollary_3d_precancellation,
+    degree_continuation,
     f_r,
     fit_remainder,
     frequency_log_term,
@@ -157,8 +159,36 @@ def test_middle_degree_delta_is_load_bearing():
     # dropping the 1/2 factor on the middle degree must visibly break the
     # circle assembly (guards against silently absorbing it elsewhere)
     base = circle(2.0)
-    bd_wrong = log_torsion(base, _middle_delta=1.0)
-    assert abs(bd_wrong.log_torsion - corollary_2d(base)) > 1e-6
+    bd = log_torsion(base)
+    per_degree = {k: dict(entry) for k, entry in bd.per_degree.items()}
+    per_degree[(base.dim - 1) // 2]["weight"] *= 2.0
+    wrong = dataclasses.replace(bd, per_degree=per_degree).recombined()
+    assert abs(wrong - corollary_2d(base)) > 1e-6
+
+
+def test_degree_continuation_is_read_only():
+    # the cached record is shared by every later solve on the same base, so
+    # no write into it may succeed (a write into the old mutable cache moved
+    # log_torsion(circle(2)) from -0.4758 to 0.0242)
+    base = circle(2.0)
+    dc = degree_continuation(base, 0)
+    assert dc is degree_continuation(base, 0)
+    attempts = [
+        lambda: setattr(dc, "data", None),
+        lambda: setattr(dc, "route", "numeric"),
+        lambda: setattr(dc, "shift_errors", {}),
+        lambda: setattr(dc, "check_residual", 1.0),
+        lambda: setattr(dc.data, "deriv0", 0.0),
+        lambda: dc.data.deriv0_shifted.__setitem__(0.0, 1.0),
+        lambda: dc.data.residues.__setitem__(1, 0.0),
+        lambda: dc.data.pp.__setitem__(1, 0.0),
+        lambda: dc.shift_errors.__setitem__(0.0, 1.0),
+    ]
+    for attempt in attempts:
+        with pytest.raises((AttributeError, TypeError)):
+            attempt()
+    assert log_torsion(base).log_torsion == -0.47579135264472755
+    assert log_torsion(circle(2.0)).log_torsion == -0.47579135264472755
 
 
 def test_breakdown_metadata():

@@ -87,7 +87,7 @@ def test_zeta_data_exact_values():
     assert ex.zeta0 == -1.5
     assert ex.residues[1] == pytest.approx(1.5, rel=1e-15)
     assert ex.residues[2] == 0.0 and ex.residues[3] == 0.0
-    assert ex.values[2] == pytest.approx(0.75 * riemann_zeta(2.0), rel=1e-14)
+    assert ex.pp[2] == pytest.approx(0.75 * riemann_zeta(2.0), rel=1e-14)
     # shifted derivative against the Hurwitz oracle:
     # zeta(s, a) = m c^-s zeta_H(s, 1 + a/c), d/ds at 0 gives
     # m [ log(c) (1/2 + a/c) + zeta_H'(0, 1 + a/c) ]
@@ -188,7 +188,7 @@ def test_shift_routes_agree_with_gamma_closed_form():
     assert direct.deriv0_shifted[0.5] == pytest.approx(
         target, abs=max(10.0 * direct.error_estimate, 1e-9))
 
-    val, err = shifted_from_base(st, ex, 0.5, rmax=16)
+    val, err = shifted_from_base(st, ex, 0.5)
     assert val == pytest.approx(target, abs=max(10.0 * err, 1e-9))
     assert err < 1e-6
 
@@ -240,7 +240,7 @@ def test_sqrt_lift_reproduces_linear_spectrum():
                                       (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)),
                          density_exponent=0.5)
     qeng = MellinZeta(qst, s_max=1.0)
-    lift = sqrt_stream(qst, qeng, jmax=6)
+    lift = sqrt_stream(qst, qeng)
 
     # lifted heat powers must reproduce 1/(e^t - 1) = 1/t - 1/2 + t/12 - ...
     pdict = dict(lift.heat_powers)
