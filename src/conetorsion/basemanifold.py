@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .specfun import ln_gamma
-from .zetacont import (HeatCoefficients, SpectrumStream, _exp_rowsum,
-                       merge_ties, progression_stream)
+from .zetacont import (SpectrumStream, _exp_rowsum, merge_ties,
+                       progression_stream, shift_heat_powers)
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -68,29 +68,8 @@ _TWO_PI = 2.0 * math.pi
 _DEFAULT_LATTICE = ((_TWO_PI, 0.0), (0.0, _TWO_PI))
 
 
-def shift_heat_powers(powers, shift2: float):
-    """Exact small-t powers of e^(-b t) Z(t) from those of Z(t).
-
-    ``powers`` must be complete through its maximum listed power (true
-    zeros included); the result is then complete through the same power.
-    """
-    powers = tuple((float(p), float(c)) for p, c in powers)
-    if not powers or shift2 == 0.0:
-        return powers
-    top = max(p for p, _ in powers)
-    out: dict[float, float] = {}
-    for p, c in powers:
-        term = c
-        m = 0
-        while p + m <= top + 1e-9:
-            out[p + m] = out.get(p + m, 0.0) + term
-            m += 1
-            term *= -shift2 / m
-    return tuple(sorted(out.items()))
-
-
-def powers_to_heat_coefficients(powers, dim: int) -> HeatCoefficients:
-    """Repack (power, coeff) pairs as c_j t^((j-dim)/2) coefficients."""
+def powers_to_heat_coefficients(powers, dim: int) -> tuple:
+    """Repack (power, coeff) pairs as the coefficients c_j of t^((j-dim)/2)."""
     coeffs: list[float] = []
     for p, c in powers:
         j = 2.0 * float(p) + dim
@@ -101,7 +80,7 @@ def powers_to_heat_coefficients(powers, dim: int) -> HeatCoefficients:
         while len(coeffs) <= idx:
             coeffs.append(0.0)
         coeffs[idx] = float(c)
-    return HeatCoefficients(dim, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def weyl_count_ratio(stream: SpectrumStream) -> float:
@@ -206,7 +185,7 @@ class BaseManifold:
         degrees = []
         for k in self.degrees_available():
             deg = self._degree(k)
-            coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim).coeffs
+            coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim)
             degrees.append({
                 "k": int(k),
                 "eigenvalues": [{"value": float(v), "mult": int(round(m))}
@@ -445,11 +424,8 @@ class NuSet:
     zeta_nu(s) = zeta_q(s/2).
     """
     base_id: str
-    scale: float
-    dim: int
     degree: int
-    alpha: float            # boundary-polynomial parameter (n-1)/2 - k
-    shift: float            # a_k = k + 1/2 - n/2 = -alpha
+    alpha: float            # boundary-polynomial parameter (n-1)/2 - k = -a_k
     nu_stream: SpectrumStream
     q_stream: SpectrumStream
 
@@ -469,13 +445,13 @@ def nu_set(base: BaseManifold, k: int) -> NuSet:
         step, mult = deg.nu_progression
         nu_stream = progression_stream(step, mult, deg.values.size)
     else:
-        lead = min((p for p, _ in q_stream.heat_powers), default=-0.5 * n)
         nu_stream = SpectrumStream(
             np.sqrt(deg.values + shift2), deg.mults.copy(),
-            name=f"{base.name}:nu{k}", density_exponent=-2.0 * lead)
+            name=f"{base.name}:nu{k}",
+            density_exponent=2.0 * q_stream.density_exponent)
     if nu_stream.min_value <= abs(alpha):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(alpha):g}; smallest is "
             f"{nu_stream.min_value:g} (degree {k})")
-    return NuSet(base_id=base.name, scale=base.scale, dim=n, degree=k,
-                 alpha=alpha, shift=a, nu_stream=nu_stream, q_stream=q_stream)
+    return NuSet(base_id=base.name, degree=k, alpha=alpha,
+                 nu_stream=nu_stream, q_stream=q_stream)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .besselzero import ZeroList, ZeroRequest, zeros
 from .errors import SingularModelError, ValidationError
 from .specfun import LOG_2, LOG_2PI, ln_gamma
-from .zetacont import HeatCoefficients, SpectrumStream, zeta_data_numeric
+from .zetacont import SpectrumStream, zeta_data_numeric
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,11 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     if count < 100:
         raise ValidationError("numeric determinant needs at least 100 eigenvalues")
     zl = spectrum(op, count)
-    stream = SpectrumStream(zl.eigenvalues(), name=f"spec({op.label})",
-                            density_exponent=0.5)
     # leading small-t heat power of sum exp(-z_k^2 t): zeros spaced ~pi
-    heat = HeatCoefficients(1, (1.0 / (2.0 * math.sqrt(math.pi)),))
-    data = zeta_data_numeric(stream, heat, pole_range=0, target_tol=tol)
+    stream = SpectrumStream(zl.eigenvalues(), name=f"spec({op.label})",
+                            heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),),
+                            density_exponent=0.5)
+    data = zeta_data_numeric(stream, pole_range=0, target_tol=tol)
     return DeterminantValue(log_det=-data.deriv0, source="numeric",
                             error_estimate=data.error_estimate)
 

@@ -48,9 +48,8 @@ from .exactpoly import (coeffs_x, coeffs_z, gen_D, gen_M,
 from .modelops import harmonic_contribution
 from .specfun import (EULER_GAMMA, LOG_2, LOG_2PI, bessel_i, bessel_i_prime,
                       bessel_i_prime_scaled, bessel_i_scaled, digamma)
-from .zetacont import (RMAX, HeatCoefficients, MellinZeta, SpectrumStream,
-                       ZetaFunctionData, shifted_from_base, sqrt_stream,
-                       zeta_data_exact)
+from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
+                       shifted_from_base, sqrt_stream, zeta_data_exact)
 
 __all__ = [
     "SpectralParameter", "ConeOverS1Config", "TorsionBreakdown",
@@ -598,9 +597,10 @@ def lemma_first_summand_numeric(radius: float = 1.0,
     zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=int(count)))
     stream = SpectrumStream((zl.zeros / radius) ** 2,
                             name=f"j1-zeros(R={radius:g})",
+                            heat_powers=((-0.5, radius / (2.0 * math.sqrt(math.pi))),
+                                         (0.0, -0.75)),
                             density_exponent=0.5)
-    heat = HeatCoefficients(1, (radius / (2.0 * math.sqrt(math.pi)), -0.75))
-    engine = MellinZeta(stream, heat)
+    engine = MellinZeta(stream)
     return engine.deriv0(), engine.error_estimate([0.0])
 
 

@@ -19,13 +19,16 @@ zeta'(0, a) = d/ds sum_j m_j (x_j + a)^(-s)|_0 come from two independent
 routes: directly (the same machinery applied to e^(-a t) Z(t)), and through
 the subtracted-logarithm relation to the unshifted data (shifted_from_base).
 
-Streams may carry an exact trace evaluator (theta functions, geometric
-series) — then t_min is essentially 0 — or only eigenvalues, in which case
-the trace is trustworthy down to t_floor = Lambda / x_max and the heat
-expansion is extended by a windowed least-squares fit just above t_floor.
-The freely refitted leading coefficient is compared against the supplied one
-(inconsistent-heat guard), and every truncation/quadrature contribution is
-accumulated into error_estimate.
+The small-t heat model H lives here alone: a stream's ``heat_powers`` are
+the only source of exact powers, ``shift_heat_powers`` turns them into those
+of e^(-b t) Z(t), and ``_heat_eval`` evaluates them.  Streams may carry an
+exact trace evaluator (theta functions, geometric series) — then t_min is
+essentially 0 — or only eigenvalues, in which case the trace is trustworthy
+down to t_floor = Lambda / x_max and the heat expansion is extended by a
+windowed least-squares fit just above t_floor.  The freely refitted leading
+coefficient is compared against the supplied one (inconsistent-heat guard),
+and every truncation/quadrature contribution is accumulated into
+error_estimate.
 """
 
 from __future__ import annotations
@@ -85,15 +88,40 @@ def merge_ties(values, mults):
     return np.array(out_v), np.array(out_m)
 
 
-@dataclass(frozen=True)
-class HeatCoefficients:
-    """Small-t trace expansion sum_j c_j t^((j - dim)/2) for a dim-dimensional base."""
-    dim: int
-    coeffs: tuple
+def shift_heat_powers(powers, b: float):
+    """Exact small-t powers of e^(-b t) Z(t) from those of Z(t).
 
-    def powers(self) -> tuple:
-        return tuple(((j - self.dim) / 2.0, float(c))
-                     for j, c in enumerate(self.coeffs))
+    ``powers`` must be complete through its maximum listed power (true
+    zeros included); the result is then complete through the same power.
+    """
+    powers = tuple((float(p), float(c)) for p, c in powers)
+    if not powers or b == 0.0:
+        return powers
+    top = max(p for p, _ in powers)
+    out: dict[float, float] = {}
+    for p, c in powers:
+        term = c
+        m = 0
+        while p + m <= top + 1e-9:
+            out[p + m] = out.get(p + m, 0.0) + term
+            m += 1
+            term *= -b / m
+    return tuple(sorted(out.items()))
+
+
+def _heat_eval(t: np.ndarray, powers) -> np.ndarray:
+    """H(t) = sum c t^p over the (p, c) pairs, at every t of the array."""
+    out = np.zeros_like(t)
+    for p, c in powers:
+        out += c * t ** p
+    return out
+
+
+def _grid_sum(s: float, ts, ws, ds, tl, wl, zl) -> float:
+    """Mellin sum over the split grids: the subtracted integrand ds on
+    [t_min, 1] plus the plain trace zl on [1, T], both weighted by t^(s-1)."""
+    return (_fsum(ws * ts ** (s - 1.0) * ds)
+            + _fsum(wl * tl ** (s - 1.0) * zl))
 
 
 class SpectrumStream:
@@ -120,6 +148,8 @@ class SpectrumStream:
             raise ValidationError("spectrum stream values must be positive")
         order = np.argsort(values, kind="stable")
         values, mults = merge_ties(values[order], mults[order])
+        values.flags.writeable = False     # streams are shared by cached results
+        mults.flags.writeable = False
         self.values = values
         self.mults = mults
         self.name = name
@@ -253,16 +283,14 @@ def _log_panels(a: float, b: float, nodes: int, per_decade: int = 1):
 class MellinZeta:
     """Continuation engine for one stream (see module docstring).
 
-    Heat powers used for H(t): the stream's exact powers, optionally replaced
-    by an explicit HeatCoefficients, extended by _FIT_EXTRA fitted half-power
-    steps when no exact trace evaluator exists.
+    Heat powers used for H(t): the stream's exact powers (its only source),
+    extended by _FIT_EXTRA fitted half-power steps when no exact trace
+    evaluator exists.
     """
 
-    def __init__(self, stream: SpectrumStream, heat: HeatCoefficients | None = None,
-                 *, s_max: float = 1.0):
+    def __init__(self, stream: SpectrumStream, *, s_max: float = 1.0):
         self.stream = stream
-        powers = list(heat.powers() if heat is not None else stream.heat_powers)
-        powers.sort()
+        powers = sorted(stream.heat_powers)
         self._fit_note = 0.0
         self._heat_mismatch = None
 
@@ -270,12 +298,7 @@ class MellinZeta:
             self.powers = powers
             self.t_min = self._choose_t_min()
         else:
-            floor = stream.t_floor()
-            if floor >= 0.05:
-                raise ConvergenceError(
-                    f"insufficient spectrum: trace floor t={floor:.3g} leaves no "
-                    "asymptotic window below the Mellin split point")
-            self.t_min = floor
+            self.t_min = stream.t_floor()
             self.powers = self._fit_heat_powers(powers)
 
         # shared node grids; T adapted to the largest Mellin power requested
@@ -286,11 +309,11 @@ class MellinZeta:
         self._T = T
         self._zs = stream.trace(self._ts)
         self._zl = stream.trace(self._tl)
-        self._hs = self._heat_eval(self._ts)
+        self._hs = _heat_eval(self._ts, self.powers)
         # coarse grid for the quadrature error probe
         ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
         tl2, wl2 = _log_panels(1.0, T, _NODES // 2 + 2, per_decade=3)
-        self._probe = (ts2, ws2, stream.trace(ts2) - self._heat_eval(ts2),
+        self._probe = (ts2, ws2, stream.trace(ts2) - _heat_eval(ts2, self.powers),
                        tl2, wl2, stream.trace(tl2))
 
     # -- heat model -------------------------------------------------------
@@ -304,19 +327,12 @@ class MellinZeta:
         """
         probes = 0.25 * 2.0 ** -np.arange(0, 22, dtype=float)
         z = self.stream.trace(probes)
-        h = self._heat_eval(probes)
+        h = _heat_eval(probes, self.powers)
         ratio = np.abs(z - h) / np.maximum(np.abs(z), 1e-300)
         ok = np.nonzero(ratio <= 1e-13)[0]
         if ok.size:
             return float(probes[ok[0]])
         return float(probes[int(np.argmin(ratio))])
-
-    def _heat_eval(self, t: np.ndarray, powers=None) -> np.ndarray:
-        powers = self.powers if powers is None else powers
-        out = np.zeros_like(t)
-        for p, c in powers:
-            out += c * t ** p
-        return out
 
     def _fit_heat_powers(self, supplied):
         """Extend the supplied powers by least squares on a window just above
@@ -328,13 +344,13 @@ class MellinZeta:
         hi = min(lo * 300.0, 0.05)
         if hi < lo * 50.0:
             raise ConvergenceError(
-                "insufficient spectrum: no usable fitting window above the trace floor")
+                f"insufficient spectrum: no usable fitting window above the trace "
+                f"floor t={lo:.3g} of stream {self.stream.name!r}; the heat fit needs "
+                f"a largest eigenvalue of at least {_EXP_CUTOFF * 50.0 / 0.05:.0f}, "
+                f"got {self.stream.max_value:.6g}")
         tw = np.exp(np.linspace(math.log(lo), math.log(hi), 160))
         zw = self.stream.trace(tw)
-        base = np.zeros_like(tw)
-        for p, c in supplied:
-            base += c * tw ** p
-        resid = zw - base
+        resid = zw - _heat_eval(tw, supplied)
         pmax = max((p for p, _ in supplied), default=-1.0)
         # a power is identifiable only while t^p pokes above the float noise
         # of the evaluated trace on the window; fitting columns below that
@@ -357,24 +373,17 @@ class MellinZeta:
         # controls: |ln t_min| at p = 0, t_min^p / p elsewhere)
         def weight(p):
             return abs(math.log(lo)) + 1.0 if p == 0.0 else abs(lo ** p / p)
-        bias = rms * weight(0.0)
         if hi >= lo * 200.0:
             # same model refit on the lower quarter of the window: shifts
             # measure the model's own truncation + noise amplification
             tw2 = np.exp(np.linspace(math.log(lo), math.log(hi / 4.0), 160))
             zw2 = self.stream.trace(tw2)
-            base2 = np.zeros_like(tw2)
-            for p, c in supplied:
-                base2 += c * tw2 ** p
-            coef2, _ = _power_fit(tw2, zw2 - base2, new_powers)
-            bias += _fsum([abs(c1 - c2) * weight(p) for p, c1, c2
-                           in zip(new_powers, coef, coef2)])
+            coef2, _ = _power_fit(tw2, zw2 - _heat_eval(tw2, supplied), new_powers)
         else:
             # window too shallow to subdivide: compare against a smaller model
             coef2, _ = _power_fit(tw, resid, new_powers[:-2])
-            bias += _fsum([abs(c1 - c2) * weight(p) for p, c1, c2
-                           in zip(new_powers, coef, coef2)])
-        self._fit_note = bias
+        self._fit_note = rms * weight(0.0) + _fsum(
+            [abs(c1 - c2) * weight(p) for p, c1, c2 in zip(new_powers, coef, coef2)])
         self._check_supplied(supplied, tw, zw, new_powers)
         return fitted
 
@@ -383,10 +392,7 @@ class MellinZeta:
         if not supplied:
             return
         p0, c0 = min(supplied, key=lambda pc: pc[0])
-        others = np.zeros_like(tw)
-        for p, c in supplied:
-            if p != p0:
-                others += c * tw ** p
+        others = _heat_eval(tw, [(p, c) for p, c in supplied if p != p0])
         free, _ = _power_fit(tw, zw - others, [p0] + list(new_powers))
         mismatch = abs(free[0] - c0)
         if mismatch > max(1e-4, 1e-3 * abs(c0)):
@@ -401,14 +407,8 @@ class MellinZeta:
         if s + pnext <= 0.0:
             raise ValidationError(
                 f"Mellin exponent s={s} needs heat powers beyond t^{-s}")
-        small = _fsum(self._ws * self._ts ** (s - 1.0) * (self._zs - self._hs))
-        large = _fsum(self._wl * self._tl ** (s - 1.0) * self._zl)
-        return small + large
-
-    def _integral_probe(self, s: float) -> float:
-        ts2, ws2, d2, tl2, wl2, z2 = self._probe
-        return (_fsum(ws2 * ts2 ** (s - 1.0) * d2)
-                + _fsum(wl2 * tl2 ** (s - 1.0) * z2))
+        return _grid_sum(s, self._ts, self._ws, self._zs - self._hs,
+                         self._tl, self._wl, self._zl)
 
     def _pole_sum(self, s: float, skip: float | None = None) -> float:
         return _fsum([c / (s + p) for p, c in self.powers
@@ -466,18 +466,9 @@ class MellinZeta:
             raise ValidationError(
                 f"shift {a} reaches past the smallest eigenvalue "
                 f"{self.stream.min_value} (zero mode)")
-        pmax = max(p for p, _ in self.powers)
-        shifted: dict[float, float] = {}
-        for p, c in self.powers:
-            j = 0
-            while p + j <= pmax:
-                shifted[p + j] = shifted.get(p + j, 0.0) + c * (-a) ** j / math.factorial(j)
-                j += 1
-        powers = sorted(shifted.items())
+        powers = shift_heat_powers(self.powers, a)
         es, el = np.exp(-a * self._ts), np.exp(-a * self._tl)
-        hs = np.zeros_like(self._ts)
-        for p, c in powers:
-            hs += c * self._ts ** p
+        hs = _heat_eval(self._ts, powers)
         i0 = (_fsum(self._ws * (self._zs * es - hs) / self._ts)
               + _fsum(self._wl * self._zl * el / self._tl))
         c0 = _fsum([c for p, c in powers if p == 0.0])
@@ -487,7 +478,7 @@ class MellinZeta:
 
     # -- error accounting ---------------------------------------------------
     def error_estimate(self, s_list=(0.0,)) -> float:
-        quad = max(abs(self.integral(s) - self._integral_probe(s)) for s in s_list)
+        quad = max(abs(self.integral(s) - _grid_sum(s, *self._probe)) for s in s_list)
         pnext = max(p for p, _ in self.powers) + 0.5
         win = self._ts <= self.t_min * 16.0
         resid = self._zs[win] - self._hs[win]
@@ -499,11 +490,10 @@ class MellinZeta:
         return quad + smalltail + bigtail + self._fit_note
 
 
-def zeta_data_numeric(stream: SpectrumStream, heat: HeatCoefficients | None = None,
-                      alphas=(), pole_range: int = 1,
+def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
                       target_tol: float | None = None) -> ZetaFunctionData:
     """Full continuation data by the numeric Mellin-split route."""
-    eng = MellinZeta(stream, heat, s_max=float(max(pole_range, 1)))
+    eng = MellinZeta(stream, s_max=float(max(pole_range, 1)))
     poles = range(1, pole_range + 1)
     err = eng.error_estimate([0.0] + [float(i) for i in poles])
     if target_tol is not None and err > target_tol:

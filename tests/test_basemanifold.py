@@ -41,7 +41,7 @@ def test_circle_theta_matches_brute_force(t):
 def test_circle_nu_set():
     circ = bm.circle(2.0)
     ns = bm.nu_set(circ, 0)
-    assert ns.alpha == 0.0 and ns.shift == 0.0
+    assert ns.alpha == 0.0
     assert ns.nu_stream.progression == (2.0, 2)
     assert ns.nu_stream.values[2] == pytest.approx(6.0, abs=1e-14)
     assert ns.q_stream.heat_fn is not None
@@ -246,12 +246,23 @@ def test_custom_stream_reproduces_exact_zeta():
     back = bm.custom(circ.as_custom_mapping())
     ex = zeta_data_exact(2.0, 2)
     nsb = bm.nu_set(back, 0)
-    engb = MellinZeta(nsb.q_stream,
-                      bm.powers_to_heat_coefficients(nsb.q_stream.heat_powers, 1))
+    engb = MellinZeta(nsb.q_stream)
     d0 = engb.deriv0()
     diff = abs(0.5 * d0 - ex.deriv0)
     assert diff <= 2e-6
     assert diff <= 0.5 * engb.error_estimate([0.0]) + 1e-12  # estimate is honest
+
+
+def test_heat_coefficient_ladder_round_trip():
+    # (power, coeff) pairs <-> the c_j t^((j - dim)/2) ladder of the schema
+    powers = ((-1.0, 1.0), (-0.5, -0.5), (0.0, 0.25))
+    coeffs = bm.powers_to_heat_coefficients(powers, 2)
+    assert coeffs == (1.0, -0.5, 0.25)
+    blob = bm.torus2(2.0).as_custom_mapping()
+    blob["degrees"][0]["heat_coeffs"] = list(coeffs)
+    assert bm.custom(blob).coclosed_spectrum(0).heat_powers == powers
+    with pytest.raises(ValidationError, match="ladder"):
+        bm.powers_to_heat_coefficients(((-0.25, 1.0),), 2)
 
 
 @pytest.mark.parametrize("mutate,tag", [

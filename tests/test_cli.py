@@ -6,10 +6,10 @@ import math
 import pytest
 
 from conetorsion import cli
-from conetorsion.basemanifold import circle, nu_set, torus2
+from conetorsion.basemanifold import circle, custom, nu_set, torus2
 from conetorsion.errors import ConvergenceError, ValidationError
-from conetorsion.torsion import (ConeOverS1Config, nu_continuation_data,
-                                 theorem_main)
+from conetorsion.torsion import (ConeOverS1Config, log_torsion,
+                                 nu_continuation_data, theorem_main)
 from conetorsion.zetacont import shifted_from_base, zeta_data_exact
 
 import oracles
@@ -339,12 +339,16 @@ def test_custom_base_rejects_scale_flag(tmp_path):
                       "--scale", "2"]) == 2
 
 
-def test_sparse_custom_listing_fails_honestly(tmp_path):
-    # a short torus listing cannot support the continuation: convergence error
+def test_sparse_custom_listing_fails_honestly(tmp_path, capsys):
+    # a short torus listing (largest eigenvalue ~4096) cannot support the
+    # heat fit; the refusal states the largest eigenvalue the fit needs
     blob = torus2(2.0).as_custom_mapping()
+    with pytest.raises(ConvergenceError, match="at least 45000"):
+        log_torsion(custom(blob))
     path = tmp_path / "torus_listing.json"
     path.write_text(json.dumps(blob))
     assert exit_code(["torsion", "cone", "--base", f"custom:{path}"]) == 3
+    assert "at least 45000" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

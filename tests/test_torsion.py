@@ -190,6 +190,17 @@ def test_degree_continuation_is_read_only():
     assert log_torsion(base).log_torsion == -0.47579135264472755
     assert log_torsion(circle(2.0)).log_torsion == -0.47579135264472755
 
+    # the spectra on the record are shared too: the lift cross-check of a
+    # torus reads q_stream on first use (a doubled mults array moved
+    # error_estimate from 5.4e-12 to 1.39)
+    tor = torus2(2.0)
+    dc = degree_continuation(tor, 0)
+    for arr in (dc.nu.q_stream.mults, dc.nu.q_stream.values,
+                dc.nu.nu_stream.values, dc.nu.nu_stream.mults):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] *= 2.0
+    assert log_torsion(tor).error_estimate == log_torsion(torus2(2.0)).error_estimate
+
 
 def test_breakdown_metadata():
     bd = log_torsion(circle(2.0))

@@ -2,6 +2,7 @@
 the shifted-spectrum relation, the square-root lift, and the error guards."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import pytest
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
-    HeatCoefficients,
     MellinZeta,
     SpectrumStream,
     merge_ties,
     progression_stream,
     shifted_from_base,
+    shift_heat_powers,
     sqrt_stream,
     zeta_data_exact,
     zeta_data_numeric,
@@ -58,9 +59,23 @@ def test_trace_matches_direct_sum():
     assert np.allclose(st.trace(t), want, rtol=1e-15)
 
 
-def test_heat_coefficients_power_mapping():
-    hc = HeatCoefficients(2, (1.0, -0.5, 0.25))
-    assert hc.powers() == ((-1.0, 1.0), (-0.5, -0.5), (0.0, 0.25))
+@pytest.mark.parametrize("b", [0.25, 1.5, -0.5, -0.3])
+def test_shift_heat_powers_matches_exact_series(b):
+    # e^(-b t) sum c t^p = sum_m c (-b)^m / m! t^(p+m), truncated at the top
+    # listed power; deriv0_shifted passes b < 0 when it lowers the eigenvalues
+    powers = ((-1.0, 1.5), (-0.5, -0.25), (0.0, 0.75), (1.0, 0.0), (2.0, -0.125))
+    fb = Fraction(b)
+    want: dict = {}
+    for p, c in powers:
+        m = 0
+        while p + m <= 2.0:
+            want[p + m] = want.get(p + m, 0) + Fraction(c) * (-fb) ** m / math.factorial(m)
+            m += 1
+    got = shift_heat_powers(powers, b)
+    assert [p for p, _ in got] == sorted(want)
+    for p, c in got:
+        assert c == pytest.approx(float(want[p]), rel=1e-15, abs=1e-15)
+    assert shift_heat_powers(powers, 0.0) == powers
 
 
 def test_progression_stream_structure():
