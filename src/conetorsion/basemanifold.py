@@ -175,7 +175,7 @@ class BaseManifold:
         powers = shift_heat_powers(deg.heat_powers, shift2)
         lead = min((p for p, _ in powers), default=-0.5 * self.dim)
         return SpectrumStream(
-            deg.values + shift2, deg.mults.copy(),
+            deg.values + shift2, deg.mults,
             name=f"{self.name}:deg{k}" + (f"+{shift2:g}" if shift2 else ""),
             heat_fn=heat_fn, heat_powers=powers,
             density_exponent=-lead)
@@ -230,13 +230,11 @@ def circle(c: float, count: int = 4096, *, allow_boundary: bool = False) -> Base
         out = np.empty_like(t)
         direct = a >= 0.3
         ad, ap = a[direct], a[~direct]
-        # direct sum over j <= sqrt(745/a) + 1, i.e. j <= 50 on the whole
-        # branch; past each point's own cutoff the terms underflow to 0
-        j = np.arange(1.0, 51.0)
-        out[direct] = 2.0 * _exp_rowsum(-ad[:, None] * j * j)
+        # direct sum over j <= 50: on the whole branch (a >= 0.3) every
+        # later term underflows to 0, as do the kernel's skipped ones
+        out[direct] = 2.0 * _exp_rowsum(ad, np.arange(1.0, 51.0) ** 2)
         # Poisson dual: j <= 5 leaves e^(-36 pi^2 / 0.3) ~ 0
-        j = np.arange(1.0, 6.0)
-        s = _exp_rowsum(-(math.pi * math.pi / ap)[:, None] * j * j)
+        s = _exp_rowsum(math.pi * math.pi / ap, np.arange(1.0, 6.0) ** 2)
         out[~direct] = np.sqrt(math.pi / ap) * (1.0 + 2.0 * s) - 1.0
         return out
 
@@ -302,19 +300,21 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     if eta[0] <= 1.0:
         raise ValidationError(SCALING_MESSAGE)
 
-    vsq = _lattice_points(basis, 17.5 * ell1)
+    # Poisson branch: equal lattice norms merged, multiplicities as weights
+    vsq_all = _lattice_points(basis, 17.5 * ell1)
+    vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
 
     area_factor = covol / (4.0 * math.pi * c * c)     # A in Z ~ A/t - 1
     t_switch = ell1 / (4.0 * math.pi * c * c * q1)
 
-    def heat_fn(t, _eta=eta, _em=eta_mult, _v=vsq,
+    def heat_fn(t, _eta=eta, _em=eta_mult, _v=vsq, _vm=vsq_mult,
                 _A=area_factor, _ts=t_switch, _c2=c * c):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         direct = t >= _ts
         td, tp = t[direct], t[~direct]
-        out[direct] = _exp_rowsum(-_eta * td[:, None], _em)
-        s = _exp_rowsum(-_v / (4.0 * _c2 * tp[:, None]))
+        out[direct] = _exp_rowsum(td, _eta, _em)
+        s = _exp_rowsum(4.0 * _c2 * tp, _v, _vm, divide=True)
         out[~direct] = _A / tp * (1.0 + s) - 1.0
         return out
 
@@ -446,7 +446,7 @@ def nu_set(base: BaseManifold, k: int) -> NuSet:
         nu_stream = progression_stream(step, mult, deg.values.size)
     else:
         nu_stream = SpectrumStream(
-            np.sqrt(deg.values + shift2), deg.mults.copy(),
+            np.sqrt(deg.values + shift2), deg.mults,
             name=f"{base.name}:nu{k}",
             density_exponent=2.0 * q_stream.density_exponent)
     if nu_stream.min_value <= abs(alpha):

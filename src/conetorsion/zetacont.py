@@ -46,6 +46,7 @@ from .errors import ConvergenceError, ValidationError
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
+_EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
 _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
 _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
@@ -57,18 +58,37 @@ def _fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _exp_rowsum(expo: np.ndarray, weights=None) -> np.ndarray:
-    """Row sums of weights * exp(expo) for a (t x modes) exponent matrix.
+def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
+    """Row sums of weights * exp(e) over the exponents e = rows_i * (-cols_j),
+    or e = (-cols_j) / rows_i with ``divide`` (a Poisson-dual branch).
 
-    The shared kernel of every trace evaluator: ``expo`` is overwritten
-    (exp and the weighting run in place), so a call costs the one matrix its
-    caller built.  Terms match a per-point loop over the same exponents;
-    only the order of summation differs (numpy pairwise row sums).
+    The shared kernel of every trace evaluator.  ``cols`` ascend and
+    ``rows`` are positive, so along a row the exponents descend: a row
+    builds only its leading columns with e > -_EXP_ZERO, padded to the next
+    power of two (few distinct widths, few array passes).  Every column
+    skipped has exp(e) == 0.0 exactly, and a row's width depends on that
+    row alone, so its value never depends on the other rows of the call.
+    Terms match a per-point loop over the same exponents; only the order
+    of summation differs (numpy pairwise row sums).
     """
-    np.exp(expo, out=expo)
-    if weights is not None:
-        expo *= weights
-    return expo.sum(axis=1)
+    rows = np.asarray(rows, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    op = np.divide if divide else np.multiply
+    reach = _EXP_ZERO * rows if divide else _EXP_ZERO / rows
+    counts = np.searchsorted(cols, reach)
+    # the power of two 2^e with count - 1 < 2^e, i.e. frexp's exponent
+    widths = np.where(counts > 0, np.minimum(
+        np.left_shift(1, np.frexp(counts - 1)[1]), cols.size), 0)
+    neg = -cols
+    out = np.zeros(rows.shape)
+    for width in np.unique(widths[widths > 0]):
+        group = np.nonzero(widths == width)[0]
+        expo = op(neg[:width], rows[group, None])
+        np.exp(expo, out=expo)
+        if weights is not None:
+            expo *= weights[:width]
+        out[group] = expo.sum(axis=1)
+    return out
 
 
 def merge_ties(values, mults):
@@ -182,7 +202,7 @@ class SpectrumStream:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.heat_fn is not None:
             return np.asarray(self.heat_fn(t), dtype=float)
-        return _exp_rowsum(np.outer(t, -self.values), self.mults)
+        return _exp_rowsum(t, self.values, self.mults)
 
 
 def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
@@ -608,27 +628,29 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
     qmin = q_stream.min_value
     numax = float(np.sqrt(q_stream.max_value))
     t_direct = _EXP_CUTOFF / numax
-    neg_nu = -nu_vals
 
     def lifted_trace(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         direct = t >= t_direct
-        if np.any(direct):
-            out[direct] = _exp_rowsum(np.outer(t[direct], neg_nu), q_stream.mults)
-        small = ~direct
-        for i in np.nonzero(small)[0]:
-            ti = t[i]
-            u_lo = ti * ti / (4.0 * (_EXP_CUTOFF + 5.0))
-            u_hi = (_EXP_CUTOFF + 5.0) / qmin
-            uu, wu = _log_panels(u_lo, u_hi, 24)
-            zq = q_stream.trace(uu)
-            integ = _fsum(wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * zq)
-            out[i] = ti / (2.0 * math.sqrt(math.pi)) * integ
+        out[direct] = _exp_rowsum(t[direct], nu_vals, q_stream.mults)
+        small = np.nonzero(~direct)[0]
+        if small.size:
+            grids = [_log_panels(t[i] * t[i] / (4.0 * (_EXP_CUTOFF + 5.0)),
+                                 (_EXP_CUTOFF + 5.0) / qmin, 24) for i in small]
+            # one trace call for every grid: a point's trace does not
+            # depend on the batch it is evaluated in
+            sizes = np.cumsum([uu.size for uu, _ in grids])
+            zq = np.split(q_stream.trace(np.concatenate([uu for uu, _ in grids])),
+                          sizes[:-1])
+            for i, (uu, wu), z in zip(small, grids, zq):
+                ti = t[i]
+                integ = _fsum(wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * z)
+                out[i] = ti / (2.0 * math.sqrt(math.pi)) * integ
         return out
 
     d = None if q_stream.density_exponent is None else 2.0 * q_stream.density_exponent
-    return SpectrumStream(nu_vals, q_stream.mults.copy(),
+    return SpectrumStream(nu_vals, q_stream.mults,
                           name=name or f"sqrt({q_stream.name})",
                           heat_fn=lifted_trace, heat_powers=powers,
                           density_exponent=d)

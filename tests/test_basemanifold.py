@@ -10,7 +10,7 @@ import pytest
 
 from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
-from conetorsion.zetacont import MellinZeta, zeta_data_exact
+from conetorsion.zetacont import MellinZeta, sqrt_stream, zeta_data_exact
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,20 @@ def test_torus_nu_sets_are_twins():
     assert n0.alpha == 0.5 and n1.alpha == -0.5
     assert np.max(np.abs(n0.nu_stream.values - n1.nu_stream.values)) == 0.0
     assert n0.q_stream.min_value == pytest.approx(4.25, abs=1e-12)
+
+
+def test_streams_share_no_memory_with_their_source():
+    # SpectrumStream copies its input, so callers pass their arrays as they are
+    tor = bm.torus2(2.0)
+    deg = tor._degree(0)
+    ns = bm.nu_set(tor, 0)
+    lift = sqrt_stream(ns.q_stream, MellinZeta(ns.q_stream, s_max=1.0))
+    for stream, source in ((tor.coclosed_spectrum(0), deg), (ns.q_stream, deg),
+                           (ns.nu_stream, deg), (lift, ns.q_stream)):
+        for got, given in ((stream.values, source.values),
+                           (stream.mults, source.mults)):
+            assert not np.shares_memory(got, given)
+            assert not got.flags.writeable
 
 
 def test_torus_shifted_heat_powers():

@@ -54,3 +54,15 @@ def test_zeta_command_skips_the_lift(tracing):
         ["zeta", "--base", "torus2", "--scale", "2", "--degree", "0"]))
     assert tracer.counts["zetacont.mellin_engines"] == 1
     assert "zetacont.sqrt_stream_s" not in {span[0] for span in tracer.spans}
+
+
+def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
+    # the point counts are the quadrature nodes of a cold torus2(2) solve;
+    # the lift's small-t branch evaluates all of a call's subordination
+    # grids in one exact-trace call (91 calls when it made one per point)
+    tracer = _traced(tracing, lambda: torsion.log_torsion(torus2(2.0)))
+    counts = tracer.counts
+    assert counts["zetacont.trace_points.exact"] == 14219
+    assert counts["zetacont.trace_points.lift"] == 288
+    assert counts["zetacont.trace_calls.lift"] == 5
+    assert counts["zetacont.trace_calls.exact"] < 91
