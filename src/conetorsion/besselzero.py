@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as sc
@@ -64,6 +65,10 @@ class ZeroList:
     zeros: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     fprimes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for arr in (self.zeros, self.residuals, self.fprimes):
+            arr.flags.writeable = False    # the Dirichlet zeros are memoized
 
     def eigenvalues(self) -> np.ndarray:
         """Squared zeros — the spectrum of the associated model operator."""
@@ -122,7 +127,10 @@ def _f_mixed(nu, alpha, z):
     return f, fp
 
 
+@lru_cache(maxsize=64)
 def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
+    """First ``count`` zeros of J_nu, memoized (they anchor every interlaced
+    solve at the same order) and therefore read-only."""
     idx = np.arange(1, count + 1)
     seeds = np.array([mcmahon_guess(nu, "dirichlet", int(i)) for i in idx])
 
@@ -162,6 +170,7 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
         for _ in range(3):
             f, fp = _f_dirichlet(nu, z)
             z = z - np.where(fp != 0.0, f / fp, 0.0)
+    z.flags.writeable = False
     return z
 
 
@@ -209,13 +218,20 @@ def _bisect_interlaced(nu: float, count: int, fpair, left_edge: float) -> np.nda
     if count > 1:
         fa, _ = fpair(anchors[:-1])
         flo_sign[1:] = np.sign(fa)
+    # a sweep that leaves an element's bracket unchanged would repeat itself
+    # on every later sweep (same midpoint, same sign), so it leaves the live set
+    live = np.arange(count)
     for _ in range(54):
-        mid = 0.5 * (lo + hi)
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
         fm, _ = fpair(mid)
         sm = np.sign(fm)
-        take_lo = (sm == flo_sign) | (sm == 0.0)
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
+        take_lo = (sm == flo_sign[live]) | (sm == 0.0)
+        lo[live] = np.where(take_lo, mid, l)
+        hi[live] = np.where(take_lo, h, mid)
+        live = live[np.where(take_lo, mid != l, mid != h)]
+        if not live.size:
+            break
     z = 0.5 * (lo + hi)
     for _ in range(3):
         f, fp = fpair(z)

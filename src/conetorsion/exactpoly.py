@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import OrderLimitError
 
@@ -155,7 +156,6 @@ def _tpoly(*coeffs) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-_P_ZERO = RationalPolynomial(())
 _P_ONE = RationalPolynomial((_ONE,))
 
 
@@ -165,7 +165,9 @@ class AlphaPolynomial:
     __slots__ = ("tcoeffs",)
 
     def __init__(self, tcoeffs: dict[int, RationalPolynomial]):
-        self.tcoeffs = {p: c for p, c in tcoeffs.items() if not c.is_zero()}
+        # read-only: cached orders are the inputs of every higher order
+        self.tcoeffs = MappingProxyType(
+            {p: c for p, c in tcoeffs.items() if not c.is_zero()})
 
     @classmethod
     def from_t_polynomial(cls, poly: RationalPolynomial) -> "AlphaPolynomial":
@@ -174,10 +176,6 @@ class AlphaPolynomial:
     @classmethod
     def zero(cls) -> "AlphaPolynomial":
         return cls({})
-
-    @classmethod
-    def one(cls) -> "AlphaPolynomial":
-        return cls({0: RationalPolynomial((_ONE,), "a")})
 
     def __add__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
         out = dict(self.tcoeffs)
@@ -235,29 +233,15 @@ class AlphaPolynomial:
         return " + ".join(parts)
 
 
-def _series_log(elems: list, zero, one):
-    """Coefficientwise log of a 1/nu power series with unit constant term.
-
-    ``elems[r]`` is the order-r coefficient; elems[0] must equal ``one``.
-    Returns the list of log-series coefficients to the same truncation order.
+def _log_coefficient(r: int, w, log):
+    """Order-r coefficient of log(1 + sum_k w(k)/nu^k), given ``log`` for the
+    orders below r, by the log-derivative recurrence
+        r L_r = r W_r - sum_{j<r} j L_j W_{r-j}.
     """
-    order = len(elems) - 1
-    w = [zero] + elems[1:]                      # the series minus 1
-    out = [zero] * (order + 1)
-    power = list(w)                              # w^m, currently m=1
-    for m in range(1, order + 1):
-        sign = _ONE / m if m % 2 == 1 else -_ONE / m
-        for r in range(m, order + 1):
-            out[r] = out[r] + power[r].scale(sign)
-        if m < order:
-            nxt = [zero] * (order + 1)
-            for i in range(1, order + 1):       # w has no constant term
-                if power[i].is_zero():
-                    continue
-                for j in range(1, order + 1 - i):
-                    nxt[i + j] = nxt[i + j] + power[i] * w[j]
-            power = nxt
-    return out
+    acc = w(r)
+    for j in range(1, r):
+        acc = acc + (log(j) * w(r - j)).scale(Fraction(-j, r))
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -282,30 +266,23 @@ def gen_v(r: int) -> RationalPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _d_series(order: int) -> tuple[RationalPolynomial, ...]:
-    elems = [gen_u(k) for k in range(order + 1)]
-    return tuple(_series_log(elems, _P_ZERO, _P_ONE))
-
-
 def gen_D(r: int) -> RationalPolynomial:
     _check_order(r, 1)
-    return _d_series(r)[r]
+    return _log_coefficient(r, gen_u, gen_D)
 
 
 @lru_cache(maxsize=None)
-def _m_series(order: int) -> tuple[AlphaPolynomial, ...]:
+def _m_term(k: int) -> AlphaPolynomial:
+    """Order-k coefficient of (1 + sum v_k/nu^k) + (alpha/nu) t (1 + sum u_k/nu^k)."""
     alpha_t = AlphaPolynomial({1: RationalPolynomial((0, 1), "a")})   # a * t
-    elems = [AlphaPolynomial.one()]
-    for k in range(1, order + 1):
-        term = AlphaPolynomial.from_t_polynomial(gen_v(k))
-        term = term + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1))
-        elems.append(term)
-    return tuple(_series_log(elems, AlphaPolynomial.zero(), AlphaPolynomial.one()))
+    return (AlphaPolynomial.from_t_polynomial(gen_v(k))
+            + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1)))
 
 
+@lru_cache(maxsize=None)
 def gen_M(r: int) -> AlphaPolynomial:
     _check_order(r, 1)
-    return _m_series(r)[r]
+    return _log_coefficient(r, _m_term, gen_M)
 
 
 def coeffs_x(r: int) -> list[Fraction]:

@@ -2,8 +2,11 @@
 
 Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
-The package under test never imports this module.
+The one exception is ``series_log``, an exact reference in the polynomials'
+own Fraction arithmetic.  The package under test never imports this module.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -94,3 +97,30 @@ EULER_GAMMA = float(mp.euler)
 LOG_2 = float(mp.log(2))
 LOG_PI = float(mp.log(mp.pi))
 LOG_2PI = float(mp.log(2 * mp.pi))
+
+
+def series_log(elems: list, zero) -> list:
+    """Coefficientwise log of a 1/nu power series with unit constant term,
+    by the plain power series log(1 + w) = sum_m (-1)^(m+1) w^m / m.
+
+    ``elems[r]`` is the order-r coefficient (elems[0] is the unit) of any
+    polynomial type with ``+``, ``*``, ``scale`` and ``is_zero``; returns the
+    log-series coefficients to the same truncation order.
+    """
+    order = len(elems) - 1
+    w = [zero] + list(elems[1:])                # the series minus 1
+    out = [zero] * (order + 1)
+    power = list(w)                              # w^m, currently m=1
+    for m in range(1, order + 1):
+        sign = Fraction(1 if m % 2 == 1 else -1, m)
+        for r in range(m, order + 1):
+            out[r] = out[r] + power[r].scale(sign)
+        if m < order:
+            nxt = [zero] * (order + 1)
+            for i in range(1, order + 1):       # w has no constant term
+                if power[i].is_zero():
+                    continue
+                for j in range(1, order + 1 - i):
+                    nxt[i + j] = nxt[i + j] + power[i] * w[j]
+            power = nxt
+    return out

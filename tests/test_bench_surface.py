@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conetorsion import cli, torsion
+from conetorsion import cli, exactpoly, torsion
 from conetorsion.basemanifold import circle, torus2
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -66,3 +66,17 @@ def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
     assert counts["zetacont.trace_points.lift"] == 288
     assert counts["zetacont.trace_calls.lift"] == 5
     assert counts["zetacont.trace_calls.exact"] < 91
+
+
+def test_cold_recursive_expansion_build_is_traced(tracing):
+    # gen_M recurses through its module global, which the tracer wraps: a
+    # cold build must still record spans and return the untraced polynomial
+    top = exactpoly.MAX_ORDER
+    untraced = exactpoly.gen_M(top)
+    for fn in (exactpoly.gen_u, exactpoly.gen_v, exactpoly.gen_D,
+               exactpoly.gen_M, exactpoly._m_term):
+        fn.cache_clear()
+    built = []
+    tracer = _traced(tracing, lambda: built.append(exactpoly.gen_M(top)))
+    assert "exactpoly.gen_s" in {span[0] for span in tracer.spans}
+    assert built == [untraced]

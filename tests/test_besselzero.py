@@ -1,5 +1,6 @@
 """Bessel-zero solver versus mpmath's independent zero finder."""
 
+import functools
 import math
 import os
 import subprocess
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conetorsion
+from conetorsion import besselzero
 from conetorsion.besselzero import (ZeroList, ZeroRequest, _dirichlet_zeros,
                                     _scan_zeros, mcmahon_guess, zeros)
-from conetorsion.errors import ValidationError
+from conetorsion.errors import ConvergenceError, ValidationError
 
 import oracles
 
@@ -53,6 +55,82 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
             "sys.exit('scipy.optimize' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def test_zero_list_is_read_only():
+    # the Dirichlet kind hands out the memoized array: a write must not
+    # reach later solves
+    req = ZeroRequest(2.0, "dirichlet", 50)
+    first = zeros(req)
+    before = first.zeros.copy()
+    for arr in (first.zeros, first.residuals, first.fprimes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    again = zeros(req)
+    assert again.zeros.tobytes() == before.tobytes()
+    assert again.residuals.tobytes() == first.residuals.tobytes()
+    assert again.fprimes.tobytes() == first.fprimes.tobytes()
+
+
+# the reference side solves its anchors apart from the solver's own memo
+_reference_anchors = functools.lru_cache(maxsize=None)(_dirichlet_zeros.__wrapped__)
+
+
+def _bisect_every_sweep(nu, count, fpair, left_edge):
+    """Reference: the interlaced bisection with all 54 sweeps over every
+    element."""
+    anchors = _reference_anchors(nu, count)
+    lo = np.concatenate([[left_edge], anchors[:-1]])
+    hi = anchors.copy()
+    flo_sign = np.empty(count)
+    flo_sign[0] = 1.0
+    if count > 1:
+        fa, _ = fpair(anchors[:-1])
+        flo_sign[1:] = np.sign(fa)
+    for _ in range(54):
+        mid = 0.5 * (lo + hi)
+        fm, _ = fpair(mid)
+        sm = np.sign(fm)
+        take_lo = (sm == flo_sign) | (sm == 0.0)
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    z = 0.5 * (lo + hi)
+    for _ in range(3):
+        f, fp = fpair(z)
+        step = np.where(fp != 0.0, f / fp, 0.0)
+        z = np.clip(z - step, lo, hi)
+    return z
+
+
+def _outcome(req):
+    try:
+        zl = zeros(req)
+    except ConvergenceError as exc:
+        return str(exc)
+    return tuple(arr.tobytes() for arr in (zl.zeros, zl.residuals, zl.fprimes))
+
+
+def _bitwise_cases(nu):
+    alphas = dict.fromkeys((0.0, 0.5 * nu, -0.5 * nu, nu, math.inf))
+    for count in (5, 50, 2000):
+        yield ZeroRequest(nu, "dirichlet", count)
+        yield ZeroRequest(nu, "neumann", count)
+        for alpha in alphas:
+            if alpha in (nu, math.inf) or alpha * alpha < nu * nu:
+                yield ZeroRequest(nu, "mixed", count, alpha)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nu", [0.0, 1e-6, 0.945, 2.5, 3.378, 30.0])
+def test_solver_is_bitwise_the_full_sweep_bisection(nu, monkeypatch):
+    # the memoized anchors and the shrinking live set of the bisection are
+    # work savings only: zeros, residuals and f' stay bitwise the same
+    cases = list(_bitwise_cases(nu))
+    fast = [_outcome(req) for req in cases]
+    monkeypatch.setattr(besselzero, "_bisect_interlaced", _bisect_every_sweep)
+    monkeypatch.setattr(besselzero, "_dirichlet_zeros", _reference_anchors)
+    for req, got in zip(cases, fast):
+        assert got == _outcome(req), req
 
 
 def test_half_integer_dirichlet_is_k_pi():

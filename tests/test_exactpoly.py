@@ -24,6 +24,8 @@ from conetorsion.exactpoly import (
     zsum_identity_residual,
 )
 
+import oracles
+
 F = Fraction
 
 
@@ -133,6 +135,74 @@ def test_polynomials_vanish_at_origin():
     for r in range(1, 9):
         assert gen_D(r).coefficient(0) == 0
         assert 0 not in gen_M(r).t_powers()
+
+
+# ---------------------------------------------------------------------------
+# The log-derivative recurrence behind gen_D/gen_M against the plain power
+# series of the logarithm, order by order up to MAX_ORDER.
+# ---------------------------------------------------------------------------
+
+def _clear_caches():
+    for fn in (gen_u, gen_v, gen_D, gen_M, exactpoly._m_term):
+        fn.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def log_series_reference():
+    order = exactpoly.MAX_ORDER
+    d_ref = oracles.series_log([gen_u(k) for k in range(order + 1)],
+                               RationalPolynomial(()))
+    # (1 + sum v_k/nu^k) + (alpha/nu) t (1 + sum u_k/nu^k), as in the docstring
+    alpha_t = AlphaPolynomial({1: RationalPolynomial((0, 1), "a")})
+    elems = [AlphaPolynomial({0: RationalPolynomial((1,), "a")})]
+    for k in range(1, order + 1):
+        elems.append(AlphaPolynomial.from_t_polynomial(gen_v(k))
+                     + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1)))
+    m_ref = oracles.series_log(elems, AlphaPolynomial.zero())
+    return d_ref, m_ref
+
+
+@pytest.mark.parametrize("first_call", ["ascending", "cold_top_order"])
+def test_log_recurrence_matches_power_series(log_series_reference, first_call):
+    d_ref, m_ref = log_series_reference
+    _clear_caches()
+    if first_call == "cold_top_order":
+        gen_M(exactpoly.MAX_ORDER)          # recursion fills every lower order
+    for r in range(1, exactpoly.MAX_ORDER + 1):
+        assert gen_D(r) == d_ref[r]
+        assert gen_M(r) == m_ref[r]
+        assert all(type(c) is Fraction for c in gen_D(r).coeffs)
+
+
+def test_cached_orders_are_read_only():
+    # every higher order is built from the cached lower ones, so a write into
+    # one would reach all of them
+    with pytest.raises(TypeError):
+        gen_M(3).tcoeffs[3] = RationalPolynomial((F(1),), "a")
+    assert dm_identity_residual(3, F(1)) == 0
+    assert dm_identity_residual(4, F(1)) == 0
+
+
+def test_cold_build_does_few_alpha_products(monkeypatch):
+    # one product per (order, lower order) pair plus one per alpha*t*u term;
+    # rebuilding the whole series for every order took 1,079
+    products = []
+    multiply = AlphaPolynomial.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(AlphaPolynomial, "__mul__", counting)
+    counts = []
+    for _ in range(2):
+        _clear_caches()
+        products.clear()
+        for r in range(1, exactpoly.MAX_ORDER + 1):
+            gen_D(r)
+            gen_M(r)
+        counts.append(len(products))
+    assert counts[0] == counts[1] <= 100
 
 
 # ---------------------------------------------------------------------------
