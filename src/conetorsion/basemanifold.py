@@ -58,7 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .specfun import ln_gamma
 from .zetacont import (SpectrumStream, _exp_rowsum, merge_ties,
                        progression_stream, shift_heat_powers)
 
@@ -81,21 +80,6 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
             coeffs.append(0.0)
         coeffs[idx] = float(c)
     return tuple(coeffs)
-
-
-def weyl_count_ratio(stream: SpectrumStream) -> float:
-    """|N(x_max) / Weyl prediction - 1| from the leading heat power.
-
-    Z(t) ~ c t^p (p < 0) corresponds to N(x) ~ c x^(-p) / Gamma(1 - p)
-    (Karamata); a ratio far from 0 flags inconsistent spectrum/heat data.
-    """
-    if not stream.heat_powers:
-        raise ValidationError("stream carries no heat powers to check against")
-    p, c = min(stream.heat_powers, key=lambda pc: pc[0])
-    if p >= 0 or c <= 0:
-        raise ValidationError("leading heat power must be c t^p with p < 0, c > 0")
-    predicted = c * stream.max_value ** (-p) / math.exp(ln_gamma(1.0 - p))
-    return abs(stream.total_count() / predicted - 1.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +123,6 @@ class BaseManifold:
         self.betti = betti
         self.scale = float(scale)
         self.orientable = True
-        self.boundary_ok = bool(boundary_ok)
         self.truncation_note = truncation_note
         self._degrees = dict(degrees)
 
@@ -207,8 +190,9 @@ class BaseManifold:
 # circle
 # ---------------------------------------------------------------------------
 
-def circle(c: float, count: int = 4096, *, allow_boundary: bool = False) -> BaseManifold:
-    """S^1 scaled so the coclosed degree-0 spectrum is {c^2 m^2, mult 2}.
+def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
+    """S^1 scaled so the coclosed degree-0 spectrum is {c^2 m^2, mult 2},
+    listed for m = 1..4096 (the trace itself is exact).
 
     Requires c > 1 (scaling condition); ``allow_boundary`` admits the
     borderline c = 1, used only for closed-form evaluations.
@@ -218,9 +202,7 @@ def circle(c: float, count: int = 4096, *, allow_boundary: bool = False) -> Base
         raise ValidationError("circle scale must be a positive real")
     if c < 1.0 or (c == 1.0 and not allow_boundary):
         raise ValidationError(SCALING_MESSAGE)
-    if count < 16:
-        raise ValidationError("circle spectrum needs at least 16 modes")
-    m = np.arange(1, count + 1, dtype=float)
+    m = np.arange(1, 4097, dtype=float)
     values = (c * m) ** 2
     mults = 2.0 * np.ones_like(values)
 

@@ -75,34 +75,23 @@ class ZeroList:
         return self.zeros ** 2
 
 
-def mcmahon_guess(nu: float, kind: str, index: int, alpha: float | None = None) -> float:
-    """McMahon asymptotic estimate of the index-th positive zero (seed only).
+def mcmahon_guess(nu: float, index: int) -> float:
+    """McMahon asymptotic estimate of the index-th positive zero of J_nu
+    (seed only).
 
-    Every correction carries the factor that vanishes at the closed-form
-    orders (mu - 1 = 0 at nu = 1/2 for Dirichlet), so e.g. the half-integer
-    Dirichlet guesses are exactly index*pi.  For J_0' the origin is a
-    stationary point, which costs one index in the phase.
+    Every correction carries the factor mu - 1, which vanishes at nu = 1/2,
+    so the half-integer guesses are exactly index*pi.
     """
     if index < 1:
         raise ValidationError(f"zero index must be >= 1, got {index}")
     mu = 4.0 * nu * nu
-    if kind == "dirichlet":
-        b = (index + 0.5 * nu - 0.25) * math.pi
-        e = 8.0 * b
-        return (b - (mu - 1.0) / e
-                - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3)
-                - 32.0 * (mu - 1.0) * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / (15.0 * e ** 5)
-                - 64.0 * (mu - 1.0) * (6949.0 * mu ** 3 - 153855.0 * mu ** 2
-                                       + 1585743.0 * mu - 6277237.0) / (105.0 * e ** 7))
-    s = index + 1 if (kind == "neumann" and nu == 0.0) else index
-    b = (s + 0.5 * nu - 0.75) * math.pi
+    b = (index + 0.5 * nu - 0.25) * math.pi
     e = 8.0 * b
-    guess = (b - (mu + 3.0) / e
-             - 4.0 * (7.0 * mu ** 2 + 82.0 * mu - 9.0) / (3.0 * e ** 3)
-             - 32.0 * (83.0 * mu ** 3 + 2075.0 * mu ** 2 - 3039.0 * mu + 3537.0) / (15.0 * e ** 5))
-    if kind == "mixed" and alpha is not None and alpha != math.inf:
-        guess += alpha / b
-    return guess
+    return (b - (mu - 1.0) / e
+            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3)
+            - 32.0 * (mu - 1.0) * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / (15.0 * e ** 5)
+            - 64.0 * (mu - 1.0) * (6949.0 * mu ** 3 - 153855.0 * mu ** 2
+                                   + 1585743.0 * mu - 6277237.0) / (105.0 * e ** 7))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +121,7 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
     """First ``count`` zeros of J_nu, memoized (they anchor every interlaced
     solve at the same order) and therefore read-only."""
     idx = np.arange(1, count + 1)
-    seeds = np.array([mcmahon_guess(nu, "dirichlet", int(i)) for i in idx])
+    seeds = np.array([mcmahon_guess(nu, int(i)) for i in idx])
 
     halfgap = 0.5 * np.diff(seeds, prepend=seeds[0] - math.pi)
     halfgap = np.maximum(halfgap, 0.45 * math.pi)
@@ -205,27 +194,26 @@ def _scan_zeros(nu: float, count: int) -> np.ndarray:
     return np.array(found)
 
 
-def _bisect_interlaced(nu: float, count: int, fpair, left_edge: float) -> np.ndarray:
+def _bisect_interlaced(nu: float, count: int, f, fpair) -> np.ndarray:
     """One zero per interval between consecutive J_nu zeros (plus the head
-    interval starting at left_edge), located by vectorized bisection and
-    polished by Newton.  fpair(z) -> (f(z), f'(z)); sign of f at 0+ must be +.
+    interval starting at 0), located by vectorized bisection and polished by
+    Newton.  The sweeps read only the sign of f(z); the polish takes
+    fpair(z) -> (f(z), f'(z)).  The sign of f at 0+ must be +.
     """
     anchors = _dirichlet_zeros(nu, count)
-    lo = np.concatenate([[left_edge], anchors[:-1]])
+    lo = np.concatenate([[0.0], anchors[:-1]])
     hi = anchors.copy()
     flo_sign = np.empty(count)
     flo_sign[0] = 1.0  # sign of f just right of 0 is that of alpha+nu > 0
     if count > 1:
-        fa, _ = fpair(anchors[:-1])
-        flo_sign[1:] = np.sign(fa)
+        flo_sign[1:] = np.sign(f(anchors[:-1]))
     # a sweep that leaves an element's bracket unchanged would repeat itself
     # on every later sweep (same midpoint, same sign), so it leaves the live set
     live = np.arange(count)
     for _ in range(54):
         l, h = lo[live], hi[live]
         mid = 0.5 * (l + h)
-        fm, _ = fpair(mid)
-        sm = np.sign(fm)
+        sm = np.sign(f(mid))
         take_lo = (sm == flo_sign[live]) | (sm == 0.0)
         lo[live] = np.where(take_lo, mid, l)
         hi[live] = np.where(take_lo, h, mid)
@@ -260,11 +248,13 @@ def zeros(req: ZeroRequest) -> ZeroList:
                 z = z - np.where(fp != 0.0, f / fp, 0.0)
             f, fp = _f_neumann(0.0, z)
         else:
-            z = _bisect_interlaced(nu, count, lambda t: _f_neumann(nu, t), 0.0)
+            z = _bisect_interlaced(nu, count, lambda t: sc.jvp(nu, t),
+                                   lambda t: _f_neumann(nu, t))
             f, fp = _f_neumann(nu, z)
     else:
         alpha = float(req.alpha)
-        z = _bisect_interlaced(nu, count, lambda t: _f_mixed(nu, alpha, t), 0.0)
+        z = _bisect_interlaced(nu, count, lambda t: _f_mixed(nu, alpha, t)[0],
+                               lambda t: _f_mixed(nu, alpha, t))
         f, fp = _f_mixed(nu, alpha, z)
 
     resid = np.abs(f)

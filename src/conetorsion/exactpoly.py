@@ -45,7 +45,20 @@ def _check_order(r: int, smallest: int) -> None:
         raise OrderLimitError(f"order {r} exceeds the supported maximum {MAX_ORDER}")
 
 
-class RationalPolynomial:
+class _ReadOnly:
+    """Refuses attribute writes after construction: cached orders are the
+    inputs of every higher order, so a write would corrupt them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class RationalPolynomial(_ReadOnly):
     """Polynomial in one variable with Fraction coefficients (index = power)."""
 
     __slots__ = ("coeffs", "var")
@@ -54,8 +67,8 @@ class RationalPolynomial:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self.var = var
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "var", var)
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
@@ -159,15 +172,14 @@ def _tpoly(*coeffs) -> RationalPolynomial:
 _P_ONE = RationalPolynomial((_ONE,))
 
 
-class AlphaPolynomial:
+class AlphaPolynomial(_ReadOnly):
     """Polynomial in t whose coefficients are RationalPolynomials in alpha."""
 
     __slots__ = ("tcoeffs",)
 
     def __init__(self, tcoeffs: dict[int, RationalPolynomial]):
-        # read-only: cached orders are the inputs of every higher order
-        self.tcoeffs = MappingProxyType(
-            {p: c for p, c in tcoeffs.items() if not c.is_zero()})
+        object.__setattr__(self, "tcoeffs", MappingProxyType(
+            {p: c for p, c in tcoeffs.items() if not c.is_zero()}))
 
     @classmethod
     def from_t_polynomial(cls, poly: RationalPolynomial) -> "AlphaPolynomial":
@@ -309,16 +321,16 @@ def _signed_power_term(r: int, alpha: Fraction) -> Fraction:
     return sign * alpha ** r / r
 
 
-def dm_identity_residual(r: int, alpha, sign: int = 1,
+def dm_identity_residual(r: int, alpha,
                          m_poly: AlphaPolynomial | None = None,
                          d_poly: RationalPolynomial | None = None) -> Fraction:
     """Exact residual of the t=1 identity
-    M_r(1, s*alpha) - D_r(1) - (-1)^(r+1) (s*alpha)^r / r; zero iff it holds.
+    M_r(1, alpha) - D_r(1) - (-1)^(r+1) alpha^r / r; zero iff it holds.
 
     m_poly/d_poly may be injected (the self-test corrupts them on purpose to
     prove this check can fail).
     """
-    alpha = Fraction(alpha) * sign
+    alpha = Fraction(alpha)
     m = m_poly if m_poly is not None else gen_M(r)
     d = d_poly if d_poly is not None else gen_D(r)
     return m.substitute_alpha(alpha)(_ONE) - d(_ONE) - _signed_power_term(r, alpha)

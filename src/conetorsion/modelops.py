@@ -138,17 +138,6 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
                             error_estimate=data.error_estimate)
 
 
-def t_half_integer(k: int) -> float:
-    """Closed-form -zeta'(0) of L_{k+1/2}(inf): log 2 - sum log(2l+1).
-
-    The half-integer Dirichlet family evaluates in elementary terms; it
-    is exactly what the harmonic sector consumes.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError(f"half-integer family index must be an int >= 0, got {k!r}")
-    return LOG_2 - math.fsum(math.log(2 * l + 1) for l in range(k + 1))
-
-
 def harmonic_contribution(base) -> float:
     """Harmonic-sector share of log T for a cross-section N.
 

@@ -1,10 +1,9 @@
 """Scalar special functions with the accuracy the spectral machinery needs.
 
-Gamma/digamma and the Bessel family are thin wrappers over scipy.special so
-that every caller in the package goes through one audited surface.  The
-Riemann/Hurwitz zeta values and their s-derivatives are implemented here:
-scipy offers no analytic continuation to Re(s) <= 1 and no derivative in s,
-and both are needed for zeta-regularized determinants.
+Gamma/digamma and the modified Bessel family I_nu are thin wrappers over
+scipy.special.  The Riemann/Hurwitz zeta values and their s-derivatives are
+implemented here: scipy offers no analytic continuation to Re(s) <= 1 and
+no derivative in s, and both are needed for zeta-regularized determinants.
 
 Algorithms: Euler-Maclaurin summation for s > -1/2 (and for general a > 0);
 for deeper negative s the Riemann values switch to the functional equation
@@ -27,7 +26,6 @@ from .errors import ValidationError
 EULER_GAMMA = 0.5772156649015328606065120900824024
 LOG_2PI = 1.8378770664093454835606594728112353
 LOG_2 = math.log(2.0)
-LOG_PI = math.log(math.pi)
 
 # Bernoulli numbers B_2, B_4, ..., B_28 (exact, converted once to float).
 _BERNOULLI_EVEN = [
@@ -47,14 +45,6 @@ def ln_gamma(x):
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) (vectorized)."""
     return sc.psi(x)
-
-
-def bessel_j(nu, x):
-    return sc.jv(nu, x)
-
-
-def bessel_j_prime(nu, x):
-    return sc.jvp(nu, x)
 
 
 def bessel_i(nu, x):

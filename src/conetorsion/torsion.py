@@ -43,8 +43,7 @@ import numpy as np
 from .basemanifold import BaseManifold, NuSet, nu_set
 from .besselzero import ZeroRequest, zeros
 from .errors import ValidationError
-from .exactpoly import (coeffs_x, coeffs_z, gen_D, gen_M,
-                        xzsum_identity_residual, zsum_identity_residual)
+from .exactpoly import coeffs_x, coeffs_z, gen_D, gen_M
 from .modelops import harmonic_contribution
 from .specfun import (EULER_GAMMA, LOG_2, LOG_2PI, bessel_i, bessel_i_prime,
                       bessel_i_prime_scaled, bessel_i_scaled, digamma)
@@ -54,11 +53,11 @@ from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
 __all__ = [
     "SpectralParameter", "ConeOverS1Config", "TorsionBreakdown",
     "frequency_log_term", "t_nu_k", "f_r", "asymptotic_remainder",
-    "remainder_asymptote", "fit_remainder", "pp_cancellation_residual",
-    "DegreeContinuation", "degree_continuation", "spectral_bracket",
-    "nu_continuation_data", "zeta_k_prime0", "log_torsion", "corollary_2d",
-    "corollary_3d", "corollary_3d_precancellation", "theorem_main",
-    "lemma_first_summand", "lemma_first_summand_numeric", "z_at_zero",
+    "remainder_asymptote", "fit_remainder", "DegreeContinuation",
+    "degree_continuation", "spectral_bracket", "nu_continuation_data",
+    "zeta_k_prime0", "log_torsion", "corollary_2d", "corollary_3d",
+    "corollary_3d_precancellation", "theorem_main", "lemma_first_summand",
+    "lemma_first_summand_numeric",
 ]
 
 
@@ -281,40 +280,18 @@ def remainder_asymptote(nu: float, k: int, n: int) -> tuple[float, float]:
     return -1.0, intercept
 
 
-def fit_remainder(nu: float, k: int, n: int, lam_lo: float = -1.0e6,
-                  lam_hi: float = -1.0e4, points: int = 30) -> tuple[float, float]:
+def fit_remainder(nu: float, k: int, n: int) -> tuple[float, float]:
     """Least-squares (slope, intercept) of the remainder vs log(-lam).
 
-    Samples ``asymptotic_remainder`` on a geometric grid between ``lam_hi``
-    and ``lam_lo`` (both negative, |lam_hi| < |lam_lo|).
+    Samples ``asymptotic_remainder`` at 30 geometric points from
+    lam = -1e4 to lam = -1e6.
     """
-    if not (lam_lo < lam_hi < 0.0):
-        raise ValidationError(
-            f"fit window needs lam_lo < lam_hi < 0, got {lam_lo!r}, {lam_hi!r}")
-    lams = -np.geomspace(-lam_hi, -lam_lo, int(points))
+    lams = -np.geomspace(1.0e4, 1.0e6, 30)
     ys = np.array([asymptotic_remainder(nu, k, n, SpectralParameter(lam))
                    for lam in lams])
     design = np.column_stack([np.log(-lams), np.ones(lams.size)])
     sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return float(sol[0]), float(sol[1])
-
-
-def pp_cancellation_residual(r: int, alpha, parity: str) -> Fraction:
-    """Exact net coefficient of the finite-part terms in the assembled
-    per-degree closed form at integer order r.
-
-    The shifted derivatives, rewritten through the subtracted-logarithm
-    relation, contribute finite parts of the frequency zeta function at
-    r = 1..n; the expansion-polynomial route contributes the same finite
-    parts with the coefficient sums of z_{r,b} (odd parity) or of
-    2 x_{r,b} - z-sums (even parity).  The two cancel exactly; the returned
-    rational is the residual of that cancellation and must be zero.
-    """
-    if parity == "odd":
-        return zsum_identity_residual(r, alpha)
-    if parity == "even":
-        return xzsum_identity_residual(r, alpha)
-    raise ValidationError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +398,8 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
         engine if ns.q_stream.heat_fn is not None else None)
 
 
-def spectral_bracket(data: ZetaFunctionData, alpha: Fraction, n: int,
-                     parity: str) -> tuple[float, float]:
+def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
+                     n: int) -> tuple[float, float]:
     """Per-degree spectral derivative at zero from continuation data.
 
     Combines the shifted derivatives zeta'(0, +-alpha) (difference in odd
@@ -436,13 +413,11 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction, n: int,
     """
     alpha = Fraction(alpha)
     a = float(alpha)
+    parity = _parity(n)
     if parity == "odd":
-        head = data.deriv0_shifted[a] - data.deriv0_shifted[-a]
-    elif parity == "even":
-        head = data.deriv0_shifted[a] + data.deriv0_shifted[-a]
+        total = data.deriv0_shifted[a] - data.deriv0_shifted[-a]
     else:
-        raise ValidationError(f"parity must be 'odd' or 'even', got {parity!r}")
-    total = head
+        total = data.deriv0_shifted[a] + data.deriv0_shifted[-a]
     sensitivity = 0.0
     for i in range(1, n + 1):
         residue = data.residues.get(i, 0.0)
@@ -469,7 +444,7 @@ def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     _check_degree(k, n, (n - 1) // 2)
     dc = degree_continuation(base, k)
     alpha = _alpha_k(k, n)
-    value, sensitivity = spectral_bracket(dc.data, alpha, n, _parity(n))
+    value, sensitivity = spectral_bracket(dc.data, alpha, n)
     a = float(alpha)
     err = (dc.shift_errors[a] + dc.shift_errors[-a]
            + 2.0 * dc.data.error_estimate * sensitivity
@@ -602,14 +577,3 @@ def lemma_first_summand_numeric(radius: float = 1.0,
                             density_exponent=0.5)
     engine = MellinZeta(stream)
     return engine.deriv0(), engine.error_estimate([0.0])
-
-
-def z_at_zero(nu_angle: float) -> float:
-    """Value at zero of the angular remainder zeta function of the cone over
-    a circle: nu/24 + 1/(24 nu) - 1/8."""
-    nu = float(nu_angle)
-    if not (math.isfinite(nu) and nu >= 1.0):
-        raise ValidationError(
-            f"angle parameter must satisfy nu_angle >= 1 (secant of a real "
-            f"opening angle), got {nu_angle!r}")
-    return nu / 24.0 + 1.0 / (24.0 * nu) - 0.125

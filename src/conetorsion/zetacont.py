@@ -312,7 +312,6 @@ class MellinZeta:
         self.stream = stream
         powers = sorted(stream.heat_powers)
         self._fit_note = 0.0
-        self._heat_mismatch = None
 
         if stream.heat_fn is not None:
             self.powers = powers
@@ -419,7 +418,6 @@ class MellinZeta:
             raise ValidationError(
                 f"inconsistent heat data: supplied coefficient {c0:.6g} for "
                 f"t^{p0} but the stream fits {free[0]:.6g}")
-        self._heat_mismatch = mismatch
 
     # -- core integrals -----------------------------------------------------
     def integral(self, s: float) -> float:

@@ -2,10 +2,13 @@
 
 Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
-The one exception is ``series_log``, an exact reference in the polynomials'
-own Fraction arithmetic.  The package under test never imports this module.
+The exceptions are ``series_log``, an exact reference in the polynomials'
+own Fraction arithmetic, and the float reference formulas
+``t_half_integer`` and ``weyl_count_ratio``.  The package under test never
+imports this module.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -95,7 +98,6 @@ def hurwitz_zeta_prime0(a: float) -> float:
 
 EULER_GAMMA = float(mp.euler)
 LOG_2 = float(mp.log(2))
-LOG_PI = float(mp.log(mp.pi))
 LOG_2PI = float(mp.log(2 * mp.pi))
 
 
@@ -124,3 +126,25 @@ def series_log(elems: list, zero) -> list:
                     nxt[i + j] = nxt[i + j] + power[i] * w[j]
             power = nxt
     return out
+
+
+def t_half_integer(k: int) -> float:
+    """Closed-form -zeta'(0) of L_{k+1/2}(inf): log 2 - sum log(2l+1).
+
+    The half-integer Dirichlet family evaluates in elementary terms; it
+    is exactly what the harmonic sector consumes.
+    """
+    return LOG_2 - math.fsum(math.log(2 * l + 1) for l in range(k + 1))
+
+
+def weyl_count_ratio(stream) -> float:
+    """|N(x_max) / Weyl prediction - 1| from the leading heat power.
+
+    Z(t) ~ c t^p (p < 0) corresponds to N(x) ~ c x^(-p) / Gamma(1 - p)
+    (Karamata); a ratio far from 0 flags inconsistent spectrum/heat data.
+    """
+    p, c = min(stream.heat_powers, key=lambda pc: pc[0])
+    if p >= 0 or c <= 0:
+        raise ValueError("leading heat power must be c t^p with p < 0, c > 0")
+    predicted = c * stream.max_value ** (-p) / math.exp(lngamma(1.0 - p))
+    return abs(stream.total_count() / predicted - 1.0)

@@ -76,7 +76,7 @@ def test_zero_list_is_read_only():
 _reference_anchors = functools.lru_cache(maxsize=None)(_dirichlet_zeros.__wrapped__)
 
 
-def _bisect_every_sweep(nu, count, fpair, left_edge):
+def _bisect_every_sweep(nu, count, f, fpair, left_edge=0.0):
     """Reference: the interlaced bisection with all 54 sweeps over every
     element."""
     anchors = _reference_anchors(nu, count)
@@ -131,6 +131,28 @@ def test_solver_is_bitwise_the_full_sweep_bisection(nu, monkeypatch):
     monkeypatch.setattr(besselzero, "_dirichlet_zeros", _reference_anchors)
     for req, got in zip(cases, fast):
         assert got == _outcome(req), req
+
+
+def test_neumann_sweep_evaluates_only_j_prime(monkeypatch):
+    # the bisection reads only the sign of f = J'; J itself (for J'') is
+    # needed only by the three Newton polishes and the final residuals
+    nu, count = 2.5, 200
+    _dirichlet_zeros(nu, count)                 # anchors solved beforehand
+    points = {"jv": 0, "jvp": 0}
+
+    def counted(name):
+        original = getattr(besselzero.sc, name)
+
+        def wrapper(order, z):
+            points[name] += np.size(z)
+            return original(order, z)
+        return wrapper
+
+    for name in points:
+        monkeypatch.setattr(besselzero.sc, name, counted(name))
+    zeros(ZeroRequest(nu, "neumann", count))
+    assert points["jv"] == 4 * count
+    assert points["jvp"] > 40 * count
 
 
 def test_half_integer_dirichlet_is_k_pi():
@@ -202,7 +224,7 @@ def test_mcmahon_guess_quality():
     # seeds land within half a spacing of the true zero, far out and near in
     for nu in (0.0, 2.7, 5.0):
         for k in (1, 5, 40):
-            g = mcmahon_guess(nu, "dirichlet", k)
+            g = mcmahon_guess(nu, k)
             want = oracles.j_zero(nu, k)
             assert abs(g - want) < 0.5
 

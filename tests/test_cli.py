@@ -369,3 +369,15 @@ def test_main_exit_codes_and_streams(capsys):
 
 def test_selftest_tol_validation():
     assert exit_code(["selftest", "--tol", "1e-3"]) == 2
+
+
+def test_selftest_tol_is_a_spelling_of_tolerance(monkeypatch):
+    # one cheap check keeps this about parsing: both spellings must reach
+    # the battery, and its payload, as the same tolerance
+    monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", tuple(
+        row for row in cli.ACCEPTANCE_CHECKS if row[0] == "harmonic-sector"))
+    short, _ = cli.run(["selftest", "--tol", "1e-6"])
+    spelled_out, _ = cli.run(["selftest", "--tolerance", "1e-6"])
+    assert short == spelled_out
+    assert json.loads(spelled_out)["tolerance"] == 1e-6
+    assert exit_code(["selftest", "--tolerance", "1e-3"]) == 2

@@ -99,14 +99,14 @@ def test_coefficient_tables_match_generators():
 # Cross-identities, exact through order 10 over a spread of alpha values.
 # ---------------------------------------------------------------------------
 
-ALPHAS = (F(0), F(1, 2), F(-1, 2), F(1), F(2), F(1, 3), F(-7, 5))
+ALPHAS = (F(0), F(1, 2), F(-1, 2), F(1), F(3, 2), F(2), F(1, 3), F(-7, 5))
 
 
 @pytest.mark.parametrize("r", range(1, 11))
 def test_dm_identity_exact(r):
     for alpha in ALPHAS:
         assert dm_identity_residual(r, alpha) == 0
-        assert dm_identity_residual(r, alpha, sign=-1) == 0
+        assert dm_identity_residual(r, -alpha) == 0
 
 
 @pytest.mark.parametrize("r", range(1, 11))
@@ -181,6 +181,21 @@ def test_cached_orders_are_read_only():
         gen_M(3).tcoeffs[3] = RationalPolynomial((F(1),), "a")
     assert dm_identity_residual(3, F(1)) == 0
     assert dm_identity_residual(4, F(1)) == 0
+
+
+def test_cached_polynomials_refuse_attribute_writes():
+    # a new coeffs tuple on the cached D_1 would silently change D_2
+    try:
+        for poly, attr, value in ((gen_D(1), "coeffs", (F(1),)),
+                                  (gen_D(1), "var", "x"),
+                                  (gen_M(1), "tcoeffs", {})):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(poly, attr, value)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(poly, attr)
+        assert gen_D(2) == tpoly(0, 0, F(1, 16), 0, F(-3, 8), 0, F(5, 16))
+    finally:
+        _clear_caches()     # a write that got through must not reach later tests
 
 
 def test_cold_build_does_few_alpha_products(monkeypatch):

@@ -3,7 +3,6 @@ large-order remainder analysis, and the degree/parity bookkeeping."""
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -23,11 +22,9 @@ from conetorsion.torsion import (
     lemma_first_summand,
     lemma_first_summand_numeric,
     log_torsion,
-    pp_cancellation_residual,
     remainder_asymptote,
     t_nu_k,
     theorem_main,
-    z_at_zero,
     zeta_k_prime0,
 )
 
@@ -43,18 +40,6 @@ def test_theorem_main_exact_values():
     assert abs(v12 - 0.5 * (-math.log(math.pi) + math.log(2.0) - 0.5)) < 1e-15
     v21 = theorem_main(ConeOverS1Config(2.0, 1.0))
     assert abs(v21 - 0.5 * (-math.log(4.0 * math.pi) - 1.0)) < 1e-15
-
-
-def test_z_at_zero_values():
-    assert abs(z_at_zero(1.0) - (-1.0 / 24.0)) < 1e-16
-    assert abs(z_at_zero(3.0) - (1.0 / 72.0)) < 1e-16
-
-
-@pytest.mark.parametrize("nu", [1.0, 2.0, 3.5, 7.0])
-def test_z_at_zero_structural(nu):
-    # z(0) = -A(0) + 1/(24 nu) with A(0) = nu zeta_R(-1)/2 - zeta_R(0)/4
-    a0 = 0.5 * nu * (-1.0 / 12.0) - 0.25 * (-0.5)
-    assert abs(z_at_zero(nu) - (-a0 + 1.0 / (24.0 * nu))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +109,6 @@ def test_deep_negative_lambda_asymptote_fit(nu, k, n):
     a_fit, b_fit = fit_remainder(nu, k, n)
     assert abs(a_fit - a_pred) < 1e-3
     assert abs(b_fit - b_pred) < 1e-3
-
-
-def test_pp_cancellation_residuals_all_zero():
-    for r in range(1, 11):
-        for num in (0, 1, 2, 3):
-            for par in ("odd", "even"):
-                assert pp_cancellation_residual(r, Fraction(num, 2), par) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +250,9 @@ def test_zeta_k_prime0_circle():
     lambda: t_nu_k(0.4, 0, 2, SpectralParameter(-3.0)),
     lambda: zeta_k_prime0(circle(2.0), 1),
     lambda: f_r(0, 0, 2, SpectralParameter(-3.0)),
-    lambda: pp_cancellation_residual(1, Fraction(1, 2), "both"),
-    lambda: z_at_zero(0.5),
-    lambda: fit_remainder(2.0, 0, 2, lam_lo=-1.0, lam_hi=-10.0),
+    lambda: frequency_log_term(3.0, 0.5, SpectralParameter(-3.0), "both"),
+    lambda: corollary_2d(torus2(2.0)),
+    lambda: lemma_first_summand(0.0),
 ])
 def test_precondition_validation(fn):
     with pytest.raises(ValidationError):
