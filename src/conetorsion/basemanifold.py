@@ -54,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -171,8 +172,8 @@ class BaseManifold:
             coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim)
             degrees.append({
                 "k": int(k),
-                "eigenvalues": [{"value": float(v), "mult": int(round(m))}
-                                for v, m in zip(deg.values, deg.mults)],
+                "eigenvalues": [{"value": v, "mult": m} for v, m in zip(
+                    deg.values.tolist(), np.rint(deg.mults).astype(int).tolist())],
                 "heat_coeffs": [float(c) for c in coeffs],
             })
         return {
@@ -314,32 +315,79 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
 # custom (finite JSON listings)
 # ---------------------------------------------------------------------------
 
+def _integer(value, field: str) -> int:
+    """An integer field of the custom schema: 2 and 2.0 pass, 2.5 and "x" do not."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{field} must be an integer, got {value!r}") from exc
+    if not number.is_integer():
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _listing(k: int, eig: list) -> tuple:
+    """Values and mults of one degree's eigenvalue entries, validated.
+
+    Entries that do not parse are refused first.  Otherwise a refusal names
+    the first offending entry in list order, judging its value before its
+    mult: values finite and strictly ascending, mults integers >= 1.
+    """
+    n = len(eig)
+    try:
+        values = np.fromiter(map(float, map(itemgetter("value"), eig)), float, n)
+        mults = np.fromiter(map(float, map(itemgetter("mult"), eig)), float, n)
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"degree {k}: eigenvalue entries need 'value' and 'mult': {exc}") from exc
+    bad_value = ~np.isfinite(values)
+    bad_value[1:] |= ~(values[1:] > values[:-1])
+    bad = bad_value | ~((mults >= 1.0) & (mults == np.floor(mults)) & np.isfinite(mults))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_value[i]:
+            raise ValidationError(f"degree {k}: eigenvalues must be finite and "
+                                  f"strictly ascending (entry {i})")
+        m = float(mults[i])
+        if m < 1.0:
+            raise ValidationError(f"degree {k}: multiplicities must be >= 1 (entry {i})")
+        raise ValidationError(
+            f"degree {k}: multiplicities must be integers, got {m!r} (entry {i})")
+    return values, mults
+
+
 def custom(source) -> BaseManifold:
     """Load a cross-section from a JSON mapping, JSON text, or file path."""
     if isinstance(source, dict):
         data = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            try:
+        is_text = text.lstrip().startswith("{")
+        try:
+            if is_text:
+                data = json.loads(text)
+            else:
                 with open(text, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-            except OSError as exc:
-                raise ValidationError(f"cannot read spectrum file: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"spectrum file is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(f"cannot read spectrum file: {exc}") from exc
+        except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
+            what = "text" if is_text else "file"
+            raise ValidationError(f"spectrum {what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("spectrum data must be a JSON object")
     for key in ("dim", "betti", "scale", "degrees"):
         if key not in data:
             raise ValidationError(f"spectrum data missing required key '{key}'")
+    dim = _integer(data["dim"], "dim")
     try:
-        dim = int(data["dim"])
         scale = float(data["scale"])
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed dim/scale: {exc}") from exc
+        raise ValidationError(f"malformed scale: {exc}") from exc
+    betti = data["betti"]
+    if not isinstance(betti, list):
+        raise ValidationError(f"betti must be a list of integers, got {betti!r}")
+    betti = [_integer(b, "betti entry") for b in betti]
     orientable = bool(data.get("orientable", True))
     degrees: dict[int, DegreeData] = {}
     entries = data["degrees"]
@@ -348,7 +396,7 @@ def custom(source) -> BaseManifold:
     for entry in entries:
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValidationError("each degree entry needs a 'k' field")
-        k = int(entry["k"])
+        k = _integer(entry["k"], "degree entry 'k'")
         if k < 0 or k > dim:
             raise ValidationError(f"degree {k} outside 0..{dim}")
         if k in degrees:
@@ -356,24 +404,7 @@ def custom(source) -> BaseManifold:
         eig = entry.get("eigenvalues")
         if not isinstance(eig, list) or not eig:
             raise ValidationError(f"degree {k} needs a nonempty eigenvalue list")
-        values, mults = [], []
-        prev = -math.inf
-        for item in eig:
-            try:
-                v = float(item["value"])
-                m = int(item["mult"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ValidationError(
-                    f"degree {k}: eigenvalue entries need 'value' and 'mult': {exc}"
-                ) from exc
-            if not math.isfinite(v) or v <= prev:
-                raise ValidationError(
-                    f"degree {k}: eigenvalues must be finite and strictly ascending")
-            if m < 1:
-                raise ValidationError(f"degree {k}: multiplicities must be >= 1")
-            prev = v
-            values.append(v)
-            mults.append(float(m))
+        values, mults = _listing(k, eig)
         coeffs = entry.get("heat_coeffs", ())
         try:
             coeffs = tuple(float(x) for x in coeffs)
@@ -383,10 +414,10 @@ def custom(source) -> BaseManifold:
             raise ValidationError(
                 f"degree {k}: heat_coeffs must start with a positive leading term")
         powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
-        degrees[k] = DegreeData(values=np.asarray(values), mults=np.asarray(mults),
+        degrees[k] = DegreeData(values=values, mults=mults,
                                 heat_fn=None, heat_powers=powers,
                                 nu_progression=None)
-    return BaseManifold(name="custom", dim=dim, betti=data["betti"], scale=scale,
+    return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
                         degrees=degrees, orientable=orientable,
                         truncation_note=str(data.get("truncation_note", "")))
 

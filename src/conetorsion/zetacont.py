@@ -92,20 +92,42 @@ def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
 
 
 def merge_ties(values, mults):
-    """Merge eigenvalues equal within 1e-12 relative (ascending input),
-    summing mults."""
+    """Merge near-equal values of an ascending array, summing their mults.
+
+    Groups form left to right: v joins the current group when
+    v - g <= 1e-12 * max(1, |v|) for the group's first value g, and starts
+    a new group otherwise.  So a chain of near-ties can split into several
+    groups even though each step is within tolerance of its predecessor.
+    The merged value is g; mults are summed exactly as long as they are
+    integer-valued, as every multiplicity is.
+    """
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=float)
     if values.size == 0:
         return values, mults
-    out_v, out_m = [values[0]], [mults[0]]
-    for v, m in zip(values[1:], mults[1:]):
-        if v - out_v[-1] <= 1e-12 * max(1.0, abs(v)):
-            out_m[-1] += m
-        else:
-            out_v.append(v)
-            out_m.append(m)
-    return np.array(out_v), np.array(out_m)
+    tol = 1e-12 * np.maximum(1.0, np.abs(values))
+    # a gap to the predecessor above tolerance always starts a group: float
+    # subtraction is monotone, so the gap to the group's first value is no
+    # smaller.  Between such starts lie runs of predecessor-ties.
+    start = np.empty(values.size, dtype=bool)
+    start[0] = True
+    start[1:] = ~(np.diff(values) <= tol[1:])
+    heads = np.flatnonzero(start)
+    run = np.cumsum(start) - 1
+    drift = ~(values - values[heads][run] <= tol)
+    # the rare run that drifts past tolerance from its first value is split
+    # by the group-start rule itself, one value at a time
+    if drift.any():
+        bounds = np.append(heads, values.size).tolist()
+        for r in np.unique(run[drift]).tolist():
+            lo, hi = bounds[r], bounds[r + 1]
+            g = values[lo]
+            for i in range(lo + 1, hi):
+                if not values[i] - g <= tol[i]:
+                    start[i] = True
+                    g = values[i]
+        heads = np.flatnonzero(start)
+    return values[heads], np.add.reduceat(mults, heads)
 
 
 def shift_heat_powers(powers, b: float):

@@ -3,8 +3,9 @@
 Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
 The exceptions are ``series_log``, an exact reference in the polynomials'
-own Fraction arithmetic, and the float reference formulas
-``t_half_integer`` and ``weyl_count_ratio``.  The package under test never
+own Fraction arithmetic, the float reference formulas ``t_half_integer``
+and ``weyl_count_ratio``, and the per-element loops ``merge_ties`` and
+``custom_mapping``, bitwise references for the array passes of the package.  The package under test never
 imports this module.
 """
 
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -148,3 +150,47 @@ def weyl_count_ratio(stream) -> float:
         raise ValueError("leading heat power must be c t^p with p < 0, c > 0")
     predicted = c * stream.max_value ** (-p) / math.exp(lngamma(1.0 - p))
     return abs(stream.total_count() / predicted - 1.0)
+
+
+def merge_ties(values, mults):
+    """Reference tie merge: one pass over an ascending array, comparing
+    each value with the first value g of the current group and joining it
+    when v - g <= 1e-12 * max(1, |v|); mults are summed in input order."""
+    values = np.asarray(values, dtype=float)
+    mults = np.asarray(mults, dtype=float)
+    if values.size == 0:
+        return values, mults
+    out_v, out_m = [values[0]], [mults[0]]
+    for v, m in zip(values[1:], mults[1:]):
+        if v - out_v[-1] <= 1e-12 * max(1.0, abs(v)):
+            out_m[-1] += m
+        else:
+            out_v.append(v)
+            out_m.append(m)
+    return np.array(out_v), np.array(out_m)
+
+
+def custom_mapping(base) -> dict:
+    """Reference export of a base in the custom schema, entry by entry."""
+    degrees = []
+    for k in base.degrees_available():
+        deg = base._degree(k)
+        coeffs = [0.0] * (int(round(2.0 * max(p for p, _ in deg.heat_powers)
+                                    + base.dim)) + 1)
+        for p, c in deg.heat_powers:
+            coeffs[int(round(2.0 * p + base.dim))] = float(c)
+        degrees.append({
+            "k": int(k),
+            "eigenvalues": [{"value": float(v), "mult": int(round(m))}
+                            for v, m in zip(deg.values, deg.mults)],
+            "heat_coeffs": coeffs,
+        })
+    return {
+        "dim": base.dim,
+        "betti": list(base.betti),
+        "scale": base.scale,
+        "orientable": True,
+        "degrees": degrees,
+        "truncation_note": base.truncation_note
+            or f"finite listing exported from {base.name}",
+    }

@@ -297,6 +297,92 @@ def test_custom_schema_rejections(mutate, tag):
         bm.custom(d)
 
 
+def _set_entry(i, item):
+    return lambda eig: eig.__setitem__(i, item)
+
+
+def _set_field(i, key, value):
+    return lambda eig: eig[i].__setitem__(key, value)
+
+
+_NEED = "degree 0: eigenvalue entries need 'value' and 'mult'"
+_ASCENT = "degree 0: eigenvalues must be finite and strictly ascending"
+
+
+@pytest.mark.parametrize("mutate,prefix", [
+    pytest.param(lambda eig: eig[3].pop("mult"), _NEED, id="missing-key"),
+    pytest.param(_set_field(2, "value", "four"), _NEED, id="non-numeric-value"),
+    pytest.param(_set_field(2, "value", None), _NEED, id="null-value"),
+    pytest.param(_set_entry(1, [9.0, 2]), _NEED, id="non-dict-item"),
+    pytest.param(_set_field(0, "value", math.nan), _ASCENT, id="nan"),
+    pytest.param(_set_field(5, "value", math.inf), _ASCENT, id="inf"),
+    pytest.param(lambda eig: eig.reverse(), _ASCENT, id="descending"),
+    pytest.param(_set_field(4, "value", 64.0), _ASCENT, id="duplicate"),
+    pytest.param(_set_field(2, "mult", 0), "degree 0: multiplicities must be >= 1",
+                 id="mult-0"),
+    pytest.param(_set_field(2, "mult", 2.7), "degree 0: multiplicities must be integers",
+                 id="mult-2.7"),
+    pytest.param(_set_field(2, "mult", math.inf),
+                 "degree 0: multiplicities must be integers", id="mult-inf"),
+])
+def test_custom_refuses_malformed_degree_entries(mutate, prefix):
+    blob = bm.circle(2.0).as_custom_mapping()
+    mutate(blob["degrees"][0]["eigenvalues"])
+    with pytest.raises(ValidationError) as info:
+        bm.custom(blob)
+    assert str(info.value).startswith(prefix)
+
+
+def test_custom_names_the_first_offending_entry():
+    # value checks come before mult checks at one entry, and earlier
+    # entries before later ones, as a pass in list order would find them
+    blob = bm.circle(2.0).as_custom_mapping()
+    eig = blob["degrees"][0]["eigenvalues"]
+    eig[7]["mult"], eig[9]["value"] = 0, 1.5
+    with pytest.raises(ValidationError, match=r"must be >= 1 \(entry 7\)"):
+        bm.custom(copy.deepcopy(blob))
+    eig[7]["value"] = math.nan
+    with pytest.raises(ValidationError, match=r"strictly ascending \(entry 7\)"):
+        bm.custom(blob)
+
+
+def test_custom_integral_float_multiplicities_load():
+    blob = bm.circle(2.0).as_custom_mapping()
+    for item in blob["degrees"][0]["eigenvalues"]:
+        item["mult"] = float(item["mult"])
+    want = bm.circle(2.0).coclosed_spectrum(0).mults
+    assert np.array_equal(bm.custom(blob).coclosed_spectrum(0).mults, want)
+
+
+@pytest.mark.parametrize("source,field", [
+    pytest.param('{"dim": 1,', "spectrum text is not valid JSON", id="bad-json-text"),
+    pytest.param(lambda d: d["degrees"][0].update(k="x"), "degree entry 'k'", id="k-text"),
+    pytest.param(lambda d: d["degrees"][0].update(k=0.5), "degree entry 'k'",
+                 id="k-fraction"),
+    pytest.param(lambda d: d.update(dim="one"), "dim", id="dim-text"),
+    pytest.param(lambda d: d.update(betti=5), "betti", id="betti-scalar"),
+    pytest.param(lambda d: d.update(betti=["a", "b"]), "betti entry", id="betti-text"),
+])
+def test_custom_wraps_malformed_fields(source, field):
+    if callable(source):
+        blob = bm.circle(2.0).as_custom_mapping()
+        source(blob)
+        source = blob
+    with pytest.raises(ValidationError) as info:
+        bm.custom(source)
+    assert str(info.value).startswith(field)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: bm.circle(2.0), id="circle"),
+    pytest.param(lambda: bm.torus2(2.187, [[2.0 * math.pi, 0.0], [2.19, 2.0 * math.pi]],
+                                   nu_max=256.0), id="sheared-torus"),
+])
+def test_export_matches_a_loop_built_mapping(build):
+    base = build()
+    assert json.dumps(base.as_custom_mapping()) == json.dumps(oracles.custom_mapping(base))
+
+
 def test_scaling_error_names_the_hypothesis():
     with pytest.raises(ValidationError, match="scaling assumption"):
         bm.circle(0.5)

@@ -339,6 +339,17 @@ def test_custom_base_rejects_scale_flag(tmp_path):
                       "--scale", "2"]) == 2
 
 
+def test_malformed_custom_listing_exits_2(tmp_path, capsys):
+    blob = circle(2.0).as_custom_mapping()
+    blob["degrees"][0]["k"] = "x"
+    path = tmp_path / "bad_listing.json"
+    path.write_text(json.dumps(blob))
+    assert exit_code(["torsion", "cone", "--base", f"custom:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree entry 'k' must be an integer")
+    assert "Traceback" not in err
+
+
 def test_sparse_custom_listing_fails_honestly(tmp_path, capsys):
     # a short torus listing (largest eigenvalue ~4096) cannot support the
     # heat fit; the refusal states the largest eigenvalue the fit needs

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conetorsion import basemanifold as bm
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
@@ -45,11 +48,69 @@ def test_stream_sorts_and_merges_ties():
     assert st.min_value == 1.0 and st.max_value == 3.0
 
 
+def _assert_merge_matches_loop(values, mults):
+    got_v, got_m = merge_ties(values, mults)
+    want_v, want_m = oracles.merge_ties(values, mults)
+    assert got_v.shape == want_v.shape and got_m.shape == want_m.shape
+    assert got_v.tobytes() == want_v.tobytes()
+    assert got_m.tobytes() == want_m.tobytes()
+    return got_v, got_m
+
+
 def test_merge_ties_behaviour():
-    v, m = merge_ties(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
-    assert np.allclose(v, [1.0, 2.0]) and np.allclose(m, [2.0, 1.0])
-    v, m = merge_ties(np.array([]), np.array([]))
+    v, m = _assert_merge_matches_loop([1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    assert v.tolist() == [1.0, 2.0] and m.tolist() == [2.0, 1.0]
+    v, m = _assert_merge_matches_loop([], [])
     assert v.size == 0 and m.size == 0
+    v, m = _assert_merge_matches_loop([7.5], [3.0])
+    assert v.tolist() == [7.5] and m.tolist() == [3.0]
+    v, m = _assert_merge_matches_loop(np.full(40, 2.0), np.arange(1.0, 41.0))
+    assert v.tolist() == [2.0] and m.tolist() == [820.0]
+
+
+def test_merge_ties_splits_a_drifting_chain_at_its_group_starts():
+    # each step is within tolerance of its predecessor, but a value joins a
+    # group only within tolerance of the group's first value: 0.6e-12
+    # steps on values near 1 pair up into 25 groups of two
+    values = 1.0 + 0.6e-12 * np.arange(50)
+    v, m = _assert_merge_matches_loop(values, np.ones(50))
+    assert v.size == 25 and np.all(m == 2.0)
+    # the chain embedded between plain gaps and exact ties
+    values = np.concatenate([[0.5, 0.5], values, [3.0, 3.0, 3.0 + 1e-13]])
+    _assert_merge_matches_loop(values, np.arange(1.0, values.size + 1.0))
+
+
+@st.composite
+def _tied_ascending(draw):
+    """Ascending values built from segments: plain gaps, exact ties and
+    drifting chains whose steps sit near the tie tolerance."""
+    v = draw(st.floats(0.01, 1e6))
+    values = []
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from([0.0, 0.3, 0.6, 0.999, 1.0, 1.001, 1.5, 5.0]))
+        if draw(st.booleans()):
+            step = draw(st.floats(0.0, 2.0))
+        for _ in range(draw(st.integers(1, 8))):
+            values.append(v)
+            v += step * 1e-12 * max(1.0, abs(v))
+        v += draw(st.sampled_from([0.0, 1e-12, 1e-9, 1.0])) * max(1.0, abs(v))
+    mults = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                          max_size=len(values)))
+    return np.array(values), np.array(mults, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_ascending())
+def test_merge_ties_equals_loop_bitwise(arrays):
+    _assert_merge_matches_loop(*arrays)
+
+
+def test_merge_ties_equals_loop_on_lattice_norms():
+    # the inputs torus2 merges: squared norms of square, sheared and
+    # stretched lattices, with their many exact and rounding-level ties
+    for lattice in (np.eye(2), [[1.0, 0.0], [0.349, 1.0]], [[1.0, 0.0], [0.0, 1.3]]):
+        sq = bm._lattice_points(2.0 * math.pi * np.asarray(lattice), 60.0)
+        _assert_merge_matches_loop(sq, np.ones_like(sq))
 
 
 def test_trace_matches_direct_sum():
