@@ -34,7 +34,7 @@ Custom JSON schema::
       "dim": 2,                       # n >= 1
       "betti": [1, 2, 1],             # length n+1, Poincare-symmetric
       "scale": 2.0,                   # c > 0, informational echo
-      "orientable": true,             # optional; false is rejected
+      "orientable": true,             # optional JSON boolean; false is rejected
       "degrees": [
         {"k": 0,
          "eigenvalues": [{"value": 4.0, "mult": 4}, ...],  # ascending, > 1
@@ -45,14 +45,16 @@ Custom JSON schema::
     }
 
 ``heat_coeffs`` lists the exact leading small-t heat-trace coefficients
-c_j of sum_j m_j exp(-eta_j t) ~ sum c_j t^((j-n)/2); every listed entry
-must be exact (true zeros included), since continuations trust them.
+c_j of sum_j m_j exp(-eta_j t) ~ sum c_j t^((j-n)/2) as a list of finite
+numbers, c_0 > 0; every listed entry must be exact (true zeros included),
+since continuations trust them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -356,6 +358,23 @@ def _listing(k: int, eig: list) -> tuple:
     return values, mults
 
 
+def _heat_coeffs(k: int, coeffs) -> tuple:
+    """One degree's heat_coeffs: a list of finite numbers (bools refused)."""
+    if not isinstance(coeffs, list):
+        raise ValidationError(
+            f"degree {k}: heat_coeffs must be a list of finite numbers, got {coeffs!r}")
+    for j, c in enumerate(coeffs):
+        try:
+            ok = (isinstance(c, numbers.Real) and not isinstance(c, bool)
+                  and math.isfinite(c))
+        except OverflowError:       # an int beyond binary64
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"degree {k}: heat_coeffs entry {j} must be a finite number, got {c!r}")
+    return tuple(float(c) for c in coeffs)
+
+
 def custom(source) -> BaseManifold:
     """Load a cross-section from a JSON mapping, JSON text, or file path."""
     if isinstance(source, dict):
@@ -388,7 +407,9 @@ def custom(source) -> BaseManifold:
     if not isinstance(betti, list):
         raise ValidationError(f"betti must be a list of integers, got {betti!r}")
     betti = [_integer(b, "betti entry") for b in betti]
-    orientable = bool(data.get("orientable", True))
+    orientable = data.get("orientable", True)
+    if not isinstance(orientable, bool):
+        raise ValidationError(f"orientable must be a JSON boolean, got {orientable!r}")
     degrees: dict[int, DegreeData] = {}
     entries = data["degrees"]
     if not isinstance(entries, list) or not entries:
@@ -405,11 +426,7 @@ def custom(source) -> BaseManifold:
         if not isinstance(eig, list) or not eig:
             raise ValidationError(f"degree {k} needs a nonempty eigenvalue list")
         values, mults = _listing(k, eig)
-        coeffs = entry.get("heat_coeffs", ())
-        try:
-            coeffs = tuple(float(x) for x in coeffs)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"degree {k}: malformed heat_coeffs: {exc}") from exc
+        coeffs = _heat_coeffs(k, entry.get("heat_coeffs", []))
         if not coeffs or coeffs[0] <= 0.0:
             raise ValidationError(
                 f"degree {k}: heat_coeffs must start with a positive leading term")

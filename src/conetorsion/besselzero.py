@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import ConvergenceError, ValidationError
 
@@ -95,22 +94,26 @@ def mcmahon_guess(nu: float, index: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# function/derivative evaluators per kind (vectorized over z)
+# function/derivative evaluators per kind (vectorized over z); scipy.special
+# is imported where J is evaluated, so the closed forms never load it
 
 def _f_dirichlet(nu, z):
-    return sc.jv(nu, z), sc.jvp(nu, z)
+    from scipy.special import jv, jvp
+    return jv(nu, z), jvp(nu, z)
 
 
 def _f_neumann(nu, z):
-    j = sc.jv(nu, z)
-    jp = sc.jvp(nu, z)
+    from scipy.special import jv, jvp
+    j = jv(nu, z)
+    jp = jvp(nu, z)
     jpp = -jp / z - (1.0 - nu * nu / (z * z)) * j
     return jp, jpp
 
 
 def _f_mixed(nu, alpha, z):
-    j = sc.jv(nu, z)
-    jp = sc.jvp(nu, z)
+    from scipy.special import jv, jvp
+    j = jv(nu, z)
+    jp = jvp(nu, z)
     f = alpha * j + z * jp
     fp = alpha * jp - (z - nu * nu / z) * j   # via the Bessel ODE
     return f, fp
@@ -120,6 +123,7 @@ def _f_mixed(nu, alpha, z):
 def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
     """First ``count`` zeros of J_nu, memoized (they anchor every interlaced
     solve at the same order) and therefore read-only."""
+    from scipy.special import jv
     idx = np.arange(1, count + 1)
     seeds = np.array([mcmahon_guess(nu, int(i)) for i in idx])
 
@@ -150,7 +154,7 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
         gaps_ok[0] = True
         gaps_ok[1:] = np.diff(z) > math.pi - 1e-9
         good &= gaps_ok & gaps_ok[np.roll(np.arange(count), -1) % count]
-    resid = np.abs(sc.jv(nu, z))
+    resid = np.abs(jv(nu, z))
     good &= resid <= 1e-9 * np.maximum(1.0, z)
     if not good.all():
         n_repair = int(np.max(np.nonzero(~good)[0])) + 1
@@ -168,23 +172,24 @@ def _scan_zeros(nu: float, count: int) -> np.ndarray:
     # imported here: scipy.optimize costs a third of the CLI start-up, and
     # only this repair path needs it
     from scipy.optimize import brentq
+    from scipy.special import jv
     if nu >= 1.0:
         start = nu + 0.9 * nu ** (1.0 / 3.0)   # below the first zero
     else:
         start = 0.3
     step = max(0.4, 0.45 * nu ** (1.0 / 3.0))
     found = []
-    x, fx = start, float(sc.jv(nu, start))
+    x, fx = start, float(jv(nu, start))
     if fx == 0.0:  # ridiculously unlucky grid point / underflow
         x *= 1.0 + 1e-9
-        fx = float(sc.jv(nu, x))
+        fx = float(jv(nu, x))
     budget = 200000
     while len(found) < count and budget > 0:
         budget -= 1
         y = x + step
-        fy = float(sc.jv(nu, y))
+        fy = float(jv(nu, y))
         if fx * fy < 0.0:
-            found.append(brentq(lambda t: float(sc.jv(nu, t)), x, y,
+            found.append(brentq(lambda t: float(jv(nu, t)), x, y,
                                 xtol=1e-15, rtol=4 * np.finfo(float).eps))
             step = max(0.4, min(step, math.pi / 3))
         x, fx = y, fy
@@ -248,7 +253,8 @@ def zeros(req: ZeroRequest) -> ZeroList:
                 z = z - np.where(fp != 0.0, f / fp, 0.0)
             f, fp = _f_neumann(0.0, z)
         else:
-            z = _bisect_interlaced(nu, count, lambda t: sc.jvp(nu, t),
+            from scipy.special import jvp
+            z = _bisect_interlaced(nu, count, lambda t: jvp(nu, t),
                                    lambda t: _f_neumann(nu, t))
             f, fp = _f_neumann(nu, z)
     else:

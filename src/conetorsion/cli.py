@@ -32,9 +32,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# specfun (and with it scipy.special) first: fresh CLI processes that load
-# zetacont before it measured about 6% slower to start (cli_oneshot op_cost)
-from .specfun import LOG_2
 from .basemanifold import BaseManifold, circle, custom, torus2
 from .besselzero import ZeroRequest, zeros
 from .errors import ConvergenceError, ValidationError
@@ -42,6 +39,7 @@ from .exactpoly import (MAX_ORDER, dm_identity_residual, gen_D, gen_M,
                         xzsum_identity_residual, zsum_identity_residual)
 from .modelops import (ModelOperator, det_closed, det_numeric,
                        harmonic_contribution)
+from .specfun import LOG_2
 from .torsion import (ConeOverS1Config, SpectralParameter,
                       asymptotic_remainder, corollary_3d,
                       corollary_3d_precancellation, degree_continuation,

@@ -429,9 +429,9 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
             power_comb = (alpha ** i + (-alpha) ** i) / i
             coeff_sum = [2 * xb - zb(-alpha) - zb(alpha)
                          for xb, zb in zip(coeffs_x(i), coeffs_z(i))]
-        multiplier = sign * float(power_comb) * (0.5 * EULER_GAMMA + float(digamma(float(i))))
+        multiplier = sign * float(power_comb) * (0.5 * EULER_GAMMA + digamma(float(i)))
         multiplier += 0.5 * math.fsum(
-            float(c) * float(digamma(b + 0.5 * i))
+            float(c) * digamma(b + 0.5 * i)
             for b, c in enumerate(coeff_sum))
         total += residue * multiplier
         sensitivity += abs(multiplier)

@@ -469,15 +469,15 @@ class MellinZeta:
     def residue(self, w: float) -> float:
         if w <= 0.0:
             raise ValidationError("residues are extracted at w > 0 only")
-        return self.coefficient(-w) / math.exp(float(ln_gamma(w)))
+        return self.coefficient(-w) / math.exp(ln_gamma(w))
 
     def pp(self, w: float) -> float:
         """Finite part at w > 0 (equals the plain value at regular points)."""
         if w <= 0.0:
             raise ValidationError("PP extraction implemented for w > 0 only")
         cw = self.coefficient(-w)
-        num = self.integral(w) + self._pole_sum(w, skip=-w) - cw * float(digamma(w))
-        return num / math.exp(float(ln_gamma(w)))
+        num = self.integral(w) + self._pole_sum(w, skip=-w) - cw * digamma(w)
+        return num / math.exp(ln_gamma(w))
 
     def value(self, w: float) -> float:
         """zeta(w) at a regular point (any real w, poles excluded)."""
@@ -494,7 +494,7 @@ class MellinZeta:
         num = self.integral(w) + self._pole_sum(w)
         # reciprocal Gamma via reflection keeps negative w honest
         from .specfun import sinpi
-        inv_gamma = sinpi(w) / math.pi * math.exp(float(ln_gamma(1.0 - w)))
+        inv_gamma = sinpi(w) / math.pi * math.exp(ln_gamma(1.0 - w))
         return num * inv_gamma
 
     def deriv0_shifted(self, alpha: float) -> float:
@@ -596,7 +596,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     for i in range(1, RMAX + 1):
         res_i = base.residues.get(i, 0.0)
         if res_i != 0.0:
-            bracket = res_i * (EULER_GAMMA + float(digamma(float(i)))) + base.pp[i]
+            bracket = res_i * (EULER_GAMMA + digamma(float(i))) + base.pp[i]
         else:
             bracket = base.pp.get(i)
             if bracket is None:
@@ -637,7 +637,7 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
     for p, c in q_engine.powers:
         if p < 0.0:
             w0 = -p
-            coeff = 2.0 * c * math.exp(float(ln_gamma(2.0 * w0)) - float(ln_gamma(w0)))
+            coeff = 2.0 * c * math.exp(ln_gamma(2.0 * w0) - ln_gamma(w0))
             powers.append((-2.0 * w0, coeff))
     powers.append((0.0, q_engine.zeta0()))
     for j in range(1, _LIFT_JMAX + 1):

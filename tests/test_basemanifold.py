@@ -373,6 +373,48 @@ def test_custom_wraps_malformed_fields(source, field):
     assert str(info.value).startswith(field)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_custom_orientable_must_be_a_json_boolean(value):
+    # bool("false") is True: a string must not load as orientable
+    blob = bm.circle(2.0).as_custom_mapping()
+    blob["orientable"] = value
+    with pytest.raises(ValidationError, match="^orientable must be a JSON boolean"):
+        bm.custom(blob)
+    blob["orientable"] = True
+    assert bm.custom(blob).orientable
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    pytest.param([math.nan, -1.0], "degree 0: heat_coeffs entry 0 must be a finite number",
+                 id="nan"),
+    pytest.param([0.886, "inf"], "degree 0: heat_coeffs entry 1 must be a finite number",
+                 id="text-inf"),
+    pytest.param([0.886, -math.inf], "degree 0: heat_coeffs entry 1 must be a finite number",
+                 id="minus-inf"),
+    pytest.param([True, 0.0], "degree 0: heat_coeffs entry 0 must be a finite number",
+                 id="bool"),
+    pytest.param([0.886, 0.0, 10 ** 400], "degree 0: heat_coeffs entry 2 must be a finite number",
+                 id="huge-int"),
+    pytest.param("12", "degree 0: heat_coeffs must be a list of finite numbers", id="string"),
+    pytest.param({"0": 1.0}, "degree 0: heat_coeffs must be a list of finite numbers",
+                 id="object"),
+])
+def test_custom_heat_coeffs_must_be_a_list_of_finite_numbers(coeffs, message):
+    blob = bm.circle(2.0).as_custom_mapping()
+    blob["degrees"][0]["heat_coeffs"] = coeffs
+    with pytest.raises(ValidationError) as info:
+        bm.custom(blob)
+    assert str(info.value).startswith(message)
+
+
+def test_custom_heat_coeffs_accept_json_integers():
+    blob = bm.circle(2.0).as_custom_mapping()
+    want = bm.custom(blob).coclosed_spectrum(0).heat_powers
+    coeffs = blob["degrees"][0]["heat_coeffs"]
+    blob["degrees"][0]["heat_coeffs"] = [int(c) if c.is_integer() else c for c in coeffs]
+    assert bm.custom(blob).coclosed_spectrum(0).heat_powers == want
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: bm.circle(2.0), id="circle"),
     pytest.param(lambda: bm.torus2(2.187, [[2.0 * math.pi, 0.0], [2.19, 2.0 * math.pi]],

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conetorsion
 from conetorsion import cli
 from conetorsion.basemanifold import circle, custom, nu_set, torus2
 from conetorsion.errors import ConvergenceError, ValidationError
@@ -24,6 +29,36 @@ def run_json(argv):
 def exit_code(argv):
     """Exit code as the console script would report it (stderr captured)."""
     return cli.main(argv)
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is loaded only where a Bessel function is evaluated.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,loads_scipy", [
+    pytest.param([], False, id="import"),
+    pytest.param(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], False,
+                 id="torsion-disc"),
+    pytest.param(["torsion", "cone", "--base", "s1", "--scale", "3.0"], False,
+                 id="torsion-cone-s1"),
+    pytest.param(["olver", "--order", "5"], False, id="olver"),
+    pytest.param(["modeldet", "--nu", "3.83", "--alpha", "1.2"], False, id="modeldet"),
+    pytest.param(["modeldet", "--nu", "3.082", "--alpha", "inf"], False,
+                 id="modeldet-dirichlet"),
+    pytest.param(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], True, id="zeros"),
+])
+def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads_scipy):
+    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, sys\n"
+            "from conetorsion.cli import run\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "status = run(argv)[1] if argv else 0\n"
+            "print(json.dumps([status, 'scipy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_scipy], proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Special-function layer versus a 30-digit mpmath oracle."""
+"""Special-function layer versus a 30-digit mpmath oracle; the log-Gamma
+and digamma ports also bit for bit versus scipy.special."""
 
 import math
 
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetorsion import specfun
 from conetorsion.besselzero import _f_dirichlet
+from conetorsion.errors import ValidationError
 
 import oracles
 
@@ -30,6 +35,44 @@ def test_ln_gamma(x):
 @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 1.5, 2.0, 3.75, 10.0, 101.5])
 def test_digamma(x):
     _close(specfun.digamma(x), oracles.digamma(x))
+
+
+def _same_bits(got, want):
+    assert float(got).hex() == float(want).hex()
+
+
+# Branch edges of the two Cephes algorithms (lgam: recurrence into [2, 3),
+# Stirling at 13, its short series at 1000, its bare leading terms above 1e8,
+# overflow above 2.556348e305; psi: harmonic sums at integers <= 10, the
+# asymptotic series without its tail above 1e17), each with its two
+# neighbouring floats.
+_EDGES = (1.0, 2.0, 3.0, 10.0, 13.0, 1000.0, 1e8, 1e17, 2.556348e305)
+_FIXED = sorted(
+    {0.5 * n for n in range(1, 61)}            # integers and half-integers <= 30
+    | {4.83, 4.082}                            # math.lgamma is 1 ulp off here
+    | {y for e in _EDGES
+       for y in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))})
+
+
+@pytest.mark.parametrize("x", _FIXED)
+def test_ports_match_scipy_bitwise_at_fixed_points(x):
+    _same_bits(specfun.ln_gamma(x), scipy.special.gammaln(x))
+    _same_bits(specfun.digamma(x), scipy.special.psi(x))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(math.log(5e-324), math.log(1e300)).map(math.exp))
+def test_ports_match_scipy_bitwise_log_uniform(x):
+    # subnormal to 1e300: near zero both sides overflow to the same inf
+    _same_bits(specfun.ln_gamma(x), scipy.special.gammaln(x))
+    _same_bits(specfun.digamma(x), scipy.special.psi(x))
+
+
+@pytest.mark.parametrize("fn", [specfun.ln_gamma, specfun.digamma])
+@pytest.mark.parametrize("x", [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf])
+def test_ports_refuse_non_positive_and_non_finite(fn, x):
+    with pytest.raises(ValidationError, match="finite x > 0"):
+        fn(x)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.7, 5.0])
