@@ -22,12 +22,6 @@ Three constructors are provided:
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
 
-Frequency sets: in degree k the cone analysis replaces each coclosed
-eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2; nu is
-the order of the Bessel functions solving the radial model problem.
-``nu_set`` materializes this set together with the shifted eigenvalue
-stream eta + a_k^2 (exact heat trace carried along when available).
-
 Custom JSON schema::
 
     {
@@ -61,8 +55,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ValidationError
-from .zetacont import (SpectrumStream, _exp_rowsum, merge_ties,
-                       progression_stream, shift_heat_powers)
+from .zetacont import SpectrumStream, _exp_rowsum, merge_ties, shift_heat_powers
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -266,6 +259,8 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
                        dtype=float)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
+    if not np.isfinite(basis).all():
+        raise ValidationError(f"lattice entries must be finite, got {basis.tolist()}")
     covol = abs(float(np.linalg.det(basis)))
     if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
         raise ValidationError("degenerate lattice: basis vectors are collinear")
@@ -317,31 +312,52 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
 # custom (finite JSON listings)
 # ---------------------------------------------------------------------------
 
-def _integer(value, field: str) -> int:
-    """An integer field of the custom schema: 2 and 2.0 pass, 2.5 and "x" do not."""
+_JSON_NUMBERS = {int, float}      # the types json.loads gives numbers
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (bool subclasses int)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """A finite number within binary64 (strings, bools and nan refused)."""
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{field} must be an integer, got {value!r}") from exc
-    if not number.is_integer():
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    return int(number)
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:           # an int beyond binary64
+        return False
+
+
+def _integer(value, field: str, where: str = "") -> int:
+    """An integer field of the custom schema: 2 and 2.0 pass; 2.5, "2" and true do not."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{field} must be an integer, got {value!r}{where}")
 
 
 def _listing(k: int, eig: list) -> tuple:
     """Values and mults of one degree's eigenvalue entries, validated.
 
-    Entries that do not parse are refused first.  Otherwise a refusal names
-    the first offending entry in list order, judging its value before its
-    mult: values finite and strictly ascending, mults integers >= 1.
+    Entries that do not parse (a missing key, a value or mult that is not a
+    number) are refused first.  Otherwise a refusal names the first
+    offending entry in list order, judging its value before its mult:
+    values finite and strictly ascending, mults integers >= 1.
     """
     n = len(eig)
+    need = f"degree {k}: eigenvalue entries need 'value' and 'mult'"
     try:
-        values = np.fromiter(map(float, map(itemgetter("value"), eig)), float, n)
-        mults = np.fromiter(map(float, map(itemgetter("mult"), eig)), float, n)
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"degree {k}: eigenvalue entries need 'value' and 'mult': {exc}") from exc
+        columns = [list(map(itemgetter(key), eig)) for key in ("value", "mult")]
+        # one whole-column type test; the entry loop only names a refusal
+        if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
+            for i, pair in enumerate(zip(*columns)):
+                for key, v in zip(("value", "mult"), pair):
+                    if not _is_number(v):
+                        raise ValidationError(f"{need} as numbers; entry {i} has {key} {v!r}")
+        values = np.fromiter(map(float, columns[0]), float, n)
+        mults = np.fromiter(map(float, columns[1]), float, n)
+    except (TypeError, KeyError, OverflowError) as exc:   # OverflowError: int beyond binary64
+        raise ValidationError(f"{need}: {exc}") from exc
     bad_value = ~np.isfinite(values)
     bad_value[1:] |= ~(values[1:] > values[:-1])
     bad = bad_value | ~((mults >= 1.0) & (mults == np.floor(mults)) & np.isfinite(mults))
@@ -364,12 +380,7 @@ def _heat_coeffs(k: int, coeffs) -> tuple:
         raise ValidationError(
             f"degree {k}: heat_coeffs must be a list of finite numbers, got {coeffs!r}")
     for j, c in enumerate(coeffs):
-        try:
-            ok = (isinstance(c, numbers.Real) and not isinstance(c, bool)
-                  and math.isfinite(c))
-        except OverflowError:       # an int beyond binary64
-            ok = False
-        if not ok:
+        if not _finite(c):
             raise ValidationError(
                 f"degree {k}: heat_coeffs entry {j} must be a finite number, got {c!r}")
     return tuple(float(c) for c in coeffs)
@@ -399,14 +410,13 @@ def custom(source) -> BaseManifold:
         if key not in data:
             raise ValidationError(f"spectrum data missing required key '{key}'")
     dim = _integer(data["dim"], "dim")
-    try:
-        scale = float(data["scale"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed scale: {exc}") from exc
+    scale = data["scale"]
+    if not _finite(scale):
+        raise ValidationError(f"scale must be a finite number, got {scale!r}")
     betti = data["betti"]
     if not isinstance(betti, list):
         raise ValidationError(f"betti must be a list of integers, got {betti!r}")
-    betti = [_integer(b, "betti entry") for b in betti]
+    betti = [_integer(b, "betti entry", f" (entry {i})") for i, b in enumerate(betti)]
     orientable = data.get("orientable", True)
     if not isinstance(orientable, bool):
         raise ValidationError(f"orientable must be a JSON boolean, got {orientable!r}")
@@ -414,10 +424,10 @@ def custom(source) -> BaseManifold:
     entries = data["degrees"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError("'degrees' must be a nonempty list")
-    for entry in entries:
+    for j, entry in enumerate(entries):
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValidationError("each degree entry needs a 'k' field")
-        k = _integer(entry["k"], "degree entry 'k'")
+        k = _integer(entry["k"], "degree entry 'k'", f" (entry {j})")
         if k < 0 or k > dim:
             raise ValidationError(f"degree {k} outside 0..{dim}")
         if k in degrees:
@@ -438,50 +448,3 @@ def custom(source) -> BaseManifold:
                         degrees=degrees, orientable=orientable,
                         truncation_note=str(data.get("truncation_note", "")))
 
-
-# ---------------------------------------------------------------------------
-# frequency sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NuSet:
-    """Shifted frequencies nu = sqrt(eta + a_k^2) of one degree.
-
-    ``nu_stream`` lists the frequencies themselves (arithmetic-progression
-    descriptor preserved when a_k = 0 and the base is exact); ``q_stream``
-    is the shifted eigenvalue stream eta + a_k^2 whose zeta continuation
-    supplies residues, finite parts and values on the nu side through
-    zeta_nu(s) = zeta_q(s/2).
-    """
-    base_id: str
-    degree: int
-    alpha: float            # boundary-polynomial parameter (n-1)/2 - k = -a_k
-    nu_stream: SpectrumStream
-    q_stream: SpectrumStream
-
-
-def nu_set(base: BaseManifold, k: int) -> NuSet:
-    """Degree-k frequency set of a cross-section; requires 0 <= k <= n-1."""
-    n = base.dim
-    if not 0 <= k <= n - 1:
-        raise ValidationError(
-            f"frequency sets exist for degrees 0..{n - 1}, got {k}")
-    a = k + 0.5 - 0.5 * n
-    alpha = -a
-    shift2 = a * a
-    q_stream = base.coclosed_spectrum(k, shift2=shift2)
-    deg = base._degree(k)
-    if deg.nu_progression is not None and a == 0.0:
-        step, mult = deg.nu_progression
-        nu_stream = progression_stream(step, mult, deg.values.size)
-    else:
-        nu_stream = SpectrumStream(
-            np.sqrt(deg.values + shift2), deg.mults,
-            name=f"{base.name}:nu{k}",
-            density_exponent=2.0 * q_stream.density_exponent)
-    if nu_stream.min_value <= abs(alpha):
-        raise ValidationError(
-            f"frequencies must exceed |alpha_k| = {abs(alpha):g}; smallest is "
-            f"{nu_stream.min_value:g} (degree {k})")
-    return NuSet(base_id=base.name, degree=k, alpha=alpha,
-                 nu_stream=nu_stream, q_stream=q_stream)

@@ -277,7 +277,7 @@ def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
         "scale": base.scale,
         "dim": n,
         "degree": k,
-        "alpha": float(dc.nu.alpha) + 0.0,    # normalizes -0.0
+        "alpha": float(dc.alpha),
         "deriv0": data.deriv0,
         "zeta0": data.zeta0,
         "residues": {str(i): data.residues.get(i, 0.0)

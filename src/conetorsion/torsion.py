@@ -16,6 +16,14 @@ delta = 1/2 in the middle degree k = (n-1)/2 when dim M = n+1 is even (that
 degree's two subcomplex families coincide and would otherwise be counted
 twice).
 
+Frequency sets: in degree k the cone analysis replaces each coclosed
+eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
+nu is the order of the Bessel functions solving the radial model problem.
+``degree_continuation`` alone builds these sets: the closed form when the
+degree's frequencies form an arithmetic progression (``DegreeData.
+nu_progression`` with a_k = 0), else the shifted eigenvalue stream eta + a_k^2
+(exact heat trace carried along when available) and its square roots.
+
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``), and a regularized
 log-determinant over J_1 zeros (``lemma_first_summand``) give independent
@@ -32,6 +40,7 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -40,7 +49,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basemanifold import BaseManifold, NuSet, nu_set
+from .basemanifold import BaseManifold
 from .besselzero import ZeroRequest, zeros
 from .errors import ValidationError
 from .exactpoly import coeffs_x, coeffs_z, gen_D, gen_M
@@ -106,6 +115,11 @@ class ConeOverS1Config:
         r, nu = float(self.radius), float(self.nu_angle)
         if not (math.isfinite(r) and r > 0.0):
             raise ValidationError(f"cone length must be positive and finite, got {self.radius!r}")
+        # theorem_main takes log(pi R^2): the area must be a normal float
+        if not sys.float_info.min <= math.pi * r * r < math.inf:
+            raise ValidationError(
+                f"cone length {self.radius!r} puts the disc area pi R^2 outside "
+                f"the normal floating-point range")
         if not (math.isfinite(nu) and nu >= 1.0):
             raise ValidationError(
                 f"angle parameter must satisfy nu_angle >= 1 (secant of a real "
@@ -310,13 +324,10 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
     for i in range(1, RMAX + 1):
         w = 0.5 * i
         res_q = engine.residue(w)
+        residues[i] = 2.0 * res_q
+        pp[i] = engine.pp(w)            # the plain value where res_q == 0
         if res_q != 0.0:
-            residues[i] = 2.0 * res_q
-            pp[i] = engine.pp(w)
             pole_ws.append(w)
-        else:
-            residues[i] = 0.0
-            pp[i] = engine.value(w)
     err = engine.error_estimate([0.0] + pole_ws)
     return ZetaFunctionData(deriv0=0.5 * engine.deriv0(), residues=residues, pp=pp,
                             error_estimate=err, zeta0=engine.zeta0()), engine
@@ -326,31 +337,44 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
 class DegreeContinuation:
     """Read-only continuation data of one degree's frequency set.
 
-    ``route`` is "exact" or "numeric"; ``data.deriv0_shifted`` holds
-    zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
-    ``_q_engine`` (the squared-stream engine, kept only when that stream
-    has an exact trace) feeds the lift cross-check.
+    ``alpha`` is alpha_k.  ``progression`` is the (step, mult) descriptor
+    of the exact route (frequencies step*m, m >= 1, each of multiplicity
+    mult), None on the numeric route, which keeps its two streams: the
+    shifted eigenvalues ``q_stream`` = eta + a_k^2 and their square roots
+    ``nu_stream``.  ``data.deriv0_shifted`` holds zeta'(0, +-alpha_k) and
+    ``shift_errors`` their error estimates.  ``_q_engine`` (the
+    squared-stream engine, kept only when that stream has an exact trace)
+    feeds the lift cross-check.
     """
 
-    nu: NuSet
-    route: str
+    alpha: Fraction
+    progression: tuple | None
     data: ZetaFunctionData
     shift_errors: Mapping
+    q_stream: SpectrumStream | None = None
+    nu_stream: SpectrumStream | None = None
     _q_engine: MellinZeta | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))
 
+    @property
+    def route(self) -> str:
+        """"exact" (closed form over the progression) or "numeric"."""
+        return "numeric" if self.progression is None else "exact"
+
     def shifted(self, shift: float) -> tuple[float, float]:
-        """(zeta'(0, shift), error estimate) at any shift: the stored values
-        at +-alpha_k, else the route's own evaluation at that shift."""
+        """(zeta'(0, shift), error estimate) at any finite shift: the stored
+        values at +-alpha_k, else the route's own evaluation at that shift."""
         s = float(shift)
+        if not math.isfinite(s):
+            raise ValidationError(f"shift must be a finite real, got {shift!r}")
         if s in self.shift_errors:
             return self.data.deriv0_shifted[s], self.shift_errors[s]
-        if self.route == "exact":
-            step, mult = self.nu.nu_stream.progression
+        if self.progression is not None:
+            step, mult = self.progression
             return zeta_data_exact(step, mult, alphas=(s,)).deriv0_shifted[s], 0.0
-        return shifted_from_base(self.nu.nu_stream, self.data, s)
+        return shifted_from_base(self.nu_stream, self.data, s)
 
     @cached_property
     def check_residual(self) -> float:
@@ -359,12 +383,10 @@ class DegreeContinuation:
         since only the torsion error budget reads it."""
         if self._q_engine is None:
             return 0.0
-        ns = self.nu
-        lift = sqrt_stream(ns.q_stream, self._q_engine,
-                           name=f"{ns.base_id}:nu{ns.degree}")
+        lift = sqrt_stream(self.q_stream, self._q_engine, name=self.nu_stream.name)
         lift_engine = MellinZeta(lift, s_max=1.0)
         check = abs(lift_engine.deriv0() - self.data.deriv0)
-        a = float(ns.alpha)
+        a = float(self.alpha)
         if a != 0.0:
             for shift in (a, -a):
                 direct = lift_engine.deriv0_shifted(shift)
@@ -376,26 +398,39 @@ class DegreeContinuation:
 def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     """Continuation data of the degree-k frequency set of ``base``.
 
-    The one place that picks the route: the exact closed form when the
-    frequency set is an arithmetic progression; otherwise the numeric
-    route, where a Mellin-split engine on the shifted eigenvalue stream
-    supplies the frequency-side derivative, residues, and regular values
-    through s -> s/2, and the shifted derivatives come from the
-    subtracted-logarithm relation (cross-checked by ``check_residual``).
+    The one place that knows frequency sets and picks the route: the exact
+    closed form when the frequency set is an arithmetic progression (no
+    stream is built); otherwise the numeric route, where a Mellin-split
+    engine on the shifted eigenvalue stream supplies the frequency-side
+    derivative, residues, and regular values through s -> s/2, and the
+    shifted derivatives come from the subtracted-logarithm relation
+    (cross-checked by ``check_residual``).  Requires 0 <= k <= n-1.
     """
-    ns = nu_set(base, k)
-    a = float(ns.alpha)
-    if ns.nu_stream.progression is not None:
-        step, mult = ns.nu_stream.progression
-        data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(base.dim, 1))
-        return DegreeContinuation(ns, "exact", data, {a: 0.0, -a: 0.0})
+    n = base.dim
+    if not 0 <= k <= n - 1:
+        raise ValidationError(f"frequency sets exist for degrees 0..{n - 1}, got {k}")
+    alpha = _alpha_k(k, n)
+    a = float(alpha)
+    deg = base._degree(k)
+    if deg.nu_progression is not None and a == 0.0:
+        step, mult = deg.nu_progression
+        data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(n, 1))
+        return DegreeContinuation(alpha, deg.nu_progression, data, {a: 0.0, -a: 0.0})
 
-    data, engine = nu_continuation_data(ns.q_stream)
-    shifts = {s: shifted_from_base(ns.nu_stream, data, s) for s in {a, -a}}
+    q_stream = base.coclosed_spectrum(k, shift2=a * a)
+    nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults,
+                               name=f"{base.name}:nu{k}",
+                               density_exponent=2.0 * q_stream.density_exponent)
+    if nu_stream.min_value <= abs(a):
+        raise ValidationError(
+            f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
+            f"{nu_stream.min_value:g} (degree {k})")
+    data, engine = nu_continuation_data(q_stream)
+    shifts = {s: shifted_from_base(nu_stream, data, s) for s in {a, -a}}
     data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
     return DegreeContinuation(
-        ns, "numeric", data, {s: err for s, (_, err) in shifts.items()},
-        engine if ns.q_stream.heat_fn is not None else None)
+        alpha, None, data, {s: err for s, (_, err) in shifts.items()}, q_stream,
+        nu_stream, engine if q_stream.heat_fn is not None else None)
 
 
 def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
@@ -443,9 +478,8 @@ def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     n = base.dim
     _check_degree(k, n, (n - 1) // 2)
     dc = degree_continuation(base, k)
-    alpha = _alpha_k(k, n)
-    value, sensitivity = spectral_bracket(dc.data, alpha, n)
-    a = float(alpha)
+    value, sensitivity = spectral_bracket(dc.data, dc.alpha, n)
+    a = float(dc.alpha)
     err = (dc.shift_errors[a] + dc.shift_errors[-a]
            + 2.0 * dc.data.error_estimate * sensitivity
            + 2.0 * dc.check_residual)

@@ -173,13 +173,11 @@ class SpectrumStream:
     eigenvalue sum); it takes a 1-D array of t and returns an array of the
     same shape, evaluated in one array pass; heat_powers: exact leading
     small-t powers [(p, c), ...]; density_exponent d: counting function
-    N(x) ~ C x^d, used for tail estimates; progression: (c, m) tag when the
-    values are exactly {c k}.
+    N(x) ~ C x^d, used for tail estimates.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
-                 heat_fn=None, heat_powers=(), density_exponent=None,
-                 progression=None):
+                 heat_fn=None, heat_powers=(), density_exponent=None):
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if mults is None:
             mults = np.ones_like(values)
@@ -198,7 +196,6 @@ class SpectrumStream:
         self.heat_fn = heat_fn
         self.heat_powers = tuple((float(p), float(c)) for p, c in heat_powers)
         self.density_exponent = density_exponent
-        self.progression = progression
 
     @property
     def min_value(self) -> float:
@@ -243,7 +240,7 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
               (7.0, -m * c ** 7 / 1209600.0))
     return SpectrumStream(c * k, m * np.ones_like(k), name=f"progression({c},{m})",
                           heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers,
-                          density_exponent=1.0, progression=(float(c), int(m)))
+                          density_exponent=1.0)
 
 
 @dataclass(frozen=True)

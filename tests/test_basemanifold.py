@@ -1,5 +1,5 @@
-"""Base manifolds: spectra, theta traces vs brute force, nu-set assembly,
-custom round trips, and validation."""
+"""Base manifolds: spectra, theta traces vs brute force, the frequency sets
+built over them, custom round trips, and validation."""
 
 import copy
 import json
@@ -10,6 +10,7 @@ import pytest
 
 from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
+from conetorsion.torsion import degree_continuation
 from conetorsion.zetacont import MellinZeta, sqrt_stream, zeta_data_exact
 
 import oracles
@@ -41,12 +42,13 @@ def test_circle_theta_matches_brute_force(t):
 
 
 def test_circle_nu_set():
+    # frequencies c m, multiplicity 2: the exact route, with no stream built
     circ = bm.circle(2.0)
-    ns = bm.nu_set(circ, 0)
-    assert ns.alpha == 0.0
-    assert ns.nu_stream.progression == (2.0, 2)
-    assert ns.nu_stream.values[2] == pytest.approx(6.0, abs=1e-14)
-    assert ns.q_stream.heat_fn is not None
+    dc = degree_continuation(circ, 0)
+    assert dc.alpha == 0 and dc.route == "exact"
+    assert dc.progression == (2.0, 2)
+    assert dc.q_stream is None and dc.nu_stream is None
+    assert circ.coclosed_spectrum(0).heat_fn is not None
 
 
 def test_circle_scaling_floor():
@@ -106,8 +108,10 @@ def test_torus_weyl_ratio():
 
 def test_torus_nu_sets_are_twins():
     tor = bm.torus2(2.0)
-    n0, n1 = bm.nu_set(tor, 0), bm.nu_set(tor, 1)
+    n0, n1 = degree_continuation(tor, 0), degree_continuation(tor, 1)
     assert n0.alpha == 0.5 and n1.alpha == -0.5
+    assert n0.route == n1.route == "numeric"
+    assert n0.progression is None and n1.progression is None
     assert np.max(np.abs(n0.nu_stream.values - n1.nu_stream.values)) == 0.0
     assert n0.q_stream.min_value == pytest.approx(4.25, abs=1e-12)
 
@@ -116,7 +120,7 @@ def test_streams_share_no_memory_with_their_source():
     # SpectrumStream copies its input, so callers pass their arrays as they are
     tor = bm.torus2(2.0)
     deg = tor._degree(0)
-    ns = bm.nu_set(tor, 0)
+    ns = degree_continuation(tor, 0)
     lift = sqrt_stream(ns.q_stream, MellinZeta(ns.q_stream, s_max=1.0))
     for stream, source in ((tor.coclosed_spectrum(0), deg), (ns.q_stream, deg),
                            (ns.nu_stream, deg), (lift, ns.q_stream)):
@@ -129,7 +133,7 @@ def test_streams_share_no_memory_with_their_source():
 def test_torus_shifted_heat_powers():
     # q = lambda + 1/4 shifts the theta expansion:
     # c_{-1} = A, c_0 = -A/4 - 1, c_1 = A/32 + 1/4 with A = pi/4 at scale 2
-    n0 = bm.nu_set(bm.torus2(2.0), 0)
+    n0 = degree_continuation(bm.torus2(2.0), 0)
     A = math.pi / 4.0
     pw = dict(n0.q_stream.heat_powers)
     assert pw[-1.0] == pytest.approx(A, abs=1e-15)
@@ -138,7 +142,7 @@ def test_torus_shifted_heat_powers():
 
 
 def test_torus_q_engine_residues_and_value():
-    n0 = bm.nu_set(bm.torus2(2.0), 0)
+    n0 = degree_continuation(bm.torus2(2.0), 0)
     eng = MellinZeta(n0.q_stream, s_max=8.0)
     A = math.pi / 4.0
     assert eng.residue(1.0) == pytest.approx(A, abs=1e-14)
@@ -160,6 +164,15 @@ def test_torus_lattice_validation():
         bm.torus2(2.0, lattice=((1.0, 1.0), (2.0, 2.0)))  # degenerate
     with pytest.raises(ValidationError, match="scaling"):
         bm.torus2(0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_torus_refuses_non_finite_lattice_entries(bad):
+    for i in range(4):
+        lattice = [[2 * math.pi, 0.0], [0.0, 2 * math.pi]]
+        lattice[i // 2][i % 2] = bad
+        with pytest.raises(ValidationError, match="^lattice entries must be finite"):
+            bm.torus2(2.0, lattice=lattice)
 
 
 def test_skew_lattice_theta_and_weyl():
@@ -261,7 +274,8 @@ def test_custom_stream_reproduces_exact_zeta():
     circ = bm.circle(2.0)
     back = bm.custom(circ.as_custom_mapping())
     ex = zeta_data_exact(2.0, 2)
-    nsb = bm.nu_set(back, 0)
+    nsb = degree_continuation(back, 0)
+    assert nsb.route == "numeric"      # a listing carries no progression
     engb = MellinZeta(nsb.q_stream)
     d0 = engb.deriv0()
     diff = abs(0.5 * d0 - ex.deriv0)
@@ -415,6 +429,69 @@ def test_custom_heat_coeffs_accept_json_integers():
     assert bm.custom(blob).coclosed_spectrum(0).heat_powers == want
 
 
+def _set_eig(i, **fields):
+    return lambda d: d["degrees"][0]["eigenvalues"][i].update(fields)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: d.update(scale=True), "scale must be a finite number, got True",
+                 id="scale-true"),
+    pytest.param(lambda d: d.update(scale="2.0"), "scale must be a finite number, got '2.0'",
+                 id="scale-text"),
+    pytest.param(lambda d: d.update(scale=10 ** 400), "scale must be a finite number, got 1000",
+                 id="scale-huge-int"),
+    pytest.param(lambda d: d.update(dim="1"), "dim must be an integer, got '1'",
+                 id="dim-text"),
+    pytest.param(lambda d: d.update(dim=True), "dim must be an integer, got True",
+                 id="dim-true"),
+    pytest.param(lambda d: d.update(betti=["1", True]),
+                 "betti entry must be an integer, got '1' (entry 0)", id="betti-text"),
+    pytest.param(lambda d: d.update(betti=[1, True]),
+                 "betti entry must be an integer, got True (entry 1)", id="betti-true"),
+    pytest.param(_set_eig(0, value="4.0", mult="2"),
+                 "degree 0: eigenvalue entries need 'value' and 'mult' as numbers; "
+                 "entry 0 has value '4.0'", id="value-text"),
+    pytest.param(_set_eig(3, mult="2"),
+                 "degree 0: eigenvalue entries need 'value' and 'mult' as numbers; "
+                 "entry 3 has mult '2'", id="mult-text"),
+    pytest.param(_set_eig(5, mult=True),
+                 "degree 0: eigenvalue entries need 'value' and 'mult' as numbers; "
+                 "entry 5 has mult True", id="mult-true"),
+    pytest.param(_set_eig(6, value=False),
+                 "degree 0: eigenvalue entries need 'value' and 'mult' as numbers; "
+                 "entry 6 has value False", id="value-false"),
+    pytest.param(lambda d: d["degrees"][0].update(k=True),
+                 "degree entry 'k' must be an integer, got True (entry 0)", id="k-true"),
+])
+def test_custom_refuses_strings_and_bools_as_numbers(mutate, message):
+    # float("2") and float(True) succeed, so a coercing loader would read
+    # these as numbers (k = true filed degree 0's spectrum under degree 1)
+    blob = bm.circle(2.0).as_custom_mapping()
+    mutate(blob)
+    with pytest.raises(ValidationError) as info:
+        bm.custom(blob)
+    assert str(info.value).startswith(message)
+
+
+def test_custom_json_numbers_load_bitwise():
+    # JSON ints and floats load as the same binary64 values, also through text
+    circ = bm.circle(2.0)
+    want = circ.coclosed_spectrum(0)
+    blob = circ.as_custom_mapping()
+    blob.update(scale=2, dim=1.0, betti=[1.0, 1])
+    blob["degrees"][0]["k"] = 0.0
+    for item in blob["degrees"][0]["eigenvalues"]:
+        item["value"] = int(item["value"])
+        item["mult"] = float(item["mult"])
+    for source in (blob, json.dumps(blob)):
+        got = bm.custom(source)
+        assert (got.scale, got.dim, got.betti) == (2.0, 1, (1, 1))
+        assert got.degrees_available() == (0,)
+        stream = got.coclosed_spectrum(0)
+        assert np.array_equal(stream.values, want.values)
+        assert np.array_equal(stream.mults, want.mults)
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: bm.circle(2.0), id="circle"),
     pytest.param(lambda: bm.torus2(2.187, [[2.0 * math.pi, 0.0], [2.19, 2.0 * math.pi]],
@@ -431,15 +508,16 @@ def test_scaling_error_names_the_hypothesis():
 
 
 # ---------------------------------------------------------------------------
-# nu-set degree bounds.
+# Frequency-set degree bounds.
 # ---------------------------------------------------------------------------
 
 def test_nu_set_degree_bounds():
     circ = bm.circle(2.0)
     for bad in (-1, 1):
-        with pytest.raises(ValidationError):
-            bm.nu_set(circ, bad)
+        with pytest.raises(ValidationError,
+                           match=f"^frequency sets exist for degrees 0..0, got {bad}$"):
+            degree_continuation(circ, bad)
     tor = bm.torus2(2.0)
-    assert bm.nu_set(tor, 1).alpha == -0.5   # degree n-1 allowed in dim 2
-    with pytest.raises(ValidationError):
-        bm.nu_set(tor, 2)
+    assert degree_continuation(tor, 1).alpha == -0.5   # degree n-1 allowed in dim 2
+    with pytest.raises(ValidationError, match="^frequency sets exist for degrees 0..1, got 2$"):
+        degree_continuation(tor, 2)

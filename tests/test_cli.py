@@ -7,15 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conetorsion
 from conetorsion import cli
-from conetorsion.basemanifold import circle, custom, nu_set, torus2
+from conetorsion.basemanifold import circle, custom, torus2
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.torsion import (ConeOverS1Config, log_torsion,
                                  nu_continuation_data, theorem_main)
-from conetorsion.zetacont import shifted_from_base, zeta_data_exact
+from conetorsion.zetacont import SpectrumStream, shifted_from_base, zeta_data_exact
 
 import oracles
 
@@ -178,10 +179,11 @@ def _reference_zeta_payload(base, k, shift):
     """The zeta payload assembled with its own exact-versus-numeric branch
     over the degree's frequency set, independently of the cached
     continuation record the command reads."""
-    ns = nu_set(base, k)
+    deg = base._degree(k)
+    a = (base.dim - 1) / 2 - k
     pole_top = max(base.dim, 1)
-    if ns.nu_stream.progression is not None:
-        step, mult = ns.nu_stream.progression
+    if deg.nu_progression is not None and a == 0.0:
+        step, mult = deg.nu_progression
         data = zeta_data_exact(step, mult,
                                alphas=(shift,) if shift is not None else (),
                                pole_range=pole_top)
@@ -189,17 +191,20 @@ def _reference_zeta_payload(base, k, shift):
         if shift is not None:
             shift_value, shift_error = data.deriv0_shifted[float(shift)], 0.0
     else:
-        data, _engine = nu_continuation_data(ns.q_stream)
+        q_stream = base.coclosed_spectrum(k, shift2=a * a)
+        nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults,
+                                   density_exponent=2.0 * q_stream.density_exponent)
+        data, _engine = nu_continuation_data(q_stream)
         source = "numeric"
         if shift is not None:
             shift_value, shift_error = shifted_from_base(
-                ns.nu_stream, data, float(shift))
+                nu_stream, data, float(shift))
     payload = {
         "base_id": base.name,
         "scale": base.scale,
         "dim": base.dim,
         "degree": k,
-        "alpha": float(ns.alpha) + 0.0,
+        "alpha": a,
         "deriv0": data.deriv0,
         "zeta0": data.zeta0,
         "residues": {str(i): data.residues.get(i, 0.0)
@@ -411,6 +416,32 @@ def test_main_exit_codes_and_streams(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2",
+                  "--lattice", "nan,0,0,1"], "lattice entries must be finite",
+                 id="lattice-nan"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2",
+                  "--lattice", "inf,0,0,1"], "lattice entries must be finite",
+                 id="lattice-inf"),
+    pytest.param(["torsion", "disc", "--nu", "1", "--radius", "1e200"],
+                 "cone length 1e+200 puts the disc area", id="radius-1e200"),
+    pytest.param(["torsion", "disc", "--nu", "1", "--radius", "1e-320"],
+                 "cone length 1e-320 puts the disc area", id="radius-1e-320"),
+    pytest.param(["zeta", "--base", "torus2", "--scale", "2", "--degree", "0",
+                  "--shift", "nan"], "shift must be a finite real", id="shift-nan-numeric"),
+    pytest.param(["zeta", "--base", "s1", "--scale", "2", "--degree", "0",
+                  "--shift", "nan"], "shift must be a finite real", id="shift-nan-exact"),
+    pytest.param(["zeta", "--base", "s1", "--scale", "2", "--degree", "0",
+                  "--shift=-inf"], "shift must be a finite real", id="shift-inf-exact"),
+])
+def test_non_finite_inputs_exit_2(argv, message, capsys):
+    # these crashed with a traceback, or printed -inf or nan with exit 0
+    assert exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}")
 
 
 def test_selftest_tol_validation():

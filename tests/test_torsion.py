@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conetorsion import zetacont
 from conetorsion.basemanifold import circle, torus2
 from conetorsion.errors import ValidationError
 from conetorsion.torsion import (
@@ -173,11 +174,45 @@ def test_degree_continuation_is_read_only():
     # error_estimate from 5.4e-12 to 1.39)
     tor = torus2(2.0)
     dc = degree_continuation(tor, 0)
-    for arr in (dc.nu.q_stream.mults, dc.nu.q_stream.values,
-                dc.nu.nu_stream.values, dc.nu.nu_stream.mults):
+    for arr in (dc.q_stream.mults, dc.q_stream.values,
+                dc.nu_stream.values, dc.nu_stream.mults):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
     assert log_torsion(tor).error_estimate == log_torsion(torus2(2.0)).error_estimate
+
+
+def test_exact_route_builds_no_stream(monkeypatch):
+    # the closed form over the progression reads no stream, so none is built
+    # (a tagged 4096-value progression stream and the squared stream were)
+    built = []
+    init = zetacont.SpectrumStream.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("name", ""))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zetacont.SpectrumStream, "__init__", counting_init)
+    dc = degree_continuation(circle(2.0), 0)
+    assert built == []
+    assert dc.route == "exact" and dc.progression == (2.0, 2)
+    assert dc.q_stream is None and dc.nu_stream is None
+    dc = degree_continuation(torus2(2.0), 0)
+    assert built == ["torus2(c=2, square):deg0+0.25", "torus2(c=2, square):nu0"]
+    assert dc.route == "numeric" and dc.progression is None
+
+
+@pytest.mark.parametrize("build", [lambda: circle(2.0), lambda: torus2(2.0)],
+                         ids=["exact", "numeric"])
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_shifted_refuses_a_non_finite_shift(build, shift):
+    # a nan shift slipped through the relation path as a nan value with a nan
+    # error (which no tolerance comparison refuses); the exact route blamed
+    # ln_gamma
+    dc = degree_continuation(build(), 0)
+    with pytest.raises(ValidationError, match="^shift must be a finite real"):
+        dc.shifted(shift)
+    value, err = dc.shifted(0.3)
+    assert math.isfinite(value) and math.isfinite(err)
 
 
 def test_breakdown_metadata():
@@ -257,6 +292,16 @@ def test_zeta_k_prime0_circle():
 def test_precondition_validation(fn):
     with pytest.raises(ValidationError):
         fn()
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e154, 1e-160, 1e-320, 5e-324])
+def test_cone_length_keeps_the_disc_area_a_normal_float(radius):
+    # pi R^2 overflowed to inf (log_torsion -inf) or underflowed to 0 or a
+    # subnormal (a math domain error, or a log of lost precision)
+    with pytest.raises(ValidationError, match="disc area pi R"):
+        ConeOverS1Config(radius=radius)
+    for ok in (1e-150, 1e150, 1.297):
+        assert math.isfinite(theorem_main(ConeOverS1Config(radius=ok)))
 
 
 def test_spectral_parameter_derived_quantities():

@@ -20,8 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from conetorsion.basemanifold import (_DEFAULT_LATTICE, _lattice_points, circle,
-                                      nu_set, torus2)
+from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
 from conetorsion.zetacont import (MellinZeta, SpectrumStream, _exp_rowsum,
                                   _gauss_legendre, sqrt_stream)
 
@@ -117,7 +116,7 @@ def test_eigenvalue_stream_trace_matches_loop():
 
 
 def test_lift_direct_branch_matches_loop():
-    q_stream = nu_set(torus2(2.0), 0).q_stream
+    q_stream = torus2(2.0).coclosed_spectrum(0, shift2=0.25)
     lift = sqrt_stream(q_stream, MellinZeta(q_stream, s_max=1.0))
     t_direct = 45.0 / math.sqrt(q_stream.max_value)
     t = np.exp(np.linspace(math.log(t_direct), math.log(30.0), 400))
@@ -132,7 +131,7 @@ def _random_stream():
 
 
 def _torus2_lift():
-    q_stream = nu_set(torus2(2.0), 0).q_stream
+    q_stream = torus2(2.0).coclosed_spectrum(0, shift2=0.25)
     return sqrt_stream(q_stream, MellinZeta(q_stream, s_max=1.0))
 
 

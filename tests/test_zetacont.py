@@ -141,7 +141,6 @@ def test_shift_heat_powers_matches_exact_series(b):
 
 def test_progression_stream_structure():
     st = progression_stream(2.0, 3, 100)
-    assert st.progression == (2.0, 3)
     assert st.min_value == 2.0 and st.max_value == 200.0
     assert st.t_floor() == 0.0  # exact trace attached
     # exact trace equals the geometric closed form
