@@ -13,12 +13,15 @@ The mixed boundary parameter must satisfy alpha^2 < nu^2, or be +inf
 (Dirichlet alias).  The single boundary point alpha = +nu is also accepted:
 there the combination collapses to z*J_{nu-1}(z) by the standard recurrence,
 so its zeros are the (nu-1)-order Dirichlet zeros and remain simple and
-interlaced; the spectral-shift self-test relies on this case.
+interlaced; the spectral-shift self-test relies on this case.  At nu = 0 that
+point is alpha = 0, where z*J_{-1}(z) = -z*J_1(z): the zeros of J_0' = -J_1,
+solved as the nu = 0 J' zeros.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,6 +33,12 @@ KINDS = ("dirichlet", "neumann", "mixed")
 
 _RESIDUAL_TOL = 1e-12
 _SIMPLICITY_TOL = 1e-8
+_SECANT_STEPS = 5
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (bool subclasses int)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -40,11 +49,20 @@ class ZeroRequest:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+        if not _is_number(self.nu):
+            raise ValidationError(f"nu must be a real number, got {self.nu!r}")
+        if self.alpha is not None and not _is_number(self.alpha):
+            raise ValidationError(f"alpha must be a real number, got {self.alpha!r}")
+        try:
+            nu_ok = math.isfinite(self.nu) and self.nu >= 0.0
+        except OverflowError:           # an int beyond binary64
+            nu_ok = False
+        if not nu_ok:
             raise ValidationError(f"order must be finite and >= 0, got nu={self.nu}")
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (isinstance(self.count, int) and not isinstance(self.count, bool)
+                and self.count >= 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
         if self.kind == "mixed":
             a = self.alpha
@@ -108,6 +126,12 @@ def _f_neumann(nu, z):
     jp = jvp(nu, z)
     jpp = -jp / z - (1.0 - nu * nu / (z * z)) * j
     return jp, jpp
+
+
+def _mixed_value(nu, alpha, z):
+    """alpha*J_nu(z) + z*J_nu'(z) without its derivative (which divides by z)."""
+    from scipy.special import jv, jvp
+    return alpha * jv(nu, z) + z * jvp(nu, z)
 
 
 def _f_mixed(nu, alpha, z):
@@ -204,22 +228,57 @@ def _bisect_interlaced(nu: float, count: int, f, fpair) -> np.ndarray:
     interval starting at 0), located by vectorized bisection and polished by
     Newton.  The sweeps read only the sign of f(z); the polish takes
     fpair(z) -> (f(z), f'(z)).  The sign of f at 0+ must be +.
+
+    Each interval holds exactly one zero, so a midpoint on a known side of
+    it has a known sign.  Secant steps on f find each zero approximately;
+    where f has the left-end sign at z - d and the opposite sign at z + d,
+    the sweeps evaluate f only at midpoints strictly inside that enclosure
+    and give every other midpoint its side's sign.  Midpoints, side rule and
+    live set are those of plain bisection, so the bisection bounds are too.
     """
     anchors = _dirichlet_zeros(nu, count)
     lo = np.concatenate([[0.0], anchors[:-1]])
     hi = anchors.copy()
+    f_hi = f(anchors)
     flo_sign = np.empty(count)
     flo_sign[0] = 1.0  # sign of f just right of 0 is that of alpha+nu > 0
-    if count > 1:
-        flo_sign[1:] = np.sign(f(anchors[:-1]))
+    flo_sign[1:] = np.sign(f_hi[:-1])
+
+    # secant from the right end and the midpoint; a step that leaves the
+    # open interval goes halfway from the iterate to the end it crossed
+    x0, f0, z = hi, f_hi, 0.5 * (lo + hi)
+    for _ in range(_SECANT_STEPS):
+        fz = f(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fz != f0, fz * (z - x0) / (fz - f0), 0.0)
+        x0, f0 = z, fz
+        z = z - step
+        out = ~((z > lo) & (z < hi))
+        z = np.where(out, 0.5 * (x0 + np.where(z <= lo, lo, hi)), z)
+
+    # an enclosure is checked only inside its open interval, so f is never
+    # evaluated at 0 or beyond an anchor
+    delta = 1e-14 * np.maximum(z, 1.0)
+    below, above = z - delta, z + delta
+    check = np.nonzero((below > lo) & (above < hi))[0]
+    ends = f(np.concatenate([below[check], above[check]])).reshape(2, -1)
+    enclosed = np.zeros(count, dtype=bool)
+    enclosed[check] = (flo_sign[check] * ends[0] > 0.0) & (flo_sign[check] * ends[1] < 0.0)
+    # an unchecked or failed element's enclosure is its whole interval
+    below[~enclosed] = -np.inf
+    above[~enclosed] = np.inf
+
     # a sweep that leaves an element's bracket unchanged would repeat itself
     # on every later sweep (same midpoint, same sign), so it leaves the live set
     live = np.arange(count)
     for _ in range(54):
-        l, h = lo[live], hi[live]
+        l, h, s = lo[live], hi[live], flo_sign[live]
         mid = 0.5 * (l + h)
-        sm = np.sign(f(mid))
-        take_lo = (sm == flo_sign[live]) | (sm == 0.0)
+        sm = np.where(mid <= below[live], s, -s)
+        doubt = np.nonzero((mid > below[live]) & (mid < above[live]))[0]
+        if doubt.size:
+            sm[doubt] = np.sign(f(mid[doubt]))
+        take_lo = (sm == s) | (sm == 0.0)
         lo[live] = np.where(take_lo, mid, l)
         hi[live] = np.where(take_lo, h, mid)
         live = live[np.where(take_lo, mid != l, mid != h)]
@@ -240,6 +299,8 @@ def zeros(req: ZeroRequest) -> ZeroList:
     kind = req.kind
     if kind == "mixed" and req.alpha == math.inf:
         kind = "dirichlet"
+    elif kind == "mixed" and req.alpha == nu == 0.0:
+        kind = "neumann"        # 0*J_0 + z*J_0' has the zeros of J_0'
 
     if kind == "dirichlet":
         z = _dirichlet_zeros(nu, count)
@@ -259,7 +320,7 @@ def zeros(req: ZeroRequest) -> ZeroList:
             f, fp = _f_neumann(nu, z)
     else:
         alpha = float(req.alpha)
-        z = _bisect_interlaced(nu, count, lambda t: _f_mixed(nu, alpha, t)[0],
+        z = _bisect_interlaced(nu, count, lambda t: _mixed_value(nu, alpha, t),
                                lambda t: _f_mixed(nu, alpha, t))
         f, fp = _f_mixed(nu, alpha, z)
 

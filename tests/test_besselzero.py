@@ -90,8 +90,7 @@ def _bisect_every_sweep(nu, count, f, fpair, left_edge=0.0):
         flo_sign[1:] = np.sign(fa)
     for _ in range(54):
         mid = 0.5 * (lo + hi)
-        fm, _ = fpair(mid)
-        sm = np.sign(fm)
+        sm = np.sign(f(mid))
         take_lo = (sm == flo_sign) | (sm == 0.0)
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
@@ -112,7 +111,8 @@ def _outcome(req):
 
 
 def _bitwise_cases(nu):
-    alphas = dict.fromkeys((0.0, 0.5 * nu, -0.5 * nu, nu, math.inf))
+    # +-1.0 are on the model-determinant-oracle grid, 0.854 is a benchmark request
+    alphas = dict.fromkeys((0.0, 0.5 * nu, -0.5 * nu, nu, math.inf, 1.0, -1.0, 0.854))
     for count in (5, 50, 2000):
         yield ZeroRequest(nu, "dirichlet", count)
         yield ZeroRequest(nu, "neumann", count)
@@ -122,9 +122,10 @@ def _bitwise_cases(nu):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("nu", [0.0, 1e-6, 0.945, 2.5, 3.378, 30.0])
+@pytest.mark.parametrize("nu", [0.0, 1e-6, 0.945, 1.5, 2.5, 3.378, 4.0, 30.0])
 def test_solver_is_bitwise_the_full_sweep_bisection(nu, monkeypatch):
-    # the memoized anchors and the shrinking live set of the bisection are
+    # the memoized anchors, the shrinking live set of the bisection and the
+    # signs it takes from a checked enclosure instead of evaluating f are
     # work savings only: zeros, residuals and f' stay bitwise the same
     cases = list(_bitwise_cases(nu))
     fast = [_outcome(req) for req in cases]
@@ -134,11 +135,10 @@ def test_solver_is_bitwise_the_full_sweep_bisection(nu, monkeypatch):
         assert got == _outcome(req), req
 
 
-def test_neumann_sweep_evaluates_only_j_prime(monkeypatch):
-    # the bisection reads only the sign of f = J'; J itself (for J'') is
-    # needed only by the three Newton polishes and the final residuals
-    nu, count = 2.5, 200
-    _dirichlet_zeros(nu, count)                 # anchors solved beforehand
+def _count_bessel_points(monkeypatch, req):
+    """Direct jv/jvp points of one solve, its Dirichlet anchors solved
+    beforehand."""
+    _dirichlet_zeros(req.nu, req.count)
     points = {"jv": 0, "jvp": 0}
 
     # the solver imports jv/jvp from scipy.special at each evaluation, so
@@ -153,9 +153,27 @@ def test_neumann_sweep_evaluates_only_j_prime(monkeypatch):
 
     for name in points:
         monkeypatch.setattr(scipy.special, name, counted(name))
-    zeros(ZeroRequest(nu, "neumann", count))
+    zeros(req)
+    return points
+
+
+def test_neumann_sweep_evaluates_only_j_prime(monkeypatch):
+    # the secant, the enclosure and the bisection read only f = J'; J itself
+    # (for J'') is needed only by the three Newton polishes and the final
+    # residuals.  Evaluating J' at every one of the 54 midpoints costs
+    # about 52 points per zero; the enclosure leaves about 21.3.
+    count = 200
+    points = _count_bessel_points(monkeypatch, ZeroRequest(2.5, "neumann", count))
     assert points["jv"] == 4 * count
-    assert points["jvp"] > 40 * count
+    assert points["jvp"] <= 22 * count
+
+
+def test_mixed_sweep_evaluates_f_only_where_the_sign_is_in_doubt(monkeypatch):
+    # f = alpha*J + z*J' takes one jv and one jvp point; every midpoint
+    # would cost about 49 of each per zero, the enclosure leaves about 21
+    count = 2000
+    points = _count_bessel_points(monkeypatch, ZeroRequest(2.5, "mixed", count, 1.0))
+    assert points["jv"] == points["jvp"] <= 22 * count
 
 
 def test_half_integer_dirichlet_is_k_pi():
@@ -252,6 +270,27 @@ def test_request_validation():
     # legal boundary cases construct fine
     ZeroRequest(nu=1.0, kind="mixed", count=3, alpha=1.0)
     ZeroRequest(nu=1.0, kind="mixed", count=3, alpha=math.inf)
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    pytest.param("count", dict(nu=2.0, kind="dirichlet", count=True), id="count-bool"),
+    pytest.param("count", dict(nu=2.0, kind="dirichlet", count=3.0), id="count-float"),
+    pytest.param("nu", dict(nu="2", kind="dirichlet", count=3), id="nu-str"),
+    pytest.param("nu", dict(nu=True, kind="dirichlet", count=3), id="nu-bool"),
+    pytest.param("nu", dict(nu=None, kind="neumann", count=3), id="nu-none"),
+    pytest.param("alpha", dict(nu=2.0, kind="mixed", count=3, alpha=True), id="alpha-bool"),
+    pytest.param("alpha", dict(nu=2.0, kind="mixed", count=3, alpha="1"), id="alpha-str"),
+    pytest.param("alpha", dict(nu=2.0, kind="dirichlet", count=3, alpha=False),
+                 id="alpha-bool-dirichlet"),
+])
+def test_request_refuses_bools_and_non_numbers(field, kwargs):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        ZeroRequest(**kwargs)
+
+
+def test_request_refuses_an_order_beyond_binary64():
+    with pytest.raises(ValidationError, match="nu="):
+        ZeroRequest(nu=10 ** 400, kind="dirichlet", count=3)
 
 
 def test_tiny_order_neumann_first_zero():

@@ -133,6 +133,20 @@ def test_zeros_mixed_echoes_alpha():
     assert payload["zeros"][0] == pytest.approx(refined, rel=1e-12)
 
 
+def test_zeros_mixed_alpha_nu_zero_is_the_order_zero_jprime_list():
+    # alpha = nu = 0 is the alpha = +nu point of the mixed family at nu = 0:
+    # 0*J_0 + z*J_0' vanishes where J_0' = -J_1 does
+    argv = ["zeros", "--nu", "0", "--count", "12"]
+    mixed_argv = argv + ["--kind", "mixed", "--alpha", "0"]
+    assert exit_code(mixed_argv) == 0
+    mixed = run_json(mixed_argv)
+    jprime = run_json(argv + ["--kind", "jprime"])
+    assert [z.hex() for z in mixed["zeros"]] == [z.hex() for z in jprime["zeros"]]
+    assert mixed["max_residual"] == jprime["max_residual"]
+    for k, z in enumerate(mixed["zeros"], start=1):
+        assert z == pytest.approx(oracles.j_zero(1.0, k), rel=5e-14)
+
+
 def test_zeros_alpha_misuse_is_validation_error():
     assert exit_code(["zeros", "--kind", "j", "--nu", "1", "--alpha", "0.5",
                       "--count", "3"]) == 2
