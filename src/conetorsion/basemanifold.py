@@ -2,8 +2,9 @@
 
 A cone M = (0,1] x N is described here by its closed oriented
 cross-section N of dimension n: Betti numbers b_0..b_n, a metric scale
-c, and for each degree k the nonzero spectrum of the Laplacian acting
-on coclosed k-forms.  The scale is chosen so that every nonzero
+c, and for each degree k = 0..n-1 the nonzero spectrum of the Laplacian
+acting on coclosed k-forms (a coclosed n-form is harmonic, so the top
+degree has none).  The scale is chosen so that every nonzero
 eigenvalue exceeds 1 ("scaling condition"); this keeps all radial model
 operators on the cone in the limit-point range, where the spectral
 analysis applies.
@@ -30,7 +31,7 @@ Custom JSON schema::
       "scale": 2.0,                   # c > 0, informational echo
       "orientable": true,             # optional JSON boolean; false is rejected
       "degrees": [
-        {"k": 0,
+        {"k": 0,                      # 0 <= k <= n-1, each at most once
          "eigenvalues": [{"value": 4.0, "mult": 4}, ...],  # ascending, > 1
          "heat_coeffs": [3.14159, 0.0, -1.0]},             # c_j t^((j-n)/2)
         ...
@@ -54,7 +55,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number, is_number
 from .zetacont import SpectrumStream, _exp_rowsum, merge_ties, shift_heat_powers
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
@@ -76,6 +77,13 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
             coeffs.append(0.0)
         coeffs[idx] = float(c)
     return tuple(coeffs)
+
+
+def _positive_scale(c) -> float:
+    c = float(c)
+    if not math.isfinite(c) or c <= 0.0:
+        raise ValidationError(f"scale must be a positive real, got {c!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -108,16 +116,19 @@ class BaseManifold:
             if betti[k] != betti[dim - k]:
                 raise ValidationError(
                     f"betti numbers violate Poincare duality: b_{k} != b_{dim - k}")
-        if not (scale > 0.0) or not math.isfinite(scale):
-            raise ValidationError("scale must be a positive real")
+        scale = _positive_scale(scale)
         floor = 1.0 - 1e-12 if boundary_ok else 1.0
         for k, deg in degrees.items():
+            if not 0 <= k < dim:
+                raise ValidationError(
+                    f"degree {k} is outside 0..{dim - 1}: a coclosed {dim}-form on a "
+                    f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
             if deg.values.size and float(deg.values[0]) <= floor:
                 raise ValidationError(SCALING_MESSAGE)
         self.name = name
         self.dim = int(dim)
         self.betti = betti
-        self.scale = float(scale)
+        self.scale = scale
         self.orientable = True
         self.truncation_note = truncation_note
         self._degrees = dict(degrees)
@@ -151,13 +162,11 @@ class BaseManifold:
         if heat_fn is not None and shift2 != 0.0:
             base_fn = heat_fn
             heat_fn = lambda t, _b=shift2, _f=base_fn: np.exp(-_b * np.asarray(t)) * _f(t)
-        powers = shift_heat_powers(deg.heat_powers, shift2)
-        lead = min((p for p, _ in powers), default=-0.5 * self.dim)
         return SpectrumStream(
             deg.values + shift2, deg.mults,
             name=f"{self.name}:deg{k}" + (f"+{shift2:g}" if shift2 else ""),
-            heat_fn=heat_fn, heat_powers=powers,
-            density_exponent=-lead)
+            heat_fn=heat_fn, heat_powers=shift_heat_powers(deg.heat_powers, shift2),
+            density_exponent=0.5 * self.dim)
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
@@ -193,9 +202,7 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     Requires c > 1 (scaling condition); ``allow_boundary`` admits the
     borderline c = 1, used only for closed-form evaluations.
     """
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValidationError("circle scale must be a positive real")
+    c = _positive_scale(c)
     if c < 1.0 or (c == 1.0 and not allow_boundary):
         raise ValidationError(SCALING_MESSAGE)
     m = np.arange(1, 4097, dtype=float)
@@ -243,18 +250,23 @@ def _lattice_points(basis: np.ndarray, radius: float) -> np.ndarray:
     return np.sort(sq[keep])
 
 
+def _shortest(basis: np.ndarray) -> float:
+    """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
+    reach = 1.0001 * min(math.hypot(*basis[0]), math.hypot(*basis[1]))
+    return math.sqrt(_lattice_points(basis, reach)[0])
+
+
 def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     """Flat torus R^2/L with metric scaled by c.
 
     Laplace eigenvalues are 4 pi^2 c^2 |mu|^2 over the dual lattice L*;
     the scaling condition demands the smallest nonzero one exceed 1.
-    Degrees 0, 1, 2 share this nonzero coclosed spectrum (the coexact
+    Degrees 0 and 1 share this nonzero coclosed spectrum (the coexact
     1-form spectrum of a flat torus coincides with the nonzero function
-    spectrum, as does the top degree through the Hodge star).
+    spectrum); a coclosed 2-form on the closed torus is harmonic, so the
+    top degree has no nonzero spectrum.
     """
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValidationError("torus scale must be a positive real")
+    c = _positive_scale(c)
     basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE,
                        dtype=float)
     if basis.shape != (2, 2):
@@ -266,10 +278,7 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
         raise ValidationError("degenerate lattice: basis vectors are collinear")
     dual_basis = np.linalg.inv(basis).T
 
-    ell1 = math.sqrt(_lattice_points(basis, 1.0001 * min(
-        math.hypot(*basis[0]), math.hypot(*basis[1])))[0])
-    q1 = math.sqrt(_lattice_points(dual_basis, 1.0001 * min(
-        math.hypot(*dual_basis[0]), math.hypot(*dual_basis[1])))[0])
+    ell1, q1 = _shortest(basis), _shortest(dual_basis)
 
     # materialize dual points out to the larger of the frequency target and
     # the theta crossover requirement (~17 shortest vectors)
@@ -305,7 +314,7 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
                      heat_powers=powers, nu_progression=None)
     return BaseManifold(name=f"torus2(c={c:g}, {lattice_tag})", dim=2,
                         betti=(1, 2, 1), scale=c,
-                        degrees={0: deg, 1: deg, 2: deg})
+                        degrees={0: deg, 1: deg})
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +322,6 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
 # ---------------------------------------------------------------------------
 
 _JSON_NUMBERS = {int, float}      # the types json.loads gives numbers
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool (bool subclasses int)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """A finite number within binary64 (strings, bools and nan refused)."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:           # an int beyond binary64
-        return False
 
 
 def _integer(value, field: str, where: str = "") -> int:
@@ -352,7 +348,7 @@ def _listing(k: int, eig: list) -> tuple:
         if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
             for i, pair in enumerate(zip(*columns)):
                 for key, v in zip(("value", "mult"), pair):
-                    if not _is_number(v):
+                    if not is_number(v):
                         raise ValidationError(f"{need} as numbers; entry {i} has {key} {v!r}")
         values = np.fromiter(map(float, columns[0]), float, n)
         mults = np.fromiter(map(float, columns[1]), float, n)
@@ -380,7 +376,7 @@ def _heat_coeffs(k: int, coeffs) -> tuple:
         raise ValidationError(
             f"degree {k}: heat_coeffs must be a list of finite numbers, got {coeffs!r}")
     for j, c in enumerate(coeffs):
-        if not _finite(c):
+        if not is_finite_number(c):
             raise ValidationError(
                 f"degree {k}: heat_coeffs entry {j} must be a finite number, got {c!r}")
     return tuple(float(c) for c in coeffs)
@@ -411,7 +407,7 @@ def custom(source) -> BaseManifold:
             raise ValidationError(f"spectrum data missing required key '{key}'")
     dim = _integer(data["dim"], "dim")
     scale = data["scale"]
-    if not _finite(scale):
+    if not is_finite_number(scale):
         raise ValidationError(f"scale must be a finite number, got {scale!r}")
     betti = data["betti"]
     if not isinstance(betti, list):
@@ -428,8 +424,6 @@ def custom(source) -> BaseManifold:
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValidationError("each degree entry needs a 'k' field")
         k = _integer(entry["k"], "degree entry 'k'", f" (entry {j})")
-        if k < 0 or k > dim:
-            raise ValidationError(f"degree {k} outside 0..{dim}")
         if k in degrees:
             raise ValidationError(f"degree {k} listed twice")
         eig = entry.get("eigenvalues")

@@ -21,24 +21,18 @@ solved as the nu = 0 J' zeros.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, is_finite_number, is_number
 
 KINDS = ("dirichlet", "neumann", "mixed")
 
 _RESIDUAL_TOL = 1e-12
-_SIMPLICITY_TOL = 1e-8
+_SIMPLICITY_TOL = 1e-8          # |f'| relative to the sizes of the terms it sums
 _SECANT_STEPS = 5
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool (bool subclasses int)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,15 +43,11 @@ class ZeroRequest:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not _is_number(self.nu):
+        if not is_number(self.nu):
             raise ValidationError(f"nu must be a real number, got {self.nu!r}")
-        if self.alpha is not None and not _is_number(self.alpha):
+        if self.alpha is not None and not is_number(self.alpha):
             raise ValidationError(f"alpha must be a real number, got {self.alpha!r}")
-        try:
-            nu_ok = math.isfinite(self.nu) and self.nu >= 0.0
-        except OverflowError:           # an int beyond binary64
-            nu_ok = False
-        if not nu_ok:
+        if not (is_finite_number(self.nu) and self.nu >= 0.0):
             raise ValidationError(f"order must be finite and >= 0, got nu={self.nu}")
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
@@ -113,7 +103,10 @@ def mcmahon_guess(nu: float, index: int) -> float:
 
 # ---------------------------------------------------------------------------
 # function/derivative evaluators per kind (vectorized over z); scipy.special
-# is imported where J is evaluated, so the closed forms never load it
+# is imported where J is evaluated, so the closed forms never load it.  The
+# Neumann and mixed evaluators also return |t1| + |t2| for their derivative
+# f' = t1 - t2: J_nu is exponentially small where z < nu, so f' is judged
+# against the size of its terms, not against an absolute floor.
 
 def _f_dirichlet(nu, z):
     from scipy.special import jv, jvp
@@ -124,8 +117,8 @@ def _f_neumann(nu, z):
     from scipy.special import jv, jvp
     j = jv(nu, z)
     jp = jvp(nu, z)
-    jpp = -jp / z - (1.0 - nu * nu / (z * z)) * j
-    return jp, jpp
+    t1, t2 = -jp / z, (1.0 - nu * nu / (z * z)) * j
+    return jp, t1 - t2, np.abs(t1) + np.abs(t2)
 
 
 def _mixed_value(nu, alpha, z):
@@ -139,8 +132,8 @@ def _f_mixed(nu, alpha, z):
     j = jv(nu, z)
     jp = jvp(nu, z)
     f = alpha * j + z * jp
-    fp = alpha * jp - (z - nu * nu / z) * j   # via the Bessel ODE
-    return f, fp
+    t1, t2 = alpha * jp, (z - nu * nu / z) * j     # f' = t1 - t2 by the Bessel ODE
+    return f, t1 - t2, np.abs(t1) + np.abs(t2)
 
 
 @lru_cache(maxsize=64)
@@ -305,24 +298,25 @@ def zeros(req: ZeroRequest) -> ZeroList:
     if kind == "dirichlet":
         z = _dirichlet_zeros(nu, count)
         f, fp = _f_dirichlet(nu, z)
+        size = np.abs(fp)
     elif kind == "neumann":
         if nu == 0.0:
             # J_0' = -J_1: reuse the Dirichlet machinery at order 1
             z = _dirichlet_zeros(1.0, count)
             for _ in range(2):
-                f, fp = _f_neumann(0.0, z)
+                f, fp = _f_neumann(0.0, z)[:2]
                 z = z - np.where(fp != 0.0, f / fp, 0.0)
-            f, fp = _f_neumann(0.0, z)
+            f, fp, size = _f_neumann(0.0, z)
         else:
             from scipy.special import jvp
             z = _bisect_interlaced(nu, count, lambda t: jvp(nu, t),
-                                   lambda t: _f_neumann(nu, t))
-            f, fp = _f_neumann(nu, z)
+                                   lambda t: _f_neumann(nu, t)[:2])
+            f, fp, size = _f_neumann(nu, z)
     else:
         alpha = float(req.alpha)
         z = _bisect_interlaced(nu, count, lambda t: _mixed_value(nu, alpha, t),
-                               lambda t: _f_mixed(nu, alpha, t))
-        f, fp = _f_mixed(nu, alpha, z)
+                               lambda t: _f_mixed(nu, alpha, t)[:2])
+        f, fp, size = _f_mixed(nu, alpha, z)
 
     resid = np.abs(f)
     if not np.all(np.diff(z) > 0.0) or not np.all(z > 0.0):
@@ -330,6 +324,6 @@ def zeros(req: ZeroRequest) -> ZeroList:
     if not np.all(resid <= _RESIDUAL_TOL * np.maximum(1.0, z)):
         worst = float(np.max(resid / np.maximum(1.0, z)))
         raise ConvergenceError(f"zero residuals too large for {req}: {worst:.3e}")
-    if not np.all(np.abs(fp) > _SIMPLICITY_TOL):
+    if not np.all(np.abs(fp) > _SIMPLICITY_TOL * size):
         raise ConvergenceError(f"non-simple zero detected for {req}")
     return ZeroList(request=req, zeros=z, residuals=resid, fprimes=fp)

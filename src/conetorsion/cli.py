@@ -182,6 +182,8 @@ def _build_base(flags: dict) -> BaseManifold:
     spec = flags["base"]
     scale = flags.get("scale")
     lattice = flags.get("lattice")
+    if lattice is not None and spec != "torus2":
+        raise ValidationError("--lattice applies only to --base torus2")
     if spec.startswith("custom:"):
         path = spec[len("custom:"):]
         if not path:
@@ -190,14 +192,10 @@ def _build_base(flags: dict) -> BaseManifold:
             raise ValidationError(
                 "custom bases carry their scale inside the spectrum file; "
                 "drop --scale")
-        if lattice is not None:
-            raise ValidationError("--lattice applies only to --base torus2")
         return custom(path)
     if scale is None:
         raise ValidationError(f"--scale is required for --base {spec}")
     if spec == "s1":
-        if lattice is not None:
-            raise ValidationError("--lattice applies only to --base torus2")
         return circle(scale)
     if spec == "torus2":
         return torus2(scale, lattice=_parse_lattice(lattice) if lattice else None)
@@ -207,6 +205,13 @@ def _build_base(flags: dict) -> BaseManifold:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a JSON-ready payload)
+
+def _check_tolerance(error_estimate: float, tolerance: float) -> None:
+    if error_estimate > tolerance:
+        raise ConvergenceError(
+            f"continuation error estimate {error_estimate:.3e} exceeds the "
+            f"requested tolerance {tolerance:g}")
+
 
 def _cmd_torsion_disc(cfg: CommandConfig) -> dict:
     cone = ConeOverS1Config(radius=cfg.flags["radius"], nu_angle=cfg.flags["nu"])
@@ -221,10 +226,7 @@ def _cmd_torsion_disc(cfg: CommandConfig) -> dict:
 def _cmd_torsion_cone(cfg: CommandConfig) -> dict:
     base = _build_base(cfg.flags)
     breakdown = log_torsion(base)
-    if breakdown.error_estimate > cfg.tolerance:
-        raise ConvergenceError(
-            f"continuation error estimate {breakdown.error_estimate:.3e} exceeds "
-            f"the requested tolerance {cfg.tolerance:g}")
+    _check_tolerance(breakdown.error_estimate, cfg.tolerance)
     return {
         "log_torsion": breakdown.log_torsion,
         "harmonic_term": breakdown.harmonic_term,
@@ -241,12 +243,8 @@ def _cmd_torsion_cone(cfg: CommandConfig) -> dict:
 def _cmd_zeros(cfg: CommandConfig) -> dict:
     kind_map = {"j": "dirichlet", "jprime": "neumann", "mixed": "mixed"}
     kind = kind_map[cfg.flags["kind"]]
-    alpha = cfg.flags.get("alpha")
-    if alpha is not None and kind != "mixed":
-        raise ValidationError("alpha is only meaningful for kind 'mixed'")
-    request = ZeroRequest(nu=cfg.flags["nu"], kind=kind,
-                          count=cfg.flags["count"],
-                          alpha=alpha if kind == "mixed" else None)
+    request = ZeroRequest(nu=cfg.flags["nu"], kind=kind, count=cfg.flags["count"],
+                          alpha=cfg.flags.get("alpha"))
     zl = zeros(request)
     payload = {
         "kind": cfg.flags["kind"],
@@ -267,11 +265,7 @@ def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
     n = base.dim
     pole_top = max(n, 1)
     shift_value, shift_error = dc.shifted(shift) if shift is not None else (None, None)
-    total_err = data.error_estimate + (shift_error or 0.0)
-    if total_err > tolerance:
-        raise ConvergenceError(
-            f"continuation error estimate {total_err:.3e} exceeds the requested "
-            f"tolerance {tolerance:g}")
+    _check_tolerance(data.error_estimate + (shift_error or 0.0), tolerance)
     payload = {
         "base_id": base.name,
         "scale": base.scale,
@@ -638,12 +632,9 @@ def run(argv=None) -> tuple[str, int]:
 def main(argv=None) -> int:
     try:
         text, code = run(argv)
-    except ValidationError as exc:
+    except (ValidationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     print(text)
     return code
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import OrderLimitError
+from .errors import OrderLimitError, ReadOnly
 
 MAX_ORDER = 12
 
@@ -45,20 +45,7 @@ def _check_order(r: int, smallest: int) -> None:
         raise OrderLimitError(f"order {r} exceeds the supported maximum {MAX_ORDER}")
 
 
-class _ReadOnly:
-    """Refuses attribute writes after construction: cached orders are the
-    inputs of every higher order, so a write would corrupt them."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-
-class RationalPolynomial(_ReadOnly):
+class RationalPolynomial(ReadOnly):
     """Polynomial in one variable with Fraction coefficients (index = power)."""
 
     __slots__ = ("coeffs", "var")
@@ -172,7 +159,7 @@ def _tpoly(*coeffs) -> RationalPolynomial:
 _P_ONE = RationalPolynomial((_ONE,))
 
 
-class AlphaPolynomial(_ReadOnly):
+class AlphaPolynomial(ReadOnly):
     """Polynomial in t whose coefficients are RationalPolynomials in alpha."""
 
     __slots__ = ("tcoeffs",)
@@ -297,28 +284,42 @@ def gen_M(r: int) -> AlphaPolynomial:
     return _log_coefficient(r, _m_term, gen_M)
 
 
+def _ladder(r: int, name: str, powers, coefficient) -> list:
+    """The coefficients of t^(r+2b), b = 0..r, once no other power occurs."""
+    stray = [p for p in powers if (p - r) % 2 != 0 or not (r <= p <= 3 * r)]
+    if stray:
+        raise AssertionError(f"{name}_{r} has unexpected powers {stray}")
+    return [coefficient(r + 2 * b) for b in range(r + 1)]
+
+
 def coeffs_x(r: int) -> list[Fraction]:
     """x_{r,b} with D_r(t) = sum_{b=0..r} x_{r,b} t^(r+2b)."""
     d = gen_D(r)
-    out = [d.coefficient(r + 2 * b) for b in range(r + 1)]
-    stray = [p for p, _ in d.terms() if (p - r) % 2 != 0 or not (r <= p <= 3 * r)]
-    if stray:
-        raise AssertionError(f"D_{r} has unexpected powers {stray}")
-    return out
+    return _ladder(r, "D", [p for p, _ in d.terms()], d.coefficient)
+
 
 def coeffs_z(r: int) -> list[RationalPolynomial]:
     """z_{r,b}(alpha) with M_r(t,alpha) = sum_{b=0..r} z_{r,b}(alpha) t^(r+2b)."""
     m = gen_M(r)
-    stray = [p for p in m.t_powers() if (p - r) % 2 != 0 or not (r <= p <= 3 * r)]
-    if stray:
-        raise AssertionError(f"M_{r} has unexpected powers {stray}")
-    return [m.t_coefficient(r + 2 * b) for b in range(r + 1)]
+    return _ladder(r, "M", m.t_powers(), m.t_coefficient)
 
 
-def _signed_power_term(r: int, alpha: Fraction) -> Fraction:
-    """(-1)^(r+1) alpha^r / r."""
-    sign = _ONE if r % 2 == 1 else -_ONE
-    return sign * alpha ** r / r
+def parity_bracket(r: int, alpha, parity: str) -> tuple[list[Fraction], Fraction]:
+    """(c_{r,b} for b = 0..r, power term) of the order-r bracket at alpha.
+
+    The bracket is sum_b c_{r,b} t^(r+2b): M_r(t,-a) - M_r(t,a) in odd
+    parity, 2 D_r(t) - M_r(t,-a) - M_r(t,a) in even parity; its power term
+    is (a^r - (-a)^r)/r, respectively (a^r + (-a)^r)/r.
+    """
+    alpha = Fraction(alpha)
+    zs = coeffs_z(r)
+    if parity == "odd":
+        return ([z(-alpha) - z(alpha) for z in zs],
+                (alpha ** r - (-alpha) ** r) / r)
+    if parity == "even":
+        return ([2 * x - z(-alpha) - z(alpha) for x, z in zip(coeffs_x(r), zs)],
+                (alpha ** r + (-alpha) ** r) / r)
+    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
 def dm_identity_residual(r: int, alpha,
@@ -333,23 +334,18 @@ def dm_identity_residual(r: int, alpha,
     alpha = Fraction(alpha)
     m = m_poly if m_poly is not None else gen_M(r)
     d = d_poly if d_poly is not None else gen_D(r)
-    return m.substitute_alpha(alpha)(_ONE) - d(_ONE) - _signed_power_term(r, alpha)
+    sign = _ONE if r % 2 == 1 else -_ONE
+    return m.substitute_alpha(alpha)(_ONE) - d(_ONE) - sign * alpha ** r / r
 
 
 def zsum_identity_residual(r: int, alpha) -> Fraction:
     """Exact residual of sum_b (z_{r,b}(-a) - z_{r,b}(a)) = (-1)^r (a^r - (-a)^r)/r."""
-    alpha = Fraction(alpha)
-    zs = coeffs_z(r)
-    total = sum((z(-alpha) - z(alpha) for z in zs), _ZERO)
-    sign = _ONE if r % 2 == 0 else -_ONE
-    return total - sign * (alpha ** r - (-alpha) ** r) / r
+    coeffs, power = parity_bracket(r, alpha, "odd")
+    return sum(coeffs, _ZERO) - (-1) ** r * power
 
 
 def xzsum_identity_residual(r: int, alpha) -> Fraction:
     """Exact residual of sum_b (2 x_{r,b} - z_{r,b}(-a) - z_{r,b}(a))
     = (-1)^r (a^r + (-a)^r)/r."""
-    alpha = Fraction(alpha)
-    xs, zs = coeffs_x(r), coeffs_z(r)
-    total = sum((2 * x - z(-alpha) - z(alpha) for x, z in zip(xs, zs)), _ZERO)
-    sign = _ONE if r % 2 == 0 else -_ONE
-    return total - sign * (alpha ** r + (-alpha) ** r) / r
+    coeffs, power = parity_bracket(r, alpha, "even")
+    return sum(coeffs, _ZERO) - (-1) ** r * power

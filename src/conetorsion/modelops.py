@@ -153,18 +153,12 @@ def harmonic_contribution(base) -> float:
         1/2 sum_{k=0}^{(n-1)/2} (-1)^k b_k log(n-2k+1)
     """
     n = base.dim
-    betti = base.betti
-    terms: list[float] = []
-    if n % 2 == 0:  # odd-dimensional cone
-        chi = sum((-1) ** k * b for k, b in enumerate(betti))
-        terms.append(0.5 * LOG_2 * chi)
-        for k in range(n // 2):
-            sign = -1.0 if k % 2 else 1.0
-            inner = math.fsum(math.log(2 * l + 1) for l in range(n // 2 - k))
-            terms.append(-sign * betti[k] * inner)
-            terms.append(-0.5 * sign * betti[k] * math.log(n - 2 * k + 1))
-    else:           # even-dimensional cone
-        for k in range((n + 1) // 2):
-            sign = -1.0 if k % 2 else 1.0
-            terms.append(0.5 * sign * betti[k] * math.log(n - 2 * k + 1))
+    odd_cone = n % 2 == 0
+    terms = [0.5 * LOG_2 * base.euler_characteristic] if odd_cone else []
+    for k in range((n + 1) // 2):       # (n + 1) // 2 = n/2 for an odd cone
+        sign = -1.0 if k % 2 else 1.0
+        b = base.betti[k]
+        terms.append((-0.5 if odd_cone else 0.5) * sign * b * math.log(n - 2 * k + 1))
+        if odd_cone:
+            terms.append(-sign * b * math.fsum(math.log(2 * l + 1) for l in range(n // 2 - k)))
     return math.fsum(terms)

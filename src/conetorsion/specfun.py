@@ -198,10 +198,6 @@ def _hurwitz_em(s: float, a: float) -> tuple[float, float]:
     * eps, so callers in that regime go through the functional equation
     instead (a = 1) or accept reduced accuracy (general a, unused here).
     """
-    if a <= 0.0:
-        raise ValidationError(f"hurwitz zeta needs a > 0, got a={a}")
-    if s == 1.0:
-        raise ValidationError("hurwitz zeta has a pole at s=1")
     if s < 0.0:
         # keep the cutoff small: intermediates scale like (N+a)^(1+|s|)
         nterms = max(2, int(math.ceil(14.0 + 1.2 * abs(s) - a)))
@@ -244,35 +240,35 @@ def _riemann_reflect(s: float) -> tuple[float, float]:
     return val, dval
 
 
+def _zeta_pair(s: float, a: float = 1.0) -> tuple[float, float]:
+    """(zeta_H(s, a), d/ds zeta_H(s, a)); a = 1 is the Riemann zeta, taken
+    through the functional equation for s < -1/2."""
+    if not 0.0 < a < math.inf:
+        raise ValidationError(f"hurwitz zeta needs a finite a > 0, got a={a}")
+    if s == 1.0:
+        raise ValidationError("zeta has a pole at s=1")
+    if a == 1.0 and s < -0.5:
+        return _riemann_reflect(s)
+    return _hurwitz_em(s, a)
+
+
 def riemann_zeta(s: float) -> float:
     """zeta(s), absolute error <= ~1e-13 on |s| <= 12 (pole at s=1)."""
-    if s == 1.0:
-        raise ValidationError("riemann zeta has a pole at s=1")
-    if s < -0.5:
-        return _riemann_reflect(s)[0]
-    return _hurwitz_em(s, 1.0)[0]
+    return _zeta_pair(s)[0]
 
 
 def riemann_zeta_prime(s: float) -> float:
     """zeta'(s), absolute error <= ~1e-12 on |s| <= 12 (pole at s=1)."""
-    if s == 1.0:
-        raise ValidationError("riemann zeta has a pole at s=1")
-    if s < -0.5:
-        return _riemann_reflect(s)[1]
-    return _hurwitz_em(s, 1.0)[1]
+    return _zeta_pair(s)[1]
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    if a == 1.0:
-        return riemann_zeta(s)  # shared path with riemann_zeta by construction
-    return _hurwitz_em(s, a)[0]
+    return _zeta_pair(s, a)[0]
 
 
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
     """d/ds zeta_H(s, a)."""
-    if a == 1.0:
-        return riemann_zeta_prime(s)
-    return _hurwitz_em(s, a)[1]
+    return _zeta_pair(s, a)[1]
 
 
 def hurwitz_zeta_prime0(a: float) -> float:

@@ -52,12 +52,13 @@ import numpy as np
 from .basemanifold import BaseManifold
 from .besselzero import ZeroRequest, zeros
 from .errors import ValidationError
-from .exactpoly import coeffs_x, coeffs_z, gen_D, gen_M
+from .exactpoly import RationalPolynomial, parity_bracket
 from .modelops import harmonic_contribution
 from .specfun import (EULER_GAMMA, LOG_2, LOG_2PI, bessel_i, bessel_i_prime,
                       bessel_i_prime_scaled, bessel_i_scaled, digamma)
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
-                       shifted_from_base, sqrt_stream, zeta_data_exact)
+                       shifted_from_base, sqrt_stream, zeta_data_exact,
+                       zeta_data_numeric)
 
 __all__ = [
     "SpectralParameter", "ConeOverS1Config", "TorsionBreakdown",
@@ -112,9 +113,7 @@ class ConeOverS1Config:
     nu_angle: float = 1.0
 
     def __post_init__(self):
-        r, nu = float(self.radius), float(self.nu_angle)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValidationError(f"cone length must be positive and finite, got {self.radius!r}")
+        r, nu = _cone_length(self.radius), float(self.nu_angle)
         # theorem_main takes log(pi R^2): the area must be a normal float
         if not sys.float_info.min <= math.pi * r * r < math.inf:
             raise ValidationError(
@@ -172,6 +171,13 @@ def _check_degree(k: int, n: int, top: int) -> None:
             f"cross-section, got {k!r}")
 
 
+def _cone_length(radius) -> float:
+    r = float(radius)
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValidationError(f"cone length must be positive and finite, got {radius!r}")
+    return r
+
+
 def _parity(n: int) -> str:
     """Parity of dim M = n + 1."""
     return "odd" if n % 2 == 0 else "even"
@@ -180,36 +186,18 @@ def _parity(n: int) -> str:
 # ---------------------------------------------------------------------------
 # derivation-layer evaluators (test-only; not used by the production path)
 
-def _log_mixed_bessel(alpha: float, nu: float, w: float) -> float:
-    """log(alpha * I_nu(w) + w * I'_nu(w)) for w > 0, nu > |alpha|."""
-    if w <= 1.0:
-        val = alpha * bessel_i(nu, w) + w * bessel_i_prime(nu, w)
-        if not (val > 0.0 and math.isfinite(val)):
-            raise ValidationError(
-                f"Bessel combination underflowed at order {nu:g}, argument {w:g}")
-        return math.log(val)
-    val = alpha * bessel_i_scaled(nu, w) + w * bessel_i_prime_scaled(nu, w)
+def _log_bessel(nu: float, w: float, alpha: float | None = None) -> float:
+    """log I_nu(w), or log(alpha * I_nu(w) + w * I'_nu(w)) given alpha, for
+    w > 0 and nu > |alpha|; e^-w-scaled above w = 1, where I_nu overflows."""
+    scaled = w > 1.0
+    i_nu, i_prime = ((bessel_i_scaled, bessel_i_prime_scaled) if scaled
+                     else (bessel_i, bessel_i_prime))
+    val = i_nu(nu, w) if alpha is None else alpha * i_nu(nu, w) + w * i_prime(nu, w)
     if not (val > 0.0 and math.isfinite(val)):
         raise ValidationError(
-            f"scaled Bessel combination overflowed or underflowed at order "
-            f"{nu:g}, argument {w:g}")
-    return w + math.log(val)
-
-
-def _log_bessel_i(nu: float, w: float) -> float:
-    """log I_nu(w) for w > 0."""
-    if w <= 1.0:
-        val = bessel_i(nu, w)
-        if not (val > 0.0 and math.isfinite(val)):
-            raise ValidationError(
-                f"Bessel evaluation underflowed at order {nu:g}, argument {w:g}")
-        return math.log(val)
-    val = bessel_i_scaled(nu, w)
-    if not (val > 0.0 and math.isfinite(val)):
-        raise ValidationError(
-            f"scaled Bessel evaluation overflowed or underflowed at order "
-            f"{nu:g}, argument {w:g}")
-    return w + math.log(val)
+            f"{'scaled ' if scaled else ''}Bessel evaluation overflowed or "
+            f"underflowed at order {nu:g}, argument {w:g}")
+    return w + math.log(val) if scaled else math.log(val)
 
 
 def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
@@ -228,12 +216,12 @@ def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
             f"(limit-point range), got nu = {nu!r}")
     w = nu * sp.z
     if parity == "odd":
-        return (-_log_mixed_bessel(alpha, nu, w) + math.log1p(alpha / nu)
-                + _log_mixed_bessel(-alpha, nu, w) - math.log1p(-alpha / nu))
+        return (-_log_bessel(nu, w, alpha) + math.log1p(alpha / nu)
+                + _log_bessel(nu, w, -alpha) - math.log1p(-alpha / nu))
     if parity == "even":
-        return (-_log_mixed_bessel(alpha, nu, w) + math.log1p(alpha / nu)
-                - _log_mixed_bessel(-alpha, nu, w) + math.log1p(-alpha / nu)
-                + 2.0 * _log_bessel_i(nu, w) + 2.0 * math.log(nu))
+        return (-_log_bessel(nu, w, alpha) + math.log1p(alpha / nu)
+                - _log_bessel(nu, w, -alpha) + math.log1p(-alpha / nu)
+                + 2.0 * _log_bessel(nu, w) + 2.0 * math.log(nu))
     raise ValidationError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
@@ -246,23 +234,18 @@ def t_nu_k(nu: float, k: int, n: int, sp: SpectralParameter) -> float:
 def f_r(r: int, k: int, n: int, sp: SpectralParameter) -> float:
     """Order-r coefficient of the large-frequency expansion of ``t_nu_k``.
 
-    Built from the exact expansion polynomials: the odd-parity coefficient is
-    M_r(t,-a) - M_r(t,+a) plus the odd-r power term 2 a^r / r; the
-    even-parity coefficient is 2 D_r(t) - M_r(t,-a) - M_r(t,+a) minus the
-    even-r power term 2 a^r / r.  Both vanish at t = 1 (lam -> 0-).
+    The parity bracket of the exact expansion polynomials (``exactpoly.
+    parity_bracket``) at t, plus its power term in odd parity and minus it
+    in even parity.  Both vanish at t = 1 (lam -> 0-).
     """
     if not (isinstance(r, int) and r >= 1):
         raise ValidationError(f"expansion order must be a positive integer, got {r!r}")
     _check_degree(k, n, n - 1)
-    alpha = _alpha_k(k, n)
-    m = gen_M(r)
-    poly = m.substitute_alpha(-alpha) - m.substitute_alpha(alpha)
-    if _parity(n) == "odd":
-        tail = 2 * alpha ** r / r if r % 2 == 1 else Fraction(0)
-    else:
-        poly = gen_D(r).scale(2) - m.substitute_alpha(-alpha) - m.substitute_alpha(alpha)
-        tail = -2 * alpha ** r / r if r % 2 == 0 else Fraction(0)
-    return float(poly(sp.t)) + float(tail)
+    parity = _parity(n)
+    coeffs, power = parity_bracket(r, _alpha_k(k, n), parity)
+    poly = [0] * (3 * r + 1)            # c_{r,b} at the power t^(r+2b)
+    poly[r::2] = coeffs
+    return float(RationalPolynomial(poly)(sp.t)) + float(power if parity == "odd" else -power)
 
 
 def asymptotic_remainder(nu: float, k: int, n: int, sp: SpectralParameter) -> float:
@@ -457,13 +440,7 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
     for i in range(1, n + 1):
         residue = data.residues.get(i, 0.0)
         sign = 1.0 if i % 2 == 1 else -1.0
-        if parity == "odd":
-            power_comb = (alpha ** i - (-alpha) ** i) / i
-            coeff_sum = [zb(-alpha) - zb(alpha) for zb in coeffs_z(i)]
-        else:
-            power_comb = (alpha ** i + (-alpha) ** i) / i
-            coeff_sum = [2 * xb - zb(-alpha) - zb(alpha)
-                         for xb, zb in zip(coeffs_x(i), coeffs_z(i))]
+        coeff_sum, power_comb = parity_bracket(i, alpha, parity)
         multiplier = sign * float(power_comb) * (0.5 * EULER_GAMMA + digamma(float(i)))
         multiplier += 0.5 * math.fsum(
             float(c) * digamma(b + 0.5 * i)
@@ -508,8 +485,7 @@ def log_torsion(base: BaseManifold) -> TorsionBreakdown:
     per_degree: dict[int, dict[str, float]] = {}
     terms = [harmonic]
     err = 0.0
-    degree_range = range(n // 2) if parity == "odd" else range((n + 1) // 2)
-    for k in degree_range:
+    for k in range((n + 1) // 2):
         value, term_err = _degree_term(base, k)
         weight = 0.5 * (-1.0) ** k
         if parity == "even" and k == (n - 1) // 2:
@@ -523,27 +499,27 @@ def log_torsion(base: BaseManifold) -> TorsionBreakdown:
         scale=base.scale, error_estimate=err)
 
 
+def _reduction_data(base: BaseManifold, n: int) -> ZetaFunctionData:
+    """Degree-0 continuation data of a base the dim N = n reduction accepts."""
+    if base.dim != n:
+        raise ValidationError(f"the {n + 1}-dimensional cone reduction needs a "
+                              f"{n}-dimensional cross-section, got dim N = {base.dim}")
+    return degree_continuation(base, 0).data
+
+
 def corollary_2d(base: BaseManifold) -> float:
     """Two-dimensional cone (dim N = 1): three-term closed form.
 
     b0/2 * log 2 + zeta'(0)/2 - Res(1)/4 over the degree-0 frequency set.
     """
-    if base.dim != 1:
-        raise ValidationError(
-            f"two-dimensional cone reduction needs a one-dimensional "
-            f"cross-section, got dim N = {base.dim}")
-    data = degree_continuation(base, 0).data
+    data = _reduction_data(base, 1)
     return (0.5 * base.betti[0] * LOG_2 + 0.5 * data.deriv0
             - 0.25 * data.residues.get(1, 0.0))
 
 
 def _corollary_3d_parts(base: BaseManifold) -> tuple[float, float, float]:
     """(terms shared by both 3d forms, Res(1), Res(2))."""
-    if base.dim != 2:
-        raise ValidationError(
-            f"three-dimensional cone reduction needs a two-dimensional "
-            f"cross-section, got dim N = {base.dim}")
-    data = degree_continuation(base, 0).data
+    data = _reduction_data(base, 2)
     shifted = data.deriv0_shifted
     head = (0.5 * LOG_2 * base.euler_characteristic
             - 0.5 * math.log(3.0) * base.betti[0]
@@ -585,9 +561,7 @@ def lemma_first_summand(radius: float = 1.0) -> float:
     """Closed form log2 - log(2 pi)/2 - (3/2) log R for the derivative at
     zero over the squared scaled zeros of J_1 (the degree-0 Neumann-type
     sector of the flat disc of radius R)."""
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValidationError(f"cone length must be positive and finite, got {radius!r}")
+    radius = _cone_length(radius)
     return LOG_2 - 0.5 * LOG_2PI - 1.5 * math.log(radius)
 
 
@@ -600,14 +574,12 @@ def lemma_first_summand_numeric(radius: float = 1.0,
     two exact leading heat coefficients (R / (2 sqrt(pi)), -3/4).  Returns
     (value, error_estimate).
     """
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValidationError(f"cone length must be positive and finite, got {radius!r}")
+    radius = _cone_length(radius)
     zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=int(count)))
     stream = SpectrumStream((zl.zeros / radius) ** 2,
                             name=f"j1-zeros(R={radius:g})",
                             heat_powers=((-0.5, radius / (2.0 * math.sqrt(math.pi))),
                                          (0.0, -0.75)),
                             density_exponent=0.5)
-    engine = MellinZeta(stream)
-    return engine.deriv0(), engine.error_estimate([0.0])
+    data = zeta_data_numeric(stream, pole_range=0)
+    return data.deriv0, data.error_estimate

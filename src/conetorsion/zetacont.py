@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ReadOnly, ValidationError
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
@@ -151,6 +151,11 @@ def shift_heat_powers(powers, b: float):
     return tuple(sorted(out.items()))
 
 
+def _check_shift(a: float, smallest: float) -> None:
+    if a <= -smallest:
+        raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {smallest}")
+
+
 def _heat_eval(t: np.ndarray, powers) -> np.ndarray:
     """H(t) = sum c t^p over the (p, c) pairs, at every t of the array."""
     out = np.zeros_like(t)
@@ -166,14 +171,15 @@ def _grid_sum(s: float, ts, ws, ds, tl, wl, zl) -> float:
             + _fsum(wl * tl ** (s - 1.0) * zl))
 
 
-class SpectrumStream:
+class SpectrumStream(ReadOnly):
     """Ascending positive eigenvalues with multiplicities and optional structure.
 
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
     eigenvalue sum); it takes a 1-D array of t and returns an array of the
     same shape, evaluated in one array pass; heat_powers: exact leading
     small-t powers [(p, c), ...]; density_exponent d: counting function
-    N(x) ~ C x^d, used for tail estimates.
+    N(x) ~ C x^d, used for tail estimates.  Streams are shared by cached
+    results, so they are read-only, their arrays included.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
@@ -188,14 +194,15 @@ class SpectrumStream:
             raise ValidationError("spectrum stream values must be positive")
         order = np.argsort(values, kind="stable")
         values, mults = merge_ties(values[order], mults[order])
-        values.flags.writeable = False     # streams are shared by cached results
+        values.flags.writeable = False
         mults.flags.writeable = False
-        self.values = values
-        self.mults = mults
-        self.name = name
-        self.heat_fn = heat_fn
-        self.heat_powers = tuple((float(p), float(c)) for p, c in heat_powers)
-        self.density_exponent = density_exponent
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "heat_fn", heat_fn)
+        object.__setattr__(self, "heat_powers",
+                           tuple((float(p), float(c)) for p, c in heat_powers))
+        object.__setattr__(self, "density_exponent", density_exponent)
 
     @property
     def min_value(self) -> float:
@@ -273,8 +280,7 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     shifted = {}
     for alpha in alphas:
         a = float(alpha)
-        if 1.0 + a / c <= 0.0:
-            raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {c}")
+        _check_shift(a, c)
         shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
     residues, pp = {}, {}
     for i in range(1, pole_range + 1):
@@ -348,11 +354,6 @@ class MellinZeta:
         self._zs = stream.trace(self._ts)
         self._zl = stream.trace(self._tl)
         self._hs = _heat_eval(self._ts, self.powers)
-        # coarse grid for the quadrature error probe
-        ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
-        tl2, wl2 = _log_panels(1.0, T, _NODES // 2 + 2, per_decade=3)
-        self._probe = (ts2, ws2, stream.trace(ts2) - _heat_eval(ts2, self.powers),
-                       tl2, wl2, stream.trace(tl2))
 
     # -- heat model -------------------------------------------------------
     def _choose_t_min(self) -> float:
@@ -499,10 +500,7 @@ class MellinZeta:
         a = float(alpha)
         if a == 0.0:
             return self.deriv0()
-        if a <= -self.stream.min_value:
-            raise ValidationError(
-                f"shift {a} reaches past the smallest eigenvalue "
-                f"{self.stream.min_value} (zero mode)")
+        _check_shift(a, self.stream.min_value)
         powers = shift_heat_powers(self.powers, a)
         es, el = np.exp(-a * self._ts), np.exp(-a * self._tl)
         hs = _heat_eval(self._ts, powers)
@@ -515,7 +513,12 @@ class MellinZeta:
 
     # -- error accounting ---------------------------------------------------
     def error_estimate(self, s_list=(0.0,)) -> float:
-        quad = max(abs(self.integral(s) - _grid_sum(s, *self._probe)) for s in s_list)
+        # quadrature error probe: the same sums on a coarser grid
+        ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
+        tl2, wl2 = _log_panels(1.0, self._T, _NODES // 2 + 2, per_decade=3)
+        probe = (ts2, ws2, self.stream.trace(ts2) - _heat_eval(ts2, self.powers),
+                 tl2, wl2, self.stream.trace(tl2))
+        quad = max(abs(self.integral(s) - _grid_sum(s, *probe)) for s in s_list)
         pnext = max(p for p, _ in self.powers) + 0.5
         win = self._ts <= self.t_min * 16.0
         resid = self._zs[win] - self._hs[win]
@@ -574,10 +577,8 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     a = float(alpha)
     if a == 0.0:
         return base.deriv0, base.error_estimate
-    x = stream.values
-    if a <= -stream.min_value:
-        raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {x[0]}")
-    w = a / x
+    _check_shift(a, stream.min_value)
+    w = a / stream.values
     if np.max(np.abs(w)) >= 0.75:
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
     # tail of the log series, sum_{r=R+1}^{R+60} (-1)^r w^r / r, built termwise

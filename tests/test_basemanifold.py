@@ -521,3 +521,23 @@ def test_nu_set_degree_bounds():
     assert degree_continuation(tor, 1).alpha == -0.5   # degree n-1 allowed in dim 2
     with pytest.raises(ValidationError, match="^frequency sets exist for degrees 0..1, got 2$"):
         degree_continuation(tor, 2)
+
+
+def test_top_degree_has_no_coclosed_spectrum():
+    # a coclosed n-form on a closed n-manifold is harmonic: the built-in
+    # bases list degrees 0..n-1 only, and a top-degree listing is refused
+    # with the degree named (the torus carried its function spectrum there)
+    assert bm.circle(2.0).degrees_available() == (0,)
+    tor = bm.torus2(2.0)
+    assert tor.degrees_available() == (0, 1)
+    assert [d["k"] for d in tor.as_custom_mapping()["degrees"]] == [0, 1]
+    blob = bm.circle(2.0).as_custom_mapping()
+    for k in (1, -1):
+        bad = copy.deepcopy(blob)
+        bad["degrees"][0]["k"] = k
+        with pytest.raises(ValidationError, match=f"^degree {k} is outside 0..0: "):
+            bm.custom(bad)
+    deg = tor._degree(0)
+    with pytest.raises(ValidationError, match="^degree 2 is outside 0..1: .* harmonic"):
+        bm.BaseManifold(name="top", dim=2, betti=(1, 2, 1), scale=1.0,
+                        degrees={0: deg, 2: deg})

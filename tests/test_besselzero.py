@@ -202,6 +202,33 @@ def test_mixed_zeros_satisfy_equation(nu, alpha):
     assert np.max(np.abs(zl.residuals)) < 1e-10
 
 
+@pytest.mark.parametrize("nu,alpha", [(30.0, -27.0), (55.5, -49.95),
+                                      (100.0, -90.0), (10.0, -9.9)])
+def test_simple_zeros_where_j_is_exponentially_small(nu, alpha):
+    # below z = nu, J_nu is exponentially small and so is f' at a simple
+    # zero (f' = -2.07e-9 at the first zero for nu = 30); simplicity is judged
+    # against the sizes of the terms f' sums (an absolute floor of 1e-8
+    # refused all four requests as non-simple)
+    zl = zeros(ZeroRequest(nu=nu, kind="mixed", count=5, alpha=alpha))
+    first = float(zl.zeros[0])
+    assert first < oracles.j_zero(nu, 1)         # the head interval's zero
+    assert first == pytest.approx(oracles.mixed_zero_refine(nu, alpha, first), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the Newton polish divides by f' = 0
+def test_cancelling_derivative_terms_are_refused(monkeypatch):
+    # f' whose two terms cancel is a double zero: still refused
+    evaluate = besselzero._f_mixed
+
+    def cancelled(nu, alpha, z):
+        f, fp, size = evaluate(nu, alpha, z)
+        return f, 0.0 * fp, size
+
+    monkeypatch.setattr(besselzero, "_f_mixed", cancelled)
+    with pytest.raises(ConvergenceError, match="non-simple zero"):
+        zeros(ZeroRequest(nu=2.5, kind="mixed", count=5, alpha=1.0))
+
+
 def test_mixed_alpha_plus_nu_matches_shifted_dirichlet():
     # alpha = +nu: nu J_nu(z) + z J_nu'(z) = z J_{nu-1}(z), so the zeros are
     # the Dirichlet zeros one order down.

@@ -184,6 +184,22 @@ def test_hurwitz_reduces_to_riemann():
         )
 
 
+@pytest.mark.parametrize("fn", [specfun.hurwitz_zeta, specfun.hurwitz_zeta_sderiv])
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_hurwitz_refuses_a_outside_the_positive_reals(fn, a):
+    # nan and inf returned nan (or -inf) through the old a <= 0 guard
+    with pytest.raises(ValidationError, match="finite a > 0"):
+        fn(0.5, a)
+
+
+@pytest.mark.parametrize("fn", [specfun.riemann_zeta, specfun.riemann_zeta_prime,
+                                lambda s: specfun.hurwitz_zeta(s, 2.5),
+                                lambda s: specfun.hurwitz_zeta_sderiv(s, 1.0)])
+def test_zeta_refuses_its_pole(fn):
+    with pytest.raises(ValidationError, match="pole at s=1"):
+        fn(1.0)
+
+
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 1.5, 3.0])
 @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 2.0])
 def test_hurwitz_zeta_sderiv(s, a):

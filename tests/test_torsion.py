@@ -178,6 +178,19 @@ def test_degree_continuation_is_read_only():
                 dc.nu_stream.values, dc.nu_stream.mults):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
+    # and so are the streams' attributes (a zero heat_fn on q_stream moved
+    # error_estimate from 5.4e-12 to 12.05; new nu_stream values moved
+    # dc.shifted(0.3))
+    shifted = dc.shifted(0.3)
+    for stream, attr, value in ((dc.q_stream, "heat_fn", lambda t: 0 * t),
+                                (dc.nu_stream, "values", dc.nu_stream.values * 2.0),
+                                (dc.q_stream, "heat_powers", ()),
+                                (dc.nu_stream, "density_exponent", 7.0)):
+        with pytest.raises(AttributeError, match="SpectrumStream is read-only"):
+            setattr(stream, attr, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(stream, attr)
+    assert dc.shifted(0.3) == shifted
     assert log_torsion(tor).error_estimate == log_torsion(torus2(2.0)).error_estimate
 
 
