@@ -52,10 +52,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, is_finite_number, is_number
+from .errors import ReadOnly, ValidationError, is_finite_number, is_number
 from .zetacont import SpectrumStream, _exp_rowsum, merge_ties, shift_heat_powers
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
@@ -88,22 +89,28 @@ def _positive_scale(c) -> float:
 
 @dataclass(frozen=True)
 class DegreeData:
-    """Nonzero coclosed spectrum of one degree, with exact heat data."""
+    """Nonzero coclosed spectrum of one degree, with exact heat data; its
+    arrays are frozen on construction, like every field."""
     values: np.ndarray          # ascending eigenvalues eta > 1
     mults: np.ndarray
     heat_fn: object             # exact trace callable or None
     heat_powers: tuple          # complete through max listed power
     nu_progression: tuple | None  # (step, mult) when sqrt(eta) = step*m exactly
 
+    def __post_init__(self):
+        self.values.flags.writeable = False
+        self.mults.flags.writeable = False
 
-class BaseManifold:
-    """Closed oriented cross-section: Betti numbers + coclosed spectra."""
+
+class BaseManifold(ReadOnly):
+    """Closed oriented cross-section: Betti numbers + coclosed spectra.
+
+    Read-only, its degree map included: cached continuations are keyed by
+    the base's identity, so a write would change what a later solve reads.
+    """
 
     def __init__(self, *, name: str, dim: int, betti, scale: float,
-                 degrees: dict, orientable: bool = True,
-                 boundary_ok: bool = False, truncation_note: str = ""):
-        if not orientable:
-            raise ValidationError("cross-section must be orientable")
+                 degrees: dict, boundary_ok: bool = False, truncation_note: str = ""):
         if dim < 1:
             raise ValidationError("cross-section dimension must be >= 1")
         betti = tuple(int(b) for b in betti)
@@ -125,13 +132,10 @@ class BaseManifold:
                     f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
             if deg.values.size and float(deg.values[0]) <= floor:
                 raise ValidationError(SCALING_MESSAGE)
-        self.name = name
-        self.dim = int(dim)
-        self.betti = betti
-        self.scale = scale
-        self.orientable = True
-        self.truncation_note = truncation_note
-        self._degrees = dict(degrees)
+        for key, value in dict(name=name, dim=int(dim), betti=betti, scale=scale,
+                               orientable=True, truncation_note=truncation_note,
+                               _degrees=MappingProxyType(dict(degrees))).items():
+            object.__setattr__(self, key, value)
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -165,8 +169,7 @@ class BaseManifold:
         return SpectrumStream(
             deg.values + shift2, deg.mults,
             name=f"{self.name}:deg{k}" + (f"+{shift2:g}" if shift2 else ""),
-            heat_fn=heat_fn, heat_powers=shift_heat_powers(deg.heat_powers, shift2),
-            density_exponent=0.5 * self.dim)
+            heat_fn=heat_fn, heat_powers=shift_heat_powers(deg.heat_powers, shift2))
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
@@ -416,6 +419,8 @@ def custom(source) -> BaseManifold:
     orientable = data.get("orientable", True)
     if not isinstance(orientable, bool):
         raise ValidationError(f"orientable must be a JSON boolean, got {orientable!r}")
+    if not orientable:
+        raise ValidationError("cross-section must be orientable")
     degrees: dict[int, DegreeData] = {}
     entries = data["degrees"]
     if not isinstance(entries, list) or not entries:
@@ -439,6 +444,5 @@ def custom(source) -> BaseManifold:
                                 heat_fn=None, heat_powers=powers,
                                 nu_progression=None)
     return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
-                        degrees=degrees, orientable=orientable,
-                        truncation_note=str(data.get("truncation_note", "")))
+                        degrees=degrees, truncation_note=str(data.get("truncation_note", "")))
 

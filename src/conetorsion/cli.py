@@ -1,4 +1,4 @@
-"""Command-line interface, configuration, and serialization.
+"""Command-line interface and serialization.
 
 Subcommands (grammar frozen):
 
@@ -27,7 +27,6 @@ import json as _json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,29 +46,9 @@ from .torsion import (ConeOverS1Config, SpectralParameter,
                       lemma_first_summand_numeric, log_torsion,
                       remainder_asymptote, theorem_main)
 
-__all__ = ["CommandConfig", "main", "run", "run_selftest"]
+__all__ = ["main", "run", "run_selftest"]
 
 TOL_MIN, TOL_MAX, TOL_DEFAULT = 1e-12, 1e-4, 1e-8
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Parsed invocation: subcommand, its flags, output format, tolerance."""
-
-    subcommand: str
-    flags: dict
-    output_format: str = "json"
-    tolerance: float = TOL_DEFAULT
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "table"):
-            raise ValidationError(
-                f"output format must be 'json' or 'table', got {self.output_format!r}")
-        tol = float(self.tolerance)
-        if not (TOL_MIN <= tol <= TOL_MAX):
-            raise ValidationError(
-                f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +81,9 @@ def _emit_json(obj, indent: int, out: list) -> None:
             _emit_json(item, indent + 1, out)
             out.append(",\n" if pos < len(obj) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        out.append(_format_float(obj) if math.isfinite(obj) else _json.dumps(str(obj)))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, Fraction):
-        out.append(_json.dumps(str(obj)))
+    elif (isinstance(obj, (bool, int, np.integer))
+          or isinstance(obj, float) and math.isfinite(obj)):
+        out.append(_scalar_str(obj))
     elif obj is None:
         out.append("null")
     else:
@@ -148,10 +122,6 @@ def render_table(payload) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def _render(payload, fmt: str) -> str:
-    return render_json(payload) if fmt == "json" else render_table(payload)
-
-
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
@@ -178,10 +148,8 @@ def _parse_lattice(text: str) -> list:
     return [[a1x, a1y], [a2x, a2y]]
 
 
-def _build_base(flags: dict) -> BaseManifold:
-    spec = flags["base"]
-    scale = flags.get("scale")
-    lattice = flags.get("lattice")
+def _build_base(args: argparse.Namespace) -> BaseManifold:
+    spec, scale, lattice = args.base, args.scale, args.lattice
     if lattice is not None and spec != "torus2":
         raise ValidationError("--lattice applies only to --base torus2")
     if spec.startswith("custom:"):
@@ -213,8 +181,8 @@ def _check_tolerance(error_estimate: float, tolerance: float) -> None:
             f"requested tolerance {tolerance:g}")
 
 
-def _cmd_torsion_disc(cfg: CommandConfig) -> dict:
-    cone = ConeOverS1Config(radius=cfg.flags["radius"], nu_angle=cfg.flags["nu"])
+def _cmd_torsion_disc(args: argparse.Namespace) -> dict:
+    cone = ConeOverS1Config(radius=args.radius, nu_angle=args.nu)
     return {
         "log_torsion": theorem_main(cone),
         "nu": cone.nu_angle,
@@ -223,10 +191,9 @@ def _cmd_torsion_disc(cfg: CommandConfig) -> dict:
     }
 
 
-def _cmd_torsion_cone(cfg: CommandConfig) -> dict:
-    base = _build_base(cfg.flags)
-    breakdown = log_torsion(base)
-    _check_tolerance(breakdown.error_estimate, cfg.tolerance)
+def _cmd_torsion_cone(args: argparse.Namespace) -> dict:
+    breakdown = log_torsion(_build_base(args))
+    _check_tolerance(breakdown.error_estimate, args.tolerance)
     return {
         "log_torsion": breakdown.log_torsion,
         "harmonic_term": breakdown.harmonic_term,
@@ -240,14 +207,13 @@ def _cmd_torsion_cone(cfg: CommandConfig) -> dict:
     }
 
 
-def _cmd_zeros(cfg: CommandConfig) -> dict:
+def _cmd_zeros(args: argparse.Namespace) -> dict:
     kind_map = {"j": "dirichlet", "jprime": "neumann", "mixed": "mixed"}
-    kind = kind_map[cfg.flags["kind"]]
-    request = ZeroRequest(nu=cfg.flags["nu"], kind=kind, count=cfg.flags["count"],
-                          alpha=cfg.flags.get("alpha"))
+    kind = kind_map[args.kind]
+    request = ZeroRequest(nu=args.nu, kind=kind, count=args.count, alpha=args.alpha)
     zl = zeros(request)
     payload = {
-        "kind": cfg.flags["kind"],
+        "kind": args.kind,
         "nu": request.nu,
         "count": request.count,
         "zeros": [float(z) for z in zl.zeros],
@@ -288,14 +254,12 @@ def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
     return payload
 
 
-def _cmd_zeta(cfg: CommandConfig) -> dict:
-    base = _build_base(cfg.flags)
-    return _zeta_payload(base, cfg.flags["degree"], cfg.flags.get("shift"),
-                         cfg.tolerance)
+def _cmd_zeta(args: argparse.Namespace) -> dict:
+    return _zeta_payload(_build_base(args), args.degree, args.shift, args.tolerance)
 
 
-def _cmd_olver(cfg: CommandConfig) -> dict:
-    order = cfg.flags["order"]
+def _cmd_olver(args: argparse.Namespace) -> dict:
+    order = args.order
     d_poly = gen_D(order)
     m_poly = gen_M(order)
     return {
@@ -310,8 +274,8 @@ def _cmd_olver(cfg: CommandConfig) -> dict:
     }
 
 
-def _cmd_modeldet(cfg: CommandConfig) -> dict:
-    op = ModelOperator(nu=cfg.flags["nu"], alpha=cfg.flags["alpha"])
+def _cmd_modeldet(args: argparse.Namespace) -> dict:
+    op = ModelOperator(nu=args.nu, alpha=args.alpha)
     closed = det_closed(op)
     payload = {
         "nu": op.nu,
@@ -319,8 +283,8 @@ def _cmd_modeldet(cfg: CommandConfig) -> dict:
         "log_det": closed.log_det,
         "source": closed.source,
     }
-    if cfg.flags.get("numeric"):
-        numeric = det_numeric(op, tol=max(cfg.tolerance, 1e-8))
+    if args.numeric:
+        numeric = det_numeric(op, tol=max(args.tolerance, 1e-8))
         payload["log_det_numeric"] = numeric.log_det
         payload["error_estimate"] = numeric.error_estimate
         payload["difference"] = numeric.log_det - closed.log_det
@@ -502,11 +466,11 @@ def run_selftest(tol: float = TOL_DEFAULT):
     return results, all_passed
 
 
-def _cmd_selftest(cfg: CommandConfig) -> tuple[str, int]:
-    results, all_passed = run_selftest(cfg.tolerance)
-    if cfg.output_format == "json":
+def _cmd_selftest(args: argparse.Namespace) -> tuple[str, int]:
+    results, all_passed = run_selftest(args.tolerance)
+    if args.format == "json":
         payload = {
-            "tolerance": cfg.tolerance,
+            "tolerance": args.tolerance,
             "passed": all_passed,
             "checks": [{key: row[key] for key in ("check", "passed", "detail",
                                                   "budget_seconds")}
@@ -515,7 +479,7 @@ def _cmd_selftest(cfg: CommandConfig) -> tuple[str, int]:
         text = render_json(payload)
     else:
         width = max(len(row["check"]) for row in results)
-        lines = [f"self-test at tolerance {cfg.tolerance:g}"]
+        lines = [f"self-test at tolerance {args.tolerance:g}"]
         for row in results:
             status = "pass" if row["passed"] else "FAIL"
             lines.append(f"{row['check']:<{width}}  {status}  "
@@ -554,9 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_torsion = sub.add_parser("torsion", help="log-torsion of a cone")
     shape = p_torsion.add_subparsers(dest="shape", required=True)
     shape.add_parser("cone", parents=[common, base_flags],
-                     help="cone over a cross-section, assembled per degree")
+                     help="cone over a cross-section, assembled per degree"
+                     ).set_defaults(handler=_cmd_torsion_cone)
     p_disc = shape.add_parser("disc", parents=[common],
                               help="cone over a circle (closed form)")
+    p_disc.set_defaults(handler=_cmd_torsion_disc)
     p_disc.add_argument("--nu", type=float, required=True,
                         help="angle parameter nu >= 1 (1 = flat disc)")
     p_disc.add_argument("--radius", type=float, required=True,
@@ -564,6 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zeros = sub.add_parser("zeros", parents=[common],
                              help="positive Bessel-type zeros")
+    p_zeros.set_defaults(handler=_cmd_zeros)
     p_zeros.add_argument("--kind", choices=("j", "jprime", "mixed"),
                          required=True,
                          help="J zeros, J' zeros, or alpha*J + z*J' zeros")
@@ -575,6 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", parents=[common, base_flags],
                             help="continuation data of a degree's frequency set")
+    p_zeta.set_defaults(handler=_cmd_zeta)
     p_zeta.add_argument("--degree", type=int, required=True,
                         help="form degree k on the cross-section")
     p_zeta.add_argument("--shift", type=float, default=None,
@@ -582,11 +550,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_olver = sub.add_parser("olver", parents=[common],
                              help="exact large-order expansion polynomials")
+    p_olver.set_defaults(handler=_cmd_olver)
     p_olver.add_argument("--order", type=int, required=True,
                          help=f"expansion order r in 1..{MAX_ORDER}")
 
     p_det = sub.add_parser("modeldet", parents=[common],
                            help="zeta determinant of a radial model operator")
+    p_det.set_defaults(handler=_cmd_modeldet)
     p_det.add_argument("--nu", type=float, required=True, help="order nu >= 0")
     p_det.add_argument("--alpha", type=_parse_alpha, required=True,
                        help="boundary parameter, a real number or 'inf'")
@@ -602,31 +572,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "torsion cone": _cmd_torsion_cone,
-    "torsion disc": _cmd_torsion_disc,
-    "zeros": _cmd_zeros,
-    "zeta": _cmd_zeta,
-    "olver": _cmd_olver,
-    "modeldet": _cmd_modeldet,
-}
-
-
 def run(argv=None) -> tuple[str, int]:
     """Parse argv, execute, and return (output text, exit code)."""
     args = _build_parser().parse_args(argv)
-    flags = dict(vars(args))
-    command = flags.pop("command")
-    if command == "torsion":
-        command = f"torsion {flags.pop('shape')}"
-    fmt = flags.pop("format")
-    tolerance = flags.pop("tolerance")
-    cfg = CommandConfig(subcommand=command, flags=flags, output_format=fmt,
-                        tolerance=tolerance)
-    if command == "selftest":
-        return _cmd_selftest(cfg)
-    payload = _HANDLERS[command](cfg)
-    return _render(payload, cfg.output_format), 0
+    if not TOL_MIN <= args.tolerance <= TOL_MAX:
+        raise ValidationError(
+            f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {args.tolerance!r}")
+    if args.command == "selftest":      # renders its own text and exit code
+        return _cmd_selftest(args)
+    payload = args.handler(args)
+    return (render_json(payload) if args.format == "json"
+            else render_table(payload)), 0
 
 
 def main(argv=None) -> int:

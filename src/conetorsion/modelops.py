@@ -131,8 +131,7 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     zl = spectrum(op, count)
     # leading small-t heat power of sum exp(-z_k^2 t): zeros spaced ~pi
     stream = SpectrumStream(zl.eigenvalues(), name=f"spec({op.label})",
-                            heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),),
-                            density_exponent=0.5)
+                            heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),))
     data = zeta_data_numeric(stream, pole_range=0, target_tol=tol)
     return DeterminantValue(log_det=-data.deriv0, source="numeric",
                             error_estimate=data.error_estimate)

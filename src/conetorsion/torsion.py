@@ -164,11 +164,15 @@ def _alpha_k(k: int, n: int) -> Fraction:
     return Fraction(n - 1, 2) - k
 
 
-def _check_degree(k: int, n: int, top: int) -> None:
-    if not (isinstance(k, int) and 0 <= k <= top):
+def _check_degree(k, n: int, top: int) -> int:
+    """The degree k as an int, refused unless a Python or numpy integer (not
+    a bool) in 0..top."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and 0 <= k <= top):
         raise ValidationError(
-            f"degree must be an integer in 0..{top} for an {n}-dimensional "
-            f"cross-section, got {k!r}")
+            f"degree must be an integer in 0..{top} for a cross-section of "
+            f"dimension {n}, got {k!r}")
+    return int(k)
 
 
 def _cone_length(radius) -> float:
@@ -227,7 +231,7 @@ def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
 
 def t_nu_k(nu: float, k: int, n: int, sp: SpectralParameter) -> float:
     """Degree-k per-frequency integrand on an n-dimensional cross-section."""
-    _check_degree(k, n, n - 1)
+    k = _check_degree(k, n, n - 1)
     return frequency_log_term(nu, float(_alpha_k(k, n)), sp, _parity(n))
 
 
@@ -240,7 +244,7 @@ def f_r(r: int, k: int, n: int, sp: SpectralParameter) -> float:
     """
     if not (isinstance(r, int) and r >= 1):
         raise ValidationError(f"expansion order must be a positive integer, got {r!r}")
-    _check_degree(k, n, n - 1)
+    k = _check_degree(k, n, n - 1)
     parity = _parity(n)
     coeffs, power = parity_bracket(r, _alpha_k(k, n), parity)
     poly = [0] * (3 * r + 1)            # c_{r,b} at the power t^(r+2b)
@@ -366,7 +370,7 @@ class DegreeContinuation:
         since only the torsion error budget reads it."""
         if self._q_engine is None:
             return 0.0
-        lift = sqrt_stream(self.q_stream, self._q_engine, name=self.nu_stream.name)
+        lift = sqrt_stream(self.q_stream, self._q_engine)
         lift_engine = MellinZeta(lift, s_max=1.0)
         check = abs(lift_engine.deriv0() - self.data.deriv0)
         a = float(self.alpha)
@@ -390,8 +394,7 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     (cross-checked by ``check_residual``).  Requires 0 <= k <= n-1.
     """
     n = base.dim
-    if not 0 <= k <= n - 1:
-        raise ValidationError(f"frequency sets exist for degrees 0..{n - 1}, got {k}")
+    k = _check_degree(k, n, n - 1)
     alpha = _alpha_k(k, n)
     a = float(alpha)
     deg = base._degree(k)
@@ -402,8 +405,7 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 
     q_stream = base.coclosed_spectrum(k, shift2=a * a)
     nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults,
-                               name=f"{base.name}:nu{k}",
-                               density_exponent=2.0 * q_stream.density_exponent)
+                               name=f"{base.name}:nu{k}")
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
@@ -453,8 +455,7 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
 def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     """(zeta_k_prime0, error estimate) for one contributing degree."""
     n = base.dim
-    _check_degree(k, n, (n - 1) // 2)
-    dc = degree_continuation(base, k)
+    dc = degree_continuation(base, _check_degree(k, n, (n - 1) // 2))
     value, sensitivity = spectral_bracket(dc.data, dc.alpha, n)
     a = float(dc.alpha)
     err = (dc.shift_errors[a] + dc.shift_errors[-a]
@@ -576,10 +577,15 @@ def lemma_first_summand_numeric(radius: float = 1.0,
     """
     radius = _cone_length(radius)
     zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=int(count)))
-    stream = SpectrumStream((zl.zeros / radius) ** 2,
+    with np.errstate(over="ignore", under="ignore"):
+        values = (zl.zeros / radius) ** 2
+    if not sys.float_info.min <= values[0] <= values[-1] < math.inf:
+        raise ValidationError(
+            f"cone length {radius!r} puts the squared scaled zeros (j_k / R)^2 "
+            f"outside the normal float range")
+    stream = SpectrumStream(values,
                             name=f"j1-zeros(R={radius:g})",
                             heat_powers=((-0.5, radius / (2.0 * math.sqrt(math.pi))),
-                                         (0.0, -0.75)),
-                            density_exponent=0.5)
+                                         (0.0, -0.75)))
     data = zeta_data_numeric(stream, pole_range=0)
     return data.deriv0, data.error_estimate

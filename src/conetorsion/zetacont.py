@@ -177,13 +177,15 @@ class SpectrumStream(ReadOnly):
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
     eigenvalue sum); it takes a 1-D array of t and returns an array of the
     same shape, evaluated in one array pass; heat_powers: exact leading
-    small-t powers [(p, c), ...]; density_exponent d: counting function
-    N(x) ~ C x^d, used for tail estimates.  Streams are shared by cached
-    results, so they are read-only, their arrays included.
+    small-t powers [(p, c), ...].  The counting exponent d of N(x) ~ C x^d,
+    which the relation path's tail bound needs, is the rightmost pole of
+    the continuation data, where ``shifted_from_base`` reads it.  Streams
+    are shared by cached results, so they are read-only, their arrays
+    included.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
-                 heat_fn=None, heat_powers=(), density_exponent=None):
+                 heat_fn=None, heat_powers=()):
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if mults is None:
             mults = np.ones_like(values)
@@ -202,7 +204,6 @@ class SpectrumStream(ReadOnly):
         object.__setattr__(self, "heat_fn", heat_fn)
         object.__setattr__(self, "heat_powers",
                            tuple((float(p), float(c)) for p, c in heat_powers))
-        object.__setattr__(self, "density_exponent", density_exponent)
 
     @property
     def min_value(self) -> float:
@@ -246,8 +247,7 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
               (3.0, -m * c ** 3 / 720.0), (5.0, m * c ** 5 / 30240.0),
               (7.0, -m * c ** 7 / 1209600.0))
     return SpectrumStream(c * k, m * np.ones_like(k), name=f"progression({c},{m})",
-                          heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers,
-                          density_exponent=1.0)
+                          heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers)
 
 
 @dataclass(frozen=True)
@@ -571,8 +571,11 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 
     with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
-    Returns (value, error_estimate); the estimate covers the stream tail
-    beyond its truncation radius (via density_exponent) and the series tail.
+    Returns (value, error_estimate); the estimate covers the series tail
+    and the stream tail beyond its truncation radius.  The tail term takes
+    the counting exponent d of N(x) ~ C x^d as the rightmost pole of the
+    data, the largest i with Res(i) != 0 (the Weyl exponent), and is 0 when
+    the data has no pole.
     """
     a = float(alpha)
     if a == 0.0:
@@ -607,8 +610,8 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     wmin = abs(a) / stream.min_value
     series_rem = float(np.sum(stream.mults[:8]) * wmin ** (RMAX + 61) / (1.0 - wmin))
     tail_est = 0.0
-    if stream.density_exponent is not None:
-        d = stream.density_exponent
+    d = max((i for i, res in base.residues.items() if res != 0.0), default=None)
+    if d is not None:
         V = stream.max_value
         cdens = stream.total_count() / V ** d
         if RMAX + 1 > d:
@@ -617,8 +620,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     return value, base.error_estimate + series_rem + tail_est
 
 
-def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
-                name: str = "") -> SpectrumStream:
+def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStream:
     """Square-root lift: eigenvalues sqrt(x_j) of a stream with values x_j.
 
     The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is evaluated through
@@ -667,8 +669,5 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta, *,
                 out[i] = ti / (2.0 * math.sqrt(math.pi)) * integ
         return out
 
-    d = None if q_stream.density_exponent is None else 2.0 * q_stream.density_exponent
-    return SpectrumStream(nu_vals, q_stream.mults,
-                          name=name or f"sqrt({q_stream.name})",
-                          heat_fn=lifted_trace, heat_powers=powers,
-                          density_exponent=d)
+    return SpectrumStream(nu_vals, q_stream.mults, name=f"sqrt({q_stream.name})",
+                          heat_fn=lifted_trace, heat_powers=powers)

@@ -10,7 +10,7 @@ import pytest
 
 from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
-from conetorsion.torsion import degree_continuation
+from conetorsion.torsion import degree_continuation, log_torsion
 from conetorsion.zetacont import MellinZeta, sqrt_stream, zeta_data_exact
 
 import oracles
@@ -208,9 +208,6 @@ def test_base_manifold_validation():
         bm.BaseManifold(name="bad", dim=2, betti=(1, 2, 3), scale=2.0,
                         degrees={})  # Poincare duality
     with pytest.raises(ValidationError):
-        bm.BaseManifold(name="bad", dim=1, betti=(1, 1), scale=2.0,
-                        degrees={}, orientable=False)
-    with pytest.raises(ValidationError):
         bm.BaseManifold(name="bad", dim=0, betti=(1,), scale=2.0, degrees={})
     with pytest.raises(ValidationError):
         bm.BaseManifold(name="bad", dim=1, betti=(1, 1), scale=-2.0, degrees={})
@@ -225,6 +222,31 @@ def test_base_manifold_uses_identity_semantics():
     assert a is not b
     assert a != b
     assert len({a, b}) == 2
+
+
+def test_base_manifold_is_read_only():
+    # cached continuations are keyed by the base, so no write may reach a
+    # later solve (b.dim = 4 moved log_torsion(torus2(2)) from 0.6453 to
+    # -0.8047, and b.betti = (1, 0, 1) moved the harmonic term)
+    tor = bm.torus2(2.0)
+    before = log_torsion(tor)
+    for attr, value in (("dim", 4), ("betti", (1, 0, 1)), ("scale", 1.0),
+                        ("name", "other"), ("orientable", False), ("_degrees", {})):
+        with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
+            setattr(tor, attr, value)
+        with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
+            delattr(tor, attr)
+    with pytest.raises(TypeError):
+        tor._degrees[0] = None
+    listing = bm.custom(bm.circle(2.0).as_custom_mapping())
+    for base in (tor, listing):
+        deg = base._degree(0)
+        for arr in (deg.values, deg.mults):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+    after = log_torsion(tor)
+    assert (after.log_torsion, after.harmonic_term, after.error_estimate) == (
+        before.log_torsion, before.harmonic_term, before.error_estimate)
 
 
 def test_coclosed_spectrum_shift():
@@ -514,12 +536,13 @@ def test_scaling_error_names_the_hypothesis():
 def test_nu_set_degree_bounds():
     circ = bm.circle(2.0)
     for bad in (-1, 1):
-        with pytest.raises(ValidationError,
-                           match=f"^frequency sets exist for degrees 0..0, got {bad}$"):
+        with pytest.raises(ValidationError, match="^degree must be an integer in 0..0 "
+                           f"for a cross-section of dimension 1, got {bad}$"):
             degree_continuation(circ, bad)
     tor = bm.torus2(2.0)
     assert degree_continuation(tor, 1).alpha == -0.5   # degree n-1 allowed in dim 2
-    with pytest.raises(ValidationError, match="^frequency sets exist for degrees 0..1, got 2$"):
+    with pytest.raises(ValidationError, match="^degree must be an integer in 0..1 "
+                       "for a cross-section of dimension 2, got 2$"):
         degree_continuation(tor, 2)
 
 

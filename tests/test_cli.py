@@ -1,5 +1,6 @@
 """Command-line surface: payloads, determinism, exit codes, custom bases."""
 
+import hashlib
 import json
 import math
 import os
@@ -206,8 +207,7 @@ def _reference_zeta_payload(base, k, shift):
             shift_value, shift_error = data.deriv0_shifted[float(shift)], 0.0
     else:
         q_stream = base.coclosed_spectrum(k, shift2=a * a)
-        nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults,
-                                   density_exponent=2.0 * q_stream.density_exponent)
+        nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults)
         data, _engine = nu_continuation_data(q_stream)
         source = "numeric"
         if shift is not None:
@@ -316,6 +316,20 @@ def test_json_output_is_byte_deterministic():
     assert c == d
 
 
+ONESHOT = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                      / "reference.json").read_text(encoding="utf-8"))["cli_oneshot"]
+
+
+@pytest.mark.parametrize("entry", ONESHOT, ids=[e["id"] for e in ONESHOT])
+def test_default_output_bytes_match_the_benchmark_reference(entry):
+    # the benchmark's cli_oneshot workload checks the console bytes of these
+    # commands against recorded digests; this pins them in the tests too
+    text, code = cli.run(entry["argv"])
+    out = (text + "\n").encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+        0, entry["ref"]["bytes"], entry["ref"]["sha256"])
+
+
 def test_json_floats_round_trip():
     text, code = cli.run(["torsion", "disc", "--nu", "3", "--radius", "2"])
     assert code == 0
@@ -361,13 +375,21 @@ def test_tight_tolerance_on_numeric_route_exits_3():
                       "--tolerance", "1e-12"]) == 3
 
 
-def test_command_config_validation():
-    with pytest.raises(ValidationError):
-        cli.CommandConfig(subcommand="zeta", flags={}, tolerance=1e-13)
-    with pytest.raises(ValidationError):
-        cli.CommandConfig(subcommand="zeta", flags={}, output_format="yaml")
-    cfg = cli.CommandConfig(subcommand="zeta", flags={})
-    assert cfg.tolerance == 1e-8
+def test_format_choices_and_default_tolerance():
+    # argparse's choices refuse an unknown format with the usage exit code
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["zeta", "--base", "s1", "--scale", "2", "--degree", "0",
+                 "--format", "yaml"])
+    assert exc.value.code == 2
+    with pytest.raises(ValidationError,
+                       match=r"^tolerance must lie in \[1e-12, 0.0001\], got 1e-13$"):
+        cli.run(["zeta", "--base", "s1", "--scale", "2", "--degree", "0",
+                 "--tolerance", "1e-13"])
+    parser = cli._build_parser()
+    for argv in (["torsion", "disc", "--nu", "1", "--radius", "1"],
+                 ["zeta", "--base", "s1", "--scale", "2", "--degree", "0"],
+                 ["selftest"]):
+        assert parser.parse_args(argv).tolerance == 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ large-order remainder analysis, and the degree/parity bookkeeping."""
 
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 
 from conetorsion import zetacont
@@ -307,6 +309,27 @@ def test_precondition_validation(fn):
         fn()
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(0.0), "0", None])
+def test_degree_must_be_an_integer(bad):
+    # True and 1.0 ran as degree 1 (alpha = -1/2) and "0" leaked a TypeError
+    tor, sp = torus2(2.0), SpectralParameter(-3.0)
+    for call in (lambda: degree_continuation(tor, bad),
+                 lambda: zeta_k_prime0(tor, bad),
+                 lambda: t_nu_k(3.0, bad, 2, sp),
+                 lambda: f_r(1, bad, 2, sp)):
+        with pytest.raises(ValidationError, match=f"^degree must be an integer in "
+                           f"0..[01] for a cross-section of dimension 2, got {re.escape(repr(bad))}$"):
+            call()
+
+
+def test_numpy_integer_degrees_are_degrees():
+    tor, sp = torus2(2.0), SpectralParameter(-3.0)
+    assert degree_continuation(tor, np.int64(0)) is degree_continuation(tor, 0)
+    assert zeta_k_prime0(tor, np.int64(0)) == zeta_k_prime0(tor, 0)
+    assert t_nu_k(3.0, np.int64(1), 2, sp) == t_nu_k(3.0, 1, 2, sp)
+    assert f_r(2, np.int64(1), 2, sp) == f_r(2, 1, 2, sp)
+
+
 @pytest.mark.parametrize("radius", [1e200, 1e154, 1e-160, 1e-320, 5e-324])
 def test_cone_length_keeps_the_disc_area_a_normal_float(radius):
     # pi R^2 overflowed to inf (log_torsion -inf) or underflowed to 0 or a
@@ -315,6 +338,16 @@ def test_cone_length_keeps_the_disc_area_a_normal_float(radius):
         ConeOverS1Config(radius=radius)
     for ok in (1e-150, 1e150, 1.297):
         assert math.isfinite(theorem_main(ConeOverS1Config(radius=ok)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [1e-320, 1e-160, 1e200])
+def test_numeric_first_summand_refuses_zeros_outside_the_float_range(radius):
+    # (j_k / R)^2 overflowed (a bare math domain error after overflow
+    # warnings) or underflowed to 0 ("values must be positive")
+    with pytest.raises(ValidationError, match=f"^cone length {re.escape(repr(radius))} puts the "
+                       r"squared scaled zeros \(j_k / R\)\^2 outside"):
+        lemma_first_summand_numeric(radius, 700)
 
 
 def test_spectral_parameter_derived_quantities():

@@ -206,8 +206,7 @@ def test_numeric_fit_path_matches_exact_with_full_heat_data():
     # to pick up the t^3 correction and the continuation is essentially exact.
     ex = zeta_data_exact(2.0, 3, alphas=(0.7,), pole_range=2)
     st = SpectrumStream(2.0 * np.arange(1, 30001), 3 * np.ones(30000),
-                        heat_powers=((-1.0, 1.5), (0.0, -1.5), (1.0, 0.5)),
-                        density_exponent=1.0)
+                        heat_powers=((-1.0, 1.5), (0.0, -1.5), (1.0, 0.5)))
     nu = zeta_data_numeric(st, alphas=(0.7,), pole_range=2)
     assert nu.error_estimate < 1e-7
     cap = nu.error_estimate + 1e-12
@@ -224,7 +223,7 @@ def test_numeric_fit_path_estimate_covers_sparse_heat_data():
     # large while the returned values land close to the exact data anyway.
     ex = zeta_data_exact(2.0, 3, alphas=(0.7,), pole_range=2)
     st = SpectrumStream(2.0 * np.arange(1, 30001), 3 * np.ones(30000),
-                        heat_powers=((-1.0, 1.5),), density_exponent=1.0)
+                        heat_powers=((-1.0, 1.5),))
     nu = zeta_data_numeric(st, alphas=(0.7,), pole_range=2)
     d0 = abs(nu.deriv0 - ex.deriv0)
     assert d0 < 1e-3
@@ -239,8 +238,7 @@ def test_square_bessel_zero_spectrum_log_determinant():
     # {(k pi)^2}: zeta'(0) = -log 2 (the determinant of -d^2/dx^2 on [0,1])
     k = np.arange(1, 2001, dtype=float)
     st = SpectrumStream((np.pi * k) ** 2,
-                        heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),),
-                        density_exponent=0.5)
+                        heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),))
     data = zeta_data_numeric(st, pole_range=1)
     assert data.error_estimate < 1e-6
     assert -data.deriv0 == pytest.approx(math.log(2.0),
@@ -312,8 +310,7 @@ def test_sqrt_lift_reproduces_linear_spectrum():
     kq = np.arange(1, 201, dtype=float)
     qst = SpectrumStream(kq ** 2, heat_fn=_q_trace,
                          heat_powers=((-0.5, math.sqrt(math.pi) / 2.0), (0.0, -0.5),
-                                      (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)),
-                         density_exponent=0.5)
+                                      (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)))
     qeng = MellinZeta(qst, s_max=1.0)
     lift = sqrt_stream(qst, qeng)
 
@@ -341,16 +338,14 @@ def test_sqrt_lift_reproduces_linear_spectrum():
 
 def test_engine_rejects_spectrum_with_no_window():
     # 50 eigenvalues up to 50: trace floor 45/50 = 0.9 >= 0.05
-    st = SpectrumStream(np.arange(1.0, 51.0), heat_powers=((-1.0, 1.0),),
-                        density_exponent=1.0)
+    st = SpectrumStream(np.arange(1.0, 51.0), heat_powers=((-1.0, 1.0),))
     with pytest.raises(ConvergenceError, match="insufficient spectrum"):
         MellinZeta(st)
 
 
 def test_engine_rejects_spectrum_with_short_window():
     # floor 45/4096 ~ 0.011 < 0.05 but the window [floor, 0.05] spans < 50x
-    st = SpectrumStream(np.arange(1.0, 4097.0), heat_powers=((-1.0, 1.0),),
-                        density_exponent=1.0)
+    st = SpectrumStream(np.arange(1.0, 4097.0), heat_powers=((-1.0, 1.0),))
     with pytest.raises(ConvergenceError, match="no usable fitting window"):
         MellinZeta(st)
 
@@ -381,6 +376,6 @@ def test_inconsistent_supplied_heat_coefficient_is_rejected():
     # claim the wrong leading Weyl coefficient; the free refit must catch it
     # (60000 values so the fitting window clears the trace floor first)
     k = np.arange(1, 60001, dtype=float)
-    st = SpectrumStream(k, heat_powers=((-1.0, 2.0),), density_exponent=1.0)
+    st = SpectrumStream(k, heat_powers=((-1.0, 2.0),))
     with pytest.raises(ValidationError, match="inconsistent heat data"):
         MellinZeta(st)
