@@ -81,10 +81,9 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
 
 
 def _positive_scale(c) -> float:
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
+    if not (is_finite_number(c) and c > 0.0):
         raise ValidationError(f"scale must be a positive real, got {c!r}")
-    return c
+    return float(c)
 
 
 @dataclass(frozen=True)
@@ -270,6 +269,8 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     top degree has no nonzero spectrum.
     """
     c = _positive_scale(c)
+    if not (is_finite_number(nu_max) and nu_max > 0.0):
+        raise ValidationError(f"nu_max must be a positive finite number, got {nu_max!r}")
     basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE,
                        dtype=float)
     if basis.shape != (2, 2):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, is_finite_number, is_number
+from .errors import ConvergenceError, ValidationError, is_finite_number, is_integer, is_number
 
 KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -51,9 +51,9 @@ class ZeroRequest:
             raise ValidationError(f"order must be finite and >= 0, got nu={self.nu}")
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (isinstance(self.count, int) and not isinstance(self.count, bool)
-                and self.count >= 1):
+        if not (is_integer(self.count) and self.count >= 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
         if self.kind == "mixed":
             a = self.alpha
             if a is None:

@@ -27,24 +27,17 @@ import json as _json
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from .basemanifold import BaseManifold, circle, custom, torus2
 from .besselzero import ZeroRequest, zeros
 from .errors import ConvergenceError, ValidationError
-from .exactpoly import (MAX_ORDER, dm_identity_residual, gen_D, gen_M,
-                        xzsum_identity_residual, zsum_identity_residual)
-from .modelops import (ModelOperator, det_closed, det_numeric,
-                       harmonic_contribution)
-from .specfun import LOG_2
-from .torsion import (ConeOverS1Config, SpectralParameter,
-                      asymptotic_remainder, corollary_3d,
-                      corollary_3d_precancellation, degree_continuation,
-                      fit_remainder, lemma_first_summand,
-                      lemma_first_summand_numeric, log_torsion,
-                      remainder_asymptote, theorem_main)
+from .exactpoly import MAX_ORDER, gen_D, gen_M
+from .modelops import ModelOperator, det_closed, det_numeric
+from .selftest import ACCEPTANCE_CHECKS
+from .torsion import (ConeOverS1Config, degree_continuation, log_torsion,
+                      theorem_main)
 
 __all__ = ["main", "run", "run_selftest"]
 
@@ -53,10 +46,6 @@ TOL_MIN, TOL_MAX, TOL_DEFAULT = 1e-12, 1e-4, 1e-8
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
-
-def _format_float(x: float) -> str:
-    return format(x, ".17g")
-
 
 def _emit_json(obj, indent: int, out: list) -> None:
     pad = "  " * indent
@@ -100,7 +89,7 @@ def _scalar_str(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _format_float(value) if math.isfinite(value) else str(value)
+        return format(value, ".17g") if math.isfinite(value) else str(value)
     return str(value)
 
 
@@ -293,151 +282,7 @@ def _cmd_modeldet(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# self-test registry (shared with the acceptance test suite)
-
-def _chk_disc_value(tol: float):
-    value = theorem_main(ConeOverS1Config(radius=1.0, nu_angle=1.0))
-    reference = 0.5 * (-math.log(math.pi) - 1.0)
-    diff = value - reference
-    return abs(diff) <= 1e-12, f"log_torsion={_format_float(value)} diff={diff:.1e}"
-
-
-def _chk_angle_formula(tol: float):
-    ok = True
-    for radius, nu in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-        value = theorem_main(ConeOverS1Config(radius=radius, nu_angle=nu))
-        transcription = 0.5 * (-math.log(math.pi * radius * radius)
-                               + math.log(nu) - 1.0 / nu)
-        ok = ok and value == transcription
-    return ok, "three (R, nu) pairs reproduce the closed form exactly"
-
-
-def _chk_cone_vs_disc(tol: float):
-    worst = 0.0
-    for c in (1.5, 2.0, 3.0):
-        breakdown = log_torsion(circle(c))
-        closed = theorem_main(ConeOverS1Config(radius=1.0, nu_angle=c))
-        worst = max(worst, abs(breakdown.log_torsion - closed))
-    return worst <= 1e-10, f"worst |assembly - closed form| = {worst:.2e}"
-
-
-def _chk_model_determinant(tol: float):
-    # 600 eigenvalues leave error estimates up to 1.82e-5 on this grid
-    count = 2000 if tol < 2e-5 else 600
-    eff_half = max(1e-8, tol)
-    eff_grid = max(1e-7, tol)
-    half = det_numeric(ModelOperator(0.5, math.inf), tol=eff_half, count=count)
-    half_diff = abs(half.log_det - LOG_2)
-    worst = 0.0
-    for nu in (1.5, 2.5, 4.0):
-        for alpha in (math.inf, 0.0, 1.0, -1.0):
-            op = ModelOperator(nu, alpha)
-            numeric = det_numeric(op, tol=eff_grid, count=count)
-            worst = max(worst, abs(numeric.log_det - det_closed(op).log_det))
-    ok = half_diff <= eff_half and worst <= eff_grid
-    return ok, (f"half-order diff={half_diff:.2e}, grid worst={worst:.2e} "
-                f"({count} eigenvalues)")
-
-
-def _chk_first_sector_sum(tol: float):
-    count = 2000 if tol < 1e-5 else 700
-    eff = max(1e-6, tol)
-    value, err = lemma_first_summand_numeric(1.0, count)
-    diff = abs(value - lemma_first_summand(1.0))
-    return diff <= eff, f"diff={diff:.2e} error_estimate={err:.2e} ({count} zeros)"
-
-
-def _chk_expansion_polynomials(tol: float):
-    half = Fraction(1, 2)
-    d1 = gen_D(1)
-    ok = [(p, c) for p, c in d1.terms()] == [(1, Fraction(1, 8)),
-                                             (3, Fraction(-5, 24))]
-    m1 = gen_M(1)
-    ok = ok and m1.t_powers() == [1, 3]
-    ok = ok and m1.t_coefficient(1).coeffs == (Fraction(-3, 8), Fraction(1))
-    ok = ok and m1.t_coefficient(3).coeffs == (Fraction(7, 24),)
-    m2 = gen_M(2)
-    ok = ok and m2.t_powers() == [2, 4, 6]
-    ok = ok and m2.t_coefficient(2).coeffs == (Fraction(-3, 16), half, -half)
-    ok = ok and m2.t_coefficient(4).coeffs == (Fraction(5, 8), -half)
-    ok = ok and m2.t_coefficient(6).coeffs == (Fraction(-7, 16),)
-    for r in range(1, 11):
-        for alpha in (Fraction(0), half, -half, Fraction(1), Fraction(2)):
-            ok = ok and dm_identity_residual(r, alpha) == 0
-            ok = ok and zsum_identity_residual(r, alpha) == 0
-            ok = ok and xzsum_identity_residual(r, alpha) == 0
-    return bool(ok), "printed polynomials and all three identities, orders 1..10"
-
-
-def _chk_zero_shift_identity(tol: float):
-    worst = 0.0
-    for nu in (1.2, 2.0, 3.7):
-        plain = zeros(ZeroRequest(nu=nu, kind="dirichlet", count=15)).zeros
-        shifted = zeros(ZeroRequest(nu=nu + 1.0, kind="mixed", count=15,
-                                    alpha=nu + 1.0)).zeros
-        worst = max(worst, float(np.max(np.abs(plain - shifted))))
-    return worst <= 1e-10, f"worst zero mismatch = {worst:.2e}"
-
-
-def _chk_remainder_asymptotics(tol: float):
-    collapse = SpectralParameter(-1e-8)
-    worst_collapse = worst_fit = 0.0
-    for nu in (2.0, 5.0, 10.0):
-        for k, n in ((0, 2), (0, 3)):       # odd / even total dimension
-            worst_collapse = max(worst_collapse,
-                                 abs(asymptotic_remainder(nu, k, n, collapse)))
-            slope_p, intercept_p = remainder_asymptote(nu, k, n)
-            slope_f, intercept_f = fit_remainder(nu, k, n)
-            worst_fit = max(worst_fit, abs(slope_f - slope_p),
-                            abs(intercept_f - intercept_p))
-    ok = worst_collapse <= 1e-6 and worst_fit <= 1e-3
-    return ok, (f"collapse worst={worst_collapse:.2e}, "
-                f"fit worst={worst_fit:.2e}")
-
-
-def _chk_three_dim_dual_path(tol: float):
-    eff = max(1e-8, tol)
-    nu_max = 64.0 if tol < 1e-5 else 44.0
-    base = torus2(2.0, nu_max=nu_max)
-    breakdown = log_torsion(base)
-    reduced = corollary_3d(base)
-    pre = corollary_3d_precancellation(base)
-    diff = abs(breakdown.log_torsion - reduced)
-    ok = (diff <= eff and breakdown.error_estimate <= eff
-          and abs(pre - reduced) <= 1e-12)
-    return ok, (f"|assembly - reduced form|={diff:.2e}, "
-                f"error_estimate={breakdown.error_estimate:.2e}")
-
-
-def _chk_harmonic_sector(tol: float):
-    h_circle = harmonic_contribution(circle(2.0))
-    h_torus = harmonic_contribution(torus2(2.0))
-    ok = h_circle == 0.5 * LOG_2 and h_torus == -0.5 * math.log(3.0)
-    return ok, "circle gives log(2)/2 and torus gives -log(3)/2 exactly"
-
-
-def _chk_mutation_sensitivity(tol: float):
-    clean = dm_identity_residual(1, Fraction(1, 2))
-    flipped = dm_identity_residual(1, Fraction(1, 2), d_poly=gen_D(1).scale(-1))
-    ok = clean == 0 and flipped != 0
-    return ok, f"sign-flipped first polynomial leaves residual {flipped}"
-
-
-#: (name, wall-clock budget in seconds, check function)
-ACCEPTANCE_CHECKS = (
-    ("disc-value", 0.001, _chk_disc_value),
-    ("angle-closed-form", 0.001, _chk_angle_formula),
-    ("cone-vs-disc", 1.0, _chk_cone_vs_disc),
-    ("model-determinant-oracle", 30.0, _chk_model_determinant),
-    ("first-sector-regularized-sum", 10.0, _chk_first_sector_sum),
-    ("expansion-polynomials", 1.0, _chk_expansion_polynomials),
-    ("zero-shift-identity", 1.0, _chk_zero_shift_identity),
-    ("remainder-collapse-asymptote", 5.0, _chk_remainder_asymptotics),
-    ("three-dim-dual-path", 60.0, _chk_three_dim_dual_path),
-    ("harmonic-sector", 1.0, _chk_harmonic_sector),
-    ("mutation-sensitivity", 1.0, _chk_mutation_sensitivity),
-)
-
+# self-test
 
 def run_selftest(tol: float = TOL_DEFAULT):
     """Run every acceptance check; returns (results, all_passed).

@@ -4,7 +4,7 @@ Validation problems (bad parameters, violated hypotheses of the closed-form
 results) raise :class:`ValidationError`; iterative machinery that fails to
 reach its tolerance raises :class:`ConvergenceError`.  The command line maps
 these to exit codes 2 and 3 respectively.  ``is_number``/``is_finite_number``
-screen numeric inputs, and :class:`ReadOnly` freezes cached records.
+and ``is_integer`` screen numeric inputs, and :class:`ReadOnly` freezes cached records.
 """
 
 import math
@@ -30,6 +30,11 @@ class ConvergenceError(RuntimeError):
 def is_number(value) -> bool:
     """A real number that is not a bool (bool subclasses int)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_finite_number(value) -> bool:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import OrderLimitError, ReadOnly
+from .errors import OrderLimitError, ReadOnly, is_integer
 
 MAX_ORDER = 12
 
@@ -38,11 +38,14 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _check_order(r: int, smallest: int) -> None:
-    if not isinstance(r, int) or r < smallest:
+def _check_order(r: int, smallest: int) -> int:
+    """r as an int if a Python or numpy integer (not a bool) in smallest..MAX_ORDER.
+    The generators cache typed: else True would hit the entry of 1 unchecked."""
+    if not is_integer(r) or r < smallest:
         raise OrderLimitError(f"order must be an integer >= {smallest}, got {r!r}")
     if r > MAX_ORDER:
         raise OrderLimitError(f"order {r} exceeds the supported maximum {MAX_ORDER}")
+    return int(r)
 
 
 class RationalPolynomial(ReadOnly):
@@ -115,10 +118,6 @@ class RationalPolynomial(ReadOnly):
     def coefficient(self, power: int) -> Fraction:
         return self.coeffs[power] if 0 <= power < len(self.coeffs) else _ZERO
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -172,10 +171,6 @@ class AlphaPolynomial(ReadOnly):
     def from_t_polynomial(cls, poly: RationalPolynomial) -> "AlphaPolynomial":
         return cls({p: RationalPolynomial((c,), "a") for p, c in poly.terms()})
 
-    @classmethod
-    def zero(cls) -> "AlphaPolynomial":
-        return cls({})
-
     def __add__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
         out = dict(self.tcoeffs)
         for p, c in other.tcoeffs.items():
@@ -202,9 +197,6 @@ class AlphaPolynomial(ReadOnly):
 
     def t_coefficient(self, power: int) -> RationalPolynomial:
         return self.tcoeffs.get(power, RationalPolynomial((), "a"))
-
-    def alpha_degree(self) -> int:
-        return max((c.degree for c in self.tcoeffs.values()), default=-1)
 
     def substitute_alpha(self, alpha) -> RationalPolynomial:
         """Exact substitution alpha -> Fraction, yielding a polynomial in t."""
@@ -243,9 +235,9 @@ def _log_coefficient(r: int, w, log):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gen_u(r: int) -> RationalPolynomial:
-    _check_order(r, 0)
+    r = _check_order(r, 0)
     if r == 0:
         return _P_ONE
     prev = gen_u(r - 1)
@@ -254,9 +246,9 @@ def gen_u(r: int) -> RationalPolynomial:
     return lead * prev.derivative() + (kern * prev).integral()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gen_v(r: int) -> RationalPolynomial:
-    _check_order(r, 0)
+    r = _check_order(r, 0)
     if r == 0:
         return _P_ONE
     u_prev = gen_u(r - 1)
@@ -264,9 +256,9 @@ def gen_v(r: int) -> RationalPolynomial:
     return gen_u(r) + (_tpoly(0, -1, 0, 1) * bracket)            # t(t^2-1)*(...)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gen_D(r: int) -> RationalPolynomial:
-    _check_order(r, 1)
+    r = _check_order(r, 1)
     return _log_coefficient(r, gen_u, gen_D)
 
 
@@ -278,9 +270,9 @@ def _m_term(k: int) -> AlphaPolynomial:
             + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gen_M(r: int) -> AlphaPolynomial:
-    _check_order(r, 1)
+    r = _check_order(r, 1)
     return _log_coefficient(r, _m_term, gen_M)
 
 

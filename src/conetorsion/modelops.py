@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .besselzero import ZeroList, ZeroRequest, zeros
-from .errors import SingularModelError, ValidationError
+from .errors import SingularModelError, ValidationError, is_number
 from .specfun import LOG_2, LOG_2PI, ln_gamma
 from .zetacont import SpectrumStream, zeta_data_numeric
 
@@ -55,6 +55,9 @@ class ModelOperator:
     alpha: float = math.inf
 
     def __post_init__(self):
+        if not (is_number(self.nu) and is_number(self.alpha)):
+            raise ValidationError(f"model order nu and boundary parameter alpha must be "
+                                  f"real numbers, got nu={self.nu!r}, alpha={self.alpha!r}")
         nu, alpha = float(self.nu), float(self.alpha)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alpha", alpha)
@@ -122,10 +125,9 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     ``count`` squared roots; raises ConvergenceError when the internal
     error estimate exceeds ``tol``.  Supported down to tol = 1e-8.
     """
-    tol = float(tol)
-    if not (1e-8 <= tol <= 1e-2):
+    if not (is_number(tol) and 1e-8 <= tol <= 1e-2):
         raise ValidationError(
-            f"numeric determinant tolerance must lie in [1e-8, 1e-2], got {tol:g}")
+            f"numeric determinant tolerance must lie in [1e-8, 1e-2], got {tol!r}")
     if count < 100:
         raise ValidationError("numeric determinant needs at least 100 eigenvalues")
     zl = spectrum(op, count)

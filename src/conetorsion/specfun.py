@@ -4,11 +4,10 @@ log Gamma and digamma are scalar ports of the Cephes ``lgam`` and ``psi``
 algorithms (S. L. Moshier; the psi rational on [1, 2] is J. Maddock's, from
 Boost).  These are the algorithms scipy.special.gammaln and psi run on
 x > 0, and the ports return the same bits.  So the closed forms, the model
-determinants and the exact zeta route run without scipy.special: only the
-modified Bessel family I_nu below loads it, on first call (``besselzero``
-does the same for J_nu).  The Riemann/Hurwitz zeta values and their s-derivatives are
-implemented here: scipy offers no analytic continuation to Re(s) <= 1 and
-no derivative in s, and both are needed for zeta-regularized determinants.
+determinants and the exact zeta route run without scipy.special, which
+this module never loads.  Riemann/Hurwitz zeta values and s-derivatives
+are implemented here: scipy offers no analytic continuation to Re(s) <= 1
+and no derivative in s, and both are needed for zeta-regularized determinants.
 
 Algorithms: Euler-Maclaurin summation for s > -1/2 (and for general a > 0);
 for deeper negative s the Riemann values switch to the functional equation
@@ -141,31 +140,6 @@ def digamma(x: float) -> float:
     else:
         asy = 0.0
     return y + (math.log(x) - 0.5 / x - asy)
-
-
-# The I_nu family is the only scipy.special use left here; it is imported
-# on first call so that the closed forms never load it.
-
-def bessel_i(nu, x):
-    from scipy.special import iv
-    return iv(nu, x)
-
-
-def bessel_i_prime(nu, x):
-    from scipy.special import ivp
-    return ivp(nu, x)
-
-
-def bessel_i_scaled(nu, x):
-    """exp(-x) I_nu(x); mandatory for large arguments where I_nu overflows."""
-    from scipy.special import ive
-    return ive(nu, x)
-
-
-def bessel_i_prime_scaled(nu, x):
-    """exp(-x) I_nu'(x) via the two-term recurrence on scaled values."""
-    from scipy.special import ive
-    return 0.5 * (ive(nu - 1.0, x) + ive(nu + 1.0, x))
 
 
 def sinpi(x: float) -> float:

@@ -27,79 +27,44 @@ nu_progression`` with a_k = 0), else the shifted eigenvalue stream eta + a_k^2
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``), and a regularized
 log-determinant over J_1 zeros (``lemma_first_summand``) give independent
-routes to the same invariant; tests drive them against each other.
-
-The derivation-layer evaluators (``frequency_log_term``, ``t_nu_k``,
-``f_r``, ``asymptotic_remainder`` and the fit helpers) reproduce the
-per-frequency integrand of the underlying contour representation and its
-large-frequency expansion.  They exist so tests can validate the closed
-forms against the special-function layer; the production path never calls
-them.
+routes to the same invariant; tests drive them against each other.  The
+per-frequency integrand behind these closed forms is evaluated in
+``derivation``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .basemanifold import BaseManifold
 from .besselzero import ZeroRequest, zeros
-from .errors import ValidationError
-from .exactpoly import RationalPolynomial, parity_bracket
+from .errors import ValidationError, is_finite_number, is_integer
+from .exactpoly import parity_bracket
 from .modelops import harmonic_contribution
-from .specfun import (EULER_GAMMA, LOG_2, LOG_2PI, bessel_i, bessel_i_prime,
-                      bessel_i_prime_scaled, bessel_i_scaled, digamma)
+from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
                        shifted_from_base, sqrt_stream, zeta_data_exact,
                        zeta_data_numeric)
 
 __all__ = [
-    "SpectralParameter", "ConeOverS1Config", "TorsionBreakdown",
-    "frequency_log_term", "t_nu_k", "f_r", "asymptotic_remainder",
-    "remainder_asymptote", "fit_remainder", "DegreeContinuation",
+    "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
     "degree_continuation", "spectral_bracket", "nu_continuation_data",
     "zeta_k_prime0", "log_torsion", "corollary_2d", "corollary_3d",
-    "corollary_3d_precancellation", "theorem_main", "lemma_first_summand",
-    "lemma_first_summand_numeric",
+    "theorem_main", "lemma_first_summand", "lemma_first_summand_numeric",
 ]
 
 
 # ---------------------------------------------------------------------------
 # domain types
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Evaluation point lam < 0 on the negative real axis.
-
-    Derived quantities: z = sqrt(-lam) > 0 and t = (1 - lam)^(-1/2) in (0,1),
-    so that t = (1 + z^2)^(-1/2) holds by construction.
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        lam = float(self.lam)
-        if not (math.isfinite(lam) and lam < 0.0):
-            raise ValidationError(
-                "spectral parameter must satisfy lambda < 0 "
-                "(evaluation on the negative real axis)")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def z(self) -> float:
-        return math.sqrt(-self.lam)
-
-    @property
-    def t(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.lam)
-
 
 @dataclass(frozen=True)
 class ConeOverS1Config:
@@ -113,18 +78,18 @@ class ConeOverS1Config:
     nu_angle: float = 1.0
 
     def __post_init__(self):
-        r, nu = _cone_length(self.radius), float(self.nu_angle)
+        r = _cone_length(self.radius)
         # theorem_main takes log(pi R^2): the area must be a normal float
         if not sys.float_info.min <= math.pi * r * r < math.inf:
             raise ValidationError(
                 f"cone length {self.radius!r} puts the disc area pi R^2 outside "
                 f"the normal floating-point range")
-        if not (math.isfinite(nu) and nu >= 1.0):
+        if not (is_finite_number(self.nu_angle) and self.nu_angle >= 1.0):
             raise ValidationError(
                 f"angle parameter must satisfy nu_angle >= 1 (secant of a real "
                 f"opening angle), got {self.nu_angle!r}")
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "nu_angle", nu)
+        object.__setattr__(self, "nu_angle", float(self.nu_angle))
 
 
 @dataclass(frozen=True)
@@ -136,10 +101,9 @@ class TorsionBreakdown:
     sign (-1)^k/2 and, in even parity, the middle-degree factor delta).  The
     defining invariant is
 
-        log_torsion = harmonic_term + sum_k weight_k * zeta_k_prime0_k,
+        log_torsion = harmonic_term + sum_k weight_k * zeta_k_prime0_k.
 
-    exposed for tests through :meth:`recombined`.  ``parity`` is the parity
-    of dim M = n + 1.
+    ``parity`` is the parity of dim M = n + 1.
     """
 
     log_torsion: float
@@ -149,11 +113,6 @@ class TorsionBreakdown:
     base_id: str
     scale: float
     error_estimate: float = 0.0
-
-    def recombined(self) -> float:
-        return self.harmonic_term + math.fsum(
-            entry["weight"] * entry["zeta_k_prime0"]
-            for entry in self.per_degree.values())
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +126,7 @@ def _alpha_k(k: int, n: int) -> Fraction:
 def _check_degree(k, n: int, top: int) -> int:
     """The degree k as an int, refused unless a Python or numpy integer (not
     a bool) in 0..top."""
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-            and 0 <= k <= top):
+    if not (is_integer(k) and 0 <= k <= top):
         raise ValidationError(
             f"degree must be an integer in 0..{top} for a cross-section of "
             f"dimension {n}, got {k!r}")
@@ -176,123 +134,14 @@ def _check_degree(k, n: int, top: int) -> int:
 
 
 def _cone_length(radius) -> float:
-    r = float(radius)
-    if not (math.isfinite(r) and r > 0.0):
+    if not (is_finite_number(radius) and radius > 0.0):
         raise ValidationError(f"cone length must be positive and finite, got {radius!r}")
-    return r
+    return float(radius)
 
 
 def _parity(n: int) -> str:
     """Parity of dim M = n + 1."""
     return "odd" if n % 2 == 0 else "even"
-
-
-# ---------------------------------------------------------------------------
-# derivation-layer evaluators (test-only; not used by the production path)
-
-def _log_bessel(nu: float, w: float, alpha: float | None = None) -> float:
-    """log I_nu(w), or log(alpha * I_nu(w) + w * I'_nu(w)) given alpha, for
-    w > 0 and nu > |alpha|; e^-w-scaled above w = 1, where I_nu overflows."""
-    scaled = w > 1.0
-    i_nu, i_prime = ((bessel_i_scaled, bessel_i_prime_scaled) if scaled
-                     else (bessel_i, bessel_i_prime))
-    val = i_nu(nu, w) if alpha is None else alpha * i_nu(nu, w) + w * i_prime(nu, w)
-    if not (val > 0.0 and math.isfinite(val)):
-        raise ValidationError(
-            f"{'scaled ' if scaled else ''}Bessel evaluation overflowed or "
-            f"underflowed at order {nu:g}, argument {w:g}")
-    return w + math.log(val) if scaled else math.log(val)
-
-
-def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
-                       parity: str) -> float:
-    """Per-frequency integrand of the contour representation, by parity.
-
-    Odd parity (dim M odd) pairs the two boundary polynomials with opposite
-    signs, so alpha = 0 cancels identically; even parity adds them and
-    carries the doubled interior factor 2 log(nu I_nu(nu z)).
-    """
-    nu = float(nu)
-    alpha = float(alpha)
-    if not (math.isfinite(nu) and nu > abs(alpha)):
-        raise ValidationError(
-            f"frequency must exceed |alpha| = {abs(alpha):g} "
-            f"(limit-point range), got nu = {nu!r}")
-    w = nu * sp.z
-    if parity == "odd":
-        return (-_log_bessel(nu, w, alpha) + math.log1p(alpha / nu)
-                + _log_bessel(nu, w, -alpha) - math.log1p(-alpha / nu))
-    if parity == "even":
-        return (-_log_bessel(nu, w, alpha) + math.log1p(alpha / nu)
-                - _log_bessel(nu, w, -alpha) + math.log1p(-alpha / nu)
-                + 2.0 * _log_bessel(nu, w) + 2.0 * math.log(nu))
-    raise ValidationError(f"parity must be 'odd' or 'even', got {parity!r}")
-
-
-def t_nu_k(nu: float, k: int, n: int, sp: SpectralParameter) -> float:
-    """Degree-k per-frequency integrand on an n-dimensional cross-section."""
-    k = _check_degree(k, n, n - 1)
-    return frequency_log_term(nu, float(_alpha_k(k, n)), sp, _parity(n))
-
-
-def f_r(r: int, k: int, n: int, sp: SpectralParameter) -> float:
-    """Order-r coefficient of the large-frequency expansion of ``t_nu_k``.
-
-    The parity bracket of the exact expansion polynomials (``exactpoly.
-    parity_bracket``) at t, plus its power term in odd parity and minus it
-    in even parity.  Both vanish at t = 1 (lam -> 0-).
-    """
-    if not (isinstance(r, int) and r >= 1):
-        raise ValidationError(f"expansion order must be a positive integer, got {r!r}")
-    k = _check_degree(k, n, n - 1)
-    parity = _parity(n)
-    coeffs, power = parity_bracket(r, _alpha_k(k, n), parity)
-    poly = [0] * (3 * r + 1)            # c_{r,b} at the power t^(r+2b)
-    poly[r::2] = coeffs
-    return float(RationalPolynomial(poly)(sp.t)) + float(power if parity == "odd" else -power)
-
-
-def asymptotic_remainder(nu: float, k: int, n: int, sp: SpectralParameter) -> float:
-    """``t_nu_k`` minus the first n orders of its large-frequency expansion.
-
-    Collapses to 0 as lam -> 0- in both parities.  For lam -> -infinity it
-    approaches a constant in odd parity and -log(1 - lam) plus a constant in
-    even parity (see ``remainder_asymptote``).
-    """
-    total = t_nu_k(nu, k, n, sp)
-    series = math.fsum(f_r(r, k, n, sp) / nu ** r for r in range(1, n + 1))
-    return total - series
-
-
-def remainder_asymptote(nu: float, k: int, n: int) -> tuple[float, float]:
-    """Predicted (slope, intercept) of the remainder against log(-lam).
-
-    For lam -> -infinity the remainder behaves like slope * log(-lam) +
-    intercept with slope 0 in odd parity and -1 in even parity; the
-    intercept resums the constant terms of the dropped expansion orders.
-    """
-    w0 = float(_alpha_k(k, n)) / float(nu)
-    if _parity(n) == "odd":
-        intercept = (math.log1p(w0) - math.log1p(-w0)
-                     - math.fsum(2.0 * w0 ** r / r for r in range(1, n + 1, 2)))
-        return 0.0, intercept
-    intercept = (math.log1p(w0) + math.log1p(-w0)
-                 + math.fsum(2.0 * w0 ** r / r for r in range(2, n + 1, 2)))
-    return -1.0, intercept
-
-
-def fit_remainder(nu: float, k: int, n: int) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of the remainder vs log(-lam).
-
-    Samples ``asymptotic_remainder`` at 30 geometric points from
-    lam = -1e4 to lam = -1e6.
-    """
-    lams = -np.geomspace(1.0e4, 1.0e6, 30)
-    ys = np.array([asymptotic_remainder(nu, k, n, SpectralParameter(lam))
-                   for lam in lams])
-    design = np.column_stack([np.log(-lams), np.ones(lams.size)])
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return float(sol[0]), float(sol[1])
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +202,9 @@ class DegreeContinuation:
     def shifted(self, shift: float) -> tuple[float, float]:
         """(zeta'(0, shift), error estimate) at any finite shift: the stored
         values at +-alpha_k, else the route's own evaluation at that shift."""
-        s = float(shift)
-        if not math.isfinite(s):
+        if not is_finite_number(shift):
             raise ValidationError(f"shift must be a finite real, got {shift!r}")
+        s = float(shift)
         if s in self.shift_errors:
             return self.data.deriv0_shifted[s], self.shift_errors[s]
         if self.progression is not None:
@@ -381,7 +230,10 @@ class DegreeContinuation:
         return check
 
 
-@lru_cache(maxsize=64)
+# {base: {k: record}}; records hold no reference to their base, so they die with it
+_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     """Continuation data of the degree-k frequency set of ``base``.
 
@@ -391,10 +243,18 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     engine on the shifted eigenvalue stream supplies the frequency-side
     derivative, residues, and regular values through s -> s/2, and the
     shifted derivatives come from the subtracted-logarithm relation
-    (cross-checked by ``check_residual``).  Requires 0 <= k <= n-1.
+    (cross-checked by ``check_residual``).  Requires 0 <= k <= n-1.  Built
+    once per base instance and degree; kept as long as the base lives.
     """
     n = base.dim
     k = _check_degree(k, n, n - 1)
+    records = _RECORDS.setdefault(base, {})
+    if k not in records:
+        records[k] = _continuation(base, k, n)
+    return records[k]
+
+
+def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     alpha = _alpha_k(k, n)
     a = float(alpha)
     deg = base._degree(k)
@@ -538,19 +398,6 @@ def corollary_3d(base: BaseManifold) -> float:
     return head + 0.5 * LOG_2 * res1 + 0.125 * res2
 
 
-def corollary_3d_precancellation(base: BaseManifold) -> float:
-    """Intermediate three-dimensional form with digamma values unsimplified.
-
-    Replaces the last two terms of ``corollary_3d`` by
-    -(gamma/4) Res(1) + [Res(1)(gamma + 2 log2) + Res(2)/2]/4; identical by
-    cancellation of the gamma terms, kept as a regression guard on the
-    simplification step.
-    """
-    head, res1, res2 = _corollary_3d_parts(base)
-    return (head - 0.25 * EULER_GAMMA * res1
-            + 0.25 * (res1 * (EULER_GAMMA + 2.0 * LOG_2) + 0.5 * res2))
-
-
 def theorem_main(cfg: ConeOverS1Config) -> float:
     """Closed form for the cone over a circle:
     log T(M) = [-log(pi R^2) + log nu - 1/nu] / 2."""
@@ -576,7 +423,7 @@ def lemma_first_summand_numeric(radius: float = 1.0,
     (value, error_estimate).
     """
     radius = _cone_length(radius)
-    zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=int(count)))
+    zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=count))
     with np.errstate(over="ignore", under="ignore"):
         values = (zl.zeros / radius) ** 2
     if not sys.float_info.min <= values[0] <= values[-1] < math.inf:

@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, ReadOnly, ValidationError
+from .errors import ConvergenceError, ReadOnly, ValidationError, is_finite_number, is_integer
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
@@ -274,7 +274,7 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     everything below is the s-expansion of those at s = 0 and s = i.
     """
     from .specfun import LOG_2PI, hurwitz_zeta_prime0, riemann_zeta
-    if c <= 0 or m < 1:
+    if not (is_finite_number(c) and c > 0 and is_integer(m) and m >= 1):
         raise ValidationError("progression descriptor needs c > 0 and integer m >= 1")
     lc = math.log(c)
     shifted = {}

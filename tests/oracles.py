@@ -3,8 +3,9 @@
 Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
 The exceptions are ``series_log``, an exact reference in the polynomials'
-own Fraction arithmetic, the float reference formulas ``t_half_integer``
-and ``weyl_count_ratio``, and the per-element loops ``merge_ties`` and
+own Fraction arithmetic, the float reference formulas ``recombined``,
+``t_half_integer`` and ``weyl_count_ratio``, the alpha degree of an
+expansion polynomial, and the per-element loops ``merge_ties`` and
 ``custom_mapping``, bitwise references for the array passes of the package.  The package under test never
 imports this module.
 """
@@ -34,20 +35,13 @@ def besselj_prime(nu: float, x: float) -> float:
     return float(mp.besselj(mp.mpf(nu), mp.mpf(x), derivative=1))
 
 
-def besseli(nu: float, x: float) -> float:
-    return float(mp.besseli(mp.mpf(nu), mp.mpf(x)))
-
-
-def besseli_prime(nu: float, x: float) -> float:
-    return float(mp.besseli(mp.mpf(nu), mp.mpf(x), derivative=1))
-
-
-def besseli_scaled(nu: float, x: float) -> float:
-    return float(mp.besseli(mp.mpf(nu), mp.mpf(x)) * mp.exp(-mp.mpf(x)))
-
-
-def besseli_prime_scaled(nu: float, x: float) -> float:
-    return float(mp.besseli(mp.mpf(nu), mp.mpf(x), derivative=1) * mp.exp(-mp.mpf(x)))
+def log_besseli(nu: float, x: float, alpha: float | None = None) -> float:
+    """log I_nu(x), or log(alpha I_nu(x) + x I_nu'(x)) given alpha."""
+    nu, x = mp.mpf(nu), mp.mpf(x)
+    val = mp.besseli(nu, x)
+    if alpha is not None:
+        val = mp.mpf(alpha) * val + x * mp.besseli(nu, x, derivative=1)
+    return float(mp.log(val))
 
 
 def j_zero(nu: float, k: int) -> float:
@@ -128,6 +122,19 @@ def series_log(elems: list, zero) -> list:
                     nxt[i + j] = nxt[i + j] + power[i] * w[j]
             power = nxt
     return out
+
+
+def recombined(breakdown) -> float:
+    """harmonic_term + sum_k weight_k * zeta_k_prime0_k of a
+    ``TorsionBreakdown``: the invariant its log_torsion must satisfy."""
+    return breakdown.harmonic_term + math.fsum(
+        entry["weight"] * entry["zeta_k_prime0"]
+        for entry in breakdown.per_degree.values())
+
+
+def alpha_degree(poly) -> int:
+    """Degree in alpha of an ``AlphaPolynomial`` (-1 for the zero polynomial)."""
+    return max((len(c.coeffs) - 1 for c in poly.tcoeffs.values()), default=-1)
 
 
 def t_half_integer(k: int) -> float:

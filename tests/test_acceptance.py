@@ -1,8 +1,9 @@
 """Acceptance gate: every shipped guarantee, one pass/fail line each.
 
-The checks live in ``conetorsion.cli.ACCEPTANCE_CHECKS`` — the identical
-battery behind ``conetorsion selftest`` — and each enforces both its numeric
-tolerance and its wall-clock budget.  Criteria covered, in order:
+The checks live in ``conetorsion.selftest`` and run as
+``conetorsion.cli.ACCEPTANCE_CHECKS`` — the identical battery behind
+``conetorsion selftest`` — and each enforces both its numeric tolerance and
+its wall-clock budget.  Criteria covered, in order:
 
  1.  disc-value                    closed-form flat-disc value, 1e-12
  2.  angle-closed-form             closed form at (1,1), (1,2), (2,1), exact
@@ -44,4 +45,13 @@ def test_model_determinant_oracle_at_loose_tolerances(tol):
     # still meet the tolerance
     check = {name: fn for name, _, fn in ACCEPTANCE_CHECKS}
     ok, detail = check["model-determinant-oracle"](tol)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-4])
+@pytest.mark.parametrize("name", ["first-sector-regularized-sum", "three-dim-dual-path"])
+def test_reduced_spectrum_checks_at_loose_tolerances(name, tol):
+    # from 1e-5 on these checks run on 700 zeros and on nu_max 44
+    check = {check_name: fn for check_name, _, fn in ACCEPTANCE_CHECKS}
+    ok, detail = check[name](tol)
     assert ok, detail

@@ -5,10 +5,15 @@ tracer over one solve per route and over ``conetorsion zeta`` and check what
 it recorded.  Calls go through the module (``torsion.log_torsion``), as the
 benchmark's own do."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conetorsion
 from conetorsion import cli, exactpoly, torsion
 from conetorsion.basemanifold import circle, torus2
 
@@ -83,3 +88,56 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
     tracer = _traced(tracing, lambda: built.append(exactpoly.gen_M(top)))
     assert "exactpoly.gen_s" in {span[0] for span in tracer.spans}
     assert built == [untraced]
+
+
+# the spans, by name, and counters of a cold traced `selftest` at 1e-8, as
+# recorded when the battery still lived in cli.py
+BATTERY_SPANS = {
+    "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
+    "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
+    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1099,
+    "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
+    "torsion.log_torsion_s": 4, "torsion.nu_continuation_s": 1,
+    "torsion.spectral_bracket_s": 4, "zetacont.mellin_build_s": 16,
+    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 2,
+    "zetacont.sqrt_stream_s": 1, "zetacont.trace_s.eigsum": 98,
+    "zetacont.trace_s.exact": 8, "zetacont.trace_s.lift": 3,
+    "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,
+}
+BATTERY_COUNTS = {
+    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 16,
+    "zetacont.trace_calls.eigsum": 98, "zetacont.trace_calls.exact": 8,
+    "zetacont.trace_calls.lift": 3, "zetacont.trace_points.eigsum": 8750,
+    "zetacont.trace_points.exact": 11315, "zetacont.trace_points.lift": 190,
+}
+_TRACED_SELFTEST = r"""
+import json, re, sys
+from collections import Counter
+import tracing
+from conetorsion import cli
+tracer = tracing.Tracer()
+installed = tracing.install(tracer)
+try:
+    traced, _ = cli.run_selftest(1e-8)
+finally:
+    installed.uninstall()
+plain, _ = cli.run_selftest(1e-8)
+def details(rows):   # without the wall-clock verdict, which host load can flip
+    return [[row["check"], re.sub(r" \[exceeded .*\]$", "", row["detail"])] for row in rows]
+json.dump({"spans": Counter(span[0] for span in tracer.spans), "counts": tracer.counts,
+           "details": details(traced), "plain": details(plain)}, sys.stdout)
+"""
+
+
+def test_traced_selftest_records_every_layer_of_the_battery():
+    # the battery calls the library through its modules, so the tracer sees
+    # every call; a fresh process makes every cache cold, as in the benchmark
+    src = str(Path(conetorsion.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, PERFBENCH]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_SELFTEST], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    checks = {f"cli.check_s.{name}": 1 for name, _, _ in cli.ACCEPTANCE_CHECKS}
+    assert out["spans"] == {**BATTERY_SPANS, **checks}
+    assert out["counts"] == BATTERY_COUNTS
+    assert out["details"] == out["plain"]

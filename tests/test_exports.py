@@ -1,7 +1,7 @@
 """Every name a module lists in ``__all__`` exists: a deleted function left
 listed there would break ``from ... import *`` only when someone tries it.
-And the package carries no dead surface: no import it never reads, no
-private function nothing calls."""
+The package carries no dead surface: no import it never reads, no private
+function nothing calls.  And no production module loads verification code."""
 
 import ast
 import importlib
@@ -73,3 +73,23 @@ def test_every_private_function_is_referenced(name):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not any(node.name in _reads(tree, skip=node) for tree in SOURCES.values())]
     assert not dead, f"conetorsion.{name} defines private functions nothing calls: {dead}"
+
+
+# ---------------------------------------------------------------------------
+# verification code stays off the production path
+
+def _siblings(tree) -> set[str]:
+    """The package modules that ``tree`` imports (the package imports
+    itself only relatively)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module
+                       else [alias.name for alias in node.names])
+    return out
+
+
+def test_only_the_cli_loads_the_self_test_and_only_it_loads_the_derivation_layer():
+    importers = {mod: sorted(name for name, tree in SOURCES.items() if mod in _siblings(tree))
+                 for mod in ("selftest", "derivation")}
+    assert importers == {"selftest": ["cli"], "derivation": ["selftest"]}

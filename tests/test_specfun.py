@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetorsion import specfun
+from conetorsion import derivation, specfun
 from conetorsion.besselzero import _f_dirichlet
 from conetorsion.errors import ValidationError
 
@@ -84,32 +84,35 @@ def test_bessel_j_and_derivative(nu, x):
     _close(jp, oracles.besselj_prime(nu, x), rel=1e-12, abs_=1e-14)
 
 
+def _log_bessel_matches_mpmath(nu, x):
+    # I_nu and alpha I_nu + x I_nu' as the derivation layer takes their
+    # logarithms: plain up to x = 1, e^-x-scaled above, where I_nu overflows
+    # at x = 700.  An absolute 1e-12 on the logarithm is a relative 1e-12 on
+    # the function.
+    for alpha in (None, 0.5 * nu, -0.5 * nu):
+        got = derivation._log_bessel(nu, x, alpha)
+        assert abs(got - oracles.log_besseli(nu, x, alpha)) <= 1e-12, (nu, x, alpha)
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.7, 5.0])
 @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 7.9, 40.0])
 def test_bessel_i_and_derivative(nu, x):
-    _close(specfun.bessel_i(nu, x), oracles.besseli(nu, x), rel=1e-12)
-    _close(specfun.bessel_i_prime(nu, x), oracles.besseli_prime(nu, x), rel=1e-12)
+    _log_bessel_matches_mpmath(nu, x)
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0, 2.7, 5.0])
 @pytest.mark.parametrize("x", [0.5, 3.0, 50.0, 700.0])
 def test_bessel_i_scaled_large_argument(nu, x):
-    _close(specfun.bessel_i_scaled(nu, x), oracles.besseli_scaled(nu, x), rel=1e-12)
-    _close(
-        specfun.bessel_i_prime_scaled(nu, x),
-        oracles.besseli_prime_scaled(nu, x),
-        rel=1e-12,
-    )
+    _log_bessel_matches_mpmath(nu, x)
 
 
 def test_scaled_unscaled_consistency():
-    nu, x = 1.5, 4.0
-    assert specfun.bessel_i_scaled(nu, x) * math.exp(x) == pytest.approx(
-        specfun.bessel_i(nu, x), rel=1e-13
-    )
-    assert specfun.bessel_i_prime_scaled(nu, x) * math.exp(x) == pytest.approx(
-        specfun.bessel_i_prime(nu, x), rel=1e-13
-    )
+    # the two branches meet at x = 1: the scaled one just above it gives
+    # the plain one's logarithm at x = 1
+    nu, above = 1.5, math.nextafter(1.0, 2.0)
+    for alpha in (None, 0.75, -0.75):
+        assert derivation._log_bessel(nu, above, alpha) == pytest.approx(
+            derivation._log_bessel(nu, 1.0, alpha), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 5])

@@ -2,34 +2,43 @@
 large-order remainder analysis, and the degree/parity bookkeeping."""
 
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from conetorsion import zetacont
 from conetorsion.basemanifold import circle, torus2
-from conetorsion.errors import ValidationError
-from conetorsion.torsion import (
-    ConeOverS1Config,
+from conetorsion.besselzero import ZeroRequest, zeros
+from conetorsion.derivation import (
     SpectralParameter,
     asymptotic_remainder,
-    corollary_2d,
-    corollary_3d,
-    corollary_3d_precancellation,
-    degree_continuation,
     f_r,
     fit_remainder,
     frequency_log_term,
+    remainder_asymptote,
+    t_nu_k,
+)
+from conetorsion.errors import ValidationError
+from conetorsion.exactpoly import gen_D, gen_M
+from conetorsion.modelops import ModelOperator, det_numeric
+from conetorsion.selftest import corollary_3d_precancellation
+from conetorsion.torsion import (
+    ConeOverS1Config,
+    corollary_2d,
+    corollary_3d,
+    degree_continuation,
     lemma_first_summand,
     lemma_first_summand_numeric,
     log_torsion,
-    remainder_asymptote,
-    t_nu_k,
     theorem_main,
     zeta_k_prime0,
 )
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +134,7 @@ def test_circle_three_routes_agree(c):
     closed = theorem_main(ConeOverS1Config(radius=1.0, nu_angle=c))
     assert abs(bd.log_torsion - closed) < 1e-10
     assert abs(bd.log_torsion - corollary_2d(base)) < 1e-12
-    assert abs(bd.recombined() - bd.log_torsion) < 1e-14
+    assert abs(oracles.recombined(bd) - bd.log_torsion) < 1e-14
     assert bd.parity == "even"
     assert bd.per_degree[0]["weight"] == 0.25   # (1/2) * middle-degree delta
 
@@ -143,7 +152,7 @@ def test_middle_degree_delta_is_load_bearing():
     bd = log_torsion(base)
     per_degree = {k: dict(entry) for k, entry in bd.per_degree.items()}
     per_degree[(base.dim - 1) // 2]["weight"] *= 2.0
-    wrong = dataclasses.replace(bd, per_degree=per_degree).recombined()
+    wrong = oracles.recombined(dataclasses.replace(bd, per_degree=per_degree))
     assert abs(wrong - corollary_2d(base)) > 1e-6
 
 
@@ -250,7 +259,7 @@ def test_torus_assembly_matches_closed_form():
     assert bd.error_estimate <= 1e-8
     assert bd.parity == "odd"
     assert bd.per_degree[0]["weight"] == 0.5
-    assert abs(bd.recombined() - bd.log_torsion) < 1e-14
+    assert abs(oracles.recombined(bd) - bd.log_torsion) < 1e-14
     # the pre-cancellation digamma form must collapse to the same constants
     assert abs(corollary_3d_precancellation(tor) - c3) < 1e-12
     assert bd.harmonic_term == -0.5 * math.log(3.0)
@@ -328,6 +337,65 @@ def test_numpy_integer_degrees_are_degrees():
     assert zeta_k_prime0(tor, np.int64(0)) == zeta_k_prime0(tor, 0)
     assert t_nu_k(3.0, np.int64(1), 2, sp) == t_nu_k(3.0, 1, 2, sp)
     assert f_r(2, np.int64(1), 2, sp) == f_r(2, 1, 2, sp)
+
+
+def test_orders_and_counts_follow_the_integer_rule():
+    # True ran as order 1 (gen_D served it from the cache of order 1), while
+    # numpy integers were refused as orders and counts
+    sp = SpectralParameter(-3.0)
+    gen_D(1)
+    for bad in (True, np.True_):
+        for call in (lambda: f_r(bad, 0, 2, sp), lambda: gen_D(bad), lambda: gen_M(bad),
+                     lambda: ZeroRequest(2.0, "dirichlet", bad)):
+            with pytest.raises(ValidationError, match=f"got {re.escape(repr(bad))}$"):
+                call()
+    assert f_r(np.int64(2), 0, 2, sp) == f_r(2, 0, 2, sp)
+    assert gen_D(np.int64(3)) == gen_D(3)
+    assert gen_M(np.int64(3)) == gen_M(3)
+    request = ZeroRequest(2.0, "dirichlet", np.int64(3))
+    assert type(request.count) is int
+    assert np.array_equal(zeros(request).zeros, zeros(ZeroRequest(2.0, "dirichlet", 3)).zeros)
+
+
+def test_continuation_records_die_with_their_base():
+    # a global cache kept up to 64 solved bases alive; a live base still
+    # gets its record back
+    base = torus2(2.0)
+    log_torsion(base)                   # solves degree 0 and runs its lift
+    record = degree_continuation(base, 0)
+    assert degree_continuation(base, 0) is record
+    alive = weakref.ref(base)
+    del base
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.parametrize("call,parameter", [
+    (lambda: circle("3"), "scale"),
+    (lambda: torus2("2"), "scale"),
+    (lambda: torus2(True), "scale"),
+    (lambda: torus2(2.0, nu_max=math.nan), "nu_max"),
+    (lambda: torus2(2.0, nu_max=math.inf), "nu_max"),
+    (lambda: torus2(2.0, nu_max=-1.0), "nu_max"),
+    (lambda: ConeOverS1Config("2", 1.0), "cone length"),
+    (lambda: ConeOverS1Config(1.0, "2"), "nu_angle"),
+    (lambda: lemma_first_summand("2"), "cone length"),
+    (lambda: lemma_first_summand_numeric(1.0, 150.7), "count"),
+    (lambda: SpectralParameter("-1"), "lambda"),
+    (lambda: ModelOperator("2", 0.5), "nu"),
+    (lambda: ModelOperator(1.5, True), "alpha"),
+    (lambda: det_numeric(ModelOperator(1.5, 0.5), tol="1e-7"), "tolerance"),
+    (lambda: zetacont.zeta_data_exact(2.0, 1.5), "integer m"),
+    (lambda: degree_continuation(circle(2.0), 0).shifted("0.3"), "shift"),
+], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
+        "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
+        "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
+        "det-tol-str", "progression-mult", "shift-str"])
+def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
+    # strings were parsed, bools taken as numbers, counts truncated, and
+    # non-finite nu_max leaked ValueError/OverflowError
+    with pytest.raises(ValidationError, match=parameter):
+        call()
 
 
 @pytest.mark.parametrize("radius", [1e200, 1e154, 1e-160, 1e-320, 5e-324])
