@@ -205,6 +205,8 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     borderline c = 1, used only for closed-form evaluations.
     """
     c = _positive_scale(c)
+    if not isinstance(allow_boundary, (bool, np.bool_)):
+        raise ValidationError(f"allow_boundary must be a bool, got {allow_boundary!r}")
     if c < 1.0 or (c == 1.0 and not allow_boundary):
         raise ValidationError(SCALING_MESSAGE)
     m = np.arange(1, 4097, dtype=float)
@@ -271,8 +273,11 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     c = _positive_scale(c)
     if not (is_finite_number(nu_max) and nu_max > 0.0):
         raise ValidationError(f"nu_max must be a positive finite number, got {nu_max!r}")
-    basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE,
-                       dtype=float)
+    try:
+        basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE,
+                           dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"lattice entries must be numbers, got {lattice!r}") from None
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
     if not np.isfinite(basis).all():

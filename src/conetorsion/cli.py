@@ -249,16 +249,17 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
 
 def _cmd_olver(args: argparse.Namespace) -> dict:
     order = args.order
-    d_poly = gen_D(order)
-    m_poly = gen_M(order)
+    m_rows: dict = {}                   # t power -> {alpha power: coefficient}
+    for (p, j), c in gen_M(order).terms.items():
+        m_rows.setdefault(p, {})[j] = c
     return {
         "order": order,
         "max_order": MAX_ORDER,
-        "D": [{"t_power": p, "coefficient": str(c)} for p, c in d_poly.terms()],
+        "D": [{"t_power": p, "coefficient": str(c)}
+              for (p, _), c in sorted(gen_D(order).terms.items())],
         "M": [{"t_power": p,
-               "alpha_coefficients": [str(c)
-                                      for c in m_poly.t_coefficient(p).coeffs]}
-              for p in m_poly.t_powers()],
+               "alpha_coefficients": [str(row.get(j, 0)) for j in range(max(row) + 1)]}
+              for p, row in sorted(m_rows.items())],
         "source": "exact",
     }
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, is_finite_number
-from .exactpoly import RationalPolynomial, parity_bracket
+from .errors import ValidationError, is_finite_number, is_number
+from .exactpoly import Polynomial, parity_bracket
 from .torsion import _alpha_k, _check_degree, _parity
 
 __all__ = ["SpectralParameter", "frequency_log_term", "t_nu_k", "f_r",
@@ -70,6 +70,8 @@ def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
     signs, so alpha = 0 cancels identically; even parity adds them and
     carries the doubled interior factor 2 log(nu I_nu(nu z)).
     """
+    if not (is_number(nu) and is_number(alpha)):
+        raise ValidationError(f"frequency nu and alpha must be numbers, got {nu!r}, {alpha!r}")
     nu = float(nu)
     alpha = float(alpha)
     if not (math.isfinite(nu) and nu > abs(alpha)):
@@ -104,9 +106,8 @@ def f_r(r: int, k: int, n: int, sp: SpectralParameter) -> float:
     k = _check_degree(k, n, n - 1)
     parity = _parity(n)
     coeffs, power = parity_bracket(r, _alpha_k(k, n), parity)
-    poly = [0] * (3 * r + 1)            # c_{r,b} at the power t^(r+2b)
-    poly[r::2] = coeffs
-    return float(RationalPolynomial(poly)(sp.t)) + float(power if parity == "odd" else -power)
+    poly = Polynomial({(r + 2 * b, 0): c for b, c in enumerate(coeffs)})
+    return float(poly(sp.t)) + float(power if parity == "odd" else -power)
 
 
 def asymptotic_remainder(nu: float, k: int, n: int, sp: SpectralParameter) -> float:

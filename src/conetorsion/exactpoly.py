@@ -17,8 +17,9 @@ enters the generation path.  The module produces:
           ~ sum_r M_r(t, alpha)/nu^r,
   kept symbolic in alpha.
 
-Coefficient extraction follows the shape D_r(t) = sum_b x_{r,b} t^(r+2b) and
-M_r(t,alpha) = sum_b z_{r,b}(alpha) t^(r+2b) with b = 0..r.  The residual
+All of them are ``Polynomial``s: one sparse read-only type in t and alpha
+(D_r has no alpha terms).  ``parity_bracket`` reads the coefficients of
+t^(r+2b), b = 0..r, of the D/M bracket straight from their terms.  The residual
 helpers return exact zero Fractions when the classical cross-identities hold,
 and are written so a deliberately corrupted polynomial makes them non-zero
 (the self-test uses that to prove the checks have teeth).
@@ -48,180 +49,88 @@ def _check_order(r: int, smallest: int) -> int:
     return int(r)
 
 
-class RationalPolynomial(ReadOnly):
-    """Polynomial in one variable with Fraction coefficients (index = power)."""
+class Polynomial(ReadOnly):
+    """Read-only sparse polynomial in t and alpha over the rationals.
 
-    __slots__ = ("coeffs", "var")
+    ``terms`` maps (i, j) to the nonzero Fraction coefficient of t^i alpha^j;
+    a polynomial in t alone has only j = 0 terms.
+    """
 
-    def __init__(self, coeffs, var: str = "t"):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", MappingProxyType(
+            {ij: Fraction(c) for ij, c in terms.items() if c != 0}))
 
     # -- ring operations -------------------------------------------------
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        for p, c in enumerate(other.coeffs):
-            a[p] += c
-        return RationalPolynomial(a, self.var)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        out = dict(self.terms)
+        for ij, c in other.terms.items():
+            out[ij] = out.get(ij, _ZERO) + c
+        return Polynomial(out)
 
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
 
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial((), self.var)
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return RationalPolynomial(out, self.var)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        out: dict = {}
+        for (i, j), a in self.terms.items():
+            for (p, q), b in other.terms.items():
+                key = (i + p, j + q)
+                out[key] = out.get(key, _ZERO) + a * b
+        return Polynomial(out)
 
-    def scale(self, k) -> "RationalPolynomial":
+    def scale(self, k) -> "Polynomial":
         k = Fraction(k)
-        return RationalPolynomial([c * k for c in self.coeffs], self.var)
+        return Polynomial({ij: c * k for ij, c in self.terms.items()})
 
-    def shift(self, powers: int) -> "RationalPolynomial":
-        """Multiply by var**powers."""
-        return RationalPolynomial((_ZERO,) * powers + self.coeffs, self.var)
+    def shift(self, powers: int) -> "Polynomial":
+        """Multiply by t**powers."""
+        return Polynomial({(i + powers, j): c for (i, j), c in self.terms.items()})
 
-    # -- calculus --------------------------------------------------------
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [c * p for p, c in enumerate(self.coeffs)][1:], self.var)
+    # -- calculus in t ---------------------------------------------------
+    def derivative(self) -> "Polynomial":
+        return Polynomial({(i - 1, j): c * i
+                           for (i, j), c in self.terms.items() if i})
 
-    def integral(self) -> "RationalPolynomial":
-        """Antiderivative vanishing at 0."""
-        return RationalPolynomial(
-            [_ZERO] + [c / (p + 1) for p, c in enumerate(self.coeffs)], self.var)
+    def integral(self) -> "Polynomial":
+        """Antiderivative vanishing at t = 0."""
+        return Polynomial({(i + 1, j): c / (i + 1)
+                           for (i, j), c in self.terms.items()})
 
-    # -- evaluation / inspection -----------------------------------------
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int input, float for float."""
-        if isinstance(x, float):
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
-            return acc
-        x = Fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+    # -- evaluation ------------------------------------------------------
+    def at_alpha(self, alpha) -> "Polynomial":
+        """Exact substitution alpha -> Fraction(alpha): a polynomial in t."""
+        alpha = Fraction(alpha)
+        out: dict = {}
+        for (i, j), c in self.terms.items():
+            out[i, 0] = out.get((i, 0), _ZERO) + c * alpha ** j
+        return Polynomial(out)
+
+    def __call__(self, t):
+        """Horner evaluation in t over every power from the top down; exact
+        for Fraction/int t, float for float t.  Refuses alpha terms."""
+        if any(j for _, j in self.terms):
+            raise ValueError("polynomial has alpha terms: substitute alpha first")
+        exact = not isinstance(t, float)
+        t, acc = (Fraction(t), _ZERO) if exact else (t, 0.0)
+        for p in range(max((i for i, _ in self.terms), default=-1), -1, -1):
+            c = self.terms.get((p, 0), _ZERO)
+            acc = acc * t + (c if exact else float(c))
         return acc
 
-    def coefficient(self, power: int) -> Fraction:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else _ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self):
-        for p, c in enumerate(self.coeffs):
-            if c != 0:
-                yield p, c
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"RationalPolynomial({self.as_str()!r})"
-
-    def as_str(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p, c in self.terms():
-            mag = c if c > 0 else -c
-            if p == 0:
-                body = str(mag)
-            else:
-                tpow = self.var if p == 1 else f"{self.var}^{p}"
-                body = tpow if mag == 1 else f"{mag}*{tpow}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return f"Polynomial({dict(sorted(self.terms.items()))!r})"
 
 
-def _tpoly(*coeffs) -> RationalPolynomial:
-    return RationalPolynomial(coeffs)
-
-
-_P_ONE = RationalPolynomial((_ONE,))
-
-
-class AlphaPolynomial(ReadOnly):
-    """Polynomial in t whose coefficients are RationalPolynomials in alpha."""
-
-    __slots__ = ("tcoeffs",)
-
-    def __init__(self, tcoeffs: dict[int, RationalPolynomial]):
-        object.__setattr__(self, "tcoeffs", MappingProxyType(
-            {p: c for p, c in tcoeffs.items() if not c.is_zero()}))
-
-    @classmethod
-    def from_t_polynomial(cls, poly: RationalPolynomial) -> "AlphaPolynomial":
-        return cls({p: RationalPolynomial((c,), "a") for p, c in poly.terms()})
-
-    def __add__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
-        out = dict(self.tcoeffs)
-        for p, c in other.tcoeffs.items():
-            out[p] = out[p] + c if p in out else c
-        return AlphaPolynomial(out)
-
-    def __mul__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
-        out: dict[int, RationalPolynomial] = {}
-        for p, a in self.tcoeffs.items():
-            for q, b in other.tcoeffs.items():
-                pq = p + q
-                prod = a * b
-                out[pq] = out[pq] + prod if pq in out else prod
-        return AlphaPolynomial(out)
-
-    def scale(self, k) -> "AlphaPolynomial":
-        return AlphaPolynomial({p: c.scale(k) for p, c in self.tcoeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.tcoeffs
-
-    def t_powers(self) -> list[int]:
-        return sorted(self.tcoeffs)
-
-    def t_coefficient(self, power: int) -> RationalPolynomial:
-        return self.tcoeffs.get(power, RationalPolynomial((), "a"))
-
-    def substitute_alpha(self, alpha) -> RationalPolynomial:
-        """Exact substitution alpha -> Fraction, yielding a polynomial in t."""
-        alpha = Fraction(alpha)
-        top = max(self.tcoeffs, default=-1)
-        coeffs = [_ZERO] * (top + 1)
-        for p, c in self.tcoeffs.items():
-            coeffs[p] = c(alpha)
-        return RationalPolynomial(coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlphaPolynomial) and self.tcoeffs == other.tcoeffs
-
-    def __repr__(self) -> str:
-        return f"AlphaPolynomial({self.as_str()!r})"
-
-    def as_str(self) -> str:
-        if not self.tcoeffs:
-            return "0"
-        parts = []
-        for p in self.t_powers():
-            c = self.tcoeffs[p].as_str()
-            tpow = "" if p == 0 else ("*t" if p == 1 else f"*t^{p}")
-            parts.append(f"({c}){tpow}" if tpow else f"({c})")
-        return " + ".join(parts)
+_P_ONE = Polynomial({(0, 0): _ONE})
+_LEAD = Polynomial({(2, 0): Fraction(1, 2), (4, 0): Fraction(-1, 2)})  # t^2(1-t^2)/2
+_KERN = Polynomial({(0, 0): Fraction(1, 8), (2, 0): Fraction(-5, 8)})  # (1-5s^2)/8
+_CUBIC = Polynomial({(1, 0): -_ONE, (3, 0): _ONE})                     # t(t^2-1)
+_ALPHA_T = Polynomial({(1, 1): _ONE})                                  # alpha*t
 
 
 def _log_coefficient(r: int, w, log):
@@ -236,64 +145,54 @@ def _log_coefficient(r: int, w, log):
 
 
 @lru_cache(maxsize=None, typed=True)
-def gen_u(r: int) -> RationalPolynomial:
+def gen_u(r: int) -> Polynomial:
     r = _check_order(r, 0)
     if r == 0:
         return _P_ONE
     prev = gen_u(r - 1)
-    lead = _tpoly(0, 0, Fraction(1, 2), 0, Fraction(-1, 2))      # t^2(1-t^2)/2
-    kern = _tpoly(Fraction(1, 8), 0, Fraction(-5, 8))            # (1-5s^2)/8
-    return lead * prev.derivative() + (kern * prev).integral()
+    return _LEAD * prev.derivative() + (_KERN * prev).integral()
 
 
 @lru_cache(maxsize=None, typed=True)
-def gen_v(r: int) -> RationalPolynomial:
+def gen_v(r: int) -> Polynomial:
     r = _check_order(r, 0)
     if r == 0:
         return _P_ONE
     u_prev = gen_u(r - 1)
     bracket = u_prev.scale(Fraction(1, 2)) + u_prev.derivative().shift(1)
-    return gen_u(r) + (_tpoly(0, -1, 0, 1) * bracket)            # t(t^2-1)*(...)
+    return gen_u(r) + _CUBIC * bracket
 
 
 @lru_cache(maxsize=None, typed=True)
-def gen_D(r: int) -> RationalPolynomial:
+def gen_D(r: int) -> Polynomial:
     r = _check_order(r, 1)
     return _log_coefficient(r, gen_u, gen_D)
 
 
 @lru_cache(maxsize=None)
-def _m_term(k: int) -> AlphaPolynomial:
+def _m_term(k: int) -> Polynomial:
     """Order-k coefficient of (1 + sum v_k/nu^k) + (alpha/nu) t (1 + sum u_k/nu^k)."""
-    alpha_t = AlphaPolynomial({1: RationalPolynomial((0, 1), "a")})   # a * t
-    return (AlphaPolynomial.from_t_polynomial(gen_v(k))
-            + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1)))
+    return gen_v(k) + _ALPHA_T * gen_u(k - 1)
 
 
 @lru_cache(maxsize=None, typed=True)
-def gen_M(r: int) -> AlphaPolynomial:
+def gen_M(r: int) -> Polynomial:
     r = _check_order(r, 1)
     return _log_coefficient(r, _m_term, gen_M)
 
 
-def _ladder(r: int, name: str, powers, coefficient) -> list:
-    """The coefficients of t^(r+2b), b = 0..r, once no other power occurs."""
-    stray = [p for p in powers if (p - r) % 2 != 0 or not (r <= p <= 3 * r)]
+def _add_terms(c: list, r: int, name: str, poly: Polynomial, weights) -> None:
+    """c[b] += sum_j weights[j] * (coefficient of t^(r+2b) alpha^j in poly);
+    any power of t outside r, r+2, ..., 3r is refused."""
+    stray = set()
+    for (i, j), coeff in poly.terms.items():
+        b, odd = divmod(i - r, 2)
+        if odd or not 0 <= b <= r:
+            stray.add(i)
+        else:
+            c[b] += coeff * weights[j]
     if stray:
-        raise AssertionError(f"{name}_{r} has unexpected powers {stray}")
-    return [coefficient(r + 2 * b) for b in range(r + 1)]
-
-
-def coeffs_x(r: int) -> list[Fraction]:
-    """x_{r,b} with D_r(t) = sum_{b=0..r} x_{r,b} t^(r+2b)."""
-    d = gen_D(r)
-    return _ladder(r, "D", [p for p, _ in d.terms()], d.coefficient)
-
-
-def coeffs_z(r: int) -> list[RationalPolynomial]:
-    """z_{r,b}(alpha) with M_r(t,alpha) = sum_{b=0..r} z_{r,b}(alpha) t^(r+2b)."""
-    m = gen_M(r)
-    return _ladder(r, "M", m.t_powers(), m.t_coefficient)
+        raise AssertionError(f"{name}_{r} has unexpected powers {sorted(stray)}")
 
 
 def parity_bracket(r: int, alpha, parity: str) -> tuple[list[Fraction], Fraction]:
@@ -301,22 +200,25 @@ def parity_bracket(r: int, alpha, parity: str) -> tuple[list[Fraction], Fraction
 
     The bracket is sum_b c_{r,b} t^(r+2b): M_r(t,-a) - M_r(t,a) in odd
     parity, 2 D_r(t) - M_r(t,-a) - M_r(t,a) in even parity; its power term
-    is (a^r - (-a)^r)/r, respectively (a^r + (-a)^r)/r.
+    is (a^r - (-a)^r)/r, respectively (a^r + (-a)^r)/r.  The c_{r,b} are
+    read in one pass over the terms of M_r (and of D_r in even parity).
     """
     alpha = Fraction(alpha)
-    zs = coeffs_z(r)
-    if parity == "odd":
-        return ([z(-alpha) - z(alpha) for z in zs],
-                (alpha ** r - (-alpha) ** r) / r)
+    m = gen_M(r)
+    if parity not in ("odd", "even"):
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    sign = 1 if parity == "odd" else -1
+    weights = [sign * (-alpha) ** j - alpha ** j for j in range(r + 1)]
+    c = [_ZERO] * (r + 1)
+    _add_terms(c, r, "M", m, weights)         # weights[j] multiplies alpha^j
     if parity == "even":
-        return ([2 * x - z(-alpha) - z(alpha) for x, z in zip(coeffs_x(r), zs)],
-                (alpha ** r + (-alpha) ** r) / r)
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        _add_terms(c, r, "D", gen_D(r), (2,))
+    return c, (alpha ** r - sign * (-alpha) ** r) / r
 
 
 def dm_identity_residual(r: int, alpha,
-                         m_poly: AlphaPolynomial | None = None,
-                         d_poly: RationalPolynomial | None = None) -> Fraction:
+                         m_poly: Polynomial | None = None,
+                         d_poly: Polynomial | None = None) -> Fraction:
     """Exact residual of the t=1 identity
     M_r(1, alpha) - D_r(1) - (-1)^(r+1) alpha^r / r; zero iff it holds.
 
@@ -327,7 +229,7 @@ def dm_identity_residual(r: int, alpha,
     m = m_poly if m_poly is not None else gen_M(r)
     d = d_poly if d_poly is not None else gen_D(r)
     sign = _ONE if r % 2 == 1 else -_ONE
-    return m.substitute_alpha(alpha)(_ONE) - d(_ONE) - sign * alpha ** r / r
+    return m.at_alpha(alpha)(_ONE) - d(_ONE) - sign * alpha ** r / r
 
 
 def zsum_identity_residual(r: int, alpha) -> Fraction:

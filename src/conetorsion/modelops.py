@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .besselzero import ZeroList, ZeroRequest, zeros
-from .errors import SingularModelError, ValidationError, is_number
+from .errors import SingularModelError, ValidationError, is_integer, is_number
 from .specfun import LOG_2, LOG_2PI, ln_gamma
 from .zetacont import SpectrumStream, zeta_data_numeric
 
@@ -128,8 +128,9 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     if not (is_number(tol) and 1e-8 <= tol <= 1e-2):
         raise ValidationError(
             f"numeric determinant tolerance must lie in [1e-8, 1e-2], got {tol!r}")
-    if count < 100:
-        raise ValidationError("numeric determinant needs at least 100 eigenvalues")
+    if not (is_integer(count) and count >= 100):
+        raise ValidationError(
+            f"numeric determinant needs an integer count >= 100 eigenvalues, got {count!r}")
     zl = spectrum(op, count)
     # leading small-t heat power of sum exp(-z_k^2 t): zeros spaced ~pi
     stream = SpectrumStream(zl.eigenvalues(), name=f"spec({op.label})",

@@ -192,8 +192,11 @@ class SpectrumStream(ReadOnly):
         mults = np.atleast_1d(np.asarray(mults, dtype=float))
         if values.size == 0:
             raise ValidationError("spectrum stream must not be empty")
-        if np.any(values <= 0.0):
-            raise ValidationError("spectrum stream values must be positive")
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValidationError("spectrum stream values must be positive and finite")
+        if mults.shape != values.shape:
+            raise ValidationError(f"spectrum stream mults must match values in shape, "
+                                  f"got {mults.shape} and {values.shape}")
         order = np.argsort(values, kind="stable")
         values, mults = merge_ties(values[order], mults[order])
         values.flags.writeable = False
@@ -239,8 +242,10 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
     Bernoulli small-t powers ride along, so the numeric engine can be held to
     the closed-form answers at full precision.
     """
-    if c <= 0 or m < 1 or count < 1:
-        raise ValidationError("progression needs c > 0, m >= 1, count >= 1")
+    if not (is_finite_number(c) and c > 0 and is_integer(m) and m >= 1
+            and is_integer(count) and count >= 1):
+        raise ValidationError("progression needs finite c > 0, integer m >= 1 and "
+                              f"integer count >= 1, got c={c!r}, m={m!r}, count={count!r}")
     k = np.arange(1, count + 1, dtype=float)
     # 1/(e^(ct)-1) = 1/(ct) - 1/2 + ct/12 - (ct)^3/720 + (ct)^5/30240 - ...
     powers = ((-1.0, m / c), (0.0, -m / 2.0), (1.0, m * c / 12.0),
@@ -276,6 +281,8 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     from .specfun import LOG_2PI, hurwitz_zeta_prime0, riemann_zeta
     if not (is_finite_number(c) and c > 0 and is_integer(m) and m >= 1):
         raise ValidationError("progression descriptor needs c > 0 and integer m >= 1")
+    if not (is_integer(pole_range) and pole_range >= 0):
+        raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
     lc = math.log(c)
     shifted = {}
     for alpha in alphas:
@@ -325,35 +332,42 @@ def _log_panels(a: float, b: float, nodes: int, per_decade: int = 1):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-class MellinZeta:
+class MellinZeta(ReadOnly):
     """Continuation engine for one stream (see module docstring).
 
     Heat powers used for H(t): the stream's exact powers (its only source),
     extended by _FIT_EXTRA fitted half-power steps when no exact trace
-    evaluator exists.
+    evaluator exists.  Engines are kept by cached records, so they are
+    read-only, their powers a tuple and their grid arrays included.
     """
 
     def __init__(self, stream: SpectrumStream, *, s_max: float = 1.0):
-        self.stream = stream
-        powers = sorted(stream.heat_powers)
-        self._fit_note = 0.0
+        def put(name, value):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
+        put("stream", stream)
+        powers = sorted(stream.heat_powers)
         if stream.heat_fn is not None:
-            self.powers = powers
-            self.t_min = self._choose_t_min()
+            put("powers", tuple(powers))
+            put("t_min", self._choose_t_min())
+            put("_fit_note", 0.0)
         else:
-            self.t_min = stream.t_floor()
-            self.powers = self._fit_heat_powers(powers)
+            put("t_min", stream.t_floor())
+            fitted, note = self._fit_heat_powers(powers)
+            put("powers", tuple(fitted))
+            put("_fit_note", note)
 
         # shared node grids; T adapted to the largest Mellin power requested
         x_min = stream.min_value
         T = max((_EXP_CUTOFF + 3.4 * max(s_max - 1.0, 0.0)) / x_min, 1.5)
-        self._ts, self._ws = _log_panels(self.t_min, 1.0, _NODES)
-        self._tl, self._wl = _log_panels(1.0, T, _NODES, per_decade=3)
-        self._T = T
-        self._zs = stream.trace(self._ts)
-        self._zl = stream.trace(self._tl)
-        self._hs = _heat_eval(self._ts, self.powers)
+        ts, ws = _log_panels(self.t_min, 1.0, _NODES)
+        tl, wl = _log_panels(1.0, T, _NODES, per_decade=3)
+        for name, value in (("_ts", ts), ("_ws", ws), ("_tl", tl), ("_wl", wl),
+                            ("_T", T), ("_zs", stream.trace(ts)),
+                            ("_zl", stream.trace(tl)), ("_hs", _heat_eval(ts, self.powers))):
+            put(name, value)
 
     # -- heat model -------------------------------------------------------
     def _choose_t_min(self) -> float:
@@ -374,8 +388,9 @@ class MellinZeta:
         return float(probes[int(np.argmin(ratio))])
 
     def _fit_heat_powers(self, supplied):
-        """Extend the supplied powers by least squares on a window just above
-        the trace floor, and cross-check the supplied leading coefficient."""
+        """(powers, bias note): the supplied powers extended by least squares
+        on a window just above the trace floor, the supplied leading
+        coefficient cross-checked."""
         lo = self.t_min
         # keep the window shallow: extrapolation bias of the truncated power
         # model scales with the window top, so past ~2.5 decades more width
@@ -401,9 +416,8 @@ class MellinZeta:
         if float(np.max(np.abs(resid))) <= 10.0 * noise or not new_powers:
             # supplied data already model the trace to noise level here; the
             # only bias left is a noise-scale ambiguity under t_min
-            self._fit_note = noise * (abs(math.log(lo)) + 1.0)
             self._check_supplied(supplied, tw, zw, [])
-            return supplied
+            return supplied, noise * (abs(math.log(lo)) + 1.0)
         coef, rms = _power_fit(tw, resid, new_powers)
         fitted = supplied + [(p, c) for p, c in zip(new_powers, coef)]
 
@@ -421,10 +435,10 @@ class MellinZeta:
         else:
             # window too shallow to subdivide: compare against a smaller model
             coef2, _ = _power_fit(tw, resid, new_powers[:-2])
-        self._fit_note = rms * weight(0.0) + _fsum(
+        note = rms * weight(0.0) + _fsum(
             [abs(c1 - c2) * weight(p) for p, c1, c2 in zip(new_powers, coef, coef2)])
         self._check_supplied(supplied, tw, zw, new_powers)
-        return fitted
+        return fitted, note
 
     def _check_supplied(self, supplied, tw, zw, new_powers):
         """Inconsistent-heat guard: free refit of the leading supplied power."""
@@ -533,6 +547,8 @@ class MellinZeta:
 def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
                       target_tol: float | None = None) -> ZetaFunctionData:
     """Full continuation data by the numeric Mellin-split route."""
+    if not (is_integer(pole_range) and pole_range >= 0):
+        raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
     eng = MellinZeta(stream, s_max=float(max(pole_range, 1)))
     poles = range(1, pole_range + 1)
     err = eng.error_estimate([0.0] + [float(i) for i in poles])

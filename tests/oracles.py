@@ -101,9 +101,9 @@ def series_log(elems: list, zero) -> list:
     """Coefficientwise log of a 1/nu power series with unit constant term,
     by the plain power series log(1 + w) = sum_m (-1)^(m+1) w^m / m.
 
-    ``elems[r]`` is the order-r coefficient (elems[0] is the unit) of any
-    polynomial type with ``+``, ``*``, ``scale`` and ``is_zero``; returns the
-    log-series coefficients to the same truncation order.
+    ``elems[r]`` is the order-r coefficient (elems[0] is the unit), an
+    ``exactpoly.Polynomial``; returns the log-series coefficients to the same
+    truncation order.
     """
     order = len(elems) - 1
     w = [zero] + list(elems[1:])                # the series minus 1
@@ -116,7 +116,7 @@ def series_log(elems: list, zero) -> list:
         if m < order:
             nxt = [zero] * (order + 1)
             for i in range(1, order + 1):       # w has no constant term
-                if power[i].is_zero():
+                if not power[i].terms:
                     continue
                 for j in range(1, order + 1 - i):
                     nxt[i + j] = nxt[i + j] + power[i] * w[j]
@@ -133,8 +133,8 @@ def recombined(breakdown) -> float:
 
 
 def alpha_degree(poly) -> int:
-    """Degree in alpha of an ``AlphaPolynomial`` (-1 for the zero polynomial)."""
-    return max((len(c.coeffs) - 1 for c in poly.tcoeffs.values()), default=-1)
+    """Degree in alpha of an ``exactpoly.Polynomial`` (-1 for the zero polynomial)."""
+    return max((j for _, j in poly.terms), default=-1)
 
 
 def t_half_integer(k: int) -> float:

@@ -274,6 +274,31 @@ def test_olver_order_two_exact_payload():
                  6: ["-7/16"]}
 
 
+# (bytes, SHA-256) of the default `olver --order r` output with its newline,
+# recorded before the D_r/M_r polynomial classes were merged into one
+OLVER_BYTES = {
+    1: (390, "b7c8c480c642507daae3a9dc2a66f212828bee151b5023978c6d3004ad4b59b4"),
+    2: (572, "0f73a921af2d9fa7d4fa0fa5170ba4a44c5ba7df3c967a298ac4b682c0d39902"),
+    3: (793, "298bb14fe711cea23c7f9e96bff83ae217a64f8b781c678e66c0b2c16be3b3e0"),
+    4: (1005, "06f324feca9d196aeae5fbd7c0e2f37fd8ac77fd5bd4091f1760c440183a113a"),
+    5: (1306, "c144370876a7ff7f44059d8ff70c519535fcfc97d07b7ce50b3236b0f5a6992e"),
+    6: (1525, "f1d9a1b2f322498835391efcf0437a1c041b16026bd6176b549286af7fbe3c16"),
+    7: (1997, "63c714ebb8b06abda3ea34a317032735cf82216a55ba2cb77c2c7ae91a30eaad"),
+    8: (2242, "ebcee0b0e7dfe8412ccf0cc98c6d30bda8d5fc68308d2176add4399280630ff4"),
+    9: (2855, "b941dda84ca76ed3ced34cca6acf6c23d6cc92d14f4c42178685920a7aae0135"),
+    10: (3087, "68e108789d179361973b8a308ee74425daabcaa348d2253332842f4011260335"),
+    11: (3992, "6f22e1e65d1943eaf97dc1f72ac6108635d7befd18f2ee3dfbefd59f4626487c"),
+    12: (4137, "b2c97f77286fc4c6a1d5d83edb389959cedb1b47a55cfdbcd74ac51d2c8d1423"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(OLVER_BYTES))
+def test_olver_output_bytes_are_pinned(order):
+    text, code = cli.run(["olver", "--order", str(order)])
+    out = (text + "\n").encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == (0, *OLVER_BYTES[order])
+
+
 def test_olver_order_limit():
     assert exit_code(["olver", "--order", "13"]) == 2
     assert exit_code(["olver", "--order", "0"]) == 2

@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from conetorsion import exactpoly
 from conetorsion.errors import OrderLimitError
 from conetorsion.exactpoly import (
-    AlphaPolynomial,
-    RationalPolynomial,
-    coeffs_x,
-    coeffs_z,
+    Polynomial,
     dm_identity_residual,
     gen_D,
     gen_M,
     gen_u,
     gen_v,
+    parity_bracket,
     xzsum_identity_residual,
     zsum_identity_residual,
 )
@@ -30,7 +28,8 @@ F = Fraction
 
 
 def tpoly(*coeffs):
-    return RationalPolynomial(coeffs)
+    """The polynomial sum_i coeffs[i] t^i."""
+    return Polynomial({(i, 0): c for i, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -61,38 +60,13 @@ def test_d2_exact():
 
 
 def test_m1_exact():
-    m = gen_M(1)
-    assert m.t_powers() == [1, 3]
-    assert m.t_coefficient(1) == RationalPolynomial((F(-3, 8), 1), "a")
-    assert m.t_coefficient(3) == RationalPolynomial((F(7, 24),), "a")
+    # (i, j) keys the coefficient of t^i alpha^j
+    assert gen_M(1).terms == {(1, 0): F(-3, 8), (1, 1): 1, (3, 0): F(7, 24)}
 
 
 def test_m2_exact():
-    m = gen_M(2)
-    assert m.t_powers() == [2, 4, 6]
-    assert m.t_coefficient(2) == RationalPolynomial(
-        (F(-3, 16), F(1, 2), F(-1, 2)), "a")
-    assert m.t_coefficient(4) == RationalPolynomial((F(5, 8), F(-1, 2)), "a")
-    assert m.t_coefficient(6) == RationalPolynomial((F(-7, 16),), "a")
-
-
-def test_coefficient_tables_match_generators():
-    for r in (1, 2, 3, 5):
-        xs = coeffs_x(r)
-        assert len(xs) == r + 1
-        rebuilt = RationalPolynomial(())
-        for b, x in enumerate(xs):
-            rebuilt = rebuilt + tpoly(x).shift(r + 2 * b)
-        assert rebuilt == gen_D(r)
-
-        zs = coeffs_z(r)
-        assert len(zs) == r + 1
-        for alpha in (F(0), F(1, 2), F(-2)):
-            direct = gen_M(r).substitute_alpha(alpha)
-            rebuilt = RationalPolynomial(())
-            for b, z in enumerate(zs):
-                rebuilt = rebuilt + tpoly(z(alpha)).shift(r + 2 * b)
-            assert rebuilt == direct
+    assert gen_M(2).terms == {(2, 0): F(-3, 16), (2, 1): F(1, 2), (2, 2): F(-1, 2),
+                              (4, 0): F(5, 8), (4, 1): F(-1, 2), (6, 0): F(-7, 16)}
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +107,8 @@ def test_identity_checks_have_teeth():
 
 def test_polynomials_vanish_at_origin():
     for r in range(1, 9):
-        assert gen_D(r).coefficient(0) == 0
-        assert 0 not in gen_M(r).t_powers()
+        assert all(i > 0 for i, _ in gen_D(r).terms)
+        assert all(i > 0 for i, _ in gen_M(r).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +124,13 @@ def _clear_caches():
 @pytest.fixture(scope="module")
 def log_series_reference():
     order = exactpoly.MAX_ORDER
-    d_ref = oracles.series_log([gen_u(k) for k in range(order + 1)],
-                               RationalPolynomial(()))
+    d_ref = oracles.series_log([gen_u(k) for k in range(order + 1)], Polynomial({}))
     # (1 + sum v_k/nu^k) + (alpha/nu) t (1 + sum u_k/nu^k), as in the docstring
-    alpha_t = AlphaPolynomial({1: RationalPolynomial((0, 1), "a")})
-    elems = [AlphaPolynomial({0: RationalPolynomial((1,), "a")})]
+    alpha_t = Polynomial({(1, 1): 1})
+    elems = [Polynomial({(0, 0): 1})]
     for k in range(1, order + 1):
-        elems.append(AlphaPolynomial.from_t_polynomial(gen_v(k))
-                     + alpha_t * AlphaPolynomial.from_t_polynomial(gen_u(k - 1)))
-    m_ref = oracles.series_log(elems, AlphaPolynomial({}))
+        elems.append(gen_v(k) + alpha_t * gen_u(k - 1))
+    m_ref = oracles.series_log(elems, Polynomial({}))
     return d_ref, m_ref
 
 
@@ -171,24 +143,60 @@ def test_log_recurrence_matches_power_series(log_series_reference, first_call):
     for r in range(1, exactpoly.MAX_ORDER + 1):
         assert gen_D(r) == d_ref[r]
         assert gen_M(r) == m_ref[r]
-        assert all(type(c) is Fraction for c in gen_D(r).coeffs)
+        assert all(type(c) is Fraction for c in gen_D(r).terms.values())
+        assert all(type(c) is Fraction for c in gen_M(r).terms.values())
+
+
+def _reference_bracket(d_ref, m_ref, r, alpha, parity):
+    """parity_bracket's (c_{r,b}, power term) from the power-series D_r, M_r,
+    by substituting +-alpha into whole polynomials."""
+    m_minus, m_plus = m_ref[r].at_alpha(-alpha), m_ref[r].at_alpha(alpha)
+    if parity == "odd":
+        bracket, power = m_minus - m_plus, (alpha ** r - (-alpha) ** r) / r
+    else:
+        bracket = d_ref[r].scale(2) - m_minus - m_plus
+        power = (alpha ** r + (-alpha) ** r) / r
+    ladder = [(r + 2 * b, 0) for b in range(r + 1)]
+    assert set(bracket.terms) <= set(ladder)
+    return [bracket.terms.get(ij, F(0)) for ij in ladder], power
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_parity_bracket_matches_power_series_oracle(log_series_reference, parity):
+    d_ref, m_ref = log_series_reference
+    for r in range(1, exactpoly.MAX_ORDER + 1):
+        for alpha in ALPHAS:
+            coeffs, power = parity_bracket(r, alpha, parity)
+            assert all(type(c) is Fraction for c in coeffs)
+            assert (coeffs, power) == _reference_bracket(d_ref, m_ref, r, alpha, parity)
+
+
+@pytest.mark.parametrize("parity, name, stray", [
+    ("odd", "gen_M", "M_2 has unexpected powers [3, 8]"),
+    ("even", "gen_M", "M_2 has unexpected powers [3, 8]"),
+    ("even", "gen_D", "D_2 has unexpected powers [3, 8]")])
+def test_parity_bracket_refuses_stray_powers(monkeypatch, parity, name, stray):
+    bad = Polynomial({(2, 0): 1, (3, 1): 1, (8, 0): 1})
+    monkeypatch.setattr(exactpoly, name, lambda r: bad)
+    with pytest.raises(AssertionError) as info:
+        parity_bracket(2, F(1, 2), parity)
+    assert str(info.value) == stray
 
 
 def test_cached_orders_are_read_only():
     # every higher order is built from the cached lower ones, so a write into
     # one would reach all of them
     with pytest.raises(TypeError):
-        gen_M(3).tcoeffs[3] = RationalPolynomial((F(1),), "a")
+        gen_M(3).terms[3, 0] = F(1)
     assert dm_identity_residual(3, F(1)) == 0
     assert dm_identity_residual(4, F(1)) == 0
 
 
 def test_cached_polynomials_refuse_attribute_writes():
-    # a new coeffs tuple on the cached D_1 would silently change D_2
+    # a new terms map on the cached D_1 would silently change D_2
     try:
-        for poly, attr, value in ((gen_D(1), "coeffs", (F(1),)),
-                                  (gen_D(1), "var", "x"),
-                                  (gen_M(1), "tcoeffs", {})):
+        for poly, attr, value in ((gen_D(1), "terms", {(0, 0): F(1)}),
+                                  (gen_M(1), "terms", {})):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(poly, attr, value)
             with pytest.raises(AttributeError, match="read-only"):
@@ -202,13 +210,14 @@ def test_cold_build_does_few_alpha_products(monkeypatch):
     # one product per (order, lower order) pair plus one per alpha*t*u term;
     # rebuilding the whole series for every order took 1,079
     products = []
-    multiply = AlphaPolynomial.__mul__
+    multiply = Polynomial.__mul__
 
     def counting(self, other):
-        products.append(None)
+        if any(j for _, j in self.terms) or any(j for _, j in other.terms):
+            products.append(None)
         return multiply(self, other)
 
-    monkeypatch.setattr(AlphaPolynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
     counts = []
     for _ in range(2):
         _clear_caches()
@@ -236,7 +245,7 @@ def _olver_prediction(nu, z, order, polys):
             poly = polys[k]
             acc = mp.mpf(1) if k == 0 else mp.mpf(0)
             if k > 0:
-                for p, c in poly.terms():
+                for (p, _), c in poly.terms.items():
                     acc += mp.mpf(c.numerator) / mp.mpf(c.denominator) * t ** p
             series += acc / nu_ ** k
         return nu_, z_, root, eta, series
@@ -281,7 +290,7 @@ def test_order_limits():
     with pytest.raises(OrderLimitError):
         gen_D(2.5)  # non-integer order
     # the limit itself is supported
-    assert not gen_D(exactpoly.MAX_ORDER).is_zero()
+    assert gen_D(exactpoly.MAX_ORDER).terms
 
 
 def test_order_limit_is_a_validation_error():
@@ -296,23 +305,33 @@ def test_order_limit_is_a_validation_error():
 
 small_fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6)
-poly_strategy = st.lists(small_fracs, min_size=0, max_size=5).map(
-    RationalPolynomial)
+# polynomials in t and alpha: (i, j) -> coefficient of t^i alpha^j
+poly_strategy = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)), small_fracs,
+    max_size=6).map(Polynomial)
+
+
+def _value(p, t, alpha):
+    return p.at_alpha(alpha)(t)
 
 
 @settings(max_examples=40, deadline=None)
-@given(poly_strategy, poly_strategy, small_fracs)
-def test_poly_ring_laws(p, q, x):
-    assert (p + q)(x) == p(x) + q(x)
-    assert (p * q)(x) == p(x) * q(x)
-    assert (p + q).coeffs == (q + p).coeffs
-    assert (p * q).coeffs == (q * p).coeffs
+@given(poly_strategy, poly_strategy, small_fracs, small_fracs)
+def test_poly_ring_laws(p, q, x, a):
+    assert _value(p + q, x, a) == _value(p, x, a) + _value(q, x, a)
+    assert _value(p - q, x, a) == _value(p, x, a) - _value(q, x, a)
+    assert _value(p * q, x, a) == _value(p, x, a) * _value(q, x, a)
+    assert _value(p.scale(a), x, a) == a * _value(p, x, a)
+    assert _value(p.shift(2), x, a) == x ** 2 * _value(p, x, a)
+    assert p + q == q + p
+    assert p * q == q * p
 
 
 @settings(max_examples=40, deadline=None)
 @given(poly_strategy)
 def test_derivative_inverts_integral(p):
     assert p.integral().derivative() == p
+    assert all(i > 0 for i, _ in p.integral().terms)
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,20 +350,38 @@ def test_poly_evaluation_modes():
     assert p(F(1, 2)) == F(1, 2) - F(1, 12)
     assert isinstance(p(0.5), float)
     assert p(0.5) == pytest.approx(float(F(1, 2) - F(1, 12)), rel=1e-15)
+    with pytest.raises(ValueError, match="alpha"):
+        gen_M(1)(0.5)
+
+
+@pytest.mark.parametrize("r", [1, 5, 12])
+def test_float_evaluation_is_dense_horner(r):
+    # f_r reads brackets through float Horner over every power from the top,
+    # zero coefficients included: the same float operations in the same order
+    poly = gen_D(r)
+    top = max(i for i, _ in poly.terms)
+    dense = [poly.terms.get((i, 0), F(0)) for i in range(top + 1)]
+    for t in (0.1, 0.37, 0.999):
+        acc = 0.0
+        for c in reversed(dense):
+            acc = acc * t + float(c)
+        assert poly(t) == acc
 
 
 def test_alpha_polynomial_substitution_consistency():
     m = gen_M(3)
     alpha = F(2, 3)
-    sub = m.substitute_alpha(alpha)
-    # substituting then evaluating == evaluating coefficientwise
+    sub = m.at_alpha(alpha)
+    # substituting then evaluating == evaluating term by term
     t0 = F(3, 4)
-    direct = sum(m.t_coefficient(p)(alpha) * t0 ** p for p in m.t_powers())
+    direct = sum(c * alpha ** j * t0 ** i for (i, j), c in m.terms.items())
     assert sub(t0) == direct
+    assert all(j == 0 for _, j in sub.terms)
 
 
 def test_alpha_polynomial_degree_in_alpha():
     # M_r is degree r in the boundary parameter
     for r in (1, 2, 3, 4):
         assert oracles.alpha_degree(gen_M(r)) == r
-    assert oracles.alpha_degree(AlphaPolynomial({})) == -1
+    assert oracles.alpha_degree(gen_D(4)) == 0
+    assert oracles.alpha_degree(Polynomial({})) == -1

@@ -202,6 +202,17 @@ def test_degree_continuation_is_read_only():
         with pytest.raises(AttributeError, match="read-only"):
             delattr(stream, attr)
     assert dc.shifted(0.3) == shifted
+    # the squared-stream engine feeds the lift cross-check on first use (an
+    # appended heat power moved error_estimate from 5.4e-12 to 5.1e-4, a
+    # doubled trace grid to 1.1e-4)
+    engine = dc._q_engine
+    with pytest.raises(AttributeError):
+        engine.powers.append((9.0, 1e3))
+    for arr in (engine._zs, engine._ts, engine._ws, engine._zl, engine._hs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] *= 2.0
+    with pytest.raises(AttributeError, match="MellinZeta is read-only"):
+        engine._zs = engine._zs * 2.0
     assert log_torsion(tor).error_estimate == log_torsion(torus2(2.0)).error_estimate
 
 
@@ -387,13 +398,33 @@ def test_continuation_records_die_with_their_base():
     (lambda: det_numeric(ModelOperator(1.5, 0.5), tol="1e-7"), "tolerance"),
     (lambda: zetacont.zeta_data_exact(2.0, 1.5), "integer m"),
     (lambda: degree_continuation(circle(2.0), 0).shifted("0.3"), "shift"),
+    (lambda: det_numeric(ModelOperator(1.5, 0.5), count="200"), "count"),
+    (lambda: det_numeric(ModelOperator(1.5, 0.5), count=True), "count"),
+    (lambda: zetacont.progression_stream("2", 3, 100), "c="),
+    (lambda: zetacont.progression_stream(2.0, 3.5, 100), "m="),
+    (lambda: zetacont.progression_stream(math.nan, 3, 100), "c="),
+    (lambda: torus2(2.0, lattice="abcd"), "lattice"),
+    (lambda: frequency_log_term("3", 0.5, SpectralParameter(-1.0), "odd"), "nu"),
+    (lambda: circle(1.0, allow_boundary="no"), "allow_boundary"),
+    (lambda: zetacont.SpectrumStream([math.nan]), "values"),
+    (lambda: zetacont.SpectrumStream([math.inf]), "values"),
+    (lambda: zetacont.SpectrumStream([1.0, 2.0], [1.0]), "mults"),
+    (lambda: zetacont.zeta_data_exact(1.0, 1, pole_range="2"), "pole_range"),
+    (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
+                                        pole_range=True), "pole_range"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
-        "det-tol-str", "progression-mult", "shift-str"])
+        "det-tol-str", "progression-mult", "shift-str", "det-count-str",
+        "det-count-bool", "progression-stream-str", "progression-stream-mult",
+        "progression-stream-nan", "lattice-str", "frequency-str",
+        "allow-boundary-str", "stream-nan", "stream-inf", "stream-mults-shape",
+        "pole-range-str", "numeric-pole-range-bool"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
-    # strings were parsed, bools taken as numbers, counts truncated, and
-    # non-finite nu_max leaked ValueError/OverflowError
+    # strings were parsed, bools taken as numbers, counts truncated,
+    # non-finite nu_max leaked ValueError/OverflowError, non-finite stream
+    # values warned in the tie merge, and unmatched mults leaked IndexError
     with pytest.raises(ValidationError, match=parameter):
         call()
 
