@@ -1,22 +1,27 @@
 """Derivation-layer evaluators: the per-frequency integrand of the contour
 representation behind the torsion closed forms (``frequency_log_term``,
-``t_nu_k``) and its large-frequency expansion (``f_r``, the remainder and
-its fits).  The self-test and the tests call them; ``torsion`` never does.
+``t_nu_k``), its large-frequency expansion (``f_r``, the remainder and its
+fits), and the numeric route to ``torsion.lemma_first_summand`` over
+computed J_1 zeros.  The self-test and the tests call them; ``torsion``
+never does.  Traced layers are called through their modules.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import besselzero, zetacont
 from .errors import ValidationError, is_finite_number, is_number
 from .exactpoly import Polynomial, parity_bracket
-from .torsion import _alpha_k, _check_degree, _parity
+from .torsion import _alpha_k, _check_degree, _cone_length, _parity
 
 __all__ = ["SpectralParameter", "frequency_log_term", "t_nu_k", "f_r",
-           "asymptotic_remainder", "remainder_asymptote", "fit_remainder"]
+           "asymptotic_remainder", "remainder_asymptote", "fit_remainder",
+           "lemma_first_summand_numeric"]
 
 
 @dataclass(frozen=True)
@@ -151,3 +156,27 @@ def fit_remainder(nu: float, k: int, n: int) -> tuple[float, float]:
     design = np.column_stack([np.log(-lams), np.ones(lams.size)])
     sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return float(sol[0]), float(sol[1])
+
+
+def lemma_first_summand_numeric(radius: float = 1.0,
+                                count: int = 2000) -> tuple[float, float]:
+    """Companion numeric route to ``torsion.lemma_first_summand``.
+
+    Continues the zeta function of {(j_k / R)^2} over the first ``count``
+    positive zeros j_k of J_1 through the Mellin-split engine, pinning the
+    two exact leading heat coefficients (R / (2 sqrt(pi)), -3/4).  Returns
+    (value, error_estimate).
+    """
+    radius = _cone_length(radius)
+    zl = besselzero.zeros(besselzero.ZeroRequest(nu=1.0, kind="dirichlet", count=count))
+    with np.errstate(over="ignore", under="ignore"):
+        values = (zl.zeros / radius) ** 2
+    if not sys.float_info.min <= values[0] <= values[-1] < math.inf:
+        raise ValidationError(
+            f"cone length {radius!r} puts the squared scaled zeros (j_k / R)^2 "
+            f"outside the normal float range")
+    stream = zetacont.SpectrumStream(
+        values, name=f"j1-zeros(R={radius:g})",
+        heat_powers=((-0.5, radius / (2.0 * math.sqrt(math.pi))), (0.0, -0.75)))
+    data = zetacont.zeta_data_numeric(stream, pole_range=0)
+    return data.deriv0, data.error_estimate

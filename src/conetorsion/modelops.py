@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .besselzero import ZeroList, ZeroRequest, zeros
 from .errors import SingularModelError, ValidationError, is_integer, is_number
 from .specfun import LOG_2, LOG_2PI, ln_gamma
 from .zetacont import SpectrumStream, zeta_data_numeric
@@ -94,12 +93,15 @@ class DeterminantValue:
     error_estimate: float = 0.0
 
 
-def spectrum(op: ModelOperator, count: int) -> ZeroList:
-    """First ``count`` Bessel-zero roots of the boundary polynomial.
+def spectrum(op: ModelOperator, count: int):
+    """First ``count`` Bessel-zero roots of the boundary polynomial, as the
+    solver's ``ZeroList``.
 
     Eigenvalues of L_nu(alpha) are the squared entries
-    (``.eigenvalues()``).
+    (``.eigenvalues()``).  The solver loads on first use: ``torsion``
+    imports this module for ``harmonic_contribution`` alone.
     """
+    from .besselzero import ZeroRequest, zeros
     if op.dirichlet:
         req = ZeroRequest(op.nu, "dirichlet", count)
     elif op.alpha == 0.0:

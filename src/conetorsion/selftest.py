@@ -14,7 +14,8 @@ import numpy as np
 from . import basemanifold, besselzero, exactpoly, modelops, torsion
 from .besselzero import ZeroRequest
 from .derivation import (SpectralParameter, asymptotic_remainder,
-                         fit_remainder, remainder_asymptote)
+                         fit_remainder, lemma_first_summand_numeric,
+                         remainder_asymptote)
 from .modelops import ModelOperator
 from .specfun import EULER_GAMMA, LOG_2
 from .torsion import ConeOverS1Config
@@ -82,7 +83,7 @@ def _chk_model_determinant(tol: float):
 def _chk_first_sector_sum(tol: float):
     count = 2000 if tol < 1e-5 else 700
     eff = max(1e-6, tol)
-    value, err = torsion.lemma_first_summand_numeric(1.0, count)
+    value, err = lemma_first_summand_numeric(1.0, count)
     diff = abs(value - torsion.lemma_first_summand(1.0))
     return diff <= eff, f"diff={diff:.2e} error_estimate={err:.2e} ({count} zeros)"
 

@@ -28,8 +28,8 @@ Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``), and a regularized
 log-determinant over J_1 zeros (``lemma_first_summand``) give independent
 routes to the same invariant; tests drive them against each other.  The
-per-frequency integrand behind these closed forms is evaluated in
-``derivation``.
+per-frequency integrand behind these closed forms, and the numeric route
+to ``lemma_first_summand`` over computed zeros, live in ``derivation``.
 """
 
 from __future__ import annotations
@@ -46,20 +46,18 @@ from types import MappingProxyType
 import numpy as np
 
 from .basemanifold import BaseManifold
-from .besselzero import ZeroRequest, zeros
 from .errors import ValidationError, is_finite_number, is_integer
 from .exactpoly import parity_bracket
 from .modelops import harmonic_contribution
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
-                       shifted_from_base, sqrt_stream, zeta_data_exact,
-                       zeta_data_numeric)
+                       shifted_from_base, sqrt_stream, zeta_data_exact)
 
 __all__ = [
     "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
     "degree_continuation", "spectral_bracket", "nu_continuation_data",
     "zeta_k_prime0", "log_torsion", "corollary_2d", "corollary_3d",
-    "theorem_main", "lemma_first_summand", "lemma_first_summand_numeric",
+    "theorem_main", "lemma_first_summand",
 ]
 
 
@@ -411,28 +409,3 @@ def lemma_first_summand(radius: float = 1.0) -> float:
     sector of the flat disc of radius R)."""
     radius = _cone_length(radius)
     return LOG_2 - 0.5 * LOG_2PI - 1.5 * math.log(radius)
-
-
-def lemma_first_summand_numeric(radius: float = 1.0,
-                                count: int = 2000) -> tuple[float, float]:
-    """Companion numeric route to ``lemma_first_summand``.
-
-    Continues the zeta function of {(j_k / R)^2} over the first ``count``
-    positive zeros j_k of J_1 through the Mellin-split engine, pinning the
-    two exact leading heat coefficients (R / (2 sqrt(pi)), -3/4).  Returns
-    (value, error_estimate).
-    """
-    radius = _cone_length(radius)
-    zl = zeros(ZeroRequest(nu=1.0, kind="dirichlet", count=count))
-    with np.errstate(over="ignore", under="ignore"):
-        values = (zl.zeros / radius) ** 2
-    if not sys.float_info.min <= values[0] <= values[-1] < math.inf:
-        raise ValidationError(
-            f"cone length {radius!r} puts the squared scaled zeros (j_k / R)^2 "
-            f"outside the normal float range")
-    stream = SpectrumStream(values,
-                            name=f"j1-zeros(R={radius:g})",
-                            heat_powers=((-0.5, radius / (2.0 * math.sqrt(math.pi))),
-                                         (0.0, -0.75)))
-    data = zeta_data_numeric(stream, pole_range=0)
-    return data.deriv0, data.error_estimate

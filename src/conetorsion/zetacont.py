@@ -47,6 +47,7 @@ from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 _EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
+_TILE = 1 << 17             # trace-kernel block: 1 MiB of float64 terms
 _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
 _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
@@ -70,6 +71,13 @@ def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
     row alone, so its value never depends on the other rows of the call.
     Terms match a per-point loop over the same exponents; only the order
     of summation differs (numpy pairwise row sums).
+
+    Rows of one width are evaluated in blocks of at most _TILE elements
+    (a row wider than that takes a block of its own), all in one buffer
+    sized for the largest block, so the working set is one tile, not the
+    whole (rows x width) matrix.  Each row is still one contiguous run of
+    ``width`` terms summed on its own, so every value is bitwise that of
+    the one-pass form.
     """
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
@@ -81,13 +89,21 @@ def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
         np.left_shift(1, np.frexp(counts - 1)[1]), cols.size), 0)
     neg = -cols
     out = np.zeros(rows.shape)
-    for width in np.unique(widths[widths > 0]):
+    sizes = np.unique(widths[widths > 0]).tolist()
+    # no block exceeds the larger of _TILE and the widest row, nor the
+    # one-pass matrix of all rows
+    tile = np.empty(min(int(widths.sum()), max([_TILE] + sizes[-1:])))
+    for width in sizes:
         group = np.nonzero(widths == width)[0]
-        expo = op(neg[:width], rows[group, None])
-        np.exp(expo, out=expo)
-        if weights is not None:
-            expo *= weights[:width]
-        out[group] = expo.sum(axis=1)
+        step = max(_TILE // width, 1)           # rows per block
+        for lo in range(0, group.size, step):
+            block = group[lo:lo + step]
+            expo = tile[:block.size * width].reshape(block.size, width)
+            op(neg[:width], rows[block, None], out=expo)
+            np.exp(expo, out=expo)
+            if weights is not None:
+                expo *= weights[:width]
+            out[block] = expo.sum(axis=1)
     return out
 
 
@@ -151,6 +167,24 @@ def shift_heat_powers(powers, b: float):
     return tuple(sorted(out.items()))
 
 
+def _positive_reals(array, name: str) -> np.ndarray:
+    """``array`` as 1-D floats, refused unless every entry is a finite
+    positive number: one dtype and one value check, before any coercion
+    could parse a string or count a bool."""
+    array = np.atleast_1d(np.asarray(array))
+    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array) & (array > 0)):
+        raise ValidationError(f"spectrum stream {name} must be finite positive numbers")
+    return np.asarray(array, dtype=float)
+
+
+def _shifts(alphas) -> list[float]:
+    """The shifts as floats, each screened before ``float`` could parse it."""
+    bad = [a for a in alphas if not is_finite_number(a)]
+    if bad:
+        raise ValidationError(f"shift must be a finite real, got {bad[0]!r}")
+    return [float(a) for a in alphas]
+
+
 def _check_shift(a: float, smallest: float) -> None:
     if a <= -smallest:
         raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {smallest}")
@@ -186,14 +220,10 @@ class SpectrumStream(ReadOnly):
 
     def __init__(self, values, mults=None, *, name: str = "",
                  heat_fn=None, heat_powers=()):
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if mults is None:
-            mults = np.ones_like(values)
-        mults = np.atleast_1d(np.asarray(mults, dtype=float))
+        values = _positive_reals(values, "values")
+        mults = np.ones_like(values) if mults is None else _positive_reals(mults, "mults")
         if values.size == 0:
             raise ValidationError("spectrum stream must not be empty")
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise ValidationError("spectrum stream values must be positive and finite")
         if mults.shape != values.shape:
             raise ValidationError(f"spectrum stream mults must match values in shape, "
                                   f"got {mults.shape} and {values.shape}")
@@ -285,8 +315,7 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
         raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
     lc = math.log(c)
     shifted = {}
-    for alpha in alphas:
-        a = float(alpha)
+    for a in _shifts(alphas):
         _check_shift(a, c)
         shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
     residues, pp = {}, {}
@@ -549,6 +578,7 @@ def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
     """Full continuation data by the numeric Mellin-split route."""
     if not (is_integer(pole_range) and pole_range >= 0):
         raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
+    alphas = _shifts(alphas)
     eng = MellinZeta(stream, s_max=float(max(pole_range, 1)))
     poles = range(1, pole_range + 1)
     err = eng.error_estimate([0.0] + [float(i) for i in poles])
@@ -558,7 +588,7 @@ def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
             f"exceeds the target {target_tol:.3e}")
     return ZetaFunctionData(
         deriv0=eng.deriv0(),
-        deriv0_shifted={float(a): eng.deriv0_shifted(float(a)) for a in alphas},
+        deriv0_shifted={a: eng.deriv0_shifted(a) for a in alphas},
         residues={i: eng.residue(float(i)) for i in poles},
         pp={i: eng.pp(float(i)) for i in poles},
         error_estimate=err, zeta0=eng.zeta0())

@@ -5,7 +5,11 @@ function nothing calls.  And no production module loads verification code."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +97,18 @@ def test_only_the_cli_loads_the_self_test_and_only_it_loads_the_derivation_layer
     importers = {mod: sorted(name for name, tree in SOURCES.items() if mod in _siblings(tree))
                  for mod in ("selftest", "derivation")}
     assert importers == {"selftest": ["cli"], "derivation": ["selftest"]}
+    # the zero solver feeds only verification routes
+    assert "besselzero" not in _siblings(SOURCES["torsion"])
+
+
+def test_fresh_torsion_import_loads_neither_the_zero_solver_nor_scipy():
+    # modelops, which torsion imports, loads the solver on first use only
+    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, sys, conetorsion.torsion\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                        or m == 'conetorsion.besselzero')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [], proc.stderr

@@ -19,6 +19,7 @@ from conetorsion.derivation import (
     f_r,
     fit_remainder,
     frequency_log_term,
+    lemma_first_summand_numeric,
     remainder_asymptote,
     t_nu_k,
 )
@@ -32,7 +33,6 @@ from conetorsion.torsion import (
     corollary_3d,
     degree_continuation,
     lemma_first_summand,
-    lemma_first_summand_numeric,
     log_torsion,
     theorem_main,
     zeta_k_prime0,
@@ -412,6 +412,15 @@ def test_continuation_records_die_with_their_base():
     (lambda: zetacont.zeta_data_exact(1.0, 1, pole_range="2"), "pole_range"),
     (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
                                         pole_range=True), "pole_range"),
+    (lambda: zetacont.SpectrumStream(["1.5", "2"]), "values"),
+    (lambda: zetacont.SpectrumStream([True, True]), "values"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], [1.0, -3.0]), "mults"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], [1.0, 0.0]), "mults"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], [1.0, math.nan]), "mults"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], ["1", "1"]), "mults"),
+    (lambda: zetacont.zeta_data_exact(1.0, 2, alphas=("0.3",)), "shift"),
+    (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
+                                        alphas=("0.3",)), "shift"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -419,12 +428,15 @@ def test_continuation_records_die_with_their_base():
         "det-count-bool", "progression-stream-str", "progression-stream-mult",
         "progression-stream-nan", "lattice-str", "frequency-str",
         "allow-boundary-str", "stream-nan", "stream-inf", "stream-mults-shape",
-        "pole-range-str", "numeric-pole-range-bool"])
+        "pole-range-str", "numeric-pole-range-bool", "stream-str", "stream-bool",
+        "stream-mult-negative", "stream-mult-zero", "stream-mult-nan", "stream-mult-str",
+        "exact-shift-str", "numeric-shift-str"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,
     # non-finite nu_max leaked ValueError/OverflowError, non-finite stream
-    # values warned in the tie merge, and unmatched mults leaked IndexError
+    # values warned in the tie merge, unmatched mults leaked IndexError, and
+    # negative, zero or nan multiplicities were accepted
     with pytest.raises(ValidationError, match=parameter):
         call()
 

@@ -11,18 +11,21 @@ one-ulp change of the bracket there is up to (Z + 1) / Z ulps of Z.
 
 The shared kernel builds only the terms binary64 exp does not flush to
 zero; two more tests hold it to a full-row math.fsum and hold every
-evaluator to the same value for a point whatever batch it comes in.
+evaluator to the same value for a point whatever batch it comes in.  It
+works in row tiles: two more hold it bitwise to the one-pass form and its
+working set to a small multiple of the tile.
 """
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
-from conetorsion.zetacont import (MellinZeta, SpectrumStream, _exp_rowsum,
-                                  _gauss_legendre, sqrt_stream)
+from conetorsion.zetacont import (_EXP_ZERO, _TILE, MellinZeta, SpectrumStream,
+                                  _exp_rowsum, _gauss_legendre, sqrt_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
@@ -165,6 +168,62 @@ def test_exp_kernel_drops_only_exact_zeros(divide):
         want = math.fsum((weights * np.exp(expo)).tolist())
         assert abs(g - want) <= REL * want
     assert 0.0 < got[:-1].min() and got[-1] == 0.0
+
+
+def _one_pass(rows, cols, weights=None, divide=False):
+    """The kernel without tiles: each width group's whole (rows x width)
+    exponent matrix at once, over the same padded widths."""
+    op = np.divide if divide else np.multiply
+    counts = np.searchsorted(cols, _EXP_ZERO * rows if divide else _EXP_ZERO / rows)
+    widths = np.where(counts > 0, np.minimum(
+        np.left_shift(1, np.frexp(counts - 1)[1]), cols.size), 0)
+    out = np.zeros(rows.shape)
+    for width in np.unique(widths[widths > 0]):
+        group = np.nonzero(widths == width)[0]
+        expo = np.exp(op(-cols[:width], rows[group, None]))
+        if weights is not None:
+            expo *= weights[:width]
+        out[group] = expo.sum(axis=1)
+    return out
+
+
+def _listing_call():
+    """A listing-sized trace: the 160 fit-window rows against 8000 sorted
+    eigenvalues up to 7e4, with integer multiplicities."""
+    rng = np.random.default_rng(5)
+    cols = np.sort(rng.uniform(1.0, 7e4, 8000))
+    weights = rng.integers(1, 9, cols.size).astype(float)
+    return np.exp(np.linspace(math.log(6e-4), math.log(0.2), 160)), cols, weights
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("divide", [False, True], ids=["product", "quotient"])
+def test_tiled_kernel_is_bitwise_the_one_pass_form(divide, weighted):
+    t, cols, weights = _listing_call()
+    wide = np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 3 * _TILE))
+    # the full-width group spans several tiles; on ``wide`` one row
+    # exceeds the tile and goes alone
+    assert np.count_nonzero(_EXP_ZERO / t > cols[-1]) * cols.size > 3 * _TILE
+    cases = [(t, cols), (np.array([2.0, 1e-3, 800.0, 1.0, 0.05]), wide)]
+    for rows, c in cases:
+        rows = 1.0 / rows if divide else rows
+        w = np.random.default_rng(1).integers(1, 9, c.size).astype(float) if weighted else None
+        got = _exp_rowsum(rows, c, w, divide=divide)
+        assert np.array_equal(got, _one_pass(rows, c, w, divide)), (divide, weighted)
+        assert got.min() > 0.0
+
+
+def test_tiled_kernel_keeps_its_working_set_to_the_tile():
+    # numpy reports its buffers to tracemalloc; the one-pass form peaked at
+    # the whole 160 x 8000 exponent matrix (about 6 tiles) for this call
+    t, cols, weights = _listing_call()
+    tracemalloc.start()
+    try:
+        _exp_rowsum(t, cols, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _TILE * 8, f"kernel peaked at {peak / 2 ** 20:.2f} MiB"
 
 
 def test_trace_keeps_shape_of_t():
