@@ -49,6 +49,7 @@ _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 _EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
 _TILE = 1 << 17             # trace-kernel block: 1 MiB of float64 terms
 _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
+_PROBE_BLOCK = 4            # t_min probes traced per call, largest t first
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
 _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
 #: depth of the shift relation / residue ladder used on the numeric path
@@ -170,7 +171,11 @@ def shift_heat_powers(powers, b: float):
 def _positive_reals(array, name: str) -> np.ndarray:
     """``array`` as 1-D floats, refused unless every entry is a finite
     positive number: one dtype and one value check, before any coercion
-    could parse a string or count a bool."""
+    could parse a string or count a bool.  A list that mixes bools with
+    floats casts to float, so bools in non-array input are refused first."""
+    if not isinstance(array, np.ndarray) and any(
+            np.asarray(v).dtype.kind == "b" for v in np.ravel(np.asarray(array, dtype=object))):
+        raise ValidationError(f"spectrum stream {name} must be finite positive numbers")
     array = np.atleast_1d(np.asarray(array))
     if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array) & (array > 0)):
         raise ValidationError(f"spectrum stream {name} must be finite positive numbers")
@@ -352,13 +357,11 @@ def _log_panels(a: float, b: float, nodes: int, per_decade: int = 1):
     la, lb = math.log(a), math.log(b)
     npan = max(1, int(math.ceil(per_decade * (lb - la) / math.log(10.0))))
     edges = np.linspace(la, lb, npan + 1)
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * x
-        ts.append(np.exp(u))
-        ws.append(w * half * np.exp(u))   # dt = e^u du
-    return np.concatenate(ts), np.concatenate(ws)
+    # every panel in one array pass: row i holds panel i's nodes
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    e = np.exp(0.5 * (hi + lo) + half * x)
+    return e.ravel(), (w * half * e).ravel()   # dt = e^u du
 
 
 class MellinZeta(ReadOnly):
@@ -406,15 +409,25 @@ class MellinZeta(ReadOnly):
         (|Z| ~ c t^p_min against an equal H), so integrating deeper only
         accumulates roundoff; above it the heat model is incomplete.  The
         sub-t_min remainder this leaves behind is covered by error_estimate.
+
+        The probes t = 0.25 * 2^-k, k = 0..21, are traced in descending
+        blocks of _PROBE_BLOCK, stopping at the first block with a passing
+        probe, so the smallest t (the costliest on the lift) are traced only
+        when needed.  A point's trace does not depend on its batch, so the
+        chosen probe is the one a single all-probes call picks; when none
+        passes, the one with the smallest ratio.
         """
         probes = 0.25 * 2.0 ** -np.arange(0, 22, dtype=float)
-        z = self.stream.trace(probes)
-        h = _heat_eval(probes, self.powers)
-        ratio = np.abs(z - h) / np.maximum(np.abs(z), 1e-300)
-        ok = np.nonzero(ratio <= 1e-13)[0]
-        if ok.size:
-            return float(probes[ok[0]])
-        return float(probes[int(np.argmin(ratio))])
+        ratios = []
+        for lo in range(0, probes.size, _PROBE_BLOCK):
+            block = probes[lo:lo + _PROBE_BLOCK]
+            z = self.stream.trace(block)
+            ratio = np.abs(z - _heat_eval(block, self.powers)) / np.maximum(np.abs(z), 1e-300)
+            ok = np.nonzero(ratio <= 1e-13)[0]
+            if ok.size:
+                return float(block[ok[0]])
+            ratios.append(ratio)
+        return float(probes[int(np.argmin(np.concatenate(ratios)))])
 
     def _fit_heat_powers(self, supplied):
         """(powers, bias note): the supplied powers extended by least squares
@@ -540,7 +553,7 @@ class MellinZeta(ReadOnly):
 
     def deriv0_shifted(self, alpha: float) -> float:
         """zeta'(0, alpha) by the direct route: trace e^(-alpha t) Z(t)."""
-        a = float(alpha)
+        a, = _shifts((alpha,))
         if a == 0.0:
             return self.deriv0()
         _check_shift(a, self.stream.min_value)
@@ -623,7 +636,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     data, the largest i with Res(i) != 0 (the Weyl exponent), and is 0 when
     the data has no pole.
     """
-    a = float(alpha)
+    a, = _shifts((alpha,))
     if a == 0.0:
         return base.deriv0, base.error_estimate
     _check_shift(a, stream.min_value)

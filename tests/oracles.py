@@ -5,9 +5,10 @@ at the end, so oracle error is far below every tolerance used in the tests.
 The exceptions are ``series_log``, an exact reference in the polynomials'
 own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the alpha degree of an
-expansion polynomial, and the per-element loops ``merge_ties`` and
-``custom_mapping``, bitwise references for the array passes of the package.  The package under test never
-imports this module.
+expansion polynomial, and the per-element loops ``merge_ties``,
+``custom_mapping`` and ``log_panels`` and the all-probes ``t_min_probes``,
+bitwise references for the array passes of the package.  The package under
+test never imports this module.
 """
 
 import math
@@ -201,3 +202,33 @@ def custom_mapping(base) -> dict:
         "truncation_note": base.truncation_note
             or f"finite listing exported from {base.name}",
     }
+
+
+def log_panels(a: float, b: float, nodes: int, per_decade: int = 1):
+    """Reference log-axis Gauss-Legendre grid, one panel at a time: (t, w)
+    with int_a^b f(t) dt = sum w f(t)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    la, lb = math.log(a), math.log(b)
+    npan = max(1, int(math.ceil(per_decade * (lb - la) / math.log(10.0))))
+    edges = np.linspace(la, lb, npan + 1)
+    ts, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        u = mid + half * x
+        ts.append(np.exp(u))
+        ws.append(w * half * np.exp(u))   # dt = e^u du
+    return np.concatenate(ts), np.concatenate(ws)
+
+
+def t_min_probes(trace, powers):
+    """Reference t_min choice, every probe t = 0.25 * 2^-k (k = 0..21) traced
+    in one call: (t_min, ratios), t_min the largest probe whose
+    |Z - H| / |Z| is at most 1e-13, else the probe of the smallest ratio."""
+    probes = 0.25 * 2.0 ** -np.arange(0, 22, dtype=float)
+    z = trace(probes)
+    h = np.zeros_like(probes)
+    for p, c in powers:
+        h += c * probes ** p
+    ratio = np.abs(z - h) / np.maximum(np.abs(z), 1e-300)
+    ok = np.nonzero(ratio <= 1e-13)[0]
+    return float(probes[ok[0] if ok.size else int(np.argmin(ratio))]), ratio

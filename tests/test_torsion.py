@@ -421,6 +421,17 @@ def test_continuation_records_die_with_their_base():
     (lambda: zetacont.zeta_data_exact(1.0, 2, alphas=("0.3",)), "shift"),
     (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
                                         alphas=("0.3",)), "shift"),
+    (lambda: zetacont.SpectrumStream([True, 2.0]), "values"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], [1.0, True]), "mults"),
+    (lambda: zetacont.SpectrumStream([np.array(True), 2.0]), "values"),
+    (lambda: zetacont.MellinZeta(zetacont.progression_stream(1.5, 2, 400))
+     .deriv0_shifted("0.3"), "shift"),
+    (lambda: zetacont.MellinZeta(zetacont.progression_stream(1.5, 2, 400))
+     .deriv0_shifted(True), "shift"),
+    (lambda: zetacont.shifted_from_base(zetacont.progression_stream(1.5, 2, 400),
+                                        zetacont.zeta_data_exact(1.5, 2), "0.3"), "shift"),
+    (lambda: zetacont.shifted_from_base(zetacont.progression_stream(1.5, 2, 400),
+                                        zetacont.zeta_data_exact(1.5, 2), True), "shift"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -430,7 +441,9 @@ def test_continuation_records_die_with_their_base():
         "allow-boundary-str", "stream-nan", "stream-inf", "stream-mults-shape",
         "pole-range-str", "numeric-pole-range-bool", "stream-str", "stream-bool",
         "stream-mult-negative", "stream-mult-zero", "stream-mult-nan", "stream-mult-str",
-        "exact-shift-str", "numeric-shift-str"])
+        "exact-shift-str", "numeric-shift-str", "stream-bool-mixed",
+        "stream-mult-bool-mixed", "stream-bool-0d-mixed", "direct-shift-str", "direct-shift-bool",
+        "relation-shift-str", "relation-shift-bool"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,

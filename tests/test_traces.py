@@ -13,7 +13,9 @@ The shared kernel builds only the terms binary64 exp does not flush to
 zero; two more tests hold it to a full-row math.fsum and hold every
 evaluator to the same value for a point whatever batch it comes in.  It
 works in row tiles: two more hold it bitwise to the one-pass form and its
-working set to a small multiple of the tile.
+working set to a small multiple of the tile.  The quadrature panels and
+the t_min probes of the Mellin engine are held bitwise to the per-panel
+loop and the all-probes call they replaced (``oracles``).
 """
 
 import inspect
@@ -23,9 +25,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
-from conetorsion.zetacont import (_EXP_ZERO, _TILE, MellinZeta, SpectrumStream,
-                                  _exp_rowsum, _gauss_legendre, sqrt_stream)
+from conetorsion.torsion import degree_continuation
+from conetorsion.zetacont import (_EXP_ZERO, _PROBE_BLOCK, _TILE, MellinZeta, SpectrumStream,
+                                  _exp_rowsum, _gauss_legendre, _log_panels,
+                                  progression_stream, sqrt_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
@@ -242,3 +247,64 @@ def test_gauss_legendre_rule_is_cached_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+@pytest.mark.parametrize("a,b,per_decade", [
+    (0.5, 1.0, 1), (0.3, 2.9, 3), (1e-20, 1.0, 1), (1.0, 1e20, 1),
+    (1e-3, 1.0, 3), (1.0, 37.5, 3), (2.5e-9, 50.0 / 1.25, 1)],
+    ids=["one-panel", "one-panel-3", "20-decades-down", "20-decades-up",
+         "3-per-decade", "tail", "lift-grid"])
+@pytest.mark.parametrize("nodes", [14, 24])
+def test_log_panels_are_bitwise_the_per_panel_loop(a, b, per_decade, nodes):
+    ts, ws = _log_panels(a, b, nodes, per_decade)
+    want_t, want_w = oracles.log_panels(a, b, nodes, per_decade)
+    assert np.array_equal(ts, want_t) and np.array_equal(ws, want_w)
+
+
+def _torus2_engines(c, lattice=None):
+    """The squared-stream engine of degree 0 and the engine of its lift."""
+    record = degree_continuation(torus2(c, lattice), 0)
+    lift = sqrt_stream(record.q_stream, record._q_engine)
+    return record._q_engine, MellinZeta(lift)
+
+
+def _all_probes(engine):
+    return oracles.t_min_probes(engine.stream.trace, engine.powers)
+
+
+@pytest.mark.parametrize("make_engine", [
+    lambda: _torus2_engines(2.0)[0],
+    lambda: _torus2_engines(2.0)[1],
+    lambda: _torus2_engines(2.885, SHEARED)[0],
+    lambda: _torus2_engines(2.885, SHEARED)[1],
+    lambda: MellinZeta(circle(1.5).coclosed_spectrum(0)),
+], ids=["torus2-squared", "torus2-lift", "sheared-squared", "sheared-lift", "circle"])
+def test_t_min_is_the_probe_of_the_all_probes_call(make_engine):
+    engine = make_engine()
+    want, ratio = _all_probes(engine)
+    assert ratio.min() <= 1e-13
+    assert engine.t_min == want
+
+
+def _truncated_progression(keep):
+    """Engine on the exact geometric trace m / (e^(ct) - 1), given only the
+    first ``keep`` of its Bernoulli heat powers."""
+    full = progression_stream(1.5, 2, 400)
+    return MellinZeta(SpectrumStream(full.values, full.mults, heat_fn=full.heat_fn,
+                                     heat_powers=full.heat_powers[:keep]))
+
+
+def test_t_min_past_the_first_probe_block_is_the_all_probes_probe():
+    # powers through t^1 leave (ct)^4 / 720 relative: only t below 2e-3 pass
+    engine = _truncated_progression(3)
+    want, ratio = _all_probes(engine)
+    assert np.nonzero(ratio <= 1e-13)[0][0] >= 2 * _PROBE_BLOCK
+    assert engine.t_min == want
+
+
+def test_t_min_without_a_passing_probe_is_the_smallest_ratio():
+    # the leading power alone leaves about ct / 2 relative at every probe
+    engine = _truncated_progression(1)
+    want, ratio = _all_probes(engine)
+    assert ratio.min() > 1e-13
+    assert engine.t_min == want
