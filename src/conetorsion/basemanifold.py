@@ -63,6 +63,7 @@ SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_LATTICE = ((_TWO_PI, 0.0), (0.0, _TWO_PI))
+_LATTICE_BOX = 1 << 23          # index points _lattice_points may build (about 0.5 GB)
 
 
 def powers_to_heat_coefficients(powers, dim: int) -> tuple:
@@ -244,8 +245,11 @@ def _lattice_points(basis: np.ndarray, radius: float) -> np.ndarray:
     """Squared norms |i b1 + j b2|^2 <= radius^2 over (i, j) != (0, 0)."""
     # index bound: i = <point, s1> for the dual vector s1, so |i| <= r |s1|
     dual = np.linalg.inv(basis.T)  # rows are the dual basis vectors
-    imax = int(math.floor(radius * math.hypot(*dual[0]))) + 1
-    jmax = int(math.floor(radius * math.hypot(*dual[1]))) + 1
+    reach = [radius * math.hypot(*row) for row in dual]
+    if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # (2 imax + 1)(2 jmax + 1)
+        raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
+                              f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
+    imax, jmax = (int(math.floor(x)) + 1 for x in reach)
     ii, jj = np.meshgrid(np.arange(-imax, imax + 1), np.arange(-jmax, jmax + 1),
                          indexing="ij")
     pts = ii[..., None] * basis[0] + jj[..., None] * basis[1]
@@ -273,15 +277,16 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     c = _positive_scale(c)
     if not (is_finite_number(nu_max) and nu_max > 0.0):
         raise ValidationError(f"nu_max must be a positive finite number, got {nu_max!r}")
-    try:
-        basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE,
-                           dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"lattice entries must be numbers, got {lattice!r}") from None
+    try:        # screened entry by entry: a float cast parses strings and counts bools
+        entries = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE, dtype=object)
+        finite = all(map(is_finite_number, entries.flat))
+    except ValueError:              # nested arrays of unequal shapes
+        finite = False
+    if not finite:
+        raise ValidationError(f"lattice entries must be finite real numbers, got {lattice!r}")
+    basis = entries.astype(float)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
-    if not np.isfinite(basis).all():
-        raise ValidationError(f"lattice entries must be finite, got {basis.tolist()}")
     covol = abs(float(np.linalg.det(basis)))
     if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
         raise ValidationError("degenerate lattice: basis vectors are collinear")

@@ -1,13 +1,13 @@
 """Positive zeros of J_nu, J_nu', and the mixed combination a*J_nu(z) + z*J_nu'(z).
 
 Strategy: Dirichlet zeros come from vectorized, bracket-safeguarded Newton
-iteration seeded by McMahon's asymptotic expansion, with a sequential
-scan-and-bisect repair for the low indices where the expansion is poor
-(large order nu).  Derivative and mixed zeros are then bracketed by the
-interlacing property — the logarithmic derivative z J'/J decreases from +inf
-to -inf across each interval between consecutive J_nu zeros (Mittag-Leffler
-expansion), so each interval holds exactly one mixed zero whenever
-alpha + nu > 0 — and refined by vectorized bisection plus Newton polish.
+iteration seeded by McMahon's asymptotic expansion, with an array-pass sign
+scan repairing the low indices where the expansion is poor (large order nu).
+Derivative and mixed zeros are then bracketed by the interlacing property —
+the logarithmic derivative z J'/J decreases from +inf to -inf across each
+interval between consecutive J_nu zeros (Mittag-Leffler expansion), so each
+interval holds exactly one mixed zero whenever alpha + nu > 0 — and refined
+by the vectorized bisection sweep the scan also uses, plus Newton polish.
 
 The mixed boundary parameter must satisfy alpha^2 < nu^2, or be +inf
 (Dirichlet alias).  The single boundary point alpha = +nu is also accepted:
@@ -33,6 +33,7 @@ KINDS = ("dirichlet", "neumann", "mixed")
 _RESIDUAL_TOL = 1e-12
 _SIMPLICITY_TOL = 1e-8          # |f'| relative to the sizes of the terms it sums
 _SECANT_STEPS = 5
+_SCAN_CELLS = 1 << 20           # widest repair scan, in unit cells
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,11 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
         if ok.all():
             break
 
-    # validate; repair the (low-index) failures by sequential scanning
+    # validate; repair the (low-index) failures by scanning
     good = ok & (z > max(nu, 0.0)) & np.isfinite(z)
-    if count > 1:
-        gaps_ok = np.empty(count, dtype=bool)
-        gaps_ok[0] = True
-        gaps_ok[1:] = np.diff(z) > math.pi - 1e-9
-        good &= gaps_ok & gaps_ok[np.roll(np.arange(count), -1) % count]
+    gap_ok = np.diff(z) > 3.1   # gaps are >= pi for nu >= 1/2 and >= 3.1153 below
+    good[1:] &= gap_ok
+    good[:-1] &= gap_ok
     resid = np.abs(jv(nu, z))
     good &= resid <= 1e-9 * np.maximum(1.0, z)
     if not good.all():
@@ -185,49 +184,58 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
 
 
 def _scan_zeros(nu: float, count: int) -> np.ndarray:
-    """Sequential sign-change scan + brentq; slow but assumption-free."""
-    # imported here: scipy.optimize costs a third of the CLI start-up, and
-    # only this repair path needs it
-    from scipy.optimize import brentq
+    """Sign scans on a unit-step grid from z = nu, below the first zero,
+    widened fourfold until it holds ``count`` sign changes of J_nu, then
+    plain bisection of those cells: no use of McMahon's expansion.  Zeros
+    are more than 3.1 apart, so each cell holds at most one."""
     from scipy.special import jv
-    if nu >= 1.0:
-        start = nu + 0.9 * nu ** (1.0 / 3.0)   # below the first zero
-    else:
-        start = 0.3
-    step = max(0.4, 0.45 * nu ** (1.0 / 3.0))
-    found = []
-    x, fx = start, float(jv(nu, start))
-    if fx == 0.0:  # ridiculously unlucky grid point / underflow
-        x *= 1.0 + 1e-9
-        fx = float(jv(nu, x))
-    budget = 200000
-    while len(found) < count and budget > 0:
-        budget -= 1
-        y = x + step
-        fy = float(jv(nu, y))
-        if fx * fy < 0.0:
-            found.append(brentq(lambda t: float(jv(nu, t)), x, y,
-                                xtol=1e-15, rtol=4 * np.finfo(float).eps))
-            step = max(0.4, min(step, math.pi / 3))
-        x, fx = y, fy
-    if len(found) < count:
-        raise ConvergenceError(
-            f"scan failed to find {count} zeros of J_{nu} (found {len(found)})")
-    return np.array(found)
+    width = 8 * count
+    while True:
+        grid = nu + np.arange(width + 1.0)
+        sign = np.sign(jv(nu, grid))
+        cells = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0][:count]
+        if cells.size == count:
+            break
+        if width >= _SCAN_CELLS:
+            raise ConvergenceError(f"scan found {cells.size} of {count} zeros of J_{nu}")
+        width = min(4 * width, _SCAN_CELLS)
+    return _bisect(grid[cells], grid[cells + 1], sign[cells],
+                   np.full(count, -np.inf), np.full(count, np.inf), lambda t: jv(nu, t))
+
+
+def _bisect(lo, hi, flo_sign, below, above, f) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi], narrowed in place by bisection
+    sweeps.  f has sign flo_sign at each lo and one zero in each bracket,
+    inside (below, above); only midpoints inside that enclosure evaluate f."""
+    # a sweep that leaves an element's bracket unchanged would repeat itself
+    # on every later sweep (same midpoint, same sign), so it leaves the live set
+    live = np.arange(lo.size)
+    for _ in range(54):
+        l, h, s = lo[live], hi[live], flo_sign[live]
+        mid = 0.5 * (l + h)
+        sm = np.where(mid <= below[live], s, -s)
+        doubt = np.nonzero((mid > below[live]) & (mid < above[live]))[0]
+        if doubt.size:
+            sm[doubt] = np.sign(f(mid[doubt]))
+        take_lo = (sm == s) | (sm == 0.0)
+        lo[live] = np.where(take_lo, mid, l)
+        hi[live] = np.where(take_lo, h, mid)
+        live = live[np.where(take_lo, mid != l, mid != h)]
+        if not live.size:
+            break
+    return 0.5 * (lo + hi)
 
 
 def _bisect_interlaced(nu: float, count: int, f, fpair) -> np.ndarray:
     """One zero per interval between consecutive J_nu zeros (plus the head
-    interval starting at 0), located by vectorized bisection and polished by
-    Newton.  The sweeps read only the sign of f(z); the polish takes
-    fpair(z) -> (f(z), f'(z)).  The sign of f at 0+ must be +.
+    interval starting at 0), located by the shared bisection sweep and
+    polished by Newton.  The sweeps read only the sign of f(z); the polish
+    takes fpair(z) -> (f(z), f'(z)).  The sign of f at 0+ must be +.
 
     Each interval holds exactly one zero, so a midpoint on a known side of
     it has a known sign.  Secant steps on f find each zero approximately;
-    where f has the left-end sign at z - d and the opposite sign at z + d,
-    the sweeps evaluate f only at midpoints strictly inside that enclosure
-    and give every other midpoint its side's sign.  Midpoints, side rule and
-    live set are those of plain bisection, so the bisection bounds are too.
+    (z - d, z + d) encloses it where f has the left-end sign at z - d and the
+    opposite sign at z + d.  The result is bitwise that of plain bisection.
     """
     anchors = _dirichlet_zeros(nu, count)
     lo = np.concatenate([[0.0], anchors[:-1]])
@@ -261,23 +269,7 @@ def _bisect_interlaced(nu: float, count: int, f, fpair) -> np.ndarray:
     below[~enclosed] = -np.inf
     above[~enclosed] = np.inf
 
-    # a sweep that leaves an element's bracket unchanged would repeat itself
-    # on every later sweep (same midpoint, same sign), so it leaves the live set
-    live = np.arange(count)
-    for _ in range(54):
-        l, h, s = lo[live], hi[live], flo_sign[live]
-        mid = 0.5 * (l + h)
-        sm = np.where(mid <= below[live], s, -s)
-        doubt = np.nonzero((mid > below[live]) & (mid < above[live]))[0]
-        if doubt.size:
-            sm[doubt] = np.sign(f(mid[doubt]))
-        take_lo = (sm == s) | (sm == 0.0)
-        lo[live] = np.where(take_lo, mid, l)
-        hi[live] = np.where(take_lo, h, mid)
-        live = live[np.where(take_lo, mid != l, mid != h)]
-        if not live.size:
-            break
-    z = 0.5 * (lo + hi)
+    z = _bisect(lo, hi, flo_sign, below, above, f)
     for _ in range(3):
         f, fp = fpair(z)
         step = np.where(fp != 0.0, f / fp, 0.0)

@@ -51,7 +51,7 @@ from .exactpoly import parity_bracket
 from .modelops import harmonic_contribution
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
-                       shifted_from_base, sqrt_stream, zeta_data_exact)
+                       _shifts, shifted_from_base, sqrt_stream, zeta_data_exact)
 
 __all__ = [
     "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
@@ -200,9 +200,7 @@ class DegreeContinuation:
     def shifted(self, shift: float) -> tuple[float, float]:
         """(zeta'(0, shift), error estimate) at any finite shift: the stored
         values at +-alpha_k, else the route's own evaluation at that shift."""
-        if not is_finite_number(shift):
-            raise ValidationError(f"shift must be a finite real, got {shift!r}")
-        s = float(shift)
+        s, = _shifts((shift,))
         if s in self.shift_errors:
             return self.data.deriv0_shifted[s], self.shift_errors[s]
         if self.progression is not None:

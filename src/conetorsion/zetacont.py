@@ -170,16 +170,20 @@ def shift_heat_powers(powers, b: float):
 
 def _positive_reals(array, name: str) -> np.ndarray:
     """``array`` as 1-D floats, refused unless every entry is a finite
-    positive number: one dtype and one value check, before any coercion
+    positive number: one shape, dtype and value check, before any coercion
     could parse a string or count a bool.  A list that mixes bools with
-    floats casts to float, so bools in non-array input are refused first."""
+    floats casts to float, so bools in non-array input are screened apart."""
+    refusal = f"spectrum stream {name} must be 1-D finite positive numbers"
+    try:
+        arr = np.atleast_1d(np.asarray(array))
+    except ValueError:              # a ragged nesting
+        raise ValidationError(refusal) from None
     if not isinstance(array, np.ndarray) and any(
             np.asarray(v).dtype.kind == "b" for v in np.ravel(np.asarray(array, dtype=object))):
-        raise ValidationError(f"spectrum stream {name} must be finite positive numbers")
-    array = np.atleast_1d(np.asarray(array))
-    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array) & (array > 0)):
-        raise ValidationError(f"spectrum stream {name} must be finite positive numbers")
-    return np.asarray(array, dtype=float)
+        raise ValidationError(refusal)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValidationError(refusal)
+    return np.asarray(arr, dtype=float)
 
 
 def _shifts(alphas) -> list[float]:

@@ -4,6 +4,10 @@ built over them, custom round trips, and validation."""
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,26 @@ def test_torus_refuses_non_finite_lattice_entries(bad):
         lattice[i // 2][i % 2] = bad
         with pytest.raises(ValidationError, match="^lattice entries must be finite"):
             bm.torus2(2.0, lattice=lattice)
+
+
+def test_torus_refuses_a_nu_max_it_cannot_enumerate():
+    # nu_max = 1e9 asked for a 7.45 GiB index array; under the address-space
+    # cap a missing refusal fails here instead of exhausting the host
+    src = str(Path(bm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from conetorsion.basemanifold import torus2\n"
+            "from conetorsion.errors import ValidationError\n"
+            "try:\n"
+            "    torus2(2.0, nu_max=1e9)\n"
+            "except ValidationError as exc:\n"
+            "    sys.exit('nu_max' not in str(exc))\n"
+            "sys.exit('loaded')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_skew_lattice_theta_and_weyl():

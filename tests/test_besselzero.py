@@ -58,6 +58,66 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.returncode == 0
 
 
+def test_zero_solves_leave_scipy_optimize_unloaded():
+    # orders below 1/2 and the large-order repair (15 of the 20 zeros at
+    # nu = 200) once ran a scalar scan that imported scipy.optimize
+    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from conetorsion.besselzero import ZeroRequest, zeros\n"
+            "for nu, count in ((0.0, 2000), (0.3, 2000), (200.0, 20)):\n"
+            "    zeros(ZeroRequest(nu, 'dirichlet', count))\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
+
+
+def _spied_dirichlet_zeros(monkeypatch, nu, count):
+    """The uncached Dirichlet solve, with the counts of its repair scans."""
+    scans = []
+
+    def spy(order, n):
+        scans.append(n)
+        return _scan_zeros(order, n)
+
+    monkeypatch.setattr(besselzero, "_scan_zeros", spy)
+    return _dirichlet_zeros.__wrapped__(nu, count), scans
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.1, 0.3, 0.49])
+def test_orders_below_one_half_keep_their_newton_zeros(nu, monkeypatch):
+    # their zeros are 3.1153 to pi apart, which a spacing check of
+    # pi - 1e-9 sent to the scan for every index
+    for count in (50, 2000):
+        z, scans = _spied_dirichlet_zeros(monkeypatch, nu, count)
+        assert scans == []
+        for k in [*range(1, 51), *range(100, count + 1, 100)]:
+            if k <= count:
+                assert z[k - 1] == pytest.approx(oracles.j_zero(nu, k), rel=5e-14)
+
+
+def test_large_order_repair_matches_mpmath(monkeypatch):
+    # McMahon's expansion fails for the low indices at nu = 200
+    z, scans = _spied_dirichlet_zeros(monkeypatch, 200.0, 20)
+    assert scans == [15]
+    for k in range(1, 16):
+        assert z[k - 1] == pytest.approx(oracles.j_zero(200.0, k), rel=5e-14)
+
+
+def test_scan_widens_its_grid_up_to_a_bound(monkeypatch):
+    # the first five zeros of J_10000 lie past the first grid of 8 * 5 unit
+    # cells, so the scan widens it; bounded at 64 cells, it refuses
+    z = _scan_zeros(1e4, 5)
+    fine = scipy.special.jv(1e4, np.arange(1e4, z[-1] + 0.05, 0.05))
+    assert np.count_nonzero(fine[:-1] * fine[1:] < 0.0) == 5
+    ends = scipy.special.jv(1e4, np.concatenate([z * (1 - 1e-15), z * (1 + 1e-15)]))
+    assert np.all(ends[:5] * ends[5:] < 0.0)
+    monkeypatch.setattr(besselzero, "_SCAN_CELLS", 64)
+    with pytest.raises(ConvergenceError, match="scan found 1 of 5 zeros"):
+        _scan_zeros(1e4, 5)
+
+
 def test_zero_list_is_read_only():
     # the Dirichlet kind hands out the memoized array: a write must not
     # reach later solves

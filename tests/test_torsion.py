@@ -432,6 +432,13 @@ def test_continuation_records_die_with_their_base():
                                         zetacont.zeta_data_exact(1.5, 2), "0.3"), "shift"),
     (lambda: zetacont.shifted_from_base(zetacont.progression_stream(1.5, 2, 400),
                                         zetacont.zeta_data_exact(1.5, 2), True), "shift"),
+    (lambda: zetacont.SpectrumStream([[1.0, 2.0], [3.0, 4.0]]), "values"),
+    (lambda: zetacont.SpectrumStream([[1.0], 2.0]), "values"),
+    (lambda: zetacont.SpectrumStream(np.ones((2, 2))), "values"),
+    (lambda: zetacont.SpectrumStream([1.0, 2.0], [[1.0], 2.0]), "mults"),
+    (lambda: torus2(2.0, lattice=[["6.283185307179586", "0"], ["0", "6.283185307179586"]]),
+     "lattice"),
+    (lambda: torus2(2.0, lattice=[[True, 0], [0, True]]), "lattice"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -443,7 +450,8 @@ def test_continuation_records_die_with_their_base():
         "stream-mult-negative", "stream-mult-zero", "stream-mult-nan", "stream-mult-str",
         "exact-shift-str", "numeric-shift-str", "stream-bool-mixed",
         "stream-mult-bool-mixed", "stream-bool-0d-mixed", "direct-shift-str", "direct-shift-bool",
-        "relation-shift-str", "relation-shift-bool"])
+        "relation-shift-str", "relation-shift-bool", "stream-2d-list", "stream-ragged",
+        "stream-2d-array", "stream-mult-ragged", "lattice-str-entries", "lattice-bool-entries"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,
