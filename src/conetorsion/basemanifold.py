@@ -9,17 +9,17 @@ eigenvalue exceeds 1 ("scaling condition"); this keeps all radial model
 operators on the cone in the limit-point range, where the spectral
 analysis applies.
 
-Three constructors are provided:
+Three constructors are provided; the first two are flat tori R^n / L,
+whose heat traces are evaluated exactly by one lattice theta function
+(direct sum for large t, lattice-dual Poisson sum for small t), so zeta
+continuations over them carry no truncation error from the spectrum list:
 
-* ``circle(c)``  -- N = S^1 with metric scaled so the function Laplacian
-  has eigenvalues c^2 m^2 (m >= 1, multiplicity 2).  The shifted
-  frequencies in degree 0 form the exact arithmetic progression {c m},
-  which downstream code evaluates in closed form.
-* ``torus2(c, lattice)`` -- N = R^2 / L a flat torus; eigenvalues
-  4 pi^2 c^2 |mu|^2 over the dual lattice.  The heat trace is evaluated
-  exactly through the two-branch theta function (direct sum for large t,
-  lattice-dual Poisson sum for small t), so zeta continuations over this
-  base carry no truncation error from the spectrum list.
+* ``circle(c)``  -- N = S^1 = R / 2 pi Z (n = 1), scaled so the function
+  Laplacian has eigenvalues c^2 m^2 (m >= 1, multiplicity 2).  The
+  shifted frequencies in degree 0 form the exact arithmetic progression
+  {c m}, which downstream code evaluates in closed form.
+* ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
+  4 pi^2 c^2 |mu|^2 over the dual lattice.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
 
@@ -195,12 +195,66 @@ class BaseManifold(ReadOnly):
 
 
 # ---------------------------------------------------------------------------
-# circle
+# flat tori R^n / L: circle (n = 1) and torus2 (n = 2)
 # ---------------------------------------------------------------------------
+
+def _lattice_points(basis: np.ndarray, radius: float) -> np.ndarray:
+    """Squared norms |sum_k i_k b_k|^2 <= radius^2 over nonzero integer
+    vectors i, for the rows b_k of the n x n ``basis``."""
+    # index bound: i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
+    dual = np.linalg.inv(basis.T)  # rows are the dual basis vectors
+    reach = [radius * math.hypot(*row) for row in dual]
+    if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # prod (2 i_k,max + 1)
+        raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
+                              f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
+    axes = [np.arange(-b, b + 1) for b in (int(math.floor(x)) + 1 for x in reach)]
+    pts = sum(g[..., None] * row for g, row in zip(np.meshgrid(*axes, indexing="ij"), basis))
+    sq = np.einsum("...k,...k->...", pts, pts).ravel()
+    keep = (sq > 0.0) & (sq <= radius * radius + 1e-9)
+    return np.sort(sq[keep])
+
+
+def _shortest(basis: np.ndarray) -> float:
+    """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
+    reach = 1.0001 * min(math.hypot(*row) for row in basis)
+    return math.sqrt(_lattice_points(basis, reach)[0])
+
+
+def _flat_torus_trace(c: float, basis: np.ndarray, eta: np.ndarray, mults: np.ndarray):
+    """Exact heat trace of R^n/L at scale c, L spanned by the rows of the
+    n x n ``basis``, and its leading coefficient A = covol/(4 pi c^2)^(n/2).
+
+    Large t sums the listed spectrum (eta, mults); small t takes the Poisson
+    dual A t^(-n/2) (1 + sum_v e^(-|v|^2/(4 c^2 t))) - 1 over the nonzero v
+    in L, equal norms merged.  The switch t = l1/(4 pi c^2 q1), for the
+    shortest vectors l1 of L and q1 of L*, lets both sums decay alike: the
+    norms reach 17.5 l1, and the listing must reach 17.5 q1 in L*, for every
+    dropped term to underflow.
+    """
+    dim = basis.shape[0]
+    ell1, q1 = _shortest(basis), _shortest(np.linalg.inv(basis).T)
+    vsq_all = _lattice_points(basis, 17.5 * ell1)
+    vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
+    lead = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c) ** (0.5 * dim)
+    t_switch = ell1 / (4.0 * math.pi * c * c * q1)
+
+    def heat_fn(t, _eta=eta, _em=mults, _v=vsq, _vm=vsq_mult,
+                _A=lead, _ts=t_switch, _c2=c * c, _h=0.5 * dim):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty_like(t)
+        direct = t >= _ts
+        td, tp = t[direct], t[~direct]
+        out[direct] = _exp_rowsum(td, _eta, _em)
+        s = _exp_rowsum(4.0 * _c2 * tp, _v, _vm, divide=True)
+        out[~direct] = _A / tp ** _h * (1.0 + s) - 1.0
+        return out
+
+    return heat_fn, lead
+
 
 def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     """S^1 scaled so the coclosed degree-0 spectrum is {c^2 m^2, mult 2},
-    listed for m = 1..4096 (the trace itself is exact).
+    listed for m = 1..4096 (the trace, that of R / 2 pi Z, is exact).
 
     Requires c > 1 (scaling condition); ``allow_boundary`` admits the
     borderline c = 1, used only for closed-form evaluations.
@@ -210,24 +264,9 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
         raise ValidationError(f"allow_boundary must be a bool, got {allow_boundary!r}")
     if c < 1.0 or (c == 1.0 and not allow_boundary):
         raise ValidationError(SCALING_MESSAGE)
-    m = np.arange(1, 4097, dtype=float)
-    values = (c * m) ** 2
-    mults = 2.0 * np.ones_like(values)
-
-    def heat_fn(t, _c2=c * c):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        a = _c2 * t
-        out = np.empty_like(t)
-        direct = a >= 0.3
-        ad, ap = a[direct], a[~direct]
-        # direct sum over j <= 50: on the whole branch (a >= 0.3) every
-        # later term underflows to 0, as do the kernel's skipped ones
-        out[direct] = 2.0 * _exp_rowsum(ad, np.arange(1.0, 51.0) ** 2)
-        # Poisson dual: j <= 5 leaves e^(-36 pi^2 / 0.3) ~ 0
-        s = _exp_rowsum(math.pi * math.pi / ap, np.arange(1.0, 6.0) ** 2)
-        out[~direct] = np.sqrt(math.pi / ap) * (1.0 + 2.0 * s) - 1.0
-        return out
-
+    values = (c * np.arange(1.0, 4097.0)) ** 2
+    mults = np.full(values.size, 2.0)
+    heat_fn, _ = _flat_torus_trace(c, np.array([[_TWO_PI]]), values, mults)
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
@@ -235,33 +274,6 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
                       heat_powers=powers, nu_progression=(c, 2))
     return BaseManifold(name=f"circle(c={c:g})", dim=1, betti=(1, 1), scale=c,
                         degrees={0: deg0}, boundary_ok=allow_boundary)
-
-
-# ---------------------------------------------------------------------------
-# flat 2-torus
-# ---------------------------------------------------------------------------
-
-def _lattice_points(basis: np.ndarray, radius: float) -> np.ndarray:
-    """Squared norms |i b1 + j b2|^2 <= radius^2 over (i, j) != (0, 0)."""
-    # index bound: i = <point, s1> for the dual vector s1, so |i| <= r |s1|
-    dual = np.linalg.inv(basis.T)  # rows are the dual basis vectors
-    reach = [radius * math.hypot(*row) for row in dual]
-    if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # (2 imax + 1)(2 jmax + 1)
-        raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
-                              f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
-    imax, jmax = (int(math.floor(x)) + 1 for x in reach)
-    ii, jj = np.meshgrid(np.arange(-imax, imax + 1), np.arange(-jmax, jmax + 1),
-                         indexing="ij")
-    pts = ii[..., None] * basis[0] + jj[..., None] * basis[1]
-    sq = np.einsum("ijk,ijk->ij", pts, pts).ravel()
-    keep = (sq > 0.0) & (sq <= radius * radius + 1e-9)
-    return np.sort(sq[keep])
-
-
-def _shortest(basis: np.ndarray) -> float:
-    """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
-    reach = 1.0001 * min(math.hypot(*basis[0]), math.hypot(*basis[1]))
-    return math.sqrt(_lattice_points(basis, reach)[0])
 
 
 def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
@@ -287,48 +299,26 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     basis = entries.astype(float)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
-    covol = abs(float(np.linalg.det(basis)))
-    if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
+    if abs(np.linalg.det(basis)) < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
         raise ValidationError("degenerate lattice: basis vectors are collinear")
-    dual_basis = np.linalg.inv(basis).T
-
-    ell1, q1 = _shortest(basis), _shortest(dual_basis)
 
     # materialize dual points out to the larger of the frequency target and
-    # the theta crossover requirement (~17 shortest vectors)
-    r_count = max(nu_max / (_TWO_PI * c), 17.5 * q1)
+    # the theta crossover requirement (17.5 q1, see _flat_torus_trace)
+    dual_basis = np.linalg.inv(basis).T
+    r_count = max(nu_max / (_TWO_PI * c), 17.5 * _shortest(dual_basis))
     dual_sq = _lattice_points(dual_basis, r_count)
     eta_all = (4.0 * math.pi ** 2 * c * c) * dual_sq
     eta, eta_mult = merge_ties(eta_all, np.ones_like(eta_all))
     if eta[0] <= 1.0:
         raise ValidationError(SCALING_MESSAGE)
 
-    # Poisson branch: equal lattice norms merged, multiplicities as weights
-    vsq_all = _lattice_points(basis, 17.5 * ell1)
-    vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
-
-    area_factor = covol / (4.0 * math.pi * c * c)     # A in Z ~ A/t - 1
-    t_switch = ell1 / (4.0 * math.pi * c * c * q1)
-
-    def heat_fn(t, _eta=eta, _em=eta_mult, _v=vsq, _vm=vsq_mult,
-                _A=area_factor, _ts=t_switch, _c2=c * c):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        direct = t >= _ts
-        td, tp = t[direct], t[~direct]
-        out[direct] = _exp_rowsum(td, _eta, _em)
-        s = _exp_rowsum(4.0 * _c2 * tp, _v, _vm, divide=True)
-        out[~direct] = _A / tp * (1.0 + s) - 1.0
-        return out
-
+    heat_fn, area_factor = _flat_torus_trace(c, basis, eta, eta_mult)   # Z ~ A/t - 1
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
         (float(j), 0.0) for j in range(1, 13))
-    lattice_tag = "square" if lattice is None else "custom"
     deg = DegreeData(values=eta, mults=eta_mult, heat_fn=heat_fn,
                      heat_powers=powers, nu_progression=None)
-    return BaseManifold(name=f"torus2(c={c:g}, {lattice_tag})", dim=2,
-                        betti=(1, 2, 1), scale=c,
-                        degrees={0: deg, 1: deg})
+    return BaseManifold(name=f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})",
+                        dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 
 # ---------------------------------------------------------------------------

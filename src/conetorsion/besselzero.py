@@ -3,6 +3,9 @@
 Strategy: Dirichlet zeros come from vectorized, bracket-safeguarded Newton
 iteration seeded by McMahon's asymptotic expansion, with an array-pass sign
 scan repairing the low indices where the expansion is poor (large order nu).
+A unit grid re-checks the seam between the scanned and the kept Newton zeros;
+a zero skipped there sends the whole list to the scan.  Orders from 2^52 on,
+where binary64 is too coarse for a unit grid, are refused.
 Derivative and mixed zeros are then bracketed by the interlacing property —
 the logarithmic derivative z J'/J decreases from +inf to -inf across each
 interval between consecutive J_nu zeros (Mittag-Leffler expansion), so each
@@ -142,11 +145,9 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
     """First ``count`` zeros of J_nu, memoized (they anchor every interlaced
     solve at the same order) and therefore read-only."""
     from scipy.special import jv
-    idx = np.arange(1, count + 1)
-    seeds = np.array([mcmahon_guess(nu, int(i)) for i in idx])
+    seeds = np.array([mcmahon_guess(nu, i) for i in range(1, count + 1)])
 
-    halfgap = 0.5 * np.diff(seeds, prepend=seeds[0] - math.pi)
-    halfgap = np.maximum(halfgap, 0.45 * math.pi)
+    halfgap = np.maximum(0.5 * np.diff(seeds, prepend=seeds[0] - math.pi), 0.45 * math.pi)
     lo, hi = seeds - halfgap, seeds + halfgap
 
     z = seeds.copy()
@@ -159,22 +160,28 @@ def _dirichlet_zeros(nu: float, count: int) -> np.ndarray:
         # clip runaway steps back into the McMahon window
         bad = (znew <= lo) | (znew >= hi) | ~np.isfinite(znew)
         znew = np.where(bad, 0.5 * (np.clip(z, lo, hi) + np.where(step > 0, lo, hi)), znew)
-        done = np.abs(znew - z) <= 1e-14 * np.abs(znew)
+        ok |= np.abs(znew - z) <= 1e-14 * np.abs(znew)
         z = znew
-        ok |= done
         if ok.all():
             break
 
     # validate; repair the (low-index) failures by scanning
-    good = ok & (z > max(nu, 0.0)) & np.isfinite(z)
-    gap_ok = np.diff(z) > 3.1   # gaps are >= pi for nu >= 1/2 and >= 3.1153 below
-    good[1:] &= gap_ok
-    good[:-1] &= gap_ok
-    resid = np.abs(jv(nu, z))
-    good &= resid <= 1e-9 * np.maximum(1.0, z)
+    # gaps are >= pi for nu >= 1/2 and >= 3.1153 below
+    gap_ok = np.diff(z, prepend=-np.inf, append=np.inf) > 3.1
+    good = ok & (z > nu) & np.isfinite(z) & gap_ok[:-1] & gap_ok[1:]
+    good &= np.abs(jv(nu, z)) <= 1e-9 * np.maximum(1.0, z)
     if not good.all():
         n_repair = int(np.max(np.nonzero(~good)[0])) + 1
         z[:n_repair] = _scan_zeros(nu, n_repair)
+        if n_repair < count:
+            # the kept Newton zeros must resume at the zero after the scan's
+            # last: zeros are over 3.1 apart, so J_nu changes sign on a unit grid
+            # from lo + 1/2 to hi - 1/2 iff one was skipped; then all are scanned
+            lo, hi = z[n_repair - 1], z[n_repair]
+            seam = 3.1 < hi - lo <= _SCAN_CELLS and np.all(
+                np.diff(np.sign(jv(nu, np.arange(lo + 0.5, hi - 0.5)))) == 0.0)
+            if not seam:
+                z = _scan_zeros(nu, count)
         # one more vectorized polish over everything
         for _ in range(3):
             f, fp = _f_dirichlet(nu, z)
@@ -281,6 +288,8 @@ def zeros(req: ZeroRequest) -> ZeroList:
     """First `count` positive zeros for the request, validated for strict
     increase, small residual, and simplicity."""
     nu, count = req.nu, req.count
+    if nu >= 2.0 ** 52:     # binary64 spacing is 1 or more there: no unit-step scan
+        raise ConvergenceError(f"order nu={nu:g} is beyond the reach of the unit-step scan")
     kind = req.kind
     if kind == "mixed" and req.alpha == math.inf:
         kind = "dirichlet"

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,43 @@ def test_large_order_repair_matches_mpmath(monkeypatch):
     assert scans == [15]
     for k in range(1, 16):
         assert z[k - 1] == pytest.approx(oracles.j_zero(200.0, k), rel=5e-14)
+
+
+def _sign_changes(values) -> int:
+    return int(np.count_nonzero(values[:-1] * values[1:] < 0.0))
+
+
+@pytest.mark.parametrize("count", [20, 50])
+@pytest.mark.parametrize("nu", [250.0, 1000.0, 5000.0, 1e6])
+def test_large_order_lists_skip_no_zero(nu, count):
+    # McMahon seeds past the repaired indices used to converge to far-away
+    # zeros (the 44th of J_1000 came out as 1319.372, not 1299.910); zeros
+    # are over 3.1 apart, so a unit grid counts them one by one
+    z = zeros(ZeroRequest(nu, "dirichlet", count)).zeros
+    grid = np.arange(nu, z[-1] + 1.5)
+    assert _sign_changes(scipy.special.jv(nu, grid)) == count
+
+
+@pytest.mark.parametrize("kind,alpha", [("neumann", None), ("mixed", 300.0)])
+def test_interlaced_lists_at_large_order_skip_no_zero(kind, alpha):
+    # these kinds bracket their zeros by the Dirichlet ones, so a skipped
+    # Dirichlet zero used to skip one of theirs too
+    nu = 1000.0
+    z = zeros(ZeroRequest(nu, kind, 50, alpha)).zeros
+    grid = np.arange(0.5 * nu, z[-1] + 0.5, 0.25)
+    if kind == "neumann":
+        f = scipy.special.jvp(nu, grid)
+    else:
+        f = alpha * scipy.special.jv(nu, grid) + grid * scipy.special.jvp(nu, grid)
+    assert _sign_changes(f) == 50
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("nu", [1e60, 1e300])
+def test_zero_solver_refuses_orders_beyond_its_scan(nu, kind):
+    # McMahon's powers of nu overflowed here with a bare OverflowError
+    with pytest.raises(ConvergenceError, match=re.escape(f"order nu={nu:g} is beyond")):
+        zeros(ZeroRequest(nu, kind, 5))
 
 
 def test_scan_widens_its_grid_up_to_a_bound(monkeypatch):

@@ -43,13 +43,14 @@ def _closure(heat_fn) -> dict:
             if k != "t"}
 
 
-def _loop_torus2(heat_fn, t, lattice):
-    """Per-point reference; returns (Z, scale) with scale = Z + 1 on the
+def _loop_flat_torus(heat_fn, t, basis):
+    """Per-point reference for the theta trace of R^n/L, L spanned by the
+    rows of ``basis``; returns (Z, scale) with scale = Z + 1 on the
     Poisson branch, which sums over every lattice vector, unmerged."""
     a = _closure(heat_fn)
-    basis = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE)
+    basis = np.asarray(basis, dtype=float)
     ell1 = math.sqrt(_lattice_points(basis, 1.0001 * min(
-        math.hypot(*basis[0]), math.hypot(*basis[1])))[0])
+        math.hypot(*row) for row in basis))[0])
     vsq = _lattice_points(basis, 17.5 * ell1)
     z, scale = np.empty_like(t), np.empty_like(t)
     for i, ti in enumerate(t):
@@ -58,24 +59,7 @@ def _loop_torus2(heat_fn, t, lattice):
             scale[i] = z[i]
         else:
             s = math.fsum(np.exp(-vsq / (4.0 * a["_c2"] * ti)).tolist())
-            scale[i] = a["_A"] / ti * (1.0 + s)
-            z[i] = scale[i] - 1.0
-    return z, scale
-
-
-def _loop_circle(heat_fn, t):
-    c2 = _closure(heat_fn)["_c2"]
-    z, scale = np.empty_like(t), np.empty_like(t)
-    for i, ti in enumerate(t):
-        a = c2 * ti
-        if a >= 0.3:
-            mmax = int(math.sqrt(745.0 / a)) + 1
-            z[i] = 2.0 * math.fsum(math.exp(-a * j * j) for j in range(1, mmax + 1))
-            scale[i] = z[i]
-        else:
-            b = math.pi * math.pi / a
-            s = math.fsum(math.exp(-b * j * j) for j in range(1, 6))
-            scale[i] = math.sqrt(math.pi / a) * (1.0 + 2.0 * s)
+            scale[i] = a["_A"] / ti ** (0.5 * basis.shape[0]) * (1.0 + s)
             z[i] = scale[i] - 1.0
     return z, scale
 
@@ -97,7 +81,8 @@ def test_torus2_trace_matches_loop(c, lattice):
     heat_fn = torus2(c, lattice)._degree(0).heat_fn
     t_switch = _closure(heat_fn)["_ts"]
     assert T_GRID[0] < t_switch < T_GRID[-1]
-    want, scale = _loop_torus2(heat_fn, T_GRID, lattice)
+    want, scale = _loop_flat_torus(heat_fn, T_GRID,
+                                   lattice if lattice is not None else _DEFAULT_LATTICE)
     _assert_close(heat_fn(T_GRID), want, scale)
     # the direct branch is a plain sum: relative to Z itself
     direct = T_GRID >= t_switch
@@ -107,9 +92,8 @@ def test_torus2_trace_matches_loop(c, lattice):
 @pytest.mark.parametrize("c", [1.0, 2.0, 6.685])
 def test_circle_trace_matches_loop(c):
     heat_fn = circle(c, allow_boundary=True)._degree(0).heat_fn
-    a = c * c * T_GRID
-    assert np.any(a < 0.3) and np.any(a >= 0.3)
-    want, scale = _loop_circle(heat_fn, T_GRID)
+    assert T_GRID[0] < _closure(heat_fn)["_ts"] < T_GRID[-1]
+    want, scale = _loop_flat_torus(heat_fn, T_GRID, ((2.0 * math.pi,),))
     _assert_close(heat_fn(T_GRID), want, scale)
 
 
