@@ -50,14 +50,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ReadOnly, ValidationError, is_finite_number, is_number
-from .zetacont import SpectrumStream, _exp_rowsum, merge_ties, shift_heat_powers
+from .errors import ReadOnly, ValidationError, is_finite_number, is_integer, is_number
+from .zetacont import SpectrumStream, _exp_rowsum, merge_ties
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -87,30 +86,17 @@ def _positive_scale(c) -> float:
     return float(c)
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    """Nonzero coclosed spectrum of one degree, with exact heat data; its
-    arrays are frozen on construction, like every field."""
-    values: np.ndarray          # ascending eigenvalues eta > 1
-    mults: np.ndarray
-    heat_fn: object             # exact trace callable or None
-    heat_powers: tuple          # complete through max listed power
-    nu_progression: tuple | None  # (step, mult) when sqrt(eta) = step*m exactly
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
-        self.mults.flags.writeable = False
-
-
 class BaseManifold(ReadOnly):
-    """Closed oriented cross-section: Betti numbers + coclosed spectra.
-
-    Read-only, its degree map included: cached continuations are keyed by
-    the base's identity, so a write would change what a later solve reads.
+    """Closed oriented cross-section: Betti numbers + coclosed spectra, one
+    unshifted ``SpectrumStream`` per degree (heat powers complete through the
+    largest listed one); ``progressions`` maps a degree to (step, mult) when
+    sqrt(eta) = step*m exactly.  Read-only, both maps included: cached
+    continuations are keyed by the base's identity, so a write would change
+    what a later solve reads.
     """
 
-    def __init__(self, *, name: str, dim: int, betti, scale: float,
-                 degrees: dict, boundary_ok: bool = False, truncation_note: str = ""):
+    def __init__(self, *, name: str, dim: int, betti, scale: float, degrees: dict,
+                 progressions=(), boundary_ok: bool = False, truncation_note: str = ""):
         if dim < 1:
             raise ValidationError("cross-section dimension must be >= 1")
         betti = tuple(int(b) for b in betti)
@@ -130,11 +116,12 @@ class BaseManifold(ReadOnly):
                 raise ValidationError(
                     f"degree {k} is outside 0..{dim - 1}: a coclosed {dim}-form on a "
                     f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
-            if deg.values.size and float(deg.values[0]) <= floor:
+            if deg.min_value <= floor:
                 raise ValidationError(SCALING_MESSAGE)
         for key, value in dict(name=name, dim=int(dim), betti=betti, scale=scale,
                                orientable=True, truncation_note=truncation_note,
-                               _degrees=MappingProxyType(dict(degrees))).items():
+                               _degrees=MappingProxyType(dict(degrees)),
+                               progressions=MappingProxyType(dict(progressions))).items():
             object.__setattr__(self, key, value)
 
     # -- bookkeeping -------------------------------------------------------
@@ -145,37 +132,24 @@ class BaseManifold(ReadOnly):
     def degrees_available(self) -> tuple:
         return tuple(sorted(self._degrees))
 
-    def _degree(self, k: int) -> DegreeData:
-        if k not in self._degrees:
-            raise ValidationError(
-                f"no coclosed spectrum supplied for degree {k} of {self.name}")
-        return self._degrees[k]
-
     # -- spectra -----------------------------------------------------------
     def coclosed_spectrum(self, k: int, shift2: float = 0.0) -> SpectrumStream:
-        """Nonzero coclosed degree-k eigenvalues, shifted by ``shift2``.
-
-        The returned stream has values eta + shift2, the exact trace
-        e^(-shift2 t) Z_k(t) when Z_k is available in closed form, and
-        the correspondingly convolved small-t powers.
-        """
-        deg = self._degree(k)
-        if shift2 < 0.0:
-            raise ValidationError("spectral shift must be nonnegative")
-        heat_fn = deg.heat_fn
-        if heat_fn is not None and shift2 != 0.0:
-            base_fn = heat_fn
-            heat_fn = lambda t, _b=shift2, _f=base_fn: np.exp(-_b * np.asarray(t)) * _f(t)
-        return SpectrumStream(
-            deg.values + shift2, deg.mults,
-            name=f"{self.name}:deg{k}" + (f"+{shift2:g}" if shift2 else ""),
-            heat_fn=heat_fn, heat_powers=shift_heat_powers(deg.heat_powers, shift2))
+        """Nonzero coclosed degree-k eigenvalues shifted by ``shift2``: the
+        stored stream itself at shift2 = 0, else its ``shifted(shift2)``."""
+        if not is_integer(k):
+            raise ValidationError(f"degree must be an integer, got {k!r}")
+        if k not in self._degrees:
+            raise ValidationError(f"no coclosed spectrum supplied for degree {k} of {self.name}")
+        if not (is_finite_number(shift2) and shift2 >= 0.0):
+            raise ValidationError(
+                f"spectral shift shift2 must be a finite number >= 0, got {shift2!r}")
+        return self._degrees[k].shifted(shift2)
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
         degrees = []
         for k in self.degrees_available():
-            deg = self._degree(k)
+            deg = self._degrees[k]
             coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim)
             degrees.append({
                 "k": int(k),
@@ -220,21 +194,23 @@ def _shortest(basis: np.ndarray) -> float:
     return math.sqrt(_lattice_points(basis, reach)[0])
 
 
-def _flat_torus_trace(c: float, basis: np.ndarray, eta: np.ndarray, mults: np.ndarray):
+def _flat_torus_trace(c: float, basis: np.ndarray, q1: float, eta, mults):
     """Exact heat trace of R^n/L at scale c, L spanned by the rows of the
     n x n ``basis``, and its leading coefficient A = covol/(4 pi c^2)^(n/2).
 
     Large t sums the listed spectrum (eta, mults); small t takes the Poisson
     dual A t^(-n/2) (1 + sum_v e^(-|v|^2/(4 c^2 t))) - 1 over the nonzero v
     in L, equal norms merged.  The switch t = l1/(4 pi c^2 q1), for the
-    shortest vectors l1 of L and q1 of L*, lets both sums decay alike: the
-    norms reach 17.5 l1, and the listing must reach 17.5 q1 in L*, for every
-    dropped term to underflow.
+    shortest vectors l1 of L and q1 (given) of L*, lets both sums decay alike:
+    the norms reach 17.5 l1, and the listing must reach 17.5 q1 in L*, for
+    every dropped term to underflow.  The arrays the trace reads are frozen.
     """
     dim = basis.shape[0]
-    ell1, q1 = _shortest(basis), _shortest(np.linalg.inv(basis).T)
+    ell1 = _shortest(basis)
     vsq_all = _lattice_points(basis, 17.5 * ell1)
     vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
+    for arr in (eta, mults, vsq, vsq_mult):
+        arr.flags.writeable = False
     lead = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c) ** (0.5 * dim)
     t_switch = ell1 / (4.0 * math.pi * c * c * q1)
 
@@ -266,14 +242,16 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
         raise ValidationError(SCALING_MESSAGE)
     values = (c * np.arange(1.0, 4097.0)) ** 2
     mults = np.full(values.size, 2.0)
-    heat_fn, _ = _flat_torus_trace(c, np.array([[_TWO_PI]]), values, mults)
+    basis = np.array([[_TWO_PI]])
+    heat_fn, _ = _flat_torus_trace(c, basis, _shortest(np.linalg.inv(basis).T), values, mults)
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
-    deg0 = DegreeData(values=values, mults=mults, heat_fn=heat_fn,
-                      heat_powers=powers, nu_progression=(c, 2))
-    return BaseManifold(name=f"circle(c={c:g})", dim=1, betti=(1, 1), scale=c,
-                        degrees={0: deg0}, boundary_ok=allow_boundary)
+    name = f"circle(c={c:g})"
+    deg0 = SpectrumStream(values, mults, name=f"{name}:deg0", heat_fn=heat_fn,
+                          heat_powers=powers)
+    return BaseManifold(name=name, dim=1, betti=(1, 1), scale=c, degrees={0: deg0},
+                        progressions={0: (c, 2)}, boundary_ok=allow_boundary)
 
 
 def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
@@ -305,20 +283,18 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     # materialize dual points out to the larger of the frequency target and
     # the theta crossover requirement (17.5 q1, see _flat_torus_trace)
     dual_basis = np.linalg.inv(basis).T
-    r_count = max(nu_max / (_TWO_PI * c), 17.5 * _shortest(dual_basis))
+    q1 = _shortest(dual_basis)
+    r_count = max(nu_max / (_TWO_PI * c), 17.5 * q1)
     dual_sq = _lattice_points(dual_basis, r_count)
     eta_all = (4.0 * math.pi ** 2 * c * c) * dual_sq
     eta, eta_mult = merge_ties(eta_all, np.ones_like(eta_all))
-    if eta[0] <= 1.0:
-        raise ValidationError(SCALING_MESSAGE)
-
-    heat_fn, area_factor = _flat_torus_trace(c, basis, eta, eta_mult)   # Z ~ A/t - 1
+    heat_fn, area_factor = _flat_torus_trace(c, basis, q1, eta, eta_mult)   # Z ~ A/t - 1
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
         (float(j), 0.0) for j in range(1, 13))
-    deg = DegreeData(values=eta, mults=eta_mult, heat_fn=heat_fn,
-                     heat_powers=powers, nu_progression=None)
-    return BaseManifold(name=f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})",
-                        dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
+    name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
+    deg = SpectrumStream(eta, eta_mult, name=f"{name}:deg0,1", heat_fn=heat_fn,
+                         heat_powers=powers)
+    return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +318,7 @@ def _listing(k: int, eig: list) -> tuple:
     Entries that do not parse (a missing key, a value or mult that is not a
     number) are refused first.  Otherwise a refusal names the first
     offending entry in list order, judging its value before its mult:
-    values finite and strictly ascending, mults integers >= 1.
+    values finite and strictly ascending, mults integers >= 1; then values > 1.
     """
     n = len(eig)
     need = f"degree {k}: eigenvalue entries need 'value' and 'mult'"
@@ -371,6 +347,8 @@ def _listing(k: int, eig: list) -> tuple:
             raise ValidationError(f"degree {k}: multiplicities must be >= 1 (entry {i})")
         raise ValidationError(
             f"degree {k}: multiplicities must be integers, got {m!r} (entry {i})")
+    if values[0] <= 1.0:
+        raise ValidationError(SCALING_MESSAGE)
     return values, mults
 
 
@@ -422,7 +400,7 @@ def custom(source) -> BaseManifold:
         raise ValidationError(f"orientable must be a JSON boolean, got {orientable!r}")
     if not orientable:
         raise ValidationError("cross-section must be orientable")
-    degrees: dict[int, DegreeData] = {}
+    degrees: dict[int, SpectrumStream] = {}
     entries = data["degrees"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError("'degrees' must be a nonempty list")
@@ -441,9 +419,7 @@ def custom(source) -> BaseManifold:
             raise ValidationError(
                 f"degree {k}: heat_coeffs must start with a positive leading term")
         powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
-        degrees[k] = DegreeData(values=values, mults=mults,
-                                heat_fn=None, heat_powers=powers,
-                                nu_progression=None)
+        degrees[k] = SpectrumStream(values, mults, name=f"custom:deg{k}", heat_powers=powers)
     return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
                         degrees=degrees, truncation_note=str(data.get("truncation_note", "")))
 

@@ -20,8 +20,8 @@ Frequency sets: in degree k the cone analysis replaces each coclosed
 eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
 nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
-degree's frequencies form an arithmetic progression (``DegreeData.
-nu_progression`` with a_k = 0), else the shifted eigenvalue stream eta + a_k^2
+degree's frequencies form an arithmetic progression (``base.progressions``
+has the degree, and a_k = 0), else the shifted eigenvalue stream eta + a_k^2
 (exact heat trace carried along when available) and its square roots.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
@@ -253,14 +253,14 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     alpha = _alpha_k(k, n)
     a = float(alpha)
-    deg = base._degree(k)
-    if deg.nu_progression is not None and a == 0.0:
-        step, mult = deg.nu_progression
+    progression = base.progressions.get(k)
+    if progression is not None and a == 0.0:
+        step, mult = progression
         data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(n, 1))
-        return DegreeContinuation(alpha, deg.nu_progression, data, {a: 0.0, -a: 0.0})
+        return DegreeContinuation(alpha, progression, data, {a: 0.0, -a: 0.0})
 
     q_stream = base.coclosed_spectrum(k, shift2=a * a)
-    nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults,
+    nu_stream = SpectrumStream(np.sqrt(q_stream.values), q_stream.mults,
                                name=f"{base.name}:nu{k}")
     if nu_stream.min_value <= abs(a):
         raise ValidationError(

@@ -116,7 +116,8 @@ def merge_ties(values, mults):
     a new group otherwise.  So a chain of near-ties can split into several
     groups even though each step is within tolerance of its predecessor.
     The merged value is g; mults are summed exactly as long as they are
-    integer-valued, as every multiplicity is.
+    integer-valued, as every multiplicity is.  With no ties at all, the
+    input arrays come back as they are.
     """
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=float)
@@ -129,6 +130,8 @@ def merge_ties(values, mults):
     start = np.empty(values.size, dtype=bool)
     start[0] = True
     start[1:] = ~(np.diff(values) <= tol[1:])
+    if start.all():
+        return values, mults
     heads = np.flatnonzero(start)
     run = np.cumsum(start) - 1
     drift = ~(values - values[heads][run] <= tol)
@@ -264,6 +267,19 @@ class SpectrumStream(ReadOnly):
         if self.heat_fn is not None:
             return 0.0
         return _EXP_CUTOFF / self.max_value
+
+    def shifted(self, b) -> SpectrumStream:
+        """The stream x_j + b, with trace e^(-b t) Z(t) and the small-t powers
+        ``shift_heat_powers`` gives; the stream itself at b = 0."""
+        b, = _shifts((b,))
+        if b == 0.0:
+            return self
+        _check_shift(b, self.min_value)
+        f = self.heat_fn
+        return SpectrumStream(
+            self.values + b, self.mults, name=f"{self.name}+{b:g}",
+            heat_fn=None if f is None else lambda t: np.exp(-b * np.asarray(t)) * f(t),
+            heat_powers=shift_heat_powers(self.heat_powers, b))
 
     def trace(self, t) -> np.ndarray:
         """Z(t) = sum m_j exp(-x_j t) for a 1-D array of t, in one array pass
@@ -708,6 +724,7 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStrea
         powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
 
     nu_vals = np.sqrt(q_stream.values)
+    nu_vals.flags.writeable = False     # the trace's closure reaches it
     qmin = q_stream.min_value
     numax = float(np.sqrt(q_stream.max_value))
     t_direct = _EXP_CUTOFF / numax

@@ -182,7 +182,7 @@ def custom_mapping(base) -> dict:
     """Reference export of a base in the custom schema, entry by entry."""
     degrees = []
     for k in base.degrees_available():
-        deg = base._degree(k)
+        deg = base.coclosed_spectrum(k)
         coeffs = [0.0] * (int(round(2.0 * max(p for p, _ in deg.heat_powers)
                                     + base.dim)) + 1)
         for p, c in deg.heat_powers:

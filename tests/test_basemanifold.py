@@ -15,7 +15,8 @@ import pytest
 from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
 from conetorsion.torsion import degree_continuation, log_torsion
-from conetorsion.zetacont import MellinZeta, sqrt_stream, zeta_data_exact
+from conetorsion.zetacont import (MellinZeta, SpectrumStream, shift_heat_powers,
+                                  sqrt_stream, zeta_data_exact)
 
 import oracles
 
@@ -121,13 +122,15 @@ def test_torus_nu_sets_are_twins():
 
 
 def test_streams_share_no_memory_with_their_source():
-    # SpectrumStream copies its input, so callers pass their arrays as they are
+    # SpectrumStream copies its input, so callers pass their arrays as they
+    # are; the unshifted spectrum is the base's stored stream itself
     tor = bm.torus2(2.0)
-    deg = tor._degree(0)
+    deg = tor._degrees[0]
+    assert tor.coclosed_spectrum(0) is deg
     ns = degree_continuation(tor, 0)
     lift = sqrt_stream(ns.q_stream, MellinZeta(ns.q_stream, s_max=1.0))
-    for stream, source in ((tor.coclosed_spectrum(0), deg), (ns.q_stream, deg),
-                           (ns.nu_stream, deg), (lift, ns.q_stream)):
+    for stream, source in ((ns.q_stream, deg), (ns.nu_stream, deg),
+                           (lift, ns.q_stream)):
         for got, given in ((stream.values, source.values),
                            (stream.mults, source.mults)):
             assert not np.shares_memory(got, given)
@@ -255,16 +258,19 @@ def test_base_manifold_is_read_only():
     tor = bm.torus2(2.0)
     before = log_torsion(tor)
     for attr, value in (("dim", 4), ("betti", (1, 0, 1)), ("scale", 1.0),
-                        ("name", "other"), ("orientable", False), ("_degrees", {})):
+                        ("name", "other"), ("orientable", False), ("_degrees", {}),
+                        ("progressions", {})):
         with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
             setattr(tor, attr, value)
         with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
             delattr(tor, attr)
     with pytest.raises(TypeError):
         tor._degrees[0] = None
+    with pytest.raises(TypeError):
+        bm.circle(2.0).progressions[0] = (3.0, 2)
     listing = bm.custom(bm.circle(2.0).as_custom_mapping())
     for base in (tor, listing):
-        deg = base._degree(0)
+        deg = base.coclosed_spectrum(0)
         for arr in (deg.values, deg.mults):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 2.0
@@ -283,6 +289,71 @@ def test_coclosed_spectrum_shift():
         math.exp(-0.25 * 0.4) * plain.trace(t)[0], rel=1e-14)
     with pytest.raises(ValidationError):
         circ.coclosed_spectrum(0, shift2=-0.1)
+
+
+def _circle_listing(c):
+    """Degree 0 of circle(c) as the builder lists it: (values, mults, powers)."""
+    powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
+        (0.5 * j, 0.0) for j in range(1, 25))
+    return (c * np.arange(1.0, 4097.0)) ** 2, np.full(4096, 2.0), powers
+
+
+def _torus2_listing(c, lattice=None):
+    """Degrees 0 and 1 of torus2(c, lattice) as the builder lists them."""
+    basis = np.array(lattice if lattice is not None else bm._DEFAULT_LATTICE, dtype=float)
+    dual = np.linalg.inv(basis).T
+    radius = max(64.0 / (2.0 * math.pi * c), 17.5 * bm._shortest(dual))
+    eta = (4.0 * math.pi ** 2 * c * c) * bm._lattice_points(dual, radius)
+    values, mults = oracles.merge_ties(eta, np.ones_like(eta))
+    area = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c)
+    powers = ((-1.0, area), (0.0, -1.0)) + tuple((float(j), 0.0) for j in range(1, 13))
+    return values, mults, powers
+
+
+_CUSTOM_BLOB = {"dim": 2, "betti": [1, 2, 1], "scale": 1.0, "degrees": [
+    {"k": 0, "eigenvalues": [{"value": 1.5 + 0.25 * j, "mult": 1 + j % 3}
+                             for j in range(400)], "heat_coeffs": [3.0, 0.0, -1.0]},
+    {"k": 1, "eigenvalues": [{"value": 2.0 + j, "mult": 2} for j in range(300)],
+     "heat_coeffs": [1.5, -0.5]}]}
+
+
+def _custom_listing(k):
+    entry = _CUSTOM_BLOB["degrees"][k]
+    eig = entry["eigenvalues"]
+    powers = tuple((0.5 * (j - 2), c) for j, c in enumerate(entry["heat_coeffs"]))
+    return (np.array([e["value"] for e in eig], dtype=float),
+            np.array([e["mult"] for e in eig], dtype=float), powers)
+
+
+@pytest.mark.parametrize("build,listing", [
+    pytest.param(lambda: bm.circle(2.0), lambda k: _circle_listing(2.0), id="circle"),
+    pytest.param(lambda: bm.torus2(2.0), lambda k: _torus2_listing(2.0), id="square-torus"),
+    pytest.param(lambda: bm.torus2(2.885, ((2.0 * math.pi, 0.0), (2.0, 5.0))),
+                 lambda k: _torus2_listing(2.885, ((2.0 * math.pi, 0.0), (2.0, 5.0))),
+                 id="sheared-torus"),
+    pytest.param(lambda: bm.custom(_CUSTOM_BLOB), _custom_listing, id="custom"),
+])
+def test_coclosed_spectrum_is_the_stored_stream_or_its_shift(build, listing):
+    # each degree is stored once, as its unshifted stream; a shifted request
+    # is bitwise the stream a per-call build from the degree's listing gives
+    base = build()
+    t = np.exp(np.linspace(math.log(1e-4), math.log(30.0), 97))
+    for k in base.degrees_available():
+        stored = base._degrees[k]
+        assert stored is base.coclosed_spectrum(k) is base.coclosed_spectrum(k, 0.0)
+        values, mults, powers = listing(k)
+        for b in (0.0, 0.25, 1.5):
+            heat_fn = stored.heat_fn
+            if heat_fn is not None and b != 0.0:
+                heat_fn = lambda tt, _b=b, _f=stored.heat_fn: np.exp(-_b * np.asarray(tt)) * _f(tt)
+            want = SpectrumStream(values + b, mults, heat_fn=heat_fn,
+                                  heat_powers=shift_heat_powers(powers, b))
+            got = base.coclosed_spectrum(k, b)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.mults, want.mults)
+            assert got.heat_powers == want.heat_powers
+            assert (got.heat_fn is None) == (want.heat_fn is None)
+            assert np.array_equal(got.trace(t), want.trace(t))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +655,7 @@ def test_top_degree_has_no_coclosed_spectrum():
         bad["degrees"][0]["k"] = k
         with pytest.raises(ValidationError, match=f"^degree {k} is outside 0..0: "):
             bm.custom(bad)
-    deg = tor._degree(0)
+    deg = tor.coclosed_spectrum(0)
     with pytest.raises(ValidationError, match="^degree 2 is outside 0..1: .* harmonic"):
         bm.BaseManifold(name="top", dim=2, betti=(1, 2, 1), scale=1.0,
                         degrees={0: deg, 2: deg})

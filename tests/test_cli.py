@@ -194,11 +194,12 @@ def _reference_zeta_payload(base, k, shift):
     """The zeta payload assembled with its own exact-versus-numeric branch
     over the degree's frequency set, independently of the cached
     continuation record the command reads."""
-    deg = base._degree(k)
+    deg = base.coclosed_spectrum(k)
+    progression = base.progressions.get(k)
     a = (base.dim - 1) / 2 - k
     pole_top = max(base.dim, 1)
-    if deg.nu_progression is not None and a == 0.0:
-        step, mult = deg.nu_progression
+    if progression is not None and a == 0.0:
+        step, mult = progression
         data = zeta_data_exact(step, mult,
                                alphas=(shift,) if shift is not None else (),
                                pole_range=pole_top)

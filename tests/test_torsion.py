@@ -218,7 +218,9 @@ def test_degree_continuation_is_read_only():
 
 def test_exact_route_builds_no_stream(monkeypatch):
     # the closed form over the progression reads no stream, so none is built
-    # (a tagged 4096-value progression stream and the squared stream were)
+    # (a tagged 4096-value progression stream and the squared stream were);
+    # the bases, which store their unshifted streams, are built before counting
+    circ, tor = circle(2.0), torus2(2.0)
     built = []
     init = zetacont.SpectrumStream.__init__
 
@@ -227,12 +229,12 @@ def test_exact_route_builds_no_stream(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(zetacont.SpectrumStream, "__init__", counting_init)
-    dc = degree_continuation(circle(2.0), 0)
+    dc = degree_continuation(circ, 0)
     assert built == []
     assert dc.route == "exact" and dc.progression == (2.0, 2)
     assert dc.q_stream is None and dc.nu_stream is None
-    dc = degree_continuation(torus2(2.0), 0)
-    assert built == ["torus2(c=2, square):deg0+0.25", "torus2(c=2, square):nu0"]
+    dc = degree_continuation(tor, 0)
+    assert built == ["torus2(c=2, square):deg0,1+0.25", "torus2(c=2, square):nu0"]
     assert dc.route == "numeric" and dc.progression is None
 
 
@@ -439,6 +441,18 @@ def test_continuation_records_die_with_their_base():
     (lambda: torus2(2.0, lattice=[["6.283185307179586", "0"], ["0", "6.283185307179586"]]),
      "lattice"),
     (lambda: torus2(2.0, lattice=[[True, 0], [0, True]]), "lattice"),
+    (lambda: torus2(2.0).coclosed_spectrum(True), "degree"),
+    (lambda: torus2(2.0).coclosed_spectrum(1.0), "degree"),
+    (lambda: torus2(2.0).coclosed_spectrum("0"), "degree"),
+    (lambda: torus2(2.0).coclosed_spectrum(0, "0.25"), "shift2"),
+    (lambda: torus2(2.0).coclosed_spectrum(0, True), "shift2"),
+    (lambda: torus2(2.0).coclosed_spectrum(0, math.nan), "shift2"),
+    (lambda: torus2(2.0).coclosed_spectrum(0, math.inf), "shift2"),
+    (lambda: torus2(2.0).coclosed_spectrum(0, -0.25), "shift2"),
+    (lambda: zetacont.progression_stream(1.5, 2, 400).shifted("0.3"), "shift"),
+    (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(True), "shift"),
+    (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(math.nan), "shift"),
+    (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(-1.5), "shift"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -451,7 +465,11 @@ def test_continuation_records_die_with_their_base():
         "exact-shift-str", "numeric-shift-str", "stream-bool-mixed",
         "stream-mult-bool-mixed", "stream-bool-0d-mixed", "direct-shift-str", "direct-shift-bool",
         "relation-shift-str", "relation-shift-bool", "stream-2d-list", "stream-ragged",
-        "stream-2d-array", "stream-mult-ragged", "lattice-str-entries", "lattice-bool-entries"])
+        "stream-2d-array", "stream-mult-ragged", "lattice-str-entries", "lattice-bool-entries",
+        "coclosed-degree-bool", "coclosed-degree-float", "coclosed-degree-str",
+        "coclosed-shift-str", "coclosed-shift-bool", "coclosed-shift-nan", "coclosed-shift-inf",
+        "coclosed-shift-negative", "stream-shifted-str", "stream-shifted-bool",
+        "stream-shifted-nan", "stream-shifted-past-floor"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,

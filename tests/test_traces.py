@@ -78,7 +78,7 @@ def _assert_close(got, want, scale):
 @pytest.mark.parametrize("lattice", [None, SHEARED], ids=["square", "sheared"])
 @pytest.mark.parametrize("c", [2.0, 2.885])
 def test_torus2_trace_matches_loop(c, lattice):
-    heat_fn = torus2(c, lattice)._degree(0).heat_fn
+    heat_fn = torus2(c, lattice).coclosed_spectrum(0).heat_fn
     t_switch = _closure(heat_fn)["_ts"]
     assert T_GRID[0] < t_switch < T_GRID[-1]
     want, scale = _loop_flat_torus(heat_fn, T_GRID,
@@ -91,7 +91,7 @@ def test_torus2_trace_matches_loop(c, lattice):
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 6.685])
 def test_circle_trace_matches_loop(c):
-    heat_fn = circle(c, allow_boundary=True)._degree(0).heat_fn
+    heat_fn = circle(c, allow_boundary=True).coclosed_spectrum(0).heat_fn
     assert T_GRID[0] < _closure(heat_fn)["_ts"] < T_GRID[-1]
     want, scale = _loop_flat_torus(heat_fn, T_GRID, ((2.0 * math.pi,),))
     _assert_close(heat_fn(T_GRID), want, scale)
@@ -128,9 +128,9 @@ def _torus2_lift():
 
 
 @pytest.mark.parametrize("make_trace", [
-    lambda: torus2(2.0)._degree(0).heat_fn,
-    lambda: torus2(2.885, SHEARED)._degree(0).heat_fn,
-    lambda: circle(2.0)._degree(0).heat_fn,
+    lambda: torus2(2.0).coclosed_spectrum(0).heat_fn,
+    lambda: torus2(2.885, SHEARED).coclosed_spectrum(0).heat_fn,
+    lambda: circle(2.0).coclosed_spectrum(0).heat_fn,
     lambda: _random_stream().trace,
     lambda: _torus2_lift().trace,
 ], ids=["torus2-square", "torus2-sheared", "circle", "eigsum", "lift"])
@@ -139,6 +139,41 @@ def test_trace_value_does_not_depend_on_batch(make_trace):
     trace = make_trace()
     alone = [trace(T_GRID[i:i + 1])[0] for i in range(T_GRID.size)]
     assert np.array_equal(trace(T_GRID), alone)
+
+
+def _reachable_arrays(trace) -> list:
+    """Every ndarray a trace reaches through its defaults and closure cells,
+    following the functions and streams it holds there."""
+    arrays, todo = [], [trace]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, SpectrumStream):
+            todo += [item.values, item.mults, item.heat_fn]
+        elif inspect.isfunction(item):
+            todo += list(item.__defaults__ or ())
+            todo += [cell.cell_contents for cell in item.__closure__ or ()]
+    return arrays
+
+
+@pytest.mark.parametrize("make_trace", [
+    lambda: torus2(2.0).coclosed_spectrum(0).heat_fn,
+    lambda: torus2(2.885, SHEARED).coclosed_spectrum(1).heat_fn,
+    lambda: circle(2.0).coclosed_spectrum(0).heat_fn,
+    lambda: torus2(2.0).coclosed_spectrum(0, shift2=0.25).heat_fn,
+    lambda: _torus2_lift().heat_fn,
+], ids=["torus2-square", "torus2-sheared", "circle", "shifted", "lift"])
+def test_trace_arrays_are_read_only(make_trace):
+    # the Poisson norms were writable defaults of the flat-torus trace (a
+    # write through torus2(2.0).coclosed_spectrum(0).heat_fn.__defaults__
+    # moved that base's next log_torsion from 0.6452734 to 0.6574427), and
+    # so were the lift's square-root values in its closure
+    arrays = _reachable_arrays(make_trace())
+    assert len(arrays) >= 2
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] *= 2.0
 
 
 @pytest.mark.parametrize("divide", [False, True], ids=["product", "quotient"])
@@ -216,7 +251,7 @@ def test_tiled_kernel_keeps_its_working_set_to_the_tile():
 
 
 def test_trace_keeps_shape_of_t():
-    heat_fn = torus2(2.0)._degree(0).heat_fn
+    heat_fn = torus2(2.0).coclosed_spectrum(0).heat_fn
     t = np.array([1e-3, 0.5, 5.0])
     assert heat_fn(t).shape == t.shape
     assert SpectrumStream([2.0, 3.0]).trace(t).shape == t.shape
