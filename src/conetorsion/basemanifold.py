@@ -32,12 +32,19 @@ Custom JSON schema::
       "orientable": true,             # optional JSON boolean; false is rejected
       "degrees": [
         {"k": 0,                      # 0 <= k <= n-1, each at most once
-         "eigenvalues": [{"value": 4.0, "mult": 4}, ...],  # ascending, > 1
+         "values": [4.0, 8.0, ...],   # ascending, > 1
+         "mults": [4, 4, ...],        # integers >= 1, one per value
          "heat_coeffs": [3.14159, 0.0, -1.0]},             # c_j t^((j-n)/2)
         ...
       ],
       "truncation_note": "free text"  # optional
     }
+
+A degree entry may list its spectrum as entries instead, in place of the
+two columns: ``"eigenvalues": [{"value": 4.0, "mult": 4}, ...]``.  The keys
+of each entry pick its form (giving both is refused), and both forms of the
+same data load, or are refused, alike.  ``as_custom_mapping`` writes the
+columns.
 
 ``heat_coeffs`` lists the exact leading small-t heat-trace coefficients
 c_j of sum_j m_j exp(-eta_j t) ~ sum c_j t^((j-n)/2) as a list of finite
@@ -153,8 +160,8 @@ class BaseManifold(ReadOnly):
             coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim)
             degrees.append({
                 "k": int(k),
-                "eigenvalues": [{"value": v, "mult": m} for v, m in zip(
-                    deg.values.tolist(), np.rint(deg.mults).astype(int).tolist())],
+                "values": deg.values.tolist(),
+                "mults": np.rint(deg.mults).astype(int).tolist(),
                 "heat_coeffs": [float(c) for c in coeffs],
             })
         return {
@@ -312,28 +319,72 @@ def _integer(value, field: str, where: str = "") -> int:
     raise ValidationError(f"{field} must be an integer, got {value!r}{where}")
 
 
-def _listing(k: int, eig: list) -> tuple:
-    """Values and mults of one degree's eigenvalue entries, validated.
+def _columns(k: int, entry: dict, need: str) -> list:
+    """The value and mult columns of one degree entry: its ``values`` and
+    ``mults`` lists as they are, or the two fields of its ``eigenvalues``
+    entries; a row entry without a field is refused, naming it."""
+    keys = [key for key in ("values", "mults") if key in entry]
+    if keys and "eigenvalues" in entry:
+        raise ValidationError(f"degree {k} gives both 'eigenvalues' and "
+                              f"{'/'.join(map(repr, keys))}: use one form")
+    if keys:
+        if len(keys) == 1:
+            raise ValidationError(f"degree {k}: columnar eigenvalues need both "
+                                  f"'values' and 'mults', got only {keys[0]!r}")
+        for key in keys:
+            if not isinstance(entry[key], list) or not entry[key]:
+                raise ValidationError(f"degree {k}: {key!r} must be a nonempty list")
+        return [entry["values"], entry["mults"]]
+    eig = entry.get("eigenvalues")
+    if not isinstance(eig, list) or not eig:
+        raise ValidationError(f"degree {k} needs a nonempty eigenvalue list")
+    try:
+        return [list(map(itemgetter(key), eig)) for key in ("value", "mult")]
+    except (TypeError, KeyError):
+        for i, item in enumerate(eig):
+            for key in ("value", "mult"):
+                try:
+                    item[key]
+                except KeyError:
+                    raise ValidationError(f"{need}; entry {i} has no {key!r}") from None
+                except TypeError:
+                    raise ValidationError(f"{need}; entry {i} is {item!r}") from None
+        raise
 
-    Entries that do not parse (a missing key, a value or mult that is not a
-    number) are refused first.  Otherwise a refusal names the first
+
+def _float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:           # an int beyond binary64, refused as infinite
+        return math.inf if v > 0 else -math.inf
+
+
+def _listing(k: int, entry: dict) -> tuple:
+    """Values and mults of one degree entry, in either form, validated.
+
+    Entries that do not parse (a missing field, a value or mult that is not
+    a number) are refused first.  Otherwise a refusal names the first
     offending entry in list order, judging its value before its mult:
     values finite and strictly ascending, mults integers >= 1; then values > 1.
+    Both forms of the same data give the same refusal.
     """
-    n = len(eig)
     need = f"degree {k}: eigenvalue entries need 'value' and 'mult'"
+    columns = _columns(k, entry, need)
+    lengths = list(map(len, columns))
+    n = min(lengths)
+    if lengths[0] != lengths[1]:    # the shorter column ends at entry n
+        key = "value" if lengths[0] == n else "mult"
+        raise ValidationError(f"{need}; entry {n} has no {key!r}")
+    # one whole-column type test; the entry loop only names a refusal
+    if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
+        for i, pair in enumerate(zip(*columns)):
+            for key, v in zip(("value", "mult"), pair):
+                if not is_number(v):
+                    raise ValidationError(f"{need} as numbers; entry {i} has {key} {v!r}")
     try:
-        columns = [list(map(itemgetter(key), eig)) for key in ("value", "mult")]
-        # one whole-column type test; the entry loop only names a refusal
-        if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
-            for i, pair in enumerate(zip(*columns)):
-                for key, v in zip(("value", "mult"), pair):
-                    if not is_number(v):
-                        raise ValidationError(f"{need} as numbers; entry {i} has {key} {v!r}")
-        values = np.fromiter(map(float, columns[0]), float, n)
-        mults = np.fromiter(map(float, columns[1]), float, n)
-    except (TypeError, KeyError, OverflowError) as exc:   # OverflowError: int beyond binary64
-        raise ValidationError(f"{need}: {exc}") from exc
+        values, mults = (np.fromiter(map(float, col), float, n) for col in columns)
+    except OverflowError:
+        values, mults = (np.fromiter(map(_float, col), float, n) for col in columns)
     bad_value = ~np.isfinite(values)
     bad_value[1:] |= ~(values[1:] > values[:-1])
     bad = bad_value | ~((mults >= 1.0) & (mults == np.floor(mults)) & np.isfinite(mults))
@@ -410,10 +461,7 @@ def custom(source) -> BaseManifold:
         k = _integer(entry["k"], "degree entry 'k'", f" (entry {j})")
         if k in degrees:
             raise ValidationError(f"degree {k} listed twice")
-        eig = entry.get("eigenvalues")
-        if not isinstance(eig, list) or not eig:
-            raise ValidationError(f"degree {k} needs a nonempty eigenvalue list")
-        values, mults = _listing(k, eig)
+        values, mults = _listing(k, entry)
         coeffs = _heat_coeffs(k, entry.get("heat_coeffs", []))
         if not coeffs or coeffs[0] <= 0.0:
             raise ValidationError(

@@ -6,11 +6,12 @@ The exceptions are ``series_log``, an exact reference in the polynomials'
 own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the alpha degree of an
 expansion polynomial, and the per-element loops ``merge_ties``,
-``custom_mapping`` and ``log_panels`` and the all-probes ``t_min_probes``,
+``custom_mapping``, ``columnar`` and ``log_panels`` and the all-probes ``t_min_probes``,
 bitwise references for the array passes of the package.  The package under
 test never imports this module.
 """
 
+import copy
 import math
 from fractions import Fraction
 
@@ -202,6 +203,28 @@ def custom_mapping(base) -> dict:
         "truncation_note": base.truncation_note
             or f"finite listing exported from {base.name}",
     }
+
+
+def columnar(blob) -> dict:
+    """The columnar twin of a row-form custom blob: each degree's
+    ``eigenvalues`` entries moved, one at a time, into ``values`` and
+    ``mults`` lists.  A field an entry lacks is left out of its column, and
+    an entry that is not an object goes into both."""
+    out = copy.deepcopy(blob)
+    for j, entry in enumerate(out["degrees"]):
+        values, mults = [], []
+        for item in entry.pop("eigenvalues"):
+            if not isinstance(item, dict):
+                values.append(item)
+                mults.append(item)
+                continue
+            if "value" in item:
+                values.append(item["value"])
+            if "mult" in item:
+                mults.append(item["mult"])
+        rest = {key: v for key, v in entry.items() if key != "k"}
+        out["degrees"][j] = {"k": entry["k"], "values": values, "mults": mults, **rest}
+    return out
 
 
 def log_panels(a: float, b: float, nodes: int, per_decade: int = 1):

@@ -421,11 +421,11 @@ def test_heat_coefficient_ladder_round_trip():
     (lambda d: d["degrees"][0]["eigenvalues"].reverse(), "non-ascending"),
 ])
 def test_custom_schema_rejections(mutate, tag):
-    blob = bm.circle(2.0).as_custom_mapping()
-    d = copy.deepcopy(blob)
+    d = oracles.custom_mapping(bm.circle(2.0))
     mutate(d)
-    with pytest.raises(ValidationError):
-        bm.custom(d)
+    for source in (d, oracles.columnar(d)):
+        with pytest.raises(ValidationError):
+            bm.custom(source)
 
 
 def _set_entry(i, item):
@@ -457,32 +457,87 @@ _ASCENT = "degree 0: eigenvalues must be finite and strictly ascending"
                  "degree 0: multiplicities must be integers", id="mult-inf"),
 ])
 def test_custom_refuses_malformed_degree_entries(mutate, prefix):
-    blob = bm.circle(2.0).as_custom_mapping()
+    blob = oracles.custom_mapping(bm.circle(2.0))
     mutate(blob["degrees"][0]["eigenvalues"])
-    with pytest.raises(ValidationError) as info:
-        bm.custom(blob)
-    assert str(info.value).startswith(prefix)
+    for source in (blob, oracles.columnar(blob)):
+        with pytest.raises(ValidationError) as info:
+            bm.custom(source)
+        assert str(info.value).startswith(prefix)
 
 
 def test_custom_names_the_first_offending_entry():
     # value checks come before mult checks at one entry, and earlier
     # entries before later ones, as a pass in list order would find them
-    blob = bm.circle(2.0).as_custom_mapping()
+    blob = oracles.custom_mapping(bm.circle(2.0))
     eig = blob["degrees"][0]["eigenvalues"]
     eig[7]["mult"], eig[9]["value"] = 0, 1.5
-    with pytest.raises(ValidationError, match=r"must be >= 1 \(entry 7\)"):
-        bm.custom(copy.deepcopy(blob))
+    for source in (copy.deepcopy(blob), oracles.columnar(blob)):
+        with pytest.raises(ValidationError, match=r"must be >= 1 \(entry 7\)"):
+            bm.custom(source)
     eig[7]["value"] = math.nan
-    with pytest.raises(ValidationError, match=r"strictly ascending \(entry 7\)"):
-        bm.custom(blob)
+    for source in (oracles.columnar(blob), blob):
+        with pytest.raises(ValidationError, match=r"strictly ascending \(entry 7\)"):
+            bm.custom(source)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda eig: eig[-1].pop("mult"), f"{_NEED}; entry 4095 has no 'mult'",
+                 id="missing-mult"),
+    pytest.param(lambda eig: eig[-1].pop("value"), f"{_NEED}; entry 4095 has no 'value'",
+                 id="missing-value"),
+    pytest.param(_set_field(2, "value", "four"), f"{_NEED} as numbers; entry 2 has value 'four'",
+                 id="string-value"),
+    pytest.param(_set_field(5, "mult", True), f"{_NEED} as numbers; entry 5 has mult True",
+                 id="bool-mult"),
+    pytest.param(_set_field(3, "mult", None), f"{_NEED} as numbers; entry 3 has mult None",
+                 id="null-mult"),
+    pytest.param(_set_field(0, "value", math.nan), f"{_ASCENT} (entry 0)", id="nan"),
+    pytest.param(_set_field(5, "value", math.inf), f"{_ASCENT} (entry 5)", id="inf"),
+    pytest.param(_set_field(5, "value", 10 ** 400), f"{_ASCENT} (entry 5)", id="huge-int"),
+    pytest.param(lambda eig: eig.reverse(), f"{_ASCENT} (entry 1)", id="descending"),
+    pytest.param(_set_field(4, "value", 64.0), f"{_ASCENT} (entry 4)", id="repeated"),
+    pytest.param(_set_field(2, "mult", 0), "degree 0: multiplicities must be >= 1 (entry 2)",
+                 id="mult-0"),
+    pytest.param(_set_field(2, "mult", 2.7),
+                 "degree 0: multiplicities must be integers, got 2.7 (entry 2)", id="mult-2.7"),
+    pytest.param(_set_field(2, "mult", math.inf),
+                 "degree 0: multiplicities must be integers, got inf (entry 2)", id="mult-inf"),
+    pytest.param(_set_field(2, "mult", 10 ** 400),
+                 "degree 0: multiplicities must be integers, got inf (entry 2)",
+                 id="mult-huge-int"),
+    pytest.param(_set_field(0, "value", 0.5), bm.SCALING_MESSAGE, id="value-below-1"),
+    pytest.param(_set_field(0, "value", 1), bm.SCALING_MESSAGE, id="value-1"),
+])
+def test_custom_refusals_match_across_forms(mutate, message):
+    # one bad datum gets one refusal, from either form, as a mapping or as text
+    blob = oracles.custom_mapping(bm.circle(2.0))
+    mutate(blob["degrees"][0]["eigenvalues"])
+    twin = oracles.columnar(blob)
+    for source in (blob, twin, json.dumps(blob), json.dumps(twin)):
+        with pytest.raises(ValidationError) as info:
+            bm.custom(source)
+        assert str(info.value) == message
 
 
 def test_custom_integral_float_multiplicities_load():
-    blob = bm.circle(2.0).as_custom_mapping()
+    blob = oracles.custom_mapping(bm.circle(2.0))
     for item in blob["degrees"][0]["eigenvalues"]:
         item["mult"] = float(item["mult"])
     want = bm.circle(2.0).coclosed_spectrum(0).mults
-    assert np.array_equal(bm.custom(blob).coclosed_spectrum(0).mults, want)
+    for source in (blob, oracles.columnar(blob)):
+        assert np.array_equal(bm.custom(source).coclosed_spectrum(0).mults, want)
+
+
+def _degree0(**fields):
+    """Set fields of the first degree entry; ``...`` removes one."""
+    def mutate(d):
+        entry = d["degrees"][0]
+        for key, value in fields.items():
+            if value is ...:
+                del entry[key]
+            else:
+                entry[key] = value
+    return mutate
 
 
 @pytest.mark.parametrize("source,field", [
@@ -493,6 +548,32 @@ def test_custom_integral_float_multiplicities_load():
     pytest.param(lambda d: d.update(dim="one"), "dim", id="dim-text"),
     pytest.param(lambda d: d.update(betti=5), "betti", id="betti-scalar"),
     pytest.param(lambda d: d.update(betti=["a", "b"]), "betti entry", id="betti-text"),
+    pytest.param(_degree0(eigenvalues=[{"value": 4.0, "mult": 2}], values=["junk"]),
+                 "degree 0 gives both 'eigenvalues' and 'values'/'mults': use one form",
+                 id="both-forms"),
+    pytest.param(_degree0(eigenvalues=[{"value": 4.0, "mult": 2}], values=...),
+                 "degree 0 gives both 'eigenvalues' and 'mults': use one form",
+                 id="rows-and-mults"),
+    pytest.param(_degree0(mults=...), "degree 0: columnar eigenvalues need both 'values' "
+                 "and 'mults', got only 'values'", id="values-without-mults"),
+    pytest.param(_degree0(values=...), "degree 0: columnar eigenvalues need both 'values' "
+                 "and 'mults', got only 'mults'", id="mults-without-values"),
+    pytest.param(_degree0(values=..., mults=...), "degree 0 needs a nonempty eigenvalue list",
+                 id="no-listing"),
+    pytest.param(_degree0(values="4.0"), "degree 0: 'values' must be a nonempty list",
+                 id="values-text"),
+    pytest.param(_degree0(mults={"0": 2}), "degree 0: 'mults' must be a nonempty list",
+                 id="mults-object"),
+    pytest.param(_degree0(values=[]), "degree 0: 'values' must be a nonempty list",
+                 id="values-empty"),
+    pytest.param(_degree0(mults=[]), "degree 0: 'mults' must be a nonempty list",
+                 id="mults-empty"),
+    pytest.param(lambda d: d["degrees"][0]["mults"].pop(),
+                 "degree 0: eigenvalue entries need 'value' and 'mult'; entry 4095 has no 'mult'",
+                 id="mults-short"),
+    pytest.param(lambda d: d["degrees"][0]["values"].pop(0),
+                 "degree 0: eigenvalue entries need 'value' and 'mult'; entry 4095 has no 'value'",
+                 id="values-short"),
 ])
 def test_custom_wraps_malformed_fields(source, field):
     if callable(source):
@@ -583,24 +664,26 @@ def _set_eig(i, **fields):
 def test_custom_refuses_strings_and_bools_as_numbers(mutate, message):
     # float("2") and float(True) succeed, so a coercing loader would read
     # these as numbers (k = true filed degree 0's spectrum under degree 1)
-    blob = bm.circle(2.0).as_custom_mapping()
+    blob = oracles.custom_mapping(bm.circle(2.0))
     mutate(blob)
-    with pytest.raises(ValidationError) as info:
-        bm.custom(blob)
-    assert str(info.value).startswith(message)
+    for source in (blob, oracles.columnar(blob)):
+        with pytest.raises(ValidationError) as info:
+            bm.custom(source)
+        assert str(info.value).startswith(message)
 
 
 def test_custom_json_numbers_load_bitwise():
     # JSON ints and floats load as the same binary64 values, also through text
     circ = bm.circle(2.0)
     want = circ.coclosed_spectrum(0)
-    blob = circ.as_custom_mapping()
+    blob = oracles.custom_mapping(circ)
     blob.update(scale=2, dim=1.0, betti=[1.0, 1])
     blob["degrees"][0]["k"] = 0.0
     for item in blob["degrees"][0]["eigenvalues"]:
         item["value"] = int(item["value"])
         item["mult"] = float(item["mult"])
-    for source in (blob, json.dumps(blob)):
+    for source in (blob, json.dumps(blob), oracles.columnar(blob),
+                   json.dumps(oracles.columnar(blob))):
         got = bm.custom(source)
         assert (got.scale, got.dim, got.betti) == (2.0, 1, (1, 1))
         assert got.degrees_available() == (0,)
@@ -615,8 +698,42 @@ def test_custom_json_numbers_load_bitwise():
                                    nu_max=256.0), id="sheared-torus"),
 ])
 def test_export_matches_a_loop_built_mapping(build):
+    # the export is the columnar form, built entry by entry here
     base = build()
-    assert json.dumps(base.as_custom_mapping()) == json.dumps(oracles.custom_mapping(base))
+    want = oracles.columnar(oracles.custom_mapping(base))
+    assert json.dumps(base.as_custom_mapping()) == json.dumps(want)
+
+
+def _two_degree_rows():
+    """Degree 0 of a torus2 export beside a short degree-1 listing of its own."""
+    rows = oracles.custom_mapping(bm.torus2(2.0, nu_max=256.0))
+    rows["degrees"][1] = copy.deepcopy(_CUSTOM_BLOB["degrees"][1])
+    return rows, oracles.columnar(rows)
+
+
+def _export_forms(base):
+    return oracles.custom_mapping(base), base.as_custom_mapping()
+
+
+@pytest.mark.parametrize("forms", [
+    pytest.param(lambda: _export_forms(bm.circle(2.0)), id="circle"),
+    pytest.param(lambda: _export_forms(bm.torus2(2.0, nu_max=256.0)), id="square-torus"),
+    pytest.param(lambda: _export_forms(bm.torus2(
+        2.187, [[2.0 * math.pi, 0.0], [2.19, 2.0 * math.pi]], nu_max=256.0)),
+        id="sheared-torus"),
+    pytest.param(_two_degree_rows, id="two-degree-custom"),
+])
+def test_row_and_columnar_forms_load_bitwise_alike(forms):
+    rows, columns = (bm.custom(json.dumps(blob)) for blob in forms())
+    assert rows.degrees_available() == columns.degrees_available()
+    for k in rows.degrees_available():
+        a, b = rows.coclosed_spectrum(k), columns.coclosed_spectrum(k)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.mults.tobytes() == b.mults.tobytes()
+        assert a.heat_powers == b.heat_powers
+    a, b = log_torsion(rows), log_torsion(columns)
+    assert (a.log_torsion, a.error_estimate, a.harmonic_term) == (
+        b.log_torsion, b.error_estimate, b.harmonic_term)
 
 
 def test_scaling_error_names_the_hypothesis():
