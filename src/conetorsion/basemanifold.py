@@ -17,7 +17,7 @@ continuations over them carry no truncation error from the spectrum list:
 * ``circle(c)``  -- N = S^1 = R / 2 pi Z (n = 1), scaled so the function
   Laplacian has eigenvalues c^2 m^2 (m >= 1, multiplicity 2).  The
   shifted frequencies in degree 0 form the exact arithmetic progression
-  {c m}, which downstream code evaluates in closed form.
+  {c m}, its stream's checked ``progression``, evaluated in closed form.
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
   4 pi^2 c^2 |mu|^2 over the dual lattice.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
@@ -96,17 +96,20 @@ def _positive_scale(c) -> float:
 class BaseManifold(ReadOnly):
     """Closed oriented cross-section: Betti numbers + coclosed spectra, one
     unshifted ``SpectrumStream`` per degree (heat powers complete through the
-    largest listed one); ``progressions`` maps a degree to (step, mult) when
-    sqrt(eta) = step*m exactly.  Read-only, both maps included: cached
-    continuations are keyed by the base's identity, so a write would change
-    what a later solve reads.
+    largest listed one, and its ``progression`` where sqrt(eta) = step*m
+    exactly).  Read-only, the degree map included: cached continuations are
+    keyed by the base's identity, so a write would change what a later
+    solve reads.
     """
 
     def __init__(self, *, name: str, dim: int, betti, scale: float, degrees: dict,
-                 progressions=(), boundary_ok: bool = False, truncation_note: str = ""):
+                 boundary_ok: bool = False, truncation_note: str = ""):
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ValidationError("cross-section dimension must be >= 1")
-        betti = tuple(int(b) for b in betti)
+        if not isinstance(betti, (list, tuple)):
+            raise ValidationError(f"betti must be a list of integers, got {betti!r}")
+        betti = tuple(_integer(b, "betti entry", f" (entry {i})") for i, b in enumerate(betti))
         if len(betti) != dim + 1:
             raise ValidationError(
                 f"betti list must have length dim+1 = {dim + 1}, got {len(betti)}")
@@ -117,18 +120,24 @@ class BaseManifold(ReadOnly):
                 raise ValidationError(
                     f"betti numbers violate Poincare duality: b_{k} != b_{dim - k}")
         scale = _positive_scale(scale)
+        if not isinstance(boundary_ok, (bool, np.bool_)):
+            raise ValidationError(f"boundary_ok must be a bool, got {boundary_ok!r}")
         floor = 1.0 - 1e-12 if boundary_ok else 1.0
+        if not isinstance(degrees, dict):
+            raise ValidationError(f"degrees must be a dict of SpectrumStream, got {degrees!r}")
+        degrees = {_integer(k, "degree key"): deg for k, deg in degrees.items()}
         for k, deg in degrees.items():
             if not 0 <= k < dim:
                 raise ValidationError(
                     f"degree {k} is outside 0..{dim - 1}: a coclosed {dim}-form on a "
                     f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
+            if not isinstance(deg, SpectrumStream):
+                raise ValidationError(f"degree {k} must be a SpectrumStream, got {deg!r}")
             if deg.min_value <= floor:
                 raise ValidationError(SCALING_MESSAGE)
-        for key, value in dict(name=name, dim=int(dim), betti=betti, scale=scale,
+        for key, value in dict(name=name, dim=dim, betti=betti, scale=scale,
                                orientable=True, truncation_note=truncation_note,
-                               _degrees=MappingProxyType(dict(degrees)),
-                               progressions=MappingProxyType(dict(progressions))).items():
+                               _degrees=MappingProxyType(degrees)).items():
             object.__setattr__(self, key, value)
 
     # -- bookkeeping -------------------------------------------------------
@@ -256,9 +265,9 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
         (0.5 * j, 0.0) for j in range(1, 25))
     name = f"circle(c={c:g})"
     deg0 = SpectrumStream(values, mults, name=f"{name}:deg0", heat_fn=heat_fn,
-                          heat_powers=powers)
+                          heat_powers=powers, progression=(c, 2))
     return BaseManifold(name=name, dim=1, betti=(1, 1), scale=c, degrees={0: deg0},
-                        progressions={0: (c, 2)}, boundary_ok=allow_boundary)
+                        boundary_ok=allow_boundary)
 
 
 def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
@@ -365,8 +374,8 @@ def _listing(k: int, entry: dict) -> tuple:
     Entries that do not parse (a missing field, a value or mult that is not
     a number) are refused first.  Otherwise a refusal names the first
     offending entry in list order, judging its value before its mult:
-    values finite and strictly ascending, mults integers >= 1; then values > 1.
-    Both forms of the same data give the same refusal.
+    values finite and strictly ascending, mults integers >= 1.  Both forms
+    of the same data give the same refusal.
     """
     need = f"degree {k}: eigenvalue entries need 'value' and 'mult'"
     columns = _columns(k, entry, need)
@@ -398,8 +407,6 @@ def _listing(k: int, entry: dict) -> tuple:
             raise ValidationError(f"degree {k}: multiplicities must be >= 1 (entry {i})")
         raise ValidationError(
             f"degree {k}: multiplicities must be integers, got {m!r} (entry {i})")
-    if values[0] <= 1.0:
-        raise ValidationError(SCALING_MESSAGE)
     return values, mults
 
 

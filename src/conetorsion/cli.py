@@ -23,6 +23,7 @@ non-convergence (an error estimate above the requested tolerance).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json as _json
 import math
 import sys
@@ -183,17 +184,7 @@ def _cmd_torsion_disc(args: argparse.Namespace) -> dict:
 def _cmd_torsion_cone(args: argparse.Namespace) -> dict:
     breakdown = log_torsion(_build_base(args))
     _check_tolerance(breakdown.error_estimate, args.tolerance)
-    return {
-        "log_torsion": breakdown.log_torsion,
-        "harmonic_term": breakdown.harmonic_term,
-        "per_degree": {
-            str(k): dict(entry) for k, entry in breakdown.per_degree.items()
-        },
-        "parity": breakdown.parity,
-        "base_id": breakdown.base_id,
-        "scale": breakdown.scale,
-        "error_estimate": breakdown.error_estimate,
-    }
+    return dataclasses.asdict(breakdown)
 
 
 def _cmd_zeros(args: argparse.Namespace) -> dict:

@@ -20,8 +20,8 @@ Frequency sets: in degree k the cone analysis replaces each coclosed
 eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
 nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
-degree's frequencies form an arithmetic progression (``base.progressions``
-has the degree, and a_k = 0), else the shifted eigenvalue stream eta + a_k^2
+degree's frequencies form an arithmetic progression (its stream's checked
+``progression``, and a_k = 0), else the shifted eigenvalue stream eta + a_k^2
 (exact heat trace carried along when available) and its square roots.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
@@ -204,8 +204,7 @@ class DegreeContinuation:
         if s in self.shift_errors:
             return self.data.deriv0_shifted[s], self.shift_errors[s]
         if self.progression is not None:
-            step, mult = self.progression
-            return zeta_data_exact(step, mult, alphas=(s,)).deriv0_shifted[s], 0.0
+            return zeta_data_exact(*self.progression, alphas=(s,)).deriv0_shifted[s], 0.0
         return shifted_from_base(self.nu_stream, self.data, s)
 
     @cached_property
@@ -253,10 +252,9 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     alpha = _alpha_k(k, n)
     a = float(alpha)
-    progression = base.progressions.get(k)
+    progression = base.coclosed_spectrum(k).progression
     if progression is not None and a == 0.0:
-        step, mult = progression
-        data = zeta_data_exact(step, mult, alphas=(a, -a), pole_range=max(n, 1))
+        data = zeta_data_exact(*progression, alphas=(a, -a), pole_range=max(n, 1))
         return DegreeContinuation(alpha, progression, data, {a: 0.0, -a: 0.0})
 
     q_stream = base.coclosed_spectrum(k, shift2=a * a)

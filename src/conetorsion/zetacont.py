@@ -223,17 +223,20 @@ class SpectrumStream(ReadOnly):
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
     eigenvalue sum); it takes a 1-D array of t and returns an array of the
     same shape, evaluated in one array pass; heat_powers: exact leading
-    small-t powers [(p, c), ...].  The counting exponent d of N(x) ~ C x^d,
-    which the relation path's tail bound needs, is the rightmost pole of
-    the continuation data, where ``shifted_from_base`` reads it.  Streams
-    are shared by cached results, so they are read-only, their arrays
-    included.
+    small-t powers [(p, c), ...]; progression: (step, mult) when the values
+    are exactly (step*m)^2, m = 1..N, each of multiplicity mult (the exact
+    route reads it; a listing that contradicts it is refused).  The counting
+    exponent d of N(x) ~ C x^d, which the relation path's tail bound needs,
+    is the rightmost pole of the continuation data, where
+    ``shifted_from_base`` reads it.  Streams are shared by cached results,
+    so they are read-only, their arrays included.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
-                 heat_fn=None, heat_powers=()):
-        values = _positive_reals(values, "values")
-        mults = np.ones_like(values) if mults is None else _positive_reals(mults, "mults")
+                 heat_fn=None, heat_powers=(), progression=None):
+        values = _positive_reals(values, f"{name} values".lstrip())
+        mults = (np.ones_like(values) if mults is None
+                 else _positive_reals(mults, f"{name} mults".lstrip()))
         if values.size == 0:
             raise ValidationError("spectrum stream must not be empty")
         if mults.shape != values.shape:
@@ -241,14 +244,21 @@ class SpectrumStream(ReadOnly):
                                   f"got {mults.shape} and {values.shape}")
         order = np.argsort(values, kind="stable")
         values, mults = merge_ties(values[order], mults[order])
+        heat_powers = tuple((float(p), float(c)) for p, c in heat_powers)
+        if progression is not None:
+            pair = isinstance(progression, tuple) and len(progression) == 2
+            step, mult = progression if pair else (0, 0)
+            with np.errstate(over="ignore"):    # a huge step contradicts, it does not warn
+                if not (is_finite_number(step) and step > 0.0 and is_integer(mult) and mult >= 1
+                        and np.all(mults == mult) and np.array_equal(
+                            values, (step * np.arange(1.0, values.size + 1.0)) ** 2)):
+                    raise ValidationError(f"spectrum stream {name!r} contradicts its progression "
+                                          f"{progression!r} (finite step > 0, integer mult >= 1)")
         values.flags.writeable = False
         mults.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "heat_fn", heat_fn)
-        object.__setattr__(self, "heat_powers",
-                           tuple((float(p), float(c)) for p, c in heat_powers))
+        for key, value in dict(values=values, mults=mults, name=name, heat_fn=heat_fn,
+                               heat_powers=heat_powers, progression=progression).items():
+            object.__setattr__(self, key, value)
 
     @property
     def min_value(self) -> float:
@@ -269,8 +279,8 @@ class SpectrumStream(ReadOnly):
         return _EXP_CUTOFF / self.max_value
 
     def shifted(self, b) -> SpectrumStream:
-        """The stream x_j + b, with trace e^(-b t) Z(t) and the small-t powers
-        ``shift_heat_powers`` gives; the stream itself at b = 0."""
+        """The stream x_j + b (no progression), with trace e^(-b t) Z(t) and the
+        small-t powers ``shift_heat_powers`` gives; the stream itself at b = 0."""
         b, = _shifts((b,))
         if b == 0.0:
             return self

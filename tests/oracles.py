@@ -4,14 +4,17 @@ Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
 The exceptions are ``series_log``, an exact reference in the polynomials'
 own Fraction arithmetic, the float reference formulas ``recombined``,
-``t_half_integer`` and ``weyl_count_ratio``, the alpha degree of an
+``t_half_integer`` and ``weyl_count_ratio``, the exact round-sphere
+listings of ``round_sphere_mapping``, the alpha degree of an
 expansion polynomial, and the per-element loops ``merge_ties``,
 ``custom_mapping``, ``columnar`` and ``log_panels`` and the all-probes ``t_min_probes``,
-bitwise references for the array passes of the package.  The package under
-test never imports this module.
+bitwise references for the array passes of the package.  The Bessel-zero
+oracles are memoized: tests ask for the same (nu, k) pair many times.  The
+package under test never imports this module.
 """
 
 import copy
+import functools
 import math
 from fractions import Fraction
 
@@ -46,11 +49,13 @@ def log_besseli(nu: float, x: float, alpha: float | None = None) -> float:
     return float(mp.log(val))
 
 
+@functools.lru_cache(maxsize=None)
 def j_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu."""
     return float(mp.besseljzero(mp.mpf(nu), k))
 
 
+@functools.lru_cache(maxsize=None)
 def jprime_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu'.
 
@@ -255,3 +260,83 @@ def t_min_probes(trace, powers):
     ratio = np.abs(z - h) / np.maximum(np.abs(z), 1e-300)
     ok = np.nonzero(ratio <= 1e-13)[0]
     return float(probes[ok[0] if ok.size else int(np.argmin(ratio))]), ratio
+
+
+# ---------------------------------------------------------------------------
+# round spheres: coexact spectra and exact continuation data
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _degree(k: int, rows, heat_coeffs) -> dict:
+    return {"k": k, "values": [float(v) for v, _ in rows],
+            "mults": [int(m) for _, m in rows], "heat_coeffs": heat_coeffs}
+
+
+def round_sphere_mapping(n: int) -> dict:
+    """Custom-schema listing of the unit round S^n, n = 2 or 3.
+
+    The coexact k-form eigenvalues are (l+k+1)(l+n-k), l >= 0
+    (Ikeda-Taniguchi), and the heat coefficients are exact: on S^2 both
+    degrees list l(l+1), mult 2l+1, for l = 1..212; on S^3 degrees 0 and 2
+    list (l+1)(l+3), mult (l+2)^2, and degree 1 lists (l+2)^2, mult
+    2(l+1)(l+3), for l < 250.
+    """
+    if n == 2:
+        rows = [(l * (l + 1), 2 * l + 1) for l in range(1, 213)]
+        coeffs = [1.0, 0.0, -2.0 / 3.0, 0.0, 1.0 / 15.0, 0.0, 4.0 / 315.0, 0.0, 1.0 / 315.0]
+        degrees = [_degree(0, rows, coeffs), _degree(1, rows, coeffs)]
+        betti = [1, 0, 1]
+    elif n == 3:
+        rows = [((l + 1) * (l + 3), (l + 2) ** 2) for l in range(250)]
+        coeffs = [_SQRT_PI / 4, 0.0, _SQRT_PI / 4, -1.0, _SQRT_PI / 8, 0.0,
+                  _SQRT_PI / 24, 0.0, _SQRT_PI / 96]
+        middle = [((l + 2) ** 2, 2 * (l + 1) * (l + 3)) for l in range(250)]
+        degrees = [_degree(0, rows, coeffs),
+                   _degree(1, middle, [_SQRT_PI / 2, 0.0, -_SQRT_PI, 1.0]),
+                   _degree(2, rows, coeffs)]
+        betti = [1, 0, 0, 1]
+    else:
+        raise ValueError(f"round_sphere_mapping covers n = 2 and 3, got {n}")
+    return {"dim": n, "betti": betti, "scale": 1.0, "degrees": degrees,
+            "truncation_note": f"unit round S^{n}, coexact spectra (Ikeda-Taniguchi)"}
+
+
+#: log T of the unit ball B^3, the cone over the unit round S^2 (hand
+#: reduction of corollary_3d)
+BALL3_LOG_TORSION = LOG_2 - 0.5 * math.log(3.0) + 0.5 * LOG_2PI + 0.25
+
+#: log T of the unit ball B^4, the cone over the unit round S^3: the harmonic
+#: term plus the weighted degree brackets of the ``s3_zeta_data`` values
+BALL4_LOG_TORSION = -1.4648229622360942
+
+#: on the unit round S^3 the degree-k frequencies are nu = l + 2, l >= 0, of
+#: multiplicity P_k(nu) (coefficients of nu^0, nu^1, ...), and alpha_k
+S3_FREQUENCIES = {0: ((0, 0, 1), 1), 1: ((-2, 0, 2), 0)}
+
+
+def s3_zeta_data(k: int) -> dict:
+    """Exact frequency-side continuation data of degree k = 0 or 1 of S^3.
+
+    With P_k(nu) = sum_j c_j (nu + a)^j re-expanded about the shift a, the
+    shifted zeta function is sum_{nu >= 2} P_k(nu) (nu + a)^(-s)
+    = sum_j c_j zeta_H(s - j, 2 + a): its derivative at 0 is
+    sum_j c_j zeta_H'(-j, 2 + a), and the unshifted residue at s = i is the
+    coefficient of nu^(i-1).  Returns deriv0, deriv0_shifted at +-alpha_k
+    and residues 1..3, each at 30 digits rounded to float.
+    """
+    poly, alpha = S3_FREQUENCIES[k]
+
+    def deriv0(a):
+        a = mp.mpf(a)
+        total = mp.mpf(0)
+        for j in range(len(poly)):      # coefficient of (nu + a)^j
+            cj = sum(mp.mpf(c) * mp.binomial(i, j) * (-a) ** (i - j)
+                     for i, c in enumerate(poly) if i >= j)
+            total += cj * mp.zeta(-j, 2 + a, 1)
+        return float(total)
+
+    return {"deriv0": deriv0(0),
+            "deriv0_shifted": {float(s): deriv0(s) for s in (alpha, -alpha)},
+            "residues": {i: float(poly[i - 1]) if i <= len(poly) else 0.0
+                         for i in range(1, 4)}}

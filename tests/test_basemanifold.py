@@ -2,6 +2,7 @@
 built over them, custom round trips, and validation."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -54,6 +55,29 @@ def test_circle_nu_set():
     assert dc.progression == (2.0, 2)
     assert dc.q_stream is None and dc.nu_stream is None
     assert circ.coclosed_spectrum(0).heat_fn is not None
+
+
+def test_progression_lives_on_the_checked_stream():
+    # a side map on the base held the progression unchecked: with circle(2)'s
+    # stream, a (3.0, 2) entry there solved to the c = 3 answer
+    deg = bm.circle(2.0).coclosed_spectrum(0)
+    assert deg.progression == (2.0, 2)
+    fields = dict(name="x", dim=1, betti=(1, 1), scale=2.0, degrees={0: deg})
+    base = bm.BaseManifold(**fields)
+    assert log_torsion(base).log_torsion == -0.47579135264472755
+    assert log_torsion(bm.circle(2.0)).log_torsion == -0.47579135264472755
+    assert list(inspect.signature(bm.BaseManifold).parameters) == [
+        "name", "dim", "betti", "scale", "degrees", "boundary_ok", "truncation_note"]
+    with pytest.raises(ValidationError, match="^spectrum stream 'relabelled' contradicts"):
+        SpectrumStream(deg.values, deg.mults, name="relabelled", progression=(3.0, 2))
+    # a shift leaves the progression; the exact route reads the unshifted stream
+    assert deg.shifted(0.25).progression is None and deg.shifted(0.0) is deg
+    assert bm.circle(1.0, allow_boundary=True).coclosed_spectrum(0).progression == (1.0, 2)
+    assert bm.torus2(2.0).coclosed_spectrum(0).progression is None
+    # 2 and 2.0 pass the integer screen for dim, betti numbers and degree keys
+    same = bm.BaseManifold(**{**fields, "dim": 1.0, "betti": (1.0, 1), "degrees": {0.0: deg}})
+    assert (same.dim, same.betti, same.degrees_available()) == (1, (1, 1), (0,))
+    assert type(same.dim) is int and type(same.degrees_available()[0]) is int
 
 
 def test_circle_scaling_floor():
@@ -258,16 +282,15 @@ def test_base_manifold_is_read_only():
     tor = bm.torus2(2.0)
     before = log_torsion(tor)
     for attr, value in (("dim", 4), ("betti", (1, 0, 1)), ("scale", 1.0),
-                        ("name", "other"), ("orientable", False), ("_degrees", {}),
-                        ("progressions", {})):
+                        ("name", "other"), ("orientable", False), ("_degrees", {})):
         with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
             setattr(tor, attr, value)
         with pytest.raises(AttributeError, match="^BaseManifold is read-only$"):
             delattr(tor, attr)
     with pytest.raises(TypeError):
         tor._degrees[0] = None
-    with pytest.raises(TypeError):
-        bm.circle(2.0).progressions[0] = (3.0, 2)
+    with pytest.raises(AttributeError, match="^SpectrumStream is read-only$"):
+        bm.circle(2.0).coclosed_spectrum(0).progression = (3.0, 2)
     listing = bm.custom(bm.circle(2.0).as_custom_mapping())
     for base in (tor, listing):
         deg = base.coclosed_spectrum(0)
@@ -449,6 +472,10 @@ _ASCENT = "degree 0: eigenvalues must be finite and strictly ascending"
     pytest.param(_set_field(5, "value", math.inf), _ASCENT, id="inf"),
     pytest.param(lambda eig: eig.reverse(), _ASCENT, id="descending"),
     pytest.param(_set_field(4, "value", 64.0), _ASCENT, id="duplicate"),
+    pytest.param(_set_field(0, "value", 0.0), "spectrum stream custom:deg0 values",
+                 id="zero-value"),
+    pytest.param(_set_field(0, "value", -4.0), "spectrum stream custom:deg0 values",
+                 id="negative-value"),
     pytest.param(_set_field(2, "mult", 0), "degree 0: multiplicities must be >= 1",
                  id="mult-0"),
     pytest.param(_set_field(2, "mult", 2.7), "degree 0: multiplicities must be integers",

@@ -195,7 +195,7 @@ def _reference_zeta_payload(base, k, shift):
     over the degree's frequency set, independently of the cached
     continuation record the command reads."""
     deg = base.coclosed_spectrum(k)
-    progression = base.progressions.get(k)
+    progression = deg.progression
     a = (base.dim - 1) / 2 - k
     pole_top = max(base.dim, 1)
     if progression is not None and a == 0.0:

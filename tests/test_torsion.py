@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conetorsion import zetacont
-from conetorsion.basemanifold import circle, torus2
+from conetorsion.basemanifold import BaseManifold, circle, torus2
 from conetorsion.besselzero import ZeroRequest, zeros
 from conetorsion.derivation import (
     SpectralParameter,
@@ -383,6 +383,20 @@ def test_continuation_records_die_with_their_base():
     assert alive() is None
 
 
+def _base(**changes):
+    """A BaseManifold over circle(2)'s degree-0 stream, fields replaced."""
+    fields = dict(name="x", dim=1, betti=(1, 1), scale=2.0,
+                  degrees={0: circle(2.0).coclosed_spectrum(0)})
+    return BaseManifold(**{**fields, **changes})
+
+
+def _progression(progression):
+    """circle(2)'s degree-0 listing, (2m)^2 of mult 2, under another descriptor."""
+    deg = circle(2.0).coclosed_spectrum(0)
+    return zetacont.SpectrumStream(deg.values, deg.mults, name="listing",
+                                   progression=progression)
+
+
 @pytest.mark.parametrize("call,parameter", [
     (lambda: circle("3"), "scale"),
     (lambda: torus2("2"), "scale"),
@@ -453,6 +467,31 @@ def test_continuation_records_die_with_their_base():
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(True), "shift"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(math.nan), "shift"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(-1.5), "shift"),
+    (lambda: _base(betti=(1.7, 1.2)), "betti entry"),
+    (lambda: _base(betti=("1", "1")), "betti entry"),
+    (lambda: _base(betti=3), "betti"),
+    (lambda: _base(scale=1.0, boundary_ok="no", degrees={
+        0: circle(1.0, allow_boundary=True).coclosed_spectrum(0)}), "boundary_ok"),
+    (lambda: _base(degrees=[circle(2.0).coclosed_spectrum(0)]), "degrees"),
+    (lambda: _base(dim=2.5, betti=(1, 1, 1)), "dim"),
+    (lambda: _base(dim=True), "dim"),
+    (lambda: _base(dim="1"), "dim"),
+    (lambda: _base(degrees={0: [4.0]}), "degree 0 must be a SpectrumStream"),
+    (lambda: _base(degrees={True: circle(2.0).coclosed_spectrum(0)}), "degree key"),
+    (lambda: _base(degrees={0.5: circle(2.0).coclosed_spectrum(0)}), "degree key"),
+    (lambda: _progression((3.0, 2)), "contradicts its progression"),
+    (lambda: _progression((2.0, 1)), "contradicts its progression"),
+    (lambda: _progression((math.nan, 2)), "progression"),
+    (lambda: _progression((math.inf, 2)), "progression"),
+    (lambda: _progression((-2.0, 2)), "progression"),
+    (lambda: _progression((1e300, 2)), "progression"),
+    (lambda: _progression(("2", 2)), "progression"),
+    (lambda: _progression((True, 2)), "progression"),
+    (lambda: _progression((2.0, 2.0)), "progression"),
+    (lambda: _progression((2.0, 0)), "progression"),
+    (lambda: _progression((2.0, True)), "progression"),
+    (lambda: _progression(2.0), "progression"),
+    (lambda: _progression((2.0, 2, 1)), "progression"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -469,13 +508,24 @@ def test_continuation_records_die_with_their_base():
         "coclosed-degree-bool", "coclosed-degree-float", "coclosed-degree-str",
         "coclosed-shift-str", "coclosed-shift-bool", "coclosed-shift-nan", "coclosed-shift-inf",
         "coclosed-shift-negative", "stream-shifted-str", "stream-shifted-bool",
-        "stream-shifted-nan", "stream-shifted-past-floor"])
+        "stream-shifted-nan", "stream-shifted-past-floor", "base-betti-float",
+        "base-betti-str", "base-betti-int", "base-boundary-str", "base-degrees-list",
+        "base-dim-half", "base-dim-bool", "base-dim-str", "base-degree-list",
+        "base-degree-key-bool", "base-degree-key-half", "progression-other-step",
+        "progression-other-mult", "progression-step-nan", "progression-step-inf",
+        "progression-step-negative", "progression-step-huge", "progression-step-str",
+        "progression-step-bool", "progression-mult-float", "progression-mult-zero",
+        "progression-mult-bool", "progression-not-a-pair", "progression-triple"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,
     # non-finite nu_max leaked ValueError/OverflowError, non-finite stream
     # values warned in the tie merge, unmatched mults leaked IndexError, and
-    # negative, zero or nan multiplicities were accepted
+    # negative, zero or nan multiplicities were accepted; a base stored
+    # betti=(1.7, 1.2) as (1, 1) and a degree key True, took dim=True as 1 and
+    # boundary_ok="no" as true (admitting the scaling boundary eta = 1), and
+    # leaked TypeError or AttributeError on a betti list, degree map or degree
+    # of the wrong type
     with pytest.raises(ValidationError, match=parameter):
         call()
 

@@ -151,7 +151,7 @@ def test_progression_stream_structure():
 
 
 # ---------------------------------------------------------------------------
-# Closed-form data for arithmetic progressions.
+# Closed-form data for an arithmetic progression.
 # ---------------------------------------------------------------------------
 
 def test_zeta_data_exact_values():
