@@ -104,6 +104,9 @@ class BaseManifold(ReadOnly):
 
     def __init__(self, *, name: str, dim: int, betti, scale: float, degrees: dict,
                  boundary_ok: bool = False, truncation_note: str = ""):
+        for field, text in (("name", name), ("truncation_note", truncation_note)):
+            if not isinstance(text, str):
+                raise ValidationError(f"{field} must be a string, got {text!r}")
         dim = _integer(dim, "dim")
         if dim < 1:
             raise ValidationError("cross-section dimension must be >= 1")
@@ -149,17 +152,14 @@ class BaseManifold(ReadOnly):
         return tuple(sorted(self._degrees))
 
     # -- spectra -----------------------------------------------------------
-    def coclosed_spectrum(self, k: int, shift2: float = 0.0) -> SpectrumStream:
-        """Nonzero coclosed degree-k eigenvalues shifted by ``shift2``: the
-        stored stream itself at shift2 = 0, else its ``shifted(shift2)``."""
+    def coclosed_spectrum(self, k: int) -> SpectrumStream:
+        """The stored stream of nonzero coclosed degree-k eigenvalues (its
+        ``shifted(b)`` gives eta + b)."""
         if not is_integer(k):
             raise ValidationError(f"degree must be an integer, got {k!r}")
         if k not in self._degrees:
             raise ValidationError(f"no coclosed spectrum supplied for degree {k} of {self.name}")
-        if not (is_finite_number(shift2) and shift2 >= 0.0):
-            raise ValidationError(
-                f"spectral shift shift2 must be a finite number >= 0, got {shift2!r}")
-        return self._degrees[k].shifted(shift2)
+        return self._degrees[k]
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:

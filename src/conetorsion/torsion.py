@@ -22,7 +22,7 @@ nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
 degree's frequencies form an arithmetic progression (its stream's checked
 ``progression``, and a_k = 0), else the shifted eigenvalue stream eta + a_k^2
-(exact heat trace carried along when available) and its square roots.
+(exact heat trace carried along when available) and its ``sqrt_stream``.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``), and a regularized
@@ -38,12 +38,10 @@ import math
 import sys
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-
-import numpy as np
 
 from .basemanifold import BaseManifold
 from .errors import ValidationError, is_finite_number, is_integer
@@ -175,10 +173,9 @@ class DegreeContinuation:
     of the exact route (frequencies step*m, m >= 1, each of multiplicity
     mult), None on the numeric route, which keeps its two streams: the
     shifted eigenvalues ``q_stream`` = eta + a_k^2 and their square roots
-    ``nu_stream``.  ``data.deriv0_shifted`` holds zeta'(0, +-alpha_k) and
-    ``shift_errors`` their error estimates.  ``_q_engine`` (the
-    squared-stream engine, kept only when that stream has an exact trace)
-    feeds the lift cross-check.
+    ``nu_stream`` from ``sqrt_stream``, which carries the lifted trace
+    where its model holds.  ``data.deriv0_shifted`` holds zeta'(0, +-alpha_k)
+    and ``shift_errors`` their error estimates.
     """
 
     alpha: Fraction
@@ -187,7 +184,6 @@ class DegreeContinuation:
     shift_errors: Mapping
     q_stream: SpectrumStream | None = None
     nu_stream: SpectrumStream | None = None
-    _q_engine: MellinZeta | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))
@@ -209,13 +205,12 @@ class DegreeContinuation:
 
     @cached_property
     def check_residual(self) -> float:
-        """Largest gap between ``data`` and the direct route on the
-        square-root lift (0 without a lift); computed once, on first use,
-        since only the torsion error budget reads it."""
-        if self._q_engine is None:
+        """Largest gap between ``data`` and the direct route on the lifted
+        ``nu_stream`` (0 when it carries no trace); computed once, on first
+        use, since only the torsion error budget reads it."""
+        if self.nu_stream is None or self.nu_stream.heat_fn is None:
             return 0.0
-        lift = sqrt_stream(self.q_stream, self._q_engine)
-        lift_engine = MellinZeta(lift, s_max=1.0)
+        lift_engine = MellinZeta(self.nu_stream, s_max=1.0)
         check = abs(lift_engine.deriv0() - self.data.deriv0)
         a = float(self.alpha)
         if a != 0.0:
@@ -257,19 +252,18 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
         data = zeta_data_exact(*progression, alphas=(a, -a), pole_range=max(n, 1))
         return DegreeContinuation(alpha, progression, data, {a: 0.0, -a: 0.0})
 
-    q_stream = base.coclosed_spectrum(k, shift2=a * a)
-    nu_stream = SpectrumStream(np.sqrt(q_stream.values), q_stream.mults,
-                               name=f"{base.name}:nu{k}")
+    q_stream = base.coclosed_spectrum(k).shifted(a * a)
+    data, engine = nu_continuation_data(q_stream)
+    nu_stream = sqrt_stream(engine)
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
             f"{nu_stream.min_value:g} (degree {k})")
-    data, engine = nu_continuation_data(q_stream)
     shifts = {s: shifted_from_base(nu_stream, data, s) for s in {a, -a}}
     data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
     return DegreeContinuation(
         alpha, None, data, {s: err for s, (_, err) in shifts.items()}, q_stream,
-        nu_stream, engine if q_stream.heat_fn is not None else None)
+        nu_stream)
 
 
 def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,

@@ -536,7 +536,7 @@ class MellinZeta(ReadOnly):
 
     def _pole_sum(self, s: float, skip: float | None = None) -> float:
         return _fsum([c / (s + p) for p, c in self.powers
-                      if skip is None or p != skip])
+                      if c != 0.0 and p != skip])      # a zero term has no pole
 
     def coefficient(self, p: float) -> float:
         """Heat coefficient of t^p in the working model H (0 when absent)."""
@@ -567,14 +567,15 @@ class MellinZeta(ReadOnly):
         """zeta(w) at a regular point (any real w, poles excluded)."""
         if w == 0.0:
             return self.zeta0()
-        if w > 0.0:
-            if self.coefficient(-w) != 0.0:
-                raise ValidationError(f"zeta has a pole at s={w}; use residue/pp")
-            return self.pp(w)
         m = round(-w)
-        if abs(w + m) < 1e-12:             # negative integer: Gamma pole
+        if w < 0.0 and abs(w + m) < 1e-12:     # negative integer: Gamma pole
             sign = 1.0 if m % 2 == 0 else -1.0
             return sign * math.gamma(m + 1.0) * self.coefficient(float(m))
+        if self.coefficient(-w) != 0.0:
+            hint = "; use residue/pp" if w > 0.0 else ""
+            raise ValidationError(f"zeta has a pole at s={w}{hint}")
+        if w > 0.0:
+            return self.pp(w)
         num = self.integral(w) + self._pole_sum(w)
         # reciprocal Gamma via reflection keeps negative w honest
         from .specfun import sinpi
@@ -709,8 +710,8 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     return value, base.error_estimate + series_rem + tail_est
 
 
-def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStream:
-    """Square-root lift: eigenvalues sqrt(x_j) of a stream with values x_j.
+def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:
+    """Square-root lift: sqrt(x_j), mults m_j, of the stream x_j of ``q_engine``.
 
     The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is evaluated through
     the subordination identity
@@ -718,10 +719,16 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStrea
     which needs only the (exact) trace of the square stream, and its small-t
     powers come from the Mellin poles of Gamma(s) zeta_nu(s), zeta_nu(s) =
     zeta_Q(s/2): t^(-2w0) terms from each pole w0 of zeta_Q, zeta_Q(0) at
-    t^0, and (-1)^j zeta_Q(-j/2)/j! at t^j.
+    t^0, and (-1)^j zeta_Q(-j/2)/j! at t^j.  That model needs an exact
+    trace and no t^(j/2) term for odd j <= _LIFT_JMAX (a pole of zeta_Q at
+    -j/2 puts t^j log t into G); elsewhere the square roots come back plain.
     """
-    if q_stream.heat_fn is None:
-        raise ValidationError("sqrt_stream needs a stream with an exact trace evaluator")
+    q_stream = q_engine.stream
+    nu_vals = np.sqrt(q_stream.values)
+    name = f"sqrt({q_stream.name})"
+    if q_stream.heat_fn is None or any(
+            q_engine.coefficient(0.5 * j) != 0.0 for j in range(1, _LIFT_JMAX + 1, 2)):
+        return SpectrumStream(nu_vals, q_stream.mults, name=name)
     powers = []
     for p, c in q_engine.powers:
         if p < 0.0:
@@ -733,7 +740,6 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStrea
         sign = 1.0 if j % 2 == 0 else -1.0
         powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
 
-    nu_vals = np.sqrt(q_stream.values)
     nu_vals.flags.writeable = False     # the trace's closure reaches it
     qmin = q_stream.min_value
     numax = float(np.sqrt(q_stream.max_value))
@@ -759,5 +765,5 @@ def sqrt_stream(q_stream: SpectrumStream, q_engine: MellinZeta) -> SpectrumStrea
                 out[i] = ti / (2.0 * math.sqrt(math.pi)) * integ
         return out
 
-    return SpectrumStream(nu_vals, q_stream.mults, name=f"sqrt({q_stream.name})",
+    return SpectrumStream(nu_vals, q_stream.mults, name=name,
                           heat_fn=lifted_trace, heat_powers=powers)

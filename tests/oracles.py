@@ -5,8 +5,8 @@ at the end, so oracle error is far below every tolerance used in the tests.
 The exceptions are ``series_log``, an exact reference in the polynomials'
 own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the exact round-sphere
-listings of ``round_sphere_mapping``, the alpha degree of an
-expansion polynomial, and the per-element loops ``merge_ties``,
+and RP^3 listings of ``round_sphere_mapping`` and ``rp3_mapping``, the
+alpha degree of an expansion polynomial, and the per-element loops ``merge_ties``,
 ``custom_mapping``, ``columnar`` and ``log_panels`` and the all-probes ``t_min_probes``,
 bitwise references for the array passes of the package.  The Bessel-zero
 oracles are memoized: tests ask for the same (nu, k) pair many times.  The
@@ -340,3 +340,57 @@ def s3_zeta_data(k: int) -> dict:
             "deriv0_shifted": {float(s): deriv0(s) for s in (alpha, -alpha)},
             "residues": {i: float(poly[i - 1]) if i <= len(poly) else 0.0
                          for i in range(1, 4)}}
+
+
+def rp3_mapping() -> dict:
+    """Custom-schema listing of RP^3 = S^3/{+-1}: the S^3 rows of
+    ``round_sphere_mapping(3)`` (nu = l + 2, l < 250) the antipodal map
+    keeps, odd nu in degrees 0 and 2 and even nu in degree 1.  The exact heat
+    coefficients come from Poisson summation over odd or even nu: the
+    sqrt(pi) terms are half of S^3's, the constants are not."""
+    coeffs = {0: [_SQRT_PI / 8, 0.0, _SQRT_PI / 8, -1.0, _SQRT_PI / 16, 0.0,
+                  _SQRT_PI / 48, 0.0, _SQRT_PI / 192],
+              1: [_SQRT_PI / 4, 0.0, -_SQRT_PI / 2, 1.0]}
+    degrees = []
+    for entry in round_sphere_mapping(3)["degrees"]:
+        k = entry["k"]
+        parity = 0 if k == 1 else 1          # of nu = l + 2
+        rows = [row for l, row in enumerate(zip(entry["values"], entry["mults"]))
+                if (l + 2) % 2 == parity]
+        degrees.append(_degree(k, rows, coeffs[1 if k == 1 else 0]))
+    return {"dim": 3, "betti": [1, 0, 0, 1], "scale": 1.0, "degrees": degrees,
+            "truncation_note": "RP^3 = S^3/{+-1}, coexact spectra of the even SU(2) weights"}
+
+
+#: log T of the cone over RP^3: the harmonic term plus the weighted degree
+#: brackets of the ``rp3_zeta_data`` values
+RP3_LOG_TORSION = -0.43834244834281555
+
+
+def rp3_zeta_data(k: int) -> dict:
+    """Exact frequency-side continuation data of degree k = 0 or 1 of RP^3.
+
+    Degree 0 sums nu^2 (nu + a)^(-s) over odd nu >= 3 (alpha_0 = 1), degree
+    1 sums 2 (nu^2 - 1) nu^(-s) over even nu >= 2 (alpha_1 = 0); both are
+    Riemann zeta functions at s, s - 1 and s - 2 with powers of 2, and the
+    derivatives at 0 are taken by mpmath at 30 digits.  Returns deriv0,
+    deriv0_shifted at +-alpha_k and residues 1..3.
+    """
+    z = mp.zeta
+
+    def two(c, s):
+        return mp.mpf(2) ** (c - s)
+
+    if k == 0:
+        forms = {0.0: lambda s: (1 - two(2, s)) * z(s - 2) - 1,
+                 1.0: lambda s: (two(2, s) * (z(s - 2) - 1) - two(2, s) * (z(s - 1) - 1)
+                                 + two(0, s) * (z(s) - 1)),
+                 -1.0: lambda s: two(2, s) * z(s - 2) + two(2, s) * z(s - 1) + two(0, s) * z(s)}
+        residues = {1: 0.0, 2: 0.0, 3: 0.5}
+    else:
+        forms = {0.0: lambda s: two(3, s) * z(s - 2) - two(1, s) * z(s)}
+        residues = {1: -1.0, 2: 0.0, 3: 1.0}
+    derivs = {a: float(mp.diff(f, 0)) for a, f in forms.items()}
+    alpha = 1.0 if k == 0 else 0.0
+    return {"deriv0": derivs[0.0], "residues": residues,
+            "deriv0_shifted": {a: derivs[a] for a in (alpha, -alpha)}}

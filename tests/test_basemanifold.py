@@ -152,7 +152,7 @@ def test_streams_share_no_memory_with_their_source():
     deg = tor._degrees[0]
     assert tor.coclosed_spectrum(0) is deg
     ns = degree_continuation(tor, 0)
-    lift = sqrt_stream(ns.q_stream, MellinZeta(ns.q_stream, s_max=1.0))
+    lift = sqrt_stream(MellinZeta(ns.q_stream, s_max=1.0))
     for stream, source in ((ns.q_stream, deg), (ns.nu_stream, deg),
                            (lift, ns.q_stream)):
         for got, given in ((stream.values, source.values),
@@ -304,14 +304,14 @@ def test_base_manifold_is_read_only():
 
 def test_coclosed_spectrum_shift():
     circ = bm.circle(2.0)
-    shifted = circ.coclosed_spectrum(0, shift2=0.25)
+    shifted = circ.coclosed_spectrum(0).shifted(0.25)
     plain = circ.coclosed_spectrum(0)
     assert np.allclose(shifted.values, plain.values + 0.25)
     t = np.array([0.4])
     assert shifted.trace(t)[0] == pytest.approx(
         math.exp(-0.25 * 0.4) * plain.trace(t)[0], rel=1e-14)
-    with pytest.raises(ValidationError):
-        circ.coclosed_spectrum(0, shift2=-0.1)
+    with pytest.raises(TypeError):     # the shift is the stream's own
+        circ.coclosed_spectrum(0, 0.25)
 
 
 def _circle_listing(c):
@@ -363,7 +363,7 @@ def test_coclosed_spectrum_is_the_stored_stream_or_its_shift(build, listing):
     t = np.exp(np.linspace(math.log(1e-4), math.log(30.0), 97))
     for k in base.degrees_available():
         stored = base._degrees[k]
-        assert stored is base.coclosed_spectrum(k) is base.coclosed_spectrum(k, 0.0)
+        assert stored is base.coclosed_spectrum(k) is stored.shifted(0.0)
         values, mults, powers = listing(k)
         for b in (0.0, 0.25, 1.5):
             heat_fn = stored.heat_fn
@@ -371,7 +371,7 @@ def test_coclosed_spectrum_is_the_stored_stream_or_its_shift(build, listing):
                 heat_fn = lambda tt, _b=b, _f=stored.heat_fn: np.exp(-_b * np.asarray(tt)) * _f(tt)
             want = SpectrumStream(values + b, mults, heat_fn=heat_fn,
                                   heat_powers=shift_heat_powers(powers, b))
-            got = base.coclosed_spectrum(k, b)
+            got = base.coclosed_spectrum(k).shifted(b)
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.mults, want.mults)
             assert got.heat_powers == want.heat_powers

@@ -53,12 +53,14 @@ def test_tracer_records_every_wrapped_layer(tracing):
 
 
 def test_zeta_command_skips_the_lift(tracing):
-    # continuation data alone: one engine on the squared stream, no
-    # square-root lift (that cross-check belongs to the torsion error budget)
+    # continuation data alone: one engine on the squared stream; the record's
+    # nu_stream is the square-root lift, but no lifted trace is evaluated
+    # (the cross-check that solves it belongs to the torsion error budget)
     tracer = _traced(tracing, lambda: cli.run(
         ["zeta", "--base", "torus2", "--scale", "2", "--degree", "0"]))
     assert tracer.counts["zetacont.mellin_engines"] == 1
-    assert "zetacont.sqrt_stream_s" not in {span[0] for span in tracer.spans}
+    assert "zetacont.trace_s.lift" not in {span[0] for span in tracer.spans}
+    assert tracer.counts["zetacont.trace_calls.lift"] == 0
 
 
 def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):

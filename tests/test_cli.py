@@ -207,7 +207,7 @@ def _reference_zeta_payload(base, k, shift):
         if shift is not None:
             shift_value, shift_error = data.deriv0_shifted[float(shift)], 0.0
     else:
-        q_stream = base.coclosed_spectrum(k, shift2=a * a)
+        q_stream = deg.shifted(a * a)
         nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults)
         data, _engine = nu_continuation_data(q_stream)
         source = "numeric"

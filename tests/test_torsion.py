@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conetorsion import zetacont
-from conetorsion.basemanifold import BaseManifold, circle, torus2
+from conetorsion.basemanifold import BaseManifold, circle, custom, torus2
 from conetorsion.besselzero import ZeroRequest, zeros
 from conetorsion.derivation import (
     SpectralParameter,
@@ -202,12 +202,13 @@ def test_degree_continuation_is_read_only():
         with pytest.raises(AttributeError, match="read-only"):
             delattr(stream, attr)
     assert dc.shifted(0.3) == shifted
-    # the squared-stream engine feeds the lift cross-check on first use (an
-    # appended heat power moved error_estimate from 5.4e-12 to 5.1e-4, a
-    # doubled trace grid to 1.1e-4)
-    engine = dc._q_engine
-    with pytest.raises(AttributeError):
-        engine.powers.append((9.0, 1e3))
+    # the lift cross-check solves nu_stream on first use, its small-t powers
+    # made by the engine on q_stream (an appended heat power moved
+    # error_estimate from 5.4e-12 to 5.1e-4, a doubled trace grid to 1.1e-4)
+    engine = zetacont.MellinZeta(dc.q_stream, s_max=0.5 * zetacont.RMAX)
+    for powers in (engine.powers, dc.nu_stream.heat_powers):
+        with pytest.raises(AttributeError):
+            powers.append((9.0, 1e3))
     for arr in (engine._zs, engine._ts, engine._ws, engine._zl, engine._hs):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
@@ -234,8 +235,40 @@ def test_exact_route_builds_no_stream(monkeypatch):
     assert dc.route == "exact" and dc.progression == (2.0, 2)
     assert dc.q_stream is None and dc.nu_stream is None
     dc = degree_continuation(tor, 0)
-    assert built == ["torus2(c=2, square):deg0,1+0.25", "torus2(c=2, square):nu0"]
+    # the square-root lift is the record's nu_stream: the cross-check that
+    # solves it builds no stream of its own (it rebuilt the lift)
+    assert built == ["torus2(c=2, square):deg0,1+0.25",
+                     "sqrt(torus2(c=2, square):deg0,1+0.25)"]
     assert dc.route == "numeric" and dc.progression is None
+    built.clear()
+    log_torsion(tor)
+    assert built == []
+
+
+def test_the_lift_rides_on_nu_stream_where_its_model_holds():
+    # an exact trace with no t^(j/2) term for odd j: the lifted trace, and
+    # the cross-check on it is bitwise the one on a lift built apart (1.9e-13)
+    dc = degree_continuation(torus2(2.0), 0)
+    assert dc.nu_stream.heat_fn is not None
+    q_engine = zetacont.MellinZeta(dc.q_stream, s_max=0.5 * zetacont.RMAX)
+    lift = zetacont.MellinZeta(zetacont.sqrt_stream(q_engine), s_max=1.0)
+    assert dc.check_residual == max(
+        [abs(lift.deriv0() - dc.data.deriv0)]
+        + [abs(lift.deriv0_shifted(s) - dc.data.deriv0_shifted[s]) for s in (0.5, -0.5)])
+    assert 0.0 < dc.check_residual < 1e-12
+    # circle(2)'s stream on a 2-dimensional base: q = eta + 1/4 has a nonzero
+    # t^(1/2) term, so no lift (its cross-check raised ZeroDivisionError)
+    base = BaseManifold(name="x", dim=2, betti=(1, 0, 1), scale=2.0,
+                        degrees={0: circle(2.0).coclosed_spectrum(0)})
+    dc = degree_continuation(base, 0)
+    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
+    result = log_torsion(base)
+    assert abs(result.log_torsion - 0.5544944766449895) <= result.error_estimate < 1e-11
+    # a listing has no exact trace to lift
+    listing = custom(torus2(2.0, nu_max=256).as_custom_mapping())
+    dc = degree_continuation(listing, 0)
+    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
+    assert np.array_equal(dc.nu_stream.values, np.sqrt(dc.q_stream.values))
 
 
 @pytest.mark.parametrize("build", [lambda: circle(2.0), lambda: torus2(2.0)],
@@ -458,14 +491,10 @@ def _progression(progression):
     (lambda: torus2(2.0).coclosed_spectrum(True), "degree"),
     (lambda: torus2(2.0).coclosed_spectrum(1.0), "degree"),
     (lambda: torus2(2.0).coclosed_spectrum("0"), "degree"),
-    (lambda: torus2(2.0).coclosed_spectrum(0, "0.25"), "shift2"),
-    (lambda: torus2(2.0).coclosed_spectrum(0, True), "shift2"),
-    (lambda: torus2(2.0).coclosed_spectrum(0, math.nan), "shift2"),
-    (lambda: torus2(2.0).coclosed_spectrum(0, math.inf), "shift2"),
-    (lambda: torus2(2.0).coclosed_spectrum(0, -0.25), "shift2"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted("0.3"), "shift"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(True), "shift"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(math.nan), "shift"),
+    (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(math.inf), "shift"),
     (lambda: zetacont.progression_stream(1.5, 2, 400).shifted(-1.5), "shift"),
     (lambda: _base(betti=(1.7, 1.2)), "betti entry"),
     (lambda: _base(betti=("1", "1")), "betti entry"),
@@ -479,6 +508,8 @@ def _progression(progression):
     (lambda: _base(degrees={0: [4.0]}), "degree 0 must be a SpectrumStream"),
     (lambda: _base(degrees={True: circle(2.0).coclosed_spectrum(0)}), "degree key"),
     (lambda: _base(degrees={0.5: circle(2.0).coclosed_spectrum(0)}), "degree key"),
+    (lambda: _base(name=3), "^name must be a string"),
+    (lambda: _base(truncation_note=None), "^truncation_note must be a string"),
     (lambda: _progression((3.0, 2)), "contradicts its progression"),
     (lambda: _progression((2.0, 1)), "contradicts its progression"),
     (lambda: _progression((math.nan, 2)), "progression"),
@@ -506,12 +537,12 @@ def _progression(progression):
         "relation-shift-str", "relation-shift-bool", "stream-2d-list", "stream-ragged",
         "stream-2d-array", "stream-mult-ragged", "lattice-str-entries", "lattice-bool-entries",
         "coclosed-degree-bool", "coclosed-degree-float", "coclosed-degree-str",
-        "coclosed-shift-str", "coclosed-shift-bool", "coclosed-shift-nan", "coclosed-shift-inf",
-        "coclosed-shift-negative", "stream-shifted-str", "stream-shifted-bool",
-        "stream-shifted-nan", "stream-shifted-past-floor", "base-betti-float",
+        "stream-shifted-str", "stream-shifted-bool", "stream-shifted-nan",
+        "stream-shifted-inf", "stream-shifted-past-floor", "base-betti-float",
         "base-betti-str", "base-betti-int", "base-boundary-str", "base-degrees-list",
         "base-dim-half", "base-dim-bool", "base-dim-str", "base-degree-list",
-        "base-degree-key-bool", "base-degree-key-half", "progression-other-step",
+        "base-degree-key-bool", "base-degree-key-half", "base-name-int",
+        "base-truncation-note-none", "progression-other-step",
         "progression-other-mult", "progression-step-nan", "progression-step-inf",
         "progression-step-negative", "progression-step-huge", "progression-step-str",
         "progression-step-bool", "progression-mult-float", "progression-mult-zero",
@@ -525,7 +556,8 @@ def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # betti=(1.7, 1.2) as (1, 1) and a degree key True, took dim=True as 1 and
     # boundary_ok="no" as true (admitting the scaling boundary eta = 1), and
     # leaked TypeError or AttributeError on a betti list, degree map or degree
-    # of the wrong type
+    # of the wrong type, and stored a name 3 that log_torsion reported as its
+    # base_id
     with pytest.raises(ValidationError, match=parameter):
         call()
 

@@ -28,9 +28,9 @@ import pytest
 import oracles
 from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
 from conetorsion.torsion import degree_continuation
-from conetorsion.zetacont import (_EXP_ZERO, _PROBE_BLOCK, _TILE, MellinZeta, SpectrumStream,
-                                  _exp_rowsum, _gauss_legendre, _log_panels,
-                                  progression_stream, sqrt_stream)
+from conetorsion.zetacont import (_EXP_ZERO, _PROBE_BLOCK, _TILE, RMAX, MellinZeta,
+                                  SpectrumStream, _exp_rowsum, _gauss_legendre,
+                                  _log_panels, progression_stream, sqrt_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
@@ -108,8 +108,8 @@ def test_eigenvalue_stream_trace_matches_loop():
 
 
 def test_lift_direct_branch_matches_loop():
-    q_stream = torus2(2.0).coclosed_spectrum(0, shift2=0.25)
-    lift = sqrt_stream(q_stream, MellinZeta(q_stream, s_max=1.0))
+    q_stream = torus2(2.0).coclosed_spectrum(0).shifted(0.25)
+    lift = sqrt_stream(MellinZeta(q_stream, s_max=1.0))
     t_direct = 45.0 / math.sqrt(q_stream.max_value)
     t = np.exp(np.linspace(math.log(t_direct), math.log(30.0), 400))
     want = _loop_eigsum(np.sqrt(q_stream.values), q_stream.mults, t)
@@ -123,8 +123,8 @@ def _random_stream():
 
 
 def _torus2_lift():
-    q_stream = torus2(2.0).coclosed_spectrum(0, shift2=0.25)
-    return sqrt_stream(q_stream, MellinZeta(q_stream, s_max=1.0))
+    q_stream = torus2(2.0).coclosed_spectrum(0).shifted(0.25)
+    return sqrt_stream(MellinZeta(q_stream, s_max=1.0))
 
 
 @pytest.mark.parametrize("make_trace", [
@@ -161,7 +161,7 @@ def _reachable_arrays(trace) -> list:
     lambda: torus2(2.0).coclosed_spectrum(0).heat_fn,
     lambda: torus2(2.885, SHEARED).coclosed_spectrum(1).heat_fn,
     lambda: circle(2.0).coclosed_spectrum(0).heat_fn,
-    lambda: torus2(2.0).coclosed_spectrum(0, shift2=0.25).heat_fn,
+    lambda: torus2(2.0).coclosed_spectrum(0).shifted(0.25).heat_fn,
     lambda: _torus2_lift().heat_fn,
 ], ids=["torus2-square", "torus2-sheared", "circle", "shifted", "lift"])
 def test_trace_arrays_are_read_only(make_trace):
@@ -283,8 +283,7 @@ def test_log_panels_are_bitwise_the_per_panel_loop(a, b, per_decade, nodes):
 def _torus2_engines(c, lattice=None):
     """The squared-stream engine of degree 0 and the engine of its lift."""
     record = degree_continuation(torus2(c, lattice), 0)
-    lift = sqrt_stream(record.q_stream, record._q_engine)
-    return record._q_engine, MellinZeta(lift)
+    return MellinZeta(record.q_stream, s_max=0.5 * RMAX), MellinZeta(record.nu_stream)
 
 
 def _all_probes(engine):

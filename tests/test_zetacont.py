@@ -312,7 +312,7 @@ def test_sqrt_lift_reproduces_linear_spectrum():
                          heat_powers=((-0.5, math.sqrt(math.pi) / 2.0), (0.0, -0.5),
                                       (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)))
     qeng = MellinZeta(qst, s_max=1.0)
-    lift = sqrt_stream(qst, qeng)
+    lift = sqrt_stream(qeng)
 
     # lifted heat powers must reproduce 1/(e^t - 1) = 1/t - 1/2 + t/12 - ...
     pdict = dict(lift.heat_powers)
@@ -370,6 +370,24 @@ def test_value_and_residue_guards():
     assert eng.value(0.0) == pytest.approx(-0.5, abs=1e-12)
     # negative integer via the Gamma-pole branch: zeta(-1) = -1/12
     assert eng.value(-1.0) == pytest.approx(-1.0 / 12.0, abs=1e-12)
+
+
+def test_value_refuses_a_negative_pole_and_skips_an_exact_zero_term():
+    # a nonzero t^(1/2) heat term is a pole of zeta at s = -1/2: value(-0.5)
+    # divided by zero in the pole sum, while value(0.5) refused by name
+    eng = MellinZeta(bm.circle(2.0).coclosed_spectrum(0).shifted(0.25), s_max=1.0)
+    assert eng.coefficient(0.5) == -0.25 * math.sqrt(math.pi) / 2.0
+    with pytest.raises(ValidationError, match=r"^zeta has a pole at s=-0\.5$"):
+        eng.value(-0.5)
+    # an exact zero term has no pole: the zero-padded t^(1/2) term of an
+    # exported torus listing divided 0 by 0; the value agrees with the
+    # exact-trace engine on the same spectrum
+    listing = MellinZeta(bm.custom(bm.torus2(2.0, nu_max=256).as_custom_mapping())
+                         .coclosed_spectrum(0), s_max=1.0)
+    assert (0.5, 0.0) in listing.powers
+    exact = MellinZeta(bm.torus2(2.0).coclosed_spectrum(0), s_max=1.0)
+    gap = abs(listing.value(-0.5) - exact.value(-0.5))
+    assert gap <= listing.error_estimate([-0.5]) + exact.error_estimate([-0.5])
 
 
 def test_inconsistent_supplied_heat_coefficient_is_rejected():
