@@ -63,7 +63,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ReadOnly, ValidationError, is_finite_number, is_integer, is_number
-from .zetacont import SpectrumStream, _exp_rowsum, merge_ties
+from .zetacont import SpectrumStream, _exp_rowsum, exact_stream, merge_ties
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -210,38 +210,30 @@ def _shortest(basis: np.ndarray) -> float:
     return math.sqrt(_lattice_points(basis, reach)[0])
 
 
-def _flat_torus_trace(c: float, basis: np.ndarray, q1: float, eta, mults):
-    """Exact heat trace of R^n/L at scale c, L spanned by the rows of the
-    n x n ``basis``, and its leading coefficient A = covol/(4 pi c^2)^(n/2).
+def _flat_torus_trace(c: float, basis: np.ndarray, q1: float):
+    """Heat trace data of R^n/L at scale c, L spanned by the rows of the
+    n x n ``basis``, for ``exact_stream``: (t_switch, small, A), with A =
+    covol/(4 pi c^2)^(n/2) the leading coefficient.  The lattice alone fixes
+    them; the stream sums its own listing above the switch.
 
-    Large t sums the listed spectrum (eta, mults); small t takes the Poisson
-    dual A t^(-n/2) (1 + sum_v e^(-|v|^2/(4 c^2 t))) - 1 over the nonzero v
-    in L, equal norms merged.  The switch t = l1/(4 pi c^2 q1), for the
-    shortest vectors l1 of L and q1 (given) of L*, lets both sums decay alike:
-    the norms reach 17.5 l1, and the listing must reach 17.5 q1 in L*, for
-    every dropped term to underflow.  The arrays the trace reads are frozen.
+    small(t) is the Poisson dual A t^(-n/2) (1 + sum_v e^(-|v|^2/(4 c^2 t))) - 1
+    over the nonzero v in L, equal norms merged and frozen.  The switch
+    t = l1/(4 pi c^2 q1), for the shortest vectors l1 of L and q1 (given) of
+    L*, lets both sums decay alike: the norms reach 17.5 l1, and the listing
+    must reach 17.5 q1 in L*, for every dropped term to underflow.
     """
     dim = basis.shape[0]
     ell1 = _shortest(basis)
     vsq_all = _lattice_points(basis, 17.5 * ell1)
     vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
-    for arr in (eta, mults, vsq, vsq_mult):
-        arr.flags.writeable = False
+    vsq.flags.writeable = vsq_mult.flags.writeable = False
     lead = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c) ** (0.5 * dim)
-    t_switch = ell1 / (4.0 * math.pi * c * c * q1)
 
-    def heat_fn(t, _eta=eta, _em=mults, _v=vsq, _vm=vsq_mult,
-                _A=lead, _ts=t_switch, _c2=c * c, _h=0.5 * dim):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        direct = t >= _ts
-        td, tp = t[direct], t[~direct]
-        out[direct] = _exp_rowsum(td, _eta, _em)
-        s = _exp_rowsum(4.0 * _c2 * tp, _v, _vm, divide=True)
-        out[~direct] = _A / tp ** _h * (1.0 + s) - 1.0
-        return out
+    def small(t):
+        s = _exp_rowsum(4.0 * (c * c) * t, vsq, vsq_mult, divide=True)
+        return lead / t ** (0.5 * dim) * (1.0 + s) - 1.0
 
-    return heat_fn, lead
+    return ell1 / (4.0 * math.pi * c * c * q1), small, lead
 
 
 def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
@@ -259,13 +251,13 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     values = (c * np.arange(1.0, 4097.0)) ** 2
     mults = np.full(values.size, 2.0)
     basis = np.array([[_TWO_PI]])
-    heat_fn, _ = _flat_torus_trace(c, basis, _shortest(np.linalg.inv(basis).T), values, mults)
+    t_switch, small, _ = _flat_torus_trace(c, basis, _shortest(np.linalg.inv(basis).T))
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
     name = f"circle(c={c:g})"
-    deg0 = SpectrumStream(values, mults, name=f"{name}:deg0", heat_fn=heat_fn,
-                          heat_powers=powers, progression=(c, 2))
+    deg0 = exact_stream(values, mults, t_switch, small, name=f"{name}:deg0",
+                        heat_powers=powers, progression=(c, 2))
     return BaseManifold(name=name, dim=1, betti=(1, 1), scale=c, degrees={0: deg0},
                         boundary_ok=allow_boundary)
 
@@ -304,12 +296,12 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     dual_sq = _lattice_points(dual_basis, r_count)
     eta_all = (4.0 * math.pi ** 2 * c * c) * dual_sq
     eta, eta_mult = merge_ties(eta_all, np.ones_like(eta_all))
-    heat_fn, area_factor = _flat_torus_trace(c, basis, q1, eta, eta_mult)   # Z ~ A/t - 1
+    t_switch, small, area_factor = _flat_torus_trace(c, basis, q1)   # Z ~ A/t - 1
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
         (float(j), 0.0) for j in range(1, 13))
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
-    deg = SpectrumStream(eta, eta_mult, name=f"{name}:deg0,1", heat_fn=heat_fn,
-                         heat_powers=powers)
+    deg = exact_stream(eta, eta_mult, t_switch, small, name=f"{name}:deg0,1",
+                       heat_powers=powers)
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 

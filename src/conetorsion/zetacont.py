@@ -221,14 +221,15 @@ class SpectrumStream(ReadOnly):
     """Ascending positive eigenvalues with multiplicities and optional structure.
 
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
-    eigenvalue sum); it takes a 1-D array of t and returns an array of the
-    same shape, evaluated in one array pass; heat_powers: exact leading
-    small-t powers [(p, c), ...]; progression: (step, mult) when the values
-    are exactly (step*m)^2, m = 1..N, each of multiplicity mult (the exact
-    route reads it; a listing that contradicts it is refused).  The counting
-    exponent d of N(x) ~ C x^d, which the relation path's tail bound needs,
-    is the rightmost pole of the continuation data, where
-    ``shifted_from_base`` reads it.  Streams are shared by cached results,
+    eigenvalue sum); it takes a 1-D array of t and nothing else (``trace``
+    refuses any t but finite numbers > 0) and returns an array of the same
+    shape, in one array pass; heat_powers: exact leading small-t powers
+    [(p, c), ...]; progression: (step, mult) when the values are exactly
+    (step*m)^2, m = 1..N, each of multiplicity mult (the exact route reads
+    it; a listing that contradicts it is refused).  The counting exponent d
+    of N(x) ~ C x^d, which the relation path's tail bound needs, is the
+    rightmost pole of the continuation data, where ``shifted_from_base``
+    reads it.  Streams are shared by cached results,
     so they are read-only, their arrays included.
     """
 
@@ -293,11 +294,38 @@ class SpectrumStream(ReadOnly):
 
     def trace(self, t) -> np.ndarray:
         """Z(t) = sum m_j exp(-x_j t) for a 1-D array of t, in one array pass
-        (the attached heat_fn, else row sums of the eigenvalue terms)."""
+        (the attached heat_fn, else row sums of the eigenvalue terms).  A t
+        that is not a finite number > 0 is refused, naming the stream and the
+        first such t."""
+        if isinstance(t, np.ndarray) and t.dtype.kind in "iuf":
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            bad = t[~(np.isfinite(t) & (t > 0.0))].tolist()
+        else:   # entry by entry: a float cast would parse a string and count a bool
+            bad = [v for v in np.ravel(np.asarray(t, dtype=object))
+                   if not (is_finite_number(v) and v > 0.0)]
+        if bad:
+            raise ValidationError(f"spectrum stream {self.name!r} traces finite t > 0 "
+                                  f"only, got t = {bad[0]!r}")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.heat_fn is not None:
             return np.asarray(self.heat_fn(t), dtype=float)
         return _exp_rowsum(t, self.values, self.mults)
+
+
+def exact_stream(values, mults, t_switch: float, small, **fields) -> SpectrumStream:
+    """A stream with an exact heat_fn(t): the sum over the stream's own frozen
+    listing (held once) for t >= t_switch, and the closed form ``small`` below
+    it, called with the 1-D array of those points (possibly empty)."""
+    def heat_fn(t):
+        out = np.empty_like(t)
+        direct = t >= t_switch
+        out[direct] = _exp_rowsum(t[direct], *listing)
+        out[~direct] = small(t[~direct])
+        return out
+
+    stream = SpectrumStream(values, mults, heat_fn=heat_fn, **fields)
+    listing = stream.values, stream.mults     # not the stream: no reference cycle
+    return stream
 
 
 def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
@@ -713,10 +741,11 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:
     """Square-root lift: sqrt(x_j), mults m_j, of the stream x_j of ``q_engine``.
 
-    The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is evaluated through
-    the subordination identity
+    The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is an ``exact_stream``
+    trace (t alone): the lift's own listing for t >= _EXP_CUTOFF/sqrt(x_max),
+    and below that the subordination identity
         G(t) = t/(2 sqrt(pi)) int_0^inf u^(-3/2) e^(-t^2/(4u)) Z_Q(u) du,
-    which needs only the (exact) trace of the square stream, and its small-t
+    which needs only the (exact) trace of the square stream.  Its small-t
     powers come from the Mellin poles of Gamma(s) zeta_nu(s), zeta_nu(s) =
     zeta_Q(s/2): t^(-2w0) terms from each pole w0 of zeta_Q, zeta_Q(0) at
     t^0, and (-1)^j zeta_Q(-j/2)/j! at t^j.  That model needs an exact
@@ -740,30 +769,20 @@ def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:
         sign = 1.0 if j % 2 == 0 else -1.0
         powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
 
-    nu_vals.flags.writeable = False     # the trace's closure reaches it
-    qmin = q_stream.min_value
-    numax = float(np.sqrt(q_stream.max_value))
-    t_direct = _EXP_CUTOFF / numax
+    qmin, q_trace = q_stream.min_value, q_stream.trace   # the square stream's exact trace
 
-    def lifted_trace(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        direct = t >= t_direct
-        out[direct] = _exp_rowsum(t[direct], nu_vals, q_stream.mults)
-        small = np.nonzero(~direct)[0]
-        if small.size:
-            grids = [_log_panels(t[i] * t[i] / (4.0 * (_EXP_CUTOFF + 5.0)),
-                                 (_EXP_CUTOFF + 5.0) / qmin, 24) for i in small]
-            # one trace call for every grid: a point's trace does not
-            # depend on the batch it is evaluated in
-            sizes = np.cumsum([uu.size for uu, _ in grids])
-            zq = np.split(q_stream.trace(np.concatenate([uu for uu, _ in grids])),
-                          sizes[:-1])
-            for i, (uu, wu), z in zip(small, grids, zq):
-                ti = t[i]
-                integ = _fsum(wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * z)
-                out[i] = ti / (2.0 * math.sqrt(math.pi)) * integ
-        return out
+    def subordinated(t):
+        if not t.size:
+            return t
+        grids = [_log_panels(ti * ti / (4.0 * (_EXP_CUTOFF + 5.0)),
+                             (_EXP_CUTOFF + 5.0) / qmin, 24) for ti in t]
+        # one trace call for every grid: a point's trace does not depend
+        # on the batch it is evaluated in
+        sizes = np.cumsum([uu.size for uu, _ in grids])
+        zq = np.split(q_trace(np.concatenate([uu for uu, _ in grids])), sizes[:-1])
+        return np.array([ti / (2.0 * math.sqrt(math.pi)) * _fsum(
+            wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * z)
+            for ti, (uu, wu), z in zip(t, grids, zq)])
 
-    return SpectrumStream(nu_vals, q_stream.mults, name=name,
-                          heat_fn=lifted_trace, heat_powers=powers)
+    return exact_stream(nu_vals, q_stream.mults, _EXP_CUTOFF / math.sqrt(q_stream.max_value),
+                        subordinated, name=name, heat_powers=powers)

@@ -2,7 +2,8 @@
 
 Everything here is computed at 30 significant digits and converted to float
 at the end, so oracle error is far below every tolerance used in the tests.
-The exceptions are ``series_log``, an exact reference in the polynomials'
+``flat_torus_zeta_prime0`` is Kronecker's first limit formula, through
+mpmath's Dedekind eta product.  The exceptions are ``series_log``, an exact reference in the polynomials'
 own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the exact round-sphere
 and RP^3 listings of ``round_sphere_mapping`` and ``rp3_mapping``, the
@@ -164,6 +165,26 @@ def weyl_count_ratio(stream) -> float:
         raise ValueError("leading heat power must be c t^p with p < 0, c > 0")
     predicted = c * stream.max_value ** (-p) / math.exp(lngamma(1.0 - p))
     return abs(stream.total_count() / predicted - 1.0)
+
+
+def flat_torus_zeta_prime0(basis, c: float) -> float:
+    """zeta'(0) of the nonzero Laplace spectrum {4 pi^2 c^2 |mu|^2} of R^2/L,
+    mu over the dual lattice L* (L spanned by the rows of ``basis``), by
+    Kronecker's first limit formula (Osgood-Phillips-Sarnak, J. Funct.
+    Anal. 80, 1988): with the dual basis rows read as complex numbers w1, w2
+    and tau = w2/w1 in the upper half-plane,
+        zeta'(0) = log(4 pi^2 c^2) + 2 log|w1| - log(4 pi^2 |eta(tau)|^4),
+    eta the Dedekind eta function; zeta(0) = -1.
+    """
+    dual = mp.inverse(mp.matrix([[mp.mpf(float(x)) for x in row] for row in basis])).T
+    w1, w2 = (mp.mpc(dual[i, 0], dual[i, 1]) for i in range(2))
+    tau = w2 / w1
+    if tau.imag < 0:
+        tau = mp.conj(tau)
+    eta = mp.exp(2j * mp.pi * tau / 24) * mp.qp(mp.exp(2j * mp.pi * tau))
+    four_pi2 = 4 * mp.pi ** 2
+    return float(mp.log(four_pi2 * mp.mpf(c) ** 2) + 2 * mp.log(abs(w1))
+                 - mp.log(four_pi2 * abs(eta) ** 4))
 
 
 def merge_ties(values, mults):

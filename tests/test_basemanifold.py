@@ -244,6 +244,38 @@ def test_skew_lattice_theta_and_weyl():
     assert qs.trace([t])[0] == pytest.approx(brute, rel=1e-12)
 
 
+# the lattices of the cone_exact benchmark entries exact04, exact06 (sheared)
+# and exact07 (stretched)
+EXACT04 = ((2.0 * math.pi, 0.0), (2.821150202923634, 2.0 * math.pi))
+EXACT06 = ((2.0 * math.pi, 0.0), (2.3436281195779856, 2.0 * math.pi))
+EXACT07 = ((2.0 * math.pi, 0.0), (0.0, 8.94725587742373))
+
+
+@pytest.mark.parametrize("lattice, c", [
+    (None, 2.0), (EXACT04, 2.885), (EXACT06, 1.988), (EXACT07, 3.074),
+    (((5.0, 1.0), (-2.0, 7.0)), 2.5),
+], ids=["square", "exact04", "exact06", "exact07", "skew"])
+def test_torus2_deriv0_matches_kronecker_limit_formula(lattice, c):
+    # an oracle that shares nothing with the Mellin engine or the theta trace
+    engine = MellinZeta(bm.torus2(c, lattice).coclosed_spectrum(0), s_max=1.0)
+    assert engine.zeta0() == -1.0
+    want = oracles.flat_torus_zeta_prime0(lattice or bm._DEFAULT_LATTICE, c)
+    assert abs(engine.deriv0() - want) <= engine.error_estimate([0.0])
+
+
+@pytest.mark.parametrize("unimodular", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, 1), (-1, 0))],
+                         ids=["shear", "hyperbolic", "rotation"])
+def test_torus2_is_invariant_under_a_change_of_lattice_basis(unimodular):
+    # U in GL(2, Z) spans the same lattice: the same torus
+    bases = [bm.torus2(2.885, EXACT04), bm.torus2(2.885, np.array(unimodular) @ EXACT04)]
+    engines = [MellinZeta(b.coclosed_spectrum(0), s_max=1.0) for b in bases]
+    gap = abs(engines[0].deriv0() - engines[1].deriv0())
+    assert gap <= sum(e.error_estimate([0.0]) for e in engines)
+    solves = [log_torsion(b) for b in bases]
+    gap = abs(solves[0].log_torsion - solves[1].log_torsion)
+    assert gap <= sum(s.error_estimate for s in solves)
+
+
 # ---------------------------------------------------------------------------
 # Direct constructor validation.
 # ---------------------------------------------------------------------------

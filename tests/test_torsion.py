@@ -523,6 +523,15 @@ def _progression(progression):
     (lambda: _progression((2.0, True)), "progression"),
     (lambda: _progression(2.0), "progression"),
     (lambda: _progression((2.0, 2, 1)), "progression"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0], name="pair").trace([0.0]),
+     r"^spectrum stream 'pair' traces finite t > 0 only, got t = 0\.0$"),
+    (lambda: torus2(2.0).coclosed_spectrum(0).trace([0.5, -1.0]),
+     r"'torus2\(c=2, square\):deg0,1' traces .* got t = -1\.0$"),
+    (lambda: circle(2.0).coclosed_spectrum(0).trace(np.array([0.5, math.nan, -1.0])),
+     r"'circle\(c=2\):deg0' traces .* got t = nan$"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace(math.inf), "got t = inf$"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace(["0.5"]), "got t = '0.5'$"),
+    (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace([0.5, True]), "got t = True$"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -546,7 +555,8 @@ def _progression(progression):
         "progression-other-mult", "progression-step-nan", "progression-step-inf",
         "progression-step-negative", "progression-step-huge", "progression-step-str",
         "progression-step-bool", "progression-mult-float", "progression-mult-zero",
-        "progression-mult-bool", "progression-not-a-pair", "progression-triple"])
+        "progression-mult-bool", "progression-not-a-pair", "progression-triple",
+        "trace-zero", "trace-negative", "trace-nan", "trace-inf", "trace-str", "trace-bool"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,
@@ -557,7 +567,8 @@ def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # boundary_ok="no" as true (admitting the scaling boundary eta = 1), and
     # leaked TypeError or AttributeError on a betti list, degree map or degree
     # of the wrong type, and stored a name 3 that log_torsion reported as its
-    # base_id
+    # base_id; a trace answered t <= 0 (torus2's at t = -1 was -1.785, a
+    # plain sum's 0.0) and warned at t = 0
     with pytest.raises(ValidationError, match=parameter):
         call()
 

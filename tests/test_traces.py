@@ -37,29 +37,38 @@ T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
 SHEARED = ((2.0 * math.pi, 0.0), (2.0, 5.0))
 
 
-def _closure(heat_fn) -> dict:
-    """The data a basemanifold heat_fn closes over (its keyword defaults)."""
-    return {k: p.default for k, p in inspect.signature(heat_fn).parameters.items()
-            if k != "t"}
-
-
-def _loop_flat_torus(heat_fn, t, basis):
-    """Per-point reference for the theta trace of R^n/L, L spanned by the
-    rows of ``basis``; returns (Z, scale) with scale = Z + 1 on the
-    Poisson branch, which sums over every lattice vector, unmerged."""
-    a = _closure(heat_fn)
-    basis = np.asarray(basis, dtype=float)
-    ell1 = math.sqrt(_lattice_points(basis, 1.0001 * min(
+def _shortest_norm(basis) -> float:
+    return math.sqrt(_lattice_points(basis, 1.0001 * min(
         math.hypot(*row) for row in basis))[0])
-    vsq = _lattice_points(basis, 17.5 * ell1)
+
+
+def _switch(basis, c: float) -> float:
+    """l1/(4 pi c^2 q1), for the shortest vectors l1 of L and q1 of L*."""
+    dual = np.linalg.inv(basis).T
+    return _shortest_norm(basis) / (4.0 * math.pi * c * c * _shortest_norm(dual))
+
+
+def _loop_flat_torus(stream, t, basis, c):
+    """Per-point reference for the theta trace of R^n/L at scale c, L
+    spanned by the rows of ``basis``, derived from the lattice and c alone
+    (the switch, A = |det B|/(4 pi c^2)^(n/2) and the Poisson norms), with
+    the direct branch over the stream's listing; returns (Z, scale) with
+    scale = Z + 1 on the Poisson branch, which sums over every lattice
+    vector, unmerged."""
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    c2 = c * c
+    t_switch = _switch(basis, c)
+    lead = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c2) ** (0.5 * n)
+    vsq = _lattice_points(basis, 17.5 * _shortest_norm(basis))
     z, scale = np.empty_like(t), np.empty_like(t)
     for i, ti in enumerate(t):
-        if ti >= a["_ts"]:
-            z[i] = math.fsum((a["_em"] * np.exp(-a["_eta"] * ti)).tolist())
+        if ti >= t_switch:
+            z[i] = math.fsum((stream.mults * np.exp(-stream.values * ti)).tolist())
             scale[i] = z[i]
         else:
-            s = math.fsum(np.exp(-vsq / (4.0 * a["_c2"] * ti)).tolist())
-            scale[i] = a["_A"] / ti ** (0.5 * basis.shape[0]) * (1.0 + s)
+            s = math.fsum(np.exp(-vsq / (4.0 * c2 * ti)).tolist())
+            scale[i] = lead / ti ** (0.5 * n) * (1.0 + s)
             z[i] = scale[i] - 1.0
     return z, scale
 
@@ -78,12 +87,12 @@ def _assert_close(got, want, scale):
 @pytest.mark.parametrize("lattice", [None, SHEARED], ids=["square", "sheared"])
 @pytest.mark.parametrize("c", [2.0, 2.885])
 def test_torus2_trace_matches_loop(c, lattice):
-    heat_fn = torus2(c, lattice).coclosed_spectrum(0).heat_fn
-    t_switch = _closure(heat_fn)["_ts"]
+    stream = torus2(c, lattice).coclosed_spectrum(0)
+    basis = np.array(lattice if lattice is not None else _DEFAULT_LATTICE)
+    t_switch = _switch(basis, c)
     assert T_GRID[0] < t_switch < T_GRID[-1]
-    want, scale = _loop_flat_torus(heat_fn, T_GRID,
-                                   lattice if lattice is not None else _DEFAULT_LATTICE)
-    _assert_close(heat_fn(T_GRID), want, scale)
+    want, scale = _loop_flat_torus(stream, T_GRID, basis, c)
+    _assert_close(stream.heat_fn(T_GRID), want, scale)
     # the direct branch is a plain sum: relative to Z itself
     direct = T_GRID >= t_switch
     assert np.array_equal(scale[direct], want[direct])
@@ -91,10 +100,11 @@ def test_torus2_trace_matches_loop(c, lattice):
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 6.685])
 def test_circle_trace_matches_loop(c):
-    heat_fn = circle(c, allow_boundary=True).coclosed_spectrum(0).heat_fn
-    assert T_GRID[0] < _closure(heat_fn)["_ts"] < T_GRID[-1]
-    want, scale = _loop_flat_torus(heat_fn, T_GRID, ((2.0 * math.pi,),))
-    _assert_close(heat_fn(T_GRID), want, scale)
+    stream = circle(c, allow_boundary=True).coclosed_spectrum(0)
+    basis = np.array([[2.0 * math.pi]])
+    assert T_GRID[0] < _switch(basis, c) < T_GRID[-1]
+    want, scale = _loop_flat_torus(stream, T_GRID, basis, c)
+    _assert_close(stream.heat_fn(T_GRID), want, scale)
 
 
 def test_eigenvalue_stream_trace_matches_loop():
@@ -143,14 +153,21 @@ def test_trace_value_does_not_depend_on_batch(make_trace):
 
 def _reachable_arrays(trace) -> list:
     """Every ndarray a trace reaches through its defaults and closure cells,
-    following the functions and streams it holds there."""
-    arrays, todo = [], [trace]
+    following the functions, tuples and streams it holds there, each once.
+    A bound method is not followed: the lift holds its square stream's
+    ``trace``, whose listing is that stream's own."""
+    arrays, seen, todo = [], set(), [trace]
     while todo:
         item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
         if isinstance(item, np.ndarray):
             arrays.append(item)
         elif isinstance(item, SpectrumStream):
             todo += [item.values, item.mults, item.heat_fn]
+        elif isinstance(item, tuple):
+            todo += item
         elif inspect.isfunction(item):
             todo += list(item.__defaults__ or ())
             todo += [cell.cell_contents for cell in item.__closure__ or ()]
@@ -174,6 +191,24 @@ def test_trace_arrays_are_read_only(make_trace):
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
+
+
+@pytest.mark.parametrize("make_stream", [
+    lambda: circle(2.0).coclosed_spectrum(0),
+    lambda: torus2(2.0).coclosed_spectrum(0),
+    lambda: torus2(2.885, SHEARED).coclosed_spectrum(0),
+    _torus2_lift,
+], ids=["circle", "torus2-square", "torus2-sheared", "lift"])
+def test_exact_trace_reads_its_stream_listing(make_stream):
+    # the flat-torus trace kept a second copy of the listing as keyword
+    # defaults (eight settable values in all: _ts=1e9 forced the Poisson
+    # branch at t = 5 on the circle, 1.9e-8 off), and the lift its own copy
+    # of the square roots
+    stream = make_stream()
+    assert list(inspect.signature(stream.heat_fn).parameters) == ["t"]
+    listed = [arr for arr in _reachable_arrays(stream.heat_fn) if arr.size == stream.values.size]
+    assert len(listed) == 2
+    assert all(arr is stream.values or arr is stream.mults for arr in listed)
 
 
 @pytest.mark.parametrize("divide", [False, True], ids=["product", "quotient"])
