@@ -37,7 +37,7 @@ Custom JSON schema::
          "heat_coeffs": [3.14159, 0.0, -1.0]},             # c_j t^((j-n)/2)
         ...
       ],
-      "truncation_note": "free text"  # optional
+      "truncation_note": "free text"  # optional JSON string
     }
 
 A degree entry may list its spectrum as entries instead, in place of the
@@ -62,7 +62,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ReadOnly, ValidationError, is_finite_number, is_integer, is_number
+from .errors import ReadOnly, ValidationError, flag, integer, number, positive, text
 from .zetacont import SpectrumStream, _exp_rowsum, exact_stream, merge_ties
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
@@ -87,12 +87,6 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
     return tuple(coeffs)
 
 
-def _positive_scale(c) -> float:
-    if not (is_finite_number(c) and c > 0.0):
-        raise ValidationError(f"scale must be a positive real, got {c!r}")
-    return float(c)
-
-
 class BaseManifold(ReadOnly):
     """Closed oriented cross-section: Betti numbers + coclosed spectra, one
     unshifted ``SpectrumStream`` per degree (heat powers complete through the
@@ -104,31 +98,24 @@ class BaseManifold(ReadOnly):
 
     def __init__(self, *, name: str, dim: int, betti, scale: float, degrees: dict,
                  boundary_ok: bool = False, truncation_note: str = ""):
-        for field, text in (("name", name), ("truncation_note", truncation_note)):
-            if not isinstance(text, str):
-                raise ValidationError(f"{field} must be a string, got {text!r}")
-        dim = _integer(dim, "dim")
-        if dim < 1:
-            raise ValidationError("cross-section dimension must be >= 1")
+        name, truncation_note = text(name, "name"), text(truncation_note, "truncation_note")
+        dim = integer(dim, "dim", 1)
         if not isinstance(betti, (list, tuple)):
             raise ValidationError(f"betti must be a list of integers, got {betti!r}")
-        betti = tuple(_integer(b, "betti entry", f" (entry {i})") for i, b in enumerate(betti))
+        betti = tuple(integer(b, f"betti entry {i}") for i, b in enumerate(betti))
         if len(betti) != dim + 1:
             raise ValidationError(
                 f"betti list must have length dim+1 = {dim + 1}, got {len(betti)}")
-        if any(b < 0 for b in betti):
-            raise ValidationError("betti numbers must be nonnegative")
         for k in range(dim + 1):
             if betti[k] != betti[dim - k]:
                 raise ValidationError(
                     f"betti numbers violate Poincare duality: b_{k} != b_{dim - k}")
-        scale = _positive_scale(scale)
-        if not isinstance(boundary_ok, (bool, np.bool_)):
-            raise ValidationError(f"boundary_ok must be a bool, got {boundary_ok!r}")
-        floor = 1.0 - 1e-12 if boundary_ok else 1.0
+        scale = positive(scale, "scale")
+        floor = 1.0 - 1e-12 if flag(boundary_ok, "boundary_ok") else 1.0
         if not isinstance(degrees, dict):
             raise ValidationError(f"degrees must be a dict of SpectrumStream, got {degrees!r}")
-        degrees = {_integer(k, "degree key"): deg for k, deg in degrees.items()}
+        degrees = {integer(k, "degree key", -math.inf, rule="an integer"): deg
+                   for k, deg in degrees.items()}
         for k, deg in degrees.items():
             if not 0 <= k < dim:
                 raise ValidationError(
@@ -155,9 +142,7 @@ class BaseManifold(ReadOnly):
     def coclosed_spectrum(self, k: int) -> SpectrumStream:
         """The stored stream of nonzero coclosed degree-k eigenvalues (its
         ``shifted(b)`` gives eta + b)."""
-        if not is_integer(k):
-            raise ValidationError(f"degree must be an integer, got {k!r}")
-        if k not in self._degrees:
+        if integer(k, "degree", -math.inf, rule="an integer") not in self._degrees:
             raise ValidationError(f"no coclosed spectrum supplied for degree {k} of {self.name}")
         return self._degrees[k]
 
@@ -243,9 +228,7 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     Requires c > 1 (scaling condition); ``allow_boundary`` admits the
     borderline c = 1, used only for closed-form evaluations.
     """
-    c = _positive_scale(c)
-    if not isinstance(allow_boundary, (bool, np.bool_)):
-        raise ValidationError(f"allow_boundary must be a bool, got {allow_boundary!r}")
+    c, allow_boundary = positive(c, "scale"), flag(allow_boundary, "allow_boundary")
     if c < 1.0 or (c == 1.0 and not allow_boundary):
         raise ValidationError(SCALING_MESSAGE)
     values = (c * np.arange(1.0, 4097.0)) ** 2
@@ -272,17 +255,14 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     spectrum); a coclosed 2-form on the closed torus is harmonic, so the
     top degree has no nonzero spectrum.
     """
-    c = _positive_scale(c)
-    if not (is_finite_number(nu_max) and nu_max > 0.0):
-        raise ValidationError(f"nu_max must be a positive finite number, got {nu_max!r}")
+    c, nu_max = positive(c, "scale"), positive(nu_max, "nu_max")
     try:        # screened entry by entry: a float cast parses strings and counts bools
         entries = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE, dtype=object)
-        finite = all(map(is_finite_number, entries.flat))
     except ValueError:              # nested arrays of unequal shapes
-        finite = False
-    if not finite:
-        raise ValidationError(f"lattice entries must be finite real numbers, got {lattice!r}")
-    basis = entries.astype(float)
+        raise ValidationError(
+            f"lattice entries must be finite real numbers, got {lattice!r}") from None
+    basis = np.array([number(v, "lattice entries", "finite real numbers")
+                      for v in entries.flat]).reshape(entries.shape)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
     if abs(np.linalg.det(basis)) < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
@@ -380,8 +360,11 @@ def _listing(k: int, entry: dict) -> tuple:
     if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
         for i, pair in enumerate(zip(*columns)):
             for key, v in zip(("value", "mult"), pair):
-                if not is_number(v):
-                    raise ValidationError(f"{need} as numbers; entry {i} has {key} {v!r}")
+                try:
+                    number(v, key, ok=lambda x: True)   # nan and inf are judged below
+                except ValidationError:
+                    raise ValidationError(
+                        f"{need} as numbers; entry {i} has {key} {v!r}") from None
     try:
         values, mults = (np.fromiter(map(float, col), float, n) for col in columns)
     except OverflowError:
@@ -407,11 +390,7 @@ def _heat_coeffs(k: int, coeffs) -> tuple:
     if not isinstance(coeffs, list):
         raise ValidationError(
             f"degree {k}: heat_coeffs must be a list of finite numbers, got {coeffs!r}")
-    for j, c in enumerate(coeffs):
-        if not is_finite_number(c):
-            raise ValidationError(
-                f"degree {k}: heat_coeffs entry {j} must be a finite number, got {c!r}")
-    return tuple(float(c) for c in coeffs)
+    return tuple(number(c, f"degree {k}: heat_coeffs entry {j}") for j, c in enumerate(coeffs))
 
 
 def custom(source) -> BaseManifold:
@@ -438,9 +417,7 @@ def custom(source) -> BaseManifold:
         if key not in data:
             raise ValidationError(f"spectrum data missing required key '{key}'")
     dim = _integer(data["dim"], "dim")
-    scale = data["scale"]
-    if not is_finite_number(scale):
-        raise ValidationError(f"scale must be a finite number, got {scale!r}")
+    scale = number(data["scale"], "scale")
     betti = data["betti"]
     if not isinstance(betti, list):
         raise ValidationError(f"betti must be a list of integers, got {betti!r}")
@@ -468,5 +445,5 @@ def custom(source) -> BaseManifold:
         powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
         degrees[k] = SpectrumStream(values, mults, name=f"custom:deg{k}", heat_powers=powers)
     return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
-                        degrees=degrees, truncation_note=str(data.get("truncation_note", "")))
+                        degrees=degrees, truncation_note=data.get("truncation_note", ""))
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, is_finite_number, is_integer, is_number
+from .errors import ConvergenceError, ValidationError, integer, number
 
 KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -47,17 +47,15 @@ class ZeroRequest:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not is_number(self.nu):
-            raise ValidationError(f"nu must be a real number, got {self.nu!r}")
-        if self.alpha is not None and not is_number(self.alpha):
-            raise ValidationError(f"alpha must be a real number, got {self.alpha!r}")
-        if not (is_finite_number(self.nu) and self.nu >= 0.0):
+        nu = number(self.nu, "nu", "a real number", lambda x: True)   # an order check follows
+        if self.alpha is not None:
+            number(self.alpha, "alpha", "a real number", lambda x: True)
+        if not 0.0 <= nu < math.inf:
             raise ValidationError(f"order must be finite and >= 0, got nu={self.nu}")
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (is_integer(self.count) and self.count >= 1):
-            raise ValidationError(f"count must be a positive integer, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count",
+                           integer(self.count, "count", 1, rule="a positive integer"))
         if self.kind == "mixed":
             a = self.alpha
             if a is None:

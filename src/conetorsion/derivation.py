@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import besselzero, zetacont
-from .errors import ValidationError, is_finite_number, is_number
+from .errors import ValidationError, number, positive
 from .exactpoly import Polynomial, parity_bracket
-from .torsion import _alpha_k, _check_degree, _cone_length, _parity
+from .torsion import _alpha_k, _check_degree, _parity
 
 __all__ = ["SpectralParameter", "frequency_log_term", "t_nu_k", "f_r",
            "asymptotic_remainder", "remainder_asymptote", "fit_remainder",
@@ -35,11 +35,9 @@ class SpectralParameter:
     lam: float
 
     def __post_init__(self):
-        if not (is_finite_number(self.lam) and self.lam < 0.0):
-            raise ValidationError(
-                "spectral parameter must satisfy lambda < 0 "
-                "(evaluation on the negative real axis)")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", number(
+            self.lam, "lambda", "a finite number < 0 (the negative real axis)",
+            lambda x: -math.inf < x < 0.0))
 
     @property
     def z(self) -> float:
@@ -75,14 +73,9 @@ def frequency_log_term(nu: float, alpha: float, sp: SpectralParameter,
     signs, so alpha = 0 cancels identically; even parity adds them and
     carries the doubled interior factor 2 log(nu I_nu(nu z)).
     """
-    if not (is_number(nu) and is_number(alpha)):
-        raise ValidationError(f"frequency nu and alpha must be numbers, got {nu!r}, {alpha!r}")
-    nu = float(nu)
-    alpha = float(alpha)
-    if not (math.isfinite(nu) and nu > abs(alpha)):
-        raise ValidationError(
-            f"frequency must exceed |alpha| = {abs(alpha):g} "
-            f"(limit-point range), got nu = {nu!r}")
+    alpha = number(alpha, "alpha")
+    nu = number(nu, "frequency nu", f"a finite number > |alpha| = {abs(alpha):g} "
+                "(limit-point range)", lambda x: abs(alpha) < x < math.inf)
     w = nu * sp.z
     if parity == "odd":
         return (-_log_bessel(nu, w, alpha) + math.log1p(alpha / nu)
@@ -167,7 +160,7 @@ def lemma_first_summand_numeric(radius: float = 1.0,
     two exact leading heat coefficients (R / (2 sqrt(pi)), -3/4).  Returns
     (value, error_estimate).
     """
-    radius = _cone_length(radius)
+    radius = positive(radius, "cone length")
     zl = besselzero.zeros(besselzero.ZeroRequest(nu=1.0, kind="dirichlet", count=count))
     with np.errstate(over="ignore", under="ignore"):
         values = (zl.zeros / radius) ** 2

@@ -1,14 +1,20 @@
-"""Exception taxonomy and input guards shared across the package.
+"""Exception taxonomy and the input screens shared across the package.
 
-Validation problems (bad parameters, violated hypotheses of the closed-form
-results) raise :class:`ValidationError`; iterative machinery that fails to
-reach its tolerance raises :class:`ConvergenceError`.  The command line maps
-these to exit codes 2 and 3 respectively.  ``is_number``/``is_finite_number``
-and ``is_integer`` screen numeric inputs, and :class:`ReadOnly` freezes cached records.
+Bad parameters and violated hypotheses of the closed-form results raise
+:class:`ValidationError`; iterative machinery that misses its tolerance raises
+:class:`ConvergenceError` (command-line exit codes 2 and 3).  Every scalar
+input is read through one screen (``number``, ``positive``, ``integer``,
+``flag``, ``text``), which returns it checked and converted or raises
+``ValidationError("{field} must be {rule}, got {value!r}")``.  No bool passes
+for a number; an int beyond binary64 passes only a ``number`` rule admitting
+nan.  :class:`ReadOnly` freezes cached records.
 """
 
 import math
 import numbers
+import sys
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -27,22 +33,46 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to meet its accuracy target."""
 
 
-def is_number(value) -> bool:
-    """A real number that is not a bool (bool subclasses int)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def number(value, field: str, rule: str = "a finite number", ok=math.isfinite) -> float:
+    """``value`` as a float: a real number, not a bool, that ``ok`` accepts (an
+    int beyond binary64 reads as nan, so only a rule admitting nan passes it)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:           # an int beyond binary64
+            x = math.nan
+        if ok(x):
+            return x
+    raise ValidationError(f"{field} must be {rule}, got {value!r}")
 
 
-def is_integer(value) -> bool:
-    """A Python or numpy integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def positive(value, field: str) -> float:
+    """``value`` as a float: a finite number > 0."""
+    return number(value, field, "a finite number > 0", lambda x: 0.0 < x < math.inf)
 
 
-def is_finite_number(value) -> bool:
-    """A finite number within binary64 (strings, bools and nan refused)."""
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:           # an int beyond binary64
-        return False
+def integer(value, field: str, lo=0, hi=math.inf, rule: str = "", error=ValidationError) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, in lo..hi
+    and within binary64; a refusal raises ``error``."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and max(lo, -sys.float_info.max) <= value <= min(hi, sys.float_info.max)):
+        return int(value)
+    rule = rule or (f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}")
+    raise error(f"{field} must be {rule}, got {value!r}")
+
+
+def flag(value, field: str) -> bool:
+    """``value`` as a bool: a bool or numpy bool, nothing that merely converts."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValidationError(f"{field} must be a bool, got {value!r}")
+
+
+def text(value, field: str) -> str:
+    """``value`` itself: a str."""
+    if isinstance(value, str):
+        return value
+    raise ValidationError(f"{field} must be a string, got {value!r}")
 
 
 class ReadOnly:

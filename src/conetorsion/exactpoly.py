@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import OrderLimitError, ReadOnly, is_integer
+from .errors import OrderLimitError, ReadOnly, integer
 
 MAX_ORDER = 12
 
@@ -42,11 +42,7 @@ _ONE = Fraction(1)
 def _check_order(r: int, smallest: int) -> int:
     """r as an int if a Python or numpy integer (not a bool) in smallest..MAX_ORDER.
     The generators cache typed: else True would hit the entry of 1 unchecked."""
-    if not is_integer(r) or r < smallest:
-        raise OrderLimitError(f"order must be an integer >= {smallest}, got {r!r}")
-    if r > MAX_ORDER:
-        raise OrderLimitError(f"order {r} exceeds the supported maximum {MAX_ORDER}")
-    return int(r)
+    return integer(r, "order", smallest, MAX_ORDER, error=OrderLimitError)
 
 
 class Polynomial(ReadOnly):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularModelError, ValidationError, is_integer, is_number
+from .errors import SingularModelError, ValidationError, integer, number
 from .specfun import LOG_2, LOG_2PI, ln_gamma
 from .zetacont import SpectrumStream, zeta_data_numeric
 
@@ -54,18 +54,13 @@ class ModelOperator:
     alpha: float = math.inf
 
     def __post_init__(self):
-        if not (is_number(self.nu) and is_number(self.alpha)):
-            raise ValidationError(f"model order nu and boundary parameter alpha must be "
-                                  f"real numbers, got nu={self.nu!r}, alpha={self.alpha!r}")
-        nu, alpha = float(self.nu), float(self.alpha)
+        nu = number(self.nu, "nu", "a finite number >= 0", lambda x: 0.0 <= x < math.inf)
+        alpha = number(self.alpha, "alpha", "a finite number or inf",
+                       lambda x: -math.inf < x <= math.inf)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alpha", alpha)
-        if not (math.isfinite(nu) and nu >= 0.0):
-            raise ValidationError(f"model order must be finite and >= 0, got {nu}")
         if alpha == math.inf:
             return
-        if not math.isfinite(alpha):
-            raise ValidationError("alpha must be finite or +inf")
         if alpha + nu == 0.0:
             raise SingularModelError(
                 f"alpha + nu = 0 (alpha={alpha}, nu={nu}): boundary zero mode, "
@@ -127,13 +122,8 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     ``count`` squared roots; raises ConvergenceError when the internal
     error estimate exceeds ``tol``.  Supported down to tol = 1e-8.
     """
-    if not (is_number(tol) and 1e-8 <= tol <= 1e-2):
-        raise ValidationError(
-            f"numeric determinant tolerance must lie in [1e-8, 1e-2], got {tol!r}")
-    if not (is_integer(count) and count >= 100):
-        raise ValidationError(
-            f"numeric determinant needs an integer count >= 100 eigenvalues, got {count!r}")
-    zl = spectrum(op, count)
+    tol = number(tol, "tolerance", "a number in [1e-8, 1e-2]", lambda x: 1e-8 <= x <= 1e-2)
+    zl = spectrum(op, integer(count, "count", 100))
     # leading small-t heat power of sum exp(-z_k^2 t): zeros spaced ~pi
     stream = SpectrumStream(zl.eigenvalues(), name=f"spec({op.label})",
                             heat_powers=((-0.5, 1.0 / (2.0 * math.sqrt(math.pi))),))

@@ -44,7 +44,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .basemanifold import BaseManifold
-from .errors import ValidationError, is_finite_number, is_integer
+from .errors import ValidationError, integer, number, positive
 from .exactpoly import parity_bracket
 from .modelops import harmonic_contribution
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
@@ -74,18 +74,16 @@ class ConeOverS1Config:
     nu_angle: float = 1.0
 
     def __post_init__(self):
-        r = _cone_length(self.radius)
+        r = positive(self.radius, "cone length")
         # theorem_main takes log(pi R^2): the area must be a normal float
         if not sys.float_info.min <= math.pi * r * r < math.inf:
             raise ValidationError(
                 f"cone length {self.radius!r} puts the disc area pi R^2 outside "
                 f"the normal floating-point range")
-        if not (is_finite_number(self.nu_angle) and self.nu_angle >= 1.0):
-            raise ValidationError(
-                f"angle parameter must satisfy nu_angle >= 1 (secant of a real "
-                f"opening angle), got {self.nu_angle!r}")
+        nu = number(self.nu_angle, "nu_angle", "a finite number >= 1 (the secant of a real "
+                    "opening angle)", lambda x: 1.0 <= x < math.inf)
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "nu_angle", float(self.nu_angle))
+        object.__setattr__(self, "nu_angle", nu)
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,8 @@ def _alpha_k(k: int, n: int) -> Fraction:
 def _check_degree(k, n: int, top: int) -> int:
     """The degree k as an int, refused unless a Python or numpy integer (not
     a bool) in 0..top."""
-    if not (is_integer(k) and 0 <= k <= top):
-        raise ValidationError(
-            f"degree must be an integer in 0..{top} for a cross-section of "
-            f"dimension {n}, got {k!r}")
-    return int(k)
-
-
-def _cone_length(radius) -> float:
-    if not (is_finite_number(radius) and radius > 0.0):
-        raise ValidationError(f"cone length must be positive and finite, got {radius!r}")
-    return float(radius)
+    return integer(k, "degree", 0, top,
+                   f"an integer in 0..{top} for a cross-section of dimension {n}")
 
 
 def _parity(n: int) -> str:
@@ -397,5 +386,4 @@ def lemma_first_summand(radius: float = 1.0) -> float:
     """Closed form log2 - log(2 pi)/2 - (3/2) log R for the derivative at
     zero over the squared scaled zeros of J_1 (the degree-0 Neumann-type
     sector of the flat disc of radius R)."""
-    radius = _cone_length(radius)
-    return LOG_2 - 0.5 * LOG_2PI - 1.5 * math.log(radius)
+    return LOG_2 - 0.5 * LOG_2PI - 1.5 * math.log(positive(radius, "cone length"))

@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, ReadOnly, ValidationError, is_finite_number, is_integer
+from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
@@ -191,10 +191,7 @@ def _positive_reals(array, name: str) -> np.ndarray:
 
 def _shifts(alphas) -> list[float]:
     """The shifts as floats, each screened before ``float`` could parse it."""
-    bad = [a for a in alphas if not is_finite_number(a)]
-    if bad:
-        raise ValidationError(f"shift must be a finite real, got {bad[0]!r}")
-    return [float(a) for a in alphas]
+    return [number(a, "shift", "a finite real") for a in alphas]
 
 
 def _check_shift(a: float, smallest: float) -> None:
@@ -247,14 +244,16 @@ class SpectrumStream(ReadOnly):
         values, mults = merge_ties(values[order], mults[order])
         heat_powers = tuple((float(p), float(c)) for p, c in heat_powers)
         if progression is not None:
-            pair = isinstance(progression, tuple) and len(progression) == 2
-            step, mult = progression if pair else (0, 0)
+            field = f"spectrum stream {name!r} progression"
+            if not (isinstance(progression, tuple) and len(progression) == 2):
+                raise ValidationError(f"{field} must be a (step, mult) pair, got {progression!r}")
+            step, mult = positive(progression[0], f"{field} step"), integer(
+                progression[1], f"{field} mult", 1)
             with np.errstate(over="ignore"):    # a huge step contradicts, it does not warn
-                if not (is_finite_number(step) and step > 0.0 and is_integer(mult) and mult >= 1
-                        and np.all(mults == mult) and np.array_equal(
-                            values, (step * np.arange(1.0, values.size + 1.0)) ** 2)):
-                    raise ValidationError(f"spectrum stream {name!r} contradicts its progression "
-                                          f"{progression!r} (finite step > 0, integer mult >= 1)")
+                if not (np.all(mults == mult) and np.array_equal(
+                        values, (step * np.arange(1.0, values.size + 1.0)) ** 2)):
+                    raise ValidationError(
+                        f"spectrum stream {name!r} contradicts its progression {progression!r}")
         values.flags.writeable = False
         mults.flags.writeable = False
         for key, value in dict(values=values, mults=mults, name=name, heat_fn=heat_fn,
@@ -297,16 +296,17 @@ class SpectrumStream(ReadOnly):
         (the attached heat_fn, else row sums of the eigenvalue terms).  A t
         that is not a finite number > 0 is refused, naming the stream and the
         first such t."""
-        if isinstance(t, np.ndarray) and t.dtype.kind in "iuf":
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            bad = t[~(np.isfinite(t) & (t > 0.0))].tolist()
-        else:   # entry by entry: a float cast would parse a string and count a bool
-            bad = [v for v in np.ravel(np.asarray(t, dtype=object))
-                   if not (is_finite_number(v) and v > 0.0)]
-        if bad:
-            raise ValidationError(f"spectrum stream {self.name!r} traces finite t > 0 "
-                                  f"only, got t = {bad[0]!r}")
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        # other input is screened entry by entry: a float cast would parse a
+        # string and count a bool
+        numeric = isinstance(t, np.ndarray) and t.dtype.kind in "iuf"
+        t = np.atleast_1d(np.asarray(t, dtype=float if numeric else object))
+        for v in (t[~(np.isfinite(t) & (t > 0.0))] if numeric else t.ravel()).tolist():
+            try:
+                positive(v, "t")
+            except ValidationError:
+                raise ValidationError(f"spectrum stream {self.name!r} traces finite t > 0 "
+                                      f"only, got t = {v!r}") from None
+        t = np.asarray(t, dtype=float)
         if self.heat_fn is not None:
             return np.asarray(self.heat_fn(t), dtype=float)
         return _exp_rowsum(t, self.values, self.mults)
@@ -335,10 +335,7 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
     Bernoulli small-t powers ride along, so the numeric engine can be held to
     the closed-form answers at full precision.
     """
-    if not (is_finite_number(c) and c > 0 and is_integer(m) and m >= 1
-            and is_integer(count) and count >= 1):
-        raise ValidationError("progression needs finite c > 0, integer m >= 1 and "
-                              f"integer count >= 1, got c={c!r}, m={m!r}, count={count!r}")
+    c, m, count = positive(c, "c"), integer(m, "m", 1), integer(count, "count", 1)
     k = np.arange(1, count + 1, dtype=float)
     # 1/(e^(ct)-1) = 1/(ct) - 1/2 + ct/12 - (ct)^3/720 + (ct)^5/30240 - ...
     powers = ((-1.0, m / c), (0.0, -m / 2.0), (1.0, m * c / 12.0),
@@ -372,10 +369,7 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     everything below is the s-expansion of those at s = 0 and s = i.
     """
     from .specfun import LOG_2PI, hurwitz_zeta_prime0, riemann_zeta
-    if not (is_finite_number(c) and c > 0 and is_integer(m) and m >= 1):
-        raise ValidationError("progression descriptor needs c > 0 and integer m >= 1")
-    if not (is_integer(pole_range) and pole_range >= 0):
-        raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
+    c, m, pole_range = positive(c, "c"), integer(m, "m", 1), integer(pole_range, "pole_range")
     lc = math.log(c)
     shifted = {}
     for a in _shifts(alphas):
@@ -648,8 +642,7 @@ class MellinZeta(ReadOnly):
 def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
                       target_tol: float | None = None) -> ZetaFunctionData:
     """Full continuation data by the numeric Mellin-split route."""
-    if not (is_integer(pole_range) and pole_range >= 0):
-        raise ValidationError(f"pole_range must be an integer >= 0, got {pole_range!r}")
+    pole_range = integer(pole_range, "pole_range")
     alphas = _shifts(alphas)
     eng = MellinZeta(stream, s_max=float(max(pole_range, 1)))
     poles = range(1, pole_range + 1)

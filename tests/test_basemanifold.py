@@ -74,8 +74,10 @@ def test_progression_lives_on_the_checked_stream():
     assert deg.shifted(0.25).progression is None and deg.shifted(0.0) is deg
     assert bm.circle(1.0, allow_boundary=True).coclosed_spectrum(0).progression == (1.0, 2)
     assert bm.torus2(2.0).coclosed_spectrum(0).progression is None
-    # 2 and 2.0 pass the integer screen for dim, betti numbers and degree keys
-    same = bm.BaseManifold(**{**fields, "dim": 1.0, "betti": (1.0, 1), "degrees": {0.0: deg}})
+    # numpy integers pass the library integer rule for dim, betti numbers and
+    # degree keys, and are stored as ints (2.0 is refused, as by coclosed_spectrum)
+    one = np.int64(1)
+    same = bm.BaseManifold(**{**fields, "dim": one, "betti": (one, 1), "degrees": {one - 1: deg}})
     assert (same.dim, same.betti, same.degrees_available()) == (1, (1, 1), (0,))
     assert type(same.dim) is int and type(same.degrees_available()[0]) is int
 
@@ -719,6 +721,12 @@ def _set_eig(i, **fields):
                  "entry 6 has value False", id="value-false"),
     pytest.param(lambda d: d["degrees"][0].update(k=True),
                  "degree entry 'k' must be an integer, got True (entry 0)", id="k-true"),
+    pytest.param(lambda d: d.update(truncation_note=None),
+                 "truncation_note must be a string, got None", id="note-null"),
+    pytest.param(lambda d: d.update(truncation_note=3),
+                 "truncation_note must be a string, got 3", id="note-number"),
+    pytest.param(lambda d: d.update(truncation_note=[1, 2]),
+                 "truncation_note must be a string, got [1, 2]", id="note-list"),
 ])
 def test_custom_refuses_strings_and_bools_as_numbers(mutate, message):
     # float("2") and float(True) succeed, so a coercing loader would read
@@ -729,6 +737,17 @@ def test_custom_refuses_strings_and_bools_as_numbers(mutate, message):
         with pytest.raises(ValidationError) as info:
             bm.custom(source)
         assert str(info.value).startswith(message)
+
+
+def test_custom_truncation_note_is_an_optional_string():
+    # null loaded as the text 'None' and exported as "None"; a missing note
+    # is the empty one, and the export then writes its default
+    blob = bm.circle(2.0).as_custom_mapping()
+    assert bm.custom(blob).truncation_note == "finite listing exported from circle(c=2)"
+    del blob["truncation_note"]
+    base = bm.custom(blob)
+    assert base.truncation_note == ""
+    assert base.as_custom_mapping()["truncation_note"] == "finite listing exported from custom"
 
 
 def test_custom_json_numbers_load_bitwise():

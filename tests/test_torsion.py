@@ -445,13 +445,14 @@ def _progression(progression):
     (lambda: ModelOperator("2", 0.5), "nu"),
     (lambda: ModelOperator(1.5, True), "alpha"),
     (lambda: det_numeric(ModelOperator(1.5, 0.5), tol="1e-7"), "tolerance"),
-    (lambda: zetacont.zeta_data_exact(2.0, 1.5), "integer m"),
+    (lambda: zetacont.zeta_data_exact(2.0, 1.5), r"^m must be an integer >= 1, got 1\.5$"),
     (lambda: degree_continuation(circle(2.0), 0).shifted("0.3"), "shift"),
     (lambda: det_numeric(ModelOperator(1.5, 0.5), count="200"), "count"),
     (lambda: det_numeric(ModelOperator(1.5, 0.5), count=True), "count"),
-    (lambda: zetacont.progression_stream("2", 3, 100), "c="),
-    (lambda: zetacont.progression_stream(2.0, 3.5, 100), "m="),
-    (lambda: zetacont.progression_stream(math.nan, 3, 100), "c="),
+    (lambda: zetacont.progression_stream("2", 3, 100), "^c must be a finite number > 0, got '2'$"),
+    (lambda: zetacont.progression_stream(2.0, 3.5, 100), r"^m must be an integer >= 1, got 3\.5$"),
+    (lambda: zetacont.progression_stream(math.nan, 3, 100),
+     "^c must be a finite number > 0, got nan$"),
     (lambda: torus2(2.0, lattice="abcd"), "lattice"),
     (lambda: frequency_log_term("3", 0.5, SpectralParameter(-1.0), "odd"), "nu"),
     (lambda: circle(1.0, allow_boundary="no"), "allow_boundary"),
@@ -508,6 +509,9 @@ def _progression(progression):
     (lambda: _base(degrees={0: [4.0]}), "degree 0 must be a SpectrumStream"),
     (lambda: _base(degrees={True: circle(2.0).coclosed_spectrum(0)}), "degree key"),
     (lambda: _base(degrees={0.5: circle(2.0).coclosed_spectrum(0)}), "degree key"),
+    (lambda: _base(degrees={0.0: circle(2.0).coclosed_spectrum(0)}), "^degree key"),
+    (lambda: _base(dim=1.0), "^dim must be an integer >= 1, got 1.0$"),
+    (lambda: _base(betti=(1.0, 1.0)), "^betti entry 0 must be an integer >= 0, got 1.0$"),
     (lambda: _base(name=3), "^name must be a string"),
     (lambda: _base(truncation_note=None), "^truncation_note must be a string"),
     (lambda: _progression((3.0, 2)), "contradicts its progression"),
@@ -532,6 +536,10 @@ def _progression(progression):
     (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace(math.inf), "got t = inf$"),
     (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace(["0.5"]), "got t = '0.5'$"),
     (lambda: zetacont.SpectrumStream([2.0, 3.0]).trace([0.5, True]), "got t = True$"),
+    (lambda: ModelOperator(10 ** 400), "^nu must be"),
+    (lambda: ModelOperator(1.5, 10 ** 400), "^alpha must be"),
+    (lambda: ModelOperator(1.5, -10 ** 400), "^alpha must be"),
+    (lambda: frequency_log_term(10 ** 400, 0.5, SpectralParameter(-1.0), "odd"), "nu must be"),
 ], ids=["circle-str", "torus2-str", "torus2-bool", "nu_max-nan", "nu_max-inf",
         "nu_max-negative", "radius-str", "nu_angle-str", "first-summand-str",
         "first-summand-count", "lambda-str", "model-nu-str", "model-alpha-bool",
@@ -550,13 +558,15 @@ def _progression(progression):
         "stream-shifted-inf", "stream-shifted-past-floor", "base-betti-float",
         "base-betti-str", "base-betti-int", "base-boundary-str", "base-degrees-list",
         "base-dim-half", "base-dim-bool", "base-dim-str", "base-degree-list",
-        "base-degree-key-bool", "base-degree-key-half", "base-name-int",
+        "base-degree-key-bool", "base-degree-key-half", "base-degree-key-float",
+        "base-dim-float", "base-betti-floats", "base-name-int",
         "base-truncation-note-none", "progression-other-step",
         "progression-other-mult", "progression-step-nan", "progression-step-inf",
         "progression-step-negative", "progression-step-huge", "progression-step-str",
         "progression-step-bool", "progression-mult-float", "progression-mult-zero",
         "progression-mult-bool", "progression-not-a-pair", "progression-triple",
-        "trace-zero", "trace-negative", "trace-nan", "trace-inf", "trace-str", "trace-bool"])
+        "trace-zero", "trace-negative", "trace-nan", "trace-inf", "trace-str", "trace-bool",
+        "model-nu-huge", "model-alpha-huge", "model-alpha-huge-negative", "frequency-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # strings were parsed, bools taken as numbers, counts truncated,
