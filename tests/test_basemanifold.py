@@ -740,8 +740,8 @@ def test_custom_refuses_strings_and_bools_as_numbers(mutate, message):
 
 
 def test_custom_truncation_note_is_an_optional_string():
-    # null loaded as the text 'None' and exported as "None"; a missing note
-    # is the empty one, and the export then writes its default
+    # a missing note is the empty one, and the export then writes its
+    # default (null once loaded as the text 'None' and exported as "None")
     blob = bm.circle(2.0).as_custom_mapping()
     assert bm.custom(blob).truncation_note == "finite listing exported from circle(c=2)"
     del blob["truncation_note"]

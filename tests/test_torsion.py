@@ -578,7 +578,9 @@ def test_library_entry_points_refuse_instead_of_coercing(call, parameter):
     # leaked TypeError or AttributeError on a betti list, degree map or degree
     # of the wrong type, and stored a name 3 that log_torsion reported as its
     # base_id; a trace answered t <= 0 (torus2's at t = -1 was -1.785, a
-    # plain sum's 0.0) and warned at t = 0
+    # plain sum's 0.0) and warned at t = 0; an int beyond binary64 leaked
+    # OverflowError from ModelOperator and frequency_log_term, and the
+    # constructor took dim, Betti numbers and degree keys of 1.0 as integers
     with pytest.raises(ValidationError, match=parameter):
         call()
 
