@@ -398,13 +398,13 @@ def custom(source) -> BaseManifold:
     if isinstance(source, dict):
         data = source
     else:
-        text = str(source)
-        is_text = text.lstrip().startswith("{")
+        raw = str(source)      # JSON text or a path
+        is_text = raw.lstrip().startswith("{")
         try:
             if is_text:
-                data = json.loads(text)
+                data = json.loads(raw)
             else:
-                with open(text, "r", encoding="utf-8") as fh:
+                with open(raw, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read spectrum file: {exc}") from exc
