@@ -19,7 +19,9 @@ continuations over them carry no truncation error from the spectrum list:
   shifted frequencies in degree 0 form the exact arithmetic progression
   {c m}, its stream's checked ``progression``, evaluated in closed form.
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
-  4 pi^2 c^2 |mu|^2 over the dual lattice.
+  4 pi^2 c^2 |mu|^2 over the dual lattice.  Its stream's checked
+  ``lattice`` (c, basis) gives the shifted frequencies' continuation data
+  in closed form, as Bessel-K sums over L.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
 
@@ -63,13 +65,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ReadOnly, ValidationError, flag, integer, number, positive, text
-from .zetacont import SpectrumStream, _exp_rowsum, exact_stream, merge_ties
+from .zetacont import (SpectrumStream, _exp_rowsum, _lattice_points, _shortest, exact_stream,
+                       merge_ties)
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_LATTICE = ((_TWO_PI, 0.0), (0.0, _TWO_PI))
-_LATTICE_BOX = 1 << 23          # index points _lattice_points may build (about 0.5 GB)
 
 
 def powers_to_heat_coefficients(powers, dim: int) -> tuple:
@@ -173,31 +175,11 @@ class BaseManifold(ReadOnly):
 # flat tori R^n / L: circle (n = 1) and torus2 (n = 2)
 # ---------------------------------------------------------------------------
 
-def _lattice_points(basis: np.ndarray, radius: float) -> np.ndarray:
-    """Squared norms |sum_k i_k b_k|^2 <= radius^2 over nonzero integer
-    vectors i, for the rows b_k of the n x n ``basis``."""
-    # index bound: i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
-    dual = np.linalg.inv(basis.T)  # rows are the dual basis vectors
-    reach = [radius * math.hypot(*row) for row in dual]
-    if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # prod (2 i_k,max + 1)
-        raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
-                              f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
-    axes = [np.arange(-b, b + 1) for b in (int(math.floor(x)) + 1 for x in reach)]
-    pts = sum(g[..., None] * row for g, row in zip(np.meshgrid(*axes, indexing="ij"), basis))
-    sq = np.einsum("...k,...k->...", pts, pts).ravel()
-    keep = (sq > 0.0) & (sq <= radius * radius + 1e-9)
-    return np.sort(sq[keep])
-
-
-def _shortest(basis: np.ndarray) -> float:
-    """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
-    reach = 1.0001 * min(math.hypot(*row) for row in basis)
-    return math.sqrt(_lattice_points(basis, reach)[0])
-
-
-def _flat_torus_trace(c: float, basis: np.ndarray, q1: float):
+def _flat_torus_trace(c: float, basis: np.ndarray, dual: np.ndarray, q1: float,
+                      covol: float):
     """Heat trace data of R^n/L at scale c, L spanned by the rows of the
-    n x n ``basis``, for ``exact_stream``: (t_switch, small, A), with A =
+    n x n ``basis`` (``dual`` the rows of the dual basis, ``covol`` = |det|),
+    for ``exact_stream``: (t_switch, small, A), with A =
     covol/(4 pi c^2)^(n/2) the leading coefficient.  The lattice alone fixes
     them; the stream sums its own listing above the switch.
 
@@ -208,11 +190,11 @@ def _flat_torus_trace(c: float, basis: np.ndarray, q1: float):
     must reach 17.5 q1 in L*, for every dropped term to underflow.
     """
     dim = basis.shape[0]
-    ell1 = _shortest(basis)
-    vsq_all = _lattice_points(basis, 17.5 * ell1)
+    ell1 = _shortest(basis, dual)
+    vsq_all = _lattice_points(basis, 17.5 * ell1, dual)
     vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
     vsq.flags.writeable = vsq_mult.flags.writeable = False
-    lead = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c) ** (0.5 * dim)
+    lead = covol / (4.0 * math.pi * c * c) ** (0.5 * dim)
 
     def small(t):
         s = _exp_rowsum(4.0 * (c * c) * t, vsq, vsq_mult, divide=True)
@@ -234,7 +216,9 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     values = (c * np.arange(1.0, 4097.0)) ** 2
     mults = np.full(values.size, 2.0)
     basis = np.array([[_TWO_PI]])
-    t_switch, small, _ = _flat_torus_trace(c, basis, _shortest(np.linalg.inv(basis).T))
+    dual = np.linalg.inv(basis).T
+    t_switch, small, _ = _flat_torus_trace(c, basis, dual, _shortest(dual, basis),
+                                           abs(float(np.linalg.det(basis))))
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
@@ -265,23 +249,25 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
                       for v in entries.flat]).reshape(entries.shape)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
-    if abs(np.linalg.det(basis)) < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
+    # the determinant, the dual basis and its shortest vector, taken once
+    covol = abs(float(np.linalg.det(basis)))
+    if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
         raise ValidationError("degenerate lattice: basis vectors are collinear")
+    dual_basis = np.linalg.inv(basis).T
+    q1 = _shortest(dual_basis, basis)
 
     # materialize dual points out to the larger of the frequency target and
     # the theta crossover requirement (17.5 q1, see _flat_torus_trace)
-    dual_basis = np.linalg.inv(basis).T
-    q1 = _shortest(dual_basis)
     r_count = max(nu_max / (_TWO_PI * c), 17.5 * q1)
-    dual_sq = _lattice_points(dual_basis, r_count)
+    dual_sq = _lattice_points(dual_basis, r_count, basis)
     eta_all = (4.0 * math.pi ** 2 * c * c) * dual_sq
     eta, eta_mult = merge_ties(eta_all, np.ones_like(eta_all))
-    t_switch, small, area_factor = _flat_torus_trace(c, basis, q1)   # Z ~ A/t - 1
+    t_switch, small, area_factor = _flat_torus_trace(c, basis, dual_basis, q1, covol)  # Z ~ A/t - 1
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
         (float(j), 0.0) for j in range(1, 13))
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
     deg = exact_stream(eta, eta_mult, t_switch, small, name=f"{name}:deg0,1",
-                       heat_powers=powers)
+                       heat_powers=powers, lattice=(c, basis))
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 

@@ -39,6 +39,20 @@ _BERNOULLI_EVEN = [
 ]
 _EM_TERMS = [float(b) / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI_EVEN)]
 
+# Bessel K: trapezoid rule below _K_SWITCH, asymptotic series above
+_K_SWITCH = 20.0
+_K_STEP = 0.1
+_K_TERMS = 30
+#: relative accuracy of ``bessel_k_ladder`` (tested against mpmath)
+BESSEL_K_REL = 2e-15
+# a_k(nu) of the large-x series for nu = 0, 1 (one column per order):
+# a_0 = 1, a_(k+1) = a_k (4 nu^2 - (2k+1)^2) / (8 (k+1))
+_K_ASYMPTOTIC = [[1.0, 1.0]]
+for _k in range(1, _K_TERMS):
+    _K_ASYMPTOTIC.append([a * (4 * nu * nu - (2 * _k - 1) ** 2) / (8.0 * _k)
+                          for a, nu in zip(_K_ASYMPTOTIC[-1], (0, 1))])
+_K_ASYMPTOTIC = np.array(_K_ASYMPTOTIC)[:, :, None]
+
 
 # Cephes lgam: Stirling correction A above 13, rational x B(x)/C(x) on [2, 3)
 # (C monic: 1.0 * x is exact, so Horner from 1.0 is Cephes p1evl bit for bit)
@@ -243,6 +257,61 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
     """d/ds zeta_H(s, a)."""
     return _zeta_pair(s, a)[1]
+
+
+def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K_0(x), K_1(x)) at every x > 0 of a 1-D array.
+
+    Below _K_SWITCH: the trapezoid rule with step _K_STEP on
+    K_nu(x) = int_0^inf e^(-x cosh t) cosh(nu t) dt, whose integrand is
+    analytic in the strip |Im t| < pi/2, so the rule's relative error is
+    about e^(x - pi^2/_K_STEP) < 1e-34; the nodes reach t where
+    x (cosh t - 1) > 48.  From _K_SWITCH on: _K_TERMS terms of the
+    large-x series sqrt(pi/2x) e^(-x) sum_k a_k(nu) x^(-k), whose terms
+    fall below 1e-17 relative by then.
+    """
+    out = np.empty((2, x.size))
+    low = x < _K_SWITCH
+    if low.any():
+        xl = x[low]
+        t = _K_STEP * np.arange(int(math.acosh(1.0 + 48.0 / float(xl.min())) / _K_STEP) + 2.0)
+        weights = np.stack([np.full(t.size, _K_STEP), _K_STEP * np.cosh(t)], axis=1)
+        weights[0] *= 0.5
+        terms = np.multiply.outer(-xl, np.cosh(t))
+        out[:, low] = (np.exp(terms, out=terms) @ weights).T
+    high = ~low
+    if high.any():
+        xh = x[high]
+        inv = 1.0 / xh
+        series = np.repeat(_K_ASYMPTOTIC[-1], xh.size, axis=1)
+        for a in _K_ASYMPTOTIC[-2::-1]:
+            series = series * inv + a
+        out[:, high] = np.sqrt(0.5 * math.pi / xh) * np.exp(-xh) * series
+    return out[0], out[1]
+
+
+def bessel_k_ladder(x, top: int, half: bool = False) -> np.ndarray:
+    """Modified Bessel K_(j+h)(x) for j = 0..top (h = 1/2 when ``half``, else
+    0) at every x > 0 of a 1-D array: row j holds order j + h.
+
+    K_(1/2)(x) = sqrt(pi/2x) e^(-x) and K_0, K_1 (``_bessel_k01``) start the
+    upward recurrence K_(nu+1) = K_(nu-1) + (2 nu/x) K_nu, a sum of positive
+    terms and so stable; K_(-1/2) = K_(1/2).  Relative error at most 2e-15
+    (``BESSEL_K_REL``) for x in [0.05, 200] and orders up to 15/2, checked
+    against mpmath in the tests.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((top + 1, x.size))
+    if half:
+        out[0] = np.sqrt(0.5 * math.pi / x) * np.exp(-x)
+        below, h = out[0], 0.5
+    else:
+        out[0], below = _bessel_k01(x)   # K_1 stands below K_0 as K_(-1)
+        h = 0.0
+    for j in range(top):
+        out[j + 1] = below + (2.0 * (j + h) / x) * out[j]
+        below = out[j]
+    return out
 
 
 def hurwitz_zeta_prime0(a: float) -> float:

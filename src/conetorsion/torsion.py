@@ -21,8 +21,12 @@ eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
 nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
 degree's frequencies form an arithmetic progression (its stream's checked
-``progression``, and a_k = 0), else the shifted eigenvalue stream eta + a_k^2
-(exact heat trace carried along when available) and its ``sqrt_stream``.
+``progression``, and a_k = 0); the Bessel-K lattice sums of
+``zeta_data_lattice`` when its stream is a flat 2-torus's (its checked
+``lattice``, a_k != 0, and a lattice sum no larger than the numeric route's
+work, ``lattice_sum_fits``), with nu listed once for the relation path; else
+the shifted eigenvalue stream eta + a_k^2 (exact heat trace carried along
+when available) and its ``sqrt_stream``.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``), and a regularized
@@ -43,13 +47,16 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
+
 from .basemanifold import BaseManifold
 from .errors import ValidationError, integer, number, positive
 from .exactpoly import parity_bracket
 from .modelops import harmonic_contribution
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
-                       _shifts, shifted_from_base, sqrt_stream, zeta_data_exact)
+                       _shifts, lattice_sum_fits, shifted_from_base, sqrt_stream,
+                       zeta_data_exact, zeta_data_lattice)
 
 __all__ = [
     "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
@@ -158,29 +165,27 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
 class DegreeContinuation:
     """Read-only continuation data of one degree's frequency set.
 
-    ``alpha`` is alpha_k.  ``progression`` is the (step, mult) descriptor
-    of the exact route (frequencies step*m, m >= 1, each of multiplicity
-    mult), None on the numeric route, which keeps its two streams: the
-    shifted eigenvalues ``q_stream`` = eta + a_k^2 and their square roots
-    ``nu_stream`` from ``sqrt_stream``, which carries the lifted trace
-    where its model holds.  ``data.deriv0_shifted`` holds zeta'(0, +-alpha_k)
-    and ``shift_errors`` their error estimates.
+    ``alpha`` is alpha_k.  ``route`` is "exact" (closed-form data) or
+    "numeric".  ``progression`` is the (step, mult) descriptor of the
+    closed form over a progression (frequencies step*m, m >= 1, each of
+    multiplicity mult), which reads no stream.  The other routes keep the
+    frequencies as ``nu_stream``: on the lattice route a plain listing of
+    sqrt(eta + a_k^2); on the numeric route the square-root lift of
+    ``q_stream`` = eta + a_k^2 (``sqrt_stream``), which carries the lifted
+    trace where its model holds.  ``data.deriv0_shifted`` holds
+    zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
     """
 
     alpha: Fraction
-    progression: tuple | None
+    route: str
     data: ZetaFunctionData
     shift_errors: Mapping
+    progression: tuple | None = None
     q_stream: SpectrumStream | None = None
     nu_stream: SpectrumStream | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))
-
-    @property
-    def route(self) -> str:
-        """"exact" (closed form over the progression) or "numeric"."""
-        return "numeric" if self.progression is None else "exact"
 
     def shifted(self, shift: float) -> tuple[float, float]:
         """(zeta'(0, shift), error estimate) at any finite shift: the stored
@@ -218,12 +223,16 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 
     The one place that knows frequency sets and picks the route: the exact
     closed form when the frequency set is an arithmetic progression (no
-    stream is built); otherwise the numeric route, where a Mellin-split
-    engine on the shifted eigenvalue stream supplies the frequency-side
-    derivative, residues, and regular values through s -> s/2, and the
-    shifted derivatives come from the subtracted-logarithm relation
-    (cross-checked by ``check_residual``).  Requires 0 <= k <= n-1.  Built
-    once per base instance and degree; kept as long as the base lives.
+    stream is built); the exact lattice route when the degree's stream
+    carries a flat 2-torus ``lattice`` whose sum fits (``lattice_sum_fits``,
+    ``zeta_data_lattice``); otherwise
+    the numeric route, where a Mellin-split engine on the shifted
+    eigenvalue stream supplies the frequency-side derivative, residues, and
+    regular values through s -> s/2 (cross-checked by ``check_residual``).
+    Off the progression, the shifted derivatives come from the
+    subtracted-logarithm relation over the frequency listing.  Requires
+    0 <= k <= n-1.  Built once per base instance and degree; kept as long
+    as the base lives.
     """
     n = base.dim
     k = _check_degree(k, n, n - 1)
@@ -236,14 +245,20 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     alpha = _alpha_k(k, n)
     a = float(alpha)
-    progression = base.coclosed_spectrum(k).progression
-    if progression is not None and a == 0.0:
-        data = zeta_data_exact(*progression, alphas=(a, -a), pole_range=max(n, 1))
-        return DegreeContinuation(alpha, progression, data, {a: 0.0, -a: 0.0})
+    stream = base.coclosed_spectrum(k)
+    if stream.progression is not None and a == 0.0:
+        data = zeta_data_exact(*stream.progression, alphas=(a, -a), pole_range=max(n, 1))
+        return DegreeContinuation(alpha, "exact", data, {a: 0.0, -a: 0.0}, stream.progression)
 
-    q_stream = base.coclosed_spectrum(k).shifted(a * a)
-    data, engine = nu_continuation_data(q_stream)
-    nu_stream = sqrt_stream(engine)
+    if stream.lattice is not None and a != 0.0 and lattice_sum_fits(stream, a):
+        route, q_stream = "exact", None
+        data = zeta_data_lattice(stream, a)
+        nu_stream = SpectrumStream(np.sqrt(stream.values + a * a), stream.mults,
+                                   name=f"sqrt({stream.name}+{a * a:g})")
+    else:
+        route, q_stream = "numeric", stream.shifted(a * a)
+        data, engine = nu_continuation_data(q_stream)
+        nu_stream = sqrt_stream(engine)
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
@@ -251,8 +266,8 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     shifts = {s: shifted_from_base(nu_stream, data, s) for s in {a, -a}}
     data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
     return DegreeContinuation(
-        alpha, None, data, {s: err for s, (_, err) in shifts.items()}, q_stream,
-        nu_stream)
+        alpha, route, data, {s: err for s, (_, err) in shifts.items()},
+        q_stream=q_stream, nu_stream=nu_stream)
 
 
 def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
-from .specfun import EULER_GAMMA, digamma, ln_gamma
+from .specfun import BESSEL_K_REL, EULER_GAMMA, bessel_k_ladder, digamma, ln_gamma
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 _EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
@@ -52,6 +52,10 @@ _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
 _PROBE_BLOCK = 4            # t_min probes traced per call, largest t first
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
 _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
+_LATTICE_BOX = 1 << 23      # index points _lattice_points may build (about 0.5 GB)
+_LATTICE_REACH = 60.0       # the Bessel-K lattice sum keeps x = a|v|/c <= 60
+_LATTICE_POINTS = 40_000    # past this many points the numeric route is the cheaper one
+_ULP = 2.0 ** -53           # unit roundoff of binary64
 #: depth of the shift relation / residue ladder used on the numeric path
 RMAX = 16
 
@@ -150,6 +154,30 @@ def merge_ties(values, mults):
     return values[heads], np.add.reduceat(mults, heads)
 
 
+def _lattice_points(basis: np.ndarray, radius: float, dual=None) -> np.ndarray:
+    """Squared norms |sum_k i_k b_k|^2 <= radius^2 over nonzero integer
+    vectors i, for the rows b_k of the n x n ``basis``; ``dual`` (rows the
+    dual basis, inv(basis).T) is taken when not given."""
+    # index bound: i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
+    if dual is None:
+        dual = np.linalg.inv(basis.T)
+    reach = [radius * math.hypot(*row) for row in dual]
+    if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # prod (2 i_k,max + 1)
+        raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
+                              f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
+    axes = [np.arange(-b, b + 1) for b in (int(math.floor(x)) + 1 for x in reach)]
+    pts = sum(g[..., None] * row for g, row in zip(np.meshgrid(*axes, indexing="ij"), basis))
+    sq = np.einsum("...k,...k->...", pts, pts).ravel()
+    keep = (sq > 0.0) & (sq <= radius * radius + 1e-9)
+    return np.sort(sq[keep])
+
+
+def _shortest(basis: np.ndarray, dual=None) -> float:
+    """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
+    reach = 1.0001 * min(math.hypot(*row) for row in basis)
+    return math.sqrt(_lattice_points(basis, reach, dual)[0])
+
+
 def shift_heat_powers(powers, b: float):
     """Exact small-t powers of e^(-b t) Z(t) from those of Z(t).
 
@@ -214,6 +242,25 @@ def _grid_sum(s: float, ts, ws, ds, tl, wl, zl) -> float:
             + _fsum(wl * tl ** (s - 1.0) * zl))
 
 
+def _lattice_descriptor(lattice, name: str, heat_powers: tuple) -> tuple:
+    """A stream's (c, basis) checked: c a finite number > 0, basis a 2 x 2
+    float array of finite entries (kept as a read-only copy), and the t^-1
+    heat power, the route's A, listed and positive."""
+    field = f"spectrum stream {name!r} lattice"
+    if not (isinstance(lattice, tuple) and len(lattice) == 2):
+        raise ValidationError(f"{field} must be a (c, basis) pair, got {lattice!r}")
+    c, basis = positive(lattice[0], f"{field} scale"), lattice[1]
+    if not (isinstance(basis, np.ndarray) and basis.shape == (2, 2) and basis.dtype == float
+            and np.all(np.isfinite(basis))):
+        raise ValidationError(f"{field} basis must be a 2 x 2 float array of finite "
+                              f"entries, got {basis!r}")
+    if not dict(heat_powers).get(-1.0, 0.0) > 0.0:
+        raise ValidationError(f"{field} needs a positive heat coefficient of t^-1")
+    basis = basis.copy()
+    basis.flags.writeable = False
+    return c, basis
+
+
 class SpectrumStream(ReadOnly):
     """Ascending positive eigenvalues with multiplicities and optional structure.
 
@@ -223,7 +270,13 @@ class SpectrumStream(ReadOnly):
     shape, in one array pass; heat_powers: exact leading small-t powers
     [(p, c), ...]; progression: (step, mult) when the values are exactly
     (step*m)^2, m = 1..N, each of multiplicity mult (the exact route reads
-    it; a listing that contradicts it is refused).  The counting exponent d
+    it; a listing that contradicts it is refused); lattice: (c, basis) when
+    the values are 4 pi^2 c^2 |mu|^2 over the nonzero mu of the dual of the
+    lattice L the rows of the 2 x 2 ``basis`` span, each once, equal values
+    merged (the lattice route reads it with the leading heat coefficient
+    A = covol(L)/(4 pi c^2) of t^-1, which must be listed; its fields are
+    checked, the listing against it is not: ``torus2`` builds both from one
+    basis).  The counting exponent d
     of N(x) ~ C x^d, which the relation path's tail bound needs, is the
     rightmost pole of the continuation data, where ``shifted_from_base``
     reads it.  Streams are shared by cached results,
@@ -231,7 +284,7 @@ class SpectrumStream(ReadOnly):
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
-                 heat_fn=None, heat_powers=(), progression=None):
+                 heat_fn=None, heat_powers=(), progression=None, lattice=None):
         values = _positive_reals(values, f"{name} values".lstrip())
         mults = (np.ones_like(values) if mults is None
                  else _positive_reals(mults, f"{name} mults".lstrip()))
@@ -254,10 +307,13 @@ class SpectrumStream(ReadOnly):
                         values, (step * np.arange(1.0, values.size + 1.0)) ** 2)):
                     raise ValidationError(
                         f"spectrum stream {name!r} contradicts its progression {progression!r}")
+        if lattice is not None:
+            lattice = _lattice_descriptor(lattice, name, heat_powers)
         values.flags.writeable = False
         mults.flags.writeable = False
         for key, value in dict(values=values, mults=mults, name=name, heat_fn=heat_fn,
-                               heat_powers=heat_powers, progression=progression).items():
+                               heat_powers=heat_powers, progression=progression,
+                               lattice=lattice).items():
             object.__setattr__(self, key, value)
 
     @property
@@ -349,16 +405,20 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
 class ZetaFunctionData:
     """Continuation outputs, read-only once built: the mappings are copied
     into read-only views.  pp[i] stores the plain value zeta(i) wherever
-    residues[i] == 0."""
+    residues[i] == 0.  ``pp_errors`` bounds, where given, the error of
+    Res(i)(gamma + psi(i)) + PP(i) beyond ``error_estimate``: the lattice
+    route's high orders cancel terms of size a^(-i), and the relation path
+    weighs them by |alpha|^i / i."""
     deriv0: float
     deriv0_shifted: Mapping = field(default_factory=dict)
     residues: Mapping = field(default_factory=dict)
     pp: Mapping = field(default_factory=dict)
     error_estimate: float = 0.0
     zeta0: float = math.nan
+    pp_errors: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("deriv0_shifted", "residues", "pp"):
+        for name in ("deriv0_shifted", "residues", "pp", "pp_errors"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
@@ -369,7 +429,8 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     everything below is the s-expansion of those at s = 0 and s = i.
     """
     from .specfun import LOG_2PI, hurwitz_zeta_prime0, riemann_zeta
-    c, m, pole_range = positive(c, "c"), integer(m, "m", 1), integer(pole_range, "pole_range")
+    c, m = positive(c, "c"), integer(m, "m", 1)
+    pole_range = integer(pole_range, "pole_range", 0, RMAX)
     lc = math.log(c)
     shifted = {}
     for a in _shifts(alphas):
@@ -386,6 +447,110 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     return ZetaFunctionData(deriv0=m * (0.5 * lc - 0.5 * LOG_2PI),
                             deriv0_shifted=shifted, residues=residues, pp=pp,
                             error_estimate=0.0, zeta0=-m / 2.0)
+
+
+def _gamma_half(i: int) -> float:
+    """Gamma(i/2) for an integer i >= 1: (i/2 - 1)! or sqrt(pi) (i-2)!!/2^((i-1)/2)."""
+    if i % 2 == 0:
+        return float(math.factorial(i // 2 - 1))
+    return math.sqrt(math.pi) * math.prod(range(1, i - 1, 2)) / 2.0 ** ((i - 1) // 2)
+
+
+def lattice_sum_fits(stream: SpectrumStream, a: float) -> bool:
+    """Whether ``zeta_data_lattice`` at shift a sums at most _LATTICE_POINTS
+    lattice points: about R^2/(4 a^2 A) of them have x = a|v|/c <= R =
+    _LATTICE_REACH (A = covol/(4 pi c^2), the t^-1 heat coefficient), a count
+    that grows like c^2, while the numeric route's listing stops at its
+    nu_max.  Measured on the square torus, the two routes cost the same near
+    40 000 points (c = 6)."""
+    lead = dict(stream.heat_powers)[-1.0]
+    return _LATTICE_REACH ** 2 / (4.0 * a * a * lead) <= _LATTICE_POINTS
+
+
+def zeta_data_lattice(stream: SpectrumStream, a: float,
+                      pole_range: int = RMAX) -> ZetaFunctionData:
+    """Frequency-side data of nu = sqrt(eta + a^2) over a flat 2-torus
+    stream, in closed form: the generalized Chowla-Selberg formula (E.
+    Elizalde, CMP 198, 1998; K. Kirsten, Spectral Functions in Mathematics
+    and Physics, 2002, ch. 4).
+
+    The stream's ``lattice`` (c, basis) and its heat coefficient
+    A = covol(L)/(4 pi c^2) of t^-1 fix zeta_Q(w) = sum (eta + a^2)^(-w).
+    Poisson summation over L gives, with x_v = a|v|/c over the nonzero v in L,
+
+        zeta_Q(w) = A a^(2-2w)/(w-1) - a^(-2w)
+                    + (2A/Gamma(w)) sum_v (x_v/(2a^2))^(w-1) K_(w-1)(x_v),
+
+    so zeta_Q(0) = -A a^2 - 1, zeta_Q'(0) = A a^2 (2 log a - 1) + 2 log a
+    + 4 A a^2 sum_v K_1(x_v)/x_v, and the one pole, at w = 1, has residue A
+    and finite part -2A log a + 2A sum_v K_0(x_v) - a^-2.  The frequency
+    zeta is zeta_Q(s/2): deriv0 is half of zeta_Q'(0), residues[i] =
+    2 Res_Q(i/2) and pp[i] = PP_Q(i/2) for i = 1..pole_range.
+
+    The sum runs over the lattice's norms with x_v <= _LATTICE_REACH,
+    bitwise ties merged.  The bounds cover: the points beyond the reach
+    (N(r) <= pi (r + |b_1| + |b_2|)^2 / covol of them lie within r, and each
+    summand decreases in x); the evaluator's relative error BESSEL_K_REL;
+    the rounding of each x_v, which a summand's logarithmic derivative in
+    log x (at most x + 2) carries over; numpy's pairwise sums; and the
+    rounding of the three terms, which cancel at high order.
+    ``error_estimate`` bounds deriv0, zeta0 and the residues, and
+    ``pp_errors[i]`` bounds pp[i].
+    """
+    if stream.lattice is None:
+        raise ValidationError(f"spectrum stream {stream.name!r} carries no lattice")
+    a = abs(number(a, "a", "a finite nonzero real", lambda x: math.isfinite(x) and x != 0.0))
+    pole_range = integer(pole_range, "pole_range", 0, RMAX)
+    (c, basis), lead = stream.lattice, dict(stream.heat_powers)[-1.0]
+    dual = np.linalg.inv(basis).T
+    vsq, counts = np.unique(_lattice_points(basis, _LATTICE_REACH * c / a, dual),
+                            return_counts=True)
+    x = (a / c) * np.sqrt(vsq)
+
+    def kernels(x):
+        """Row 0: K_1(x)/x; row i: (x/(2a^2))^(i/2-1) K_(i/2-1)(x)."""
+        k_int = bessel_k_ladder(x, max(pole_range // 2 - 1, 1))
+        k_half = bessel_k_ladder(x, max((pole_range - 3) // 2, 0), half=True)
+        y = x / (2.0 * a * a)
+        return np.array([k_int[1] / x] + [
+            y ** (0.5 * i - 1.0) * (k_int[i // 2 - 1] if i % 2 == 0 else k_half[max(i - 3, 0) // 2])
+            for i in range(1, pole_range + 1)])
+
+    terms = kernels(x) * counts
+    sums = terms.sum(axis=1)
+    # rounding of x_v: its coordinates carry 2u (|i||b_1| + |j||b_2|) <= 2u kappa |v|
+    kappa = sum(math.hypot(*b) * math.hypot(*s) for b, s in zip(basis, dual))
+    # numpy's pairwise row sum: 8 running sums of up to 16 terms per 128-term
+    # block and a binary tree above, in buffers of 8192 added in turn
+    sum_depth = math.log2(max(x.size, 2)) + x.size / 8192.0 + 20.0
+    reach = _LATTICE_REACH + np.arange(51.0)
+    shells = math.pi * (c * (reach + 1.0) / a + sum(map(math.hypot, *basis.T))) ** 2 / (
+        4.0 * math.pi * c * c * lead)
+    sum_errs = ((BESSEL_K_REL + (sum_depth + 8.0) * _ULP) * sums
+                + (3.0 * kappa + 4.0) * _ULP * (terms * (x + 2.0)).sum(axis=1)
+                + (kernels(reach) * shells).sum(axis=1))
+
+    def combine(coeff, j, *others):
+        """coeff * sums[j] + others, and a bound on its error."""
+        parts = [coeff * sums[j], *others]
+        return math.fsum(parts), float(8.0 * _ULP * sum(map(abs, parts))
+                                       + abs(coeff) * sum_errs[j])
+
+    la, a2 = math.log(a), a * a
+    deriv_q, deriv_err = combine(4.0 * lead * a2, 0, lead * a2 * (2.0 * la - 1.0), 2.0 * la)
+    zeta0 = -lead * a2 - 1.0
+    residues, pp, pp_errors = {}, {}, {}
+    for i in range(1, pole_range + 1):
+        residues[i] = 2.0 * lead if i == 2 else 0.0
+        if i == 2:
+            pp[i], pp_errors[i] = combine(2.0 * lead, i, -2.0 * lead * la, -1.0 / a2)
+        else:
+            w = 0.5 * i
+            pp[i], pp_errors[i] = combine(2.0 * lead / _gamma_half(i), i,
+                                          lead * a ** (2 - i) / (w - 1.0), -a ** -i)
+    err = max(0.5 * deriv_err, 8.0 * _ULP * (abs(zeta0) + 2.0 * lead))
+    return ZetaFunctionData(deriv0=0.5 * deriv_q, residues=residues, pp=pp,
+                            error_estimate=err, zeta0=zeta0, pp_errors=pp_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +807,7 @@ class MellinZeta(ReadOnly):
 def zeta_data_numeric(stream: SpectrumStream, alphas=(), pole_range: int = 1,
                       target_tol: float | None = None) -> ZetaFunctionData:
     """Full continuation data by the numeric Mellin-split route."""
-    pole_range = integer(pole_range, "pole_range")
+    pole_range = integer(pole_range, "pole_range", 0, RMAX)
     alphas = _shifts(alphas)
     eng = MellinZeta(stream, s_max=float(max(pole_range, 1)))
     poles = range(1, pole_range + 1)
@@ -682,8 +847,9 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 
     with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
-    Returns (value, error_estimate); the estimate covers the series tail
-    and the stream tail beyond its truncation radius.  The tail term takes
+    Returns (value, error_estimate); the estimate covers the data's own
+    (``error_estimate`` plus |a|^i/i times each ``pp_errors`` entry), the
+    series tail and the stream tail beyond its truncation radius.  The tail term takes
     the counting exponent d of N(x) ~ C x^d as the rightmost pole of the
     data, the largest i with Res(i) != 0 (the Weyl exponent), and is 0 when
     the data has no pole.
@@ -728,7 +894,10 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
         if RMAX + 1 > d:
             tail_est = cdens * d * abs(a) ** (RMAX + 1) / (
                 (RMAX + 1) * (RMAX + 1 - d)) * V ** (d - RMAX - 1)
-    return value, base.error_estimate + series_rem + tail_est
+    data_err = base.error_estimate
+    if base.pp_errors:
+        data_err += _fsum([abs(a) ** i / i * e for i, e in base.pp_errors.items()])
+    return value, data_err + series_rem + tail_est
 
 
 def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:

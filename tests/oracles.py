@@ -415,3 +415,134 @@ def rp3_zeta_data(k: int) -> dict:
     alpha = 1.0 if k == 0 else 0.0
     return {"deriv0": derivs[0.0], "residues": residues,
             "deriv0_shifted": {a: derivs[a] for a in (alpha, -alpha)}}
+
+
+def without_lattice(base):
+    """``base`` with every degree stream rebuilt without its ``lattice``
+    descriptor: the same listing, exact trace, heat powers and names, so a
+    solve over it takes the numeric route (the Mellin engine and the
+    square-root lift) on the same spectrum.  Degrees that share a stream
+    keep sharing one."""
+    from conetorsion.basemanifold import BaseManifold
+    from conetorsion.zetacont import SpectrumStream
+    plain = {}
+    for k in base.degrees_available():
+        deg = base.coclosed_spectrum(k)
+        if id(deg) not in plain:
+            plain[id(deg)] = SpectrumStream(deg.values, deg.mults, name=deg.name,
+                                            heat_fn=deg.heat_fn, heat_powers=deg.heat_powers)
+    return BaseManifold(name=base.name, dim=base.dim, betti=base.betti, scale=base.scale,
+                        degrees={k: plain[id(base.coclosed_spectrum(k))]
+                                 for k in base.degrees_available()})
+
+
+def bessel_k01(x):
+    """(K_0(x), K_1(x)) as mpf, from the ascending series
+    K_0 = -(log(x/2) + gamma) I_0(x) + sum_k H_k (x^2/4)^k / (k!)^2 and the
+    Wronskian I_0 K_1 + I_1 K_0 = 1/x, at a working precision raised by the
+    e^(2x) the series cancels."""
+    with mp.workdps(40 + int(0.9 * float(x))):
+        x = mp.mpf(x)
+        q, term, harmonic = x * x / 4, mp.mpf(1), mp.mpf(0)
+        i0 = i1 = series = mp.mpf(0)
+        k = 0
+        while term > mp.eps * i0 or k < 2:
+            i0 += term
+            i1 += term / (k + 1)
+            series += harmonic * term
+            k += 1
+            term *= q / (k * k)
+            harmonic += mp.mpf(1) / k
+        i1 *= x / 2
+        k0 = series - (mp.log(x / 2) + mp.euler) * i0
+        return +k0, (1 / x - i1 * k0) / i0
+
+
+_K_SERIES_TOP = 20.0
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_data(basis: tuple, c: float, a: float, orders: int, reach: float) -> dict:
+    b = [[Fraction(v) for v in row] for row in basis]
+    gram = [[b[i][0] * b[j][0] + b[i][1] * b[j][1] for j in range(2)] for i in range(2)]
+    cm, am = mp.mpf(c), mp.mpf(a)
+    det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    area = abs(mp.mpf(det.numerator) / det.denominator)
+    lead = area / (4 * mp.pi * cm * cm)
+    radius = reach * c / a
+    dual = np.linalg.inv(np.asarray(basis, dtype=float)).T
+    n1, n2 = (int(radius * math.hypot(*row)) + 1 for row in dual)
+    # each v = i b_1 + j b_2 with i > 0, or i = 0 and j > 0, stands for +-v
+    ii, jj = np.meshgrid(np.arange(0, n1 + 1), np.arange(-n2, n2 + 1), indexing="ij")
+    half = (ii > 0) | ((ii == 0) & (jj > 0))
+    ii, jj = ii[half], jj[half]
+    norm = np.hypot(ii * basis[0][0] + jj * basis[1][0], ii * basis[0][1] + jj * basis[1][1])
+    inside = norm * (a / c) <= reach
+    ii, jj, norm = ii[inside], jj[inside], norm[inside]
+    # below the series top: exact squared norms, equal ones merged, at 30+ digits
+    counts: dict = {}
+    for i, j in zip(ii[norm * (a / c) < _K_SERIES_TOP].tolist(),
+                    jj[norm * (a / c) < _K_SERIES_TOP].tolist()):
+        q = i * i * gram[0][0] + 2 * i * j * gram[0][1] + j * j * gram[1][1]
+        counts[q] = counts.get(q, 0) + 2
+    rows: list = [[] for _ in range(orders + 1)]
+    for q, m in counts.items():
+        x = am * mp.sqrt(mp.mpf(q.numerator) / q.denominator) / cm
+        k_int = list(bessel_k01(x))
+        for j in range(1, 7):
+            k_int.append(k_int[j - 1] + 2 * j / x * k_int[j])
+        k_half = [mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x)]
+        k_half.append(k_half[0] * (1 + 1 / x))
+        for j in range(1, 6):
+            k_half.append(k_half[j - 1] + (2 * j + 1) / x * k_half[j])
+        y = x / (2 * am * am)
+        root = mp.sqrt(y)
+        power = {-1: 1 / root, 0: mp.mpf(1), 1: root}      # y^(p/2)
+        for p in range(2, orders - 1):
+            power[p] = power[p - 2] * y
+        rows[0].append(m * k_int[1] / x)
+        for i in range(1, orders + 1):
+            k = k_int[i // 2 - 1] if i % 2 == 0 else k_half[max(i - 3, 0) // 2]
+            rows[i].append(m * power[i - 2] * k)
+    # above it the terms are below 1e-5 of each sum: float64 scipy values
+    # leave an error below 1e-20 of it
+    import scipy.special
+    xf = norm[norm * (a / c) >= _K_SERIES_TOP] * (a / c)
+    rows[0].append(mp.mpf(math.fsum((2.0 * scipy.special.kv(1, xf) / xf).tolist())))
+    for i in range(1, orders + 1):
+        nu = 0.5 * i - 1.0
+        terms = 2.0 * (xf / (2.0 * a * a)) ** nu * scipy.special.kv(abs(nu), xf)
+        rows[i].append(mp.mpf(math.fsum(terms.tolist())))
+    sums = [mp.fsum(r) for r in rows]
+    la, a2 = mp.log(am), am * am
+    out = {"deriv0": (lead * a2 * (2 * la - 1) + 4 * lead * a2 * sums[0] + 2 * la) / 2,
+           "zeta0": -lead * a2 - 1, "residues": {}, "pp": {}}
+    for i in range(1, orders + 1):
+        w = mp.mpf(i) / 2
+        out["residues"][i] = 2 * lead if i == 2 else mp.mpf(0)
+        if i == 2:
+            out["pp"][i] = -2 * lead * la + 2 * lead * sums[2] - 1 / a2
+        else:
+            out["pp"][i] = (lead * am ** (2 - 2 * w) / (w - 1)
+                            + 2 * lead / mp.gamma(w) * sums[i] - am ** (-2 * w))
+    return {key: (float(v) if not isinstance(v, dict) else {i: float(u) for i, u in v.items()})
+            for key, v in out.items()}
+
+
+def lattice_zeta_data(basis, c: float, a: float, orders: int = 16, reach: float = 66.0) -> dict:
+    """Frequency-side continuation data of nu = sqrt(eta + a^2), eta =
+    4 pi^2 c^2 |mu|^2 over the nonzero mu of the dual of the lattice L the
+    rows of ``basis`` span: {"deriv0", "zeta0", "residues", "pp"} with
+    residues and pp for i = 1..orders.
+
+    The generalized Chowla-Selberg formula (Elizalde, CMP 198, 1998) in
+    mpmath at 30 digits: with A = covol(L)/(4 pi c^2) and x_v = a|v|/c,
+    zeta_Q(w) = A a^(2-2w)/(w-1) - a^(-2w) + (2A/Gamma(w)) sum_v
+    (x_v/(2a^2))^(w-1) K_(w-1)(x_v), summed over x_v <= ``reach`` (the
+    terms beyond are below 1e-25 of each sum).  K_0 and K_1 come from
+    ``bessel_k01``, higher orders by the order
+    recurrence from K_(1/2) = sqrt(pi/2x) e^-x; the points with x_v >= 20
+    from float64 scipy.special.kv.
+    """
+    return _lattice_data(tuple(map(tuple, np.asarray(basis, dtype=float).tolist())),
+                         float(c), float(a), orders, reach)

@@ -138,13 +138,23 @@ def test_torus_weyl_ratio():
 
 
 def test_torus_nu_sets_are_twins():
+    # both degrees shift by a_k^2 = 1/4, on the lattice route and on the
+    # numeric route over the same stream without its lattice
     tor = bm.torus2(2.0)
     n0, n1 = degree_continuation(tor, 0), degree_continuation(tor, 1)
     assert n0.alpha == 0.5 and n1.alpha == -0.5
-    assert n0.route == n1.route == "numeric"
+    assert n0.route == n1.route == "exact"
     assert n0.progression is None and n1.progression is None
-    assert np.max(np.abs(n0.nu_stream.values - n1.nu_stream.values)) == 0.0
-    assert n0.q_stream.min_value == pytest.approx(4.25, abs=1e-12)
+    assert n0.q_stream is None and n1.q_stream is None
+    assert n0.data == n1.data
+    assert np.array_equal(n0.nu_stream.values, n1.nu_stream.values)
+    assert n0.nu_stream.min_value == pytest.approx(math.sqrt(4.25), abs=1e-12)
+    plain = oracles.without_lattice(tor)
+    m0, m1 = degree_continuation(plain, 0), degree_continuation(plain, 1)
+    assert m0.route == m1.route == "numeric"
+    assert np.max(np.abs(m0.nu_stream.values - m1.nu_stream.values)) == 0.0
+    assert np.array_equal(m0.nu_stream.values, n0.nu_stream.values)
+    assert m0.q_stream.min_value == pytest.approx(4.25, abs=1e-12)
 
 
 def test_streams_share_no_memory_with_their_source():
@@ -153,10 +163,13 @@ def test_streams_share_no_memory_with_their_source():
     tor = bm.torus2(2.0)
     deg = tor._degrees[0]
     assert tor.coclosed_spectrum(0) is deg
-    ns = degree_continuation(tor, 0)
+    exact = degree_continuation(tor, 0)
+    plain = oracles.without_lattice(tor)
+    ns = degree_continuation(plain, 0)
     lift = sqrt_stream(MellinZeta(ns.q_stream, s_max=1.0))
     for stream, source in ((ns.q_stream, deg), (ns.nu_stream, deg),
-                           (lift, ns.q_stream)):
+                           (lift, ns.q_stream), (exact.nu_stream, deg),
+                           (plain.coclosed_spectrum(0), deg)):
         for got, given in ((stream.values, source.values),
                            (stream.mults, source.mults)):
             assert not np.shares_memory(got, given)
@@ -166,7 +179,7 @@ def test_streams_share_no_memory_with_their_source():
 def test_torus_shifted_heat_powers():
     # q = lambda + 1/4 shifts the theta expansion:
     # c_{-1} = A, c_0 = -A/4 - 1, c_1 = A/32 + 1/4 with A = pi/4 at scale 2
-    n0 = degree_continuation(bm.torus2(2.0), 0)
+    n0 = degree_continuation(oracles.without_lattice(bm.torus2(2.0)), 0)
     A = math.pi / 4.0
     pw = dict(n0.q_stream.heat_powers)
     assert pw[-1.0] == pytest.approx(A, abs=1e-15)
@@ -175,7 +188,7 @@ def test_torus_shifted_heat_powers():
 
 
 def test_torus_q_engine_residues_and_value():
-    n0 = degree_continuation(bm.torus2(2.0), 0)
+    n0 = degree_continuation(oracles.without_lattice(bm.torus2(2.0)), 0)
     eng = MellinZeta(n0.q_stream, s_max=8.0)
     A = math.pi / 4.0
     assert eng.residue(1.0) == pytest.approx(A, abs=1e-14)

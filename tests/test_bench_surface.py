@@ -17,6 +17,8 @@ import conetorsion
 from conetorsion import cli, exactpoly, torsion
 from conetorsion.basemanifold import circle, torus2
 
+import oracles
+
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
@@ -39,9 +41,12 @@ def _traced(tracing, *calls):
 
 
 def test_tracer_records_every_wrapped_layer(tracing):
+    # torus2 solves on its lattice route; the same stream without its
+    # lattice reaches the Mellin engine and the lift
     tracer = _traced(
         tracing,
         lambda: torsion.log_torsion(torus2(2.0)),
+        lambda: torsion.log_torsion(oracles.without_lattice(torus2(2.0))),
         lambda: torsion.log_torsion(circle(2.0)),
         lambda: cli.run(["zeta", "--base", "torus2", "--scale", "2",
                          "--degree", "0", "--shift", "0.3"]))
@@ -53,11 +58,17 @@ def test_tracer_records_every_wrapped_layer(tracing):
 
 
 def test_zeta_command_skips_the_lift(tracing):
-    # continuation data alone: one engine on the squared stream; the record's
-    # nu_stream is the square-root lift, but no lifted trace is evaluated
-    # (the cross-check that solves it belongs to the torsion error budget)
+    # torus2's lattice route builds no engine and traces nothing
     tracer = _traced(tracing, lambda: cli.run(
         ["zeta", "--base", "torus2", "--scale", "2", "--degree", "0"]))
+    assert tracer.counts["zetacont.mellin_engines"] == 0
+    assert sum(n for key, n in tracer.counts.items() if ".trace_" in key) == 0
+    # on the numeric route, continuation data alone: one engine on the
+    # squared stream; the record's nu_stream is the square-root lift, but no
+    # lifted trace is evaluated (the cross-check that solves it belongs to
+    # the torsion error budget)
+    base = oracles.without_lattice(torus2(2.0))
+    tracer = _traced(tracing, lambda: cli._zeta_payload(base, 0, None, cli.TOL_DEFAULT))
     assert tracer.counts["zetacont.mellin_engines"] == 1
     assert "zetacont.trace_s.lift" not in {span[0] for span in tracer.spans}
     assert tracer.counts["zetacont.trace_calls.lift"] == 0
@@ -73,7 +84,11 @@ def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
     # from the largest t down, stopping at the first passing block (11315
     # exact points, 190 lift points in the same calls when every probe was
     # traced)
+    # (counted on the numeric route: torus2's lattice route builds no engine)
     tracer = _traced(tracing, lambda: torsion.log_torsion(torus2(2.0)))
+    assert tracer.counts["zetacont.mellin_engines"] == 0
+    assert sum(n for key, n in tracer.counts.items() if ".trace_" in key) == 0
+    tracer = _traced(tracing, lambda: torsion.log_torsion(oracles.without_lattice(torus2(2.0))))
     counts = tracer.counts
     assert counts["zetacont.trace_points.exact"] == 5849
     assert counts["zetacont.trace_points.lift"] == 172
@@ -96,24 +111,23 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 
 
 # the spans, by name, and counters of a cold traced `selftest` at 1e-8, as
-# recorded when the battery still lived in cli.py
+# recorded when the battery still lived in cli.py, re-recorded when torus2
+# moved to its lattice route: three-dim-dual-path builds no engine, lift or
+# exact-trace call any more (2 engines, 25 engine evaluations, 8 exact and
+# 3 lift trace calls fewer)
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
     "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1099,
     "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
-    "torsion.log_torsion_s": 4, "torsion.nu_continuation_s": 1,
-    "torsion.spectral_bracket_s": 4, "zetacont.mellin_build_s": 16,
-    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 2,
-    "zetacont.sqrt_stream_s": 1, "zetacont.trace_s.eigsum": 98,
-    "zetacont.trace_s.exact": 8, "zetacont.trace_s.lift": 3,
+    "torsion.log_torsion_s": 4, "torsion.spectral_bracket_s": 4,
+    "zetacont.mellin_build_s": 14, "zetacont.mellin_eval_s": 28,
+    "zetacont.shifted_from_base_s": 2, "zetacont.trace_s.eigsum": 98,
     "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,
 }
 BATTERY_COUNTS = {
-    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 16,
-    "zetacont.trace_calls.eigsum": 98, "zetacont.trace_calls.exact": 8,
-    "zetacont.trace_calls.lift": 3, "zetacont.trace_points.eigsum": 8750,
-    "zetacont.trace_points.exact": 5849, "zetacont.trace_points.lift": 172,
+    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 14,
+    "zetacont.trace_calls.eigsum": 98, "zetacont.trace_points.eigsum": 8750,
 }
 _TRACED_SELFTEST = r"""
 import json, re, sys

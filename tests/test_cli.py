@@ -17,7 +17,8 @@ from conetorsion.basemanifold import circle, custom, torus2
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.torsion import (ConeOverS1Config, log_torsion,
                                  nu_continuation_data, theorem_main)
-from conetorsion.zetacont import SpectrumStream, shifted_from_base, zeta_data_exact
+from conetorsion.zetacont import (SpectrumStream, shifted_from_base, zeta_data_exact,
+                                  zeta_data_lattice)
 
 import oracles
 
@@ -43,6 +44,11 @@ def exit_code(argv):
                  id="torsion-disc"),
     pytest.param(["torsion", "cone", "--base", "s1", "--scale", "3.0"], False,
                  id="torsion-cone-s1"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2"], False,
+                 id="torsion-cone-torus2"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
+                  "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
+                 False, id="torsion-cone-torus2-sheared"),
     pytest.param(["olver", "--order", "5"], False, id="olver"),
     pytest.param(["modeldet", "--nu", "3.83", "--alpha", "1.2"], False, id="modeldet"),
     pytest.param(["modeldet", "--nu", "3.082", "--alpha", "inf"], False,
@@ -176,10 +182,20 @@ def test_zeta_exact_circle_with_shift():
     assert payload["shift"]["error_estimate"] == 0.0
 
 
-def test_zeta_numeric_torus_with_shift():
-    payload = run_json(["zeta", "--base", "torus2", "--scale", "2",
+def _torus_listing(tmp_path) -> str:
+    """The custom: flag of torus2(2.0)'s export at nu_max = 256, which
+    solves on the numeric route."""
+    path = tmp_path / "torus2_listing.json"
+    path.write_text(json.dumps(torus2(2.0, nu_max=256).as_custom_mapping()), encoding="utf-8")
+    return f"custom:{path}"
+
+
+def test_zeta_numeric_torus_with_shift(tmp_path):
+    exact = run_json(["zeta", "--base", "torus2", "--scale", "2",
+                      "--degree", "0", "--shift", "0.5"])
+    payload = run_json(["zeta", "--base", _torus_listing(tmp_path),
                         "--degree", "0", "--shift", "0.5"])
-    assert payload["source"] == "numeric"
+    assert (exact["source"], payload["source"]) == ("closed-form", "numeric")
     assert payload["alpha"] == 0.5
     assert payload["error_estimate"] <= 1e-8
     assert payload["shift"]["error_estimate"] <= 1e-8
@@ -187,6 +203,12 @@ def test_zeta_numeric_torus_with_shift():
     # square torus at scale 2 (twice the q-side residue at half the index)
     assert payload["residues"]["1"] == pytest.approx(0.0, abs=1e-9)
     assert payload["residues"]["2"] == pytest.approx(math.pi / 2.0, abs=1e-9)
+    # both read Res(2) = 2A from the same heat coefficient A of t^-1
+    assert exact["residues"] == payload["residues"]
+    # the listing's numeric data lie within its estimates of the exact route
+    assert abs(payload["deriv0"] - exact["deriv0"]) <= payload["error_estimate"]
+    assert (abs(payload["shift"]["deriv0_shifted"] - exact["shift"]["deriv0_shifted"])
+            <= payload["shift"]["error_estimate"] + exact["shift"]["error_estimate"])
 
 
 
@@ -198,7 +220,13 @@ def _reference_zeta_payload(base, k, shift):
     progression = deg.progression
     a = (base.dim - 1) / 2 - k
     pole_top = max(base.dim, 1)
-    if progression is not None and a == 0.0:
+    if deg.lattice is not None and a != 0.0:
+        data = zeta_data_lattice(deg, a)
+        source = "closed-form"
+        if shift is not None:
+            shift_value, shift_error = shifted_from_base(
+                SpectrumStream(np.sqrt(deg.values + a * a), deg.mults), data, float(shift))
+    elif progression is not None and a == 0.0:
         step, mult = progression
         data = zeta_data_exact(step, mult,
                                alphas=(shift,) if shift is not None else (),
@@ -391,14 +419,16 @@ def test_tolerance_flag_validation():
                       "--tolerance", "1e-3"]) == 2
 
 
-def test_tight_tolerance_on_numeric_route_exits_3():
-    # the torus assembly carries a ~5e-12 error estimate: demanding 1e-12
-    # must fail loudly with the convergence exit code
+def test_tight_tolerance_on_numeric_route_exits_3(tmp_path):
+    # the torus listing's assembly carries a ~1.8e-9 error estimate:
+    # demanding 1e-10 must fail loudly with the convergence exit code
+    listing = _torus_listing(tmp_path)
     with pytest.raises(ConvergenceError):
-        cli.run(["torsion", "cone", "--base", "torus2", "--scale", "2",
-                 "--tolerance", "1e-12"])
+        cli.run(["torsion", "cone", "--base", listing, "--tolerance", "1e-10"])
+    assert exit_code(["torsion", "cone", "--base", listing, "--tolerance", "1e-10"]) == 3
+    # the lattice route's ~4.3e-14 meets the tightest tolerance
     assert exit_code(["torsion", "cone", "--base", "torus2", "--scale", "2",
-                      "--tolerance", "1e-12"]) == 3
+                      "--tolerance", "1e-12"]) == 0
 
 
 def test_format_choices_and_default_tolerance():

@@ -226,3 +226,19 @@ def test_hurwitz_zeta_prime0_matches_sderiv_limit():
         assert specfun.hurwitz_zeta_prime0(a) == pytest.approx(
             specfun.hurwitz_zeta_sderiv(0.0, a), rel=5e-12, abs=1e-13
         )
+
+
+# K_nu at each branch of the evaluator: the trapezoid rule below x = 20, the
+# large-x series from 20 on, the half-integer closed form; both ladders
+# through the order recurrence
+_K_GRID = [0.05, 0.3, 1.0, 3.2, 7.5, 15.0, math.nextafter(20.0, 0.0), 20.0, 35.0, 60.0, 150.0]
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["integer", "half-integer"])
+def test_bessel_k_ladder_matches_mpmath(half):
+    got = specfun.bessel_k_ladder(_K_GRID, 7, half)
+    for j, row in enumerate(got):
+        nu = j + (0.5 if half else 0.0)
+        for x, value in zip(_K_GRID, row.tolist()):
+            want = oracles.mp.besselk(nu, x)
+            assert abs(value / want - 1) <= specfun.BESSEL_K_REL, (nu, x)

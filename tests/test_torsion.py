@@ -181,9 +181,9 @@ def test_degree_continuation_is_read_only():
     assert log_torsion(circle(2.0)).log_torsion == -0.47579135264472755
 
     # the spectra on the record are shared too: the lift cross-check of a
-    # torus reads q_stream on first use (a doubled mults array moved
-    # error_estimate from 5.4e-12 to 1.39)
-    tor = torus2(2.0)
+    # torus on the numeric route reads q_stream on first use (a doubled
+    # mults array moved error_estimate from 5.4e-12 to 1.39)
+    tor = oracles.without_lattice(torus2(2.0))
     dc = degree_continuation(tor, 0)
     for arr in (dc.q_stream.mults, dc.q_stream.values,
                 dc.nu_stream.values, dc.nu_stream.mults):
@@ -214,7 +214,23 @@ def test_degree_continuation_is_read_only():
             arr[:] *= 2.0
     with pytest.raises(AttributeError, match="MellinZeta is read-only"):
         engine._zs = engine._zs * 2.0
-    assert log_torsion(tor).error_estimate == log_torsion(torus2(2.0)).error_estimate
+    assert (log_torsion(tor).error_estimate
+            == log_torsion(oracles.without_lattice(torus2(2.0))).error_estimate)
+
+    # the lattice route's record: its data, its frequency listing, and the
+    # lattice descriptor the route reads
+    tor = torus2(2.0)
+    dc = degree_continuation(tor, 0)
+    bound = log_torsion(tor)
+    basis = tor.coclosed_spectrum(0).lattice[1]
+    for attempt in (lambda: dc.data.pp_errors.__setitem__(16, 0.0),
+                    lambda: setattr(tor.coclosed_spectrum(0), "lattice", None)):
+        with pytest.raises((AttributeError, TypeError)):
+            attempt()
+    for arr in (dc.nu_stream.values, dc.nu_stream.mults, basis):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] *= 2.0
+    assert log_torsion(tor) == bound == log_torsion(torus2(2.0))
 
 
 def test_exact_route_builds_no_stream(monkeypatch):
@@ -235,8 +251,18 @@ def test_exact_route_builds_no_stream(monkeypatch):
     assert dc.route == "exact" and dc.progression == (2.0, 2)
     assert dc.q_stream is None and dc.nu_stream is None
     dc = degree_continuation(tor, 0)
-    # the square-root lift is the record's nu_stream: the cross-check that
-    # solves it builds no stream of its own (it rebuilt the lift)
+    # the lattice route lists the frequencies once, for the relation path
+    assert built == ["sqrt(torus2(c=2, square):deg0,1+0.25)"]
+    assert dc.route == "exact" and dc.progression is None and dc.q_stream is None
+    built.clear()
+    log_torsion(tor)
+    assert built == []
+    # on the numeric route the square-root lift is the record's nu_stream:
+    # the cross-check that solves it builds no stream of its own (it
+    # rebuilt the lift)
+    tor = oracles.without_lattice(tor)
+    built.clear()
+    dc = degree_continuation(tor, 0)
     assert built == ["torus2(c=2, square):deg0,1+0.25",
                      "sqrt(torus2(c=2, square):deg0,1+0.25)"]
     assert dc.route == "numeric" and dc.progression is None
@@ -246,9 +272,12 @@ def test_exact_route_builds_no_stream(monkeypatch):
 
 
 def test_the_lift_rides_on_nu_stream_where_its_model_holds():
+    # the lattice route lists the frequencies plainly: no lift to check
+    dc = degree_continuation(torus2(2.0), 0)
+    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
     # an exact trace with no t^(j/2) term for odd j: the lifted trace, and
     # the cross-check on it is bitwise the one on a lift built apart (1.9e-13)
-    dc = degree_continuation(torus2(2.0), 0)
+    dc = degree_continuation(oracles.without_lattice(torus2(2.0)), 0)
     assert dc.nu_stream.heat_fn is not None
     q_engine = zetacont.MellinZeta(dc.q_stream, s_max=0.5 * zetacont.RMAX)
     lift = zetacont.MellinZeta(zetacont.sqrt_stream(q_engine), s_max=1.0)
@@ -407,7 +436,7 @@ def test_continuation_records_die_with_their_base():
     # a global cache kept up to 64 solved bases alive; a live base still
     # gets its record back
     base = torus2(2.0)
-    log_torsion(base)                   # solves degree 0 and runs its lift
+    log_torsion(base)                   # solves degree 0
     record = degree_continuation(base, 0)
     assert degree_continuation(base, 0) is record
     alive = weakref.ref(base)
@@ -460,6 +489,12 @@ def _progression(progression):
     (lambda: zetacont.SpectrumStream([math.inf]), "values"),
     (lambda: zetacont.SpectrumStream([1.0, 2.0], [1.0]), "mults"),
     (lambda: zetacont.zeta_data_exact(1.0, 1, pole_range="2"), "pole_range"),
+    (lambda: zetacont.zeta_data_exact(1.0, 1, pole_range=10 ** 300),
+     r"^pole_range must be an integer in 0\.\.16, got 10{300}$"),
+    (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
+                                        pole_range=17), r"^pole_range must be an integer in 0\.\.16"),
+    (lambda: zetacont.zeta_data_lattice(torus2(2.0).coclosed_spectrum(0), 0.5,
+                                        pole_range=10 ** 300), r"^pole_range must be an integer in 0\.\.16"),
     (lambda: zetacont.zeta_data_numeric(zetacont.progression_stream(1.0, 1, 500),
                                         pole_range=True), "pole_range"),
     (lambda: zetacont.SpectrumStream(["1.5", "2"]), "values"),
@@ -547,7 +582,8 @@ def _progression(progression):
         "det-count-bool", "progression-stream-str", "progression-stream-mult",
         "progression-stream-nan", "lattice-str", "frequency-str",
         "allow-boundary-str", "stream-nan", "stream-inf", "stream-mults-shape",
-        "pole-range-str", "numeric-pole-range-bool", "stream-str", "stream-bool",
+        "pole-range-str", "exact-pole-range-huge", "numeric-pole-range-above",
+        "lattice-pole-range-huge", "numeric-pole-range-bool", "stream-str", "stream-bool",
         "stream-mult-negative", "stream-mult-zero", "stream-mult-nan", "stream-mult-str",
         "exact-shift-str", "numeric-shift-str", "stream-bool-mixed",
         "stream-mult-bool-mixed", "stream-bool-0d-mixed", "direct-shift-str", "direct-shift-bool",
