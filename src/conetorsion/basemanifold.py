@@ -184,20 +184,31 @@ def _flat_torus_trace(c: float, basis: np.ndarray, dual: np.ndarray, q1: float,
     them; the stream sums its own listing above the switch.
 
     small(t) is the Poisson dual A t^(-n/2) (1 + sum_v e^(-|v|^2/(4 c^2 t))) - 1
-    over the nonzero v in L, equal norms merged and frozen.  The switch
-    t = l1/(4 pi c^2 q1), for the shortest vectors l1 of L and q1 (given) of
-    L*, lets both sums decay alike: the norms reach 17.5 l1, and the listing
-    must reach 17.5 q1 in L*, for every dropped term to underflow.
+    over the nonzero v in L, equal norms merged and frozen.  The norms are
+    built by the first call with a point below the switch: a solve that
+    never traces there (the lattice route, the progression) never builds
+    them.  The switch t = l1/(4 pi c^2 q1), for the shortest vectors l1 of
+    L and q1 (given) of L*, lets both sums decay alike: the norms reach
+    17.5 l1, and the listing must reach 17.5 q1 in L*, for every dropped
+    term to underflow.
     """
     dim = basis.shape[0]
     ell1 = _shortest(basis, dual)
-    vsq_all = _lattice_points(basis, 17.5 * ell1, dual)
-    vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
-    vsq.flags.writeable = vsq_mult.flags.writeable = False
     lead = covol / (4.0 * math.pi * c * c) ** (0.5 * dim)
+    basis, dual = basis.copy(), dual.copy()     # kept for the norms, frozen
+    basis.flags.writeable = dual.flags.writeable = False
+    norms = None
 
     def small(t):
-        s = _exp_rowsum(4.0 * (c * c) * t, vsq, vsq_mult, divide=True)
+        nonlocal norms
+        if not t.size:
+            return t
+        if norms is None:
+            vsq_all = _lattice_points(basis, 17.5 * ell1, dual)
+            vsq, vsq_mult = merge_ties(vsq_all, np.ones_like(vsq_all))
+            vsq.flags.writeable = vsq_mult.flags.writeable = False
+            norms = vsq, vsq_mult
+        s = _exp_rowsum(4.0 * (c * c) * t, *norms, divide=True)
         return lead / t ** (0.5 * dim) * (1.0 + s) - 1.0
 
     return ell1 / (4.0 * math.pi * c * c * q1), small, lead
@@ -286,10 +297,15 @@ def _integer(value, field: str, where: str = "") -> int:
     raise ValidationError(f"{field} must be an integer, got {value!r}{where}")
 
 
-def _columns(k: int, entry: dict, need: str) -> list:
+def _need(k: int) -> str:
+    return f"degree {k}: eigenvalue entries need 'value' and 'mult'"
+
+
+def _columns(k: int, entry: dict) -> list:
     """The value and mult columns of one degree entry: its ``values`` and
     ``mults`` lists as they are, or the two fields of its ``eigenvalues``
     entries; a row entry without a field is refused, naming it."""
+    need = _need(k)
     keys = [key for key in ("values", "mults") if key in entry]
     if keys and "eigenvalues" in entry:
         raise ValidationError(f"degree {k} gives both 'eigenvalues' and "
@@ -326,8 +342,13 @@ def _float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _listing(k: int, entry: dict) -> tuple:
-    """Values and mults of one degree entry, in either form, validated.
+def _numbers_only(columns) -> bool:
+    """Whether every entry of the columns is a JSON number (int or float)."""
+    return set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS
+
+
+def _listing(k: int, columns: list) -> tuple:
+    """Values and mults of one degree entry's ``_columns``, validated.
 
     Entries that do not parse (a missing field, a value or mult that is not
     a number) are refused first.  Otherwise a refusal names the first
@@ -335,15 +356,14 @@ def _listing(k: int, entry: dict) -> tuple:
     values finite and strictly ascending, mults integers >= 1.  Both forms
     of the same data give the same refusal.
     """
-    need = f"degree {k}: eigenvalue entries need 'value' and 'mult'"
-    columns = _columns(k, entry, need)
+    need = _need(k)
     lengths = list(map(len, columns))
     n = min(lengths)
     if lengths[0] != lengths[1]:    # the shorter column ends at entry n
         key = "value" if lengths[0] == n else "mult"
         raise ValidationError(f"{need}; entry {n} has no {key!r}")
     # one whole-column type test; the entry loop only names a refusal
-    if not set(map(type, columns[0])).union(map(type, columns[1])) <= _JSON_NUMBERS:
+    if not _numbers_only(columns):
         for i, pair in enumerate(zip(*columns)):
             for key, v in zip(("value", "mult"), pair):
                 try:
@@ -414,6 +434,7 @@ def custom(source) -> BaseManifold:
     if not orientable:
         raise ValidationError("cross-section must be orientable")
     degrees: dict[int, SpectrumStream] = {}
+    loaded: dict[int, tuple] = {}           # k: (columns, heat_coeffs) of each degree built
     entries = data["degrees"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError("'degrees' must be a nonempty list")
@@ -423,13 +444,24 @@ def custom(source) -> BaseManifold:
         k = _integer(entry["k"], "degree entry 'k'", f" (entry {j})")
         if k in degrees:
             raise ValidationError(f"degree {k} listed twice")
-        values, mults = _listing(k, entry)
+        columns = _columns(k, entry)
+        # the Hodge-dual degree's columns, equal entry for entry in JSON numbers
+        # (a bool equals 1 but is refused), load alike: its list is not parsed again
+        dual = loaded.get(dim - 1 - k)
+        twin = dual is not None and columns == dual[0] and _numbers_only(columns)
+        listing = None if twin else _listing(k, columns)
         coeffs = _heat_coeffs(k, entry.get("heat_coeffs", []))
         if not coeffs or coeffs[0] <= 0.0:
             raise ValidationError(
                 f"degree {k}: heat_coeffs must start with a positive leading term")
-        powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
-        degrees[k] = SpectrumStream(values, mults, name=f"custom:deg{k}", heat_powers=powers)
+        loaded[k] = columns, tuple(map(float.hex, coeffs))     # bitwise: -0.0 is not 0.0
+        if twin and loaded[k][1] == dual[1]:
+            degrees[k] = degrees[dim - 1 - k]
+        else:
+            values, mults = listing or _listing(k, columns)
+            powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
+            degrees[k] = SpectrumStream(values, mults, name=f"custom:deg{k}",
+                                        heat_powers=powers)
     return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
                         degrees=degrees, truncation_note=data.get("truncation_note", ""))
 

@@ -47,6 +47,8 @@ from .specfun import BESSEL_K_REL, EULER_GAMMA, bessel_k_ladder, digamma, ln_gam
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 _EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
+_NORMAL_EXP = 700.0         # e^-700 ~ 1e-304 is a normal binary64 number
+_SETTLED = 60.0 * math.log(2.0)   # dropped trace terms stay below 2^-60 of the kept ones
 _TILE = 1 << 17             # trace-kernel block: 1 MiB of float64 terms
 _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
 _PROBE_BLOCK = 4            # t_min probes traced per call, largest t first
@@ -55,6 +57,8 @@ _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
 _LATTICE_BOX = 1 << 23      # index points _lattice_points may build (about 0.5 GB)
 _LATTICE_REACH = 60.0       # the Bessel-K lattice sum keeps x = a|v|/c <= 60
 _LATTICE_POINTS = 40_000    # past this many points the numeric route is the cheaper one
+_SETTLE_EVERY = 8           # log-series terms between tests for settled entries
+_SETTLE_MIN = 256           # shorter runs are not tested: numpy's call overhead dominates
 _ULP = 2.0 ** -53           # unit roundoff of binary64
 #: depth of the shift relation / residue ladder used on the numeric path
 RMAX = 16
@@ -64,18 +68,81 @@ def _fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
+@lru_cache(maxsize=256)
+def _sum_cuts(width: int) -> np.ndarray:
+    """The prefix lengths p >= 8 at which a pairwise row sum of ``width``
+    terms may stop, ascending and ending at ``width``: the left spine of
+    numpy's summation tree (above 128 terms it splits at floor(n/2) rounded
+    down to a multiple of 8) and the multiples of 8 of its leftmost leaf,
+    whose eight running sums start from the row's first eight terms.  The
+    sum of a prefix p is then a node of the whole row's tree, and every
+    later term joins a partial sum holding one of those first eight."""
+    spine = [width]
+    while spine[-1] > 128:
+        half = spine[-1] // 2
+        spine.append(half - half % 8)
+    cuts = np.array(sorted(set(range(8, spine[-1] + 1, 8)).union(spine)))
+    cuts.flags.writeable = False
+    return cuts
+
+
+def _row_widths(rows, cols, weights=None, divide=False) -> np.ndarray:
+    """The number of leading columns ``_exp_rowsum`` builds for each row: its
+    exact-zero width, then cut to the shortest prefix ``_sum_cuts`` allows
+    past which no term can change the row's float sum."""
+    reach = _EXP_ZERO * rows if divide else _EXP_ZERO / rows
+    counts = np.searchsorted(cols, reach)
+    # the power of two 2^e with count - 1 < 2^e, i.e. frexp's exponent
+    widths = np.where(counts > 0, np.minimum(
+        np.left_shift(1, np.frexp(counts - 1)[1]), cols.size), 0)
+    wide = np.nonzero(widths > 8)[0]        # their first nine columns are in reach
+    if not wide.size:
+        return widths
+    m_lo, m_hi = (1.0, 1.0) if weights is None else (float(np.min(weights[:8])),
+                                                     float(np.max(weights)))
+    # -e_7 at the eighth column: the row's first eight terms stay normal numbers
+    lead = cols[7] / rows[wide] if divide else cols[7] * rows[wide]
+    wide = wide[lead - math.log(m_lo) <= _NORMAL_EXP]
+    for width in np.unique(widths[wide]).tolist():
+        group = wide[widths[wide] == width]
+        # the first column j with -e_j > -e_7 + log(width m_hi / m_lo) + 60 log 2
+        gap = math.log(width * m_hi / m_lo) + _SETTLED
+        first = np.searchsorted(cols, cols[7] + (
+            gap * rows[group] if divide else gap / rows[group]), side="right")
+        cuts = _sum_cuts(width)
+        widths[group] = cuts[np.searchsorted(cuts, np.minimum(first, width))]
+    return widths
+
+
 def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
     """Row sums of weights * exp(e) over the exponents e = rows_i * (-cols_j),
     or e = (-cols_j) / rows_i with ``divide`` (a Poisson-dual branch).
 
-    The shared kernel of every trace evaluator.  ``cols`` ascend and
-    ``rows`` are positive, so along a row the exponents descend: a row
-    builds only its leading columns with e > -_EXP_ZERO, padded to the next
-    power of two (few distinct widths, few array passes).  Every column
-    skipped has exp(e) == 0.0 exactly, and a row's width depends on that
-    row alone, so its value never depends on the other rows of the call.
-    Terms match a per-point loop over the same exponents; only the order
-    of summation differs (numpy pairwise row sums).
+    The shared kernel of every trace evaluator.  ``cols`` ascend, ``rows``
+    and ``weights`` are positive, so along a row the exponents descend: a
+    row builds only its leading columns with e > -_EXP_ZERO, padded to the
+    next power of two W (few distinct widths, few array passes).  Every
+    column skipped has exp(e) == 0.0 exactly.  Terms match a per-point loop
+    over the same exponents; only the order of summation differs (numpy
+    pairwise row sums).
+
+    A row is then cut to the shortest prefix p past which no term can
+    change its float sum, so its value stays bitwise that of all W
+    columns.  numpy sums each contiguous row of a block as one pairwise
+    tree over its W terms, and p is a point where that tree splits
+    (``_sum_cuts``): the prefix's sum is one of its nodes, and each dropped
+    term joins a partial sum that already holds one of the row's first
+    eight terms, the least of which is at least m_lo e^(e_7) (m_lo the
+    least of the first eight weights).  The dropped terms together are
+    below W m_hi e^(e_p) (m_hi the largest weight), and p is taken with
+    e_7 - e_p > log(W m_hi / m_lo) + 60 log 2.  So every float sum of
+    dropped terms stays below 2^-60 of each partial sum it joins: under
+    half an ulp, with 64 times to spare for the rounding of e and of exp,
+    and each such addition rounds back to the same value.  An ulp is
+    relative only for normal numbers, so a row is cut only while its first
+    eight terms are: -e_7 - log(m_lo) <= _NORMAL_EXP.  A row's width
+    depends on that row alone, so its value never depends on the other
+    rows of the call.
 
     Rows of one width are evaluated in blocks of at most _TILE elements
     (a row wider than that takes a block of its own), all in one buffer
@@ -87,11 +154,7 @@ def _exp_rowsum(rows, cols, weights=None, *, divide=False) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
     op = np.divide if divide else np.multiply
-    reach = _EXP_ZERO * rows if divide else _EXP_ZERO / rows
-    counts = np.searchsorted(cols, reach)
-    # the power of two 2^e with count - 1 < 2^e, i.e. frexp's exponent
-    widths = np.where(counts > 0, np.minimum(
-        np.left_shift(1, np.frexp(counts - 1)[1]), cols.size), 0)
+    widths = _row_widths(rows, cols, weights, divide)
     neg = -cols
     out = np.zeros(rows.shape)
     sizes = np.unique(widths[widths > 0]).tolist()
@@ -521,7 +584,8 @@ def zeta_data_lattice(stream: SpectrumStream, a: float,
     # rounding of x_v: its coordinates carry 2u (|i||b_1| + |j||b_2|) <= 2u kappa |v|
     kappa = sum(math.hypot(*b) * math.hypot(*s) for b, s in zip(basis, dual))
     # numpy's pairwise row sum: 8 running sums of up to 16 terms per 128-term
-    # block and a binary tree above, in buffers of 8192 added in turn
+    # block and a binary tree above, over each whole row (the x.size / 8192
+    # term also covers a sum taken in buffers of 8192 added in turn)
     sum_depth = math.log2(max(x.size, 2)) + x.size / 8192.0 + 20.0
     reach = _LATTICE_REACH + np.arange(51.0)
     shells = math.pi * (c * (reach + 1.0) / a + sum(map(math.hypot, *basis.T))) ** 2 / (
@@ -834,6 +898,37 @@ def _power_fit(t: np.ndarray, y: np.ndarray, powers) -> tuple[np.ndarray, float]
     return coef, rms
 
 
+def _log_series_tail(w: np.ndarray) -> np.ndarray:
+    """sum_{r=R+1}^{R+60} (-1)^r w^r / r for each w of an array whose |w|
+    descend and stay below 1, built termwise in r order (R = RMAX).
+
+    Every _SETTLE_EVERY terms, while at least _SETTLE_MIN entries run, the
+    run shrinks to the prefix that ends at the last entry whose latest term
+    exceeds 2^-55 of its partial sum.  The later terms of an entry past it
+    are no larger (|w| < 1, and rounding is monotone), so they stay under
+    half the float spacing around that sum and adding them could not change
+    it: each entry keeps the value of the full 60-term run.
+    """
+    tail = np.zeros_like(w)
+    wr = w ** (RMAX + 1)
+    term = np.empty_like(w)
+    live = w.size
+    for lo in range(RMAX + 1, RMAX + 61, _SETTLE_EVERY):
+        wv, wrv, tv, sv = w[:live], wr[:live], term[:live], tail[:live]
+        for r in range(lo, min(lo + _SETTLE_EVERY, RMAX + 61)):
+            np.divide(wrv, float(r), out=tv)    # (-1)^r w^r / r, its sign applied below
+            if r % 2:
+                sv -= tv
+            else:
+                sv += tv
+            wrv *= wv
+        if live >= _SETTLE_MIN:
+            # 2^55 |term| is exact, so the test is exact for subnormal sums too
+            moving = np.flatnonzero(2.0 ** 55 * np.abs(tv) > np.abs(sv))
+            live = int(moving[-1]) + 1 if moving.size else 0
+    return tail
+
+
 def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
                       alpha: float) -> tuple[float, float]:
     """zeta'(0, alpha) through the subtracted-logarithm relation.
@@ -861,14 +956,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     w = a / stream.values
     if np.max(np.abs(w)) >= 0.75:
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
-    # tail of the log series, sum_{r=R+1}^{R+60} (-1)^r w^r / r, built termwise
-    tail = np.zeros_like(w)
-    wr = w ** (RMAX + 1)
-    for r in range(RMAX + 1, RMAX + 61):
-        sign = 1.0 if r % 2 == 0 else -1.0
-        tail += sign * wr / r
-        wr = wr * w
-    K = _fsum(stream.mults * tail)
+    K = _fsum(stream.mults * _log_series_tail(w))
 
     corr = []
     for i in range(1, RMAX + 1):

@@ -8,7 +8,8 @@ own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the exact round-sphere
 and RP^3 listings of ``round_sphere_mapping`` and ``rp3_mapping``, the
 alpha degree of an expansion polynomial, and the per-element loops ``merge_ties``,
-``custom_mapping``, ``columnar`` and ``log_panels`` and the all-probes ``t_min_probes``,
+``custom_mapping``, ``columnar`` and ``log_panels``, the all-probes ``t_min_probes``,
+the full 60-term ``log_series_tail`` and the summation-order model ``pairwise_sum``,
 bitwise references for the array passes of the package.  The Bessel-zero
 oracles are memoized: tests ask for the same (nu, k) pair many times.  The
 package under test never imports this module.
@@ -282,6 +283,47 @@ def t_min_probes(trace, powers):
     ok = np.nonzero(ratio <= 1e-13)[0]
     return float(probes[ok[0] if ok.size else int(np.argmin(ratio))]), ratio
 
+
+
+def log_series_tail(w):
+    """Reference tail sum_{r=R+1}^{R+60} (-1)^r w^r / r of the relation path
+    (R = RMAX = 16), every one of the 60 terms added to every entry."""
+    tail = np.zeros_like(w)
+    wr = w ** 17
+    for r in range(17, 77):
+        sign = 1.0 if r % 2 == 0 else -1.0
+        tail += sign * wr / r
+        wr = wr * w
+    return tail
+
+
+def pairwise_sum(row) -> float:
+    """numpy's float64 row sum, term by term in Python: below 8 terms a plain
+    left-to-right sum; up to 128, eight running sums over the terms i mod 8,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    terms past the last multiple of 8 added in turn; above 128, the sums of
+    the first n2 and the last n - n2 terms, n2 = floor(n/2) rounded down to a
+    multiple of 8."""
+    row = [float(x) for x in row]
+    n = len(row)
+    if n < 8:
+        res = 0.0
+        for x in row:
+            res += x
+        return res
+    if n <= 128:
+        r = row[:8]
+        body = n - n % 8
+        for i in range(8, body, 8):
+            for j in range(8):
+                r[j] += row[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in row[body:]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(row[:n2]) + pairwise_sum(row[n2:])
 
 # ---------------------------------------------------------------------------
 # round spheres: coexact spectra and exact continuation data

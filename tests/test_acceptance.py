@@ -13,7 +13,8 @@ its wall-clock budget.  Criteria covered, in order:
  6.  expansion-polynomials         exact polynomials + cross-identities r<=10
  7.  zero-shift-identity           J_nu zeros == shifted-boundary zeros, 1e-10
  8.  remainder-collapse-asymptote  collapse at 0- and deep-lambda (a, b) fits
- 9.  three-dim-dual-path           torus cone assembly == 3d closed form, 1e-8
+ 9.  three-dim-dual-path           torus cone lattice route == numeric route within
+                                   their estimates; assembly == 3d closed form, 1e-8
  10. harmonic-sector               bitwise harmonic values for both bases
  11. mutation-sensitivity          the identity checks can actually fail
 """

@@ -827,6 +827,49 @@ def test_row_and_columnar_forms_load_bitwise_alike(forms):
         b.log_torsion, b.error_estimate, b.harmonic_term)
 
 
+
+def _dual_pair_blob():
+    """_CUSTOM_BLOB's degree 0 listed again, unchanged, as degree 1."""
+    blob = copy.deepcopy(_CUSTOM_BLOB)
+    blob["degrees"][1] = {**copy.deepcopy(blob["degrees"][0]), "k": 1}
+    return blob
+
+
+def test_custom_loads_a_dual_pair_as_one_stream():
+    # a torus2 export lists its one spectrum under degrees 0 and 1; the second
+    # is the first's stream, in either form and through text
+    export = bm.torus2(2.0, nu_max=256.0).as_custom_mapping()
+    for source in (export, json.dumps(export), oracles.custom_mapping(bm.torus2(2.0)),
+                   _dual_pair_blob(), oracles.columnar(_dual_pair_blob())):
+        base = bm.custom(source)
+        assert base.coclosed_spectrum(1) is base.coclosed_spectrum(0)
+        assert base.coclosed_spectrum(1).name == "custom:deg0"
+    # JSON floats equal to the ints of the dual's list load alike
+    blob = _dual_pair_blob()
+    for item in blob["degrees"][1]["eigenvalues"]:
+        item["mult"] = float(item["mult"])
+    base = bm.custom(blob)
+    assert base.coclosed_spectrum(1) is base.coclosed_spectrum(0)
+
+
+def test_custom_dual_pair_differing_bitwise_is_loaded_apart():
+    # heat coefficients equal as numbers but not bitwise: a stream of its own
+    blob = _dual_pair_blob()
+    blob["degrees"][1]["heat_coeffs"][1] = -0.0
+    base = bm.custom(blob)
+    low, high = base.coclosed_spectrum(0), base.coclosed_spectrum(1)
+    assert high is not low and high.name == "custom:deg1"
+    assert np.array_equal(high.values, low.values) and np.array_equal(high.mults, low.mults)
+    assert high.heat_powers[1] == (-0.5, -0.0) and math.copysign(1.0, high.heat_powers[1][1]) < 0
+    # a bool equals 1 but is still refused, in the words of a list of its own
+    blob = _dual_pair_blob()
+    blob["degrees"][1]["eigenvalues"][0]["mult"] = True
+    assert blob["degrees"][1] == {**blob["degrees"][0], "k": 1}
+    for source in (blob, oracles.columnar(blob)):
+        with pytest.raises(ValidationError, match="^degree 1: eigenvalue entries need 'value' "
+                           "and 'mult' as numbers; entry 0 has mult True$"):
+            bm.custom(source)
+
 def test_scaling_error_names_the_hypothesis():
     with pytest.raises(ValidationError, match="scaling assumption"):
         bm.circle(0.5)

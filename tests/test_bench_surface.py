@@ -112,22 +112,28 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 
 # the spans, by name, and counters of a cold traced `selftest` at 1e-8, as
 # recorded when the battery still lived in cli.py, re-recorded when torus2
-# moved to its lattice route: three-dim-dual-path builds no engine, lift or
-# exact-trace call any more (2 engines, 25 engine evaluations, 8 exact and
-# 3 lift trace calls fewer)
+# moved to its lattice route (three-dim-dual-path built no engine, lift or
+# exact-trace call any more) and again when that check gained its numeric-
+# route solve of the same torus: one more log_torsion with its continuation,
+# 2 engines, 25 engine evaluations, 8 exact and 3 lift trace calls, and 2
+# relation-path and exactpoly calls; the eigenvalue-sum traces are unchanged
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
-    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1099,
+    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1101,
     "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
-    "torsion.log_torsion_s": 4, "torsion.spectral_bracket_s": 4,
-    "zetacont.mellin_build_s": 14, "zetacont.mellin_eval_s": 28,
-    "zetacont.shifted_from_base_s": 2, "zetacont.trace_s.eigsum": 98,
+    "torsion.log_torsion_s": 5, "torsion.nu_continuation_s": 1,
+    "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 16,
+    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 4,
+    "zetacont.sqrt_stream_s": 1, "zetacont.trace_s.eigsum": 98,
+    "zetacont.trace_s.exact": 8, "zetacont.trace_s.lift": 3,
     "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,
 }
 BATTERY_COUNTS = {
-    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 14,
+    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 16,
     "zetacont.trace_calls.eigsum": 98, "zetacont.trace_points.eigsum": 8750,
+    "zetacont.trace_calls.exact": 8, "zetacont.trace_points.exact": 5849,
+    "zetacont.trace_calls.lift": 3, "zetacont.trace_points.lift": 172,
 }
 _TRACED_SELFTEST = r"""
 import json, re, sys

@@ -2,10 +2,13 @@
 mpmath oracle of the generalized Chowla-Selberg formula, its a -> 0 limit
 against Kronecker's first limit formula, and the numeric route (the Mellin
 engine on the same stream without its lattice, and exported listings)
-within its own estimate of it.  The lattices are the benchmark's
+within its own estimate of it.  A solve on the route builds neither an
+engine nor the theta trace's Poisson norms, and the ``three-dim-dual-path``
+selftest check fails on a wrong lattice route.  The lattices are the benchmark's
 catalogue (``perfbench/reference.json``): its ten cone_exact tori and the
 sources of its eight cone_listing exports."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conetorsion import basemanifold as bm, torsion, zetacont
+from conetorsion import basemanifold as bm, selftest, torsion, zetacont
 from conetorsion.errors import ValidationError
 from conetorsion.torsion import degree_continuation, log_torsion
 
@@ -100,6 +103,47 @@ def test_cold_torus_solve_builds_no_engine(monkeypatch):
     assert built == []
     log_torsion(oracles.without_lattice(bm.torus2(2.0)))
     assert built == ["torus2(c=2, square):deg0,1+0.25", "sqrt(torus2(c=2, square):deg0,1+0.25)"]
+
+
+def _poisson_norms(stream):
+    """The (norms, mults) the stream's theta trace sums below its switch, or
+    None while no call has built them."""
+    small = inspect.getclosurevars(stream.heat_fn).nonlocals["small"]
+    return inspect.getclosurevars(small).nonlocals["norms"]
+
+
+def test_cold_torus_solve_builds_no_poisson_norms():
+    for entry in TORI:
+        base = bm.torus2(entry["c"], entry["lattice"])
+        log_torsion(base)
+        assert _poisson_norms(base.coclosed_spectrum(0)) is None
+    # the first trace call below the switch builds them, frozen, once
+    stream = bm.torus2(2.0).coclosed_spectrum(0)
+    stream.trace(np.array([1.0, 2.0]))          # the switch is pi/4
+    assert _poisson_norms(stream) is None
+    stream.trace(np.array([1e-3, 2.0]))
+    norms = _poisson_norms(stream)
+    assert all(not arr.flags.writeable for arr in norms)
+    stream.trace(np.array([1e-4]))
+    assert _poisson_norms(stream) is norms
+
+
+def test_dual_path_check_fails_on_a_wrong_lattice_route(monkeypatch):
+    check = dict((name, fn) for name, _, fn in selftest.ACCEPTANCE_CHECKS)["three-dim-dual-path"]
+    assert check(1e-8)[0]
+    lattice = torsion.zeta_data_lattice
+
+    def doubled(stream, a, *args):
+        data = lattice(stream, a, *args)
+        return zetacont.ZetaFunctionData(
+            deriv0=data.deriv0, residues=data.residues, pp={**data.pp, 3: 2.0 * data.pp[3]},
+            error_estimate=data.error_estimate, zeta0=data.zeta0, pp_errors=data.pp_errors)
+
+    monkeypatch.setattr(torsion, "zeta_data_lattice", doubled)
+    for tol in (1e-8, 1e-4):
+        ok, detail = check(tol)
+        assert not ok, detail
+        assert "|lattice - numeric route|=4.4" in detail, detail
 
 
 def test_lattice_record_relation_path_and_shifts():

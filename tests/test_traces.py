@@ -13,7 +13,10 @@ The shared kernel builds only the terms binary64 exp does not flush to
 zero; two more tests hold it to a full-row math.fsum and hold every
 evaluator to the same value for a point whatever batch it comes in.  It
 works in row tiles: two more hold it bitwise to the one-pass form and its
-working set to a small multiple of the tile.  The quadrature panels and
+working set to a small multiple of the tile.  It stops each row where its
+float sum stops moving, on numpy's summation tree (``oracles.pairwise_sum``
+models it): seeded random calls hold it bitwise to the one-pass form over
+the full widths, and one more bounds the terms it builds.  The quadrature panels and
 the t_min probes of the Mellin engine are held bitwise to the per-panel
 loop and the all-probes call they replaced (``oracles``).
 """
@@ -28,9 +31,9 @@ import pytest
 import oracles
 from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
 from conetorsion.torsion import degree_continuation
-from conetorsion.zetacont import (_EXP_ZERO, _PROBE_BLOCK, _TILE, RMAX, MellinZeta,
-                                  SpectrumStream, _exp_rowsum, _gauss_legendre,
-                                  _log_panels, progression_stream, sqrt_stream)
+from conetorsion.zetacont import (_EXP_ZERO, _NORMAL_EXP, _PROBE_BLOCK, _TILE, RMAX,
+                                  MellinZeta, SpectrumStream, _exp_rowsum, _gauss_legendre,
+                                  _log_panels, _row_widths, progression_stream, sqrt_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
@@ -283,6 +286,80 @@ def test_tiled_kernel_keeps_its_working_set_to_the_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * _TILE * 8, f"kernel peaked at {peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", [9, 128, 129, 257, 7262, 8193, 21515])
+def test_row_sum_order_is_the_pairwise_model(n):
+    # the stop rule of the kernel rests on this order; rows of one tile
+    # block, as the kernel lays them out, summed with sum(axis=1)
+    rng = np.random.default_rng(n)
+    block = np.empty(3 * n + 7)[:3 * n].reshape(3, n)
+    block[:] = rng.standard_normal((3, n)) * np.exp(rng.uniform(-40.0, 40.0, (3, n)))
+    want = [oracles.pairwise_sum(row) for row in block]
+    assert np.array_equal(block.sum(axis=1), want)
+
+
+def _random_kernel_call(rng):
+    """Ascending columns, positive rows and (mostly) weights up to a 1000
+    ratio; rows include ones whose first eight terms are subnormal.  Half
+    the calls space their columns by heavy-tailed gaps: clusters of terms of
+    one size then a drop, so a row's sum settles at any prefix length."""
+    n = int(rng.integers(1, 3000))
+    if rng.integers(2):
+        cols = np.sort(rng.uniform(0.1, rng.uniform(1.0, 1e5), n))
+    else:
+        cols = 0.1 + np.cumsum(np.exp(rng.normal(0.0, 3.0, n))) * rng.uniform(1e-3, 1.0)
+    divide = bool(rng.integers(2))
+    weights = None
+    if rng.integers(4):
+        weights = rng.uniform(1.0, np.exp(rng.uniform(0.0, math.log(1000.0))), n)
+        if rng.integers(2):
+            weights = np.rint(weights)
+    t = np.exp(rng.uniform(-12.0, 6.0, int(rng.integers(1, 40))))
+    x7 = cols[min(7, n - 1)]
+    t = np.append(t, [rng.uniform(705.0, 745.0) / x7, 740.0 / cols[0]])
+    return (1.0 / t if divide else t), cols, weights, divide
+
+
+def test_kernel_stops_rows_without_changing_a_bit():
+    rng = np.random.default_rng(28)
+    guarded = 0
+    for _ in range(400):
+        rows, cols, weights, divide = _random_kernel_call(rng)
+        got = _exp_rowsum(rows, cols, weights, divide=divide)
+        assert np.array_equal(got, _one_pass(rows, cols, weights, divide))
+        if cols.size > 8:
+            # rows that keep nine columns but whose eighth term is subnormal
+            m_lo = 1.0 if weights is None else weights[:8].min()
+            lead = cols[7] / rows if divide else cols[7] * rows
+            counts = np.searchsorted(cols, _EXP_ZERO * rows if divide else _EXP_ZERO / rows)
+            guarded += np.count_nonzero((counts > 8) & (lead - math.log(m_lo) > _NORMAL_EXP))
+    assert guarded >= 50
+
+
+def _exp_terms(monkeypatch, call) -> int:
+    """The number of terms ``call`` hands to numpy's exp."""
+    seen = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", counted)
+        call()
+    return sum(seen)
+
+
+@pytest.mark.parametrize("divide", [False, True], ids=["product", "quotient"])
+def test_kernel_builds_under_half_the_full_width_terms(monkeypatch, divide):
+    t, cols, weights = _listing_call()
+    rows = 1.0 / t if divide else t
+    full = _exp_terms(monkeypatch, lambda: _one_pass(rows, cols, weights, divide))
+    kept = _exp_terms(monkeypatch, lambda: _exp_rowsum(rows, cols, weights, divide=divide))
+    assert kept == _row_widths(rows, cols, weights, divide).sum()
+    assert kept <= 0.45 * full, (kept, full)
 
 
 def test_trace_keeps_shape_of_t():

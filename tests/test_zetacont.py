@@ -13,6 +13,7 @@ from conetorsion import basemanifold as bm
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
+    _log_series_tail,
     MellinZeta,
     SpectrumStream,
     merge_ties,
@@ -284,6 +285,20 @@ def test_shifted_from_base_guards():
     with pytest.raises(ValidationError, match="relation path needs"):
         shifted_from_base(st, sparse, 0.5)
 
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.sqrt(np.linspace(1.3, 64.0 ** 2, 126)), id="short-126"),
+    pytest.param(np.sqrt(np.linspace(1.3, 256.0 ** 2, 8000)), id="listing-8000"),
+    pytest.param(np.sort(np.exp(np.random.default_rng(4).uniform(0.0, 12.0, 3000))),
+                 id="random-3000"),
+    pytest.param(np.geomspace(1.5, 1e300, 2000), id="underflowing"),
+])
+@pytest.mark.parametrize("ratio", [0.7499, 0.5, 0.05, -0.05, -0.5, -0.7499])
+def test_log_series_tail_is_bitwise_the_full_run(values, ratio):
+    # the early stop drops entries only once later terms cannot move them
+    w = ratio * values[0] / values
+    assert np.array_equal(_log_series_tail(w), oracles.log_series_tail(w))
 
 # ---------------------------------------------------------------------------
 # Square-root lift: {k^2} -> {k}.
