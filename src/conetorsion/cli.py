@@ -18,6 +18,13 @@ is deterministic: keys sorted, floats printed with 17 significant digits, so
 identical invocations produce byte-identical bytes.  Exit codes: 0 success,
 2 validation error (violated hypothesis, bad flags, schema), 3 numeric
 non-convergence (an error estimate above the requested tolerance).
+
+Start-up cost is part of every invocation, so this module imports at load
+time only what parsing and rendering need, plus the numpy-free closed forms
+(``modelops``, ``exactpoly``): ``torsion disc``, ``olver`` and ``modeldet``
+without ``--numeric`` never load numpy.  Every other handler imports its
+layer when it runs, and the acceptance battery (``ACCEPTANCE_CHECKS``) loads
+on first access.
 """
 
 from __future__ import annotations
@@ -26,23 +33,26 @@ import argparse
 import dataclasses
 import json as _json
 import math
+import numbers
 import sys
 import time
 
-import numpy as np
-
-from .basemanifold import BaseManifold, circle, custom, torus2
-from .besselzero import ZeroRequest, zeros
 from .errors import ConvergenceError, ValidationError
 from .exactpoly import MAX_ORDER, gen_D, gen_M
-from .modelops import ModelOperator, det_closed, det_numeric
-from .selftest import ACCEPTANCE_CHECKS
-from .torsion import (ConeOverS1Config, degree_continuation, log_torsion,
-                      theorem_main)
+from .modelops import ConeOverS1Config, ModelOperator, det_closed, theorem_main
 
 __all__ = ["main", "run", "run_selftest"]
 
 TOL_MIN, TOL_MAX, TOL_DEFAULT = 1e-12, 1e-4, 1e-8
+
+
+def __getattr__(name):
+    # ACCEPTANCE_CHECKS stays a module attribute, but the battery (numpy and
+    # every layer) loads only when something reads it
+    if name == "ACCEPTANCE_CHECKS":
+        from .selftest import ACCEPTANCE_CHECKS
+        return ACCEPTANCE_CHECKS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +81,7 @@ def _emit_json(obj, indent: int, out: list) -> None:
             _emit_json(item, indent + 1, out)
             out.append(",\n" if pos < len(obj) - 1 else "\n")
         out.append(pad + "]")
-    elif (isinstance(obj, (bool, int, np.integer))
+    elif (isinstance(obj, numbers.Integral)     # bool, int, numpy integers
           or isinstance(obj, float) and math.isfinite(obj)):
         out.append(_scalar_str(obj))
     elif obj is None:
@@ -138,7 +148,8 @@ def _parse_lattice(text: str) -> list:
     return [[a1x, a1y], [a2x, a2y]]
 
 
-def _build_base(args: argparse.Namespace) -> BaseManifold:
+def _build_base(args: argparse.Namespace):
+    from .basemanifold import circle, custom, torus2
     spec, scale, lattice = args.base, args.scale, args.lattice
     if lattice is not None and spec != "torus2":
         raise ValidationError("--lattice applies only to --base torus2")
@@ -182,12 +193,16 @@ def _cmd_torsion_disc(args: argparse.Namespace) -> dict:
 
 
 def _cmd_torsion_cone(args: argparse.Namespace) -> dict:
+    from .torsion import log_torsion
     breakdown = log_torsion(_build_base(args))
     _check_tolerance(breakdown.error_estimate, args.tolerance)
     return dataclasses.asdict(breakdown)
 
 
 def _cmd_zeros(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .besselzero import ZeroRequest, zeros
     kind_map = {"j": "dirichlet", "jprime": "neumann", "mixed": "mixed"}
     kind = kind_map[args.kind]
     request = ZeroRequest(nu=args.nu, kind=kind, count=args.count, alpha=args.alpha)
@@ -204,8 +219,8 @@ def _cmd_zeros(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _zeta_payload(base: BaseManifold, k: int, shift: float | None,
-                  tolerance: float) -> dict:
+def _zeta_payload(base, k: int, shift: float | None, tolerance: float) -> dict:
+    from .torsion import degree_continuation
     dc = degree_continuation(base, k)
     data = dc.data
     n = base.dim
@@ -265,6 +280,7 @@ def _cmd_modeldet(args: argparse.Namespace) -> dict:
         "source": closed.source,
     }
     if args.numeric:
+        from .modelops import det_numeric
         numeric = det_numeric(op, tol=max(args.tolerance, 1e-8))
         payload["log_det_numeric"] = numeric.log_det
         payload["error_estimate"] = numeric.error_estimate
@@ -285,7 +301,8 @@ def run_selftest(tol: float = TOL_DEFAULT):
     """
     results = []
     all_passed = True
-    for name, budget, fn in ACCEPTANCE_CHECKS:
+    # read through the module: a caller may replace the attribute
+    for name, budget, fn in sys.modules[__name__].ACCEPTANCE_CHECKS:
         started = time.perf_counter()
         try:
             ok, detail = fn(tol)

@@ -14,8 +14,6 @@ import math
 import numbers
 import sys
 
-import numpy as np
-
 
 class ValidationError(ValueError):
     """Input rejected: a stated hypothesis or parameter constraint fails."""
@@ -62,8 +60,11 @@ def integer(value, field: str, lo=0, hi=math.inf, rule: str = "", error=Validati
 
 
 def flag(value, field: str) -> bool:
-    """``value`` as a bool: a bool or numpy bool, nothing that merely converts."""
-    if isinstance(value, (bool, np.bool_)):
+    """``value`` as a bool: a bool or numpy bool, nothing that merely converts.
+    numpy's bool type is read from ``sys.modules``: no numpy bool exists
+    before numpy loads, and this module must not load it."""
+    numpy = sys.modules.get("numpy")
+    if isinstance(value, bool) or numpy is not None and isinstance(value, numpy.bool_):
         return bool(value)
     raise ValidationError(f"{field} must be a bool, got {value!r}")
 

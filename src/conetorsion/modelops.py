@@ -27,17 +27,53 @@ determinant is exp(-zeta'(0)); this module provides the closed form
 (the log(alpha + nu) term dropped in the Dirichlet case), an independent
 numeric route through the generic spectral-zeta continuation over the
 computed Bessel zeros, and the closed-form half-integer family values
-that enter the harmonic sector of the torsion.
+that enter the harmonic sector of the torsion.  The closed form for cones
+over circles (``theorem_main``, re-exported by ``torsion``) lives here too.
+
+Everything but the numeric route is scalar arithmetic: this module imports
+without numpy, and ``det_numeric`` loads the Bessel-zero solver and the
+zeta continuation (and with them numpy) when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import SingularModelError, ValidationError, integer, number
+from .errors import SingularModelError, ValidationError, integer, number, positive
 from .specfun import LOG_2, LOG_2PI, ln_gamma
-from .zetacont import SpectrumStream, zeta_data_numeric
+
+
+@dataclass(frozen=True)
+class ConeOverS1Config:
+    """Cone over a circle: length (flat-disc radius) and angle parameter.
+
+    ``nu_angle`` is the secant of the opening half-angle; nu_angle = 1 is the
+    flat disc, larger values are sharper cones.
+    """
+
+    radius: float = 1.0
+    nu_angle: float = 1.0
+
+    def __post_init__(self):
+        r = positive(self.radius, "cone length")
+        # theorem_main takes log(pi R^2): the area must be a normal float
+        if not sys.float_info.min <= math.pi * r * r < math.inf:
+            raise ValidationError(
+                f"cone length {self.radius!r} puts the disc area pi R^2 outside "
+                f"the normal floating-point range")
+        nu = number(self.nu_angle, "nu_angle", "a finite number >= 1 (the secant of a real "
+                    "opening angle)", lambda x: 1.0 <= x < math.inf)
+        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "nu_angle", nu)
+
+
+def theorem_main(cfg: ConeOverS1Config) -> float:
+    """Closed form for the cone over a circle:
+    log T(M) = [-log(pi R^2) + log nu - 1/nu] / 2."""
+    radius, nu = cfg.radius, cfg.nu_angle
+    return 0.5 * (-math.log(math.pi * radius * radius) + math.log(nu) - 1.0 / nu)
 
 
 @dataclass(frozen=True)
@@ -94,7 +130,8 @@ def spectrum(op: ModelOperator, count: int):
 
     Eigenvalues of L_nu(alpha) are the squared entries
     (``.eigenvalues()``).  The solver loads on first use: ``torsion``
-    imports this module for ``harmonic_contribution`` alone.
+    imports this module for ``harmonic_contribution`` alone, and the CLI
+    for the closed forms.
     """
     from .besselzero import ZeroRequest, zeros
     if op.dirichlet:
@@ -122,6 +159,7 @@ def det_numeric(op: ModelOperator, tol: float = 1e-7,
     ``count`` squared roots; raises ConvergenceError when the internal
     error estimate exceeds ``tol``.  Supported down to tol = 1e-8.
     """
+    from .zetacont import SpectrumStream, zeta_data_numeric
     tol = number(tol, "tolerance", "a number in [1e-8, 1e-2]", lambda x: 1e-8 <= x <= 1e-2)
     zl = spectrum(op, integer(count, "count", 100))
     # leading small-t heat power of sum exp(-z_k^2 t): zeros spaced ~pi

@@ -5,7 +5,9 @@ algorithms (S. L. Moshier; the psi rational on [1, 2] is J. Maddock's, from
 Boost).  These are the algorithms scipy.special.gammaln and psi run on
 x > 0, and the ports return the same bits.  So the closed forms, the model
 determinants and the exact zeta route run without scipy.special, which
-this module never loads.  Riemann/Hurwitz zeta values and s-derivatives
+this module never loads.  They are pure Python, as are the constants: numpy
+loads at the first array call (the Euler-Maclaurin sums, Bessel K), so the
+closed forms import without it.  Riemann/Hurwitz zeta values and s-derivatives
 are implemented here: scipy offers no analytic continuation to Re(s) <= 1
 and no derivative in s, and both are needed for zeta-regularized determinants.
 
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -51,7 +51,6 @@ _K_ASYMPTOTIC = [[1.0, 1.0]]
 for _k in range(1, _K_TERMS):
     _K_ASYMPTOTIC.append([a * (4 * nu * nu - (2 * _k - 1) ** 2) / (8.0 * _k)
                           for a, nu in zip(_K_ASYMPTOTIC[-1], (0, 1))])
-_K_ASYMPTOTIC = np.array(_K_ASYMPTOTIC)[:, :, None]
 
 
 # Cephes lgam: Stirling correction A above 13, rational x B(x)/C(x) on [2, 3)
@@ -186,6 +185,7 @@ def _hurwitz_em(s: float, a: float) -> tuple[float, float]:
     * eps, so callers in that regime go through the functional equation
     instead (a = 1) or accept reduced accuracy (general a, unused here).
     """
+    import numpy as np
     if s < 0.0:
         # keep the cutoff small: intermediates scale like (N+a)^(1+|s|)
         nterms = max(2, int(math.ceil(14.0 + 1.2 * abs(s) - a)))
@@ -259,7 +259,7 @@ def hurwitz_zeta_sderiv(s: float, a: float) -> float:
     return _zeta_pair(s, a)[1]
 
 
-def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bessel_k01(x):
     """(K_0(x), K_1(x)) at every x > 0 of a 1-D array.
 
     Below _K_SWITCH: the trapezoid rule with step _K_STEP on
@@ -270,6 +270,7 @@ def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large-x series sqrt(pi/2x) e^(-x) sum_k a_k(nu) x^(-k), whose terms
     fall below 1e-17 relative by then.
     """
+    import numpy as np
     out = np.empty((2, x.size))
     low = x < _K_SWITCH
     if low.any():
@@ -283,14 +284,15 @@ def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if high.any():
         xh = x[high]
         inv = 1.0 / xh
-        series = np.repeat(_K_ASYMPTOTIC[-1], xh.size, axis=1)
-        for a in _K_ASYMPTOTIC[-2::-1]:
+        coef = np.array(_K_ASYMPTOTIC)[:, :, None]
+        series = np.repeat(coef[-1], xh.size, axis=1)
+        for a in coef[-2::-1]:
             series = series * inv + a
         out[:, high] = np.sqrt(0.5 * math.pi / xh) * np.exp(-xh) * series
     return out[0], out[1]
 
 
-def bessel_k_ladder(x, top: int, half: bool = False) -> np.ndarray:
+def bessel_k_ladder(x, top: int, half: bool = False):
     """Modified Bessel K_(j+h)(x) for j = 0..top (h = 1/2 when ``half``, else
     0) at every x > 0 of a 1-D array: row j holds order j + h.
 
@@ -300,6 +302,7 @@ def bessel_k_ladder(x, top: int, half: bool = False) -> np.ndarray:
     (``BESSEL_K_REL``) for x in [0.05, 200] and orders up to 15/2, checked
     against mpmath in the tests.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     out = np.empty((top + 1, x.size))
     if half:

@@ -29,17 +29,18 @@ the shifted eigenvalue stream eta + a_k^2 (exact heat trace carried along
 when available) and its ``sqrt_stream``.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
-closed form for cones over circles (``theorem_main``), and a regularized
-log-determinant over J_1 zeros (``lemma_first_summand``) give independent
-routes to the same invariant; tests drive them against each other.  The
-per-frequency integrand behind these closed forms, and the numeric route
-to ``lemma_first_summand`` over computed zeros, live in ``derivation``.
+closed form for cones over circles (``theorem_main``, re-exported with
+``ConeOverS1Config`` from ``modelops``, where the numpy-free closed forms
+live), and a regularized log-determinant over J_1 zeros
+(``lemma_first_summand``) give independent routes to the same invariant;
+tests drive them against each other.  The per-frequency integrand behind
+these closed forms, and the numeric route to ``lemma_first_summand`` over
+computed zeros, live in ``derivation``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -50,9 +51,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .basemanifold import BaseManifold
-from .errors import ValidationError, integer, number, positive
+from .errors import ValidationError, integer, positive
 from .exactpoly import parity_bracket
-from .modelops import harmonic_contribution
+from .modelops import ConeOverS1Config, harmonic_contribution, theorem_main
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
 from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
                        _shifts, lattice_sum_fits, shifted_from_base, sqrt_stream,
@@ -68,30 +69,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # domain types
-
-@dataclass(frozen=True)
-class ConeOverS1Config:
-    """Cone over a circle: length (flat-disc radius) and angle parameter.
-
-    ``nu_angle`` is the secant of the opening half-angle; nu_angle = 1 is the
-    flat disc, larger values are sharper cones.
-    """
-
-    radius: float = 1.0
-    nu_angle: float = 1.0
-
-    def __post_init__(self):
-        r = positive(self.radius, "cone length")
-        # theorem_main takes log(pi R^2): the area must be a normal float
-        if not sys.float_info.min <= math.pi * r * r < math.inf:
-            raise ValidationError(
-                f"cone length {self.radius!r} puts the disc area pi R^2 outside "
-                f"the normal floating-point range")
-        nu = number(self.nu_angle, "nu_angle", "a finite number >= 1 (the secant of a real "
-                    "opening angle)", lambda x: 1.0 <= x < math.inf)
-        object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "nu_angle", nu)
-
 
 @dataclass(frozen=True)
 class TorsionBreakdown:
@@ -388,13 +365,6 @@ def corollary_3d(base: BaseManifold) -> float:
     """
     head, res1, res2 = _corollary_3d_parts(base)
     return head + 0.5 * LOG_2 * res1 + 0.125 * res2
-
-
-def theorem_main(cfg: ConeOverS1Config) -> float:
-    """Closed form for the cone over a circle:
-    log T(M) = [-log(pi R^2) + log nu - 1/nu] / 2."""
-    radius, nu = cfg.radius, cfg.nu_angle
-    return 0.5 * (-math.log(math.pi * radius * radius) + math.log(nu) - 1.0 / nu)
 
 
 def lemma_first_summand(radius: float = 1.0) -> float:

@@ -40,7 +40,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
 from .specfun import BESSEL_K_REL, EULER_GAMMA, bessel_k_ladder, digamma, ln_gamma
@@ -622,7 +621,10 @@ def zeta_data_lattice(stream: SpectrumStream, a: float,
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], built once per node count (read-only)."""
+    """Gauss-Legendre rule on [-1, 1], built once per node count (read-only).
+    ``numpy.polynomial`` loads here: exact- and lattice-route solves build no
+    quadrature and never load it."""
+    from numpy.polynomial.legendre import leggauss
     x, w = leggauss(nodes)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -35,38 +35,68 @@ def exit_code(argv):
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded only where a Bessel function is evaluated.
+# cold start: numpy is loaded only by the layers that need arrays, scipy only
+# where a Bessel function is evaluated.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv,loads_scipy", [
-    pytest.param([], False, id="import"),
-    pytest.param(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], False,
-                 id="torsion-disc"),
-    pytest.param(["torsion", "cone", "--base", "s1", "--scale", "3.0"], False,
-                 id="torsion-cone-s1"),
-    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2"], False,
-                 id="torsion-cone-torus2"),
-    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
-                  "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
-                 False, id="torsion-cone-torus2-sheared"),
-    pytest.param(["olver", "--order", "5"], False, id="olver"),
-    pytest.param(["modeldet", "--nu", "3.83", "--alpha", "1.2"], False, id="modeldet"),
-    pytest.param(["modeldet", "--nu", "3.082", "--alpha", "inf"], False,
-                 id="modeldet-dirichlet"),
-    pytest.param(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], True, id="zeros"),
-])
-def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads_scipy):
+def _fresh_process(code: str, *args: str) -> list:
+    """The JSON value ``code`` prints last, run in a fresh interpreter that
+    imports the package from this checkout."""
     src = str(Path(conetorsion.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_ARRAYS = "numpy"
+_QUADRATURE = "numpy numpy.polynomial"
+_BESSEL = "numpy numpy.polynomial scipy"
+
+
+@pytest.mark.parametrize("argv,loads", [
+    pytest.param([], "", id="import"),
+    pytest.param(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], "", id="torsion-disc"),
+    # the exact and lattice routes build no quadrature
+    pytest.param(["torsion", "cone", "--base", "s1", "--scale", "3.0"], _ARRAYS,
+                 id="torsion-cone-s1"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2"], _ARRAYS,
+                 id="torsion-cone-torus2"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
+                  "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
+                 _ARRAYS, id="torsion-cone-torus2-sheared"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "7"], _QUADRATURE,
+                 id="torsion-cone-torus2-numeric"),
+    pytest.param(["olver", "--order", "5"], "", id="olver"),
+    pytest.param(["modeldet", "--nu", "3.83", "--alpha", "1.2"], "", id="modeldet"),
+    pytest.param(["modeldet", "--nu", "3.082", "--alpha", "inf"], "", id="modeldet-dirichlet"),
+    pytest.param(["modeldet", "--nu", "1.5", "--alpha", "0", "--numeric"], _BESSEL,
+                 id="modeldet-numeric"),
+    pytest.param(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], _BESSEL, id="zeros"),
+])
+def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads):
     code = ("import json, sys\n"
             "from conetorsion.cli import run\n"
             "argv = json.loads(sys.argv[1])\n"
             "status = run(argv)[1] if argv else 0\n"
-            "print(json.dumps([status, 'scipy' in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_scipy], proc.stderr
+            "print(json.dumps([status] + [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
+            "                             if m in sys.modules]))")
+    assert _fresh_process(code, json.dumps(argv)) == [0, *loads.split()]
+
+
+def test_fresh_cli_import_loads_neither_numpy_nor_the_battery():
+    # the battery stays reachable as a module attribute, loaded on first read
+    code = ("import json, sys\n"
+            "import conetorsion.cli\n"
+            "before = ['numpy' in sys.modules, 'conetorsion.selftest' in sys.modules]\n"
+            "from conetorsion.cli import ACCEPTANCE_CHECKS\n"
+            "print(json.dumps([before, 'conetorsion.selftest' in sys.modules,\n"
+            "                  [name for name, _, _ in ACCEPTANCE_CHECKS]]))")
+    before, loaded, names = _fresh_process(code)
+    assert before == [False, False] and loaded
+    assert names == [name for name, _, _ in cli.ACCEPTANCE_CHECKS]
 
 
 # ---------------------------------------------------------------------------
@@ -548,5 +578,8 @@ def test_selftest_tol_is_a_spelling_of_tolerance(monkeypatch):
     short, _ = cli.run(["selftest", "--tol", "1e-6"])
     spelled_out, _ = cli.run(["selftest", "--tolerance", "1e-6"])
     assert short == spelled_out
-    assert json.loads(spelled_out)["tolerance"] == 1e-6
+    payload = json.loads(spelled_out)
+    assert payload["tolerance"] == 1e-6
+    # run_selftest reads the battery through the module, so the patch is what ran
+    assert [row["check"] for row in payload["checks"]] == ["harmonic-sector"]
     assert exit_code(["selftest", "--tolerance", "1e-3"]) == 2

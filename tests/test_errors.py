@@ -1,6 +1,7 @@
 """The field screens every public entry point reads its scalar inputs through."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,8 +66,18 @@ def test_flag_accepts_bools_as_bools(good):
 
 @pytest.mark.parametrize("bad", ["no", 1, 0, None, 1.0, np.int64(1)])
 def test_flag_refuses_what_merely_converts(bad):
-    with pytest.raises(ValidationError, match=f"^allow_boundary must be a bool, got "):
+    with pytest.raises(ValidationError) as info:
         flag(bad, "allow_boundary")
+    assert str(info.value) == f"allow_boundary must be a bool, got {bad!r}"
+
+
+def test_flag_needs_no_numpy(monkeypatch):
+    # flag reads numpy's bool type from sys.modules: without numpy loaded,
+    # plain bools still pass and everything else is still refused
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert flag(True, "allow_boundary") is True
+    with pytest.raises(ValidationError, match=r"^allow_boundary must be a bool, got 1$"):
+        flag(1, "allow_boundary")
 
 
 @pytest.mark.parametrize("bad", [None, 3, ["a"], b"x", True])
