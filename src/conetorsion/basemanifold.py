@@ -17,7 +17,9 @@ continuations over them carry no truncation error from the spectrum list:
 * ``circle(c)``  -- N = S^1 = R / 2 pi Z (n = 1), scaled so the function
   Laplacian has eigenvalues c^2 m^2 (m >= 1, multiplicity 2).  The
   shifted frequencies in degree 0 form the exact arithmetic progression
-  {c m}, its stream's checked ``progression``, evaluated in closed form.
+  {c m}, evaluated in closed form.  The base holds that degree as the
+  numpy-free description (step c, mult 2); its stream, which checks the
+  same ``progression``, is built on first read.
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
   4 pi^2 c^2 |mu|^2 over the dual lattice.  Its stream's checked
   ``lattice`` (c, basis) gives the shifted frequencies' continuation data
@@ -59,14 +61,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from operator import itemgetter
-from types import MappingProxyType
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .errors import ReadOnly, ValidationError, flag, integer, number, positive, text
-from .zetacont import (SpectrumStream, _exp_rowsum, _lattice_points, _shortest, exact_stream,
-                       merge_ties)
 
 SCALING_MESSAGE = "base eigenvalues must exceed 1, cf. scaling assumption"
 
@@ -89,13 +88,52 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
     return tuple(coeffs)
 
 
+class _Progression(NamedTuple):
+    """A degree whose frequencies sqrt(eta) are exactly step*m, m >= 1, each
+    of multiplicity mult: all the exact route reads.  ``build()`` makes the
+    degree's listing stream, which carries the same checked ``progression``."""
+    step: float
+    mult: int
+    build: Callable
+
+
+class _Degrees(ReadOnly, Mapping):
+    """A base's read-only degree map, degree -> unshifted ``SpectrumStream``.
+    A degree held as a ``_Progression`` builds its stream on first read and
+    keeps it in place of the description."""
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: dict):
+        object.__setattr__(self, "_entries", entries)
+
+    def __getitem__(self, k):
+        deg = self._entries[k]
+        if isinstance(deg, _Progression):
+            deg = self._entries[k] = deg.build()
+        return deg
+
+    def __contains__(self, k):
+        return k in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def progression(self, k) -> tuple | None:
+        deg = self._entries[k]
+        return deg[:2] if isinstance(deg, _Progression) else deg.progression
+
+
 class BaseManifold(ReadOnly):
     """Closed oriented cross-section: Betti numbers + coclosed spectra, one
     unshifted ``SpectrumStream`` per degree (heat powers complete through the
     largest listed one, and its ``progression`` where sqrt(eta) = step*m
-    exactly).  Read-only, the degree map included: cached continuations are
-    keyed by the base's identity, so a write would change what a later
-    solve reads.
+    exactly; ``circle`` gives its degree as that progression alone, and the
+    stream is built on first read).  Read-only, the degree map included:
+    cached continuations are keyed by the base's identity, so a write would
+    change what a later solve reads.
     """
 
     def __init__(self, *, name: str, dim: int, betti, scale: float, degrees: dict,
@@ -123,13 +161,18 @@ class BaseManifold(ReadOnly):
                 raise ValidationError(
                     f"degree {k} is outside 0..{dim - 1}: a coclosed {dim}-form on a "
                     f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
-            if not isinstance(deg, SpectrumStream):
-                raise ValidationError(f"degree {k} must be a SpectrumStream, got {deg!r}")
-            if deg.min_value <= floor:
+            if isinstance(deg, _Progression):
+                smallest = deg.step * deg.step
+            else:
+                from .zetacont import SpectrumStream
+                if not isinstance(deg, SpectrumStream):
+                    raise ValidationError(f"degree {k} must be a SpectrumStream, got {deg!r}")
+                smallest = deg.min_value
+            if smallest <= floor:
                 raise ValidationError(SCALING_MESSAGE)
         for key, value in dict(name=name, dim=dim, betti=betti, scale=scale,
                                orientable=True, truncation_note=truncation_note,
-                               _degrees=MappingProxyType(degrees)).items():
+                               _degrees=_Degrees(degrees)).items():
             object.__setattr__(self, key, value)
 
     # -- bookkeeping -------------------------------------------------------
@@ -141,15 +184,26 @@ class BaseManifold(ReadOnly):
         return tuple(sorted(self._degrees))
 
     # -- spectra -----------------------------------------------------------
-    def coclosed_spectrum(self, k: int) -> SpectrumStream:
-        """The stored stream of nonzero coclosed degree-k eigenvalues (its
-        ``shifted(b)`` gives eta + b)."""
+    def _degree(self, k) -> int:
         if integer(k, "degree", -math.inf, rule="an integer") not in self._degrees:
             raise ValidationError(f"no coclosed spectrum supplied for degree {k} of {self.name}")
-        return self._degrees[k]
+        return k
+
+    def coclosed_spectrum(self, k: int) -> SpectrumStream:
+        """The stored stream of nonzero coclosed degree-k eigenvalues (its
+        ``shifted(b)`` gives eta + b), built on first read where the degree
+        is held as a progression."""
+        return self._degrees[self._degree(k)]
+
+    def progression(self, k: int) -> tuple | None:
+        """(step, mult) where the degree-k frequencies sqrt(eta) are exactly
+        step*m, m >= 1, each of multiplicity mult, else None; read without
+        building the degree's stream."""
+        return self._degrees.progression(self._degree(k))
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
+        import numpy as np
         degrees = []
         for k in self.degrees_available():
             deg = self._degrees[k]
@@ -175,8 +229,7 @@ class BaseManifold(ReadOnly):
 # flat tori R^n / L: circle (n = 1) and torus2 (n = 2)
 # ---------------------------------------------------------------------------
 
-def _flat_torus_trace(c: float, basis: np.ndarray, dual: np.ndarray, q1: float,
-                      covol: float):
+def _flat_torus_trace(c: float, basis, dual, q1: float, covol: float):
     """Heat trace data of R^n/L at scale c, L spanned by the rows of the
     n x n ``basis`` (``dual`` the rows of the dual basis, ``covol`` = |det|),
     for ``exact_stream``: (t_switch, small, A), with A =
@@ -192,6 +245,9 @@ def _flat_torus_trace(c: float, basis: np.ndarray, dual: np.ndarray, q1: float,
     17.5 l1, and the listing must reach 17.5 q1 in L*, for every dropped
     term to underflow.
     """
+    import numpy as np
+
+    from .zetacont import _exp_rowsum, _lattice_points, _shortest, merge_ties
     dim = basis.shape[0]
     ell1 = _shortest(basis, dual)
     lead = covol / (4.0 * math.pi * c * c) ** (0.5 * dim)
@@ -214,16 +270,12 @@ def _flat_torus_trace(c: float, basis: np.ndarray, dual: np.ndarray, q1: float,
     return ell1 / (4.0 * math.pi * c * c * q1), small, lead
 
 
-def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
-    """S^1 scaled so the coclosed degree-0 spectrum is {c^2 m^2, mult 2},
-    listed for m = 1..4096 (the trace, that of R / 2 pi Z, is exact).
+def _circle_stream(c: float, name: str):
+    """circle(c)'s degree-0 stream: {c^2 m^2, mult 2} listed for m = 1..4096,
+    with the exact trace of R / 2 pi Z and the checked progression (c, 2)."""
+    import numpy as np
 
-    Requires c > 1 (scaling condition); ``allow_boundary`` admits the
-    borderline c = 1, used only for closed-form evaluations.
-    """
-    c, allow_boundary = positive(c, "scale"), flag(allow_boundary, "allow_boundary")
-    if c < 1.0 or (c == 1.0 and not allow_boundary):
-        raise ValidationError(SCALING_MESSAGE)
+    from .zetacont import _shortest, exact_stream
     values = (c * np.arange(1.0, 4097.0)) ** 2
     mults = np.full(values.size, 2.0)
     basis = np.array([[_TWO_PI]])
@@ -233,9 +285,24 @@ def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
-    name = f"circle(c={c:g})"
-    deg0 = exact_stream(values, mults, t_switch, small, name=f"{name}:deg0",
+    return exact_stream(values, mults, t_switch, small, name=name,
                         heat_powers=powers, progression=(c, 2))
+
+
+def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
+    """S^1 scaled so the coclosed degree-0 spectrum is {c^2 m^2, mult 2}.
+
+    The degree is held as the progression (c, 2), which the exact route
+    reads without numpy; its stream (``_circle_stream``) is built on the
+    first ``coclosed_spectrum(0)``.  Requires c > 1 (scaling condition);
+    ``allow_boundary`` admits the borderline c = 1, used only for
+    closed-form evaluations.
+    """
+    c, allow_boundary = positive(c, "scale"), flag(allow_boundary, "allow_boundary")
+    if c < 1.0 or (c == 1.0 and not allow_boundary):
+        raise ValidationError(SCALING_MESSAGE)
+    name = f"circle(c={c:g})"
+    deg0 = _Progression(c, 2, lambda: _circle_stream(c, f"{name}:deg0"))
     return BaseManifold(name=name, dim=1, betti=(1, 1), scale=c, degrees={0: deg0},
                         boundary_ok=allow_boundary)
 
@@ -250,6 +317,9 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     spectrum); a coclosed 2-form on the closed torus is harmonic, so the
     top degree has no nonzero spectrum.
     """
+    import numpy as np
+
+    from .zetacont import _lattice_points, _shortest, exact_stream, merge_ties
     c, nu_max = positive(c, "scale"), positive(nu_max, "nu_max")
     try:        # screened entry by entry: a float cast parses strings and counts bools
         entries = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE, dtype=object)
@@ -356,6 +426,7 @@ def _listing(k: int, columns: list) -> tuple:
     values finite and strictly ascending, mults integers >= 1.  Both forms
     of the same data give the same refusal.
     """
+    import numpy as np
     need = _need(k)
     lengths = list(map(len, columns))
     n = min(lengths)
@@ -401,6 +472,7 @@ def _heat_coeffs(k: int, coeffs) -> tuple:
 
 def custom(source) -> BaseManifold:
     """Load a cross-section from a JSON mapping, JSON text, or file path."""
+    from .zetacont import SpectrumStream
     if isinstance(source, dict):
         data = source
     else:

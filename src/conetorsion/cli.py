@@ -24,7 +24,9 @@ time only what parsing and rendering need, plus the numpy-free closed forms
 (``modelops``, ``exactpoly``): ``torsion disc``, ``olver`` and ``modeldet``
 without ``--numeric`` never load numpy.  Every other handler imports its
 layer when it runs, and the acceptance battery (``ACCEPTANCE_CHECKS``) loads
-on first access.
+on first access.  ``torsion cone --base s1`` and ``zeta --base s1`` load no
+numpy either: the circle's exact route is scalar arithmetic (``zetadata``),
+and its listing stream is built only when something reads it.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ Frequency sets: in degree k the cone analysis replaces each coclosed
 eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
 nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
-degree's frequencies form an arithmetic progression (its stream's checked
-``progression``, and a_k = 0); the Bessel-K lattice sums of
+degree's frequencies form an arithmetic progression (the base's
+``progression(k)``, read without building a stream or loading numpy, and
+a_k = 0); the Bessel-K lattice sums of
 ``zeta_data_lattice`` when its stream is a flat 2-torus's (its checked
 ``lattice``, a_k != 0, and a lattice sum no larger than the numeric route's
 work, ``lattice_sum_fits``), with nu listed once for the relation path; else
@@ -36,6 +37,11 @@ live), and a regularized log-determinant over J_1 zeros
 tests drive them against each other.  The per-frequency integrand behind
 these closed forms, and the numeric route to ``lemma_first_summand`` over
 computed zeros, live in ``derivation``.
+
+The exact progression route runs on the numpy-free layers (``zetadata``,
+``specfun``, ``exactpoly``); the numeric and lattice layers (``zetacont``,
+numpy) load where the other routes run, so a cone over a circle is solved
+without them.
 """
 
 from __future__ import annotations
@@ -48,16 +54,12 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-import numpy as np
-
 from .basemanifold import BaseManifold
 from .errors import ValidationError, integer, positive
 from .exactpoly import parity_bracket
 from .modelops import ConeOverS1Config, harmonic_contribution, theorem_main
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
-from .zetacont import (RMAX, MellinZeta, SpectrumStream, ZetaFunctionData,
-                       _shifts, lattice_sum_fits, shifted_from_base, sqrt_stream,
-                       zeta_data_exact, zeta_data_lattice)
+from .zetadata import RMAX, ZetaFunctionData, _shifts, zeta_data_exact
 
 __all__ = [
     "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
@@ -124,6 +126,7 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
     the integers i = 1..RMAX double, and regular values/finite parts carry
     over unchanged.  Populates everything ``shifted_from_base`` needs.
     """
+    from .zetacont import MellinZeta
     engine = MellinZeta(q_stream, s_max=0.5 * RMAX)
     residues, pp, pole_ws = {}, {}, []
     for i in range(1, RMAX + 1):
@@ -172,6 +175,7 @@ class DegreeContinuation:
             return self.data.deriv0_shifted[s], self.shift_errors[s]
         if self.progression is not None:
             return zeta_data_exact(*self.progression, alphas=(s,)).deriv0_shifted[s], 0.0
+        from .zetacont import shifted_from_base
         return shifted_from_base(self.nu_stream, self.data, s)
 
     @cached_property
@@ -181,6 +185,7 @@ class DegreeContinuation:
         use, since only the torsion error budget reads it."""
         if self.nu_stream is None or self.nu_stream.heat_fn is None:
             return 0.0
+        from .zetacont import MellinZeta
         lift_engine = MellinZeta(self.nu_stream, s_max=1.0)
         check = abs(lift_engine.deriv0() - self.data.deriv0)
         a = float(self.alpha)
@@ -222,11 +227,16 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     alpha = _alpha_k(k, n)
     a = float(alpha)
-    stream = base.coclosed_spectrum(k)
-    if stream.progression is not None and a == 0.0:
-        data = zeta_data_exact(*stream.progression, alphas=(a, -a), pole_range=max(n, 1))
-        return DegreeContinuation(alpha, "exact", data, {a: 0.0, -a: 0.0}, stream.progression)
+    progression = base.progression(k)
+    if progression is not None and a == 0.0:
+        data = zeta_data_exact(*progression, alphas=(a, -a), pole_range=max(n, 1))
+        return DegreeContinuation(alpha, "exact", data, {a: 0.0, -a: 0.0}, progression)
 
+    import numpy as np
+
+    from .zetacont import (SpectrumStream, lattice_sum_fits, shifted_from_base, sqrt_stream,
+                           zeta_data_lattice)
+    stream = base.coclosed_spectrum(k)
     if stream.lattice is not None and a != 0.0 and lattice_sum_fits(stream, a):
         route, q_stream = "exact", None
         data = zeta_data_lattice(stream, a)

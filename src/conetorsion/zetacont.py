@@ -29,20 +29,23 @@ windowed least-squares fit just above t_floor.  The freely refitted leading
 coefficient is compared against the supplied one (inconsistent-heat guard),
 and every truncation/quadrature contribution is accumulated into
 error_estimate.
+
+The continuation record ``ZetaFunctionData``, ``RMAX`` and the closed-form
+data of an arithmetic progression (``zeta_data_exact``) live in the
+numpy-free ``zetadata``, so the exact route over a circle never loads this
+module; they are re-exported here as the same objects.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
 from .specfun import BESSEL_K_REL, EULER_GAMMA, bessel_k_ladder, digamma, ln_gamma
+from .zetadata import RMAX, ZetaFunctionData, _check_shift, _shifts, zeta_data_exact
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
 _EXP_ZERO = 750.0           # binary64 exp(-x) is exactly 0.0 for every x > 745.14
@@ -59,8 +62,13 @@ _LATTICE_POINTS = 40_000    # past this many points the numeric route is the che
 _SETTLE_EVERY = 8           # log-series terms between tests for settled entries
 _SETTLE_MIN = 256           # shorter runs are not tested: numpy's call overhead dominates
 _ULP = 2.0 ** -53           # unit roundoff of binary64
-#: depth of the shift relation / residue ladder used on the numeric path
-RMAX = 16
+
+__all__ = [
+    "RMAX", "MellinZeta", "SpectrumStream", "ZetaFunctionData", "exact_stream",
+    "lattice_sum_fits", "merge_ties", "progression_stream", "shift_heat_powers",
+    "shifted_from_base", "sqrt_stream", "zeta_data_exact", "zeta_data_lattice",
+    "zeta_data_numeric",
+]
 
 
 def _fsum(values) -> float:
@@ -279,16 +287,6 @@ def _positive_reals(array, name: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def _shifts(alphas) -> list[float]:
-    """The shifts as floats, each screened before ``float`` could parse it."""
-    return [number(a, "shift", "a finite real") for a in alphas]
-
-
-def _check_shift(a: float, smallest: float) -> None:
-    if a <= -smallest:
-        raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {smallest}")
-
-
 def _heat_eval(t: np.ndarray, powers) -> np.ndarray:
     """H(t) = sum c t^p over the (p, c) pairs, at every t of the array."""
     out = np.zeros_like(t)
@@ -461,54 +459,6 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
               (7.0, -m * c ** 7 / 1209600.0))
     return SpectrumStream(c * k, m * np.ones_like(k), name=f"progression({c},{m})",
                           heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers)
-
-
-@dataclass(frozen=True)
-class ZetaFunctionData:
-    """Continuation outputs, read-only once built: the mappings are copied
-    into read-only views.  pp[i] stores the plain value zeta(i) wherever
-    residues[i] == 0.  ``pp_errors`` bounds, where given, the error of
-    Res(i)(gamma + psi(i)) + PP(i) beyond ``error_estimate``: the lattice
-    route's high orders cancel terms of size a^(-i), and the relation path
-    weighs them by |alpha|^i / i."""
-    deriv0: float
-    deriv0_shifted: Mapping = field(default_factory=dict)
-    residues: Mapping = field(default_factory=dict)
-    pp: Mapping = field(default_factory=dict)
-    error_estimate: float = 0.0
-    zeta0: float = math.nan
-    pp_errors: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("deriv0_shifted", "residues", "pp", "pp_errors"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-
-
-def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFunctionData:
-    """Closed-form data for the arithmetic progression {c k}, multiplicity m.
-
-    zeta(s) = m c^(-s) zeta_R(s) and zeta(s, a) = m c^(-s) zeta_H(s, 1+a/c);
-    everything below is the s-expansion of those at s = 0 and s = i.
-    """
-    from .specfun import LOG_2PI, hurwitz_zeta_prime0, riemann_zeta
-    c, m = positive(c, "c"), integer(m, "m", 1)
-    pole_range = integer(pole_range, "pole_range", 0, RMAX)
-    lc = math.log(c)
-    shifted = {}
-    for a in _shifts(alphas):
-        _check_shift(a, c)
-        shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
-    residues, pp = {}, {}
-    for i in range(1, pole_range + 1):
-        if i == 1:
-            residues[1] = m / c
-            pp[1] = m * (EULER_GAMMA - lc) / c
-        else:
-            residues[i] = 0.0
-            pp[i] = m * c ** (-i) * riemann_zeta(float(i))
-    return ZetaFunctionData(deriv0=m * (0.5 * lc - 0.5 * LOG_2PI),
-                            deriv0_shifted=shifted, residues=residues, pp=pp,
-                            error_estimate=0.0, zeta0=-m / 2.0)
 
 
 def _gamma_half(i: int) -> float:

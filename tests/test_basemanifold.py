@@ -16,8 +16,8 @@ import pytest
 from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
 from conetorsion.torsion import degree_continuation, log_torsion
-from conetorsion.zetacont import (MellinZeta, SpectrumStream, shift_heat_powers,
-                                  sqrt_stream, zeta_data_exact)
+from conetorsion.zetacont import (MellinZeta, SpectrumStream, _lattice_points, _shortest,
+                                  exact_stream, shift_heat_powers, sqrt_stream, zeta_data_exact)
 
 import oracles
 
@@ -368,12 +368,65 @@ def _circle_listing(c):
     return (c * np.arange(1.0, 4097.0)) ** 2, np.full(4096, 2.0), powers
 
 
+def _circle_stream_built_at_once(c):
+    """circle(c)'s degree-0 stream made the way circle once made it on every
+    call: listing, exact trace, heat powers and progression together."""
+    values, mults, powers = _circle_listing(c)
+    basis = np.array([[2.0 * math.pi]])
+    dual = np.linalg.inv(basis).T
+    t_switch, small, _ = bm._flat_torus_trace(c, basis, dual, _shortest(dual, basis),
+                                              abs(float(np.linalg.det(basis))))
+    return exact_stream(values, mults, t_switch, small, name=f"circle(c={c:g}):deg0",
+                        heat_powers=powers, progression=(c, 2))
+
+
+@pytest.mark.parametrize("c,boundary", [(1.0, True), (2.0, False), (6.685, False)])
+def test_circle_stream_built_on_first_read_is_bitwise_the_eager_one(c, boundary):
+    # the base holds degree 0 as the progression (c, 2); the first read builds
+    # the stream, keeps it, and later reads return that object
+    base = bm.circle(c, allow_boundary=boundary)
+    assert base.progression(0) == (c, 2)
+    lazy = base.coclosed_spectrum(0)
+    assert base.coclosed_spectrum(0) is lazy is base._degrees[0]
+    assert base.progression(0) == lazy.progression == (c, 2)
+    eager = _circle_stream_built_at_once(c)
+    assert lazy.name == eager.name and lazy.heat_powers == eager.heat_powers
+    assert lazy.progression == eager.progression
+    for got, want in ((lazy.values, eager.values), (lazy.mults, eager.mults)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 2.0
+    # the trace switches from the listing to the Poisson form at t = pi/c^2
+    switch = math.pi / (c * c)
+    t = np.concatenate([switch * np.exp(np.linspace(-12.0, 6.0, 181)),
+                        np.nextafter(switch, [0.0, switch, np.inf])])
+    assert lazy.trace(t).tobytes() == eager.trace(t).tobytes()
+    with pytest.raises(AttributeError, match="^SpectrumStream is read-only$"):
+        lazy.progression = (3.0, 2)
+    with pytest.raises(TypeError):
+        base._degrees[0] = eager
+
+
+def test_a_progression_degree_meets_the_scaling_condition_as_c_squared():
+    fields = dict(name="x", dim=1, betti=(1, 1), scale=1.0)
+    held = bm._Progression(1.0, 2, lambda: bm._circle_stream(1.0, "x:deg0"))
+    with pytest.raises(ValidationError, match=f"^{bm.SCALING_MESSAGE}$"):
+        bm.BaseManifold(**fields, degrees={0: held})
+    base = bm.BaseManifold(**fields, degrees={0: held}, boundary_ok=True)
+    assert base.progression(0) == (1.0, 2)
+    assert base.coclosed_spectrum(0).min_value == 1.0
+    for k, refusal in ((1, "^no coclosed spectrum supplied for degree 1 of x$"),
+                       (0.0, "^degree must be an integer, got 0.0$")):
+        with pytest.raises(ValidationError, match=refusal):
+            base.progression(k)
+
+
 def _torus2_listing(c, lattice=None):
     """Degrees 0 and 1 of torus2(c, lattice) as the builder lists them."""
     basis = np.array(lattice if lattice is not None else bm._DEFAULT_LATTICE, dtype=float)
     dual = np.linalg.inv(basis).T
-    radius = max(64.0 / (2.0 * math.pi * c), 17.5 * bm._shortest(dual))
-    eta = (4.0 * math.pi ** 2 * c * c) * bm._lattice_points(dual, radius)
+    radius = max(64.0 / (2.0 * math.pi * c), 17.5 * _shortest(dual))
+    eta = (4.0 * math.pi ** 2 * c * c) * _lattice_points(dual, radius)
     values, mults = oracles.merge_ties(eta, np.ones_like(eta))
     area = abs(float(np.linalg.det(basis))) / (4.0 * math.pi * c * c)
     powers = ((-1.0, area), (0.0, -1.0)) + tuple((float(j), 0.0) for j in range(1, 13))

@@ -56,34 +56,61 @@ _QUADRATURE = "numpy numpy.polynomial"
 _BESSEL = "numpy numpy.polynomial scipy"
 
 
-@pytest.mark.parametrize("argv,loads", [
-    pytest.param([], "", id="import"),
-    pytest.param(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], "", id="torsion-disc"),
-    # the exact and lattice routes build no quadrature
-    pytest.param(["torsion", "cone", "--base", "s1", "--scale", "3.0"], _ARRAYS,
-                 id="torsion-cone-s1"),
-    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2"], _ARRAYS,
-                 id="torsion-cone-torus2"),
-    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
-                  "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
-                 _ARRAYS, id="torsion-cone-torus2-sheared"),
-    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "7"], _QUADRATURE,
-                 id="torsion-cone-torus2-numeric"),
-    pytest.param(["olver", "--order", "5"], "", id="olver"),
-    pytest.param(["modeldet", "--nu", "3.83", "--alpha", "1.2"], "", id="modeldet"),
-    pytest.param(["modeldet", "--nu", "3.082", "--alpha", "inf"], "", id="modeldet-dirichlet"),
-    pytest.param(["modeldet", "--nu", "1.5", "--alpha", "0", "--numeric"], _BESSEL,
-                 id="modeldet-numeric"),
-    pytest.param(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], _BESSEL, id="zeros"),
+def _case(argv, loads, id, status=0):
+    return pytest.param(argv, loads, status, id=id)
+
+
+@pytest.mark.parametrize("argv,loads,status", [
+    _case([], "", id="import"),
+    _case(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], "", id="torsion-disc"),
+    # the circle's progression route is scalar arithmetic; a refused scale stops before it
+    _case(["torsion", "cone", "--base", "s1", "--scale", "3.0"], "", id="torsion-cone-s1"),
+    _case(["zeta", "--base", "s1", "--scale", "3", "--degree", "0", "--shift", "0.3"], "",
+          id="zeta-s1"),
+    _case(["torsion", "cone", "--base", "s1", "--scale", "0.5"], "",
+          id="torsion-cone-s1-refused", status=2),
+    # the lattice route builds no quadrature
+    _case(["torsion", "cone", "--base", "torus2", "--scale", "2"], _ARRAYS,
+          id="torsion-cone-torus2"),
+    _case(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
+           "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
+          _ARRAYS, id="torsion-cone-torus2-sheared"),
+    _case(["torsion", "cone", "--base", "torus2", "--scale", "7"], _QUADRATURE,
+          id="torsion-cone-torus2-numeric"),
+    _case(["olver", "--order", "5"], "", id="olver"),
+    _case(["modeldet", "--nu", "3.83", "--alpha", "1.2"], "", id="modeldet"),
+    _case(["modeldet", "--nu", "3.082", "--alpha", "inf"], "", id="modeldet-dirichlet"),
+    _case(["modeldet", "--nu", "1.5", "--alpha", "0", "--numeric"], _BESSEL,
+          id="modeldet-numeric"),
+    _case(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], _BESSEL, id="zeros"),
 ])
-def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads):
+def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads, status):
     code = ("import json, sys\n"
-            "from conetorsion.cli import run\n"
+            "from conetorsion.cli import main\n"
             "argv = json.loads(sys.argv[1])\n"
-            "status = run(argv)[1] if argv else 0\n"
+            "status = main(argv) if argv else 0\n"
             "print(json.dumps([status] + [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
             "                             if m in sys.modules]))")
-    assert _fresh_process(code, json.dumps(argv)) == [0, *loads.split()]
+    assert _fresh_process(code, json.dumps(argv)) == [status, *loads.split()]
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param("from conetorsion.basemanifold import circle\n"
+                 "from conetorsion.torsion import log_torsion\n"
+                 "value = log_torsion(circle(3.0)).log_torsion\n", id="library"),
+    pytest.param("from conetorsion.cli import run\n"
+                 "argv = ['torsion', 'cone', '--base', 's1', '--scale', '3.0']\n"
+                 "value = json.loads(run(argv)[0])['log_torsion']\n", id="cli"),
+])
+def test_fresh_circle_solve_loads_neither_numpy_nor_zetacont(solve):
+    # the exact route reads the circle's progression; its listing stream (numpy,
+    # zetacont) is built only when something reads it, as this process does
+    code = ("import json, sys\n" + solve
+            + "print(json.dumps([value, [m for m in ('numpy', 'conetorsion.zetacont')\n"
+              "                          if m in sys.modules]]))")
+    value, loaded = _fresh_process(code)
+    assert loaded == []
+    assert value == log_torsion(circle(3.0)).log_torsion
 
 
 def test_fresh_cli_import_loads_neither_numpy_nor_the_battery():

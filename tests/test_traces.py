@@ -29,11 +29,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conetorsion.basemanifold import _DEFAULT_LATTICE, _lattice_points, circle, torus2
+from conetorsion.basemanifold import _DEFAULT_LATTICE, circle, torus2
 from conetorsion.torsion import degree_continuation
 from conetorsion.zetacont import (_EXP_ZERO, _NORMAL_EXP, _PROBE_BLOCK, _TILE, RMAX,
                                   MellinZeta, SpectrumStream, _exp_rowsum, _gauss_legendre,
-                                  _log_panels, _row_widths, progression_stream, sqrt_stream)
+                                  _lattice_points, _log_panels, _row_widths, progression_stream,
+                                  sqrt_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))

@@ -13,6 +13,7 @@ from conetorsion import basemanifold as bm
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
+    _lattice_points,
     _log_series_tail,
     MellinZeta,
     SpectrumStream,
@@ -110,7 +111,7 @@ def test_merge_ties_equals_loop_on_lattice_norms():
     # the inputs torus2 merges: squared norms of square, sheared and
     # stretched lattices, with their many exact and rounding-level ties
     for lattice in (np.eye(2), [[1.0, 0.0], [0.349, 1.0]], [[1.0, 0.0], [0.0, 1.3]]):
-        sq = bm._lattice_points(2.0 * math.pi * np.asarray(lattice), 60.0)
+        sq = _lattice_points(2.0 * math.pi * np.asarray(lattice), 60.0)
         _assert_merge_matches_loop(sq, np.ones_like(sq))
 
 
