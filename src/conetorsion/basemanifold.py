@@ -23,7 +23,7 @@ continuations over them carry no truncation error from the spectrum list:
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
   4 pi^2 c^2 |mu|^2 over the dual lattice.  Its stream's checked
   ``lattice`` (c, basis) gives the shifted frequencies' continuation data
-  in closed form, as Bessel-K sums over L.
+  in closed form, by Ewald's split of its theta function.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
 

@@ -22,12 +22,11 @@ nu is the order of the Bessel functions solving the radial model problem.
 ``degree_continuation`` alone builds these sets: the closed form when the
 degree's frequencies form an arithmetic progression (the base's
 ``progression(k)``, read without building a stream or loading numpy, and
-a_k = 0); the Bessel-K lattice sums of
-``zeta_data_lattice`` when its stream is a flat 2-torus's (its checked
-``lattice``, a_k != 0, and a lattice sum no larger than the numeric route's
-work, ``lattice_sum_fits``), with nu listed once for the relation path; else
-the shifted eigenvalue stream eta + a_k^2 (exact heat trace carried along
-when available) and its ``sqrt_stream``.
+a_k = 0); the Ewald split of ``zeta_data_lattice`` when its stream is a
+flat 2-torus's (its checked ``lattice`` and a_k != 0), at every scale, with
+nu listed once for the relation path; else the shifted eigenvalue stream
+eta + a_k^2 (exact heat trace carried along when available) and its
+``sqrt_stream``.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``, re-exported with
@@ -205,10 +204,9 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
 
     The one place that knows frequency sets and picks the route: the exact
     closed form when the frequency set is an arithmetic progression (no
-    stream is built); the exact lattice route when the degree's stream
-    carries a flat 2-torus ``lattice`` whose sum fits (``lattice_sum_fits``,
-    ``zeta_data_lattice``); otherwise
-    the numeric route, where a Mellin-split engine on the shifted
+    stream is built); the exact lattice route (``zeta_data_lattice``) when
+    the degree's stream carries a flat 2-torus ``lattice``; otherwise the
+    numeric route, where a Mellin-split engine on the shifted
     eigenvalue stream supplies the frequency-side derivative, residues, and
     regular values through s -> s/2 (cross-checked by ``check_residual``).
     Off the progression, the shifted derivatives come from the
@@ -234,10 +232,9 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
 
     import numpy as np
 
-    from .zetacont import (SpectrumStream, lattice_sum_fits, shifted_from_base, sqrt_stream,
-                           zeta_data_lattice)
+    from .zetacont import SpectrumStream, shifted_from_base, sqrt_stream, zeta_data_lattice
     stream = base.coclosed_spectrum(k)
-    if stream.lattice is not None and a != 0.0 and lattice_sum_fits(stream, a):
+    if stream.lattice is not None and a != 0.0:
         route, q_stream = "exact", None
         data = zeta_data_lattice(stream, a)
         nu_stream = SpectrumStream(np.sqrt(stream.values + a * a), stream.mults,

@@ -39,12 +39,13 @@ module; they are re-exported here as the same objects.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
-from .specfun import BESSEL_K_REL, EULER_GAMMA, bessel_k_ladder, digamma, ln_gamma
+from .specfun import EULER_GAMMA, EXPINT_REL, digamma, expint_ladder, ln_gamma
 from .zetadata import RMAX, ZetaFunctionData, _check_shift, _shifts, zeta_data_exact
 
 _EXP_CUTOFF = 45.0          # e^-45 ~ 2.9e-20: below double-precision relevance
@@ -57,15 +58,14 @@ _PROBE_BLOCK = 4            # t_min probes traced per call, largest t first
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
 _LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
 _LATTICE_BOX = 1 << 23      # index points _lattice_points may build (about 0.5 GB)
-_LATTICE_REACH = 60.0       # the Bessel-K lattice sum keeps x = a|v|/c <= 60
-_LATTICE_POINTS = 40_000    # past this many points the numeric route is the cheaper one
+_EWALD_CUT = 36.0           # the split's sums keep exponents <= 36: e^-36 ~ 2.3e-16
 _SETTLE_EVERY = 8           # log-series terms between tests for settled entries
 _SETTLE_MIN = 256           # shorter runs are not tested: numpy's call overhead dominates
 _ULP = 2.0 ** -53           # unit roundoff of binary64
 
 __all__ = [
     "RMAX", "MellinZeta", "SpectrumStream", "ZetaFunctionData", "exact_stream",
-    "lattice_sum_fits", "merge_ties", "progression_stream", "shift_heat_powers",
+    "merge_ties", "progression_stream", "shift_heat_powers",
     "shifted_from_base", "sqrt_stream", "zeta_data_exact", "zeta_data_lattice",
     "zeta_data_numeric",
 ]
@@ -231,12 +231,13 @@ def _lattice_points(basis: np.ndarray, radius: float, dual=None) -> np.ndarray:
     # index bound: i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
     if dual is None:
         dual = np.linalg.inv(basis.T)
-    reach = [radius * math.hypot(*row) for row in dual]
+    reach = [radius * math.hypot(*row) for row in dual.tolist()]
     if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # prod (2 i_k,max + 1)
         raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
                               f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
-    axes = [np.arange(-b, b + 1) for b in (int(math.floor(x)) + 1 for x in reach)]
-    pts = sum(g[..., None] * row for g, row in zip(np.meshgrid(*axes, indexing="ij"), basis))
+    # i_k b_k broadcast along axis k of the index grid, the coordinates along the last
+    pts = sum(np.arange(-m, m + 1).reshape([1] * k + [-1] + [1] * (len(reach) - k)) * row
+              for k, (m, row) in enumerate(zip((int(math.floor(x)) + 1 for x in reach), basis)))
     sq = np.einsum("...k,...k->...", pts, pts).ravel()
     keep = (sq > 0.0) & (sq <= radius * radius + 1e-9)
     return np.sort(sq[keep])
@@ -461,109 +462,114 @@ def progression_stream(c: float, m: int, count: int) -> SpectrumStream:
                           heat_fn=lambda t: m / np.expm1(c * t), heat_powers=powers)
 
 
-def _gamma_half(i: int) -> float:
-    """Gamma(i/2) for an integer i >= 1: (i/2 - 1)! or sqrt(pi) (i-2)!!/2^((i-1)/2)."""
-    if i % 2 == 0:
-        return float(math.factorial(i // 2 - 1))
-    return math.sqrt(math.pi) * math.prod(range(1, i - 1, 2)) / 2.0 ** ((i - 1) // 2)
-
-
-def lattice_sum_fits(stream: SpectrumStream, a: float) -> bool:
-    """Whether ``zeta_data_lattice`` at shift a sums at most _LATTICE_POINTS
-    lattice points: about R^2/(4 a^2 A) of them have x = a|v|/c <= R =
-    _LATTICE_REACH (A = covol/(4 pi c^2), the t^-1 heat coefficient), a count
-    that grows like c^2, while the numeric route's listing stops at its
-    nu_max.  Measured on the square torus, the two routes cost the same near
-    40 000 points (c = 6)."""
-    lead = dict(stream.heat_powers)[-1.0]
-    return _LATTICE_REACH ** 2 / (4.0 * a * a * lead) <= _LATTICE_POINTS
+def _beyond_cut(alpha: float, span: float, density: float, lift: float) -> float:
+    """Bound on sum e^-x / (x - lift) over the lattice points with x past
+    _EWALD_CUT, where x <= X puts a point within r = sqrt(alpha X): their
+    cells (area 1/density, diameter <= ``span``, the basis length sum) lie
+    within r + span, so at most 2 pi density (alpha X + span^2) of them."""
+    q = math.exp(-1.0)
+    shells = (span * span + alpha * (_EWALD_CUT + 1.0)) / (1.0 - q) + alpha * q / (1.0 - q) ** 2
+    return 2.0 * math.pi * density * shells * math.exp(-_EWALD_CUT) / (_EWALD_CUT - lift)
 
 
 def zeta_data_lattice(stream: SpectrumStream, a: float,
                       pole_range: int = RMAX) -> ZetaFunctionData:
     """Frequency-side data of nu = sqrt(eta + a^2) over a flat 2-torus
-    stream, in closed form: the generalized Chowla-Selberg formula (E.
-    Elizalde, CMP 198, 1998; K. Kirsten, Spectral Functions in Mathematics
+    stream, in closed form: Ewald's split of its theta function (P. P.
+    Ewald, Ann. Phys. 1921; K. Kirsten, Spectral Functions in Mathematics
     and Physics, 2002, ch. 4).
 
-    The stream's ``lattice`` (c, basis) and its heat coefficient
-    A = covol(L)/(4 pi c^2) of t^-1 fix zeta_Q(w) = sum (eta + a^2)^(-w).
-    Poisson summation over L gives, with x_v = a|v|/c over the nonzero v in L,
+    The stream's ``lattice`` (c, basis) and its t^-1 heat coefficient A =
+    covol(L)/(4 pi c^2) fix zeta_Q(w) = sum (eta + a^2)^(-w) = F(w)/Gamma(w),
+    F the Mellin transform of e^(-a^2 t) Z(t), Z(t) = A/t (1 + sum_v
+    e^(-b_v/t)) - 1, b_v = |v|^2/(4 c^2) over the nonzero v in L.  Split at
+    t0 = A (1/a^2 where a^2 A > 1, keeping y = a^2 t0 <= 1; no torus the
+    cone solves gets there), with E_p from ``specfun.expint_ladder``,
 
-        zeta_Q(w) = A a^(2-2w)/(w-1) - a^(-2w)
-                    + (2A/Gamma(w)) sum_v (x_v/(2a^2))^(w-1) K_(w-1)(x_v),
+        F(w) = t0^w sum_mu E_(1-w)((eta_mu + a^2) t0)            (t > t0)
+             + A t0^(w-1) sum_k ((-y)^k/k!) [sum_v E_(w+k)(b_v/t0) + 1/(w+k-1)]
+             - t0^w sum_k ((-y)^k/k!) / (w+k)                    (t < t0).
 
-    so zeta_Q(0) = -A a^2 - 1, zeta_Q'(0) = A a^2 (2 log a - 1) + 2 log a
-    + 4 A a^2 sum_v K_1(x_v)/x_v, and the one pole, at w = 1, has residue A
-    and finite part -2A log a + 2A sum_v K_0(x_v) - a^-2.  The frequency
-    zeta is zeta_Q(s/2): deriv0 is half of zeta_Q'(0), residues[i] =
-    2 Res_Q(i/2) and pp[i] = PP_Q(i/2) for i = 1..pole_range.
-
-    The sum runs over the lattice's norms with x_v <= _LATTICE_REACH,
-    bitwise ties merged.  The bounds cover: the points beyond the reach
-    (N(r) <= pi (r + |b_1| + |b_2|)^2 / covol of them lie within r, and each
-    summand decreases in x); the evaluator's relative error BESSEL_K_REL;
-    the rounding of each x_v, which a summand's logarithmic derivative in
-    log x (at most x + 2) carries over; numpy's pairwise sums; and the
-    rounding of the three terms, which cancel at high order.
-    ``error_estimate`` bounds deriv0, zeta0 and the residues, and
-    ``pp_errors[i]`` bounds pp[i].
+    The poles at w = 0 and 1 leave log t0 in the finite parts: zeta_Q(0) =
+    -A a^2 - 1, zeta_Q'(0) = F_0 - gamma (1 + A a^2), and the pole at w = 1
+    has residue A and finite part F_1 + gamma A.  Then deriv0 = zeta_Q'(0)/2,
+    residues[i] = 2 Res_Q(i/2) and pp[i] = PP_Q(i/2), i = 1..pole_range.  At
+    t0 = A both sides' exponents are pi |u|^2 over lattices of unit
+    covolume, so the cut at _EWALD_CUT keeps the same terms at every c.  The
+    bounds cover the points past the cut, the a^2 series past 2^-60,
+    EXPINT_REL, each exponent's rounding (|x E_p'(x)| <= (x + |p| + 2) E_p),
+    the sums and the combination: ``error_estimate`` bounds deriv0, zeta0
+    and the residues, ``pp_errors[i]`` bounds pp[i].
     """
     if stream.lattice is None:
         raise ValidationError(f"spectrum stream {stream.name!r} carries no lattice")
     a = abs(number(a, "a", "a finite nonzero real", lambda x: math.isfinite(x) and x != 0.0))
     pole_range = integer(pole_range, "pole_range", 0, RMAX)
+    lead = dict(stream.heat_powers)[-1.0]
+    return _ewald_split(stream, a, pole_range, min(lead, 1.0 / (a * a)))
+
+
+def _ewald_split(stream: SpectrumStream, a: float, pole_range: int, t0: float) -> ZetaFunctionData:
+    """``zeta_data_lattice`` split at t0."""
     (c, basis), lead = stream.lattice, dict(stream.heat_powers)[-1.0]
+    a2, k2, v2 = a * a, 4.0 * math.pi ** 2 * c * c, 4.0 * c * c * t0   # eta = k2 |mu|^2
+    y, ratio, cut = a2 * t0, lead / t0, _EWALD_CUT
     dual = np.linalg.inv(basis).T
-    vsq, counts = np.unique(_lattice_points(basis, _LATTICE_REACH * c / a, dual),
-                            return_counts=True)
-    x = (a / c) * np.sqrt(vsq)
+    # the exponents (eta_mu + a^2) t0 and b_v / t0 up to the cut, equal ones merged
+    (freq, f_counts), (pois, p_counts) = [(list(m), np.array(list(m.values()), float)) for m in (
+        Counter((k2 * t0 * _lattice_points(dual, math.sqrt(max(cut / t0 - a2, 0.0) / k2), basis)
+                 + a2 * t0).tolist()),
+        Counter((_lattice_points(basis, math.sqrt(v2 * cut), dual) / v2).tolist()))]
+    coeffs = [1.0]                          # (-y)^k / k!
+    while len(coeffs) < 3 or abs(coeffs[-1]) > 2.0 ** -60:
+        coeffs.append(coeffs[-1] * -y / len(coeffs))
+    kk, nf, nw = len(coeffs) - 1, len(freq), pole_range + 1
+    # the frequency side reads the orders 1 - w, the Poisson side w + k
+    low, top = min(math.floor(1.0 - 0.5 * pole_range), 0), math.ceil(0.5 * pole_range) + kk
+    rows = expint_ladder(freq + pois, [low] * nf + [0] * len(pois), [1] * nf + [top] * len(pois))
+    # per order and side: the sums of E and of x E over the points
+    (f_sum, f_xsum), (p_sum, p_xsum) = [
+        (table.sum(axis=0), (table * np.array(x)[:, None]).sum(axis=0))
+        for table, x in ((np.array(rows[:nf]) * f_counts[:, None], freq),
+                         (np.array(rows[nf:]) * p_counts[:, None], pois))]
+    ck = np.array(coeffs)
+    wk = 0.5 * np.arange(-2.0, nw)[:, None] + np.arange(kk + 1.0)    # v + k, v = -1 .. w_max
+    # H(v) = sum_k c_k / (v + k) without its pole: A/t - 1 gives ratio H(w - 1) - H(w)
+    inv = np.divide(ck, wk, out=np.zeros(wk.shape), where=wk != 0.0)
+    tw = np.array([t0 ** (0.5 * i) for i in range(nw)])
+    logs = np.zeros(nw)     # the poles' t0^(w-w0) / (w-w0) and 1/Gamma(w) at w = 0 and 1
+    logs[0] = -(1.0 + lead * a2) * (math.log(t0) + EULER_GAMMA)
+    logs[2:3] = lead * (math.log(t0) + EULER_GAMMA)
+    f_side = f_sum[2 - 2 * low::-1][:nw]                            # order 1 - w
+    parts = np.array([tw * f_side, ratio * tw * (p_sum[(2 * wk[2:]).astype(int)] * ck).sum(axis=1),
+                      tw * (ratio * inv[:nw].sum(axis=1) - inv[2:].sum(axis=1)), logs])
+    f_vals = parts.sum(axis=0).tolist()
 
-    def kernels(x):
-        """Row 0: K_1(x)/x; row i: (x/(2a^2))^(i/2-1) K_(i/2-1)(x)."""
-        k_int = bessel_k_ladder(x, max(pole_range // 2 - 1, 1))
-        k_half = bessel_k_ladder(x, max((pole_range - 3) // 2, 0), half=True)
-        y = x / (2.0 * a * a)
-        return np.array([k_int[1] / x] + [
-            y ** (0.5 * i - 1.0) * (k_int[i // 2 - 1] if i % 2 == 0 else k_half[max(i - 3, 0) // 2])
-            for i in range(1, pole_range + 1)])
-
-    terms = kernels(x) * counts
-    sums = terms.sum(axis=1)
-    # rounding of x_v: its coordinates carry 2u (|i||b_1| + |j||b_2|) <= 2u kappa |v|
+    # bounds on F(w); E_p(x) and x E_p(x) fall with p, so S(w + k) <= S(w) and
+    # sum_k |c_k| <= e^y bound the Poisson side
+    grow, covol = math.exp(y), abs(float(np.linalg.det(basis)))
     kappa = sum(math.hypot(*b) * math.hypot(*s) for b, s in zip(basis, dual))
-    # numpy's pairwise row sum: 8 running sums of up to 16 terms per 128-term
-    # block and a binary tree above, over each whole row (the x.size / 8192
-    # term also covers a sum taken in buffers of 8192 added in turn)
-    sum_depth = math.log2(max(x.size, 2)) + x.size / 8192.0 + 20.0
-    reach = _LATTICE_REACH + np.arange(51.0)
-    shells = math.pi * (c * (reach + 1.0) / a + sum(map(math.hypot, *basis.T))) ** 2 / (
-        4.0 * math.pi * c * c * lead)
-    sum_errs = ((BESSEL_K_REL + (sum_depth + 8.0) * _ULP) * sums
-                + (3.0 * kappa + 4.0) * _ULP * (terms * (x + 2.0)).sum(axis=1)
-                + (kernels(reach) * shells).sum(axis=1))
+    orders = np.abs(low + 0.5 * np.arange(f_sum.size)) + 2.0
+    mags = tw * (f_side + ratio * grow * p_sum[:nw])
+    sens = tw * ((f_xsum + orders * f_sum)[2 - 2 * low::-1][:nw]
+                 + ratio * grow * (p_xsum[:nw] + (0.5 * np.arange(nw) + kk + 2.0) * p_sum[:nw]))
+    past = (_beyond_cut(1.0 / (t0 * k2), sum(map(math.hypot, *dual.T)), covol,
+                        max(0.5 * pole_range - 1.0, 0.0))
+            + ratio * grow * _beyond_cut(v2, sum(map(math.hypot, *basis.T)), 1.0 / covol, 0.0)
+            + abs(coeffs[-1]) * y / (kk + 1.0) * grow * (ratio * (p_sum[0] + 1.0) + 1.0))
+    depth = 16.0 + max(len(pois), nf) + kk  # point sums run in turn, then the k-sums
+    f_errs = ((EXPINT_REL + depth * _ULP) * mags + (6.0 * kappa + 12.0) * _ULP * sens
+              + 8.0 * _ULP * (np.abs(parts).sum(axis=0) + tw * (
+                  ratio * np.abs(inv[:nw]).sum(axis=1) + np.abs(inv[2:]).sum(axis=1)))
+              + tw * past).tolist()
 
-    def combine(coeff, j, *others):
-        """coeff * sums[j] + others, and a bound on its error."""
-        parts = [coeff * sums[j], *others]
-        return math.fsum(parts), float(8.0 * _ULP * sum(map(abs, parts))
-                                       + abs(coeff) * sum_errs[j])
-
-    la, a2 = math.log(a), a * a
-    deriv_q, deriv_err = combine(4.0 * lead * a2, 0, lead * a2 * (2.0 * la - 1.0), 2.0 * la)
+    pp = {i: f_vals[i] / math.gamma(0.5 * i) for i in range(1, nw)}
+    pp_errors = {i: f_errs[i] / math.gamma(0.5 * i) + 4.0 * _ULP * abs(pp[i]) for i in pp}
     zeta0 = -lead * a2 - 1.0
-    residues, pp, pp_errors = {}, {}, {}
-    for i in range(1, pole_range + 1):
-        residues[i] = 2.0 * lead if i == 2 else 0.0
-        if i == 2:
-            pp[i], pp_errors[i] = combine(2.0 * lead, i, -2.0 * lead * la, -1.0 / a2)
-        else:
-            w = 0.5 * i
-            pp[i], pp_errors[i] = combine(2.0 * lead / _gamma_half(i), i,
-                                          lead * a ** (2 - i) / (w - 1.0), -a ** -i)
-    err = max(0.5 * deriv_err, 8.0 * _ULP * (abs(zeta0) + 2.0 * lead))
-    return ZetaFunctionData(deriv0=0.5 * deriv_q, residues=residues, pp=pp,
-                            error_estimate=err, zeta0=zeta0, pp_errors=pp_errors)
+    err = max(0.5 * f_errs[0] + 4 * _ULP * abs(f_vals[0]), 8 * _ULP * (abs(zeta0) + 2 * lead))
+    return ZetaFunctionData(deriv0=0.5 * f_vals[0], residues={i: 2.0 * lead if i == 2 else 0.0
+                                                              for i in pp},
+                            pp=pp, error_estimate=err, zeta0=zeta0, pp_errors=pp_errors)
 
 
 # ---------------------------------------------------------------------------

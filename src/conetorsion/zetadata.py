@@ -39,8 +39,8 @@ class ZetaFunctionData:
     into read-only views.  pp[i] stores the plain value zeta(i) wherever
     residues[i] == 0.  ``pp_errors`` bounds, where given, the error of
     Res(i)(gamma + psi(i)) + PP(i) beyond ``error_estimate``: the lattice
-    route's high orders cancel terms of size a^(-i), and the relation path
-    weighs them by |alpha|^i / i."""
+    route bounds each order on its own, and the relation path weighs them
+    by |alpha|^i / i."""
     deriv0: float
     deriv0_shifted: Mapping = field(default_factory=dict)
     residues: Mapping = field(default_factory=dict)

@@ -16,6 +16,7 @@ package under test never imports this module.
 """
 
 import copy
+import decimal
 import functools
 import math
 from fractions import Fraction
@@ -24,6 +25,8 @@ import mpmath as mp
 import numpy as np
 
 mp.mp.dps = 30
+with mp.workdps(90):
+    _DEC_PI, _DEC_EULER = (decimal.Decimal(mp.nstr(v, 85)) for v in (mp.pi, mp.euler))
 
 
 def lngamma(x: float) -> float:
@@ -479,28 +482,76 @@ def without_lattice(base):
 
 
 def bessel_k01(x):
-    """(K_0(x), K_1(x)) as mpf, from the ascending series
-    K_0 = -(log(x/2) + gamma) I_0(x) + sum_k H_k (x^2/4)^k / (k!)^2 and the
-    Wronskian I_0 K_1 + I_1 K_0 = 1/x, at a working precision raised by the
-    e^(2x) the series cancels."""
-    with mp.workdps(40 + int(0.9 * float(x))):
-        x = mp.mpf(x)
-        q, term, harmonic = x * x / 4, mp.mpf(1), mp.mpf(0)
-        i0 = i1 = series = mp.mpf(0)
-        k = 0
-        while term > mp.eps * i0 or k < 2:
-            i0 += term
-            i1 += term / (k + 1)
-            series += harmonic * term
-            k += 1
-            term *= q / (k * k)
-            harmonic += mp.mpf(1) / k
-        i1 *= x / 2
-        k0 = series - (mp.log(x / 2) + mp.euler) * i0
-        return +k0, (1 / x - i1 * k0) / i0
+    """(K_0(x), K_1(x)) as mpf for 0 < x < 22 (``_bessel_k01_dec``)."""
+    k0, k1 = _bessel_k01_dec(decimal.Decimal(float(x)))
+    return mp.mpf(str(k0)), mp.mpf(str(k1))
 
 
-_K_SERIES_TOP = 20.0
+_K_SERIES_TOP = 22.0        # K_0, K_1 from their ascending series below, large-x series above
+_K_FLOAT_FROM = 50.0        # float64 scipy.special.kv from here on
+_DEC = decimal.Context(prec=32)
+
+
+def _bessel_k01_dec(x):
+    """(K_0(x), K_1(x)) at a Decimal x > 0, to 30 digits.
+
+    Below _K_SERIES_TOP: the ascending series K_0 = -(log(x/2) + gamma) I_0(x)
+    + sum_k H_k (x^2/4)^k / (k!)^2 and the Wronskian I_0 K_1 + I_1 K_0 = 1/x,
+    at a working precision raised by the e^(2x) the series cancels.  From
+    there on: sqrt(pi/2x) e^-x sum_k a_k(nu) x^-k, a_0 = 1, a_k = a_(k-1)
+    (4 nu^2 - (2k-1)^2) / (8k), at 32 digits, to 1e-26 or to its least
+    term (below e^-(2x) < 1e-19; those points weigh at most 1e-6 of each
+    lattice sum)."""
+    if x < _K_SERIES_TOP:
+        with decimal.localcontext(decimal.Context(prec=40 + int(0.9 * float(x)))):
+            q, term, harmonic = x * x / 4, decimal.Decimal(1), decimal.Decimal(0)
+            i0 = i1 = series = decimal.Decimal(0)
+            eps = decimal.Decimal(10) ** -(decimal.getcontext().prec - 2)
+            k = 0
+            while term > eps * i0 or k < 2:
+                i0 += term
+                i1 += term / (k + 1)
+                series += harmonic * term
+                k += 1
+                term *= q / (k * k)
+                harmonic += decimal.Decimal(1) / k
+            i1 *= x / 2
+            k0 = series - ((x / 2).ln() + _DEC_EULER) * i0
+            k1 = (1 / x - i1 * k0) / i0
+        return k0, k1
+    out = []
+    with decimal.localcontext(_DEC):
+        for nu in (0, 1):
+            term, total, k = decimal.Decimal(1), decimal.Decimal(0), 0
+            while True:
+                total += term
+                k += 1
+                nxt = term * (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k * x)
+                if abs(nxt) >= abs(term) or abs(nxt) < abs(total) * decimal.Decimal("1e-26"):
+                    break
+                term = nxt
+            out.append((_DEC_PI / (2 * x)).sqrt() * (-x).exp() * total)
+    return tuple(out)
+
+
+def _k_rows(x, a, orders: int) -> list:
+    """Row 0: K_1(x)/x; row i: (x/(2a^2))^(i/2-1) K_(i/2-1)(x), for Decimal x
+    and a: K_0, K_1 from ``_bessel_k01_dec``, higher orders by the order
+    recurrence from K_(1/2) = sqrt(pi/2x) e^-x."""
+    k_int = list(_bessel_k01_dec(x))
+    for j in range(1, 7):
+        k_int.append(k_int[j - 1] + 2 * j / x * k_int[j])
+    k_half = [(_DEC_PI / (2 * x)).sqrt() * (-x).exp()]
+    k_half.append(k_half[0] * (1 + 1 / x))
+    for j in range(1, 6):
+        k_half.append(k_half[j - 1] + (2 * j + 1) / x * k_half[j])
+    y = x / (2 * a * a)
+    power = {-1: 1 / y.sqrt(), 0: decimal.Decimal(1), 1: y.sqrt()}      # y^(p/2)
+    for p in range(2, orders - 1):
+        power[p] = power[p - 2] * y
+    return [k_int[1] / x] + [power[i - 2] * (k_int[i // 2 - 1] if i % 2 == 0
+                                             else k_half[max(i - 3, 0) // 2])
+                             for i in range(1, orders + 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,35 +572,26 @@ def _lattice_data(basis: tuple, c: float, a: float, orders: int, reach: float) -
     norm = np.hypot(ii * basis[0][0] + jj * basis[1][0], ii * basis[0][1] + jj * basis[1][1])
     inside = norm * (a / c) <= reach
     ii, jj, norm = ii[inside], jj[inside], norm[inside]
-    # below the series top: exact squared norms, equal ones merged, at 30+ digits
+    # below the float top: exact squared norms, equal ones merged, each point's
+    # terms in 32-digit decimal arithmetic
     counts: dict = {}
-    for i, j in zip(ii[norm * (a / c) < _K_SERIES_TOP].tolist(),
-                    jj[norm * (a / c) < _K_SERIES_TOP].tolist()):
+    for i, j in zip(ii[norm * (a / c) < _K_FLOAT_FROM].tolist(),
+                    jj[norm * (a / c) < _K_FLOAT_FROM].tolist()):
         q = i * i * gram[0][0] + 2 * i * j * gram[0][1] + j * j * gram[1][1]
         counts[q] = counts.get(q, 0) + 2
-    rows: list = [[] for _ in range(orders + 1)]
-    for q, m in counts.items():
-        x = am * mp.sqrt(mp.mpf(q.numerator) / q.denominator) / cm
-        k_int = list(bessel_k01(x))
-        for j in range(1, 7):
-            k_int.append(k_int[j - 1] + 2 * j / x * k_int[j])
-        k_half = [mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x)]
-        k_half.append(k_half[0] * (1 + 1 / x))
-        for j in range(1, 6):
-            k_half.append(k_half[j - 1] + (2 * j + 1) / x * k_half[j])
-        y = x / (2 * am * am)
-        root = mp.sqrt(y)
-        power = {-1: 1 / root, 0: mp.mpf(1), 1: root}      # y^(p/2)
-        for p in range(2, orders - 1):
-            power[p] = power[p - 2] * y
-        rows[0].append(m * k_int[1] / x)
-        for i in range(1, orders + 1):
-            k = k_int[i // 2 - 1] if i % 2 == 0 else k_half[max(i - 3, 0) // 2]
-            rows[i].append(m * power[i - 2] * k)
-    # above it the terms are below 1e-5 of each sum: float64 scipy values
-    # leave an error below 1e-20 of it
+    sums = [decimal.Decimal(0)] * (orders + 1)
+    dec_a = decimal.Decimal(a)
+    dec_scale = decimal.Decimal(a) / decimal.Decimal(c)
+    with decimal.localcontext(_DEC):
+        for q, m in counts.items():
+            x = (decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)).sqrt() * dec_scale
+            terms = _k_rows(x, dec_a, orders)
+            sums = [s + m * t for s, t in zip(sums, terms)]
+    rows = [[mp.mpf(str(s))] for s in sums]
+    # above it the terms are below 1e-9 of each sum: float64 scipy values
+    # leave an error below 1e-24 of it
     import scipy.special
-    xf = norm[norm * (a / c) >= _K_SERIES_TOP] * (a / c)
+    xf = norm[norm * (a / c) >= _K_FLOAT_FROM] * (a / c)
     rows[0].append(mp.mpf(math.fsum((2.0 * scipy.special.kv(1, xf) / xf).tolist())))
     for i in range(1, orders + 1):
         nu = 0.5 * i - 1.0
@@ -571,7 +613,7 @@ def _lattice_data(basis: tuple, c: float, a: float, orders: int, reach: float) -
             for key, v in out.items()}
 
 
-def lattice_zeta_data(basis, c: float, a: float, orders: int = 16, reach: float = 66.0) -> dict:
+def lattice_zeta_data(basis, c: float, a: float, orders: int = 16, reach: float = 90.0) -> dict:
     """Frequency-side continuation data of nu = sqrt(eta + a^2), eta =
     4 pi^2 c^2 |mu|^2 over the nonzero mu of the dual of the lattice L the
     rows of ``basis`` span: {"deriv0", "zeta0", "residues", "pp"} with
@@ -580,11 +622,145 @@ def lattice_zeta_data(basis, c: float, a: float, orders: int = 16, reach: float 
     The generalized Chowla-Selberg formula (Elizalde, CMP 198, 1998) in
     mpmath at 30 digits: with A = covol(L)/(4 pi c^2) and x_v = a|v|/c,
     zeta_Q(w) = A a^(2-2w)/(w-1) - a^(-2w) + (2A/Gamma(w)) sum_v
-    (x_v/(2a^2))^(w-1) K_(w-1)(x_v), summed over x_v <= ``reach`` (the
-    terms beyond are below 1e-25 of each sum).  K_0 and K_1 come from
-    ``bessel_k01``, higher orders by the order
-    recurrence from K_(1/2) = sqrt(pi/2x) e^-x; the points with x_v >= 20
-    from float64 scipy.special.kv.
+    (x_v/(2a^2))^(w-1) K_(w-1)(x_v), summed over x_v <= ``reach``.  At high
+    orders the three terms cancel to a^(2w) of their size and the summands
+    grow like x^(w-3/2) e^-x, so the sum runs to x = 90 (the terms beyond
+    are below 1e-28 of each sum at every order), and every point below
+    x = 50 is summed in 32-digit decimals: K_0 and K_1 from
+    ``_bessel_k01_dec``, higher orders by the order recurrence from
+    K_(1/2) = sqrt(pi/2x) e^-x.  The points from x = 50 on, below 1e-9 of
+    each sum, take float64 scipy.special.kv.  At a = 1/2, pp[16] on the
+    catalogue tori agrees with the direct lattice sum to 1e-15 relative.
     """
     return _lattice_data(tuple(map(tuple, np.asarray(basis, dtype=float).tolist())),
                          float(c), float(a), orders, reach)
+
+
+# ---------------------------------------------------------------------------
+# the lattice route's Bessel-K form in float64 (the production route before
+# the Ewald split): a second exact check on zetacont.zeta_data_lattice
+
+#: relative accuracy of ``bessel_k_ladder`` (tested against mpmath)
+BESSEL_K_REL = 2e-15
+_K_SWITCH = 20.0            # trapezoid rule below, large-x series above
+_K_STEP = 0.1
+_K_TERMS = 30
+_K_REACH = 60.0             # the lattice sum keeps x = a|v|/c <= 60
+# a_k(nu) of the large-x series for nu = 0, 1 (one column per order):
+# a_0 = 1, a_(k+1) = a_k (4 nu^2 - (2k+1)^2) / (8 (k+1))
+_K_ASYMPTOTIC = [[1.0, 1.0]]
+for _k in range(1, _K_TERMS):
+    _K_ASYMPTOTIC.append([a * (4 * nu * nu - (2 * _k - 1) ** 2) / (8.0 * _k)
+                          for a, nu in zip(_K_ASYMPTOTIC[-1], (0, 1))])
+
+
+def _float_bessel_k01(x):
+    """(K_0(x), K_1(x)) at every x > 0 of a 1-D array: below _K_SWITCH the
+    trapezoid rule with step _K_STEP on K_nu(x) = int_0^inf e^(-x cosh t)
+    cosh(nu t) dt (analytic in |Im t| < pi/2, so its relative error is
+    about e^(x - pi^2/_K_STEP)), to where x (cosh t - 1) > 48; from there
+    _K_TERMS terms of the large-x series sqrt(pi/2x) e^-x sum_k a_k x^-k."""
+    out = np.empty((2, x.size))
+    low = x < _K_SWITCH
+    if low.any():
+        xl = x[low]
+        t = _K_STEP * np.arange(int(math.acosh(1.0 + 48.0 / float(xl.min())) / _K_STEP) + 2.0)
+        weights = np.stack([np.full(t.size, _K_STEP), _K_STEP * np.cosh(t)], axis=1)
+        weights[0] *= 0.5
+        terms = np.multiply.outer(-xl, np.cosh(t))
+        out[:, low] = (np.exp(terms, out=terms) @ weights).T
+    high = ~low
+    if high.any():
+        xh = x[high]
+        inv = 1.0 / xh
+        coef = np.array(_K_ASYMPTOTIC)[:, :, None]
+        series = np.repeat(coef[-1], xh.size, axis=1)
+        for a in coef[-2::-1]:
+            series = series * inv + a
+        out[:, high] = np.sqrt(0.5 * math.pi / xh) * np.exp(-xh) * series
+    return out[0], out[1]
+
+
+def bessel_k_ladder(x, top: int, half: bool = False):
+    """Modified Bessel K_(j+h)(x) for j = 0..top (h = 1/2 when ``half``, else
+    0) at every x > 0 of a 1-D array: row j holds order j + h.
+    K_(1/2)(x) = sqrt(pi/2x) e^(-x) and K_0, K_1 (``_float_bessel_k01``)
+    start the upward recurrence K_(nu+1) = K_(nu-1) + (2 nu/x) K_nu, a sum of
+    positive terms; K_(-1/2) = K_(1/2).  Relative error at most
+    ``BESSEL_K_REL`` for x in [0.05, 200] and orders up to 15/2."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((top + 1, x.size))
+    if half:
+        out[0] = np.sqrt(0.5 * math.pi / x) * np.exp(-x)
+        below, h = out[0], 0.5
+    else:
+        out[0], below = _float_bessel_k01(x)   # K_1 stands below K_0 as K_(-1)
+        h = 0.0
+    for j in range(top):
+        out[j + 1] = below + (2.0 * (j + h) / x) * out[j]
+        below = out[j]
+    return out
+
+
+def bessel_k_zeta_data(stream, a: float, pole_range: int = 16):
+    """``zetacont.zeta_data_lattice``'s record from the generalized
+    Chowla-Selberg formula in float64 (Elizalde, CMP 198, 1998): with
+    A = covol(L)/(4 pi c^2) and x_v = a|v|/c over the nonzero v in L,
+
+        zeta_Q(w) = A a^(2-2w)/(w-1) - a^(-2w)
+                    + (2A/Gamma(w)) sum_v (x_v/(2a^2))^(w-1) K_(w-1)(x_v),
+
+    summed over x_v <= 60, bitwise ties merged.  Its bounds cover the points
+    beyond the reach, ``BESSEL_K_REL``, the rounding of each x_v, numpy's
+    pairwise sums and the rounding of the three terms, which cancel at high
+    order (a^(-i) of size): ``error_estimate`` bounds deriv0, zeta0 and the
+    residues, ``pp_errors[i]`` bounds pp[i]."""
+    from conetorsion.zetacont import ZetaFunctionData, _lattice_points
+    ulp = 2.0 ** -53
+    (c, basis), lead = stream.lattice, dict(stream.heat_powers)[-1.0]
+    dual = np.linalg.inv(basis).T
+    vsq, counts = np.unique(_lattice_points(basis, _K_REACH * c / a, dual), return_counts=True)
+    x = (a / c) * np.sqrt(vsq)
+
+    def kernels(x):
+        """Row 0: K_1(x)/x; row i: (x/(2a^2))^(i/2-1) K_(i/2-1)(x)."""
+        k_int = bessel_k_ladder(x, max(pole_range // 2 - 1, 1))
+        k_half = bessel_k_ladder(x, max((pole_range - 3) // 2, 0), half=True)
+        y = x / (2.0 * a * a)
+        return np.array([k_int[1] / x] + [
+            y ** (0.5 * i - 1.0) * (k_int[i // 2 - 1] if i % 2 == 0 else k_half[max(i - 3, 0) // 2])
+            for i in range(1, pole_range + 1)])
+
+    terms = kernels(x) * counts
+    sums = terms.sum(axis=1)
+    # rounding of x_v: its coordinates carry 2u (|i||b_1| + |j||b_2|) <= 2u kappa |v|
+    kappa = sum(math.hypot(*b) * math.hypot(*s) for b, s in zip(basis, dual))
+    sum_depth = math.log2(max(x.size, 2)) + x.size / 8192.0 + 20.0
+    reach = _K_REACH + np.arange(51.0)
+    shells = math.pi * (c * (reach + 1.0) / a + sum(map(math.hypot, *basis.T))) ** 2 / (
+        4.0 * math.pi * c * c * lead)
+    sum_errs = ((BESSEL_K_REL + (sum_depth + 8.0) * ulp) * sums
+                + (3.0 * kappa + 4.0) * ulp * (terms * (x + 2.0)).sum(axis=1)
+                + (kernels(reach) * shells).sum(axis=1))
+
+    def combine(coeff, j, *others):
+        """coeff * sums[j] + others, and a bound on its error."""
+        parts = [coeff * sums[j], *others]
+        return math.fsum(parts), float(8.0 * ulp * sum(map(abs, parts))
+                                       + abs(coeff) * sum_errs[j])
+
+    la, a2 = math.log(a), a * a
+    deriv_q, deriv_err = combine(4.0 * lead * a2, 0, lead * a2 * (2.0 * la - 1.0), 2.0 * la)
+    zeta0 = -lead * a2 - 1.0
+    residues, pp, pp_errors = {}, {}, {}
+    for i in range(1, pole_range + 1):
+        residues[i] = 2.0 * lead if i == 2 else 0.0
+        if i == 2:
+            pp[i], pp_errors[i] = combine(2.0 * lead, i, -2.0 * lead * la, -1.0 / a2)
+        else:
+            w = 0.5 * i
+            pp[i], pp_errors[i] = combine(2.0 * lead / math.gamma(w), i,
+                                          lead * a ** (2 - i) / (w - 1.0), -a ** -i)
+    err = max(0.5 * deriv_err, 8.0 * ulp * (abs(zeta0) + 2.0 * lead))
+    return ZetaFunctionData(deriv0=0.5 * deriv_q, residues=residues, pp=pp,
+                            error_estimate=err, zeta0=zeta0, pp_errors=pp_errors)

@@ -69,14 +69,14 @@ def _case(argv, loads, id, status=0):
           id="zeta-s1"),
     _case(["torsion", "cone", "--base", "s1", "--scale", "0.5"], "",
           id="torsion-cone-s1-refused", status=2),
-    # the lattice route builds no quadrature
+    # the lattice route builds no quadrature, at every scale
     _case(["torsion", "cone", "--base", "torus2", "--scale", "2"], _ARRAYS,
           id="torsion-cone-torus2"),
     _case(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
            "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
           _ARRAYS, id="torsion-cone-torus2-sheared"),
-    _case(["torsion", "cone", "--base", "torus2", "--scale", "7"], _QUADRATURE,
-          id="torsion-cone-torus2-numeric"),
+    _case(["torsion", "cone", "--base", "torus2", "--scale", "7"], _ARRAYS,
+          id="torsion-cone-torus2-c7"),
     _case(["olver", "--order", "5"], "", id="olver"),
     _case(["modeldet", "--nu", "3.83", "--alpha", "1.2"], "", id="modeldet"),
     _case(["modeldet", "--nu", "3.082", "--alpha", "inf"], "", id="modeldet-dirichlet"),
@@ -92,6 +92,16 @@ def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads, status):
             "print(json.dumps([status] + [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
             "                             if m in sys.modules]))")
     assert _fresh_process(code, json.dumps(argv)) == [status, *loads.split()]
+
+
+def test_fresh_numeric_route_loads_quadrature_but_not_scipy(tmp_path):
+    # the numeric route (a custom listing) builds the Mellin quadrature
+    code = ("import json, sys\n"
+            "from conetorsion.cli import main\n"
+            "status = main(['torsion', 'cone', '--base', sys.argv[1]])\n"
+            "print(json.dumps([status] + [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
+            "                             if m in sys.modules]))")
+    assert _fresh_process(code, _torus_listing(tmp_path)) == [0, *_QUADRATURE.split()]
 
 
 @pytest.mark.parametrize("solve", [

@@ -1,16 +1,20 @@
-"""The flat 2-torus lattice route: zeta_data_lattice against a 30-digit
-mpmath oracle of the generalized Chowla-Selberg formula, its a -> 0 limit
-against Kronecker's first limit formula, and the numeric route (the Mellin
-engine on the same stream without its lattice, and exported listings)
-within its own estimate of it.  A solve on the route builds neither an
-engine nor the theta trace's Poisson norms, and the ``three-dim-dual-path``
-selftest check fails on a wrong lattice route.  The lattices are the benchmark's
-catalogue (``perfbench/reference.json``): its ten cone_exact tori and the
-sources of its eight cone_listing exports."""
+"""The flat 2-torus lattice route: zeta_data_lattice, Ewald's split of the
+theta function, against a 30-digit mpmath oracle of the generalized
+Chowla-Selberg formula and against that formula's float64 Bessel-K form (the
+route before the split), at two split points and on GL(2, Z)-equivalent
+bases; its a -> 0 limit against Kronecker's first limit formula; and the
+numeric route (the Mellin engine on the same stream without its lattice, and
+exported listings) within its own estimate of it.  Every scale takes the
+route, with a term count that does not depend on c.  A solve on the route
+builds neither an engine nor the theta trace's Poisson norms, and the
+``three-dim-dual-path`` selftest check fails on a wrong lattice route.  The
+lattices are the benchmark's catalogue (``perfbench/reference.json``): its
+ten cone_exact tori and the sources of its eight cone_listing exports."""
 
 import inspect
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,58 @@ def test_lattice_data_lie_within_their_bounds_of_the_oracle(entry):
         assert abs(data.pp[i] - want["pp"][i]) <= data.pp_errors[i], i
     # the bounds weighed as the relation path weighs them at +-alpha = +-1/2
     assert math.fsum(0.5 ** i / i * e for i, e in data.pp_errors.items()) < 1e-13
+
+
+def _within(data, other) -> None:
+    """Two records of one zeta agree within the sum of their bounds, at every order."""
+    err = data.error_estimate + other.error_estimate
+    assert abs(data.deriv0 - other.deriv0) <= err and abs(data.zeta0 - other.zeta0) <= err
+    for i in range(1, 17):
+        assert abs(data.residues[i] - other.residues[i]) <= err, i
+        assert abs(data.pp[i] - other.pp[i]) <= data.pp_errors[i] + other.pp_errors[i], i
+
+
+@pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
+def test_split_agrees_with_the_bessel_k_form(entry):
+    stream = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0)
+    _within(zetacont.zeta_data_lattice(stream, 0.5), oracles.bessel_k_zeta_data(stream, 0.5))
+
+
+@pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
+def test_two_split_points_agree(entry):
+    stream = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0)
+    lead = dict(stream.heat_powers)[-1.0]
+    at_lead = zetacont._ewald_split(stream, 0.5, 16, lead)
+    assert at_lead == zetacont.zeta_data_lattice(stream, 0.5)      # t0 = A
+    _within(at_lead, zetacont._ewald_split(stream, 0.5, 16, 2.0 * lead))
+
+
+@pytest.mark.parametrize("unimodular", [[[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 3]]],
+                         ids=["shear", "hyperbolic", "rotate-shear"])
+@pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
+def test_split_is_gl2z_invariant(entry, unimodular):
+    # another basis of the same lattice L: the same spectrum, other lattice points
+    # enumerated in another order and rounded otherwise
+    basis = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0).lattice[1]
+    other = (np.array(unimodular, dtype=float) @ basis).tolist()
+    _within(*(zetacont.zeta_data_lattice(bm.torus2(entry["c"], b).coclosed_spectrum(0), 0.5)
+              for b in (basis.tolist(), other)))
+
+
+# K_nu at each branch of the evaluator: the trapezoid rule below x = 20, the
+# large-x series from 20 on, the half-integer closed form; both ladders
+# through the order recurrence
+_K_GRID = [0.05, 0.3, 1.0, 3.2, 7.5, 15.0, math.nextafter(20.0, 0.0), 20.0, 35.0, 60.0, 150.0]
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["integer", "half-integer"])
+def test_bessel_k_ladder_matches_mpmath(half):
+    got = oracles.bessel_k_ladder(_K_GRID, 7, half)
+    for j, row in enumerate(got):
+        nu = j + (0.5 if half else 0.0)
+        for x, value in zip(_K_GRID, row.tolist()):
+            want = oracles.mp.besselk(nu, x)
+            assert abs(value / want - 1) <= oracles.BESSEL_K_REL, (nu, x)
 
 
 def test_oracle_bessel_k_matches_mpmath():
@@ -208,15 +264,40 @@ def test_lattice_descriptor_is_a_read_only_copy():
     assert stream.shifted(0.25).lattice is None
 
 
-def test_large_scales_take_the_numeric_route():
-    # the lattice sum grows like c^2 (about 900/(a^2 A) points, 1146 c^2 on
-    # the square torus); past 40 000 the numeric route is the cheaper one,
-    # and torus2(100) solves there (the lattice route's enumeration exceeds
-    # its index-point box)
-    for c, route in ((5.5, "exact"), (6.5, "numeric"), (100.0, "numeric")):
+def _cold_solve_seconds(c: float) -> float:
+    start = time.perf_counter()
+    log_torsion(bm.torus2(c))
+    return time.perf_counter() - start
+
+
+def test_every_scale_takes_the_exact_route(monkeypatch):
+    # the split sums a fixed set of terms at every scale: t0 = A puts either
+    # side's exponents at pi |u|^2 over a lattice of unit covolume
+    for c in (5.5, 6.5, 20.0, 40.0, 100.0):
         base = bm.torus2(c)
-        assert zetacont.lattice_sum_fits(base.coclosed_spectrum(0), 0.5) == (route == "exact")
-        assert degree_continuation(base, 0).route == route
-        assert log_torsion(base).error_estimate <= 1e-8
-    with pytest.raises(ValidationError, match="index points"):
-        zetacont.zeta_data_lattice(bm.torus2(100.0).coclosed_spectrum(0), 0.5)
+        assert degree_continuation(base, 0).route == "exact"
+        assert log_torsion(base).error_estimate <= 1e-13
+    for c in (6.5, 20.0, 40.0):
+        base = bm.torus2(c)
+        numeric = log_torsion(oracles.without_lattice(base))
+        assert abs(numeric.log_torsion - log_torsion(base).log_torsion) <= numeric.error_estimate
+    points = []
+    ladder = zetacont.expint_ladder
+
+    def counting(x, low, top):
+        points.append(len(x))
+        return ladder(x, low, top)
+
+    monkeypatch.setattr(zetacont, "expint_ladder", counting)
+    for c in (2.0, 40.0, 1000.0):
+        zetacont.zeta_data_lattice(bm.torus2(c).coclosed_spectrum(0), 0.5)
+    assert points[0] == points[1] == points[2]
+    monkeypatch.undo()
+    # so a cold solve at c = 40 costs no more than one at c = 2 (its listing is shorter)
+    for c in (2.0, 40.0):
+        _cold_solve_seconds(c)
+    best = {2.0: math.inf, 40.0: math.inf}
+    for _ in range(9):
+        for c in best:
+            best[c] = min(best[c], _cold_solve_seconds(c))
+    assert best[40.0] <= best[2.0], best

@@ -3,6 +3,7 @@ and digamma ports also bit for bit versus scipy.special."""
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -228,17 +229,28 @@ def test_hurwitz_zeta_prime0_matches_sderiv_limit():
         )
 
 
-# K_nu at each branch of the evaluator: the trapezoid rule below x = 20, the
-# large-x series from 20 on, the half-integer closed form; both ladders
-# through the order recurrence
-_K_GRID = [0.05, 0.3, 1.0, 3.2, 7.5, 15.0, math.nextafter(20.0, 0.0), 20.0, 35.0, 60.0, 150.0]
+# E_p(x) over every order the lattice split reads (-8 .. 30, integer and
+# half-integer) at x from 0.05 to 60: the series start below 1 and each side of
+# it, and starts at the turning point across the continued fraction's range
+_EXPINT_GRID = sorted({0.05, 0.3, 0.7, 0.9999999, 1.0, 1.3, 1.5, 2.2, math.pi, 4.6, 7.5,
+                       12.0, 19.9, 29.7, 36.0, 44.4, 60.0} | set(np.geomspace(0.05, 60.0, 40)))
 
 
-@pytest.mark.parametrize("half", [False, True], ids=["integer", "half-integer"])
-def test_bessel_k_ladder_matches_mpmath(half):
-    got = specfun.bessel_k_ladder(_K_GRID, 7, half)
-    for j, row in enumerate(got):
-        nu = j + (0.5 if half else 0.0)
-        for x, value in zip(_K_GRID, row.tolist()):
-            want = oracles.mp.besselk(nu, x)
-            assert abs(value / want - 1) <= specfun.BESSEL_K_REL, (nu, x)
+def test_expint_ladder_matches_mpmath():
+    rows = specfun.expint_ladder(_EXPINT_GRID, [-8] * len(_EXPINT_GRID), [30] * len(_EXPINT_GRID))
+    for x, row in zip(_EXPINT_GRID, rows):
+        assert len(row) == 77
+        for r, value in enumerate(row):
+            order = -8 + 0.5 * r
+            want = oracles.mp.expint(order, x)      # = x^(p-1) Gamma(1 - p, x)
+            assert abs(value / want - 1) <= specfun.EXPINT_REL, (order, x)
+
+
+def test_expint_ladder_reads_each_point_alone():
+    # per-point orders: a point's values are those of a call with its bounds alone,
+    # up to the continued fraction's term count, which its batch's least x sets
+    rows = specfun.expint_ladder([0.4, 3.0, 25.0], [-7, 0, -2], [1, 20, 4])
+    assert [len(row) for row in rows] == [17, 41, 13]
+    for x, lo, top, row in zip([0.4, 3.0, 25.0], [-7, 0, -2], [1, 20, 4], rows):
+        alone = specfun.expint_ladder([x], [lo], [top])[0]
+        assert all(abs(u / v - 1) <= 2.0 * specfun.EXPINT_REL for u, v in zip(row, alone))
