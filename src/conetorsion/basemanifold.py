@@ -35,7 +35,8 @@ Custom JSON schema::
       "scale": 2.0,                   # c > 0, informational echo
       "orientable": true,             # optional JSON boolean; false is rejected
       "degrees": [
-        {"k": 0,                      # 0 <= k <= n-1, each at most once
+        {"k": 0,                      # 0 <= k <= n-1, each at most once;
+                                      # a left-out k reads its dual n-1-k
          "values": [4.0, 8.0, ...],   # ascending, > 1
          "mults": [4, 4, ...],        # integers >= 1, one per value
          "heat_coeffs": [3.14159, 0.0, -1.0]},             # c_j t^((j-n)/2)
@@ -203,10 +204,16 @@ class BaseManifold(ReadOnly):
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
+        """The base in the columnar custom schema.  Each Hodge pair is written
+        once: degree n-1-k is left out when it holds degree k's stream (every
+        ``torus2``), and ``custom`` gives it that stream back."""
         import numpy as np
         degrees = []
         for k in self.degrees_available():
             deg = self._degrees[k]
+            dual = self.dim - 1 - k
+            if dual < k and dual in self._degrees and self._degrees[dual] is deg:
+                continue
             coeffs = powers_to_heat_coefficients(deg.heat_powers, self.dim)
             degrees.append({
                 "k": int(k),
@@ -534,6 +541,10 @@ def custom(source) -> BaseManifold:
             powers = tuple((0.5 * (j - dim), cj) for j, cj in enumerate(coeffs))
             degrees[k] = SpectrumStream(values, mults, name=f"custom:deg{k}",
                                         heat_powers=powers)
+    # a Hodge pair listed once: the degree left out reads its dual's stream
+    # (a listed degree outside 0..n-1 comes first, so BaseManifold names it)
+    for k in list(degrees):
+        degrees.setdefault(dim - 1 - k, degrees[k])
     return BaseManifold(name="custom", dim=dim, betti=betti, scale=scale,
                         degrees=degrees, truncation_note=data.get("truncation_note", ""))
 

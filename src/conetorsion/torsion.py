@@ -50,7 +50,7 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .basemanifold import BaseManifold
@@ -254,6 +254,25 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
         q_stream=q_stream, nu_stream=nu_stream)
 
 
+@lru_cache(maxsize=None)
+def _residue_multipliers(alpha: Fraction, n: int) -> tuple[tuple[float, ...], float]:
+    """The multipliers of Res(1)..Res(n) in ``spectral_bracket`` and the sum
+    of their absolute values: they depend on (alpha, n) alone, so each pair
+    reads its exact ``parity_bracket`` sums once per process."""
+    parity = _parity(n)
+    multipliers, sensitivity = [], 0.0
+    for i in range(1, n + 1):
+        sign = 1.0 if i % 2 == 1 else -1.0
+        coeff_sum, power_comb = parity_bracket(i, alpha, parity)
+        multiplier = sign * float(power_comb) * (0.5 * EULER_GAMMA + digamma(float(i)))
+        multiplier += 0.5 * math.fsum(
+            float(c) * digamma(b + 0.5 * i)
+            for b, c in enumerate(coeff_sum))
+        multipliers.append(multiplier)
+        sensitivity += abs(multiplier)
+    return tuple(multipliers), sensitivity
+
+
 def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
                      n: int) -> tuple[float, float]:
     """Per-degree spectral derivative at zero from continuation data.
@@ -269,22 +288,13 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
     """
     alpha = Fraction(alpha)
     a = float(alpha)
-    parity = _parity(n)
-    if parity == "odd":
+    if _parity(n) == "odd":
         total = data.deriv0_shifted[a] - data.deriv0_shifted[-a]
     else:
         total = data.deriv0_shifted[a] + data.deriv0_shifted[-a]
-    sensitivity = 0.0
-    for i in range(1, n + 1):
-        residue = data.residues.get(i, 0.0)
-        sign = 1.0 if i % 2 == 1 else -1.0
-        coeff_sum, power_comb = parity_bracket(i, alpha, parity)
-        multiplier = sign * float(power_comb) * (0.5 * EULER_GAMMA + digamma(float(i)))
-        multiplier += 0.5 * math.fsum(
-            float(c) * digamma(b + 0.5 * i)
-            for b, c in enumerate(coeff_sum))
-        total += residue * multiplier
-        sensitivity += abs(multiplier)
+    multipliers, sensitivity = _residue_multipliers(alpha, n)
+    for i, multiplier in enumerate(multipliers, 1):
+        total += data.residues.get(i, 0.0) * multiplier
     return total, sensitivity
 
 

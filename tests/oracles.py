@@ -8,7 +8,7 @@ own Fraction arithmetic, the float reference formulas ``recombined``,
 ``t_half_integer`` and ``weyl_count_ratio``, the exact round-sphere
 and RP^3 listings of ``round_sphere_mapping`` and ``rp3_mapping``, the
 alpha degree of an expansion polynomial, and the per-element loops ``merge_ties``,
-``custom_mapping``, ``columnar`` and ``log_panels``, the all-probes ``t_min_probes``,
+``custom_mapping``, ``duals_written_out``, ``columnar`` and ``log_panels``, the all-probes ``t_min_probes``,
 the full 60-term ``log_series_tail`` and the summation-order model ``pairwise_sum``,
 bitwise references for the array passes of the package.  The Bessel-zero
 oracles are memoized: tests ask for the same (nu, k) pair many times.  The
@@ -210,10 +210,14 @@ def merge_ties(values, mults):
 
 
 def custom_mapping(base) -> dict:
-    """Reference export of a base in the custom schema, entry by entry."""
+    """Reference export of a base in the custom schema, entry by entry; a
+    degree that holds the stream of its lower Hodge dual n-1-k is left out."""
     degrees = []
     for k in base.degrees_available():
         deg = base.coclosed_spectrum(k)
+        dual = base.dim - 1 - k
+        if dual < k and dual in base.degrees_available() and base.coclosed_spectrum(dual) is deg:
+            continue
         coeffs = [0.0] * (int(round(2.0 * max(p for p, _ in deg.heat_powers)
                                     + base.dim)) + 1)
         for p, c in deg.heat_powers:
@@ -233,6 +237,19 @@ def custom_mapping(base) -> dict:
         "truncation_note": base.truncation_note
             or f"finite listing exported from {base.name}",
     }
+
+
+def duals_written_out(blob) -> dict:
+    """A custom blob with every Hodge pair written out: each degree k in
+    0..n-1 whose dual n-1-k is not listed gains that degree, a copy of k's
+    entry under the dual's number.  On a ``torus2`` export this is the
+    two-degree form that lists the one spectrum as degrees 0 and 1."""
+    out = copy.deepcopy(blob)
+    dim, listed = out["dim"], {entry["k"] for entry in out["degrees"]}
+    out["degrees"] += [{**copy.deepcopy(entry), "k": dim - 1 - entry["k"]}
+                       for entry in out["degrees"] if dim - 1 - entry["k"] not in listed]
+    out["degrees"].sort(key=lambda entry: entry["k"])
+    return out
 
 
 def columnar(blob) -> dict:

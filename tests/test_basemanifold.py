@@ -842,7 +842,8 @@ def test_custom_json_numbers_load_bitwise():
                                    nu_max=256.0), id="sheared-torus"),
 ])
 def test_export_matches_a_loop_built_mapping(build):
-    # the export is the columnar form, built entry by entry here
+    # the export is the columnar form, built entry by entry here, each Hodge
+    # pair written once
     base = build()
     want = oracles.columnar(oracles.custom_mapping(base))
     assert json.dumps(base.as_custom_mapping()) == json.dumps(want)
@@ -851,7 +852,7 @@ def test_export_matches_a_loop_built_mapping(build):
 def _two_degree_rows():
     """Degree 0 of a torus2 export beside a short degree-1 listing of its own."""
     rows = oracles.custom_mapping(bm.torus2(2.0, nu_max=256.0))
-    rows["degrees"][1] = copy.deepcopy(_CUSTOM_BLOB["degrees"][1])
+    rows["degrees"].append(copy.deepcopy(_CUSTOM_BLOB["degrees"][1]))
     return rows, oracles.columnar(rows)
 
 
@@ -889,10 +890,14 @@ def _dual_pair_blob():
 
 
 def test_custom_loads_a_dual_pair_as_one_stream():
-    # a torus2 export lists its one spectrum under degrees 0 and 1; the second
-    # is the first's stream, in either form and through text
+    # a torus2 export lists its one spectrum as degree 0, and its two-degree
+    # form under degrees 0 and 1; either way degree 1 is degree 0's stream,
+    # in either form and through text
     export = bm.torus2(2.0, nu_max=256.0).as_custom_mapping()
-    for source in (export, json.dumps(export), oracles.custom_mapping(bm.torus2(2.0)),
+    both = oracles.duals_written_out(export)
+    assert [d["k"] for d in both["degrees"]] == [0, 1]
+    for source in (export, json.dumps(export), both, json.dumps(both),
+                   oracles.custom_mapping(bm.torus2(2.0)),
                    _dual_pair_blob(), oracles.columnar(_dual_pair_blob())):
         base = bm.custom(source)
         assert base.coclosed_spectrum(1) is base.coclosed_spectrum(0)
@@ -923,6 +928,65 @@ def test_custom_dual_pair_differing_bitwise_is_loaded_apart():
                            "and 'mult' as numbers; entry 0 has mult True$"):
             bm.custom(source)
 
+
+@pytest.mark.parametrize("build,left_out", [
+    pytest.param(lambda: bm.circle(2.0), set(), id="circle"),
+    pytest.param(lambda: bm.torus2(2.0, nu_max=256.0), {1}, id="square-torus"),
+    pytest.param(lambda: bm.torus2(2.187, [[2.0 * math.pi, 0.0], [2.19, 2.0 * math.pi]],
+                                   nu_max=256.0), {1}, id="sheared-torus"),
+    pytest.param(lambda: bm.custom(oracles.round_sphere_mapping(3)), {2}, id="s3"),
+    pytest.param(lambda: bm.custom(oracles.rp3_mapping()), {2}, id="rp3"),
+])
+def test_export_writes_each_hodge_pair_once(build, left_out):
+    # export -> JSON text -> custom -> export is a fixed point; a degree the
+    # export leaves out reloads as its dual's stream, and the solve is bitwise
+    # that of the same listing with the dual degree written out
+    base = build()
+    text = json.dumps(base.as_custom_mapping())
+    back = bm.custom(text)
+    assert json.dumps(back.as_custom_mapping()) == text
+    listed = {d["k"] for d in json.loads(text)["degrees"]}
+    assert set(base.degrees_available()) - listed == left_out
+    assert back.degrees_available() == base.degrees_available()
+    for k in left_out:
+        assert back.coclosed_spectrum(k) is back.coclosed_spectrum(base.dim - 1 - k)
+    both = bm.custom(json.dumps(oracles.duals_written_out(json.loads(text))))
+    assert both.degrees_available() == base.degrees_available()
+    got, want = log_torsion(back), log_torsion(both)
+    assert (got.log_torsion, got.error_estimate, got.per_degree) == (
+        want.log_torsion, want.error_estimate, want.per_degree)
+
+
+def test_custom_reads_a_left_out_degree_from_its_hodge_dual():
+    # a dim-2 listing that gives degree 1 alone solves bitwise like one that
+    # gives degree 0 alone: degree 0 reads degree 1's stream
+    export = bm.torus2(2.0, nu_max=256.0).as_custom_mapping()
+    high = copy.deepcopy(export)
+    high["degrees"][0]["k"] = 1
+    low, high = bm.custom(export), bm.custom(high)
+    assert high.degrees_available() == (0, 1)
+    assert high.coclosed_spectrum(0) is high.coclosed_spectrum(1)
+    assert high.coclosed_spectrum(0).name == "custom:deg1"
+    for k in (0, 1):
+        a, b = degree_continuation(low, k), degree_continuation(high, k)
+        assert (a.alpha, a.route, a.data) == (b.alpha, b.route, b.data)
+    a, b = log_torsion(low), log_torsion(high)
+    assert (a.log_torsion, a.error_estimate, a.per_degree) == (
+        b.log_torsion, b.error_estimate, b.per_degree)
+    # a dual pair loaded apart is two streams, and its export lists both
+    blob = _dual_pair_blob()
+    blob["degrees"][1]["heat_coeffs"][1] = -0.0
+    apart = bm.custom(blob)
+    assert [d["k"] for d in apart.as_custom_mapping()["degrees"]] == [0, 1]
+    # the middle degree of dim 3 is its own dual: degrees 0 and 2 stay unlisted
+    s3 = oracles.round_sphere_mapping(3)
+    s3["degrees"] = [d for d in s3["degrees"] if d["k"] == 1]
+    middle = bm.custom(s3)
+    assert middle.degrees_available() == (1,)
+    with pytest.raises(ValidationError, match="^no coclosed spectrum supplied for degree 0 "):
+        log_torsion(middle)
+
+
 def test_scaling_error_names_the_hypothesis():
     with pytest.raises(ValidationError, match="scaling assumption"):
         bm.circle(0.5)
@@ -948,11 +1012,12 @@ def test_nu_set_degree_bounds():
 def test_top_degree_has_no_coclosed_spectrum():
     # a coclosed n-form on a closed n-manifold is harmonic: the built-in
     # bases list degrees 0..n-1 only, and a top-degree listing is refused
-    # with the degree named (the torus carried its function spectrum there)
+    # with the degree named (the torus carried its function spectrum there);
+    # the torus's export lists its one Hodge pair once, as degree 0
     assert bm.circle(2.0).degrees_available() == (0,)
     tor = bm.torus2(2.0)
     assert tor.degrees_available() == (0, 1)
-    assert [d["k"] for d in tor.as_custom_mapping()["degrees"]] == [0, 1]
+    assert [d["k"] for d in tor.as_custom_mapping()["degrees"]] == [0]
     blob = bm.circle(2.0).as_custom_mapping()
     for k in (1, -1):
         bad = copy.deepcopy(blob)

@@ -116,11 +116,13 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 # exact-trace call any more) and again when that check gained its numeric-
 # route solve of the same torus: one more log_torsion with its continuation,
 # 2 engines, 25 engine evaluations, 8 exact and 3 lift trace calls, and 2
-# relation-path and exactpoly calls; the eigenvalue-sum traces are unchanged
+# relation-path and exactpoly calls; the eigenvalue-sum traces are unchanged.
+# The residue multipliers are read once per (alpha_k, n): the 5 solves ask
+# for 2 such pairs, so 3 repeats no longer call gen_M and gen_D (6 spans)
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
-    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1101,
+    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1095,
     "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
     "torsion.log_torsion_s": 5, "torsion.nu_continuation_s": 1,
     "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 16,

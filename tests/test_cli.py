@@ -257,6 +257,21 @@ def _torus_listing(tmp_path) -> str:
     return f"custom:{path}"
 
 
+def test_one_pair_export_answers_the_dual_degree(tmp_path):
+    # the export lists degree 0 alone; degree 1 reads its stream, and every
+    # answer is byte for byte that of the two-degree form
+    listing = _torus_listing(tmp_path)
+    both = tmp_path / "two_degrees.json"
+    blob = json.loads(Path(listing[len("custom:"):]).read_text(encoding="utf-8"))
+    assert [d["k"] for d in blob["degrees"]] == [0]
+    both.write_text(json.dumps(oracles.duals_written_out(blob)), encoding="utf-8")
+    for argv in (["zeta", "--degree", "1", "--shift", "0.5"], ["zeta", "--degree", "1"],
+                 ["torsion", "cone"]):
+        got, code = cli.run([*argv, "--base", listing])
+        assert code == 0
+        assert (got, code) == cli.run([*argv, "--base", f"custom:{both}"])
+
+
 def test_zeta_numeric_torus_with_shift(tmp_path):
     exact = run_json(["zeta", "--base", "torus2", "--scale", "2",
                       "--degree", "0", "--shift", "0.5"])

@@ -322,6 +322,31 @@ def test_breakdown_metadata():
     assert bd.harmonic_term == 0.5 * math.log(2.0)
 
 
+def test_residue_multipliers_are_cached_bitwise():
+    # the residue multipliers depend on (alpha_k, n) alone: the cached tuple
+    # is bitwise a fresh computation from the exact brackets
+    from conetorsion.exactpoly import parity_bracket
+    from conetorsion.specfun import EULER_GAMMA, digamma
+    from conetorsion.torsion import _alpha_k, _parity, _residue_multipliers
+    for n in range(1, 6):
+        for k in range((n + 1) // 2):
+            alpha, parity = _alpha_k(k, n), _parity(n)
+            fresh, sensitivity = [], 0.0
+            for i in range(1, n + 1):
+                coeff_sum, power_comb = parity_bracket(i, alpha, parity)
+                m = (-1.0) ** (i + 1) * float(power_comb) * (
+                    0.5 * EULER_GAMMA + digamma(float(i)))
+                m += 0.5 * math.fsum(float(c) * digamma(b + 0.5 * i)
+                                     for b, c in enumerate(coeff_sum))
+                fresh.append(m)
+                sensitivity += abs(m)
+            cached = _residue_multipliers(alpha, n)
+            assert cached is _residue_multipliers(alpha, n)
+            assert isinstance(cached[0], tuple) and len(cached[0]) == n
+            assert [x.hex() for x in cached[0]] == [x.hex() for x in fresh]
+            assert cached[1].hex() == sensitivity.hex()
+
+
 # ---------------------------------------------------------------------------
 # Torus cone: assembly vs the 3d closed form (dual-path check).
 # ---------------------------------------------------------------------------
