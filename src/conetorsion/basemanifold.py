@@ -18,14 +18,19 @@ continuations over them carry no truncation error from the spectrum list:
   Laplacian has eigenvalues c^2 m^2 (m >= 1, multiplicity 2).  The
   shifted frequencies in degree 0 form the exact arithmetic progression
   {c m}, evaluated in closed form.  The base holds that degree as the
-  numpy-free description (step c, mult 2); its stream, which checks the
-  same ``progression``, is built on first read.
+  numpy-free description (step c, mult 2) and builds its stream on first
+  read.
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
-  4 pi^2 c^2 |mu|^2 over the dual lattice.  Its stream's checked
-  ``lattice`` (c, basis) gives the shifted frequencies' continuation data
-  in closed form, by Ewald's split of its theta function.
+  4 pi^2 c^2 |mu|^2 over the dual lattice.  The base holds both degrees as
+  one lattice record (c, basis, the t^-1 heat coefficient and the stream),
+  which gives the shifted frequencies' continuation data in closed form,
+  by Ewald's split of its theta function.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
+
+A degree's closed form lives on the base alone (``progression(k)``,
+``lattice(k)``), made from the same input as its listing; a base built
+from streams holds none, so it solves on the numeric route.
 
 Custom JSON schema::
 
@@ -92,26 +97,40 @@ def powers_to_heat_coefficients(powers, dim: int) -> tuple:
 class _Progression(NamedTuple):
     """A degree whose frequencies sqrt(eta) are exactly step*m, m >= 1, each
     of multiplicity mult: all the exact route reads.  ``build()`` makes the
-    degree's listing stream, which carries the same checked ``progression``."""
+    degree's listing stream."""
     step: float
     mult: int
     build: Callable
 
 
+class _Lattice(NamedTuple):
+    """A flat 2-torus degree: ``stream`` lists 4 pi^2 c^2 |mu|^2 over the
+    nonzero mu of the dual of the lattice L the rows of the 2 x 2 ``basis``
+    (a read-only float copy) span, each once, equal values merged, and its
+    heat powers carry ``lead`` = A = covol(L)/(4 pi c^2) at t^-1: all the
+    lattice route reads."""
+    c: float
+    basis: np.ndarray
+    lead: float
+    stream: SpectrumStream
+
+
 class _Degrees(ReadOnly, Mapping):
-    """A base's read-only degree map, degree -> unshifted ``SpectrumStream``.
-    A degree held as a ``_Progression`` builds its stream on first read and
-    keeps it in place of the description."""
-    __slots__ = ("_entries",)
+    """A base's read-only degree map, degree -> unshifted ``SpectrumStream``,
+    with each degree's closed form (a ``_Progression`` or a ``_Lattice``)
+    kept beside its stream.  A progression builds its stream on first read."""
+    __slots__ = ("_entries", "_streams")
 
     def __init__(self, entries: dict):
         object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_streams", {
+            k: deg.stream if isinstance(deg, _Lattice) else deg
+            for k, deg in entries.items() if not isinstance(deg, _Progression)})
 
     def __getitem__(self, k):
-        deg = self._entries[k]
-        if isinstance(deg, _Progression):
-            deg = self._entries[k] = deg.build()
-        return deg
+        if k not in self._streams:
+            self._streams[k] = self._entries[k].build()
+        return self._streams[k]
 
     def __contains__(self, k):
         return k in self._entries
@@ -122,17 +141,17 @@ class _Degrees(ReadOnly, Mapping):
     def __len__(self):
         return len(self._entries)
 
-    def progression(self, k) -> tuple | None:
+    def closed_form(self, k, kind):
         deg = self._entries[k]
-        return deg[:2] if isinstance(deg, _Progression) else deg.progression
+        return deg if isinstance(deg, kind) else None
 
 
 class BaseManifold(ReadOnly):
     """Closed oriented cross-section: Betti numbers + coclosed spectra, one
     unshifted ``SpectrumStream`` per degree (heat powers complete through the
-    largest listed one, and its ``progression`` where sqrt(eta) = step*m
-    exactly; ``circle`` gives its degree as that progression alone, and the
-    stream is built on first read).  Read-only, the degree map included:
+    largest listed one; ``circle`` gives its degree as a progression, whose
+    stream is built on first read, and ``torus2`` as a lattice record).
+    Read-only, the degree map included:
     cached continuations are keyed by the base's identity, so a write would
     change what a later solve reads.
     """
@@ -166,9 +185,10 @@ class BaseManifold(ReadOnly):
                 smallest = deg.step * deg.step
             else:
                 from .zetacont import SpectrumStream
-                if not isinstance(deg, SpectrumStream):
+                stream = deg.stream if isinstance(deg, _Lattice) else deg
+                if not isinstance(stream, SpectrumStream):
                     raise ValidationError(f"degree {k} must be a SpectrumStream, got {deg!r}")
-                smallest = deg.min_value
+                smallest = stream.min_value
             if smallest <= floor:
                 raise ValidationError(SCALING_MESSAGE)
         for key, value in dict(name=name, dim=dim, betti=betti, scale=scale,
@@ -200,7 +220,13 @@ class BaseManifold(ReadOnly):
         """(step, mult) where the degree-k frequencies sqrt(eta) are exactly
         step*m, m >= 1, each of multiplicity mult, else None; read without
         building the degree's stream."""
-        return self._degrees.progression(self._degree(k))
+        deg = self._degrees.closed_form(self._degree(k), _Progression)
+        return None if deg is None else deg[:2]
+
+    def lattice(self, k: int) -> _Lattice | None:
+        """The flat 2-torus record (c, basis, lead, stream) of degree k,
+        which ``zeta_data_lattice`` reads, else None."""
+        return self._degrees.closed_form(self._degree(k), _Lattice)
 
     # -- serialization (custom schema round-trip) ---------------------------
     def as_custom_mapping(self) -> dict:
@@ -279,7 +305,7 @@ def _flat_torus_trace(c: float, basis, dual, q1: float, covol: float):
 
 def _circle_stream(c: float, name: str):
     """circle(c)'s degree-0 stream: {c^2 m^2, mult 2} listed for m = 1..4096,
-    with the exact trace of R / 2 pi Z and the checked progression (c, 2)."""
+    with the exact trace of R / 2 pi Z."""
     import numpy as np
 
     from .zetacont import _shortest, exact_stream
@@ -292,8 +318,7 @@ def _circle_stream(c: float, name: str):
     # 2 sum exp(-c^2 m^2 t) = sqrt(pi/(c^2 t)) - 1 + (exponentially small)
     powers = ((-0.5, math.sqrt(math.pi) / c), (0.0, -1.0)) + tuple(
         (0.5 * j, 0.0) for j in range(1, 25))
-    return exact_stream(values, mults, t_switch, small, name=name,
-                        heat_powers=powers, progression=(c, 2))
+    return exact_stream(values, mults, t_switch, small, name=name, heat_powers=powers)
 
 
 def circle(c: float, *, allow_boundary: bool = False) -> BaseManifold:
@@ -337,6 +362,7 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
                       for v in entries.flat]).reshape(entries.shape)
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
+    basis.flags.writeable = False       # the record's copy of the caller's lattice
     # the determinant, the dual basis and its shortest vector, taken once
     covol = abs(float(np.linalg.det(basis)))
     if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
@@ -354,8 +380,8 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
         (float(j), 0.0) for j in range(1, 13))
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
-    deg = exact_stream(eta, eta_mult, t_switch, small, name=f"{name}:deg0,1",
-                       heat_powers=powers, lattice=(c, basis))
+    deg = _Lattice(c, basis, area_factor, exact_stream(
+        eta, eta_mult, t_switch, small, name=f"{name}:deg0,1", heat_powers=powers))
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 

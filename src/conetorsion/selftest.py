@@ -19,7 +19,6 @@ from .derivation import (SpectralParameter, asymptotic_remainder,
 from .modelops import ModelOperator
 from .specfun import EULER_GAMMA, LOG_2
 from .torsion import ConeOverS1Config
-from .zetacont import SpectrumStream
 
 __all__ = ["ACCEPTANCE_CHECKS", "corollary_3d_precancellation"]
 
@@ -139,13 +138,11 @@ def _chk_three_dim_dual_path(tol: float):
     reduced = torsion.corollary_3d(base)
     pre = corollary_3d_precancellation(base)
     diff = abs(breakdown.log_torsion - reduced)
-    # the lattice route against the numeric route on the same spectrum: the
-    # torus's stream without its lattice descriptor (a dim-2 solve reads degree 0)
-    deg = base.coclosed_spectrum(0)
-    plain = SpectrumStream(deg.values, deg.mults, name=deg.name, heat_fn=deg.heat_fn,
-                           heat_powers=deg.heat_powers)
+    # the lattice route against the numeric route on the same spectrum: a base
+    # over the torus's own stream holds no lattice (a dim-2 solve reads degree 0)
     numeric = torsion.log_torsion(basemanifold.BaseManifold(
-        name=base.name, dim=2, betti=base.betti, scale=base.scale, degrees={0: plain}))
+        name=base.name, dim=2, betti=base.betti, scale=base.scale,
+        degrees={0: base.coclosed_spectrum(0)}))
     gap = abs(breakdown.log_torsion - numeric.log_torsion)
     bound = breakdown.error_estimate + numeric.error_estimate
     ok = (gap <= bound and diff <= eff and breakdown.error_estimate <= eff

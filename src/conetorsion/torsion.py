@@ -19,14 +19,14 @@ twice).
 Frequency sets: in degree k the cone analysis replaces each coclosed
 eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
 nu is the order of the Bessel functions solving the radial model problem.
-``degree_continuation`` alone builds these sets: the closed form when the
-degree's frequencies form an arithmetic progression (the base's
-``progression(k)``, read without building a stream or loading numpy, and
-a_k = 0); the Ewald split of ``zeta_data_lattice`` when its stream is a
-flat 2-torus's (its checked ``lattice`` and a_k != 0), at every scale, with
-nu listed once for the relation path; else the shifted eigenvalue stream
-eta + a_k^2 (exact heat trace carried along when available) and its
-``sqrt_stream``.
+``degree_continuation`` alone builds these sets, and asks only the base
+for a closed form: the closed form when the degree's frequencies form an
+arithmetic progression (the base's ``progression(k)``, read without
+building a stream or loading numpy, and a_k = 0); the Ewald split of
+``zeta_data_lattice`` when the degree is a flat 2-torus's (the base's
+``lattice(k)`` and a_k != 0), at every scale, with nu listed once for the
+relation path; else the shifted eigenvalue stream eta + a_k^2 (exact heat
+trace carried along when available) and its ``sqrt_stream``.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``, re-exported with
@@ -149,9 +149,9 @@ class DegreeContinuation:
     closed form over a progression (frequencies step*m, m >= 1, each of
     multiplicity mult), which reads no stream.  The other routes keep the
     frequencies as ``nu_stream``: on the lattice route a plain listing of
-    sqrt(eta + a_k^2); on the numeric route the square-root lift of
-    ``q_stream`` = eta + a_k^2 (``sqrt_stream``), which carries the lifted
-    trace where its model holds.  ``data.deriv0_shifted`` holds
+    sqrt(eta + a_k^2); on the numeric route the square-root lift of the
+    stream eta + a_k^2 (``sqrt_stream``), which carries the lifted trace
+    where its model holds.  ``data.deriv0_shifted`` holds
     zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
     """
 
@@ -160,7 +160,6 @@ class DegreeContinuation:
     data: ZetaFunctionData
     shift_errors: Mapping
     progression: tuple | None = None
-    q_stream: SpectrumStream | None = None
     nu_stream: SpectrumStream | None = None
 
     def __post_init__(self):
@@ -202,13 +201,14 @@ _RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     """Continuation data of the degree-k frequency set of ``base``.
 
-    The one place that knows frequency sets and picks the route: the exact
-    closed form when the frequency set is an arithmetic progression (no
-    stream is built); the exact lattice route (``zeta_data_lattice``) when
-    the degree's stream carries a flat 2-torus ``lattice``; otherwise the
-    numeric route, where a Mellin-split engine on the shifted
-    eigenvalue stream supplies the frequency-side derivative, residues, and
-    regular values through s -> s/2 (cross-checked by ``check_residual``).
+    The one place that knows frequency sets and picks the route, from the
+    base's closed forms alone: the exact closed form when the base holds
+    the degree as an arithmetic progression (no stream is built); the exact
+    lattice route (``zeta_data_lattice``) when it holds a flat 2-torus
+    lattice record; otherwise the numeric route, where a Mellin-split engine
+    on the shifted eigenvalue stream supplies the frequency-side derivative,
+    residues, and regular values through s -> s/2 (cross-checked by
+    ``check_residual``).
     Off the progression, the shifted derivatives come from the
     subtracted-logarithm relation over the frequency listing.  Requires
     0 <= k <= n-1.  Built once per base instance and degree; kept as long
@@ -233,15 +233,15 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     import numpy as np
 
     from .zetacont import SpectrumStream, shifted_from_base, sqrt_stream, zeta_data_lattice
-    stream = base.coclosed_spectrum(k)
-    if stream.lattice is not None and a != 0.0:
-        route, q_stream = "exact", None
-        data = zeta_data_lattice(stream, a)
+    stream, lattice = base.coclosed_spectrum(k), base.lattice(k)
+    if lattice is not None and a != 0.0:
+        route = "exact"
+        data = zeta_data_lattice(lattice, a)
         nu_stream = SpectrumStream(np.sqrt(stream.values + a * a), stream.mults,
                                    name=f"sqrt({stream.name}+{a * a:g})")
     else:
-        route, q_stream = "numeric", stream.shifted(a * a)
-        data, engine = nu_continuation_data(q_stream)
+        route = "numeric"
+        data, engine = nu_continuation_data(stream.shifted(a * a))
         nu_stream = sqrt_stream(engine)
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
@@ -250,8 +250,7 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     shifts = {s: shifted_from_base(nu_stream, data, s) for s in {a, -a}}
     data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
     return DegreeContinuation(
-        alpha, route, data, {s: err for s, (_, err) in shifts.items()},
-        q_stream=q_stream, nu_stream=nu_stream)
+        alpha, route, data, {s: err for s, (_, err) in shifts.items()}, nu_stream=nu_stream)
 
 
 @lru_cache(maxsize=None)

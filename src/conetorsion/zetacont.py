@@ -44,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basemanifold import _Lattice
 from .errors import ConvergenceError, ReadOnly, ValidationError, integer, number, positive
 from .specfun import EULER_GAMMA, EXPINT_REL, digamma, expint_ladder, ln_gamma
 from .zetadata import RMAX, ZetaFunctionData, _check_shift, _shifts, zeta_data_exact
@@ -303,49 +304,23 @@ def _grid_sum(s: float, ts, ws, ds, tl, wl, zl) -> float:
             + _fsum(wl * tl ** (s - 1.0) * zl))
 
 
-def _lattice_descriptor(lattice, name: str, heat_powers: tuple) -> tuple:
-    """A stream's (c, basis) checked: c a finite number > 0, basis a 2 x 2
-    float array of finite entries (kept as a read-only copy), and the t^-1
-    heat power, the route's A, listed and positive."""
-    field = f"spectrum stream {name!r} lattice"
-    if not (isinstance(lattice, tuple) and len(lattice) == 2):
-        raise ValidationError(f"{field} must be a (c, basis) pair, got {lattice!r}")
-    c, basis = positive(lattice[0], f"{field} scale"), lattice[1]
-    if not (isinstance(basis, np.ndarray) and basis.shape == (2, 2) and basis.dtype == float
-            and np.all(np.isfinite(basis))):
-        raise ValidationError(f"{field} basis must be a 2 x 2 float array of finite "
-                              f"entries, got {basis!r}")
-    if not dict(heat_powers).get(-1.0, 0.0) > 0.0:
-        raise ValidationError(f"{field} needs a positive heat coefficient of t^-1")
-    basis = basis.copy()
-    basis.flags.writeable = False
-    return c, basis
-
-
 class SpectrumStream(ReadOnly):
-    """Ascending positive eigenvalues with multiplicities and optional structure.
+    """Ascending positive eigenvalues with multiplicities and an optional trace.
 
     heat_fn: exact trace evaluator valid for every t > 0 (overrides the
     eigenvalue sum); it takes a 1-D array of t and nothing else (``trace``
     refuses any t but finite numbers > 0) and returns an array of the same
     shape, in one array pass; heat_powers: exact leading small-t powers
-    [(p, c), ...]; progression: (step, mult) when the values are exactly
-    (step*m)^2, m = 1..N, each of multiplicity mult (the exact route reads
-    it; a listing that contradicts it is refused); lattice: (c, basis) when
-    the values are 4 pi^2 c^2 |mu|^2 over the nonzero mu of the dual of the
-    lattice L the rows of the 2 x 2 ``basis`` span, each once, equal values
-    merged (the lattice route reads it with the leading heat coefficient
-    A = covol(L)/(4 pi c^2) of t^-1, which must be listed; its fields are
-    checked, the listing against it is not: ``torus2`` builds both from one
-    basis).  The counting exponent d
-    of N(x) ~ C x^d, which the relation path's tail bound needs, is the
-    rightmost pole of the continuation data, where ``shifted_from_base``
-    reads it.  Streams are shared by cached results,
-    so they are read-only, their arrays included.
+    [(p, c), ...].  A stream is a listing and its trace only: a closed form
+    of its values (a progression, a lattice) lives on the base that made
+    both.  The counting exponent d of N(x) ~ C x^d, which the relation
+    path's tail bound needs, is the rightmost pole of the continuation
+    data, where ``shifted_from_base`` reads it.  Streams are shared by
+    cached results, so they are read-only, their arrays included.
     """
 
     def __init__(self, values, mults=None, *, name: str = "",
-                 heat_fn=None, heat_powers=(), progression=None, lattice=None):
+                 heat_fn=None, heat_powers=()):
         values = _positive_reals(values, f"{name} values".lstrip())
         mults = (np.ones_like(values) if mults is None
                  else _positive_reals(mults, f"{name} mults".lstrip()))
@@ -357,24 +332,10 @@ class SpectrumStream(ReadOnly):
         order = np.argsort(values, kind="stable")
         values, mults = merge_ties(values[order], mults[order])
         heat_powers = tuple((float(p), float(c)) for p, c in heat_powers)
-        if progression is not None:
-            field = f"spectrum stream {name!r} progression"
-            if not (isinstance(progression, tuple) and len(progression) == 2):
-                raise ValidationError(f"{field} must be a (step, mult) pair, got {progression!r}")
-            step, mult = positive(progression[0], f"{field} step"), integer(
-                progression[1], f"{field} mult", 1)
-            with np.errstate(over="ignore"):    # a huge step contradicts, it does not warn
-                if not (np.all(mults == mult) and np.array_equal(
-                        values, (step * np.arange(1.0, values.size + 1.0)) ** 2)):
-                    raise ValidationError(
-                        f"spectrum stream {name!r} contradicts its progression {progression!r}")
-        if lattice is not None:
-            lattice = _lattice_descriptor(lattice, name, heat_powers)
         values.flags.writeable = False
         mults.flags.writeable = False
         for key, value in dict(values=values, mults=mults, name=name, heat_fn=heat_fn,
-                               heat_powers=heat_powers, progression=progression,
-                               lattice=lattice).items():
+                               heat_powers=heat_powers).items():
             object.__setattr__(self, key, value)
 
     @property
@@ -396,8 +357,8 @@ class SpectrumStream(ReadOnly):
         return _EXP_CUTOFF / self.max_value
 
     def shifted(self, b) -> SpectrumStream:
-        """The stream x_j + b (no progression), with trace e^(-b t) Z(t) and the
-        small-t powers ``shift_heat_powers`` gives; the stream itself at b = 0."""
+        """The stream x_j + b, with trace e^(-b t) Z(t) and the small-t powers
+        ``shift_heat_powers`` gives; the stream itself at b = 0."""
         b, = _shifts((b,))
         if b == 0.0:
             return self
@@ -472,16 +433,15 @@ def _beyond_cut(alpha: float, span: float, density: float, lift: float) -> float
     return 2.0 * math.pi * density * shells * math.exp(-_EWALD_CUT) / (_EWALD_CUT - lift)
 
 
-def zeta_data_lattice(stream: SpectrumStream, a: float,
-                      pole_range: int = RMAX) -> ZetaFunctionData:
+def zeta_data_lattice(lattice, a: float, pole_range: int = RMAX) -> ZetaFunctionData:
     """Frequency-side data of nu = sqrt(eta + a^2) over a flat 2-torus
-    stream, in closed form: Ewald's split of its theta function (P. P.
+    degree, in closed form: Ewald's split of its theta function (P. P.
     Ewald, Ann. Phys. 1921; K. Kirsten, Spectral Functions in Mathematics
     and Physics, 2002, ch. 4).
 
-    The stream's ``lattice`` (c, basis) and its t^-1 heat coefficient A =
-    covol(L)/(4 pi c^2) fix zeta_Q(w) = sum (eta + a^2)^(-w) = F(w)/Gamma(w),
-    F the Mellin transform of e^(-a^2 t) Z(t), Z(t) = A/t (1 + sum_v
+    The degree's lattice record (``BaseManifold.lattice(k)``: c, basis and
+    the t^-1 heat coefficient A = covol(L)/(4 pi c^2)) fixes zeta_Q(w) =
+    sum (eta + a^2)^(-w) = F(w)/Gamma(w), F the Mellin transform of e^(-a^2 t) Z(t), Z(t) = A/t (1 + sum_v
     e^(-b_v/t)) - 1, b_v = |v|^2/(4 c^2) over the nonzero v in L.  Split at
     t0 = A (1/a^2 where a^2 A > 1, keeping y = a^2 t0 <= 1; no torus the
     cone solves gets there), with E_p from ``specfun.expint_ladder``,
@@ -501,17 +461,18 @@ def zeta_data_lattice(stream: SpectrumStream, a: float,
     the sums and the combination: ``error_estimate`` bounds deriv0, zeta0
     and the residues, ``pp_errors[i]`` bounds pp[i].
     """
-    if stream.lattice is None:
-        raise ValidationError(f"spectrum stream {stream.name!r} carries no lattice")
+    if not isinstance(lattice, _Lattice):
+        what = (f"spectrum stream {lattice.name!r}" if isinstance(lattice, SpectrumStream)
+                else repr(lattice))
+        raise ValidationError(f"{what} is not a flat-torus lattice record")
     a = abs(number(a, "a", "a finite nonzero real", lambda x: math.isfinite(x) and x != 0.0))
     pole_range = integer(pole_range, "pole_range", 0, RMAX)
-    lead = dict(stream.heat_powers)[-1.0]
-    return _ewald_split(stream, a, pole_range, min(lead, 1.0 / (a * a)))
+    return _ewald_split(lattice, a, pole_range, min(lattice.lead, 1.0 / (a * a)))
 
 
-def _ewald_split(stream: SpectrumStream, a: float, pole_range: int, t0: float) -> ZetaFunctionData:
+def _ewald_split(lattice, a: float, pole_range: int, t0: float) -> ZetaFunctionData:
     """``zeta_data_lattice`` split at t0."""
-    (c, basis), lead = stream.lattice, dict(stream.heat_powers)[-1.0]
+    c, basis, lead, _ = lattice
     a2, k2, v2 = a * a, 4.0 * math.pi ** 2 * c * c, 4.0 * c * c * t0   # eta = k2 |mu|^2
     y, ratio, cut = a2 * t0, lead / t0, _EWALD_CUT
     dual = np.linalg.inv(basis).T

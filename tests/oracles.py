@@ -480,22 +480,13 @@ def rp3_zeta_data(k: int) -> dict:
 
 
 def without_lattice(base):
-    """``base`` with every degree stream rebuilt without its ``lattice``
-    descriptor: the same listing, exact trace, heat powers and names, so a
-    solve over it takes the numeric route (the Mellin engine and the
-    square-root lift) on the same spectrum.  Degrees that share a stream
-    keep sharing one."""
+    """``base`` rebuilt by hand over its own degree streams: a base built from
+    streams holds no closed form, so a solve over it takes the numeric route
+    (the Mellin engine and the square-root lift) on the same spectrum.
+    Degrees that share a stream keep sharing it."""
     from conetorsion.basemanifold import BaseManifold
-    from conetorsion.zetacont import SpectrumStream
-    plain = {}
-    for k in base.degrees_available():
-        deg = base.coclosed_spectrum(k)
-        if id(deg) not in plain:
-            plain[id(deg)] = SpectrumStream(deg.values, deg.mults, name=deg.name,
-                                            heat_fn=deg.heat_fn, heat_powers=deg.heat_powers)
     return BaseManifold(name=base.name, dim=base.dim, betti=base.betti, scale=base.scale,
-                        degrees={k: plain[id(base.coclosed_spectrum(k))]
-                                 for k in base.degrees_available()})
+                        degrees={k: base.coclosed_spectrum(k) for k in base.degrees_available()})
 
 
 def bessel_k01(x):
@@ -719,7 +710,7 @@ def bessel_k_ladder(x, top: int, half: bool = False):
     return out
 
 
-def bessel_k_zeta_data(stream, a: float, pole_range: int = 16):
+def bessel_k_zeta_data(lattice, a: float, pole_range: int = 16):
     """``zetacont.zeta_data_lattice``'s record from the generalized
     Chowla-Selberg formula in float64 (Elizalde, CMP 198, 1998): with
     A = covol(L)/(4 pi c^2) and x_v = a|v|/c over the nonzero v in L,
@@ -734,7 +725,7 @@ def bessel_k_zeta_data(stream, a: float, pole_range: int = 16):
     residues, ``pp_errors[i]`` bounds pp[i]."""
     from conetorsion.zetacont import ZetaFunctionData, _lattice_points
     ulp = 2.0 ** -53
-    (c, basis), lead = stream.lattice, dict(stream.heat_powers)[-1.0]
+    c, basis, lead, _ = lattice
     dual = np.linalg.inv(basis).T
     vsq, counts = np.unique(_lattice_points(basis, _K_REACH * c / a, dual), return_counts=True)
     x = (a / c) * np.sqrt(vsq)

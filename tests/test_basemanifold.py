@@ -52,28 +52,34 @@ def test_circle_nu_set():
     circ = bm.circle(2.0)
     dc = degree_continuation(circ, 0)
     assert dc.alpha == 0 and dc.route == "exact"
-    assert dc.progression == (2.0, 2)
-    assert dc.q_stream is None and dc.nu_stream is None
+    assert dc.progression == (2.0, 2) and dc.nu_stream is None
     assert circ.coclosed_spectrum(0).heat_fn is not None
 
 
-def test_progression_lives_on_the_checked_stream():
-    # a side map on the base held the progression unchecked: with circle(2)'s
-    # stream, a (3.0, 2) entry there solved to the c = 3 answer
-    deg = bm.circle(2.0).coclosed_spectrum(0)
-    assert deg.progression == (2.0, 2)
-    fields = dict(name="x", dim=1, betti=(1, 1), scale=2.0, degrees={0: deg})
-    base = bm.BaseManifold(**fields)
-    assert log_torsion(base).log_torsion == -0.47579135264472755
-    assert log_torsion(bm.circle(2.0)).log_torsion == -0.47579135264472755
+def test_progression_lives_on_the_base():
+    # a closed form is the base's, made from the same input as the listing, so
+    # no call pairs a listing with a closed form that contradicts it (a side
+    # map once solved circle(2)'s stream under (3.0, 2) to the c = 3 answer):
+    # a stream carries none, and a base rebuilt from circle(2)'s stream holds
+    # no progression and solves on the numeric route, within its estimate
+    assert list(inspect.signature(SpectrumStream).parameters) == [
+        "values", "mults", "name", "heat_fn", "heat_powers"]
     assert list(inspect.signature(bm.BaseManifold).parameters) == [
         "name", "dim", "betti", "scale", "degrees", "boundary_ok", "truncation_note"]
-    with pytest.raises(ValidationError, match="^spectrum stream 'relabelled' contradicts"):
-        SpectrumStream(deg.values, deg.mults, name="relabelled", progression=(3.0, 2))
-    # a shift leaves the progression; the exact route reads the unshifted stream
-    assert deg.shifted(0.25).progression is None and deg.shifted(0.0) is deg
-    assert bm.circle(1.0, allow_boundary=True).coclosed_spectrum(0).progression == (1.0, 2)
-    assert bm.torus2(2.0).coclosed_spectrum(0).progression is None
+    circ = bm.circle(2.0)
+    exact = log_torsion(circ)
+    assert (exact.log_torsion, exact.error_estimate) == (-0.47579135264472755, 0.0)
+    deg = circ.coclosed_spectrum(0)
+    fields = dict(name="x", dim=1, betti=(1, 1), scale=2.0, degrees={0: deg})
+    base = bm.BaseManifold(**fields)
+    assert base.progression(0) is None and base.lattice(0) is None
+    assert degree_continuation(base, 0).route == "numeric"
+    rebuilt = log_torsion(base)
+    assert 0.0 < rebuilt.error_estimate < 1e-11
+    assert abs(rebuilt.log_torsion - exact.log_torsion) <= rebuilt.error_estimate
+    assert circ.progression(0) == (2.0, 2) and deg.shifted(0.0) is deg
+    assert bm.circle(1.0, allow_boundary=True).progression(0) == (1.0, 2)
+    assert bm.torus2(2.0).progression(0) is None
     # numpy integers pass the library integer rule for dim, betti numbers and
     # degree keys, and are stored as ints (2.0 is refused, as by coclosed_spectrum)
     one = np.int64(1)
@@ -145,7 +151,6 @@ def test_torus_nu_sets_are_twins():
     assert n0.alpha == 0.5 and n1.alpha == -0.5
     assert n0.route == n1.route == "exact"
     assert n0.progression is None and n1.progression is None
-    assert n0.q_stream is None and n1.q_stream is None
     assert n0.data == n1.data
     assert np.array_equal(n0.nu_stream.values, n1.nu_stream.values)
     assert n0.nu_stream.min_value == pytest.approx(math.sqrt(4.25), abs=1e-12)
@@ -154,7 +159,7 @@ def test_torus_nu_sets_are_twins():
     assert m0.route == m1.route == "numeric"
     assert np.max(np.abs(m0.nu_stream.values - m1.nu_stream.values)) == 0.0
     assert np.array_equal(m0.nu_stream.values, n0.nu_stream.values)
-    assert m0.q_stream.min_value == pytest.approx(4.25, abs=1e-12)
+    assert m0.nu_stream.min_value == pytest.approx(math.sqrt(4.25), abs=1e-12)
 
 
 def test_streams_share_no_memory_with_their_source():
@@ -165,11 +170,12 @@ def test_streams_share_no_memory_with_their_source():
     assert tor.coclosed_spectrum(0) is deg
     exact = degree_continuation(tor, 0)
     plain = oracles.without_lattice(tor)
+    assert plain.coclosed_spectrum(0) is deg
     ns = degree_continuation(plain, 0)
-    lift = sqrt_stream(MellinZeta(ns.q_stream, s_max=1.0))
-    for stream, source in ((ns.q_stream, deg), (ns.nu_stream, deg),
-                           (lift, ns.q_stream), (exact.nu_stream, deg),
-                           (plain.coclosed_spectrum(0), deg)):
+    q_stream = deg.shifted(0.25)
+    lift = sqrt_stream(MellinZeta(q_stream, s_max=1.0))
+    for stream, source in ((q_stream, deg), (ns.nu_stream, deg),
+                           (lift, q_stream), (exact.nu_stream, deg)):
         for got, given in ((stream.values, source.values),
                            (stream.mults, source.mults)):
             assert not np.shares_memory(got, given)
@@ -179,17 +185,15 @@ def test_streams_share_no_memory_with_their_source():
 def test_torus_shifted_heat_powers():
     # q = lambda + 1/4 shifts the theta expansion:
     # c_{-1} = A, c_0 = -A/4 - 1, c_1 = A/32 + 1/4 with A = pi/4 at scale 2
-    n0 = degree_continuation(oracles.without_lattice(bm.torus2(2.0)), 0)
     A = math.pi / 4.0
-    pw = dict(n0.q_stream.heat_powers)
+    pw = dict(bm.torus2(2.0).coclosed_spectrum(0).shifted(0.25).heat_powers)
     assert pw[-1.0] == pytest.approx(A, abs=1e-15)
     assert pw[0.0] == pytest.approx(-A / 4.0 - 1.0, abs=1e-15)
     assert pw[1.0] == pytest.approx(A / 32.0 + 0.25, abs=1e-15)
 
 
 def test_torus_q_engine_residues_and_value():
-    n0 = degree_continuation(oracles.without_lattice(bm.torus2(2.0)), 0)
-    eng = MellinZeta(n0.q_stream, s_max=8.0)
+    eng = MellinZeta(bm.torus2(2.0).coclosed_spectrum(0).shifted(0.25), s_max=8.0)
     A = math.pi / 4.0
     assert eng.residue(1.0) == pytest.approx(A, abs=1e-14)
     assert eng.residue(0.5) == 0.0
@@ -337,7 +341,7 @@ def test_base_manifold_is_read_only():
     with pytest.raises(TypeError):
         tor._degrees[0] = None
     with pytest.raises(AttributeError, match="^SpectrumStream is read-only$"):
-        bm.circle(2.0).coclosed_spectrum(0).progression = (3.0, 2)
+        bm.circle(2.0).coclosed_spectrum(0).heat_powers = ()
     listing = bm.custom(bm.circle(2.0).as_custom_mapping())
     for base in (tor, listing):
         deg = base.coclosed_spectrum(0)
@@ -370,14 +374,14 @@ def _circle_listing(c):
 
 def _circle_stream_built_at_once(c):
     """circle(c)'s degree-0 stream made the way circle once made it on every
-    call: listing, exact trace, heat powers and progression together."""
+    call: listing, exact trace and heat powers together."""
     values, mults, powers = _circle_listing(c)
     basis = np.array([[2.0 * math.pi]])
     dual = np.linalg.inv(basis).T
     t_switch, small, _ = bm._flat_torus_trace(c, basis, dual, _shortest(dual, basis),
                                               abs(float(np.linalg.det(basis))))
     return exact_stream(values, mults, t_switch, small, name=f"circle(c={c:g}):deg0",
-                        heat_powers=powers, progression=(c, 2))
+                        heat_powers=powers)
 
 
 @pytest.mark.parametrize("c,boundary", [(1.0, True), (2.0, False), (6.685, False)])
@@ -388,10 +392,9 @@ def test_circle_stream_built_on_first_read_is_bitwise_the_eager_one(c, boundary)
     assert base.progression(0) == (c, 2)
     lazy = base.coclosed_spectrum(0)
     assert base.coclosed_spectrum(0) is lazy is base._degrees[0]
-    assert base.progression(0) == lazy.progression == (c, 2)
+    assert base.progression(0) == (c, 2)     # kept beside the stream
     eager = _circle_stream_built_at_once(c)
     assert lazy.name == eager.name and lazy.heat_powers == eager.heat_powers
-    assert lazy.progression == eager.progression
     for got, want in ((lazy.values, eager.values), (lazy.mults, eager.mults)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="read-only"):
@@ -402,7 +405,7 @@ def test_circle_stream_built_on_first_read_is_bitwise_the_eager_one(c, boundary)
                         np.nextafter(switch, [0.0, switch, np.inf])])
     assert lazy.trace(t).tobytes() == eager.trace(t).tobytes()
     with pytest.raises(AttributeError, match="^SpectrumStream is read-only$"):
-        lazy.progression = (3.0, 2)
+        lazy.heat_powers = ()
     with pytest.raises(TypeError):
         base._degrees[0] = eager
 
@@ -516,7 +519,7 @@ def test_custom_stream_reproduces_exact_zeta():
     ex = zeta_data_exact(2.0, 2)
     nsb = degree_continuation(back, 0)
     assert nsb.route == "numeric"      # a listing carries no progression
-    engb = MellinZeta(nsb.q_stream)
+    engb = MellinZeta(back.coclosed_spectrum(0))
     d0 = engb.deriv0()
     diff = abs(0.5 * d0 - ex.deriv0)
     assert diff <= 2e-6

@@ -298,12 +298,11 @@ def _reference_zeta_payload(base, k, shift):
     """The zeta payload assembled with its own exact-versus-numeric branch
     over the degree's frequency set, independently of the cached
     continuation record the command reads."""
-    deg = base.coclosed_spectrum(k)
-    progression = deg.progression
+    deg, progression, lattice = base.coclosed_spectrum(k), base.progression(k), base.lattice(k)
     a = (base.dim - 1) / 2 - k
     pole_top = max(base.dim, 1)
-    if deg.lattice is not None and a != 0.0:
-        data = zeta_data_lattice(deg, a)
+    if lattice is not None and a != 0.0:
+        data = zeta_data_lattice(lattice, a)
         source = "closed-form"
         if shift is not None:
             shift_value, shift_error = shifted_from_base(

@@ -3,7 +3,7 @@ theta function, against a 30-digit mpmath oracle of the generalized
 Chowla-Selberg formula and against that formula's float64 Bessel-K form (the
 route before the split), at two split points and on GL(2, Z)-equivalent
 bases; its a -> 0 limit against Kronecker's first limit formula; and the
-numeric route (the Mellin engine on the same stream without its lattice, and
+numeric route (the Mellin engine on a base over the torus's own stream, and
 exported listings) within its own estimate of it.  Every scale takes the
 route, with a term count that does not depend on c.  A solve on the route
 builds neither an engine nor the theta trace's Poisson norms, and the
@@ -34,9 +34,9 @@ LISTINGS = CATALOGUE["cone_listing"]
 
 @pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
 def test_lattice_data_lie_within_their_bounds_of_the_oracle(entry):
-    stream = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0)
-    data = zetacont.zeta_data_lattice(stream, 0.5)
-    want = oracles.lattice_zeta_data(stream.lattice[1], entry["c"], 0.5)
+    lattice = bm.torus2(entry["c"], entry["lattice"]).lattice(0)
+    data = zetacont.zeta_data_lattice(lattice, 0.5)
+    want = oracles.lattice_zeta_data(lattice.basis, entry["c"], 0.5)
     err = data.error_estimate
     assert 0.0 < err < 1e-13
     assert abs(data.deriv0 - want["deriv0"]) <= err
@@ -60,17 +60,17 @@ def _within(data, other) -> None:
 
 @pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
 def test_split_agrees_with_the_bessel_k_form(entry):
-    stream = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0)
-    _within(zetacont.zeta_data_lattice(stream, 0.5), oracles.bessel_k_zeta_data(stream, 0.5))
+    lattice = bm.torus2(entry["c"], entry["lattice"]).lattice(0)
+    _within(zetacont.zeta_data_lattice(lattice, 0.5), oracles.bessel_k_zeta_data(lattice, 0.5))
 
 
 @pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
 def test_two_split_points_agree(entry):
-    stream = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0)
-    lead = dict(stream.heat_powers)[-1.0]
-    at_lead = zetacont._ewald_split(stream, 0.5, 16, lead)
-    assert at_lead == zetacont.zeta_data_lattice(stream, 0.5)      # t0 = A
-    _within(at_lead, zetacont._ewald_split(stream, 0.5, 16, 2.0 * lead))
+    lattice = bm.torus2(entry["c"], entry["lattice"]).lattice(0)
+    assert lattice.lead == dict(lattice.stream.heat_powers)[-1.0]
+    at_lead = zetacont._ewald_split(lattice, 0.5, 16, lattice.lead)
+    assert at_lead == zetacont.zeta_data_lattice(lattice, 0.5)      # t0 = A
+    _within(at_lead, zetacont._ewald_split(lattice, 0.5, 16, 2.0 * lattice.lead))
 
 
 @pytest.mark.parametrize("unimodular", [[[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 3]]],
@@ -79,9 +79,9 @@ def test_two_split_points_agree(entry):
 def test_split_is_gl2z_invariant(entry, unimodular):
     # another basis of the same lattice L: the same spectrum, other lattice points
     # enumerated in another order and rounded otherwise
-    basis = bm.torus2(entry["c"], entry["lattice"]).coclosed_spectrum(0).lattice[1]
+    basis = bm.torus2(entry["c"], entry["lattice"]).lattice(0).basis
     other = (np.array(unimodular, dtype=float) @ basis).tolist()
-    _within(*(zetacont.zeta_data_lattice(bm.torus2(entry["c"], b).coclosed_spectrum(0), 0.5)
+    _within(*(zetacont.zeta_data_lattice(bm.torus2(entry["c"], b).lattice(0), 0.5)
               for b in (basis.tolist(), other)))
 
 
@@ -115,9 +115,9 @@ def test_small_shift_limit_is_kroneckers_formula(c, lattice):
     # zeta_Q'(0) is a power series in a^2 with constant term zeta'(0) of the
     # unshifted spectrum: the gap to Kronecker shrinks 4x per halving of a,
     # and two Richardson steps leave an a^6 remainder
-    stream = bm.torus2(c, lattice).coclosed_spectrum(0)
-    kron = 0.5 * oracles.flat_torus_zeta_prime0(stream.lattice[1], c)
-    gap = {a: zetacont.zeta_data_lattice(stream, a, pole_range=0).deriv0 - kron
+    record = bm.torus2(c, lattice).lattice(0)
+    kron = 0.5 * oracles.flat_torus_zeta_prime0(record.basis, c)
+    gap = {a: zetacont.zeta_data_lattice(record, a, pole_range=0).deriv0 - kron
            for a in (0.2, 0.1, 0.05)}
     assert gap[0.2] / gap[0.1] == pytest.approx(4.0, abs=0.06)
     assert gap[0.1] / gap[0.05] == pytest.approx(4.0, abs=0.02)
@@ -189,8 +189,8 @@ def test_dual_path_check_fails_on_a_wrong_lattice_route(monkeypatch):
     assert check(1e-8)[0]
     lattice = zetacont.zeta_data_lattice
 
-    def doubled(stream, a, *args):
-        data = lattice(stream, a, *args)
+    def doubled(record, a, *args):
+        data = lattice(record, a, *args)
         return zetacont.ZetaFunctionData(
             deriv0=data.deriv0, residues=data.residues, pp={**data.pp, 3: 2.0 * data.pp[3]},
             error_estimate=data.error_estimate, zeta0=data.zeta0, pp_errors=data.pp_errors)
@@ -223,45 +223,45 @@ def test_lattice_record_relation_path_and_shifts():
     assert abs(torsion.corollary_3d(base) - log_torsion(base).log_torsion) < 1e-15
 
 
-def _stream(lattice, powers=((-1.0, 0.785), (0.0, -1.0))):
-    return zetacont.SpectrumStream([4.0, 8.0], [4.0, 4.0], name="grid", heat_powers=powers,
-                                   lattice=lattice)
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda: _stream((2.0,)), r"lattice must be a \(c, basis\) pair"),
-    (lambda: _stream([2.0, np.eye(2)]), r"lattice must be a \(c, basis\) pair"),
-    (lambda: _stream((0.0, np.eye(2))), "lattice scale must be a finite number > 0"),
-    (lambda: _stream(("2", np.eye(2))), "lattice scale must be a finite number > 0"),
-    (lambda: _stream((2.0, [[1.0, 0.0], [0.0, 1.0]])), "basis must be a 2 x 2 float array"),
-    (lambda: _stream((2.0, np.eye(3))), "basis must be a 2 x 2 float array"),
-    (lambda: _stream((2.0, np.eye(2, dtype=int))), "basis must be a 2 x 2 float array"),
-    (lambda: _stream((2.0, np.array([[1.0, math.nan], [0.0, 1.0]]))),
-     "basis must be a 2 x 2 float array"),
-    (lambda: _stream((2.0, np.eye(2)), powers=((0.0, -1.0),)), "heat coefficient of t\\^-1"),
-    (lambda: _stream((2.0, np.eye(2)), powers=((-1.0, 0.0),)), "heat coefficient of t\\^-1"),
-    (lambda: zetacont.zeta_data_lattice(bm.circle(2.0).coclosed_spectrum(0), 0.5),
-     "carries no lattice"),
-    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).coclosed_spectrum(0), 0.0),
+    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).coclosed_spectrum(0), 0.5),
+     r"^spectrum stream 'torus2\(c=2, square\):deg0,1' is not a flat-torus lattice record$"),
+    (lambda: zetacont.zeta_data_lattice((2.0, ((1.0, 0.0), (0.0, 1.0))), 0.5),
+     r"^\(2\.0, \(\(1\.0, 0\.0\), \(0\.0, 1\.0\)\)\) is not a flat-torus lattice record$"),
+    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).lattice(0), 0.0),
      "^a must be a finite nonzero real, got 0.0$"),
-    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).coclosed_spectrum(0), "0.5"),
+    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).lattice(0), "0.5"),
      "^a must be a finite nonzero real"),
-    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).coclosed_spectrum(0), 0.5,
+    (lambda: zetacont.zeta_data_lattice(bm.torus2(2.0).lattice(0), 0.5,
                                         pole_range=17), "^pole_range must be an integer in 0..16"),
-], ids=["short", "list", "scale-zero", "scale-str", "basis-list", "basis-3x3", "basis-int",
-        "basis-nan", "no-leading-power", "zero-leading-power", "no-lattice", "a-zero",
-        "a-str", "pole-range"])
+], ids=["no-lattice", "tuple", "a-zero", "a-str", "pole-range"])
 def test_lattice_descriptor_and_route_refuse_by_name(call, message):
+    # the route reads a torus's lattice record alone: a stream, even the
+    # torus's own, or a (c, basis) pair is refused, naming it
     with pytest.raises(ValidationError, match=message):
         call()
 
 
 def test_lattice_descriptor_is_a_read_only_copy():
-    basis = np.eye(2)
-    stream = _stream((2.0, basis))
-    basis[0, 0] = 5.0
-    assert stream.lattice[1][0, 0] == 1.0
-    assert stream.shifted(0.25).lattice is None
+    # the record is the base's: a circle and a base over the torus's own
+    # stream hold none, and the caller's lattice is not the record's basis
+    lattice = np.array([[6.283185307179586, 0.0], [2.821150202923634, 6.283185307179586]])
+    base = bm.torus2(2.885, lattice)
+    before = log_torsion(base)
+    record = base.lattice(0)
+    assert record is base.lattice(1) and record.stream is base.coclosed_spectrum(0)
+    assert (record.c, record.lead) == (2.885, dict(record.stream.heat_powers)[-1.0])
+    lattice[1, 0] = 0.0
+    assert record.basis[1, 0] == 2.821150202923634 and not record.basis.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        record.basis[1, 0] = 0.0
+    with pytest.raises(AttributeError):
+        record.c = 3.0
+    assert log_torsion(base) == before
+    lattice[1, 0] = 2.821150202923634
+    assert before == log_torsion(bm.torus2(2.885, lattice))
+    assert bm.circle(2.0).lattice(0) is None
+    assert oracles.without_lattice(base).lattice(0) is None
 
 
 def _cold_solve_seconds(c: float) -> float:
@@ -290,7 +290,7 @@ def test_every_scale_takes_the_exact_route(monkeypatch):
 
     monkeypatch.setattr(zetacont, "expint_ladder", counting)
     for c in (2.0, 40.0, 1000.0):
-        zetacont.zeta_data_lattice(bm.torus2(c).coclosed_spectrum(0), 0.5)
+        zetacont.zeta_data_lattice(bm.torus2(c).lattice(0), 0.5)
     assert points[0] == points[1] == points[2]
     monkeypatch.undo()
     # so a cold solve at c = 40 costs no more than one at c = 2 (its listing is shorter)

@@ -395,9 +395,11 @@ def test_log_panels_are_bitwise_the_per_panel_loop(a, b, per_decade, nodes):
 
 def _torus2_engines(c, lattice=None):
     """The squared-stream engine of degree 0 and the engine of its lift, on
-    the numeric route over the torus stream without its lattice."""
-    record = degree_continuation(oracles.without_lattice(torus2(c, lattice)), 0)
-    return MellinZeta(record.q_stream, s_max=0.5 * RMAX), MellinZeta(record.nu_stream)
+    the numeric route over a base built from the torus's own stream."""
+    base = oracles.without_lattice(torus2(c, lattice))
+    record = degree_continuation(base, 0)
+    q_stream = base.coclosed_spectrum(0).shifted(0.25)
+    return MellinZeta(q_stream, s_max=0.5 * RMAX), MellinZeta(record.nu_stream)
 
 
 def _all_probes(engine):
