@@ -22,9 +22,11 @@ continuations over them carry no truncation error from the spectrum list:
   read.
 * ``torus2(c, lattice)`` -- N = R^2 / L (n = 2); eigenvalues
   4 pi^2 c^2 |mu|^2 over the dual lattice.  The base holds both degrees as
-  one lattice record (c, basis, the t^-1 heat coefficient and the stream),
-  which gives the shifted frequencies' continuation data in closed form,
-  by Ewald's split of its theta function.
+  one lattice record (c, the bases of L and L*, covol(L), the t^-1 heat
+  coefficient and the smallest eigenvalue), which gives the shifted
+  frequencies' continuation data in closed form, by Ewald's split of its
+  theta function.  The record lists the eigenvalues, and builds the stream
+  over them, on first read.
 * ``custom(source)`` -- finite user-supplied spectra loaded from a JSON
   mapping or file; see the schema below.
 
@@ -102,30 +104,77 @@ class _Progression(NamedTuple):
     mult: int
     build: Callable
 
+    @property
+    def min_value(self) -> float:
+        return self.step * self.step
 
-class _Lattice(NamedTuple):
-    """A flat 2-torus degree: ``stream`` lists 4 pi^2 c^2 |mu|^2 over the
-    nonzero mu of the dual of the lattice L the rows of the 2 x 2 ``basis``
-    (a read-only float copy) span, each once, equal values merged, and its
-    heat powers carry ``lead`` = A = covol(L)/(4 pi c^2) at t^-1: all the
-    lattice route reads."""
-    c: float
-    basis: np.ndarray
-    lead: float
-    stream: SpectrumStream
+
+class _Lattice(ReadOnly):
+    """A flat 2-torus degree, one record for both degrees of ``torus2``.
+
+    Held from construction: the scale ``c``; the rows of ``basis`` (a
+    read-only float copy of the caller's lattice L) and of ``dual`` (L*);
+    ``covol`` = covol(L); ``lead`` = A = covol/(4 pi c^2), the t^-1 heat
+    coefficient; and ``min_value``, the smallest eigenvalue 4 pi^2 c^2
+    |mu_1|^2, bitwise the listing's first value.  That is all the lattice
+    route reads.  ``listing()`` gives the eigenvalues 4 pi^2 c^2 |mu|^2 over
+    the nonzero mu in L* within the record's reach, equal values merged, and
+    ``build()`` the exact-trace stream over them; each is made on first read
+    and kept, so both degrees read one stream, and the listing is held once.
+    """
+    __slots__ = ("c", "basis", "dual", "covol", "lead", "min_value", "name",
+                 "_mu1_sq", "_reach", "_listing", "_stream")
+
+    def __init__(self, c: float, basis, dual, covol: float, mu1_sq: float,
+                 reach: float, name: str):
+        for key, value in dict(c=c, basis=basis, dual=dual, covol=covol,
+                               lead=covol / (4.0 * math.pi * c * c),
+                               min_value=(4.0 * math.pi ** 2 * c * c) * mu1_sq, name=name,
+                               _mu1_sq=mu1_sq, _reach=reach, _listing=None,
+                               _stream=None).items():
+            object.__setattr__(self, key, value)
+
+    def listing(self) -> tuple:
+        """(values, mults) of the degree, read-only, enumerated on first read."""
+        if self._listing is None:
+            import numpy as np
+
+            from .zetacont import _lattice_points, merge_ties
+            sq = _lattice_points(self.dual, self._reach, self.basis)
+            listing = merge_ties((4.0 * math.pi ** 2 * self.c * self.c) * sq, np.ones_like(sq))
+            for arr in listing:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_listing", listing)
+        return self._listing
+
+    def build(self) -> SpectrumStream:
+        """The degree's stream: the listing with the lattice's exact trace."""
+        if self._stream is None:
+            from .zetacont import exact_stream
+            t_switch, small, _ = _flat_torus_trace(self.c, self.basis, self.dual,
+                                                   math.sqrt(self._mu1_sq), self.covol)
+            powers = ((-1.0, self.lead), (0.0, -1.0)) + tuple(
+                (float(j), 0.0) for j in range(1, 13))
+            stream = exact_stream(*self.listing(), t_switch, small, name=self.name,
+                                  heat_powers=powers)
+            # the stream holds its own copy of the listing: keep that one alone
+            object.__setattr__(self, "_stream", stream)
+            object.__setattr__(self, "_listing", (stream.values, stream.mults))
+        return self._stream
 
 
 class _Degrees(ReadOnly, Mapping):
     """A base's read-only degree map, degree -> unshifted ``SpectrumStream``,
     with each degree's closed form (a ``_Progression`` or a ``_Lattice``)
-    kept beside its stream.  A progression builds its stream on first read."""
+    kept beside its stream.  A closed form builds its stream on first read;
+    a lattice record builds one stream for both its degrees."""
     __slots__ = ("_entries", "_streams")
 
     def __init__(self, entries: dict):
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_streams", {
-            k: deg.stream if isinstance(deg, _Lattice) else deg
-            for k, deg in entries.items() if not isinstance(deg, _Progression)})
+            k: deg for k, deg in entries.items()
+            if not isinstance(deg, (_Progression, _Lattice))})
 
     def __getitem__(self, k):
         if k not in self._streams:
@@ -149,8 +198,8 @@ class _Degrees(ReadOnly, Mapping):
 class BaseManifold(ReadOnly):
     """Closed oriented cross-section: Betti numbers + coclosed spectra, one
     unshifted ``SpectrumStream`` per degree (heat powers complete through the
-    largest listed one; ``circle`` gives its degree as a progression, whose
-    stream is built on first read, and ``torus2`` as a lattice record).
+    largest listed one; ``circle`` gives its degree as a progression and
+    ``torus2`` as a lattice record, whose streams are built on first read).
     Read-only, the degree map included:
     cached continuations are keyed by the base's identity, so a write would
     change what a later solve reads.
@@ -181,15 +230,11 @@ class BaseManifold(ReadOnly):
                 raise ValidationError(
                     f"degree {k} is outside 0..{dim - 1}: a coclosed {dim}-form on a "
                     f"closed {dim}-manifold is harmonic, so degree {dim} has no spectrum")
-            if isinstance(deg, _Progression):
-                smallest = deg.step * deg.step
-            else:
+            if not isinstance(deg, (_Progression, _Lattice)):
                 from .zetacont import SpectrumStream
-                stream = deg.stream if isinstance(deg, _Lattice) else deg
-                if not isinstance(stream, SpectrumStream):
+                if not isinstance(deg, SpectrumStream):
                     raise ValidationError(f"degree {k} must be a SpectrumStream, got {deg!r}")
-                smallest = stream.min_value
-            if smallest <= floor:
+            if deg.min_value <= floor:
                 raise ValidationError(SCALING_MESSAGE)
         for key, value in dict(name=name, dim=dim, betti=betti, scale=scale,
                                orientable=True, truncation_note=truncation_note,
@@ -224,8 +269,9 @@ class BaseManifold(ReadOnly):
         return None if deg is None else deg[:2]
 
     def lattice(self, k: int) -> _Lattice | None:
-        """The flat 2-torus record (c, basis, lead, stream) of degree k,
-        which ``zeta_data_lattice`` reads, else None."""
+        """The flat 2-torus record of degree k (c, basis, dual, covol, lead
+        and min_value; its listing and stream made on first read), which
+        ``zeta_data_lattice`` reads, else None."""
         return self._degrees.closed_form(self._degree(k), _Lattice)
 
     # -- serialization (custom schema round-trip) ---------------------------
@@ -347,11 +393,15 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     Degrees 0 and 1 share this nonzero coclosed spectrum (the coexact
     1-form spectrum of a flat torus coincides with the nonzero function
     spectrum); a coclosed 2-form on the closed torus is harmonic, so the
-    top degree has no nonzero spectrum.
+    top degree has no nonzero spectrum.  Both degrees hold one ``_Lattice``
+    record.  Its listing reaches the larger of nu_max/(2 pi c) in L* and
+    the theta crossover's 17.5 |mu_1| (see ``_flat_torus_trace``).  The
+    listing and the stream are made on first read; a reach whose index box
+    ``_lattice_points`` would refuse is refused here, before any of them.
     """
     import numpy as np
 
-    from .zetacont import _lattice_points, _shortest, exact_stream, merge_ties
+    from .zetacont import _lattice_reach, _shortest_sq
     c, nu_max = positive(c, "scale"), positive(nu_max, "nu_max")
     try:        # screened entry by entry: a float cast parses strings and counts bools
         entries = np.asarray(lattice if lattice is not None else _DEFAULT_LATTICE, dtype=object)
@@ -367,21 +417,13 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     covol = abs(float(np.linalg.det(basis)))
     if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
         raise ValidationError("degenerate lattice: basis vectors are collinear")
-    dual_basis = np.linalg.inv(basis).T
-    q1 = _shortest(dual_basis, basis)
-
-    # materialize dual points out to the larger of the frequency target and
-    # the theta crossover requirement (17.5 q1, see _flat_torus_trace)
-    r_count = max(nu_max / (_TWO_PI * c), 17.5 * q1)
-    dual_sq = _lattice_points(dual_basis, r_count, basis)
-    eta_all = (4.0 * math.pi ** 2 * c * c) * dual_sq
-    eta, eta_mult = merge_ties(eta_all, np.ones_like(eta_all))
-    t_switch, small, area_factor = _flat_torus_trace(c, basis, dual_basis, q1, covol)  # Z ~ A/t - 1
-    powers = ((-1.0, area_factor), (0.0, -1.0)) + tuple(
-        (float(j), 0.0) for j in range(1, 13))
+    dual = np.linalg.inv(basis).T
+    dual.flags.writeable = False
+    mu1_sq = _shortest_sq(dual, basis)
+    reach = max(nu_max / (_TWO_PI * c), 17.5 * math.sqrt(mu1_sq))
+    _lattice_reach(reach, basis)
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
-    deg = _Lattice(c, basis, area_factor, exact_stream(
-        eta, eta_mult, t_switch, small, name=f"{name}:deg0,1", heat_powers=powers))
+    deg = _Lattice(c, basis, dual, covol, mu1_sq, reach, f"{name}:deg0,1")
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 

@@ -191,13 +191,16 @@ def _add_terms(c: list, r: int, name: str, poly: Polynomial, weights) -> None:
         raise AssertionError(f"{name}_{r} has unexpected powers {sorted(stray)}")
 
 
-def parity_bracket(r: int, alpha, parity: str) -> tuple[list[Fraction], Fraction]:
+@lru_cache(maxsize=None, typed=True)
+def parity_bracket(r: int, alpha, parity: str) -> tuple[tuple[Fraction, ...], Fraction]:
     """(c_{r,b} for b = 0..r, power term) of the order-r bracket at alpha.
 
     The bracket is sum_b c_{r,b} t^(r+2b): M_r(t,-a) - M_r(t,a) in odd
     parity, 2 D_r(t) - M_r(t,-a) - M_r(t,a) in even parity; its power term
     is (a^r - (-a)^r)/r, respectively (a^r + (-a)^r)/r.  The c_{r,b} are
     read in one pass over the terms of M_r (and of D_r in even parity).
+    Cached per typed (r, alpha, parity), as the generators are (so True is
+    not read as 1), and returned as immutable tuples.
     """
     alpha = Fraction(alpha)
     m = gen_M(r)
@@ -209,7 +212,7 @@ def parity_bracket(r: int, alpha, parity: str) -> tuple[list[Fraction], Fraction
     _add_terms(c, r, "M", m, weights)         # weights[j] multiplies alpha^j
     if parity == "even":
         _add_terms(c, r, "D", gen_D(r), (2,))
-    return c, (alpha ** r - sign * (-alpha) ** r) / r
+    return tuple(c), (alpha ** r - sign * (-alpha) ** r) / r
 
 
 def dm_identity_residual(r: int, alpha,

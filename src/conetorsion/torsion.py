@@ -24,9 +24,11 @@ for a closed form: the closed form when the degree's frequencies form an
 arithmetic progression (the base's ``progression(k)``, read without
 building a stream or loading numpy, and a_k = 0); the Ewald split of
 ``zeta_data_lattice`` when the degree is a flat 2-torus's (the base's
-``lattice(k)`` and a_k != 0), at every scale, with nu listed once for the
-relation path; else the shifted eigenvalue stream eta + a_k^2 (exact heat
-trace carried along when available) and its ``sqrt_stream``.
+``lattice(k)`` and a_k != 0), at every scale, with nu listed once, over
+the record's own listing, for the relation path, and no eigenvalue stream
+built; else the shifted eigenvalue stream eta + a_k^2 (exact heat trace
+carried along when available) and its ``sqrt_stream``.  The relation path
+gives zeta'(0, +-alpha_k) in one pass.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``, re-exported with
@@ -205,14 +207,14 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     base's closed forms alone: the exact closed form when the base holds
     the degree as an arithmetic progression (no stream is built); the exact
     lattice route (``zeta_data_lattice``) when it holds a flat 2-torus
-    lattice record; otherwise the numeric route, where a Mellin-split engine
-    on the shifted eigenvalue stream supplies the frequency-side derivative,
-    residues, and regular values through s -> s/2 (cross-checked by
-    ``check_residual``).
-    Off the progression, the shifted derivatives come from the
-    subtracted-logarithm relation over the frequency listing.  Requires
-    0 <= k <= n-1.  Built once per base instance and degree; kept as long
-    as the base lives.
+    lattice record, which builds no eigenvalue stream; otherwise the numeric
+    route, where a Mellin-split engine on the shifted eigenvalue stream
+    supplies the frequency-side derivative, residues, and regular values
+    through s -> s/2 (cross-checked by ``check_residual``).  Off the
+    progression, the shifted derivatives at +-alpha_k come from one paired
+    pass of the subtracted-logarithm relation over the frequency listing.
+    Requires 0 <= k <= n-1.  Built once per base instance and degree; kept
+    as long as the base lives.
     """
     n = base.dim
     k = _check_degree(k, n, n - 1)
@@ -233,21 +235,23 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
     import numpy as np
 
     from .zetacont import SpectrumStream, shifted_from_base, sqrt_stream, zeta_data_lattice
-    stream, lattice = base.coclosed_spectrum(k), base.lattice(k)
+    lattice = base.lattice(k)
     if lattice is not None and a != 0.0:
         route = "exact"
         data = zeta_data_lattice(lattice, a)
-        nu_stream = SpectrumStream(np.sqrt(stream.values + a * a), stream.mults,
-                                   name=f"sqrt({stream.name}+{a * a:g})")
+        eta, mults = lattice.listing()
+        nu_stream = SpectrumStream(np.sqrt(eta + a * a), mults,
+                                   name=f"sqrt({lattice.name}+{a * a:g})")
     else:
         route = "numeric"
-        data, engine = nu_continuation_data(stream.shifted(a * a))
+        data, engine = nu_continuation_data(base.coclosed_spectrum(k).shifted(a * a))
         nu_stream = sqrt_stream(engine)
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
             f"{nu_stream.min_value:g} (degree {k})")
-    shifts = {s: shifted_from_base(nu_stream, data, s) for s in {a, -a}}
+    pair = shifted_from_base(nu_stream, data, a, paired=True)
+    shifts = {s: pair[s] for s in {a, -a}}      # the record's mappings keep set order
     data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
     return DegreeContinuation(
         alpha, route, data, {s: err for s, (_, err) in shifts.items()}, nu_stream=nu_stream)

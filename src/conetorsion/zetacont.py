@@ -225,17 +225,26 @@ def merge_ties(values, mults):
     return values[heads], np.add.reduceat(mults, heads)
 
 
-def _lattice_points(basis: np.ndarray, radius: float, dual=None) -> np.ndarray:
-    """Squared norms |sum_k i_k b_k|^2 <= radius^2 over nonzero integer
-    vectors i, for the rows b_k of the n x n ``basis``; ``dual`` (rows the
-    dual basis, inv(basis).T) is taken when not given."""
-    # index bound: i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
-    if dual is None:
-        dual = np.linalg.inv(basis.T)
+def _lattice_reach(radius: float, dual) -> list:
+    """The index bounds r |s_k| over the rows s_k of ``dual`` within which
+    ``_lattice_points`` finds every point of norm <= r = ``radius``, refused
+    where its index box would pass _LATTICE_BOX points: plain arithmetic,
+    so a caller can screen a radius before it enumerates anything."""
+    # i_k = <point, s_k> for the dual vector s_k, so |i_k| <= r |s_k|
     reach = [radius * math.hypot(*row) for row in dual.tolist()]
     if math.prod(2.0 * x + 3.0 for x in reach) > _LATTICE_BOX:   # prod (2 i_k,max + 1)
         raise ValidationError(f"enumerating the lattice to radius {radius:.6g} needs over "
                               f"{_LATTICE_BOX} index points: lower nu_max or skew it less")
+    return reach
+
+
+def _lattice_points(basis: np.ndarray, radius: float, dual=None) -> np.ndarray:
+    """Squared norms |sum_k i_k b_k|^2 <= radius^2 over nonzero integer
+    vectors i, for the rows b_k of the n x n ``basis``; ``dual`` (rows the
+    dual basis, inv(basis).T) is taken when not given."""
+    if dual is None:
+        dual = np.linalg.inv(basis.T)
+    reach = _lattice_reach(radius, dual)
     # i_k b_k broadcast along axis k of the index grid, the coordinates along the last
     pts = sum(np.arange(-m, m + 1).reshape([1] * k + [-1] + [1] * (len(reach) - k)) * row
               for k, (m, row) in enumerate(zip((int(math.floor(x)) + 1 for x in reach), basis)))
@@ -244,10 +253,17 @@ def _lattice_points(basis: np.ndarray, radius: float, dual=None) -> np.ndarray:
     return np.sort(sq[keep])
 
 
+def _shortest_sq(basis: np.ndarray, dual=None) -> float:
+    """Squared length of a shortest nonzero vector of the lattice spanned by
+    ``basis``, bitwise the first value ``_lattice_points`` lists at any
+    larger radius."""
+    reach = 1.0001 * min(math.hypot(*row) for row in basis)
+    return float(_lattice_points(basis, reach, dual)[0])
+
+
 def _shortest(basis: np.ndarray, dual=None) -> float:
     """Length of a shortest nonzero vector of the lattice spanned by ``basis``."""
-    reach = 1.0001 * min(math.hypot(*row) for row in basis)
-    return math.sqrt(_lattice_points(basis, reach, dual)[0])
+    return math.sqrt(_shortest_sq(basis, dual))
 
 
 def shift_heat_powers(powers, b: float):
@@ -439,8 +455,9 @@ def zeta_data_lattice(lattice, a: float, pole_range: int = RMAX) -> ZetaFunction
     Ewald, Ann. Phys. 1921; K. Kirsten, Spectral Functions in Mathematics
     and Physics, 2002, ch. 4).
 
-    The degree's lattice record (``BaseManifold.lattice(k)``: c, basis and
-    the t^-1 heat coefficient A = covol(L)/(4 pi c^2)) fixes zeta_Q(w) =
+    The degree's lattice record (``BaseManifold.lattice(k)``: c, the bases
+    of L and L*, covol(L) and the t^-1 heat coefficient A = covol(L)/(4 pi
+    c^2), none of which builds the degree's listing) fixes zeta_Q(w) =
     sum (eta + a^2)^(-w) = F(w)/Gamma(w), F the Mellin transform of e^(-a^2 t) Z(t), Z(t) = A/t (1 + sum_v
     e^(-b_v/t)) - 1, b_v = |v|^2/(4 c^2) over the nonzero v in L.  Split at
     t0 = A (1/a^2 where a^2 A > 1, keeping y = a^2 t0 <= 1; no torus the
@@ -472,10 +489,9 @@ def zeta_data_lattice(lattice, a: float, pole_range: int = RMAX) -> ZetaFunction
 
 def _ewald_split(lattice, a: float, pole_range: int, t0: float) -> ZetaFunctionData:
     """``zeta_data_lattice`` split at t0."""
-    c, basis, lead, _ = lattice
+    c, basis, dual, lead = lattice.c, lattice.basis, lattice.dual, lattice.lead
     a2, k2, v2 = a * a, 4.0 * math.pi ** 2 * c * c, 4.0 * c * c * t0   # eta = k2 |mu|^2
     y, ratio, cut = a2 * t0, lead / t0, _EWALD_CUT
-    dual = np.linalg.inv(basis).T
     # the exponents (eta_mu + a^2) t0 and b_v / t0 up to the cut, equal ones merged
     (freq, f_counts), (pois, p_counts) = [(list(m), np.array(list(m.values()), float)) for m in (
         Counter((k2 * t0 * _lattice_points(dual, math.sqrt(max(cut / t0 - a2, 0.0) / k2), basis)
@@ -508,7 +524,7 @@ def _ewald_split(lattice, a: float, pole_range: int, t0: float) -> ZetaFunctionD
 
     # bounds on F(w); E_p(x) and x E_p(x) fall with p, so S(w + k) <= S(w) and
     # sum_k |c_k| <= e^y bound the Poisson side
-    grow, covol = math.exp(y), abs(float(np.linalg.det(basis)))
+    grow, covol = math.exp(y), lattice.covol
     kappa = sum(math.hypot(*b) * math.hypot(*s) for b, s in zip(basis, dual))
     orders = np.abs(low + 0.5 * np.arange(f_sum.size)) + 2.0
     mags = tw * (f_side + ratio * grow * p_sum[:nw])
@@ -817,9 +833,10 @@ def _power_fit(t: np.ndarray, y: np.ndarray, powers) -> tuple[np.ndarray, float]
     return coef, rms
 
 
-def _log_series_tail(w: np.ndarray) -> np.ndarray:
+def _log_series_tail(w: np.ndarray, paired: bool = False):
     """sum_{r=R+1}^{R+60} (-1)^r w^r / r for each w of an array whose |w|
-    descend and stay below 1, built termwise in r order (R = RMAX).
+    descend and stay below 1, built termwise in r order (R = RMAX); with
+    ``paired``, the tails at w and at -w.
 
     Every _SETTLE_EVERY terms, while at least _SETTLE_MIN entries run, the
     run shrinks to the prefix that ends at the last entry whose latest term
@@ -827,11 +844,20 @@ def _log_series_tail(w: np.ndarray) -> np.ndarray:
     are no larger (|w| < 1, and rounding is monotone), so they stay under
     half the float spacing around that sum and adding them could not change
     it: each entry keeps the value of the full 60-term run.
+
+    A pair runs as the two columns of one (n, 2) array, so each numpy call
+    of the run serves both shifts; an entry runs until both of its columns
+    have settled, which the rule above lets the earlier one bear.  Each
+    column starts from its own power (numpy's AVX-512 pow is not odd: for
+    about 1 w in 20, (-w)^17 is not -(w^17)), and every later step is an
+    exactly rounded + - * /, so each column is bitwise its single run.
     """
-    tail = np.zeros_like(w)
     wr = w ** (RMAX + 1)
+    if paired:
+        w, wr = np.stack([w, -w], axis=1), np.stack([wr, (-w) ** (RMAX + 1)], axis=1)
+    tail = np.zeros_like(w)
     term = np.empty_like(w)
-    live = w.size
+    live = len(w)
     for lo in range(RMAX + 1, RMAX + 61, _SETTLE_EVERY):
         wv, wrv, tv, sv = w[:live], wr[:live], term[:live], tail[:live]
         for r in range(lo, min(lo + _SETTLE_EVERY, RMAX + 61)):
@@ -842,14 +868,18 @@ def _log_series_tail(w: np.ndarray) -> np.ndarray:
                 sv += tv
             wrv *= wv
         if live >= _SETTLE_MIN:
-            # 2^55 |term| is exact, so the test is exact for subnormal sums too
-            moving = np.flatnonzero(2.0 ** 55 * np.abs(tv) > np.abs(sv))
+            # 2^55 |term| (in place: the next term overwrites it) is exact, so
+            # the test is exact for subnormal sums too; nonzero's first index
+            # array gives the rows, ascending
+            np.abs(tv, out=tv)
+            tv *= 2.0 ** 55
+            moving = np.nonzero(tv > np.abs(sv))[0]
             live = int(moving[-1]) + 1 if moving.size else 0
-    return tail
+    return tuple(tail.T) if paired else tail
 
 
 def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
-                      alpha: float) -> tuple[float, float]:
+                      alpha: float, *, paired: bool = False):
     """zeta'(0, alpha) through the subtracted-logarithm relation.
 
     K(alpha) = sum_j m_j [ -log(1 + a/x_j) + sum_{r<=R} (-1)^(r+1) (a/x_j)^r / r ]
@@ -861,23 +891,29 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 
     with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
-    Returns (value, error_estimate); the estimate covers the data's own
-    (``error_estimate`` plus |a|^i/i times each ``pp_errors`` entry), the
-    series tail and the stream tail beyond its truncation radius.  The tail term takes
+    Returns (value, error_estimate); with ``paired``, {alpha: (value,
+    error_estimate), -alpha: (...)}, both shifts from one paired run of the
+    log-series tails (``_log_series_tail``), each bitwise its own call.  The
+    estimate covers the data's own (``error_estimate`` plus |a|^i/i times
+    each ``pp_errors`` entry), the series tail and the stream tail beyond
+    its truncation radius; it depends on |alpha| alone.  The tail term takes
     the counting exponent d of N(x) ~ C x^d as the rightmost pole of the
     data, the largest i with Res(i) != 0 (the Weyl exponent), and is 0 when
     the data has no pole.
     """
     a, = _shifts((alpha,))
+    shifts = (a, -a) if paired and a != 0.0 else (a,)
     if a == 0.0:
-        return base.deriv0, base.error_estimate
-    _check_shift(a, stream.min_value)
+        result = base.deriv0, base.error_estimate
+        return {a: result} if paired else result
+    for s in shifts:
+        _check_shift(s, stream.min_value)
     w = a / stream.values
     if np.max(np.abs(w)) >= 0.75:
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
-    K = _fsum(stream.mults * _log_series_tail(w))
+    tails = _log_series_tail(w, True) if paired else (_log_series_tail(w),)
 
-    corr = []
+    brackets = []
     for i in range(1, RMAX + 1):
         res_i = base.residues.get(i, 0.0)
         if res_i != 0.0:
@@ -886,9 +922,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
             bracket = base.pp.get(i)
             if bracket is None:
                 raise ValidationError(f"relation path needs zeta({i}) in the base data")
-        sign = 1.0 if i % 2 == 1 else -1.0
-        corr.append(sign * a ** i / i * bracket)
-    value = base.deriv0 + K - _fsum(corr)
+        brackets.append((1.0 if i % 2 == 1 else -1.0, i, bracket))
 
     # error: series remainder at the smallest eigenvalue + stream tail
     wmin = abs(a) / stream.min_value
@@ -904,7 +938,11 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     data_err = base.error_estimate
     if base.pp_errors:
         data_err += _fsum([abs(a) ** i / i * e for i, e in base.pp_errors.items()])
-    return value, data_err + series_rem + tail_est
+    err = data_err + series_rem + tail_est
+    out = {s: (base.deriv0 + _fsum(stream.mults * tail)
+               - _fsum([sign * s ** i / i * bracket for sign, i, bracket in brackets]), err)
+           for s, tail in zip(shifts, tails)}
+    return out if paired else out[a]
 
 
 def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:

@@ -725,7 +725,7 @@ def bessel_k_zeta_data(lattice, a: float, pole_range: int = 16):
     residues, ``pp_errors[i]`` bounds pp[i]."""
     from conetorsion.zetacont import ZetaFunctionData, _lattice_points
     ulp = 2.0 ** -53
-    c, basis, lead, _ = lattice
+    c, basis, lead = lattice.c, lattice.basis, lattice.lead
     dual = np.linalg.inv(basis).T
     vsq, counts = np.unique(_lattice_points(basis, _K_REACH * c / a, dual), return_counts=True)
     x = (a / c) * np.sqrt(vsq)

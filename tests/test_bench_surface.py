@@ -118,15 +118,18 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 # 2 engines, 25 engine evaluations, 8 exact and 3 lift trace calls, and 2
 # relation-path and exactpoly calls; the eigenvalue-sum traces are unchanged.
 # The residue multipliers are read once per (alpha_k, n): the 5 solves ask
-# for 2 such pairs, so 3 repeats no longer call gen_M and gen_D (6 spans)
+# for 2 such pairs, so 3 repeats no longer call gen_M and gen_D (6 spans).
+# The exact brackets are read once per (r, alpha_k, parity): the battery
+# asks for 568 of them, 100 distinct, so gen_M and gen_D run 347 times, not
+# 1095; and one relation-path call answers both shifts +-alpha_k (4 -> 2)
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
-    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 1095,
+    "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 347,
     "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
     "torsion.log_torsion_s": 5, "torsion.nu_continuation_s": 1,
     "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 16,
-    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 4,
+    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 2,
     "zetacont.sqrt_stream_s": 1, "zetacont.trace_s.eigsum": 98,
     "zetacont.trace_s.exact": 8, "zetacont.trace_s.lift": 3,
     "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,

@@ -158,7 +158,7 @@ def _reference_bracket(d_ref, m_ref, r, alpha, parity):
         power = (alpha ** r + (-alpha) ** r) / r
     ladder = [(r + 2 * b, 0) for b in range(r + 1)]
     assert set(bracket.terms) <= set(ladder)
-    return [bracket.terms.get(ij, F(0)) for ij in ladder], power
+    return tuple(bracket.terms.get(ij, F(0)) for ij in ladder), power
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -178,9 +178,23 @@ def test_parity_bracket_matches_power_series_oracle(log_series_reference, parity
 def test_parity_bracket_refuses_stray_powers(monkeypatch, parity, name, stray):
     bad = Polynomial({(2, 0): 1, (3, 1): 1, (8, 0): 1})
     monkeypatch.setattr(exactpoly, name, lambda r: bad)
+    parity_bracket.cache_clear()        # a cached bracket would not read the patched one
     with pytest.raises(AssertionError) as info:
         parity_bracket(2, F(1, 2), parity)
     assert str(info.value) == stray
+
+
+def test_parity_bracket_is_cached_typed_and_immutable():
+    # one entry per typed (r, alpha, parity): a second read is the same
+    # tuple, which refuses writes, and True is not taken for the order 1
+    first = parity_bracket(2, F(1, 2), "odd")
+    assert parity_bracket(2, F(1, 2), "odd") is first
+    assert type(first) is tuple and type(first[0]) is tuple
+    with pytest.raises(TypeError):
+        first[0][0] = F(1)
+    parity_bracket(1, F(1, 2), "odd")
+    with pytest.raises(OrderLimitError):
+        parity_bracket(True, F(1, 2), "odd")
 
 
 def test_cached_orders_are_read_only():

@@ -66,8 +66,9 @@ def test_split_agrees_with_the_bessel_k_form(entry):
 
 @pytest.mark.parametrize("entry", TORI, ids=[e["id"] for e in TORI])
 def test_two_split_points_agree(entry):
-    lattice = bm.torus2(entry["c"], entry["lattice"]).lattice(0)
-    assert lattice.lead == dict(lattice.stream.heat_powers)[-1.0]
+    base = bm.torus2(entry["c"], entry["lattice"])
+    lattice = base.lattice(0)
+    assert lattice.lead == dict(base.coclosed_spectrum(0).heat_powers)[-1.0]
     at_lead = zetacont._ewald_split(lattice, 0.5, 16, lattice.lead)
     assert at_lead == zetacont.zeta_data_lattice(lattice, 0.5)      # t0 = A
     _within(at_lead, zetacont._ewald_split(lattice, 0.5, 16, 2.0 * lattice.lead))
@@ -184,6 +185,100 @@ def test_cold_torus_solve_builds_no_poisson_norms():
     assert _poisson_norms(stream) is norms
 
 
+def _eager_stream(c, lattice=None, nu_max=64.0):
+    """torus2(c, lattice)'s stream made the way torus2 once made it on every
+    call: listing, exact trace and heat powers together."""
+    basis = np.array(lattice if lattice is not None else bm._DEFAULT_LATTICE, dtype=float)
+    covol = abs(float(np.linalg.det(basis)))
+    dual = np.linalg.inv(basis).T
+    q1 = zetacont._shortest(dual, basis)
+    reach = max(nu_max / (2.0 * math.pi * c), 17.5 * q1)
+    eta = (4.0 * math.pi ** 2 * c * c) * zetacont._lattice_points(dual, reach, basis)
+    values, mults = zetacont.merge_ties(eta, np.ones_like(eta))
+    t_switch, small, area = bm._flat_torus_trace(c, basis, dual, q1, covol)
+    powers = ((-1.0, area), (0.0, -1.0)) + tuple((float(j), 0.0) for j in range(1, 13))
+    name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'}):deg0,1"
+    return zetacont.exact_stream(values, mults, t_switch, small, name=name, heat_powers=powers)
+
+
+_SOURCES = ([(e["id"], e["c"], e["lattice"], 64.0) for e in TORI]
+            + [(e["id"], e["c"], e["lattice"], e["nu_max"]) for e in LISTINGS])
+
+
+@pytest.mark.parametrize("c, lattice, nu_max", [s[1:] for s in _SOURCES],
+                         ids=[s[0] for s in _SOURCES])
+def test_torus_lists_on_first_read_bitwise_as_it_did_at_once(c, lattice, nu_max):
+    # construction enumerates no listing and a solve builds no eigenvalue
+    # stream; both degrees then read one stream, bitwise the one torus2 made
+    # on every call, and the listing the solve read is held once, the stream's
+    base = bm.torus2(c, lattice, nu_max=nu_max)
+    record = base.lattice(0)
+    assert record._listing is None and record._stream is None
+    solved = log_torsion(base)
+    assert record._stream is None and record._listing is not None
+    eager = _eager_stream(c, lattice, nu_max)
+    lazy = base.coclosed_spectrum(0)
+    assert lazy is base.coclosed_spectrum(1) is record.build() is base._degrees[1]
+    assert record.listing()[0] is lazy.values and record.listing()[1] is lazy.mults
+    assert (lazy.name, lazy.heat_powers) == (eager.name, eager.heat_powers)
+    assert record.min_value == lazy.min_value and record.lead == lazy.heat_powers[0][1]
+    for got, want in ((lazy.values, eager.values), (lazy.mults, eager.mults)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # 50 points on both sides of the theta switch
+    t = np.exp(np.linspace(math.log(1e-4), math.log(30.0), 50))
+    assert lazy.trace(t).tobytes() == eager.trace(t).tobytes()
+    over_eager = bm.BaseManifold(name=base.name, dim=2, betti=(1, 2, 1), scale=c,
+                                 degrees={0: eager, 1: eager})
+    export = json.dumps(base.as_custom_mapping())
+    assert export == json.dumps(over_eager.as_custom_mapping())
+    assert [d["k"] for d in json.loads(export)["degrees"]] == [0]
+    # a solve after the stream reads the stream's copy of the listing
+    fresh = bm.torus2(c, lattice, nu_max=nu_max)
+    fresh.coclosed_spectrum(0)
+    assert log_torsion(fresh) == solved
+
+
+def test_torus_refuses_at_construction_before_any_listing(monkeypatch):
+    # the scaling condition reads the record's smallest eigenvalue, and the
+    # reach of the listing is screened by arithmetic: construction searches
+    # only for the shortest dual vector, and a refusal builds no stream
+    radii, built = [], []
+    points, init = zetacont._lattice_points, zetacont.SpectrumStream.__init__
+
+    def recording(basis, radius, dual=None):
+        radii.append(radius)
+        return points(basis, radius, dual)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("name", ""))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zetacont, "_lattice_points", recording)
+    monkeypatch.setattr(zetacont.SpectrumStream, "__init__", counting_init)
+    unit = ((1.0, 0.0), (0.0, 1.0))
+    box = (r" needs over 8388608 index points: lower nu_max or skew it less$")
+    for call, message in (
+            (lambda: bm.torus2(0.5), f"^{bm.SCALING_MESSAGE}$"),
+            (lambda: bm.torus2(1.0 - 1e-12), f"^{bm.SCALING_MESSAGE}$"),
+            (lambda: bm.torus2(0.159, unit), f"^{bm.SCALING_MESSAGE}$"),
+            (lambda: bm.torus2(2.0, nu_max=1e9),
+             r"^enumerating the lattice to radius 7\.95775e\+07" + box),
+            (lambda: bm.torus2(0.5, nu_max=1e9),       # the reach is screened first
+             r"^enumerating the lattice to radius 3\.1831e\+08" + box)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert built == [] and max(radii) < 1.0001 * 1.5
+    # on the boundary c = 1 the listing's first value, 4 pi^2 |mu_1|^2 with
+    # mu_1 = 1/(2 pi), rounds above 1
+    assert bm.torus2(1.0).lattice(0).min_value == 1.0000000000000002
+    radii.clear()
+    record = bm.torus2(0.16, unit).lattice(0)
+    assert record.min_value == 4.0 * math.pi ** 2 * 0.16 * 0.16 > 1.0
+    assert radii == [1.0001 * 1.0] and built == []
+    record.listing()
+    assert radii[-1] == max(64.0 / (2.0 * math.pi * 0.16), 17.5) and built == []
+
+
 def test_dual_path_check_fails_on_a_wrong_lattice_route(monkeypatch):
     check = dict((name, fn) for name, _, fn in selftest.ACCEPTANCE_CHECKS)["three-dim-dual-path"]
     assert check(1e-8)[0]
@@ -249,14 +344,16 @@ def test_lattice_descriptor_is_a_read_only_copy():
     base = bm.torus2(2.885, lattice)
     before = log_torsion(base)
     record = base.lattice(0)
-    assert record is base.lattice(1) and record.stream is base.coclosed_spectrum(0)
-    assert (record.c, record.lead) == (2.885, dict(record.stream.heat_powers)[-1.0])
+    assert record is base.lattice(1) and record.build() is base.coclosed_spectrum(0)
+    assert (record.c, record.lead) == (2.885, dict(record.build().heat_powers)[-1.0])
     lattice[1, 0] = 0.0
     assert record.basis[1, 0] == 2.821150202923634 and not record.basis.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        record.basis[1, 0] = 0.0
-    with pytest.raises(AttributeError):
-        record.c = 3.0
+    for arr in (record.basis, record.dual, *record.listing()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    for attr in ("c", "covol", "min_value", "_stream"):
+        with pytest.raises(AttributeError, match="^_Lattice is read-only$"):
+            setattr(record, attr, 3.0)
     assert log_torsion(base) == before
     lattice[1, 0] = 2.821150202923634
     assert before == log_torsion(bm.torus2(2.885, lattice))

@@ -1,16 +1,26 @@
-"""The README "Library quick start" block, run as written.
+"""The README's stated values, checked against the code.
 
-Every bare expression in the block states its value in a comment, on its
-own line or on the line below: the text up to the first double space.  A
-plain literal must equal the result exactly; ``~2.7e-12`` states a value to
-the digits shown, so the result must round to it.
+The "Library quick start" block is run as written.  Every bare expression
+in it states its value in a comment, on its own line or on the line below:
+the text up to the first double space.  A plain literal must equal the
+result exactly; ``~2.7e-12`` states a value to the digits shown, so the
+result must round to it.
+
+The "Command line" section's JSON outputs (a ``json`` block under a
+subcommand's heading, or a ``# {...}`` comment below its command) must
+parse to exactly what that command prints.
 """
 
 import ast
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
+
+import pytest
+
+from conetorsion import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -73,3 +83,31 @@ def test_readme_quick_start_states_its_values():
         assert got == want, f"README line {stmt.lineno}: {ast.unparse(stmt)} is {got!r}"
         checked.append(ast.unparse(stmt))
     assert checked
+
+
+def _stated_output(heading: str, command: str):
+    """The JSON the README states for ``command`` under the subcommand
+    ``heading``: the section's json block, else the comment below it."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = re.split(r"\n##+ ", text.split(f"### `{heading}`", 1)[1], maxsplit=1)[0]
+    lines = section.splitlines()
+    assert command in lines, f"README section {heading!r} does not list {command!r}"
+    if "```json\n" in section:
+        return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    below = lines[lines.index(command) + 1]
+    assert below.startswith("# {"), f"README states no output for {command!r}"
+    return json.loads(below[2:])
+
+
+@pytest.mark.parametrize("heading, argv", [
+    ("conetorsion torsion cone", "torsion cone --base torus2 --scale 2"),
+    ("conetorsion zeta", "zeta --base torus2 --scale 2 --degree 0 --shift 0.5"),
+    ("conetorsion zeros", "zeros --kind mixed --nu 2.5 --alpha -1.0 --count 3"),
+    ("conetorsion torsion disc", "torsion disc --nu 1 --radius 1"),
+], ids=["torsion-cone", "zeta", "zeros", "torsion-disc"])
+def test_readme_cli_outputs_are_what_the_cli_prints(heading, argv):
+    # the same keys, and each value of the same JSON type and bitwise equal
+    stated = _stated_output(heading, f"conetorsion {argv}")
+    text, code = cli.run(argv.split())
+    assert code == 0
+    assert json.dumps(stated, sort_keys=True) == json.dumps(json.loads(text), sort_keys=True)

@@ -238,8 +238,9 @@ def test_degree_continuation_is_read_only():
 def test_exact_route_builds_no_stream(monkeypatch):
     # the closed form over the progression reads no stream, so none is built
     # (a tagged 4096-value progression stream and the squared stream were);
-    # the bases, which store their unshifted streams, are built before counting
-    circ, tor = circle(2.0), torus2(2.0)
+    # the bases hold their degrees as a progression and a lattice record,
+    # which build no stream on construction (torus2 built its eigenvalue
+    # stream there) and none on the exact routes
     built = []
     init = zetacont.SpectrumStream.__init__
 
@@ -248,6 +249,8 @@ def test_exact_route_builds_no_stream(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(zetacont.SpectrumStream, "__init__", counting_init)
+    circ, tor = circle(2.0), torus2(2.0)
+    assert built == []
     dc = degree_continuation(circ, 0)
     assert built == []
     assert dc.route == "exact" and dc.progression == (2.0, 2) and dc.nu_stream is None
@@ -260,8 +263,9 @@ def test_exact_route_builds_no_stream(monkeypatch):
     assert built == []
     # on the numeric route the square-root lift is the record's nu_stream:
     # the cross-check that solves it builds no stream of its own (it
-    # rebuilt the lift)
+    # rebuilt the lift); the base over the torus's own stream reads it first
     tor = oracles.without_lattice(tor)
+    assert built == ["torus2(c=2, square):deg0,1"]
     built.clear()
     dc = degree_continuation(tor, 0)
     assert built == ["torus2(c=2, square):deg0,1+0.25",

@@ -297,9 +297,32 @@ def test_shifted_from_base_guards():
 ])
 @pytest.mark.parametrize("ratio", [0.7499, 0.5, 0.05, -0.05, -0.5, -0.7499])
 def test_log_series_tail_is_bitwise_the_full_run(values, ratio):
-    # the early stop drops entries only once later terms cannot move them
+    # the early stop drops entries only once later terms cannot move them;
+    # the paired run gives both signs of the shift from one pass, each the
+    # full run of its own sign (under numpy's AVX-512 pow, (-w)^17 is not
+    # -(w^17) for about 1 entry in 20, so each sign keeps its own powers)
     w = ratio * values[0] / values
     assert np.array_equal(_log_series_tail(w), oracles.log_series_tail(w))
+    tail, twin = _log_series_tail(w, paired=True)
+    assert np.array_equal(tail, oracles.log_series_tail(w))
+    assert np.array_equal(twin, oracles.log_series_tail(-w))
+
+
+@pytest.mark.parametrize("stream, data", [
+    pytest.param(progression_stream(1.0, 1, 4000), zeta_data_exact(1.0, 1, pole_range=16),
+                 id="progression"),
+    pytest.param(SpectrumStream(np.sqrt(np.linspace(4.25, 64.0 ** 2, 138)), np.full(138, 4.0)),
+                 zeta_data_exact(2.0, 4, pole_range=16), id="short-138"),
+])
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.3, -0.7, 0.0])
+def test_paired_relation_path_is_bitwise_two_calls(stream, data, alpha):
+    # one paired call answers alpha and -alpha, each bitwise its own call;
+    # the estimate depends on |alpha| alone
+    pair = shifted_from_base(stream, data, alpha, paired=True)
+    assert list(pair) == ([alpha, -alpha] if alpha else [alpha])
+    for s, (value, err) in pair.items():
+        assert (value, err) == shifted_from_base(stream, data, s)
+    assert len({err for _, err in pair.values()}) == 1
 
 # ---------------------------------------------------------------------------
 # Square-root lift: {k^2} -> {k}.
