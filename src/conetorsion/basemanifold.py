@@ -389,7 +389,9 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     """Flat torus R^2/L with metric scaled by c.
 
     Laplace eigenvalues are 4 pi^2 c^2 |mu|^2 over the dual lattice L*;
-    the scaling condition demands the smallest nonzero one exceed 1.
+    the scaling condition demands the smallest nonzero one exceed 1.  On
+    the default lattice (side 2 pi) that one is c^2, so c <= 1 is refused
+    there, as on ``circle``, whatever 4 pi^2 |mu_1|^2 rounds to.
     Degrees 0 and 1 share this nonzero coclosed spectrum (the coexact
     1-form spectrum of a flat torus coincides with the nonzero function
     spectrum); a coclosed 2-form on the closed torus is harmonic, so the
@@ -422,6 +424,8 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     mu1_sq = _shortest_sq(dual, basis)
     reach = max(nu_max / (_TWO_PI * c), 17.5 * math.sqrt(mu1_sq))
     _lattice_reach(reach, basis)
+    if lattice is None and c <= 1.0:    # the smallest eigenvalue is c^2, as on circle(c)
+        raise ValidationError(SCALING_MESSAGE)
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
     deg = _Lattice(c, basis, dual, covol, mu1_sq, reach, f"{name}:deg0,1")
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})

@@ -24,11 +24,10 @@ for a closed form: the closed form when the degree's frequencies form an
 arithmetic progression (the base's ``progression(k)``, read without
 building a stream or loading numpy, and a_k = 0); the Ewald split of
 ``zeta_data_lattice`` when the degree is a flat 2-torus's (the base's
-``lattice(k)`` and a_k != 0), at every scale, with nu listed once, over
-the record's own listing, for the relation path, and no eigenvalue stream
-built; else the shifted eigenvalue stream eta + a_k^2 (exact heat trace
-carried along when available) and its ``sqrt_stream``.  The relation path
-gives zeta'(0, +-alpha_k) in one pass.
+``lattice(k)`` and a_k != 0), at every scale, with no eigenvalue stream
+built; else the Mellin engine on the shifted eigenvalue stream eta + a_k^2.
+Off the progression both routes list nu plainly (``sqrt_stream``) for the
+relation path, which gives zeta'(0, +-alpha_k) in one pass.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``, re-exported with
@@ -52,7 +51,7 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from .basemanifold import BaseManifold
@@ -119,7 +118,7 @@ def _parity(n: int) -> str:
 # ---------------------------------------------------------------------------
 # per-degree continuation data (production path)
 
-def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
+def nu_continuation_data(q_stream) -> ZetaFunctionData:
     """Frequency-side continuation data from the squared-frequency stream.
 
     Runs the Mellin-split engine on the squared stream and translates to the
@@ -139,7 +138,7 @@ def nu_continuation_data(q_stream) -> tuple[ZetaFunctionData, MellinZeta]:
             pole_ws.append(w)
     err = engine.error_estimate([0.0] + pole_ws)
     return ZetaFunctionData(deriv0=0.5 * engine.deriv0(), residues=residues, pp=pp,
-                            error_estimate=err, zeta0=engine.zeta0()), engine
+                            error_estimate=err, zeta0=engine.zeta0())
 
 
 @dataclass(frozen=True)
@@ -150,11 +149,9 @@ class DegreeContinuation:
     "numeric".  ``progression`` is the (step, mult) descriptor of the
     closed form over a progression (frequencies step*m, m >= 1, each of
     multiplicity mult), which reads no stream.  The other routes keep the
-    frequencies as ``nu_stream``: on the lattice route a plain listing of
-    sqrt(eta + a_k^2); on the numeric route the square-root lift of the
-    stream eta + a_k^2 (``sqrt_stream``), which carries the lifted trace
-    where its model holds.  ``data.deriv0_shifted`` holds
-    zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
+    frequencies as ``nu_stream``, the plain listing sqrt(eta + a_k^2)
+    (``sqrt_stream``) that the relation path reads.  ``data.deriv0_shifted``
+    holds zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
     """
 
     alpha: Fraction
@@ -178,23 +175,6 @@ class DegreeContinuation:
         from .zetacont import shifted_from_base
         return shifted_from_base(self.nu_stream, self.data, s)
 
-    @cached_property
-    def check_residual(self) -> float:
-        """Largest gap between ``data`` and the direct route on the lifted
-        ``nu_stream`` (0 when it carries no trace); computed once, on first
-        use, since only the torsion error budget reads it."""
-        if self.nu_stream is None or self.nu_stream.heat_fn is None:
-            return 0.0
-        from .zetacont import MellinZeta
-        lift_engine = MellinZeta(self.nu_stream, s_max=1.0)
-        check = abs(lift_engine.deriv0() - self.data.deriv0)
-        a = float(self.alpha)
-        if a != 0.0:
-            for shift in (a, -a):
-                direct = lift_engine.deriv0_shifted(shift)
-                check = max(check, abs(direct - self.data.deriv0_shifted[shift]))
-        return check
-
 
 # {base: {k: record}}; records hold no reference to their base, so they die with it
 _RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -210,9 +190,9 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     lattice record, which builds no eigenvalue stream; otherwise the numeric
     route, where a Mellin-split engine on the shifted eigenvalue stream
     supplies the frequency-side derivative, residues, and regular values
-    through s -> s/2 (cross-checked by ``check_residual``).  Off the
-    progression, the shifted derivatives at +-alpha_k come from one paired
-    pass of the subtracted-logarithm relation over the frequency listing.
+    through s -> s/2.  Off the progression, the shifted derivatives at
+    +-alpha_k come from one paired pass of the subtracted-logarithm
+    relation over the plain frequency listing (``sqrt_stream``).
     Requires 0 <= k <= n-1.  Built once per base instance and degree; kept
     as long as the base lives.
     """
@@ -232,20 +212,18 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
         data = zeta_data_exact(*progression, alphas=(a, -a), pole_range=max(n, 1))
         return DegreeContinuation(alpha, "exact", data, {a: 0.0, -a: 0.0}, progression)
 
-    import numpy as np
-
-    from .zetacont import SpectrumStream, shifted_from_base, sqrt_stream, zeta_data_lattice
+    from .zetacont import shifted_from_base, sqrt_stream, zeta_data_lattice
     lattice = base.lattice(k)
     if lattice is not None and a != 0.0:
         route = "exact"
         data = zeta_data_lattice(lattice, a)
         eta, mults = lattice.listing()
-        nu_stream = SpectrumStream(np.sqrt(eta + a * a), mults,
-                                   name=f"sqrt({lattice.name}+{a * a:g})")
+        nu_stream = sqrt_stream(eta + a * a, mults, f"{lattice.name}+{a * a:g}")
     else:
         route = "numeric"
-        data, engine = nu_continuation_data(base.coclosed_spectrum(k).shifted(a * a))
-        nu_stream = sqrt_stream(engine)
+        q_stream = base.coclosed_spectrum(k).shifted(a * a)
+        data = nu_continuation_data(q_stream)
+        nu_stream = sqrt_stream(q_stream.values, q_stream.mults, q_stream.name)
     if nu_stream.min_value <= abs(a):
         raise ValidationError(
             f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
@@ -308,8 +286,7 @@ def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     value, sensitivity = spectral_bracket(dc.data, dc.alpha, n)
     a = float(dc.alpha)
     err = (dc.shift_errors[a] + dc.shift_errors[-a]
-           + 2.0 * dc.data.error_estimate * sensitivity
-           + 2.0 * dc.check_residual)
+           + 2.0 * dc.data.error_estimate * sensitivity)
     return value, err
 
 

@@ -57,7 +57,6 @@ _TILE = 1 << 17             # trace-kernel block: 1 MiB of float64 terms
 _NODES = 24                 # Gauss-Legendre nodes per quadrature panel
 _PROBE_BLOCK = 4            # t_min probes traced per call, largest t first
 _FIT_EXTRA = 5              # fitted half-power steps beyond the supplied heat powers
-_LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
 _LATTICE_BOX = 1 << 23      # index points _lattice_points may build (about 0.5 GB)
 _EWALD_CUT = 36.0           # the split's sums keep exponents <= 36: e^-36 ~ 2.3e-16
 _SETTLE_EVERY = 8           # log-series terms between tests for settled entries
@@ -407,9 +406,10 @@ class SpectrumStream(ReadOnly):
 
 
 def exact_stream(values, mults, t_switch: float, small, **fields) -> SpectrumStream:
-    """A stream with an exact heat_fn(t): the sum over the stream's own frozen
-    listing (held once) for t >= t_switch, and the closed form ``small`` below
-    it, called with the 1-D array of those points (possibly empty)."""
+    """A stream with an exact heat_fn(t), the form of every flat-torus theta
+    trace: the sum over the stream's own frozen listing (held once) for t >=
+    t_switch, and the closed form ``small`` below it, called with the 1-D
+    array of those points (possibly empty)."""
     def heat_fn(t):
         out = np.empty_like(t)
         direct = t >= t_switch
@@ -628,10 +628,10 @@ class MellinZeta(ReadOnly):
 
         The probes t = 0.25 * 2^-k, k = 0..21, are traced in descending
         blocks of _PROBE_BLOCK, stopping at the first block with a passing
-        probe, so the smallest t (the costliest on the lift) are traced only
-        when needed.  A point's trace does not depend on its batch, so the
-        chosen probe is the one a single all-probes call picks; when none
-        passes, the one with the smallest ratio.
+        probe, so no probe below that block is traced.  A point's trace does
+        not depend on its batch, so the chosen probe is the one a single
+        all-probes call picks; when none passes, the one with the smallest
+        ratio.
         """
         probes = 0.25 * 2.0 ** -np.arange(0, 22, dtype=float)
         ratios = []
@@ -945,51 +945,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     return out if paired else out[a]
 
 
-def sqrt_stream(q_engine: MellinZeta) -> SpectrumStream:
-    """Square-root lift: sqrt(x_j), mults m_j, of the stream x_j of ``q_engine``.
-
-    The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is an ``exact_stream``
-    trace (t alone): the lift's own listing for t >= _EXP_CUTOFF/sqrt(x_max),
-    and below that the subordination identity
-        G(t) = t/(2 sqrt(pi)) int_0^inf u^(-3/2) e^(-t^2/(4u)) Z_Q(u) du,
-    which needs only the (exact) trace of the square stream.  Its small-t
-    powers come from the Mellin poles of Gamma(s) zeta_nu(s), zeta_nu(s) =
-    zeta_Q(s/2): t^(-2w0) terms from each pole w0 of zeta_Q, zeta_Q(0) at
-    t^0, and (-1)^j zeta_Q(-j/2)/j! at t^j.  That model needs an exact
-    trace and no t^(j/2) term for odd j <= _LIFT_JMAX (a pole of zeta_Q at
-    -j/2 puts t^j log t into G); elsewhere the square roots come back plain.
-    """
-    q_stream = q_engine.stream
-    nu_vals = np.sqrt(q_stream.values)
-    name = f"sqrt({q_stream.name})"
-    if q_stream.heat_fn is None or any(
-            q_engine.coefficient(0.5 * j) != 0.0 for j in range(1, _LIFT_JMAX + 1, 2)):
-        return SpectrumStream(nu_vals, q_stream.mults, name=name)
-    powers = []
-    for p, c in q_engine.powers:
-        if p < 0.0:
-            w0 = -p
-            coeff = 2.0 * c * math.exp(ln_gamma(2.0 * w0) - ln_gamma(w0))
-            powers.append((-2.0 * w0, coeff))
-    powers.append((0.0, q_engine.zeta0()))
-    for j in range(1, _LIFT_JMAX + 1):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
-
-    qmin, q_trace = q_stream.min_value, q_stream.trace   # the square stream's exact trace
-
-    def subordinated(t):
-        if not t.size:
-            return t
-        grids = [_log_panels(ti * ti / (4.0 * (_EXP_CUTOFF + 5.0)),
-                             (_EXP_CUTOFF + 5.0) / qmin, 24) for ti in t]
-        # one trace call for every grid: a point's trace does not depend
-        # on the batch it is evaluated in
-        sizes = np.cumsum([uu.size for uu, _ in grids])
-        zq = np.split(q_trace(np.concatenate([uu for uu, _ in grids])), sizes[:-1])
-        return np.array([ti / (2.0 * math.sqrt(math.pi)) * _fsum(
-            wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * z)
-            for ti, (uu, wu), z in zip(t, grids, zq)])
-
-    return exact_stream(nu_vals, q_stream.mults, _EXP_CUTOFF / math.sqrt(q_stream.max_value),
-                        subordinated, name=name, heat_powers=powers)
+def sqrt_stream(values, mults, name: str) -> SpectrumStream:
+    """The frequency listing sqrt(x_j), mults m_j, named sqrt(``name``), of
+    a squared listing x_j: a plain stream, traced by its eigenvalue sum."""
+    return SpectrumStream(np.sqrt(values), mults, name=f"sqrt({name})")

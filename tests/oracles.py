@@ -10,7 +10,10 @@ and RP^3 listings of ``round_sphere_mapping`` and ``rp3_mapping``, the
 alpha degree of an expansion polynomial, and the per-element loops ``merge_ties``,
 ``custom_mapping``, ``duals_written_out``, ``columnar`` and ``log_panels``, the all-probes ``t_min_probes``,
 the full 60-term ``log_series_tail`` and the summation-order model ``pairwise_sum``,
-bitwise references for the array passes of the package.  The Bessel-zero
+bitwise references for the array passes of the package, and the square-root
+lift ``lift_stream`` (with ``lift_residual``), a float reference for a
+degree's frequency-side data through the subordinated trace of its squared
+stream.  The Bessel-zero
 oracles are memoized: tests ask for the same (nu, k) pair many times.  The
 package under test never imports this module.
 """
@@ -482,8 +485,8 @@ def rp3_zeta_data(k: int) -> dict:
 def without_lattice(base):
     """``base`` rebuilt by hand over its own degree streams: a base built from
     streams holds no closed form, so a solve over it takes the numeric route
-    (the Mellin engine and the square-root lift) on the same spectrum.
-    Degrees that share a stream keep sharing it."""
+    (the Mellin engine on the squared stream) on the same spectrum.  Degrees
+    that share a stream keep sharing it."""
     from conetorsion.basemanifold import BaseManifold
     return BaseManifold(name=base.name, dim=base.dim, betti=base.betti, scale=base.scale,
                         degrees={k: base.coclosed_spectrum(k) for k in base.degrees_available()})
@@ -772,3 +775,80 @@ def bessel_k_zeta_data(lattice, a: float, pole_range: int = 16):
     err = max(0.5 * deriv_err, 8.0 * ulp * (abs(zeta0) + 2.0 * lead))
     return ZetaFunctionData(deriv0=0.5 * deriv_q, residues=residues, pp=pp,
                             error_estimate=err, zeta0=zeta0, pp_errors=pp_errors)
+
+
+_LIFT_JMAX = 6              # positive integer powers t^j carried by the lift
+
+
+def lift_stream(q_engine):
+    """Square-root lift: sqrt(x_j), mults m_j, of the stream x_j of ``q_engine``.
+
+    The lifted trace G(t) = sum_j m_j e^(-sqrt(x_j) t) is an ``exact_stream``
+    trace (t alone): the lift's own listing for t >= _EXP_CUTOFF/sqrt(x_max),
+    and below that the subordination identity
+        G(t) = t/(2 sqrt(pi)) int_0^inf u^(-3/2) e^(-t^2/(4u)) Z_Q(u) du,
+    which needs only the (exact) trace of the square stream.  Its small-t
+    powers come from the Mellin poles of Gamma(s) zeta_nu(s), zeta_nu(s) =
+    zeta_Q(s/2): t^(-2w0) terms from each pole w0 of zeta_Q, zeta_Q(0) at
+    t^0, and (-1)^j zeta_Q(-j/2)/j! at t^j.  That model needs an exact
+    trace and no t^(j/2) term for odd j <= _LIFT_JMAX (a pole of zeta_Q at
+    -j/2 puts t^j log t into G); elsewhere the square roots come back plain.
+    A reference for the frequency side that shares only the square stream's
+    trace with the relation path.
+    """
+    from conetorsion.specfun import ln_gamma
+    from conetorsion.zetacont import (_EXP_CUTOFF, SpectrumStream, _fsum, _log_panels,
+                                      exact_stream)
+    q_stream = q_engine.stream
+    nu_vals = np.sqrt(q_stream.values)
+    name = f"sqrt({q_stream.name})"
+    if q_stream.heat_fn is None or any(
+            q_engine.coefficient(0.5 * j) != 0.0 for j in range(1, _LIFT_JMAX + 1, 2)):
+        return SpectrumStream(nu_vals, q_stream.mults, name=name)
+    powers = []
+    for p, c in q_engine.powers:
+        if p < 0.0:
+            w0 = -p
+            coeff = 2.0 * c * math.exp(ln_gamma(2.0 * w0) - ln_gamma(w0))
+            powers.append((-2.0 * w0, coeff))
+    powers.append((0.0, q_engine.zeta0()))
+    for j in range(1, _LIFT_JMAX + 1):
+        sign = 1.0 if j % 2 == 0 else -1.0
+        powers.append((float(j), sign * q_engine.value(-0.5 * j) / math.factorial(j)))
+
+    qmin, q_trace = q_stream.min_value, q_stream.trace   # the square stream's exact trace
+
+    def subordinated(t):
+        if not t.size:
+            return t
+        grids = [_log_panels(ti * ti / (4.0 * (_EXP_CUTOFF + 5.0)),
+                             (_EXP_CUTOFF + 5.0) / qmin, 24) for ti in t]
+        # one trace call for every grid: a point's trace does not depend
+        # on the batch it is evaluated in
+        sizes = np.cumsum([uu.size for uu, _ in grids])
+        zq = np.split(q_trace(np.concatenate([uu for uu, _ in grids])), sizes[:-1])
+        return np.array([ti / (2.0 * math.sqrt(math.pi)) * _fsum(
+            wu * uu ** (-1.5) * np.exp(-ti * ti / (4.0 * uu)) * z)
+            for ti, (uu, wu), z in zip(t, grids, zq)])
+
+    return exact_stream(nu_vals, q_stream.mults, _EXP_CUTOFF / math.sqrt(q_stream.max_value),
+                        subordinated, name=name, heat_powers=powers)
+
+
+def lift_residual(base, k: int) -> float:
+    """Largest gap between degree k's continuation data and the direct route
+    on the lift of its squared stream (``lift_stream`` over the engine the
+    numeric route builds): |zeta'(0)| and, where alpha_k != 0, the shifted
+    derivatives at +-alpha_k; 0 where the lift carries no trace."""
+    from conetorsion.torsion import degree_continuation
+    from conetorsion.zetacont import RMAX, MellinZeta
+    record = degree_continuation(base, k)
+    a = float(record.alpha)
+    lift = lift_stream(MellinZeta(base.coclosed_spectrum(k).shifted(a * a), s_max=0.5 * RMAX))
+    if lift.heat_fn is None:
+        return 0.0
+    engine = MellinZeta(lift, s_max=1.0)
+    gaps = [abs(engine.deriv0() - record.data.deriv0)]
+    if a != 0.0:
+        gaps += [abs(engine.deriv0_shifted(s) - record.data.deriv0_shifted[s]) for s in (a, -a)]
+    return max(gaps)

@@ -17,7 +17,7 @@ from conetorsion import basemanifold as bm
 from conetorsion.errors import ValidationError
 from conetorsion.torsion import degree_continuation, log_torsion
 from conetorsion.zetacont import (MellinZeta, SpectrumStream, _lattice_points, _shortest,
-                                  exact_stream, shift_heat_powers, sqrt_stream, zeta_data_exact)
+                                  exact_stream, shift_heat_powers, zeta_data_exact)
 
 import oracles
 
@@ -173,7 +173,7 @@ def test_streams_share_no_memory_with_their_source():
     assert plain.coclosed_spectrum(0) is deg
     ns = degree_continuation(plain, 0)
     q_stream = deg.shifted(0.25)
-    lift = sqrt_stream(MellinZeta(q_stream, s_max=1.0))
+    lift = oracles.lift_stream(MellinZeta(q_stream, s_max=1.0))
     for stream, source in ((q_stream, deg), (ns.nu_stream, deg),
                            (lift, q_stream), (exact.nu_stream, deg)):
         for got, given in ((stream.values, source.values),

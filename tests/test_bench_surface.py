@@ -42,7 +42,7 @@ def _traced(tracing, *calls):
 
 def test_tracer_records_every_wrapped_layer(tracing):
     # torus2 solves on its lattice route; the same stream without its
-    # lattice reaches the Mellin engine and the lift
+    # lattice reaches the Mellin engine; both list nu through sqrt_stream
     tracer = _traced(
         tracing,
         lambda: torsion.log_torsion(torus2(2.0)),
@@ -64,36 +64,30 @@ def test_zeta_command_skips_the_lift(tracing):
     assert tracer.counts["zetacont.mellin_engines"] == 0
     assert sum(n for key, n in tracer.counts.items() if ".trace_" in key) == 0
     # on the numeric route, continuation data alone: one engine on the
-    # squared stream; the record's nu_stream is the square-root lift, but no
-    # lifted trace is evaluated (the cross-check that solves it belongs to
-    # the torsion error budget)
+    # squared stream, whose exact trace is the only one evaluated; the
+    # record's nu_stream is a plain listing, never traced
     base = oracles.without_lattice(torus2(2.0))
     tracer = _traced(tracing, lambda: cli._zeta_payload(base, 0, None, cli.TOL_DEFAULT))
     assert tracer.counts["zetacont.mellin_engines"] == 1
-    assert "zetacont.trace_s.lift" not in {span[0] for span in tracer.spans}
-    assert tracer.counts["zetacont.trace_calls.lift"] == 0
+    assert {key for key, n in tracer.counts.items() if ".trace_" in key and n} == {
+        "zetacont.trace_calls.exact", "zetacont.trace_points.exact"}
 
 
 def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
     # the point counts are the quadrature nodes of a cold torus2(2) solve;
-    # the lift's small-t branch evaluates all of a call's subordination
-    # grids in one exact-trace call (91 calls when it made one per point);
     # the coarse error-probe grid is traced only where error_estimate reads
-    # it (14219 exact points, 288 lift points in 5 calls when every engine
-    # traced it on construction); the t_min probes are traced in blocks
-    # from the largest t down, stopping at the first passing block (11315
-    # exact points, 190 lift points in the same calls when every probe was
-    # traced)
+    # it, and the t_min probes are traced in blocks from the largest t down,
+    # stopping at the first passing block; the frequency listing is never
+    # traced
     # (counted on the numeric route: torus2's lattice route builds no engine)
     tracer = _traced(tracing, lambda: torsion.log_torsion(torus2(2.0)))
     assert tracer.counts["zetacont.mellin_engines"] == 0
     assert sum(n for key, n in tracer.counts.items() if ".trace_" in key) == 0
     tracer = _traced(tracing, lambda: torsion.log_torsion(oracles.without_lattice(torus2(2.0))))
     counts = tracer.counts
-    assert counts["zetacont.trace_points.exact"] == 5849
-    assert counts["zetacont.trace_points.lift"] == 172
-    assert counts["zetacont.trace_calls.lift"] == 3
-    assert counts["zetacont.trace_calls.exact"] < 91
+    assert counts["zetacont.trace_points.exact"] == 233
+    assert counts["zetacont.trace_calls.exact"] == 6
+    assert counts["zetacont.trace_calls.lift"] == counts["zetacont.trace_calls.eigsum"] == 0
 
 
 def test_cold_recursive_expansion_build_is_traced(tracing):
@@ -121,24 +115,27 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 # for 2 such pairs, so 3 repeats no longer call gen_M and gen_D (6 spans).
 # The exact brackets are read once per (r, alpha_k, parity): the battery
 # asks for 568 of them, 100 distinct, so gen_M and gen_D run 347 times, not
-# 1095; and one relation-path call answers both shifts +-alpha_k (4 -> 2)
+# 1095; and one relation-path call answers both shifts +-alpha_k (4 -> 2).
+# With the lift's cross-check gone from the error budget, the numeric solve
+# builds 1 engine, not 2, makes 6 engine evaluations fewer and 6 exact trace
+# calls (233 points), not 8 exact (5849) and 3 lift (172); the lattice route
+# lists nu through sqrt_stream too (1 -> 2 spans)
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
     "besselzero.zeros_s.neumann": 3, "exactpoly.gen_s": 347,
     "exactpoly.identity_s": 152, "modelops.det_numeric_s": 13, "specfun.zeta_s": 6,
     "torsion.log_torsion_s": 5, "torsion.nu_continuation_s": 1,
-    "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 16,
-    "zetacont.mellin_eval_s": 53, "zetacont.shifted_from_base_s": 2,
-    "zetacont.sqrt_stream_s": 1, "zetacont.trace_s.eigsum": 98,
-    "zetacont.trace_s.exact": 8, "zetacont.trace_s.lift": 3,
+    "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 15,
+    "zetacont.mellin_eval_s": 47, "zetacont.shifted_from_base_s": 2,
+    "zetacont.sqrt_stream_s": 2, "zetacont.trace_s.eigsum": 98,
+    "zetacont.trace_s.exact": 6,
     "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,
 }
 BATTERY_COUNTS = {
-    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 16,
+    "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 15,
     "zetacont.trace_calls.eigsum": 98, "zetacont.trace_points.eigsum": 8750,
-    "zetacont.trace_calls.exact": 8, "zetacont.trace_points.exact": 5849,
-    "zetacont.trace_calls.lift": 3, "zetacont.trace_points.lift": 172,
+    "zetacont.trace_calls.exact": 6, "zetacont.trace_points.exact": 233,
 }
 _TRACED_SELFTEST = r"""
 import json, re, sys

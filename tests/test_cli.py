@@ -318,7 +318,7 @@ def _reference_zeta_payload(base, k, shift):
     else:
         q_stream = deg.shifted(a * a)
         nu_stream = SpectrumStream(np.sqrt(deg.values + a * a), deg.mults)
-        data, _engine = nu_continuation_data(q_stream)
+        data = nu_continuation_data(q_stream)
         source = "numeric"
         if shift is not None:
             shift_value, shift_error = shifted_from_base(

@@ -167,7 +167,6 @@ def test_degree_continuation_is_read_only():
         lambda: setattr(dc, "data", None),
         lambda: setattr(dc, "route", "numeric"),
         lambda: setattr(dc, "shift_errors", {}),
-        lambda: setattr(dc, "check_residual", 1.0),
         lambda: setattr(dc.data, "deriv0", 0.0),
         lambda: dc.data.deriv0_shifted.__setitem__(0.0, 1.0),
         lambda: dc.data.residues.__setitem__(1, 0.0),
@@ -180,10 +179,9 @@ def test_degree_continuation_is_read_only():
     assert log_torsion(base).log_torsion == -0.47579135264472755
     assert log_torsion(circle(2.0)).log_torsion == -0.47579135264472755
 
-    # the spectra the record reads are shared too: the lift cross-check of a
-    # torus on the numeric route reads the squared stream eta + 1/4 on first
-    # use (a doubled mults array moved error_estimate from 5.4e-12 to 1.39);
-    # the base's stream shifted gives that stream bitwise
+    # the spectra of a numeric-route record are shared too: the squared
+    # stream eta + 1/4 its data are solved on (the base's stream shifted
+    # gives that stream bitwise) and the frequency listing it keeps
     tor = oracles.without_lattice(torus2(2.0))
     dc = degree_continuation(tor, 0)
     q_stream = tor.coclosed_spectrum(0).shifted(0.25)
@@ -191,9 +189,8 @@ def test_degree_continuation_is_read_only():
                 dc.nu_stream.values, dc.nu_stream.mults):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
-    # and so are the streams' attributes (a zero heat_fn on the squared
-    # stream moved error_estimate from 5.4e-12 to 12.05; new nu_stream values
-    # moved dc.shifted(0.3))
+    # and so are the streams' attributes (new nu_stream values moved
+    # dc.shifted(0.3))
     shifted = dc.shifted(0.3)
     for stream, attr, value in ((q_stream, "heat_fn", lambda t: 0 * t),
                                 (dc.nu_stream, "values", dc.nu_stream.values * 2.0),
@@ -204,13 +201,11 @@ def test_degree_continuation_is_read_only():
         with pytest.raises(AttributeError, match="read-only"):
             delattr(stream, attr)
     assert dc.shifted(0.3) == shifted
-    # the lift cross-check solves nu_stream on first use, its small-t powers
-    # made by the engine on the squared stream (an appended heat power moved
-    # error_estimate from 5.4e-12 to 5.1e-4, a doubled trace grid to 1.1e-4)
+    # the engine the numeric route runs on the squared stream: its powers
+    # and trace grids
     engine = zetacont.MellinZeta(q_stream, s_max=0.5 * zetacont.RMAX)
-    for powers in (engine.powers, dc.nu_stream.heat_powers):
-        with pytest.raises(AttributeError):
-            powers.append((9.0, 1e3))
+    with pytest.raises(AttributeError):
+        engine.powers.append((9.0, 1e3))
     for arr in (engine._zs, engine._ts, engine._ws, engine._zl, engine._hs):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
@@ -261,9 +256,8 @@ def test_exact_route_builds_no_stream(monkeypatch):
     built.clear()
     log_torsion(tor)
     assert built == []
-    # on the numeric route the square-root lift is the record's nu_stream:
-    # the cross-check that solves it builds no stream of its own (it
-    # rebuilt the lift); the base over the torus's own stream reads it first
+    # on the numeric route the squared stream and the plain frequency
+    # listing; the base over the torus's own stream reads it first
     tor = oracles.without_lattice(tor)
     assert built == ["torus2(c=2, square):deg0,1"]
     built.clear()
@@ -276,35 +270,45 @@ def test_exact_route_builds_no_stream(monkeypatch):
     assert built == []
 
 
-def test_the_lift_rides_on_nu_stream_where_its_model_holds():
-    # the lattice route lists the frequencies plainly: no lift to check
-    dc = degree_continuation(torus2(2.0), 0)
-    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
-    # an exact trace with no t^(j/2) term for odd j: the lifted trace, and
-    # the cross-check on it is bitwise the one on a lift built apart (1.9e-13)
-    dc = degree_continuation(oracles.without_lattice(torus2(2.0)), 0)
-    assert dc.nu_stream.heat_fn is not None
-    q_engine = zetacont.MellinZeta(torus2(2.0).coclosed_spectrum(0).shifted(0.25),
-                                   s_max=0.5 * zetacont.RMAX)
-    lift = zetacont.MellinZeta(zetacont.sqrt_stream(q_engine), s_max=1.0)
-    assert dc.check_residual == max(
-        [abs(lift.deriv0() - dc.data.deriv0)]
-        + [abs(lift.deriv0_shifted(s) - dc.data.deriv0_shifted[s]) for s in (0.5, -0.5)])
-    assert 0.0 < dc.check_residual < 1e-12
+def test_every_route_lists_nu_plainly():
+    # off the progression a record keeps nu = sqrt(eta + a_k^2) as a plain
+    # listing, traced by its eigenvalue sum: on the lattice route, on the
+    # numeric route over an exact-trace stream, over a stream whose squared
+    # form has a t^(1/2) term, over a listing, and at a_k = 0 (S^3, degree 1)
+    s3 = custom(oracles.round_sphere_mapping(3))
+    cases = [
+        (torus2(2.0), 0, "sqrt(torus2(c=2, square):deg0,1+0.25)"),
+        (oracles.without_lattice(torus2(2.0)), 0, "sqrt(torus2(c=2, square):deg0,1+0.25)"),
+        (BaseManifold(name="x", dim=2, betti=(1, 0, 1), scale=2.0,
+                      degrees={0: circle(2.0).coclosed_spectrum(0)}), 0,
+         "sqrt(circle(c=2):deg0+0.25)"),
+        (custom(torus2(2.0, nu_max=256).as_custom_mapping()), 0, "sqrt(custom:deg0+0.25)"),
+        (s3, 1, "sqrt(custom:deg1)"),
+    ]
+    for base, k, name in cases:
+        dc = degree_continuation(base, k)
+        a = float(dc.alpha)
+        eta = base.coclosed_spectrum(k)
+        assert dc.nu_stream.heat_fn is None and dc.nu_stream.heat_powers == ()
+        assert dc.nu_stream.name == name
+        assert np.array_equal(dc.nu_stream.values, np.sqrt(eta.values + a * a))
+        assert np.array_equal(dc.nu_stream.mults, eta.mults)
+    assert float(degree_continuation(s3, 1).alpha) == 0.0
     # circle(2)'s stream on a 2-dimensional base: q = eta + 1/4 has a nonzero
-    # t^(1/2) term, so no lift (its cross-check raised ZeroDivisionError)
-    base = BaseManifold(name="x", dim=2, betti=(1, 0, 1), scale=2.0,
-                        degrees={0: circle(2.0).coclosed_spectrum(0)})
-    dc = degree_continuation(base, 0)
-    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
-    result = log_torsion(base)
+    # t^(1/2) term, so the oracle lift comes back plain too
+    result = log_torsion(cases[2][0])
     assert abs(result.log_torsion - 0.5544944766449895) <= result.error_estimate < 1e-11
-    # a listing has no exact trace to lift
-    listing = custom(torus2(2.0, nu_max=256).as_custom_mapping())
-    dc = degree_continuation(listing, 0)
-    assert dc.nu_stream.heat_fn is None and dc.check_residual == 0.0
-    assert np.array_equal(dc.nu_stream.values,
-                          np.sqrt(listing.coclosed_spectrum(0).shifted(0.25).values))
+    assert oracles.lift_residual(cases[2][0], 0) == 0.0
+
+    # the value over the torus's own stream is bitwise that with the lift
+    # cross-check in the budget; the estimate is lower by the weight-1/2
+    # share of the doubled check, the oracle lift's residual (1.9e-13)
+    tor = oracles.without_lattice(torus2(2.0))
+    result = log_torsion(tor)
+    residual = oracles.lift_residual(tor, 0)
+    assert 0.0 < residual < 1e-12
+    assert result.log_torsion == 0.6452734484425696
+    assert result.error_estimate + residual == pytest.approx(5.424223543963957e-12, rel=1e-14)
 
 
 @pytest.mark.parametrize("build", [lambda: circle(2.0), lambda: torus2(2.0)],

@@ -30,11 +30,9 @@ import pytest
 
 import oracles
 from conetorsion.basemanifold import _DEFAULT_LATTICE, circle, torus2
-from conetorsion.torsion import degree_continuation
 from conetorsion.zetacont import (_EXP_ZERO, _NORMAL_EXP, _PROBE_BLOCK, _TILE, RMAX,
                                   MellinZeta, SpectrumStream, _exp_rowsum, _gauss_legendre,
-                                  _lattice_points, _log_panels, _row_widths, progression_stream,
-                                  sqrt_stream)
+                                  _lattice_points, _log_panels, _row_widths, progression_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
@@ -122,8 +120,9 @@ def test_eigenvalue_stream_trace_matches_loop():
 
 
 def test_lift_direct_branch_matches_loop():
+    # the oracle lift's trace, held to the loop like the package's own
     q_stream = torus2(2.0).coclosed_spectrum(0).shifted(0.25)
-    lift = sqrt_stream(MellinZeta(q_stream, s_max=1.0))
+    lift = oracles.lift_stream(MellinZeta(q_stream, s_max=1.0))
     t_direct = 45.0 / math.sqrt(q_stream.max_value)
     t = np.exp(np.linspace(math.log(t_direct), math.log(30.0), 400))
     want = _loop_eigsum(np.sqrt(q_stream.values), q_stream.mults, t)
@@ -138,7 +137,7 @@ def _random_stream():
 
 def _torus2_lift():
     q_stream = torus2(2.0).coclosed_spectrum(0).shifted(0.25)
-    return sqrt_stream(MellinZeta(q_stream, s_max=1.0))
+    return oracles.lift_stream(MellinZeta(q_stream, s_max=1.0))
 
 
 @pytest.mark.parametrize("make_trace", [
@@ -394,12 +393,11 @@ def test_log_panels_are_bitwise_the_per_panel_loop(a, b, per_decade, nodes):
 
 
 def _torus2_engines(c, lattice=None):
-    """The squared-stream engine of degree 0 and the engine of its lift, on
-    the numeric route over a base built from the torus's own stream."""
-    base = oracles.without_lattice(torus2(c, lattice))
-    record = degree_continuation(base, 0)
-    q_stream = base.coclosed_spectrum(0).shifted(0.25)
-    return MellinZeta(q_stream, s_max=0.5 * RMAX), MellinZeta(record.nu_stream)
+    """The squared-stream engine of degree 0, as the numeric route builds it
+    over the torus's own stream, and the engine of its oracle lift."""
+    q_engine = MellinZeta(torus2(c, lattice).coclosed_spectrum(0).shifted(0.25),
+                          s_max=0.5 * RMAX)
+    return q_engine, MellinZeta(oracles.lift_stream(q_engine))
 
 
 def _all_probes(engine):

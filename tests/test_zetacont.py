@@ -1,5 +1,6 @@
 """Zeta continuation engine: closed forms vs the numeric Mellin-split route,
-the shifted-spectrum relation, the square-root lift, and the error guards."""
+the shifted-spectrum relation, the square-root lift oracle, and the error
+guards."""
 
 import math
 from fractions import Fraction
@@ -21,7 +22,6 @@ from conetorsion.zetacont import (
     progression_stream,
     shifted_from_base,
     shift_heat_powers,
-    sqrt_stream,
     zeta_data_exact,
     zeta_data_numeric,
 )
@@ -325,7 +325,7 @@ def test_paired_relation_path_is_bitwise_two_calls(stream, data, alpha):
     assert len({err for _, err in pair.values()}) == 1
 
 # ---------------------------------------------------------------------------
-# Square-root lift: {k^2} -> {k}.
+# Square-root lift (the oracle's): {k^2} -> {k}.
 # ---------------------------------------------------------------------------
 
 def _q_trace(u):
@@ -351,7 +351,7 @@ def test_sqrt_lift_reproduces_linear_spectrum():
                          heat_powers=((-0.5, math.sqrt(math.pi) / 2.0), (0.0, -0.5),
                                       (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)))
     qeng = MellinZeta(qst, s_max=1.0)
-    lift = sqrt_stream(qeng)
+    lift = oracles.lift_stream(qeng)
 
     # lifted heat powers must reproduce 1/(e^t - 1) = 1/t - 1/2 + t/12 - ...
     pdict = dict(lift.heat_powers)
