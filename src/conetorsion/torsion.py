@@ -55,7 +55,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .basemanifold import BaseManifold
-from .errors import ValidationError, integer, positive
+from .errors import ReadOnly, ValidationError, integer, positive
 from .exactpoly import parity_bracket
 from .modelops import ConeOverS1Config, harmonic_contribution, theorem_main
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
@@ -159,7 +159,7 @@ class DegreeContinuation:
     data: ZetaFunctionData
     shift_errors: Mapping
     progression: tuple | None = None
-    nu_stream: SpectrumStream | None = None
+    nu_stream: ReadOnly | None = None   # a zetacont.SpectrumStream
 
     def __post_init__(self):
         object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))

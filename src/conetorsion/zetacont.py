@@ -833,49 +833,59 @@ def _power_fit(t: np.ndarray, y: np.ndarray, powers) -> tuple[np.ndarray, float]
     return coef, rms
 
 
+def _pow17(w: np.ndarray) -> np.ndarray:
+    """w^17 = w^(RMAX+1) as (((w^2)^2)^2)^2 w: five exactly rounded products,
+    within 16 * 2^-53 of w^17 where that is normal, and exactly odd in w."""
+    return np.square(np.square(np.square(np.square(w)))) * w
+
+
 def _log_series_tail(w: np.ndarray, paired: bool = False):
     """sum_{r=R+1}^{R+60} (-1)^r w^r / r for each w of an array whose |w|
     descend and stay below 1, built termwise in r order (R = RMAX); with
     ``paired``, the tails at w and at -w.
 
+    From w^17 (``_pow17``) on, each step is an exactly rounded + - * /,
+    which no SIMD kernel changes and which commutes with negation: a pair
+    shares each power and quotient, its alternating sum the tail at w and
+    its plain sum that at -w, each bitwise its own single run.
+
     Every _SETTLE_EVERY terms, while at least _SETTLE_MIN entries run, the
     run shrinks to the prefix that ends at the last entry whose latest term
-    exceeds 2^-55 of its partial sum.  The later terms of an entry past it
-    are no larger (|w| < 1, and rounding is monotone), so they stay under
-    half the float spacing around that sum and adding them could not change
-    it: each entry keeps the value of the full 60-term run.
-
-    A pair runs as the two columns of one (n, 2) array, so each numpy call
-    of the run serves both shifts; an entry runs until both of its columns
-    have settled, which the rule above lets the earlier one bear.  Each
-    column starts from its own power (numpy's AVX-512 pow is not odd: for
-    about 1 w in 20, (-w)^17 is not -(w^17)), and every later step is an
-    exactly rounded + - * /, so each column is bitwise its single run.
+    exceeds 2^-55 of one of its partial sums.  The later terms of an entry
+    past it are no larger (|w| < 1, and rounding is monotone), so they stay
+    under half the float spacing around each sum and adding them could not
+    change it: each entry keeps the value of the full 60-term run.
     """
-    wr = w ** (RMAX + 1)
-    if paired:
-        w, wr = np.stack([w, -w], axis=1), np.stack([wr, (-w) ** (RMAX + 1)], axis=1)
+    wr = _pow17(w)
     tail = np.zeros_like(w)
-    term = np.empty_like(w)
-    live = len(w)
+    twin = np.zeros_like(w) if paired else tail     # read only when paired
+    term, live = np.empty_like(w), len(w)
     for lo in range(RMAX + 1, RMAX + 61, _SETTLE_EVERY):
-        wv, wrv, tv, sv = w[:live], wr[:live], term[:live], tail[:live]
+        wv, wrv, tv, sv, pv = w[:live], wr[:live], term[:live], tail[:live], twin[:live]
         for r in range(lo, min(lo + _SETTLE_EVERY, RMAX + 61)):
             np.divide(wrv, float(r), out=tv)    # (-1)^r w^r / r, its sign applied below
             if r % 2:
                 sv -= tv
             else:
                 sv += tv
+            if paired:
+                pv += tv
             wrv *= wv
         if live >= _SETTLE_MIN:
             # 2^55 |term| (in place: the next term overwrites it) is exact, so
-            # the test is exact for subnormal sums too; nonzero's first index
-            # array gives the rows, ascending
+            # the test is exact for subnormal sums too
             np.abs(tv, out=tv)
             tv *= 2.0 ** 55
-            moving = np.nonzero(tv > np.abs(sv))[0]
+            floor = np.minimum(np.abs(sv), np.abs(pv)) if paired else np.abs(sv)
+            moving = np.nonzero(tv > floor)[0]
             live = int(moving[-1]) + 1 if moving.size else 0
-    return tuple(tail.T) if paired else tail
+    return (tail, twin) if paired else tail
+
+
+@lru_cache(maxsize=None)
+def _gamma_psi(i: int) -> float:
+    """gamma + psi(i) of the relation path's brackets, made once per i."""
+    return EULER_GAMMA + digamma(float(i))
 
 
 def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
@@ -892,14 +902,14 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
     Returns (value, error_estimate); with ``paired``, {alpha: (value,
-    error_estimate), -alpha: (...)}, both shifts from one paired run of the
-    log-series tails (``_log_series_tail``), each bitwise its own call.  The
-    estimate covers the data's own (``error_estimate`` plus |a|^i/i times
-    each ``pp_errors`` entry), the series tail and the stream tail beyond
-    its truncation radius; it depends on |alpha| alone.  The tail term takes
-    the counting exponent d of N(x) ~ C x^d as the rightmost pole of the
-    data, the largest i with Res(i) != 0 (the Weyl exponent), and is 0 when
-    the data has no pole.
+    error_estimate), -alpha: (...)}, both shifts from one pass of the
+    log-series tails (``_log_series_tail``: + - * / alone, each power and
+    quotient shared), each bitwise its own call.  The estimate covers the
+    data's own (``error_estimate`` plus |a|^i/i times each ``pp_errors``
+    entry), the series tail and the stream tail beyond its truncation radius;
+    it depends on |alpha| alone.  The tail term takes the counting exponent d
+    of N(x) ~ C x^d as the rightmost pole of the data, the largest i with
+    Res(i) != 0 (the Weyl exponent), and is 0 when the data has no pole.
     """
     a, = _shifts((alpha,))
     shifts = (a, -a) if paired and a != 0.0 else (a,)
@@ -917,7 +927,7 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     for i in range(1, RMAX + 1):
         res_i = base.residues.get(i, 0.0)
         if res_i != 0.0:
-            bracket = res_i * (EULER_GAMMA + digamma(float(i))) + base.pp[i]
+            bracket = res_i * _gamma_psi(i) + base.pp[i]
         else:
             bracket = base.pp.get(i)
             if bracket is None:

@@ -310,9 +310,15 @@ def t_min_probes(trace, powers):
 
 def log_series_tail(w):
     """Reference tail sum_{r=R+1}^{R+60} (-1)^r w^r / r of the relation path
-    (R = RMAX = 16), every one of the 60 terms added to every entry."""
+    (R = RMAX = 16), every one of the 60 terms added to every entry, from
+    w^17 = (((w^2)^2)^2)^2 w, the chain of exactly rounded products that
+    ``zetacont._pow17`` takes (numpy's ``**`` is neither odd nor the same
+    on every SIMD kernel set)."""
     tail = np.zeros_like(w)
-    wr = w ** 17
+    w2 = w * w
+    w4 = w2 * w2
+    w8 = w4 * w4
+    wr = w8 * w8 * w
     for r in range(17, 77):
         sign = 1.0 if r % 2 == 0 else -1.0
         tail += sign * wr / r

@@ -1,15 +1,18 @@
 """Every name a module lists in ``__all__`` exists: a deleted function left
-listed there would break ``from ... import *`` only when someone tries it.
+listed there would break ``from ... import *`` only when someone tries it,
+and the type hints of every class it lists or defines resolve.
 The package carries no dead surface: no import it never reads, no private
 function nothing calls.  And no production module loads verification code."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,18 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_class_resolves_its_type_hints(name):
+    # annotations are strings (``from __future__ import annotations``), so a
+    # name the module never imports fails only when a tool resolves them
+    module = importlib.import_module(name)
+    listed = [getattr(module, attr) for attr in getattr(module, "__all__", ())]
+    defined = [obj for obj in vars(module).values() if getattr(obj, "__module__", None) == name]
+    for obj in listed + defined:
+        if inspect.isclass(obj):
+            typing.get_type_hints(obj)      # NameError on a name the module lacks
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ the shifted-spectrum relation, the square-root lift oracle, and the error
 guards."""
 
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
     _lattice_points,
     _log_series_tail,
+    _pow17,
     MellinZeta,
     SpectrumStream,
     merge_ties,
@@ -299,13 +302,45 @@ def test_shifted_from_base_guards():
 def test_log_series_tail_is_bitwise_the_full_run(values, ratio):
     # the early stop drops entries only once later terms cannot move them;
     # the paired run gives both signs of the shift from one pass, each the
-    # full run of its own sign (under numpy's AVX-512 pow, (-w)^17 is not
-    # -(w^17) for about 1 entry in 20, so each sign keeps its own powers)
+    # full run of its own sign: every step is an exactly rounded + - * /, so
+    # the powers and quotients at -w are bitwise (-1)^r times those at w
     w = ratio * values[0] / values
     assert np.array_equal(_log_series_tail(w), oracles.log_series_tail(w))
     tail, twin = _log_series_tail(w, paired=True)
     assert np.array_equal(tail, oracles.log_series_tail(w))
     assert np.array_equal(twin, oracles.log_series_tail(-w))
+
+
+def _python_pow17(x: float) -> float:
+    x2 = x * x
+    x4 = x2 * x2
+    x8 = x4 * x4
+    return x8 * x8 * x
+
+
+def test_power_chain_is_odd_simd_free_and_within_sixteen_roundings():
+    # w^17 as (((w^2)^2)^2)^2 w: five exactly rounded products, so the chain
+    # is exactly odd, equals the same chain in Python floats whatever SIMD
+    # kernels numpy dispatches to, and lies within 16 * 2^-53 relative of
+    # w^17 wherever that is normal (underflowing entries included in the
+    # first two checks)
+    rng = np.random.default_rng(37)
+    w = np.concatenate([
+        rng.uniform(-0.75, 0.75, 4000),
+        rng.choice([-1.0, 1.0], 2000) * 0.75 * 2.0 ** -rng.uniform(0.0, 70.0, 2000),
+        [0.7499, -0.7499, 0.5, 2.0 ** -60, -(2.0 ** -61), 2.0 ** -64, 5e-324]])
+    wr = _pow17(w)
+    assert np.array_equal(_pow17(-w).view(np.int64), (-wr).view(np.int64))
+    chain = np.array([_python_pow17(x) for x in w.tolist()])
+    assert np.array_equal(wr.view(np.int64), chain.view(np.int64))
+    normal = np.abs(wr) >= sys.float_info.min
+    assert 3000 < np.count_nonzero(normal) < len(w)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, y in zip(w[normal].tolist(), wr[normal].tolist()):
+            exact = mpmath.mpf(x) ** 17
+            worst = max(worst, float(abs((mpmath.mpf(y) - exact) / exact)))
+    assert 0.0 < worst <= 16 * 2.0 ** -53, worst
 
 
 @pytest.mark.parametrize("stream, data", [
