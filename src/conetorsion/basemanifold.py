@@ -125,10 +125,9 @@ class _Lattice(ReadOnly):
     __slots__ = ("c", "basis", "dual", "covol", "lead", "min_value", "name",
                  "_mu1_sq", "_reach", "_listing", "_stream")
 
-    def __init__(self, c: float, basis, dual, covol: float, mu1_sq: float,
+    def __init__(self, c: float, basis, dual, covol: float, lead: float, mu1_sq: float,
                  reach: float, name: str):
-        for key, value in dict(c=c, basis=basis, dual=dual, covol=covol,
-                               lead=covol / (4.0 * math.pi * c * c),
+        for key, value in dict(c=c, basis=basis, dual=dual, covol=covol, lead=lead,
                                min_value=(4.0 * math.pi ** 2 * c * c) * mu1_sq, name=name,
                                _mu1_sq=mu1_sq, _reach=reach, _listing=None,
                                _stream=None).items():
@@ -415,10 +414,16 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     if basis.shape != (2, 2):
         raise ValidationError("lattice must be two basis vectors in the plane")
     basis.flags.writeable = False       # the record's copy of the caller's lattice
-    # the determinant, the dual basis and its shortest vector, taken once
-    covol = abs(float(np.linalg.det(basis)))
-    if covol < 1e-12 * max(1.0, float(np.max(np.abs(basis))) ** 2):
+    # collinear where covol(L) < 1e-12 max|entry|^2, judged on the basis times 2^-e (exact)
+    m, e = math.frexp(float(np.max(np.abs(basis))))
+    (p, q), (r, s) = np.ldexp(basis, -e).tolist()
+    if not abs(p * s - q * r) >= 1e-12 * m * m > 0.0:
         raise ValidationError("degenerate lattice: basis vectors are collinear")
+    # the determinant, the dual basis and its shortest vector, taken once
+    with np.errstate(over="ignore"):        # an overflowing covolume is refused below
+        covol = abs(float(np.linalg.det(basis)))
+    if not 2.0 ** -1022 <= covol < math.inf:       # a normal float
+        raise ValidationError(f"lattice {basis.tolist()} has covolume {covol:g}, out of range")
     dual = np.linalg.inv(basis).T
     dual.flags.writeable = False
     mu1_sq = _shortest_sq(dual, basis)
@@ -426,8 +431,13 @@ def torus2(c: float, lattice=None, *, nu_max: float = 64.0) -> BaseManifold:
     _lattice_reach(reach, basis)
     if lattice is None and c <= 1.0:    # the smallest eigenvalue is c^2, as on circle(c)
         raise ValidationError(SCALING_MESSAGE)
+    top = _TWO_PI * c * reach           # the listing's top frequency
+    lead = covol / (4.0 * math.pi * c * c) if c * c else math.inf
+    if not (top * top < math.inf and 2.0 ** -1022 <= lead < math.inf):
+        raise ValidationError(f"scale {c:g} is out of range for lattice {basis.tolist()}: top "
+                              f"eigenvalue {top * top:g}, A = covol/(4 pi c^2) = {lead:g}")
     name = f"torus2(c={c:g}, {'square' if lattice is None else 'custom'})"
-    deg = _Lattice(c, basis, dual, covol, mu1_sq, reach, f"{name}:deg0,1")
+    deg = _Lattice(c, basis, dual, covol, lead, mu1_sq, reach, f"{name}:deg0,1")
     return BaseManifold(name=name, dim=2, betti=(1, 2, 1), scale=c, degrees={0: deg, 1: deg})
 
 

@@ -7,14 +7,14 @@ M = (0,1] x N with metric dx^2 + x^2 g^N.  Its log-torsion splits into
                weight_k * (per-degree spectral derivative at zero),
 
 where the harmonic term depends only on Betti numbers (modelops) and the
-per-degree term ``zeta_k_prime0`` is a closed form in the continuation data
-of the degree's shifted frequency set nu = sqrt(eta + a_k^2): shifted
-derivatives zeta'(0, +-alpha_k), residues at the integers 1..n, and exact
-coefficient sums of the large-order Bessel polynomials (exactpoly), weighted
-by digamma values.  The degree weights are (-1)^k/2, with an extra factor
-delta = 1/2 in the middle degree k = (n-1)/2 when dim M = n+1 is even (that
-degree's two subcomplex families coincide and would otherwise be counted
-twice).
+per-degree term (the breakdown's ``per_degree[k]["zeta_k_prime0"]``) is a
+closed form in the continuation data of the degree's shifted frequency set
+nu = sqrt(eta + a_k^2): shifted derivatives zeta'(0, +-alpha_k), residues
+at the integers 1..n, and exact coefficient sums of the large-order Bessel
+polynomials (exactpoly), weighted by digamma values.  The degree weights are
+(-1)^k/2, with an extra factor delta = 1/2 in the middle degree k = (n-1)/2
+when dim M = n+1 is even (that degree's two subcomplex families coincide
+and would otherwise be counted twice).
 
 Frequency sets: in degree k the cone analysis replaces each coclosed
 eigenvalue eta by nu = sqrt(eta + a_k^2) with a_k = k + 1/2 - n/2 = -alpha_k;
@@ -27,7 +27,7 @@ building a stream or loading numpy, and a_k = 0); the Ewald split of
 ``lattice(k)`` and a_k != 0), at every scale, with no eigenvalue stream
 built; else the Mellin engine on the shifted eigenvalue stream eta + a_k^2.
 Off the progression both routes list nu plainly (``sqrt_stream``) for the
-relation path, which gives zeta'(0, +-alpha_k) in one pass.
+relation path, whose one call gives zeta'(0, +-alpha_k) in one pass.
 
 Dimension-specific reductions (``corollary_2d``, ``corollary_3d``), the
 closed form for cones over circles (``theorem_main``, re-exported with
@@ -64,7 +64,7 @@ from .zetadata import RMAX, ZetaFunctionData, _shifts, zeta_data_exact
 __all__ = [
     "ConeOverS1Config", "TorsionBreakdown", "DegreeContinuation",
     "degree_continuation", "spectral_bracket", "nu_continuation_data",
-    "zeta_k_prime0", "log_torsion", "corollary_2d", "corollary_3d",
+    "log_torsion", "corollary_2d", "corollary_3d",
     "theorem_main", "lemma_first_summand",
 ]
 
@@ -173,7 +173,7 @@ class DegreeContinuation:
         if self.progression is not None:
             return zeta_data_exact(*self.progression, alphas=(s,)).deriv0_shifted[s], 0.0
         from .zetacont import shifted_from_base
-        return shifted_from_base(self.nu_stream, self.data, s)
+        return shifted_from_base(self.nu_stream, self.data, s)[s]
 
 
 # {base: {k: record}}; records hold no reference to their base, so they die with it
@@ -191,8 +191,9 @@ def degree_continuation(base: BaseManifold, k: int) -> DegreeContinuation:
     route, where a Mellin-split engine on the shifted eigenvalue stream
     supplies the frequency-side derivative, residues, and regular values
     through s -> s/2.  Off the progression, the shifted derivatives at
-    +-alpha_k come from one paired pass of the subtracted-logarithm
-    relation over the plain frequency listing (``sqrt_stream``).
+    +-alpha_k come from one relation-path call (``shifted_from_base``, one
+    pass of the subtracted-logarithm relation for both signs) over the
+    plain frequency listing (``sqrt_stream``).
     Requires 0 <= k <= n-1.  Built once per base instance and degree; kept
     as long as the base lives.
     """
@@ -224,15 +225,10 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
         q_stream = base.coclosed_spectrum(k).shifted(a * a)
         data = nu_continuation_data(q_stream)
         nu_stream = sqrt_stream(q_stream.values, q_stream.mults, q_stream.name)
-    if nu_stream.min_value <= abs(a):
-        raise ValidationError(
-            f"frequencies must exceed |alpha_k| = {abs(a):g}; smallest is "
-            f"{nu_stream.min_value:g} (degree {k})")
-    pair = shifted_from_base(nu_stream, data, a, paired=True)
-    shifts = {s: pair[s] for s in {a, -a}}      # the record's mappings keep set order
-    data = replace(data, deriv0_shifted={s: v for s, (v, _) in shifts.items()})
+    pair = shifted_from_base(nu_stream, data, a)
+    data = replace(data, deriv0_shifted={s: v for s, (v, _) in pair.items()})
     return DegreeContinuation(
-        alpha, route, data, {s: err for s, (_, err) in shifts.items()}, nu_stream=nu_stream)
+        alpha, route, data, {s: err for s, (_, err) in pair.items()}, nu_stream=nu_stream)
 
 
 @lru_cache(maxsize=None)
@@ -281,19 +277,12 @@ def spectral_bracket(data: ZetaFunctionData, alpha: Fraction,
 
 def _degree_term(base: BaseManifold, k: int) -> tuple[float, float]:
     """(zeta_k_prime0, error estimate) for one contributing degree."""
-    n = base.dim
-    dc = degree_continuation(base, _check_degree(k, n, (n - 1) // 2))
-    value, sensitivity = spectral_bracket(dc.data, dc.alpha, n)
+    dc = degree_continuation(base, k)
+    value, sensitivity = spectral_bracket(dc.data, dc.alpha, base.dim)
     a = float(dc.alpha)
     err = (dc.shift_errors[a] + dc.shift_errors[-a]
            + 2.0 * dc.data.error_estimate * sensitivity)
     return value, err
-
-
-def zeta_k_prime0(base: BaseManifold, k: int) -> float:
-    """Per-degree spectral derivative at zero (the closed-form assembly)."""
-    value, _ = _degree_term(base, k)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ and small-t behaviour Z(t) ~ H(t) = sum_p c_p t^p, the Mellin transform
 with PP reducing to the plain value at regular points.  Shifted derivatives
 zeta'(0, a) = d/ds sum_j m_j (x_j + a)^(-s)|_0 come from two independent
 routes: directly (the same machinery applied to e^(-a t) Z(t)), and through
-the subtracted-logarithm relation to the unshifted data (shifted_from_base).
+the subtracted-logarithm relation to the unshifted data (shifted_from_base,
+which gives zeta'(0, a) and zeta'(0, -a) from one pass).
 
 The small-t heat model H lives here alone: a stream's ``heat_powers`` are
 the only source of exact powers, ``shift_heat_powers`` turns them into those
@@ -839,26 +840,25 @@ def _pow17(w: np.ndarray) -> np.ndarray:
     return np.square(np.square(np.square(np.square(w)))) * w
 
 
-def _log_series_tail(w: np.ndarray, paired: bool = False):
-    """sum_{r=R+1}^{R+60} (-1)^r w^r / r for each w of an array whose |w|
-    descend and stay below 1, built termwise in r order (R = RMAX); with
-    ``paired``, the tails at w and at -w.
+def _log_series_tail(w: np.ndarray):
+    """The tails sum_{r=R+1}^{R+60} (-1)^r w^r / r at w and at -w, for each
+    w of an array whose |w| descend and stay below 1, built termwise in r
+    order (R = RMAX).
 
     From w^17 (``_pow17``) on, each step is an exactly rounded + - * /,
-    which no SIMD kernel changes and which commutes with negation: a pair
-    shares each power and quotient, its alternating sum the tail at w and
-    its plain sum that at -w, each bitwise its own single run.
+    which no SIMD kernel changes and which commutes with negation: the two
+    tails share each power and quotient, the alternating sum giving the
+    tail at w and the plain sum that at -w, each bitwise its own full run.
 
     Every _SETTLE_EVERY terms, while at least _SETTLE_MIN entries run, the
     run shrinks to the prefix that ends at the last entry whose latest term
-    exceeds 2^-55 of one of its partial sums.  The later terms of an entry
-    past it are no larger (|w| < 1, and rounding is monotone), so they stay
-    under half the float spacing around each sum and adding them could not
-    change it: each entry keeps the value of the full 60-term run.
+    exceeds 2^-55 of one of its two partial sums.  The later terms of an
+    entry past it are no larger (|w| < 1, and rounding is monotone), so they
+    stay under half the float spacing around each sum and adding them could
+    not change it: each entry keeps the value of the full 60-term run.
     """
     wr = _pow17(w)
-    tail = np.zeros_like(w)
-    twin = np.zeros_like(w) if paired else tail     # read only when paired
+    tail, twin = np.zeros_like(w), np.zeros_like(w)
     term, live = np.empty_like(w), len(w)
     for lo in range(RMAX + 1, RMAX + 61, _SETTLE_EVERY):
         wv, wrv, tv, sv, pv = w[:live], wr[:live], term[:live], tail[:live], twin[:live]
@@ -868,18 +868,16 @@ def _log_series_tail(w: np.ndarray, paired: bool = False):
                 sv -= tv
             else:
                 sv += tv
-            if paired:
-                pv += tv
+            pv += tv
             wrv *= wv
         if live >= _SETTLE_MIN:
             # 2^55 |term| (in place: the next term overwrites it) is exact, so
             # the test is exact for subnormal sums too
             np.abs(tv, out=tv)
             tv *= 2.0 ** 55
-            floor = np.minimum(np.abs(sv), np.abs(pv)) if paired else np.abs(sv)
-            moving = np.nonzero(tv > floor)[0]
+            moving = np.nonzero(tv > np.minimum(np.abs(sv), np.abs(pv)))[0]
             live = int(moving[-1]) + 1 if moving.size else 0
-    return (tail, twin) if paired else tail
+    return tail, twin
 
 
 @lru_cache(maxsize=None)
@@ -888,9 +886,8 @@ def _gamma_psi(i: int) -> float:
     return EULER_GAMMA + digamma(float(i))
 
 
-def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
-                      alpha: float, *, paired: bool = False):
-    """zeta'(0, alpha) through the subtracted-logarithm relation.
+def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData, alpha: float):
+    """zeta'(0, +-alpha) through the subtracted-logarithm relation.
 
     K(alpha) = sum_j m_j [ -log(1 + a/x_j) + sum_{r<=R} (-1)^(r+1) (a/x_j)^r / r ]
     is an absolutely convergent lattice sum (each term is the tail of the log
@@ -901,27 +898,25 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
 
     with R = RMAX (PP(i) is the plain value zeta(i) where Res(i) = 0).
 
-    Returns (value, error_estimate); with ``paired``, {alpha: (value,
-    error_estimate), -alpha: (...)}, both shifts from one pass of the
-    log-series tails (``_log_series_tail``: + - * / alone, each power and
-    quotient shared), each bitwise its own call.  The estimate covers the
-    data's own (``error_estimate`` plus |a|^i/i times each ``pp_errors``
-    entry), the series tail and the stream tail beyond its truncation radius;
-    it depends on |alpha| alone.  The tail term takes the counting exponent d
-    of N(x) ~ C x^d as the rightmost pole of the data, the largest i with
+    Returns {alpha: (value, error_estimate), -alpha: (...)}, or {0.0: ...}
+    at a zero shift: both shifts from one pass of the log-series tails
+    (``_log_series_tail``: + - * / alone, each power and quotient shared), so
+    each is bitwise the same entry of the call at the other sign.  Only
+    alpha is screened: |alpha| below 3/4 of the smallest eigenvalue keeps
+    -alpha in range too.  The estimate covers the data's own
+    (``error_estimate`` plus |a|^i/i times each ``pp_errors`` entry), the
+    series tail and the stream tail beyond its truncation radius; it depends
+    on |alpha| alone.  The tail term takes the counting exponent d of
+    N(x) ~ C x^d as the rightmost pole of the data, the largest i with
     Res(i) != 0 (the Weyl exponent), and is 0 when the data has no pole.
     """
     a, = _shifts((alpha,))
-    shifts = (a, -a) if paired and a != 0.0 else (a,)
     if a == 0.0:
-        result = base.deriv0, base.error_estimate
-        return {a: result} if paired else result
-    for s in shifts:
-        _check_shift(s, stream.min_value)
+        return {a: (base.deriv0, base.error_estimate)}
+    _check_shift(a, stream.min_value)
     w = a / stream.values
     if np.max(np.abs(w)) >= 0.75:
         raise ValidationError("relation path needs |alpha| < 3/4 of the smallest eigenvalue")
-    tails = _log_series_tail(w, True) if paired else (_log_series_tail(w),)
 
     brackets = []
     for i in range(1, RMAX + 1):
@@ -949,10 +944,9 @@ def shifted_from_base(stream: SpectrumStream, base: ZetaFunctionData,
     if base.pp_errors:
         data_err += _fsum([abs(a) ** i / i * e for i, e in base.pp_errors.items()])
     err = data_err + series_rem + tail_est
-    out = {s: (base.deriv0 + _fsum(stream.mults * tail)
-               - _fsum([sign * s ** i / i * bracket for sign, i, bracket in brackets]), err)
-           for s, tail in zip(shifts, tails)}
-    return out if paired else out[a]
+    return {s: (base.deriv0 + _fsum(stream.mults * tail)
+                - _fsum([sign * s ** i / i * bracket for sign, i, bracket in brackets]), err)
+            for s, tail in zip((a, -a), _log_series_tail(w))}
 
 
 def sqrt_stream(values, mults, name: str) -> SpectrumStream:

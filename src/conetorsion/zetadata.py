@@ -70,6 +70,8 @@ def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFun
     for a in _shifts(alphas):
         _check_shift(a, c)
         shifted[a] = m * (lc * (0.5 + a / c) + hurwitz_zeta_prime0(1.0 + a / c))
+        if not math.isfinite(shifted[a]):
+            raise ValidationError(f"shift {a} is out of range: zeta'(0, shift) = {shifted[a]}")
     residues, pp = {}, {}
     for i in range(1, pole_range + 1):
         if i == 1:

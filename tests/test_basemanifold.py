@@ -216,6 +216,20 @@ def test_torus_lattice_validation():
         bm.torus2(0.5)
 
 
+def test_torus_screens_judge_the_lattice_scale_free():
+    # collinearity is covol(L) against max|entry|^2 at every size: the
+    # absolute 1e-12 floor refused this orthogonal lattice, and squaring the
+    # largest entry of the next one overflowed
+    small = bm.torus2(2.0, lattice=((1e-7, 0.0), (0.0, 1e-7)))
+    assert small.lattice(0).covol == pytest.approx(1e-14)
+    for lattice in (((1e300, 0.0), (1e300, 1e286)), ((0.0, 0.0), (0.0, 0.0))):
+        with pytest.raises(ValidationError, match="collinear"):
+            bm.torus2(2.0, lattice=lattice)
+    # c^2 underflows to 0: A = covol/(4 pi c^2) raised ZeroDivisionError
+    with pytest.raises(ValidationError, match=r"^scale 1e-170 is out of range for lattice "):
+        bm.torus2(1e-170, lattice=((1.0, 0.0), (0.0, 1.0)), nu_max=1e-180)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_torus_refuses_non_finite_lattice_entries(bad):
     for i in range(4):

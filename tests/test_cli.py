@@ -306,7 +306,8 @@ def _reference_zeta_payload(base, k, shift):
         source = "closed-form"
         if shift is not None:
             shift_value, shift_error = shifted_from_base(
-                SpectrumStream(np.sqrt(deg.values + a * a), deg.mults), data, float(shift))
+                SpectrumStream(np.sqrt(deg.values + a * a), deg.mults), data,
+                float(shift))[float(shift)]
     elif progression is not None and a == 0.0:
         step, mult = progression
         data = zeta_data_exact(step, mult,
@@ -322,7 +323,7 @@ def _reference_zeta_payload(base, k, shift):
         source = "numeric"
         if shift is not None:
             shift_value, shift_error = shifted_from_base(
-                nu_stream, data, float(shift))
+                nu_stream, data, float(shift))[float(shift)]
     payload = {
         "base_id": base.name,
         "scale": base.scale,
@@ -608,6 +609,20 @@ def test_main_exit_codes_and_streams(capsys):
                   "--shift", "nan"], "shift must be a finite real", id="shift-nan-exact"),
     pytest.param(["zeta", "--base", "s1", "--scale", "2", "--degree", "0",
                   "--shift=-inf"], "shift must be a finite real", id="shift-inf-exact"),
+    pytest.param(["zeta", "--base", "s1", "--scale", "2", "--degree", "0", "--shift", "5e305"],
+                 "shift 5e+305 is out of range: zeta'(0, shift) = inf", id="shift-5e305-exact"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "1e154"],
+                 "scale 1e+154 is out of range for lattice [[6.28318", id="torus2-scale-1e154"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "1e153"],
+                 "scale 1e+153 is out of range for lattice [[6.28318", id="torus2-scale-1e153"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2",
+                  "--lattice", "1e160,0,0,1e160"],
+                 "lattice [[1e+160, 0.0], [0.0, 1e+160]] has covolume inf, out of range",
+                 id="torus2-lattice-1e160"),
+    pytest.param(["torsion", "cone", "--base", "torus2", "--scale", "2",
+                  "--lattice", "1e-200,0,0,1e-200"],
+                 "lattice [[1e-200, 0.0], [0.0, 1e-200]] has covolume 0, out of range",
+                 id="torus2-lattice-1e-200"),
 ])
 def test_non_finite_inputs_exit_2(argv, message, capsys):
     # these crashed with a traceback, or printed -inf or nan with exit 0
@@ -615,6 +630,13 @@ def test_non_finite_inputs_exit_2(argv, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: {message}")
+
+
+def test_largest_exact_shift_still_solves():
+    # the screen refuses a non-finite value, not a large shift
+    payload = run_json(["zeta", "--base", "s1", "--scale", "1.7e308", "--degree", "0",
+                        "--shift", "1e308"])
+    assert math.isfinite(payload["shift"]["deriv0_shifted"])
 
 
 def test_selftest_tol_validation():

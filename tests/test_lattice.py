@@ -328,7 +328,7 @@ def test_lattice_record_relation_path_and_shifts():
     assert dc.nu_stream.heat_fn is None
     assert np.array_equal(dc.nu_stream.values, np.sqrt(stream.values + 0.25))
     for s in (0.5, -0.5, 0.3, -0.7):
-        value, err = zetacont.shifted_from_base(dc.nu_stream, dc.data, s)
+        value, err = zetacont.shifted_from_base(dc.nu_stream, dc.data, s)[s]
         assert dc.shifted(s) == (value, err)
         # the data's bounds, weighed by |s|^i / i, are part of the estimate
         assert err >= dc.data.error_estimate + math.fsum(

@@ -35,7 +35,6 @@ from conetorsion.torsion import (
     lemma_first_summand,
     log_torsion,
     theorem_main,
-    zeta_k_prime0,
 )
 
 import oracles
@@ -401,7 +400,7 @@ def test_lemma_first_summand_numeric_other_radius():
 def test_zeta_k_prime0_circle():
     # degree-0 coclosed zeta of the scale-2 circle cone:
     # 2 (log 2 - log 2 pi) - 2/2
-    zk = zeta_k_prime0(circle(2.0), 0)
+    zk = log_torsion(circle(2.0)).per_degree[0]["zeta_k_prime0"]
     expect = 2.0 * (math.log(2.0) - math.log(2.0 * math.pi)) - 1.0
     assert abs(zk - expect) < 1e-12
 
@@ -418,7 +417,7 @@ def test_zeta_k_prime0_circle():
     lambda: ConeOverS1Config(0.0, 1.0),
     lambda: t_nu_k(5.0, 5, 2, SpectralParameter(-3.0)),
     lambda: t_nu_k(0.4, 0, 2, SpectralParameter(-3.0)),
-    lambda: zeta_k_prime0(circle(2.0), 1),
+    lambda: degree_continuation(circle(2.0), 1),
     lambda: f_r(0, 0, 2, SpectralParameter(-3.0)),
     lambda: frequency_log_term(3.0, 0.5, SpectralParameter(-3.0), "both"),
     lambda: corollary_2d(torus2(2.0)),
@@ -434,7 +433,6 @@ def test_degree_must_be_an_integer(bad):
     # True and 1.0 ran as degree 1 (alpha = -1/2) and "0" leaked a TypeError
     tor, sp = torus2(2.0), SpectralParameter(-3.0)
     for call in (lambda: degree_continuation(tor, bad),
-                 lambda: zeta_k_prime0(tor, bad),
                  lambda: t_nu_k(3.0, bad, 2, sp),
                  lambda: f_r(1, bad, 2, sp)):
         with pytest.raises(ValidationError, match=f"^degree must be an integer in "
@@ -445,7 +443,6 @@ def test_degree_must_be_an_integer(bad):
 def test_numpy_integer_degrees_are_degrees():
     tor, sp = torus2(2.0), SpectralParameter(-3.0)
     assert degree_continuation(tor, np.int64(0)) is degree_continuation(tor, 0)
-    assert zeta_k_prime0(tor, np.int64(0)) == zeta_k_prime0(tor, 0)
     assert t_nu_k(3.0, np.int64(1), 2, sp) == t_nu_k(3.0, 1, 2, sp)
     assert f_r(2, np.int64(1), 2, sp) == f_r(2, 1, 2, sp)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conetorsion import basemanifold as bm
+from conetorsion import zetacont
 from conetorsion.errors import ConvergenceError, ValidationError
 from conetorsion.specfun import LOG_2PI, riemann_zeta
 from conetorsion.zetacont import (
@@ -266,7 +267,7 @@ def test_shift_routes_agree_with_gamma_closed_form():
     assert direct.deriv0_shifted[0.5] == pytest.approx(
         target, abs=max(10.0 * direct.error_estimate, 1e-9))
 
-    val, err = shifted_from_base(st, ex, 0.5)
+    val, err = shifted_from_base(st, ex, 0.5)[0.5]
     assert val == pytest.approx(target, abs=max(10.0 * err, 1e-9))
     assert err < 1e-6
 
@@ -274,8 +275,7 @@ def test_shift_routes_agree_with_gamma_closed_form():
 def test_shifted_from_base_zero_shift_passthrough():
     ex = zeta_data_exact(1.0, 1, pole_range=16)
     st = progression_stream(1.0, 1, 100)
-    val, err = shifted_from_base(st, ex, 0.0)
-    assert val == ex.deriv0 and err == ex.error_estimate
+    assert shifted_from_base(st, ex, 0.0) == {0.0: (ex.deriv0, ex.error_estimate)}
 
 
 def test_shifted_from_base_guards():
@@ -291,22 +291,28 @@ def test_shifted_from_base_guards():
 
 
 
-@pytest.mark.parametrize("values", [
-    pytest.param(np.sqrt(np.linspace(1.3, 64.0 ** 2, 126)), id="short-126"),
-    pytest.param(np.sqrt(np.linspace(1.3, 256.0 ** 2, 8000)), id="listing-8000"),
-    pytest.param(np.sort(np.exp(np.random.default_rng(4).uniform(0.0, 12.0, 3000))),
+_SHORT = np.sqrt(np.linspace(1.3, 64.0 ** 2, 126))
+
+
+@pytest.mark.parametrize("values, settle_min", [
+    pytest.param(_SHORT, None, id="short-126"),
+    pytest.param(_SHORT, 1, id="short-126-settling"),
+    pytest.param(np.sqrt(np.linspace(1.3, 256.0 ** 2, 8000)), None, id="listing-8000"),
+    pytest.param(np.sort(np.exp(np.random.default_rng(4).uniform(0.0, 12.0, 3000))), None,
                  id="random-3000"),
-    pytest.param(np.geomspace(1.5, 1e300, 2000), id="underflowing"),
+    pytest.param(np.geomspace(1.5, 1e300, 2000), None, id="underflowing"),
 ])
 @pytest.mark.parametrize("ratio", [0.7499, 0.5, 0.05, -0.05, -0.5, -0.7499])
-def test_log_series_tail_is_bitwise_the_full_run(values, ratio):
-    # the early stop drops entries only once later terms cannot move them;
-    # the paired run gives both signs of the shift from one pass, each the
+def test_log_series_tail_is_bitwise_the_full_run(values, settle_min, ratio, monkeypatch):
+    # the early stop drops entries only once later terms cannot move them
+    # (a listing shorter than _SETTLE_MIN is never tested, unless the
+    # threshold is lowered); one pass gives both signs of the shift, each the
     # full run of its own sign: every step is an exactly rounded + - * /, so
     # the powers and quotients at -w are bitwise (-1)^r times those at w
+    if settle_min is not None:
+        monkeypatch.setattr(zetacont, "_SETTLE_MIN", settle_min)
     w = ratio * values[0] / values
-    assert np.array_equal(_log_series_tail(w), oracles.log_series_tail(w))
-    tail, twin = _log_series_tail(w, paired=True)
+    tail, twin = _log_series_tail(w)
     assert np.array_equal(tail, oracles.log_series_tail(w))
     assert np.array_equal(twin, oracles.log_series_tail(-w))
 
@@ -351,12 +357,14 @@ def test_power_chain_is_odd_simd_free_and_within_sixteen_roundings():
 ])
 @pytest.mark.parametrize("alpha", [0.5, -0.5, 0.3, -0.7, 0.0])
 def test_paired_relation_path_is_bitwise_two_calls(stream, data, alpha):
-    # one paired call answers alpha and -alpha, each bitwise its own call;
-    # the estimate depends on |alpha| alone
-    pair = shifted_from_base(stream, data, alpha, paired=True)
+    # every call answers alpha and -alpha from one pass; the call at the
+    # other sign gives each entry bitwise, and the estimate depends on
+    # |alpha| alone
+    pair = shifted_from_base(stream, data, alpha)
     assert list(pair) == ([alpha, -alpha] if alpha else [alpha])
-    for s, (value, err) in pair.items():
-        assert (value, err) == shifted_from_base(stream, data, s)
+    twin = shifted_from_base(stream, data, -alpha)
+    for s in pair:
+        assert [x.hex() for x in pair[s]] == [x.hex() for x in twin[s]]
     assert len({err for _, err in pair.values()}) == 1
 
 # ---------------------------------------------------------------------------
