@@ -24,12 +24,11 @@ solved as the nu = 0 J' zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, integer, number
+from .errors import ConvergenceError, Record, ValidationError, integer, number
 
 KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -39,45 +38,45 @@ _SECANT_STEPS = 5
 _SCAN_CELLS = 1 << 20           # widest repair scan, in unit cells
 
 
-@dataclass(frozen=True)
-class ZeroRequest:
-    nu: float
-    kind: str
-    count: int
-    alpha: float | None = None
+class ZeroRequest(Record):
+    __slots__ = ("nu", "kind", "count", "alpha")
 
-    def __post_init__(self):
-        nu = number(self.nu, "nu", "a real number", lambda x: True)   # an order check follows
-        if self.alpha is not None:
-            number(self.alpha, "alpha", "a real number", lambda x: True)
-        if not 0.0 <= nu < math.inf:
-            raise ValidationError(f"order must be finite and >= 0, got nu={self.nu}")
-        if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "count",
-                           integer(self.count, "count", 1, rule="a positive integer"))
-        if self.kind == "mixed":
-            a = self.alpha
-            if a is None:
+    def __init__(self, nu: float, kind: str, count: int, alpha: float | None = None):
+        order = number(nu, "nu", "a real number", lambda x: True)   # an order check follows
+        if alpha is not None:
+            number(alpha, "alpha", "a real number", lambda x: True)
+        if not 0.0 <= order < math.inf:
+            raise ValidationError(f"order must be finite and >= 0, got nu={nu}")
+        if kind not in KINDS:
+            raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+        count = integer(count, "count", 1, rule="a positive integer")
+        if kind == "mixed":
+            if alpha is None:
                 raise ValidationError("mixed kind requires a boundary parameter alpha")
-            if a != math.inf and not (a * a < self.nu * self.nu or a == self.nu):
+            if alpha != math.inf and not (alpha * alpha < nu * nu or alpha == nu):
                 raise ValidationError(
                     "invalid alpha: mixed boundary parameter needs alpha^2 < nu^2 "
-                    f"(or alpha=+nu, or alpha=inf for Dirichlet); got alpha={a}, nu={self.nu}")
-        elif self.alpha is not None:
-            raise ValidationError(f"alpha is only meaningful for kind 'mixed', got kind={self.kind!r}")
+                    f"(or alpha=+nu, or alpha=inf for Dirichlet); got alpha={alpha}, nu={nu}")
+        elif alpha is not None:
+            raise ValidationError(f"alpha is only meaningful for kind 'mixed', got kind={kind!r}")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class ZeroList:
-    request: ZeroRequest
-    zeros: np.ndarray = field(repr=False)
-    residuals: np.ndarray = field(repr=False)
-    fprimes: np.ndarray = field(repr=False)
+class ZeroList(Record):
+    __slots__ = ("request", "zeros", "residuals", "fprimes")
+    _REPR = ("request",)
 
-    def __post_init__(self):
-        for arr in (self.zeros, self.residuals, self.fprimes):
+    def __init__(self, request: ZeroRequest, zeros: np.ndarray, residuals: np.ndarray,
+                 fprimes: np.ndarray):
+        for arr in (zeros, residuals, fprimes):
             arr.flags.writeable = False    # the Dirichlet zeros are memoized
+        object.__setattr__(self, "request", request)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "fprimes", fprimes)
 
     def eigenvalues(self) -> np.ndarray:
         """Squared zeros — the spectrum of the associated model operator."""

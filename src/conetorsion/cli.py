@@ -20,27 +20,27 @@ identical invocations produce byte-identical bytes.  Exit codes: 0 success,
 non-convergence (an error estimate above the requested tolerance).
 
 Start-up cost is part of every invocation, so this module imports at load
-time only what parsing and rendering need, plus the numpy-free closed forms
-(``modelops``, ``exactpoly``): ``torsion disc``, ``olver`` and ``modeldet``
-without ``--numeric`` never load numpy.  Every other handler imports its
-layer when it runs, and the acceptance battery (``ACCEPTANCE_CHECKS``) loads
-on first access.  ``torsion cone --base s1`` and ``zeta --base s1`` load no
-numpy either: the circle's exact route is scalar arithmetic (``zetadata``),
-and its listing stream is built only when something reads it.
+time only what parsing and rendering need, plus the scalar closed forms of
+``modelops``: ``torsion disc`` and ``modeldet`` without ``--numeric`` load
+neither numpy nor ``dataclasses``, ``inspect``, ``fractions`` or the exact
+polynomials.  Every other handler imports its layer when it runs (``olver``
+the exact polynomials, with ``fractions``), and the acceptance battery
+(``ACCEPTANCE_CHECKS``) loads on first access.  ``torsion cone --base s1``
+and ``zeta --base s1`` load no numpy either: the circle's exact route is
+scalar arithmetic (``zetadata``, and ``exactpoly`` for the bracket), and its
+listing stream is built only when something reads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json as _json
 import math
 import numbers
 import sys
 import time
 
-from .errors import ConvergenceError, ValidationError
-from .exactpoly import MAX_ORDER, gen_D, gen_M
+from .errors import MAX_ORDER, ConvergenceError, ValidationError
 from .modelops import ConeOverS1Config, ModelOperator, det_closed, theorem_main
 
 __all__ = ["main", "run", "run_selftest"]
@@ -198,7 +198,7 @@ def _cmd_torsion_cone(args: argparse.Namespace) -> dict:
     from .torsion import log_torsion
     breakdown = log_torsion(_build_base(args))
     _check_tolerance(breakdown.error_estimate, args.tolerance)
-    return dataclasses.asdict(breakdown)
+    return breakdown.as_dict()
 
 
 def _cmd_zeros(args: argparse.Namespace) -> dict:
@@ -256,6 +256,7 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_olver(args: argparse.Namespace) -> dict:
+    from .exactpoly import gen_D, gen_M
     order = args.order
     m_rows: dict = {}                   # t power -> {alpha power: coefficient}
     for (p, j), c in gen_M(order).terms.items():

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import besselzero, zetacont
-from .errors import ValidationError, number, positive
+from .errors import Record, ValidationError, number, positive
 from .exactpoly import Polynomial, parity_bracket
 from .torsion import _alpha_k, _check_degree, _parity
 
@@ -24,19 +23,18 @@ __all__ = ["SpectralParameter", "frequency_log_term", "t_nu_k", "f_r",
            "lemma_first_summand_numeric"]
 
 
-@dataclass(frozen=True)
-class SpectralParameter:
+class SpectralParameter(Record):
     """Evaluation point lam < 0 on the negative real axis.
 
     Derived quantities: z = sqrt(-lam) > 0 and t = (1 - lam)^(-1/2) in (0,1),
     so that t = (1 + z^2)^(-1/2) holds by construction.
     """
 
-    lam: float
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
+    def __init__(self, lam: float):
         object.__setattr__(self, "lam", number(
-            self.lam, "lambda", "a finite number < 0 (the negative real axis)",
+            lam, "lambda", "a finite number < 0 (the negative real axis)",
             lambda x: -math.inf < x < 0.0))
 
     @property

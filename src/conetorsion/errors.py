@@ -7,7 +7,10 @@ input is read through one screen (``number``, ``positive``, ``integer``,
 ``flag``, ``text``), which returns it checked and converted or raises
 ``ValidationError("{field} must be {rule}, got {value!r}")``.  No bool passes
 for a number; an int beyond binary64 passes only a ``number`` rule admitting
-nan.  :class:`ReadOnly` freezes cached records.
+nan.  :class:`ReadOnly` freezes cached records, and :class:`Record` makes
+one a value.  ``MAX_ORDER`` bounds the order screen of the expansion
+polynomials (``exactpoly``); it lives here so the CLI can print it without
+loading them.
 """
 
 import math
@@ -25,6 +28,10 @@ class SingularModelError(ValidationError):
 
 class OrderLimitError(ValidationError):
     """An asymptotic-polynomial order beyond the supported range was requested."""
+
+
+#: highest order of the exact expansion polynomials
+MAX_ORDER = 12
 
 
 class ConvergenceError(RuntimeError):
@@ -79,7 +86,9 @@ def text(value, field: str) -> str:
 class ReadOnly:
     """Refuses attribute writes after construction (constructors set their
     fields through object.__setattr__): cached records are shared by every
-    later computation, so a write would corrupt them."""
+    later computation, so a write would corrupt them.  It keeps identity
+    ``==`` and hashing (a base manifold keys a weak cache); :class:`Record`
+    adds value semantics on top."""
 
     __slots__ = ()
 
@@ -88,3 +97,39 @@ class ReadOnly:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class Record(ReadOnly):
+    """A read-only value whose fields are its ``__slots__``, in order.
+
+    Adds field-wise ``==`` between records of one class, a hash of the
+    fields, the repr ``Name(field=value, ...)`` (over ``_REPR``, by default
+    every field), copies and pickles rebuilt through ``__init__``, and
+    ``as_dict()``.  Records are written out by hand rather than as frozen
+    dataclasses: ``dataclasses`` loads ``inspect``, about a third of a
+    closed-form CLI command's import time."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def as_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = getattr(self, "_REPR", self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -31,9 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import OrderLimitError, ReadOnly, integer
-
-MAX_ORDER = 12
+from .errors import MAX_ORDER, OrderLimitError, ReadOnly, integer
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

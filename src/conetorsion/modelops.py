@@ -39,31 +39,28 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import SingularModelError, ValidationError, integer, number, positive
+from .errors import Record, SingularModelError, ValidationError, integer, number, positive
 from .specfun import LOG_2, LOG_2PI, ln_gamma
 
 
-@dataclass(frozen=True)
-class ConeOverS1Config:
+class ConeOverS1Config(Record):
     """Cone over a circle: length (flat-disc radius) and angle parameter.
 
     ``nu_angle`` is the secant of the opening half-angle; nu_angle = 1 is the
     flat disc, larger values are sharper cones.
     """
 
-    radius: float = 1.0
-    nu_angle: float = 1.0
+    __slots__ = ("radius", "nu_angle")
 
-    def __post_init__(self):
-        r = positive(self.radius, "cone length")
+    def __init__(self, radius: float = 1.0, nu_angle: float = 1.0):
+        r = positive(radius, "cone length")
         # theorem_main takes log(pi R^2): the area must be a normal float
         if not sys.float_info.min <= math.pi * r * r < math.inf:
             raise ValidationError(
-                f"cone length {self.radius!r} puts the disc area pi R^2 outside "
+                f"cone length {radius!r} puts the disc area pi R^2 outside "
                 f"the normal floating-point range")
-        nu = number(self.nu_angle, "nu_angle", "a finite number >= 1 (the secant of a real "
+        nu = number(nu_angle, "nu_angle", "a finite number >= 1 (the secant of a real "
                     "opening angle)", lambda x: 1.0 <= x < math.inf)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "nu_angle", nu)
@@ -76,8 +73,7 @@ def theorem_main(cfg: ConeOverS1Config) -> float:
     return 0.5 * (-math.log(math.pi * radius * radius) + math.log(nu) - 1.0 / nu)
 
 
-@dataclass(frozen=True)
-class ModelOperator:
+class ModelOperator(Record):
     """L_nu(alpha): order nu >= 0 and boundary parameter alpha.
 
     Admissible boundary parameters: alpha = inf, or -nu < alpha < nu, or
@@ -86,12 +82,12 @@ class ModelOperator:
     boundary polynomial degenerate at z = 0 and the determinant formula
     singular; parameters beyond |nu| are outside the analyzed range.
     """
-    nu: float
-    alpha: float = math.inf
 
-    def __post_init__(self):
-        nu = number(self.nu, "nu", "a finite number >= 0", lambda x: 0.0 <= x < math.inf)
-        alpha = number(self.alpha, "alpha", "a finite number or inf",
+    __slots__ = ("nu", "alpha")
+
+    def __init__(self, nu: float, alpha: float = math.inf):
+        nu = number(nu, "nu", "a finite number >= 0", lambda x: 0.0 <= x < math.inf)
+        alpha = number(alpha, "alpha", "a finite number or inf",
                        lambda x: -math.inf < x <= math.inf)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alpha", alpha)
@@ -116,12 +112,15 @@ class ModelOperator:
         return f"L_{self.nu:g}({a})"
 
 
-@dataclass(frozen=True)
-class DeterminantValue:
+class DeterminantValue(Record):
     """log det_zeta = -zeta'(0) with provenance and error bookkeeping."""
-    log_det: float
-    source: str                 # "closed-form" | "numeric"
-    error_estimate: float = 0.0
+
+    __slots__ = ("log_det", "source", "error_estimate")
+
+    def __init__(self, log_det: float, source: str, error_estimate: float = 0.0):
+        object.__setattr__(self, "log_det", log_det)
+        object.__setattr__(self, "source", source)     # "closed-form" | "numeric"
+        object.__setattr__(self, "error_estimate", error_estimate)
 
 
 def spectrum(op: ModelOperator, count: int):

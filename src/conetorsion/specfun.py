@@ -23,7 +23,6 @@ hurwitz_zeta_prime0(a) = d/ds zeta_H(s,a)|_{s=0} = ln Gamma(a) - ln(2 pi)/2.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -31,14 +30,14 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 LOG_2PI = 1.8378770664093454835606594728112353
 LOG_2 = math.log(2.0)
 
-# Bernoulli numbers B_2, B_4, ..., B_28 (exact, converted once to float).
+# Bernoulli numbers B_2, B_4, ..., B_28 as (numerator, denominator): int / int
+# is correctly rounded, so each converts once to its nearest float.
 _BERNOULLI_EVEN = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870),
 ]
-_EM_TERMS = [float(b) / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI_EVEN)]
+_EM_TERMS = [p / q / math.factorial(2 * (j + 1)) for j, (p, q) in enumerate(_BERNOULLI_EVEN)]
 
 #: relative accuracy of ``expint_ladder`` (tested against mpmath)
 EXPINT_REL = 2e-15

@@ -49,13 +49,12 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from .basemanifold import BaseManifold
-from .errors import ReadOnly, ValidationError, integer, positive
+from .errors import ReadOnly, Record, ValidationError, integer, positive
 from .exactpoly import parity_bracket
 from .modelops import ConeOverS1Config, harmonic_contribution, theorem_main
 from .specfun import EULER_GAMMA, LOG_2, LOG_2PI, digamma
@@ -72,8 +71,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
-class TorsionBreakdown:
+class TorsionBreakdown(Record):
     """log T(M) together with the pieces it was assembled from.
 
     ``per_degree`` maps each contributing degree k to its spectral derivative
@@ -86,13 +84,18 @@ class TorsionBreakdown:
     ``parity`` is the parity of dim M = n + 1.
     """
 
-    log_torsion: float
-    harmonic_term: float
-    per_degree: dict
-    parity: str
-    base_id: str
-    scale: float
-    error_estimate: float = 0.0
+    __slots__ = ("log_torsion", "harmonic_term", "per_degree", "parity", "base_id",
+                 "scale", "error_estimate")
+
+    def __init__(self, log_torsion: float, harmonic_term: float, per_degree: dict,
+                 parity: str, base_id: str, scale: float, error_estimate: float = 0.0):
+        object.__setattr__(self, "log_torsion", log_torsion)
+        object.__setattr__(self, "harmonic_term", harmonic_term)
+        object.__setattr__(self, "per_degree", per_degree)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "base_id", base_id)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "error_estimate", error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +144,7 @@ def nu_continuation_data(q_stream) -> ZetaFunctionData:
                             error_estimate=err, zeta0=engine.zeta0())
 
 
-@dataclass(frozen=True)
-class DegreeContinuation:
+class DegreeContinuation(Record):
     """Read-only continuation data of one degree's frequency set.
 
     ``alpha`` is alpha_k.  ``route`` is "exact" (closed-form data) or
@@ -154,15 +156,17 @@ class DegreeContinuation:
     holds zeta'(0, +-alpha_k) and ``shift_errors`` their error estimates.
     """
 
-    alpha: Fraction
-    route: str
-    data: ZetaFunctionData
-    shift_errors: Mapping
-    progression: tuple | None = None
-    nu_stream: ReadOnly | None = None   # a zetacont.SpectrumStream
+    __slots__ = ("alpha", "route", "data", "shift_errors", "progression", "nu_stream")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift_errors", MappingProxyType(dict(self.shift_errors)))
+    def __init__(self, alpha: Fraction, route: str, data: ZetaFunctionData,
+                 shift_errors: Mapping, progression: tuple | None = None,
+                 nu_stream: ReadOnly | None = None):   # a zetacont.SpectrumStream
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "shift_errors", MappingProxyType(dict(shift_errors)))
+        object.__setattr__(self, "progression", progression)
+        object.__setattr__(self, "nu_stream", nu_stream)
 
     def shifted(self, shift: float) -> tuple[float, float]:
         """(zeta'(0, shift), error estimate) at any finite shift: the stored
@@ -226,7 +230,8 @@ def _continuation(base: BaseManifold, k: int, n: int) -> DegreeContinuation:
         data = nu_continuation_data(q_stream)
         nu_stream = sqrt_stream(q_stream.values, q_stream.mults, q_stream.name)
     pair = shifted_from_base(nu_stream, data, a)
-    data = replace(data, deriv0_shifted={s: v for s, (v, _) in pair.items()})
+    data = ZetaFunctionData(**dict(data.as_dict(),
+                                   deriv0_shifted={s: v for s, (v, _) in pair.items()}))
     return DegreeContinuation(
         alpha, route, data, {s: err for s, (_, err) in pair.items()}, nu_stream=nu_stream)
 

@@ -3,24 +3,24 @@
 ``ZetaFunctionData`` is the record every continuation route returns (the
 exact progression and lattice routes, the numeric Mellin route), and
 ``zeta_data_exact`` is the closed form the cone over a circle reads.  Both
-are numpy-free, so a circle solve runs without the numeric layers.  They
-live apart from ``specfun``, which every closed-form CLI command imports:
-creating the frozen dataclass takes about 1.4 ms at import (Python 3.11, a
-2-vCPU Xeon), which only the spectral layers (``torsion``, and ``zetacont``,
-which re-exports these names as the same objects) should pay.
+are numpy-free, so a circle solve runs without the numeric layers, and
+they live apart from ``specfun``, which every closed-form CLI command
+imports: only the spectral layers (``torsion``, and ``zetacont``, which
+re-exports these names as the same objects) read them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import ValidationError, integer, number, positive
+from .errors import Record, ValidationError, integer, number, positive
 
 #: depth of the shift relation / residue ladder used on the numeric path
 RMAX = 16
+
+_EMPTY: Mapping = MappingProxyType({})
 
 
 def _shifts(alphas) -> list[float]:
@@ -33,25 +33,28 @@ def _check_shift(a: float, smallest: float) -> None:
         raise ValidationError(f"shift {a} reaches past the smallest eigenvalue {smallest}")
 
 
-@dataclass(frozen=True)
-class ZetaFunctionData:
+class ZetaFunctionData(Record):
     """Continuation outputs, read-only once built: the mappings are copied
     into read-only views.  pp[i] stores the plain value zeta(i) wherever
     residues[i] == 0.  ``pp_errors`` bounds, where given, the error of
     Res(i)(gamma + psi(i)) + PP(i) beyond ``error_estimate``: the lattice
     route bounds each order on its own, and the relation path weighs them
     by |alpha|^i / i."""
-    deriv0: float
-    deriv0_shifted: Mapping = field(default_factory=dict)
-    residues: Mapping = field(default_factory=dict)
-    pp: Mapping = field(default_factory=dict)
-    error_estimate: float = 0.0
-    zeta0: float = math.nan
-    pp_errors: Mapping = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name in ("deriv0_shifted", "residues", "pp", "pp_errors"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    __slots__ = ("deriv0", "deriv0_shifted", "residues", "pp", "error_estimate",
+                 "zeta0", "pp_errors")
+
+    def __init__(self, deriv0: float, deriv0_shifted: Mapping = _EMPTY,
+                 residues: Mapping = _EMPTY, pp: Mapping = _EMPTY,
+                 error_estimate: float = 0.0, zeta0: float = math.nan,
+                 pp_errors: Mapping = _EMPTY):
+        object.__setattr__(self, "deriv0", deriv0)
+        object.__setattr__(self, "deriv0_shifted", MappingProxyType(dict(deriv0_shifted)))
+        object.__setattr__(self, "residues", MappingProxyType(dict(residues)))
+        object.__setattr__(self, "pp", MappingProxyType(dict(pp)))
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "zeta0", zeta0)
+        object.__setattr__(self, "pp_errors", MappingProxyType(dict(pp_errors)))
 
 
 def zeta_data_exact(c: float, m: int, alphas=(), pole_range: int = 1) -> ZetaFunctionData:

@@ -54,44 +54,55 @@ def _fresh_process(code: str, *args: str) -> list:
 _ARRAYS = "numpy"
 _QUADRATURE = "numpy numpy.polynomial"
 _BESSEL = "numpy numpy.polynomial scipy"
+# the start-up modules a numpy-free command may skip: dataclasses (which loads
+# inspect), and fractions with the exact polynomials; numpy itself loads
+# inspect, so they are checked only where numpy stays out (startup=None)
+_STARTUP = ("dataclasses", "inspect", "fractions", "conetorsion.exactpoly")
+_EXACT = "fractions conetorsion.exactpoly"
 
 
-def _case(argv, loads, id, status=0):
-    return pytest.param(argv, loads, status, id=id)
+def _case(argv, loads, id, status=0, startup=""):
+    return pytest.param(argv, loads, startup, status, id=id)
 
 
-@pytest.mark.parametrize("argv,loads,status", [
+@pytest.mark.parametrize("argv,loads,startup,status", [
     _case([], "", id="import"),
     _case(["torsion", "disc", "--nu", "2.5", "--radius", "1.5"], "", id="torsion-disc"),
     # the circle's progression route is scalar arithmetic; a refused scale stops before it
-    _case(["torsion", "cone", "--base", "s1", "--scale", "3.0"], "", id="torsion-cone-s1"),
+    _case(["torsion", "cone", "--base", "s1", "--scale", "3.0"], "", id="torsion-cone-s1",
+          startup=_EXACT),
     _case(["zeta", "--base", "s1", "--scale", "3", "--degree", "0", "--shift", "0.3"], "",
-          id="zeta-s1"),
+          id="zeta-s1", startup=_EXACT),
     _case(["torsion", "cone", "--base", "s1", "--scale", "0.5"], "",
-          id="torsion-cone-s1-refused", status=2),
+          id="torsion-cone-s1-refused", status=2, startup=_EXACT),
     # the lattice route builds no quadrature, at every scale
     _case(["torsion", "cone", "--base", "torus2", "--scale", "2"], _ARRAYS,
-          id="torsion-cone-torus2"),
+          id="torsion-cone-torus2", startup=None),
     _case(["torsion", "cone", "--base", "torus2", "--scale", "2.885",
            "--lattice", "6.283185307179586,0,2.821150202923634,6.283185307179586"],
-          _ARRAYS, id="torsion-cone-torus2-sheared"),
+          _ARRAYS, id="torsion-cone-torus2-sheared", startup=None),
     _case(["torsion", "cone", "--base", "torus2", "--scale", "7"], _ARRAYS,
-          id="torsion-cone-torus2-c7"),
-    _case(["olver", "--order", "5"], "", id="olver"),
+          id="torsion-cone-torus2-c7", startup=None),
+    _case(["olver", "--order", "5"], "", id="olver", startup=_EXACT),
     _case(["modeldet", "--nu", "3.83", "--alpha", "1.2"], "", id="modeldet"),
     _case(["modeldet", "--nu", "3.082", "--alpha", "inf"], "", id="modeldet-dirichlet"),
     _case(["modeldet", "--nu", "1.5", "--alpha", "0", "--numeric"], _BESSEL,
-          id="modeldet-numeric"),
-    _case(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], _BESSEL, id="zeros"),
+          id="modeldet-numeric", startup=None),
+    _case(["zeros", "--kind", "j", "--nu", "2.0", "--count", "5"], _BESSEL, id="zeros",
+          startup=None),
 ])
-def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads, status):
+def test_fresh_process_loads_scipy_only_for_bessel_zeros(argv, loads, startup, status):
     code = ("import json, sys\n"
             "from conetorsion.cli import main\n"
             "argv = json.loads(sys.argv[1])\n"
             "status = main(argv) if argv else 0\n"
-            "print(json.dumps([status] + [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
-            "                             if m in sys.modules]))")
-    assert _fresh_process(code, json.dumps(argv)) == [status, *loads.split()]
+            "print(json.dumps([status, [m for m in ('numpy', 'numpy.polynomial', 'scipy')\n"
+            "                           if m in sys.modules],\n"
+            f"                  [m for m in {_STARTUP!r} if m in sys.modules]]))")
+    got_status, got_loads, got_startup = _fresh_process(code, json.dumps(argv))
+    assert [got_status, *got_loads] == [status, *loads.split()]
+    if startup is not None:
+        assert got_startup == startup.split()
 
 
 def test_fresh_numeric_route_loads_quadrature_but_not_scipy(tmp_path):

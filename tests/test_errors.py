@@ -1,12 +1,21 @@
-"""The field screens every public entry point reads its scalar inputs through."""
+"""The field screens every public entry point reads its scalar inputs through, and the
+read-only value records the layers return."""
 
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
+from conetorsion.basemanifold import circle
+from conetorsion.besselzero import ZeroRequest, zeros
+from conetorsion.derivation import SpectralParameter
 from conetorsion.errors import ValidationError, flag, integer, number, positive, text
+from conetorsion.modelops import ConeOverS1Config, DeterminantValue, ModelOperator
+from conetorsion.torsion import DegreeContinuation, TorsionBreakdown
+from conetorsion.zetadata import ZetaFunctionData
 
 _NUMERIC = [number, positive, integer]
 
@@ -85,3 +94,56 @@ def test_text_refuses_non_strings(bad):
     with pytest.raises(ValidationError, match="^name must be a string, got "):
         text(bad, "name")
     assert text("", "name") == "" and text("x", "name") == "x"
+
+
+# ---------------------------------------------------------------------------
+# value records: the read-only records the layers return are values
+
+def test_records_compare_hash_print_and_copy_by_field():
+    req = ZeroRequest(2.5, "mixed", np.int64(5), alpha=1.0)
+    same = ZeroRequest(nu=2.5, kind="mixed", count=5, alpha=1.0)
+    assert req == same and hash(req) == hash(same)
+    assert req != ZeroRequest(2.5, "mixed", 5, alpha=0.5)
+    assert repr(req) == str(req) == "ZeroRequest(nu=2.5, kind='mixed', count=5, alpha=1.0)"
+    assert list(req.as_dict().items()) == [("nu", 2.5), ("kind", "mixed"), ("count", 5),
+                                           ("alpha", 1.0)]
+    for twin in (copy.copy(req), copy.deepcopy(req), pickle.loads(pickle.dumps(req))):
+        assert twin == req and twin is not req
+    # a record equals only a record of its own class
+    assert ConeOverS1Config(2.0, 2.0) != ModelOperator(2.0, 2.0)
+    assert ModelOperator(2.0) == ModelOperator(2, math.inf)
+    # the arrays stay out of a zero list's repr
+    zl = zeros(ZeroRequest(2.0, "dirichlet", 3))
+    assert repr(zl) == "ZeroList(request=ZeroRequest(nu=2.0, kind='dirichlet', count=3, alpha=None))"
+
+
+def test_records_keep_their_defaults_and_refuse_writes():
+    data = ZetaFunctionData(1.5)
+    assert list(data.as_dict()) == ["deriv0", "deriv0_shifted", "residues", "pp",
+                                    "error_estimate", "zeta0", "pp_errors"]
+    assert (dict(data.deriv0_shifted), dict(data.residues), dict(data.pp),
+            dict(data.pp_errors)) == ({}, {}, {}, {})
+    assert data.error_estimate == 0.0 and math.isnan(data.zeta0)
+    assert ConeOverS1Config().as_dict() == {"radius": 1.0, "nu_angle": 1.0}
+    assert ModelOperator(2.0).alpha == math.inf
+    assert DeterminantValue(0.5, "closed-form").error_estimate == 0.0
+    breakdown = TorsionBreakdown(0.1, 0.2, {}, "odd", "s1", 2.0)
+    assert breakdown.error_estimate == 0.0
+    dc = DegreeContinuation(0, "exact", data, {0.0: 0.0})
+    assert dc.progression is None and dc.nu_stream is None
+    for record in (data, ConeOverS1Config(), ModelOperator(2.0), breakdown, dc,
+                   SpectralParameter(-1.0), ZeroRequest(2.0, "dirichlet", 3)):
+        name = type(record).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is read-only$"):
+            setattr(record, next(iter(record.as_dict())), 0.0)
+        with pytest.raises(AttributeError, match=f"^{name} is read-only$"):
+            delattr(record, next(iter(record.as_dict())))
+    with pytest.raises(TypeError):
+        data.pp[1] = 0.0
+
+
+def test_bases_stay_equal_and_hashed_by_identity():
+    # a base keys the weak per-degree cache: two equal-looking bases are two keys
+    first, second = circle(2.0), circle(2.0)
+    assert first != second and first == first
+    assert hash(first) == object.__hash__(first)

@@ -1,7 +1,6 @@
 """Torsion assembly: closed forms vs the independent spectral routes, the
 large-order remainder analysis, and the degree/parity bookkeeping."""
 
-import dataclasses
 import gc
 import math
 import re
@@ -29,6 +28,7 @@ from conetorsion.modelops import ModelOperator, det_numeric
 from conetorsion.selftest import corollary_3d_precancellation
 from conetorsion.torsion import (
     ConeOverS1Config,
+    TorsionBreakdown,
     corollary_2d,
     corollary_3d,
     degree_continuation,
@@ -151,7 +151,7 @@ def test_middle_degree_delta_is_load_bearing():
     bd = log_torsion(base)
     per_degree = {k: dict(entry) for k, entry in bd.per_degree.items()}
     per_degree[(base.dim - 1) // 2]["weight"] *= 2.0
-    wrong = oracles.recombined(dataclasses.replace(bd, per_degree=per_degree))
+    wrong = oracles.recombined(TorsionBreakdown(**dict(bd.as_dict(), per_degree=per_degree)))
     assert abs(wrong - corollary_2d(base)) > 1e-6
 
 
