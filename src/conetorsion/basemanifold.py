@@ -532,7 +532,7 @@ def _listing(k: int, columns: list) -> tuple:
                     raise ValidationError(
                         f"{need} as numbers; entry {i} has {key} {v!r}") from None
     try:
-        values, mults = (np.fromiter(map(float, col), float, n) for col in columns)
+        values, mults = (np.array(col, dtype=float) for col in columns)
     except OverflowError:
         values, mults = (np.fromiter(map(_float, col), float, n) for col in columns)
     bad_value = ~np.isfinite(values)

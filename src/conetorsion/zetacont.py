@@ -586,41 +586,54 @@ class MellinZeta(ReadOnly):
 
     Heat powers used for H(t): the stream's exact powers (its only source),
     extended by _FIT_EXTRA fitted half-power steps when no exact trace
-    evaluator exists.  Engines are kept by cached records, so they are
-    read-only, their powers a tuple and their grid arrays included.
+    evaluator exists.  Every grid the engine reads is traced in one call
+    once t_min and T are fixed; only the fit's refit window takes a second.
+    Engines are kept by cached records, so they are read-only, their powers
+    a tuple and their grid arrays included.
     """
 
     def __init__(self, stream: SpectrumStream, *, s_max: float = 1.0):
         def put(name, value):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
             object.__setattr__(self, name, value)
 
         put("stream", stream)
         powers = sorted(stream.heat_powers)
-        if stream.heat_fn is not None:
-            put("powers", tuple(powers))
-            put("t_min", self._choose_t_min())
-            put("_fit_note", 0.0)
-        else:
+        if stream.heat_fn is None:
             put("t_min", stream.t_floor())
-            fitted, note = self._fit_heat_powers(powers)
-            put("powers", tuple(fitted))
-            put("_fit_note", note)
+            hi, tw = self._fit_window()
+        else:
+            put("t_min", self._choose_t_min(powers))
+            tw = np.empty(0)
 
-        # shared node grids; T adapted to the largest Mellin power requested
-        x_min = stream.min_value
-        T = max((_EXP_CUTOFF + 3.4 * max(s_max - 1.0, 0.0)) / x_min, 1.5)
+        # every grid read below, traced in one call (a point's trace does not
+        # depend on its batch): the fit window, the quadrature grids, their
+        # coarse error probes and T; T adapted to the largest Mellin power
+        T = max((_EXP_CUTOFF + 3.4 * max(s_max - 1.0, 0.0)) / stream.min_value, 1.5)
         ts, ws = _log_panels(self.t_min, 1.0, _NODES)
         tl, wl = _log_panels(1.0, T, _NODES, per_decade=3)
-        for name, value in (("_ts", ts), ("_ws", ws), ("_tl", tl), ("_wl", wl),
-                            ("_T", T), ("_zs", stream.trace(ts)),
-                            ("_zl", stream.trace(tl)), ("_hs", _heat_eval(ts, self.powers))):
+        ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
+        tl2, wl2 = _log_panels(1.0, T, _NODES // 2 + 2, per_decade=3)
+        grids = (tw, ts, tl, ts2, tl2, np.array([T]))
+        z = stream.trace(np.concatenate(grids))
+        z.flags.writeable = False
+        zw, zs, zl, zs2, zl2, zT = np.split(z, np.cumsum([g.size for g in grids[:-1]]))
+        fitted, note = (self._fit_heat_powers(powers, hi, tw, zw) if stream.heat_fn is None
+                        else (powers, 0.0))
+        put("powers", tuple(fitted))
+        put("_fit_note", note)
+        for name, value in (("_ts", ts), ("_ws", ws), ("_tl", tl), ("_wl", wl), ("_T", T),
+                            ("_zs", zs), ("_zl", zl), ("_hs", _heat_eval(ts, self.powers)),
+                            ("_probe", (ts2, ws2, zs2 - _heat_eval(ts2, self.powers),
+                                        tl2, wl2, zl2)), ("_zT", float(zT[0]))):
             put(name, value)
 
     # -- heat model -------------------------------------------------------
-    def _choose_t_min(self) -> float:
-        """Largest t at which Z - H has already collapsed to rounding noise.
+    def _choose_t_min(self, powers) -> float:
+        """Largest t at which Z - H, H the exact ``powers``, has already
+        collapsed to rounding noise.
 
         Below that point the subtracted integrand is pure cancellation noise
         (|Z| ~ c t^p_min against an equal H), so integrating deeper only
@@ -639,17 +652,16 @@ class MellinZeta(ReadOnly):
         for lo in range(0, probes.size, _PROBE_BLOCK):
             block = probes[lo:lo + _PROBE_BLOCK]
             z = self.stream.trace(block)
-            ratio = np.abs(z - _heat_eval(block, self.powers)) / np.maximum(np.abs(z), 1e-300)
+            ratio = np.abs(z - _heat_eval(block, powers)) / np.maximum(np.abs(z), 1e-300)
             ok = np.nonzero(ratio <= 1e-13)[0]
             if ok.size:
                 return float(block[ok[0]])
             ratios.append(ratio)
         return float(probes[int(np.argmin(np.concatenate(ratios)))])
 
-    def _fit_heat_powers(self, supplied):
-        """(powers, bias note): the supplied powers extended by least squares
-        on a window just above the trace floor, the supplied leading
-        coefficient cross-checked."""
+    def _fit_window(self):
+        """(hi, t): the heat fit's window [t_min, hi] and its 160 log-spaced
+        points, refused before anything is traced when the listing is short."""
         lo = self.t_min
         # keep the window shallow: extrapolation bias of the truncated power
         # model scales with the window top, so past ~2.5 decades more width
@@ -661,8 +673,13 @@ class MellinZeta(ReadOnly):
                 f"floor t={lo:.3g} of stream {self.stream.name!r}; the heat fit needs "
                 f"a largest eigenvalue of at least {_EXP_CUTOFF * 50.0 / 0.05:.0f}, "
                 f"got {self.stream.max_value:.6g}")
-        tw = np.exp(np.linspace(math.log(lo), math.log(hi), 160))
-        zw = self.stream.trace(tw)
+        return hi, np.exp(np.linspace(math.log(lo), math.log(hi), 160))
+
+    def _fit_heat_powers(self, supplied, hi, tw, zw):
+        """(powers, bias note): the supplied powers extended by least squares
+        on the window ``tw`` up to ``hi`` with its traces ``zw``, the supplied
+        leading coefficient cross-checked."""
+        lo = self.t_min
         resid = zw - _heat_eval(tw, supplied)
         pmax = max((p for p, _ in supplied), default=-1.0)
         # a power is identifiable only while t^p pokes above the float noise
@@ -787,20 +804,17 @@ class MellinZeta(ReadOnly):
 
     # -- error accounting ---------------------------------------------------
     def error_estimate(self, s_list=(0.0,)) -> float:
-        # quadrature error probe: the same sums on a coarser grid
-        ts2, ws2 = _log_panels(self.t_min, 1.0, _NODES // 2 + 2)
-        tl2, wl2 = _log_panels(1.0, self._T, _NODES // 2 + 2, per_decade=3)
-        probe = (ts2, ws2, self.stream.trace(ts2) - _heat_eval(ts2, self.powers),
-                 tl2, wl2, self.stream.trace(tl2))
-        quad = max(abs(self.integral(s) - _grid_sum(s, *probe)) for s in s_list)
+        """Quadrature, small-t, large-t and heat-fit error of the integrals
+        at the Mellin powers ``s_list``, from the traces taken at build: the
+        quadrature error is the gap to the same sums on the coarse grids."""
+        quad = max(abs(self.integral(s) - _grid_sum(s, *self._probe)) for s in s_list)
         pnext = max(p for p, _ in self.powers) + 0.5
         win = self._ts <= self.t_min * 16.0
         resid = self._zs[win] - self._hs[win]
         cnext = float(np.max(np.abs(resid) / self._ts[win] ** pnext)) if np.any(win) else 0.0
         s_lo = min(s_list)
         smalltail = cnext * self.t_min ** (pnext + s_lo) / max(pnext + s_lo, 0.5)
-        zT = float(self.stream.trace(np.array([self._T]))[0])
-        bigtail = zT * self._T ** (max(s_list) - 1.0) / self.stream.min_value
+        bigtail = self._zT * self._T ** (max(s_list) - 1.0) / self.stream.min_value
         return quad + smalltail + bigtail + self._fit_note
 
 

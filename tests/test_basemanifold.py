@@ -672,6 +672,28 @@ def test_custom_integral_float_multiplicities_load():
         assert np.array_equal(bm.custom(source).coclosed_spectrum(0).mults, want)
 
 
+def test_custom_converts_ints_as_float_does():
+    # each column converts in one pass; an int past 2^53, past int64 or
+    # past uint64 rounds as float() rounds it, and one past binary64 is
+    # refused with the message of the entry-wise conversion
+    big = [2 ** 53 + 1, 2 ** 63 + 1, 2 ** 64 + 3, 10 ** 30]
+    blob = oracles.custom_mapping(bm.circle(2.0))
+    for item, v in zip(blob["degrees"][0]["eigenvalues"][-4:], big):
+        item["value"] = item["mult"] = v
+    for source in (blob, oracles.columnar(blob), json.dumps(blob)):
+        stream = bm.custom(source).coclosed_spectrum(0)
+        for column in (stream.values, stream.mults):
+            assert [x.hex() for x in column[-4:].tolist()] == [float(v).hex() for v in big]
+    for key, message in (("value", f"{_ASCENT} (entry 5)"),
+                         ("mult", "degree 0: multiplicities must be integers, got inf (entry 5)")):
+        blob = oracles.custom_mapping(bm.circle(2.0))
+        blob["degrees"][0]["eigenvalues"][5][key] = 10 ** 400
+        for source in (blob, oracles.columnar(blob)):
+            with pytest.raises(ValidationError) as info:
+                bm.custom(source)
+            assert str(info.value) == message
+
+
 def _degree0(**fields):
     """Set fields of the first degree entry; ``...`` removes one."""
     def mutate(d):

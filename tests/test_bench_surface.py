@@ -75,10 +75,10 @@ def test_zeta_command_skips_the_lift(tracing):
 
 def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
     # the point counts are the quadrature nodes of a cold torus2(2) solve;
-    # the coarse error-probe grid is traced only where error_estimate reads
-    # it, and the t_min probes are traced in blocks from the largest t down,
-    # stopping at the first passing block; the frequency listing is never
-    # traced
+    # the t_min probes are traced in blocks from the largest t down,
+    # stopping at the first passing block, then every grid the engine reads
+    # (quadrature, coarse error probe and T) in one call; the frequency
+    # listing is never traced
     # (counted on the numeric route: torus2's lattice route builds no engine)
     tracer = _traced(tracing, lambda: torsion.log_torsion(torus2(2.0)))
     assert tracer.counts["zetacont.mellin_engines"] == 0
@@ -86,7 +86,7 @@ def test_cold_torus_solve_evaluates_every_node_in_few_calls(tracing):
     tracer = _traced(tracing, lambda: torsion.log_torsion(oracles.without_lattice(torus2(2.0))))
     counts = tracer.counts
     assert counts["zetacont.trace_points.exact"] == 233
-    assert counts["zetacont.trace_calls.exact"] == 6
+    assert counts["zetacont.trace_calls.exact"] == 2
     assert counts["zetacont.trace_calls.lift"] == counts["zetacont.trace_calls.eigsum"] == 0
 
 
@@ -119,7 +119,10 @@ def test_cold_recursive_expansion_build_is_traced(tracing):
 # With the lift's cross-check gone from the error budget, the numeric solve
 # builds 1 engine, not 2, makes 6 engine evaluations fewer and 6 exact trace
 # calls (233 points), not 8 exact (5849) and 3 lift (172); the lattice route
-# lists nu through sqrt_stream too (1 -> 2 spans)
+# lists nu through sqrt_stream too (1 -> 2 spans).  Each engine now traces
+# every grid it reads in one call, after its t_min probes or before its refit
+# window: 28 eigenvalue-sum trace calls, not 98, and 2 exact, not 6, over the
+# same 8750 and 233 points
 BATTERY_SPANS = {
     "basemanifold.build_s.circle": 4, "basemanifold.build_s.torus2": 2,
     "besselzero.zeros_s.dirichlet": 8, "besselzero.zeros_s.mixed": 9,
@@ -128,14 +131,14 @@ BATTERY_SPANS = {
     "torsion.log_torsion_s": 5, "torsion.nu_continuation_s": 1,
     "torsion.spectral_bracket_s": 5, "zetacont.mellin_build_s": 15,
     "zetacont.mellin_eval_s": 47, "zetacont.shifted_from_base_s": 2,
-    "zetacont.sqrt_stream_s": 2, "zetacont.trace_s.eigsum": 98,
-    "zetacont.trace_s.exact": 6,
+    "zetacont.sqrt_stream_s": 2, "zetacont.trace_s.eigsum": 28,
+    "zetacont.trace_s.exact": 2,
     "zetacont.zeta_data_exact_s": 3, "zetacont.zeta_data_numeric_s": 14,
 }
 BATTERY_COUNTS = {
     "besselzero.zeros_count": 28090, "zetacont.mellin_engines": 15,
-    "zetacont.trace_calls.eigsum": 98, "zetacont.trace_points.eigsum": 8750,
-    "zetacont.trace_calls.exact": 6, "zetacont.trace_points.exact": 233,
+    "zetacont.trace_calls.eigsum": 28, "zetacont.trace_points.eigsum": 8750,
+    "zetacont.trace_calls.exact": 2, "zetacont.trace_points.exact": 233,
 }
 _TRACED_SELFTEST = r"""
 import json, re, sys

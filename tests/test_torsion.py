@@ -205,7 +205,9 @@ def test_degree_continuation_is_read_only():
     engine = zetacont.MellinZeta(q_stream, s_max=0.5 * zetacont.RMAX)
     with pytest.raises(AttributeError):
         engine.powers.append((9.0, 1e3))
-    for arr in (engine._zs, engine._ts, engine._ws, engine._zl, engine._hs):
+    # the grid traces are slices of one traced batch, itself read-only
+    for arr in (engine._zs, engine._zs.base, engine._ts, engine._ws, engine._zl,
+                engine._hs, *engine._probe):
         with pytest.raises(ValueError, match="read-only"):
             arr[:] *= 2.0
     with pytest.raises(AttributeError, match="MellinZeta is read-only"):

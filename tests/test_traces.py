@@ -18,7 +18,8 @@ float sum stops moving, on numpy's summation tree (``oracles.pairwise_sum``
 models it): seeded random calls hold it bitwise to the one-pass form over
 the full widths, and one more bounds the terms it builds.  The quadrature panels and
 the t_min probes of the Mellin engine are held bitwise to the per-panel
-loop and the all-probes call they replaced (``oracles``).
+loop and the all-probes call they replaced (``oracles``), and the traces
+it keeps from its one batch call to fresh calls on each grid alone.
 """
 
 import inspect
@@ -30,12 +31,21 @@ import pytest
 
 import oracles
 from conetorsion.basemanifold import _DEFAULT_LATTICE, circle, torus2
-from conetorsion.zetacont import (_EXP_ZERO, _NORMAL_EXP, _PROBE_BLOCK, _TILE, RMAX,
+from conetorsion.modelops import ModelOperator, spectrum
+from conetorsion.zetacont import (_EXP_ZERO, _NODES, _NORMAL_EXP, _PROBE_BLOCK, _TILE, RMAX,
                                   MellinZeta, SpectrumStream, _exp_rowsum, _gauss_legendre,
-                                  _lattice_points, _log_panels, _row_widths, progression_stream)
+                                  _heat_eval, _lattice_points, _log_panels, _row_widths,
+                                  progression_stream)
 
 REL = 1e-15
 T_GRID = np.exp(np.linspace(math.log(1e-9), math.log(30.0), 3000))
+# one batch in the Mellin engine's order, which is not monotone: a fit window
+# above t_min = 1e-4, the [t_min, 1] and [1, T] quadrature grids, their
+# coarse error probes and T = 30
+ENGINE_BATCH = np.concatenate(
+    [np.exp(np.linspace(math.log(1e-4), math.log(0.03), 160))]
+    + [_log_panels(a, b, nodes, per_decade)[0] for nodes in (_NODES, _NODES // 2 + 2)
+       for a, b, per_decade in ((1e-4, 1.0, 1), (1.0, 30.0, 3))] + [np.array([30.0])])
 SHEARED = ((2.0 * math.pi, 0.0), (2.0, 5.0))
 
 
@@ -146,12 +156,17 @@ def _torus2_lift():
     lambda: circle(2.0).coclosed_spectrum(0).heat_fn,
     lambda: _random_stream().trace,
     lambda: _torus2_lift().trace,
-], ids=["torus2-square", "torus2-sheared", "circle", "eigsum", "lift"])
+    lambda: torus2(2.0).coclosed_spectrum(0).shifted(0.25).heat_fn,
+    lambda: progression_stream(1.5, 2, 400).heat_fn,
+], ids=["torus2-square", "torus2-sheared", "circle", "eigsum", "lift", "shifted",
+        "progression"])
 def test_trace_value_does_not_depend_on_batch(make_trace):
-    # bitwise: each point's kernel width comes from that point alone
+    # bitwise: each point's kernel width comes from that point alone, in an
+    # ascending batch and in the engine's concatenated grids alike
     trace = make_trace()
-    alone = [trace(T_GRID[i:i + 1])[0] for i in range(T_GRID.size)]
-    assert np.array_equal(trace(T_GRID), alone)
+    for batch in (T_GRID, ENGINE_BATCH):
+        alone = [trace(batch[i:i + 1])[0] for i in range(batch.size)]
+        assert np.array_equal(trace(batch), alone)
 
 
 def _reachable_arrays(trace) -> list:
@@ -440,3 +455,51 @@ def test_t_min_without_a_passing_probe_is_the_smallest_ratio():
     want, ratio = _all_probes(engine)
     assert ratio.min() > 1e-13
     assert engine.t_min == want
+
+
+def _bessel_listing():
+    """The first 2000 squared Dirichlet zeros of J_(1/2), as ``det_numeric``
+    lists them: the heat fit on this stream reads its refit window."""
+    zl = spectrum(ModelOperator(0.5), 2000)
+    return SpectrumStream(zl.eigenvalues(), heat_powers=((-0.5, 0.5 / math.sqrt(math.pi)),))
+
+
+def _progression_listing():
+    """A progression listed without its trace: its supplied powers already
+    fit, so the heat fit returns early."""
+    full = progression_stream(1.5, 2, 40000)
+    return SpectrumStream(full.values, full.mults, heat_powers=full.heat_powers)
+
+
+@pytest.mark.parametrize("make_stream,probes,refit", [
+    (_progression_listing, 0, 0),
+    (_bessel_listing, 0, 1),
+    (lambda: torus2(2.0).coclosed_spectrum(0).shifted(0.25), 1, 0),
+], ids=["listing", "bessel-refit", "exact"])
+def test_engine_traces_its_grids_in_one_call(make_stream, probes, refit, monkeypatch):
+    # every grid the engine reads is traced in one batch, after the t_min
+    # probes of an exact trace; only the fit's refit window takes a second
+    # call.  Each trace it keeps is bitwise a fresh call on that grid alone
+    stream = make_stream()
+    sizes, trace = [], SpectrumStream.trace
+    with monkeypatch.context() as patch:
+        patch.setattr(SpectrumStream, "trace",
+                      lambda self, t: sizes.append(np.size(t)) or trace(self, t))
+        engine = MellinZeta(stream, s_max=2.0)
+        engine.error_estimate([0.0, 1.0, 2.0])
+    ts2, _, ds2, tl2, _, zl2 = engine._probe
+    grids = [engine._ts, engine._tl, ts2, tl2, np.array([engine._T])]
+    if stream.heat_fn is None:
+        hi, tw = engine._fit_window()
+        grids.insert(0, tw)
+        fitted, note = engine._fit_heat_powers(sorted(stream.heat_powers), hi, tw,
+                                               stream.trace(tw))
+        assert (tuple(fitted), note) == (engine.powers, engine._fit_note)
+    batch = sum(grid.size for grid in grids)
+    assert sizes == [_PROBE_BLOCK] * probes + [batch] + [160] * refit
+    for kept, fresh in ((engine._zs, stream.trace(engine._ts)),
+                        (engine._zl, stream.trace(engine._tl)),
+                        (ds2, stream.trace(ts2) - _heat_eval(ts2, engine.powers)),
+                        (zl2, stream.trace(tl2)),
+                        (engine._zT, stream.trace(np.array([engine._T]))[0])):
+        assert np.asarray(kept).tobytes() == np.asarray(fresh).tobytes()

@@ -425,6 +425,21 @@ def test_engine_rejects_spectrum_with_no_window():
         MellinZeta(st)
 
 
+def test_engine_refuses_a_short_listing_before_tracing(monkeypatch):
+    # the fit window is screened before the engine's one batch call: a
+    # listing short of the fit's reach is refused without a trace
+    st = SpectrumStream(np.arange(1.0, 4097.0) * 10.0, heat_powers=((-1.0, 0.1),))
+    calls = []
+    monkeypatch.setattr(SpectrumStream, "trace", lambda self, t: calls.append(t))
+    with pytest.raises(ConvergenceError) as info:
+        MellinZeta(st)
+    assert str(info.value) == (
+        "insufficient spectrum: no usable fitting window above the trace floor "
+        "t=0.0011 of stream ''; the heat fit needs a largest eigenvalue of at least "
+        "45000, got 40960")
+    assert calls == []
+
+
 def test_engine_rejects_spectrum_with_short_window():
     # floor 45/4096 ~ 0.011 < 0.05 but the window [floor, 0.05] spans < 50x
     st = SpectrumStream(np.arange(1.0, 4097.0), heat_powers=((-1.0, 1.0),))
